@@ -17,15 +17,21 @@ use pmkm_core::error::{Error, Result};
 use pmkm_core::lloyd::lloyd;
 use pmkm_core::seeding::{rng_for, seed_centroids};
 use pmkm_core::{kmeans, Centroids, Dataset, KMeansConfig, KMeansOutcome, LloydRun, PointSource};
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
-/// Builds a rayon pool of exactly `workers` threads.
-fn pool(workers: usize) -> Result<rayon::ThreadPool> {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(workers.max(1))
-        .build()
-        .map_err(|e| Error::InvalidConfig(e.to_string()))
+/// Calls `f(0), …, f(items − 1)` on up to `workers` scoped threads, one
+/// contiguous slab of indices each, and returns the results in index order
+/// — so the output never depends on the thread count.
+fn fan_out<R: Send>(items: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let slab = items.div_ceil(workers.max(1)).max(1);
+    let f = &f;
+    std::thread::scope(|s| {
+        let slabs: Vec<_> = (0..items)
+            .step_by(slab)
+            .map(|lo| s.spawn(move || (lo..items.min(lo + slab)).map(f).collect::<Vec<R>>()))
+            .collect();
+        slabs.into_iter().flat_map(|h| h.join().expect("fan_out worker panicked")).collect()
+    })
 }
 
 /// Method A result: one serial k-means per cell, cells fanned out.
@@ -42,19 +48,13 @@ pub struct MethodAResult {
 pub fn method_a(cells: &[Dataset], cfg: &KMeansConfig, workers: usize) -> Result<MethodAResult> {
     cfg.validate()?;
     let started = Instant::now();
-    let outcomes = pool(workers)?.install(|| {
-        cells
-            .par_iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                let cell_cfg = KMeansConfig {
-                    seed: pmkm_core::seeding::derive_seed(cfg.seed, i as u64),
-                    ..*cfg
-                };
-                kmeans(cell, &cell_cfg)
-            })
-            .collect::<Result<Vec<_>>>()
-    })?;
+    let outcomes = fan_out(cells.len(), workers, |i| {
+        let cell_cfg =
+            KMeansConfig { seed: pmkm_core::seeding::derive_seed(cfg.seed, i as u64), ..*cfg };
+        kmeans(&cells[i], &cell_cfg)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
     Ok(MethodAResult { cells: outcomes, elapsed: started.elapsed() })
 }
 
@@ -77,16 +77,13 @@ pub struct MethodBResult {
 pub fn method_b(cell: &Dataset, cfg: &KMeansConfig, workers: usize) -> Result<MethodBResult> {
     cfg.validate()?;
     let started = Instant::now();
-    let runs = pool(workers)?.install(|| {
-        (0..cfg.restarts)
-            .into_par_iter()
-            .map(|r| {
-                let mut rng = rng_for(cfg.seed, r as u64);
-                let init = seed_centroids(cell, cfg.k, cfg.seed_mode, &mut rng)?;
-                lloyd(cell, &init, &cfg.lloyd)
-            })
-            .collect::<Result<Vec<_>>>()
-    })?;
+    let runs = fan_out(cfg.restarts, workers, |r| {
+        let mut rng = rng_for(cfg.seed, r as u64);
+        let init = seed_centroids(cell, cfg.k, cfg.seed_mode, &mut rng)?;
+        lloyd(cell, &init, &cfg.lloyd)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
     let restart_mses: Vec<f64> = runs.iter().map(|r| r.mse).collect();
     // First minimum wins, matching the serial "better = strictly smaller"
     // selection rule.
@@ -170,7 +167,6 @@ pub fn method_c(cell: &Dataset, cfg: &KMeansConfig, slaves: usize) -> Result<Met
     // subsets ... assigned to different slaves"). Round-robin deal: original
     // point `j` lands in partition `j % slaves` at position `j / slaves`.
     let parts = cell.split_round_robin(slaves)?;
-    let workers = pool(slaves)?;
 
     let mut rng = rng_for(cfg.seed, 0);
     let mut centroids = seed_centroids(cell, k, SeedMode::RandomPoints, &mut rng)?;
@@ -184,13 +180,8 @@ pub fn method_c(cell: &Dataset, cfg: &KMeansConfig, slaves: usize) -> Result<Met
     let round = |centroids: &Centroids, messages: &mut usize, floats: &mut usize| -> RoundStats {
         *messages += slaves; // broadcast
         *floats += slaves * k * dim;
-        let replies: Vec<SlaveReply> = workers.install(|| {
-            parts
-                .par_iter()
-                .enumerate()
-                .map(|(p, part)| slave_assign(part, centroids, p, slaves, k))
-                .collect()
-        });
+        let replies =
+            fan_out(parts.len(), slaves, |p| slave_assign(&parts[p], centroids, p, slaves, k));
         *messages += slaves; // replies
         for r in &replies {
             *floats += r.sums.len() + r.weights.len() + 1 + r.donors.len() * (dim + 2);

@@ -1,10 +1,15 @@
 //! Property tests for the baseline algorithms' invariants.
 
 use pmkm_baselines::{
-    birch, method_b, method_c, stream_lsearch, BirchConfig, ClusteringFeature, StreamLsConfig,
+    birch, method_a, method_b, method_c, stream_lsearch, BirchConfig, ClusteringFeature,
+    StreamLsConfig,
 };
+use pmkm_core::seeding::derive_seed;
 use pmkm_core::{kmeans, Dataset, KMeansConfig, PointSource};
 use proptest::prelude::*;
+
+/// Thread counts for Methods A/B: one, even, odd, and more than the items.
+const WORKERS: [usize; 4] = [1, 2, 3, 8];
 
 fn arb_dataset(min_n: usize) -> impl Strategy<Value = Dataset> {
     (1usize..4, min_n..60usize).prop_flat_map(move |(dim, n)| {
@@ -58,13 +63,39 @@ proptest! {
     }
 
     #[test]
+    fn method_a_always_equals_per_cell_serial(
+        cells in proptest::collection::vec(arb_dataset(6), 1..6),
+        seed in any::<u64>(),
+    ) {
+        let cfg = KMeansConfig { restarts: 2, ..KMeansConfig::paper(3, seed) };
+        let serial: Vec<_> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| kmeans(c, &KMeansConfig { seed: derive_seed(seed, i as u64), ..cfg }))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        for workers in WORKERS {
+            let fanned = method_a(&cells, &cfg, workers).unwrap();
+            prop_assert_eq!(fanned.cells.len(), cells.len());
+            for (a, s) in fanned.cells.iter().zip(&serial) {
+                prop_assert_eq!(&a.best, &s.best, "workers={}", workers);
+                prop_assert_eq!(a.best_restart, s.best_restart);
+            }
+        }
+    }
+
+    #[test]
     fn method_b_always_equals_serial(ds in arb_dataset(6), seed in any::<u64>()) {
         let k = 3.min(ds.len());
         let cfg = KMeansConfig { restarts: 3, ..KMeansConfig::paper(k, seed) };
         let serial = kmeans(&ds, &cfg).unwrap();
-        let parallel = method_b(&ds, &cfg, 2).unwrap();
-        prop_assert_eq!(parallel.best.centroids, serial.best.centroids);
-        prop_assert_eq!(parallel.best_restart, serial.best_restart);
+        for workers in WORKERS {
+            let parallel = method_b(&ds, &cfg, workers).unwrap();
+            prop_assert_eq!(&parallel.best, &serial.best, "workers={}", workers);
+            prop_assert_eq!(parallel.best_restart, serial.best_restart);
+            let mses: Vec<f64> = serial.restarts.iter().map(|r| r.mse).collect();
+            prop_assert_eq!(&parallel.restart_mses, &mses);
+        }
     }
 
     #[test]
@@ -85,5 +116,44 @@ proptest! {
         let dist = method_c(&ds, &cfg, 1).unwrap();
         prop_assert_eq!(dist.centroids, serial.centroids);
         prop_assert_eq!(dist.iterations, serial.iterations);
+    }
+}
+
+/// The master reduces slave replies in slave order, not arrival order, so
+/// a multi-threaded Method C repeats itself bit for bit.
+#[test]
+fn method_c_four_slaves_repeat_bit_for_bit() {
+    let cell = Dataset::from_flat(
+        2,
+        (0..400).map(|i| ((i * 37 % 101) as f64).sin() * 50.0 + (i % 3) as f64 * 200.0).collect(),
+    )
+    .unwrap();
+    let cfg = KMeansConfig { restarts: 1, ..KMeansConfig::paper(3, 11) };
+    let first = method_c(&cell, &cfg, 4).unwrap();
+    assert!(first.iterations > 0);
+    let bits = |c: &pmkm_core::Centroids| -> Vec<u64> {
+        c.as_flat().iter().map(|v| v.to_bits()).collect()
+    };
+    for _ in 0..4 {
+        let again = method_c(&cell, &cfg, 4).unwrap();
+        assert_eq!(bits(&again.centroids), bits(&first.centroids));
+        assert_eq!(again.mse.to_bits(), first.mse.to_bits());
+        assert_eq!(again.iterations, first.iterations);
+        assert_eq!(again.messages, first.messages);
+        assert_eq!(again.floats_shipped, first.floats_shipped);
+    }
+}
+
+/// One cell too small for `k` fails the whole fan-out with that cell's
+/// error; the other workers' threads are joined, not left running.
+#[test]
+fn method_a_with_one_failing_cell_returns_err() {
+    let big = Dataset::from_flat(1, (0..40).map(f64::from).collect()).unwrap();
+    let tiny = Dataset::from_flat(1, vec![0.0, 1.0]).unwrap();
+    let cells = vec![big.clone(), big.clone(), tiny, big];
+    let cfg = KMeansConfig { restarts: 2, ..KMeansConfig::paper(3, 5) };
+    for workers in WORKERS {
+        let err = method_a(&cells, &cfg, workers).unwrap_err();
+        assert_eq!(err, pmkm_core::Error::KExceedsPoints { k: 3, points: 2 }, "workers={workers}");
     }
 }

@@ -68,7 +68,7 @@ fn main() {
         };
         let rec = pmkm_obs::Recorder::new();
         let (_, run_report) =
-            pmkm_core::partial_merge_observed(&cell, &pm, None, Some(&rec)).expect("observed run");
+            pmkm_core::partial_merge_observed(&cell, &pm, Some(&rec)).expect("observed run");
         write_json("fig7_run_report", &run_report).expect("write run report");
     }
 }

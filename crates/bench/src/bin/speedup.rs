@@ -1,17 +1,14 @@
 //! Regenerates the §5.2 speed-up experiment: partial k-means operators
-//! cloned across "machines" (worker threads), for one large cell.
-//!
-//! Two execution substrates are measured:
-//! * the in-memory worker pool (`partial_merge_with_workers`),
-//! * the full stream engine (scan → chunker → cloned partials → merge)
-//!   over an on-disk grid bucket.
+//! cloned across "machines" (worker threads), for one large cell, on the
+//! full stream engine (scan → chunker → cloned partials → merge) over an
+//! on-disk grid bucket. Clone counts above the printed core count are
+//! oversubscribed and say nothing about scaling.
 //!
 //! Usage: `… --bin speedup [--full] [--sizes=N] [--restarts=R] [--seed=S]`
 //! (the first entry of `--sizes` is the cell size; default 50,000).
 
 use pmkm_bench::experiments::SweepConfig;
 use pmkm_bench::report::{ms, print_table, write_json};
-use pmkm_core::{partial_merge_with_workers, MergeMode, PartialMergeConfig, PartitionSpec};
 use pmkm_data::{GridBucket, GridCell};
 use pmkm_stream::prelude::*;
 use serde::Serialize;
@@ -19,8 +16,6 @@ use serde::Serialize;
 #[derive(Serialize)]
 struct SpeedupRow {
     workers: usize,
-    pool_ms: f64,
-    pool_speedup: f64,
     engine_ms: f64,
     engine_speedup: f64,
 }
@@ -36,49 +31,29 @@ fn main() {
 
     let cell = cfg.cell(n, 0);
     let kcfg = cfg.kmeans_for(n, 0);
-    let pm = PartialMergeConfig {
-        kmeans: kcfg,
-        partitions: PartitionSpec::Count(splits),
-        merge_mode: MergeMode::Collective,
-        merge_restarts: 1,
-        slicing: pmkm_core::SliceStrategy::RandomOverlap,
-    };
 
     // On-disk bucket for the engine runs.
     let dir = std::env::temp_dir().join(format!("pmkm_speedup_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let cell_id = GridCell::new(90, 180).expect("valid cell");
     let bucket_path = dir.join(cell_id.bucket_file_name());
-    GridBucket { cell: cell_id, points: cell.clone() }
-        .write_to(&bucket_path)
-        .expect("write bucket");
+    GridBucket { cell: cell_id, points: cell }.write_to(&bucket_path).expect("write bucket");
     let points_per_chunk = n.div_ceil(splits);
 
     let worker_counts = [1usize, 2, 4, 8];
     let mut rows = Vec::new();
-    let mut base_pool = 0.0;
     let mut base_engine = 0.0;
     for &w in &worker_counts {
-        let res = partial_merge_with_workers(&cell, &pm, w).expect("pool run");
-        let pool_ms = res.total_elapsed.as_secs_f64() * 1e3;
-
         let logical = LogicalPlan::new(vec![bucket_path.clone()], kcfg);
         let plan = optimize_fixed_split(logical, &Resources::fixed(64 << 20, w), points_per_chunk);
         let report = execute(&plan).expect("engine run");
         let engine_ms = report.elapsed.as_secs_f64() * 1e3;
 
         if w == 1 {
-            base_pool = pool_ms;
             base_engine = engine_ms;
         }
-        rows.push(SpeedupRow {
-            workers: w,
-            pool_ms,
-            pool_speedup: base_pool / pool_ms,
-            engine_ms,
-            engine_speedup: base_engine / engine_ms,
-        });
-        eprintln!("[speedup] workers={w} pool={pool_ms:.0}ms engine={engine_ms:.0}ms");
+        rows.push(SpeedupRow { workers: w, engine_ms, engine_speedup: base_engine / engine_ms });
+        eprintln!("[speedup] workers={w} engine={engine_ms:.0}ms");
     }
 
     // One extra observed run at the widest clone count, outside the timed
@@ -97,19 +72,14 @@ fn main() {
 
     let printable: Vec<Vec<String>> = rows
         .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                ms(r.pool_ms),
-                format!("{:.2}x", r.pool_speedup),
-                ms(r.engine_ms),
-                format!("{:.2}x", r.engine_speedup),
-            ]
-        })
+        .map(|r| vec![r.workers.to_string(), ms(r.engine_ms), format!("{:.2}x", r.engine_speedup)])
         .collect();
+    let cores = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
     print_table(
-        &format!("§5.2 speed-up — N = {n}, {splits} chunks, partial operator cloned"),
-        &["workers", "pool time", "pool speedup", "engine time", "engine speedup"],
+        &format!(
+            "§5.2 speed-up — N = {n}, {splits} chunks, partial operator cloned, {cores} core(s)"
+        ),
+        &["clones", "engine time", "engine speedup"],
         &printable,
     );
     write_json("speedup", &rows).expect("write JSON");

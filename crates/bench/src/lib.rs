@@ -1,8 +1,8 @@
 //! # pmkm-bench — experiment harnesses
 //!
 //! Library support for the `src/bin/*` harness binaries that regenerate
-//! every table and figure of the paper, plus the criterion microbenches in
-//! `benches/`. See DESIGN.md §4 for the experiment index.
+//! every table and figure of the paper. See DESIGN.md §4 for the
+//! experiment index.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

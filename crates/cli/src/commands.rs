@@ -95,7 +95,7 @@ COMMANDS
             as a Chrome trace-event JSON (chrome://tracing, Perfetto).
   cluster   [--k=40] [--restarts=10] [--seed=0] [--splits=P | --memory=BYTES]
             [--workers=N] [--kernel=auto] [--backend=local-file]
-            [--adaptive] [--incremental]
+            [--incremental]
             [--coreset=SIZE] [--coreset-window=CHUNKS] [--coreset-decay=L]
             [--tolerant] [--chaos=LEVEL:SEED]
             [--metrics-out=REPORT.json] [--trace=TRACE.jsonl]
@@ -546,7 +546,6 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "workers",
         "kernel",
         "backend",
-        "adaptive",
         "incremental",
         "metrics-out",
         "trace",
@@ -609,11 +608,6 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         plan.fault_policy = pmkm_stream::FaultPolicy::tolerant();
     }
     plan.coreset = parse_coreset("cluster", args)?;
-    if plan.coreset.is_some() && args.flag("adaptive") {
-        return Err(CliError::Run(
-            "cluster: --coreset runs on the static executor; drop --adaptive".into(),
-        ));
-    }
     let metrics_out = args.get_str("metrics-out", "");
     let trace_out = args.get_str("trace", "");
     let ledger_out = args.get_str("ledger", "");
@@ -663,25 +657,8 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         .map_err(run_err)?;
         Some(server)
     };
-    let report = if args.flag("adaptive") {
-        if fault_plan.is_some() {
-            return Err(CliError::Run(
-                "cluster: --chaos targets the static executor; drop --adaptive".into(),
-            ));
-        }
-        let adaptive =
-            pmkm_stream::execute_adaptive_observed(&plan, recorder.clone()).map_err(run_err)?;
-        writeln!(
-            out,
-            "adaptive execution: {} partial clones started ({} scale-ups)",
-            adaptive.clones_started,
-            adaptive.scaling_events.len()
-        )
-        .map_err(run_err)?;
-        adaptive.report
-    } else {
-        pmkm_stream::execute_with_faults(&plan, recorder.clone(), fault_plan).map_err(run_err)?
-    };
+    let report =
+        pmkm_stream::execute_with_faults(&plan, recorder.clone(), fault_plan).map_err(run_err)?;
     writeln!(
         out,
         "clustered {} cells in {:.0} ms",
@@ -1295,7 +1272,7 @@ fn serve_demo<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             ..PartialMergeConfig::paper(k, splits, seed)
         };
         let (result, run_report) =
-            pmkm_core::partial_merge_observed(&points, &cfg, None, Some(&rec)).map_err(run_err)?;
+            pmkm_core::partial_merge_observed(&points, &cfg, Some(&rec)).map_err(run_err)?;
         rec.registry().counter("demo_iterations_total").inc();
         server.set_report(run_report);
         writeln!(
@@ -1397,20 +1374,6 @@ mod tests {
         let err =
             run("cluster", &["--k=4".into(), "--kernel=warp".into(), biggest.clone()]).unwrap_err();
         assert!(err.to_string().contains("unknown kernel 'warp'"), "{err}");
-
-        // cluster, adaptive path
-        let out = run(
-            "cluster",
-            &[
-                "--k=4".into(),
-                "--restarts=2".into(),
-                "--splits=3".into(),
-                "--adaptive".into(),
-                biggest.clone(),
-            ],
-        )
-        .unwrap();
-        assert!(out.contains("adaptive execution"), "{out}");
 
         // compress
         let hist_dir = dir.join("hist");
@@ -1599,19 +1562,13 @@ mod tests {
         assert!(report.degraded, "chaos run must flag degradation");
         assert!(report.faults.any(), "fault counters must reach the report");
 
-        // Malformed chaos specs and the unsupported adaptive combination
-        // fail with usage errors.
+        // Malformed chaos specs fail with usage errors.
         let mut argv = base.clone();
         argv.push("--chaos=heavy".into());
         argv.push(path.clone());
         assert!(matches!(run("cluster", &argv), Err(CliError::Run(_))));
-        let mut argv = base.clone();
-        argv.push("--chaos=cosmic:1".into());
-        argv.push(path.clone());
-        assert!(matches!(run("cluster", &argv), Err(CliError::Run(_))));
         let mut argv = base;
-        argv.push("--chaos=light:1".into());
-        argv.push("--adaptive".into());
+        argv.push("--chaos=cosmic:1".into());
         argv.push(path);
         assert!(matches!(run("cluster", &argv), Err(CliError::Run(_))));
 
@@ -1818,11 +1775,8 @@ mod tests {
         assert!(out.contains("[coreset]"), "{out}");
         assert!(out.contains("build(s)"), "{out}");
 
-        // Window/decay without a size, and --adaptive with --coreset, error.
+        // Window/decay without a size is an error.
         let err = run("cluster", &["--coreset-window=4".into(), buckets[0].clone()]).unwrap_err();
-        assert!(matches!(err, CliError::Run(_)), "{err:?}");
-        let err = run("cluster", &["--adaptive".into(), "--coreset=16".into(), buckets[0].clone()])
-            .unwrap_err();
         assert!(matches!(err, CliError::Run(_)), "{err:?}");
 
         std::fs::remove_dir_all(&dir).ok();

@@ -66,17 +66,6 @@ pub struct LloydConfig {
     pub epsilon: f64,
     /// Hard iteration cap (safety valve; `converged == false` when hit).
     pub max_iters: usize,
-    /// Use rayon to parallelize the assignment step within one run.
-    ///
-    /// Off by default: the paper parallelizes by *cloning operators across
-    /// chunks*, not within a run, and the experiment harnesses keep this off
-    /// so per-run timings mirror the paper's single-threaded operators.
-    pub parallel_assign: bool,
-    /// Historical flag that selected the (since removed) pruned scalar
-    /// scan. Now a no-op: every kernel is exact, so configs that set it
-    /// still deserialize and produce bit-identical results through the
-    /// fused kernel. Kept only so persisted configs keep loading.
-    pub pruned_assign: bool,
     /// Assignment-step strategy. [`KernelKind::Auto`] (the default)
     /// resolves to the fused SoA kernel — bit-identical results, just
     /// faster.
@@ -85,13 +74,7 @@ pub struct LloydConfig {
 
 impl Default for LloydConfig {
     fn default() -> Self {
-        Self {
-            epsilon: PAPER_EPSILON,
-            max_iters: DEFAULT_MAX_ITERS,
-            parallel_assign: false,
-            pruned_assign: false,
-            kernel: KernelKind::Auto,
-        }
+        Self { epsilon: PAPER_EPSILON, max_iters: DEFAULT_MAX_ITERS, kernel: KernelKind::Auto }
     }
 }
 
@@ -108,9 +91,7 @@ impl LloydConfig {
     }
 
     /// The concrete strategy a run will use: resolves [`KernelKind::Auto`]
-    /// to the fused kernel; never returns `Auto`. (The legacy
-    /// `pruned_assign` flag is ignored — its kernel no longer exists, and
-    /// every kernel is exact anyway.)
+    /// to the fused kernel; never returns `Auto`.
     pub fn resolved_kernel(&self) -> KernelKind {
         match self.kernel {
             KernelKind::Auto => KernelKind::Fused,
@@ -351,5 +332,17 @@ mod tests {
         assert_serde::<PartitionSpec>();
         assert_serde::<MergeMode>();
         assert_serde::<SeedMode>();
+    }
+
+    #[test]
+    fn lloyd_config_json_with_retired_keys_still_loads() {
+        // Configs persisted before `parallel_assign` and `pruned_assign`
+        // were removed carry both keys; the derive skips unknown keys.
+        let old = r#"{"epsilon":1e-9,"max_iters":10000,"parallel_assign":true,
+            "pruned_assign":true,"kernel":"Auto"}"#;
+        let cfg: LloydConfig = serde_json::from_str(old).unwrap();
+        assert_eq!(cfg, LloydConfig::default());
+        let json = serde_json::to_string(&cfg).unwrap();
+        assert!(!json.contains("_assign"), "{json}");
     }
 }

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// exactly the property the paper stipulates ("the code for the serial and
 /// the partial k-means implementation are identical besides that the partial
 /// k-means generates weighted centroids").
-pub trait PointSource: Sync {
+pub trait PointSource {
     /// Dimensionality of every point.
     fn dim(&self) -> usize;
     /// Number of points.

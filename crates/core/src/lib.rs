@@ -49,7 +49,7 @@
 //! | [`mod@kmeans`] | §3.2 | best-of-R outer loop |
 //! | [`mod@partial`] | §3.2 | chunk clustering → weighted centroids |
 //! | [`mod@merge`] | §3.3 | collective & incremental merge |
-//! | [`mod@pipeline`] | §3.4/Fig. 5 | end-to-end partial/merge (serial & worker pool) |
+//! | [`mod@pipeline`] | §3.4/Fig. 5 | end-to-end partial/merge on one thread |
 //! | [`metrics`] | §2/§3.3 | `E`, `E_pm`, MSE evaluation |
 //! | [`mod@ecvq`] | §3.3 remarks | entropy-constrained VQ (adaptive k) |
 //! | [`mod@coreset`] | beyond the paper | weighted coresets, merge-reduce tree, anytime queries |
@@ -102,8 +102,7 @@ pub use partial::{
     partial_ecvq, partial_kmeans, partial_kmeans_observed, partition_random, PartialOutput,
 };
 pub use pipeline::{
-    partial_merge, partial_merge_ecvq, partial_merge_observed, partial_merge_with_workers,
-    ChunkStats, PartialMergeResult,
+    partial_merge, partial_merge_ecvq, partial_merge_observed, ChunkStats, PartialMergeResult,
 };
 pub use slicing::{slice, SliceStrategy};
 
@@ -119,5 +118,5 @@ pub mod prelude {
     pub use crate::merge::{merge_collective, merge_incremental};
     pub use crate::metrics;
     pub use crate::partial::partial_kmeans;
-    pub use crate::pipeline::{partial_merge, partial_merge_with_workers};
+    pub use crate::pipeline::partial_merge;
 }

@@ -21,7 +21,6 @@ use crate::error::{Error, Result};
 use crate::kernel::{FusedLayout, KernelStats};
 use crate::point::nearest_centroid;
 use pmkm_obs::Recorder;
-use rayon::prelude::*;
 
 /// Outcome of one converged (or capped) Lloyd run.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,7 +135,7 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
     // Distance calculation against the initial seeds gives MSE(0).
     let mut prev_mse = {
         let _phase = rec.and_then(|r| r.phase("assign"));
-        assign(src, &centroids, cfg, kernel, &mut scratch, &mut kernel_stats) / total_weight
+        assign(src, &centroids, kernel, &mut scratch, &mut kernel_stats) / total_weight
     };
     let mut iterations = 0usize;
     let mut converged = false;
@@ -157,7 +156,7 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
         };
         let mse = {
             let _phase = rec.and_then(|r| r.phase("assign"));
-            assign(src, &centroids, cfg, kernel, &mut scratch, &mut kernel_stats) / total_weight
+            assign(src, &centroids, kernel, &mut scratch, &mut kernel_stats) / total_weight
         };
         iterations += 1;
         let delta = prev_mse - mse;
@@ -234,7 +233,6 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
 fn assign<S: PointSource + ?Sized>(
     src: &S,
     centroids: &Centroids,
-    cfg: &LloydConfig,
     kernel: KernelKind,
     scratch: &mut Scratch,
     kernel_stats: &mut KernelStats,
@@ -243,7 +241,7 @@ fn assign<S: PointSource + ?Sized>(
     let cents = centroids.as_flat();
     let n = src.len();
 
-    if kernel == KernelKind::Fused && !(cfg.parallel_assign && n >= 2048) {
+    if kernel == KernelKind::Fused {
         // Fused path: one pass over the points does the SoA screen, the
         // exact rescue, and the weighted accumulator updates.
         let layout = FusedLayout::new(cents, dim);
@@ -267,24 +265,10 @@ fn assign<S: PointSource + ?Sized>(
         return wsse;
     }
 
-    // The rayon path always uses the stateless scalar search (the fused
-    // kernel wants a per-worker screen buffer); results are identical.
-    if cfg.parallel_assign && n >= 2048 {
-        // Hot O(n·k·dim) search in parallel; cheap O(n·dim) accumulation
-        // stays serial to avoid a k×dim-sized reduction per worker.
-        scratch.assignments.par_iter_mut().zip(scratch.d2.par_iter_mut()).enumerate().for_each(
-            |(i, (a, d))| {
-                let (j, d2) = nearest_centroid(src.coords(i), cents, dim);
-                *a = j as u32;
-                *d = d2;
-            },
-        );
-    } else {
-        for (i, (a, d)) in scratch.assignments.iter_mut().zip(scratch.d2.iter_mut()).enumerate() {
-            let (j, d2) = nearest_centroid(src.coords(i), cents, dim);
-            *a = j as u32;
-            *d = d2;
-        }
+    for (i, (a, d)) in scratch.assignments.iter_mut().zip(scratch.d2.iter_mut()).enumerate() {
+        let (j, d2) = nearest_centroid(src.coords(i), cents, dim);
+        *a = j as u32;
+        *d = d2;
     }
 
     scratch.sums.fill(0.0);
@@ -352,9 +336,7 @@ fn recompute_means<S: PointSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SeedMode;
     use crate::dataset::{Dataset, WeightedSet};
-    use crate::seeding::{rng_for, seed_centroids};
 
     fn two_blob_dataset() -> Dataset {
         // Tight blobs around (0,0) and (100,100).
@@ -500,47 +482,6 @@ mod tests {
         let run = lloyd(&ds, &init, &tight).unwrap();
         assert_eq!(run.iterations, 1);
         assert!(!run.converged);
-    }
-
-    #[test]
-    fn parallel_and_serial_assignment_agree() {
-        let mut ds = Dataset::new(3).unwrap();
-        let mut rng = rng_for(11, 0);
-        use rand::Rng;
-        for _ in 0..5000 {
-            ds.push(&[rng.gen::<f64>() * 10.0, rng.gen::<f64>() * 10.0, rng.gen::<f64>()]).unwrap();
-        }
-        let init = seed_centroids(&ds, 8, SeedMode::RandomPoints, &mut rng_for(3, 0)).unwrap();
-        let serial = lloyd(&ds, &init, &LloydConfig::default()).unwrap();
-        let par =
-            lloyd(&ds, &init, &LloydConfig { parallel_assign: true, ..LloydConfig::default() })
-                .unwrap();
-        assert_eq!(serial.centroids, par.centroids);
-        assert_eq!(serial.assignments, par.assignments);
-        assert_eq!(serial.iterations, par.iterations);
-        assert!((serial.mse - par.mse).abs() < 1e-15);
-    }
-
-    /// The legacy `pruned_assign` flag (whose kernel was removed) is a
-    /// pure no-op: configs that persist it still load and still produce
-    /// bit-identical results through the fused kernel.
-    #[test]
-    fn legacy_pruned_assign_flag_is_a_bit_identical_noop() {
-        let mut ds = Dataset::new(3).unwrap();
-        let mut rng = rng_for(17, 0);
-        use rand::Rng;
-        for _ in 0..3000 {
-            ds.push(&[rng.gen::<f64>() * 50.0, rng.gen::<f64>() * 50.0, rng.gen::<f64>()]).unwrap();
-        }
-        let init = seed_centroids(&ds, 12, SeedMode::RandomPoints, &mut rng_for(5, 0)).unwrap();
-        let legacy = LloydConfig { pruned_assign: true, ..LloydConfig::default() };
-        assert_eq!(legacy.resolved_kernel(), KernelKind::Fused);
-        let plain = lloyd(&ds, &init, &LloydConfig::default()).unwrap();
-        let flagged = lloyd(&ds, &init, &legacy).unwrap();
-        assert_eq!(plain.centroids, flagged.centroids);
-        assert_eq!(plain.assignments, flagged.assignments);
-        assert_eq!(plain.iterations, flagged.iterations);
-        assert_eq!(plain.mse, flagged.mse);
     }
 
     #[test]

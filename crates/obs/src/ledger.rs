@@ -20,8 +20,7 @@
 //!   mass accounting exactly (asserted by the stream crate's tests).
 //! * [`diff_profiles`] — compares two [`RunProfile`]s (built from ledgers
 //!   *or* `RunReport`s) and attributes the elapsed-time delta to specific
-//!   phases with a confidence score, for `pmkm diff` and the
-//!   `pipeline_bench` regression gate.
+//!   phases with a confidence score, for `pmkm diff`.
 //!
 //! ## Causality model
 //!

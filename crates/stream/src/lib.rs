@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod error;
 pub mod executor;
 pub mod fault;
@@ -58,7 +57,6 @@ pub mod resources;
 pub mod telemetry;
 pub mod watchdog;
 
-pub use adaptive::{execute_adaptive, execute_adaptive_observed, AdaptiveReport, ScalingEvent};
 pub use error::{EngineError, Result};
 pub use executor::{
     coreset_report, execute, execute_cell, execute_observed, execute_with_faults, EngineReport,

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         partitions: PartitionSpec::Count(5),
         ..PartialMergeConfig::paper(40, 5, 7)
     };
-    let (result, run_report) = partial_merge_observed(&points, &pm, Some(4), Some(&rec))?;
+    let (result, run_report) = partial_merge_observed(&points, &pm, Some(&rec))?;
     println!(
         "partial/merge: {} chunks -> {} centroids, MSE {:.1}",
         result.chunks.len(),
