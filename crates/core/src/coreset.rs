@@ -37,6 +37,7 @@
 use crate::config::KMeansConfig;
 use crate::dataset::{PointSource, WeightedSet};
 use crate::error::{Error, Result};
+use crate::kernel::FusedLayout;
 use crate::merge::{merge_collective_observed, MergeOutput};
 use crate::point::sq_dist;
 use crate::seeding::{derive_seed, rng_for};
@@ -98,8 +99,10 @@ impl CoresetConfig {
 /// then deduplicated) from the lightweight-coreset distribution
 /// `q(i) = ½·wᵢ/W + ½·wᵢ·d²(xᵢ, μ) / Σⱼ wⱼ·d²(xⱼ, μ)` around the weighted
 /// mean `μ`, and each representative is re-weighted with the total input
-/// mass nearest to it (ties broken towards the earlier representative, so
-/// the result is a deterministic function of `src` and the RNG state).
+/// mass nearest to it (ties broken towards the earlier representative —
+/// [`FusedLayout::nearest`] guarantees the scalar scan's index, lowest on
+/// ties — so the result is a deterministic function of `src` and the RNG
+/// state).
 ///
 /// Mass conservation is exact for integer weights: every input weight is
 /// added to exactly one representative, so the output total is the same
@@ -145,18 +148,20 @@ pub fn chunk_coreset<S: PointSource + ?Sized>(
 
     // Cumulative sampling distribution q(i). On a degenerate chunk (all
     // points at the mean) the distance term vanishes and q collapses to
-    // mass-proportional sampling.
+    // mass-proportional sampling; so does a chunk of finite but huge
+    // coordinates whose d² overflow (Σ w·d² = +inf would make every q NaN).
     let mut d2 = vec![0.0f64; n];
     let mut sum_wd2 = 0.0f64;
     for (i, d) in d2.iter_mut().enumerate() {
         *d = sq_dist(src.coords(i), &mean);
         sum_wd2 += src.weight(i) * *d;
     }
+    let by_distance = sum_wd2 > 0.0 && sum_wd2.is_finite();
     let mut cum = Vec::with_capacity(n);
     let mut acc = 0.0f64;
     for (i, d) in d2.iter().enumerate() {
         let w = src.weight(i);
-        acc += if sum_wd2 > 0.0 { 0.5 * w / total_w + 0.5 * w * d / sum_wd2 } else { w / total_w };
+        acc += if by_distance { 0.5 * w / total_w + 0.5 * w * d / sum_wd2 } else { w / total_w };
         cum.push(acc);
     }
     let total_q = acc;
@@ -170,21 +175,20 @@ pub fn chunk_coreset<S: PointSource + ?Sized>(
     }
     let reps: Vec<usize> = chosen.into_iter().collect();
 
-    // Nearest-representative mass aggregation. Strict `<` keeps the first
-    // (lowest-index) representative on ties, which makes the assignment —
-    // and therefore the weights — deterministic.
+    // Nearest-representative mass aggregation on the fused kernel: table,
+    // layout and screen buffer are built once per call (and only here,
+    // past the pass-through return). The kernel's rescue pass returns the
+    // scalar scan's index, lowest on ties, so the assignment — and
+    // therefore the weights — is deterministic.
+    let mut table = Vec::with_capacity(reps.len() * dim);
+    for &r in &reps {
+        table.extend_from_slice(src.coords(r));
+    }
+    let layout = FusedLayout::new(&table, dim);
+    let mut screen = vec![0.0f64; layout.scratch_len()];
     let mut agg = vec![0.0f64; reps.len()];
     for i in 0..n {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (j, &r) in reps.iter().enumerate() {
-            let d = sq_dist(src.coords(i), src.coords(r));
-            if d < best_d {
-                best_d = d;
-                best = j;
-            }
-        }
-        agg[best] += src.weight(i);
+        agg[layout.nearest(src.coords(i), &mut screen).0] += src.weight(i);
     }
     for (j, &r) in reps.iter().enumerate() {
         // A representative that is a duplicate of an earlier one can end up
@@ -604,6 +608,61 @@ mod tests {
         let cs = chunk_coreset(&ds, 10, &mut rng_for(3, 3)).unwrap();
         assert_eq!(cs.total_weight(), 100.0);
         assert!(cs.len() <= 10);
+    }
+
+    /// A 6-D chunk of the shape `planet_coreset` streams: a 40-blob
+    /// mixture with per-blob spread, so sampled representatives land at
+    /// every distance scale.
+    fn wide_chunk(seed: u64, n: usize) -> Dataset {
+        let mut rng = rng_for(seed, 0x6D1D);
+        let mut ds = Dataset::new(6).unwrap();
+        let mut row = [0.0f64; 6];
+        for _ in 0..n {
+            let blob = f64::from(rng.gen_range(0..40i32));
+            for (d, x) in row.iter_mut().enumerate() {
+                *x = blob * (7.0 + d as f64) % 90.0 + rng.gen_range(-2.5..2.5);
+            }
+            ds.push(&row).unwrap();
+        }
+        ds
+    }
+
+    /// Word-wise FNV-1a over the coordinates' bits, then the weights'.
+    fn fnv_bits(set: &WeightedSet) -> u64 {
+        set.as_flat().iter().chain(set.weights()).fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    // Both digests were recorded on the commit *before* the
+    // nearest-representative pass moved onto the fused kernel (f572fbf: this
+    // test dropped into an export of that tree, scalar double loop and all).
+    // `sse_ratio_vs_serial` only says one cell's final centroids did not
+    // move; this says no representative and no weight anywhere in the tree
+    // did — 60 level-0 builds and 56 compactions, `planet_coreset`'s shape.
+    // A kernel change that moves either constant changed a clustering.
+    #[test]
+    fn coreset_bits_are_pinned() {
+        let build = |id: usize| {
+            chunk_coreset(&wide_chunk(id as u64, 2_500), 256, &mut rng_for(42, id as u64))
+        };
+        assert_eq!(
+            fnv_bits(&build(0).unwrap()),
+            0xbc3e_ac75_77a5_a1c5,
+            "one 2,500 x 6 -> 256 build"
+        );
+
+        let mut tree = CoresetTree::new(CoresetConfig::new(256), 42, 0).unwrap();
+        for id in 0..60 {
+            tree.insert_chunk(id, build(id).unwrap(), 2_500.0).unwrap();
+        }
+        assert_eq!((tree.live_buckets(), tree.stats().compactions), (4, 56));
+        assert_eq!(tree.live_weight(), 60.0 * 2_500.0);
+        assert_eq!(
+            fnv_bits(&tree.union().unwrap()),
+            0xd553_78d4_4f85_1e0f,
+            "union after 60 chunks"
+        );
     }
 
     #[test]

@@ -10,14 +10,26 @@
 //! ties, and degenerate all-equal inputs, and then check that threading the
 //! kernel through full Lloyd runs leaves assignments identical and the MSE
 //! within 1e-9 relative of the scalar path.
+//!
+//! The coreset builder is the kernel's second caller: `chunk_coreset` finds
+//! every point's nearest of up to `size` sampled representatives through
+//! one [`FusedLayout`]. The scalar double loop it replaced is kept as
+//! [`common::chunk_coreset_scalar`], and the last section holds the two to
+//! equal output bits — over k far beyond a centroid table's (320
+//! representatives, `k_pad` > 64) and over piles of coincident
+//! representatives that overflow the kernel's fixed rescue buffer.
 
+mod common;
+
+use common::{assert_coreset_matches_oracle, chunk_coreset_scalar, set_bits};
 use pmkm_core::kernel::FusedLayout;
 use pmkm_core::point::nearest_centroid;
 use pmkm_core::prelude::*;
 use pmkm_core::seeding::{rng_for, seed_centroids};
-use pmkm_core::{lloyd, KernelStats};
+use pmkm_core::{chunk_coreset, lloyd, KernelStats};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use rand::Rng;
 
 /// Flat centroid buffer with optional duplicates: with `dup_from` supplied,
 /// roughly half the centroids are copies of earlier ones, so ties between
@@ -192,5 +204,111 @@ proptest! {
 
         prop_assert_eq!(&auto.assignments, &scalar.assignments);
         prop_assert_eq!(auto.mse.to_bits(), scalar.mse.to_bits(), "Auto must resolve to Fused");
+    }
+
+    // The coreset builder against its scalar oracle: same draws (same RNG
+    // state), so every representative coordinate and every aggregated weight
+    // must carry the same bits. Shapes cross every `LANES` multiple up to
+    // k_pad = 320; `lattice` snaps coordinates to nine values per axis, so in
+    // low dimensions most points coincide with a representative or sit
+    // exactly between two (duplicate representatives, exact ties).
+    #[test]
+    fn chunk_coreset_matches_scalar_oracle(
+        (dim, n, size) in (1usize..=12, 1usize..=700, 1usize..=320),
+        raw in proptest::collection::vec(-100.0..100.0f64, 700 * 12),
+        weights_raw in proptest::collection::vec(0.25..9.0f64, 61),
+        (lattice, weighting) in (any::<bool>(), 0u8..3),
+        seed in any::<u64>(),
+    ) {
+        let coord = |v: f64| if lattice { (v / 25.0).round() } else { v };
+        let mut ds = Dataset::new(dim).unwrap();
+        let mut ws = WeightedSet::new(dim).unwrap();
+        for (i, row) in raw.chunks_exact(dim).take(n).enumerate() {
+            let row: Vec<f64> = row.iter().map(|&v| coord(v)).collect();
+            let w = weights_raw[i % weights_raw.len()];
+            ds.push(&row).unwrap();
+            ws.push(&row, if weighting == 1 { w.ceil() } else { w }).unwrap();
+        }
+        let src: &dyn PointSource = if weighting == 0 { &ds } else { &ws };
+        let fused = chunk_coreset(src, size, &mut rng_for(seed, 0xC0)).unwrap();
+        let scalar = chunk_coreset_scalar(src, size, &mut rng_for(seed, 0xC0)).unwrap();
+        prop_assert!(fused.len() <= size.min(n));
+        prop_assert_eq!(set_bits(&fused), set_bits(&scalar));
+    }
+}
+
+/// 600 coincident points and 10 distinct ones, 200 draws: about half the
+/// draws land on the pile, so the representative table holds 89 identical
+/// rows (of 99, with this seed), and for every point of the pile all of
+/// them tie inside the rescue window — more than the
+/// `MAX_WINDOW_CANDIDATES` = 64 the masked scan can collect, which sends
+/// the kernel down its scalar-sweep arm. The lowest-index copy must take
+/// the whole pile; the rest end with zero mass and are dropped.
+#[test]
+fn coreset_with_more_than_64_coincident_representatives() {
+    let mut ds = Dataset::new(3).unwrap();
+    for _ in 0..600 {
+        ds.push(&[2.5, -1.0, 7.0]).unwrap();
+    }
+    for i in 0..10u32 {
+        let t = f64::from(i);
+        ds.push(&[40.0 + 9.0 * t, 3.0 * t - 60.0, t * t]).unwrap();
+    }
+    let cs = assert_coreset_matches_oracle(&ds, 200, 18);
+    assert_eq!(cs.total_weight(), 610.0);
+    assert!(cs.len() <= 11, "one copy of the pile survives, got {} rows", cs.len());
+    let pile = cs.weights()[0];
+    assert!(pile >= 600.0, "the first representative is the pile's, weight {pile}");
+
+    // The arm itself, seen from outside: a window the masked scan could
+    // collect rescues at most 64 candidates for one point.
+    let table: Vec<f64> = ds.as_flat()[..3 * 90].to_vec();
+    let layout = FusedLayout::new(&table, 3);
+    let mut scratch = vec![0.0; layout.scratch_len()];
+    let mut stats = KernelStats::default();
+    let got = layout.nearest_counted(ds.coords(0), &mut scratch, &mut stats);
+    assert_eq!(got, (0, 0.0));
+    assert_eq!(stats.rescued, 90, "all 90 tied copies rescued by the sweep");
+}
+
+/// Mirrored exact ties: a 25 x 25 integer lattice centred on the origin.
+/// All squared distances are small integers, so a point is routinely
+/// equidistant from two or four representatives, and mirrored
+/// representatives share `‖c‖²` — equal screened values, equal rescued
+/// distances. Unit and non-unit weights, several sizes.
+#[test]
+fn coreset_on_a_mirrored_lattice() {
+    let mut ds = Dataset::new(2).unwrap();
+    let mut ws = WeightedSet::new(2).unwrap();
+    for x in -12..=12i32 {
+        for y in -12..=12i32 {
+            ds.push(&[f64::from(x), f64::from(y)]).unwrap();
+            ws.push(&[f64::from(x), f64::from(y)], f64::from((x + y).rem_euclid(5) + 1)).unwrap();
+        }
+    }
+    for (size, seed) in [(8, 1u64), (40, 2), (72, 3), (200, 4)] {
+        let cs = assert_coreset_matches_oracle(&ds, size, seed);
+        assert_eq!(cs.total_weight(), 625.0);
+        let cs = assert_coreset_matches_oracle(&ws, size, seed);
+        assert_eq!(cs.total_weight(), ws.total_weight());
+    }
+}
+
+/// Magnitudes from 1e-6 to 1e6 in one chunk: the kernel's error margin is
+/// set by the largest `‖c‖²` in the table (1e12), which swallows every
+/// screened difference among the small representatives — the rescue window
+/// admits all of them and the exact distances decide.
+#[test]
+fn coreset_across_twelve_orders_of_magnitude() {
+    let mut rng = rng_for(77, 0xC1);
+    let mut ds = Dataset::new(3).unwrap();
+    for i in 0..600usize {
+        let scale = [1e-6, 1e-3, 1.0, 1e3, 1e6][i % 5];
+        let row: Vec<f64> = (0..3).map(|_| scale * rng.gen_range(-1.0..1.0)).collect();
+        ds.push(&row).unwrap();
+    }
+    for (size, seed) in [(16, 5u64), (60, 6), (130, 7)] {
+        let cs = assert_coreset_matches_oracle(&ds, size, seed);
+        assert_eq!(cs.total_weight(), 600.0);
     }
 }

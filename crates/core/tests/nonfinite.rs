@@ -1,8 +1,12 @@
 //! Fuzz-ish tests: non-finite coordinates (NaN / ±inf) must surface as a
 //! typed [`Error::NonFiniteCoordinate`] at the input boundary — never as a
 //! silently poisoned centroid — and ill-conditioned but *finite* inputs must
-//! still produce exact assignments from the fused kernel.
+//! still produce exact assignments from the fused kernel, and a coreset
+//! from `chunk_coreset`, whose distances they overflow.
 
+mod common;
+
+use common::assert_coreset_matches_oracle;
 use pmkm_core::kernel::FusedLayout;
 use pmkm_core::point::{all_finite, first_non_finite, nearest_centroid};
 use pmkm_core::prelude::*;
@@ -179,4 +183,23 @@ fn poisoned_singletons_are_rejected() {
             Err(Error::NonFiniteCoordinate { index: 0 })
         ));
     }
+}
+
+/// Finite-but-huge coordinates are admitted by `Dataset`, yet every d² to
+/// the chunk mean overflows to +inf. `chunk_coreset` used to turn that into
+/// `Σ w·d² = inf`, every `q(i)` into NaN, and the first draw into a panic
+/// ("cannot sample empty range"), which the engine's partial clone caught,
+/// retried with the same seed, and ended by quarantining the chunk. It now
+/// samples such a chunk by mass. The aggregation behind it is exact on both
+/// sides — plain comparisons in the scalar loop, the exact-scan fallback of
+/// an overflowed screen in the kernel — so the oracle must agree bit for bit.
+#[test]
+fn chunk_coreset_survives_overflowing_distances() {
+    let mut ds = Dataset::new(2).unwrap();
+    for i in 0..100u32 {
+        ds.push(&[if i % 2 == 0 { 1e200 } else { -1e200 }, f64::from(i)]).unwrap();
+    }
+    let got = assert_coreset_matches_oracle(&ds, 10, 3);
+    assert!((2..=10).contains(&got.len()), "{} representatives", got.len());
+    assert_eq!(got.total_weight(), ds.total_weight(), "mass is conserved");
 }
