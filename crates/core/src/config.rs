@@ -30,10 +30,10 @@ pub enum KernelKind {
     /// The naive AoS scalar scan ([`crate::point::nearest_centroid`]) —
     /// the paper's §4 prototype behaviour, kept for timing mirrors.
     Scalar,
-    /// The fused, cache-blocked SoA kernel ([`crate::kernel::FusedLayout`]):
-    /// `‖x−c‖²` via the norm expansion over 8-lane centroid blocks, with an
-    /// exact rescue pass, and the weighted accumulator updates fused into
-    /// the same per-point loop.
+    /// The fused SoA kernel ([`crate::kernel::FusedLayout`]): `‖x−c‖²` via
+    /// the norm expansion over coordinate-major centroid planes, four
+    /// points per sweep, with an exact rescue pass, and the weighted
+    /// accumulator updates fused into the same loop over the points.
     Fused,
 }
 

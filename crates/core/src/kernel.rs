@@ -21,6 +21,19 @@
 //! `dim`-deep FMA dependency chain.) `‖c‖²` is computed once per layout
 //! (once per Lloyd iteration), `‖x‖²` once per point.
 //!
+//! ## Four points per sweep
+//!
+//! One point's sweep keeps few accumulator chains in flight and reloads
+//! every plane vector for every point. [`FusedLayout::nearest_block`]
+//! takes [`FusedLayout::BLOCK`] points at once: each plane vector is
+//! loaded once and multiplied into one accumulator per point (two plane
+//! vectors × four points = eight chains), and the sweep, the window test
+//! and the rescue of all four points live in one `#[target_feature]`
+//! function per instruction set. [`FusedLayout::nearest_counted`] is the
+//! same routine instantiated at one point. The arithmetic of every
+//! (point, centroid) pair is the same in both, so a block returns exactly
+//! what four single-point calls return.
+//!
 //! ## Exactness: the rescue pass
 //!
 //! The expansion is algebraically equal to the squared distance but not
@@ -51,6 +64,24 @@
 //! one `O(dim)` recomputation per point — noise against the `O(k · dim)`
 //! screen.
 //!
+//! The window test is a vector compare per screened vector. Up to 64
+//! padded centroids (every Lloyd call at the paper's k = 40) the compare
+//! masks are OR-ed into one `u64` and the set bits walked once — one loop
+//! whose trip count is almost always one, where a bit-scan per vector
+//! mispredicts once per point because which vector holds the winner is
+//! random. Wider tables (the coreset builder's up to 256 representatives)
+//! scan vector by vector and rescue as they go. Which of the two runs is
+//! read off `k_pad`; candidates come out in ascending index order either
+//! way.
+//!
+//! The expansion is only meaningful while its terms are finite. Unless
+//! `‖x‖² + max_j ‖c_j‖² < f64::MAX / 4` the kernel takes the exact scalar
+//! scan for that point (in a block: for the block): past that bound
+//! `‖x‖²`, `‖c‖²` or `2·x·c` can overflow, the screen goes `inf`/NaN, and
+//! a screened window could miss the true winner. Below it every screened
+//! value and the window are finite, so no `+inf` padding lane is ever a
+//! candidate.
+//!
 //! Ties and duplicate centroids are exact by construction: identical
 //! centroid coordinates produce identical `approx` values and identical
 //! rescued distances, and both layers break ties toward the lower index.
@@ -61,15 +92,16 @@
 //! [`crate::config::LloydConfig`]; see DESIGN.md §9 for when each wins.
 //!
 //! This module is the crate's sole `unsafe` exception (the crate denies
-//! `unsafe_code` elsewhere): the AVX2/AVX-512 screen sweeps use raw
-//! `std::arch` intrinsics. Every pointer access is in bounds by
-//! construction — `k_pad` is a multiple of [`LANES`] and all loads/stores
-//! stay below `k_pad` — and each `#[target_feature]` function is only
+//! `unsafe_code` elsewhere): the AVX2/AVX-512 paths use raw `std::arch`
+//! intrinsics. Every pointer access is in bounds by construction — `k_pad`
+//! is a multiple of [`LANES`], all loads/stores stay below `k_pad` within a
+//! plane or a point's scratch row, and the entry points assert the point
+//! and scratch lengths — and each `#[target_feature]` function is only
 //! reachable through a [`ScreenIsa`] variant constructed after
 //! `is_x86_feature_detected!` confirmed the features.
 #![allow(unsafe_code)]
 
-use crate::point::sq_dist;
+use crate::point::{nearest_centroid, sq_dist};
 
 pub use crate::config::KernelKind;
 
@@ -82,6 +114,12 @@ pub const LANES: usize = 8;
 /// expansion (see the module docs). Loose on purpose: widening the rescue
 /// window only costs a few extra exact recomputations.
 const MARGIN_SCALE: f64 = 16.0;
+
+/// The screen is used only while `‖x‖² + max_j ‖c_j‖²` is below this.
+/// Then `|2·x·c| ≤ ‖x‖² + ‖c‖²` keeps every partial sum of the expansion,
+/// every exact squared distance and the window finite; at or above it (or
+/// with a NaN norm) the point takes the exact scan.
+const EXPANSION_LIMIT: f64 = f64::MAX / 4.0;
 
 /// Work tallies of the fused kernel, reported through the observability
 /// recorder when one is attached to the run.
@@ -106,11 +144,11 @@ impl KernelStats {
     }
 }
 
-/// Instruction set the screen sweep dispatches to, detected once per
-/// layout. The screen is a *bound*, not an answer (the rescue pass
-/// re-derives exact scalar distances), so the wider paths may use FMA —
-/// fused rounding only shrinks the screen's error, never the margin's
-/// validity — and every path returns the same rescued result.
+/// Instruction set the kernel dispatches to, detected once per layout.
+/// The screen is a *bound*, not an answer (the rescue pass re-derives
+/// exact scalar distances), so the wider paths may use FMA — fused
+/// rounding only shrinks the screen's error, never the margin's validity
+/// — and every path returns the same rescued result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScreenIsa {
     /// Autovectorized fallback (SSE2 on baseline x86-64 builds).
@@ -137,6 +175,13 @@ fn detect_isa() -> ScreenIsa {
     ScreenIsa::Portable
 }
 
+/// Rescue state of one point: the best exact `(index, squared distance)`
+/// among the window candidates seen so far.
+type Hit = (usize, f64);
+
+/// No candidate rescued yet.
+const NO_HIT: Hit = (usize::MAX, f64::INFINITY);
+
 /// Centroids laid out for the fused kernel: coordinate-major planes for
 /// the vectorized screen, plus the original AoS table for the exact
 /// rescue pass. Built once per Lloyd iteration (`O(k · dim)`).
@@ -145,7 +190,7 @@ pub struct FusedLayout {
     dim: usize,
     k: usize,
     /// `k` rounded up to a whole number of [`LANES`]; the stride of one
-    /// plane and the length of `cnorm2` / the screen scratch.
+    /// plane and the length of `cnorm2` / one point's screen scratch.
     k_pad: usize,
     /// `dim` planes of `k_pad` values each: `planes[d·k_pad + j]` is
     /// coordinate `d` of centroid `j`. Padding lanes hold zeros.
@@ -161,6 +206,9 @@ pub struct FusedLayout {
 }
 
 impl FusedLayout {
+    /// Points per [`Self::nearest_block`] call.
+    pub const BLOCK: usize = 4;
+
     /// Transposes a flat row-major `k × dim` centroid table into
     /// coordinate-major planes. `centroids.len()` must be a non-zero
     /// multiple of `dim`.
@@ -213,8 +261,9 @@ impl FusedLayout {
         self.dim
     }
 
-    /// Required length of the caller-provided screen scratch buffer
-    /// (`k` rounded up to a whole number of [`LANES`]).
+    /// Required length of the caller-provided screen scratch buffer for
+    /// one point (`k` rounded up to a whole number of [`LANES`]);
+    /// [`Self::nearest_block`] needs [`Self::BLOCK`] times as much.
     pub fn scratch_len(&self) -> usize {
         self.k_pad
     }
@@ -238,101 +287,121 @@ impl FusedLayout {
         scratch: &mut [f64],
         stats: &mut KernelStats,
     ) -> (usize, f64) {
-        debug_assert_eq!(x.len(), self.dim);
-        debug_assert!(scratch.len() >= self.k_pad);
-        let approx = &mut scratch[..self.k_pad];
-
-        // --- Screen: ‖x‖² − 2·x·c + ‖c‖² for every centroid -----------
-        let px2 = x.iter().map(|v| v * v).sum::<f64>();
-        let best_a = match self.isa {
-            ScreenIsa::Portable => self.screen_portable(x, px2, approx),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the variant is only constructed after
-            // `is_x86_feature_detected!` confirmed the features.
-            ScreenIsa::Avx2Fma => unsafe { self.screen_avx2(x, px2, approx) },
-            #[cfg(target_arch = "x86_64")]
-            ScreenIsa::Avx512 => unsafe { self.screen_avx512(x, px2, approx) },
-        };
-
-        // --- Rescue: exact distances within the error window ----------
-        // Both the screen and the scalar sum err by at most
-        // ~(dim + 2)·ε relative to ‖x‖² + ‖c‖², so 2·margin separates
-        // "provably worse under scalar arithmetic" from "must check".
-        let margin =
-            MARGIN_SCALE * (self.dim as f64 + 4.0) * f64::EPSILON * (px2 + self.max_cnorm2);
-        let window = best_a + 2.0 * margin;
-        let mut win = usize::MAX;
-        let mut win_d = f64::INFINITY;
-        // A scalar `a <= window` sweep over k candidates costs more than
-        // the vectorized screen itself, so the SIMD paths compress the
-        // window test into a compare-mask pass first. Candidate indices
-        // come out ascending either way, preserving the tie-break.
-        let mut candidates = [0u32; MAX_WINDOW_CANDIDATES];
-        let found = match self.isa {
-            ScreenIsa::Portable => None,
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: variant constructed only after feature detection.
-            ScreenIsa::Avx2Fma => unsafe { collect_window_avx2(approx, window, &mut candidates) },
-            #[cfg(target_arch = "x86_64")]
-            ScreenIsa::Avx512 => unsafe { collect_window_avx512(approx, window, &mut candidates) },
-        };
-        match found {
-            Some(count) => {
-                // Padding lanes can slip into the mask when the window
-                // overflowed to +inf; they are not real candidates.
-                for &j in candidates[..count].iter().filter(|&&j| (j as usize) < self.k) {
-                    let j = j as usize;
-                    let d = sq_dist(x, &self.aos[j * self.dim..(j + 1) * self.dim]);
-                    stats.rescued += 1;
-                    if d < win_d {
-                        win_d = d;
-                        win = j;
-                    }
-                }
-            }
-            // Portable path, or more window candidates than the fixed
-            // buffer holds (degenerate near-ties): plain scalar sweep.
-            None => {
-                for (j, &a) in approx[..self.k].iter().enumerate() {
-                    if a <= window {
-                        let d = sq_dist(x, &self.aos[j * self.dim..(j + 1) * self.dim]);
-                        stats.rescued += 1;
-                        if d < win_d {
-                            win_d = d;
-                            win = j;
-                        }
-                    }
-                }
-            }
-        }
-        stats.points += 1;
-        if win == usize::MAX {
-            // Unreachable with finite inputs (the screen winner is always
-            // inside the window), but an overflowed screen (inf/NaN approx
-            // values) must degrade to the exact scan, never to a bogus index.
-            let (j, d) = crate::point::nearest_centroid(x, &self.aos, self.dim);
-            stats.rescued += self.k as u64;
-            return (j, d);
-        }
-        (win, win_d)
+        self.nearest_n([x], scratch, stats)[0]
     }
 
-    /// Screen sweep alone (no rescue): fills `scratch` with the expanded
-    /// values and returns the minimum. Exposed for the bench harness and
-    /// diagnostics; everything else should call [`Self::nearest`].
-    #[doc(hidden)]
+    /// [`Self::nearest_counted`] for [`Self::BLOCK`] points in one sweep
+    /// of the planes: the same results and the same tallies as four
+    /// single-point calls in the order given.
+    ///
+    /// `scratch` must be at least `BLOCK × scratch_len()` long.
     #[inline]
-    pub fn screen_only(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        let px2 = x.iter().map(|v| v * v).sum::<f64>();
-        let approx = &mut scratch[..self.k_pad];
-        match self.isa {
-            ScreenIsa::Portable => self.screen_portable(x, px2, approx),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: variant constructed only after feature detection.
-            ScreenIsa::Avx2Fma => unsafe { self.screen_avx2(x, px2, approx) },
-            #[cfg(target_arch = "x86_64")]
-            ScreenIsa::Avx512 => unsafe { self.screen_avx512(x, px2, approx) },
+    pub fn nearest_block(
+        &self,
+        xs: [&[f64]; Self::BLOCK],
+        scratch: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> [(usize, f64); Self::BLOCK] {
+        self.nearest_n(xs, scratch, stats)
+    }
+
+    /// The one routine behind both entry points: `P` points against the
+    /// whole table.
+    #[inline]
+    fn nearest_n<const P: usize>(
+        &self,
+        xs: [&[f64]; P],
+        scratch: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> [Hit; P] {
+        // The SIMD paths index planes by `d < x.len()` and scratch rows
+        // through raw pointers: these two checks are what keeps them in
+        // bounds.
+        assert!(scratch.len() >= P * self.k_pad, "screen scratch too short");
+        let px2 = xs.map(|x| {
+            assert_eq!(x.len(), self.dim, "point dimensionality");
+            x.iter().map(|v| v * v).sum::<f64>()
+        });
+        // Written so a NaN norm fails it too.
+        if !px2.iter().all(|&n| n + self.max_cnorm2 < EXPANSION_LIMIT) {
+            return xs.map(|x| self.exact_scan(x, stats));
         }
+        match self.isa {
+            ScreenIsa::Portable => std::array::from_fn(|p| {
+                self.nearest_portable(xs[p], px2[p], &mut scratch[..self.k_pad], stats)
+            }),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the variant is only constructed after
+            // `is_x86_feature_detected!` confirmed the features; lengths
+            // were asserted above.
+            ScreenIsa::Avx2Fma => unsafe { self.nearest_avx2(xs, px2, scratch, stats) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            ScreenIsa::Avx512 => unsafe { self.nearest_avx512(xs, px2, scratch, stats) },
+        }
+    }
+
+    /// The scalar scan, tallied as one point that rescued every centroid.
+    #[cold]
+    fn exact_scan(&self, x: &[f64], stats: &mut KernelStats) -> Hit {
+        stats.points += 1;
+        stats.rescued += self.k as u64;
+        nearest_centroid(x, &self.aos, self.dim)
+    }
+
+    /// Upper edge of the rescue window. Both the screen and the scalar sum
+    /// err by at most ~(dim + 2)·ε relative to ‖x‖² + ‖c‖², so 2·margin
+    /// separates "provably worse under scalar arithmetic" from "must
+    /// check".
+    #[inline(always)]
+    fn window(&self, best_a: f64, px2: f64) -> f64 {
+        let margin =
+            MARGIN_SCALE * (self.dim as f64 + 4.0) * f64::EPSILON * (px2 + self.max_cnorm2);
+        best_a + 2.0 * margin
+    }
+
+    /// Exact distance of window candidate `j`, folded into `hit` with the
+    /// scalar scan's strict `<` (candidates arrive in ascending index
+    /// order, so ties stay with the lowest index).
+    #[inline(always)]
+    fn rescue(&self, x: &[f64], j: usize, hit: &mut Hit, stats: &mut KernelStats) {
+        let d = sq_dist(x, &self.aos[j * self.dim..(j + 1) * self.dim]);
+        stats.rescued += 1;
+        if d < hit.1 {
+            *hit = (j, d);
+        }
+    }
+
+    /// Closes one point's rescue. The screen winner is always inside its
+    /// own window, so a point below [`EXPANSION_LIMIT`] always has a hit;
+    /// should that ever not hold, degrade to the exact scan, never to a
+    /// bogus index.
+    #[inline(always)]
+    fn settle(&self, x: &[f64], hit: Hit, stats: &mut KernelStats) -> Hit {
+        if hit.0 == usize::MAX {
+            return self.exact_scan(x, stats);
+        }
+        stats.points += 1;
+        hit
+    }
+
+    /// One point without SIMD intrinsics: autovectorized screen, scalar
+    /// window sweep. `approx` is exactly `k_pad` long.
+    fn nearest_portable(
+        &self,
+        x: &[f64],
+        px2: f64,
+        approx: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> Hit {
+        let window = self.window(self.screen_portable(x, px2, approx), px2);
+        let mut hit = NO_HIT;
+        for (j, &a) in approx[..self.k].iter().enumerate() {
+            if a <= window {
+                self.rescue(x, j, &mut hit, stats);
+            }
+        }
+        self.settle(x, hit, stats)
     }
 
     /// Autovectorized screen sweep: dot products accumulate plane by
@@ -368,222 +437,275 @@ impl FusedLayout {
         reduce_min8(&mins)
     }
 
-    /// AVX-512 screen sweep: panels of 32 centroids (four `__m512d`
-    /// accumulators, so the `dim`-deep FMA chains of four vectors
-    /// interleave instead of serializing) with an 8-wide tail; `x[d]`
-    /// broadcast once per plane per panel.
+    /// [`Self::nearest_simd`] on 8-wide `__m512d`.
     ///
     /// # Safety
     ///
-    /// Requires the `avx512f` CPU feature.
+    /// Requires the `avx512f` CPU feature, and the conditions of
+    /// [`Self::nearest_simd`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn screen_avx512(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> f64 {
-        use std::arch::x86_64::*;
-        let pl = self.planes.as_ptr();
-        let cn = self.cnorm2.as_ptr();
-        let out = approx.as_mut_ptr();
-        let k_pad = self.k_pad;
-        let two = _mm512_set1_pd(2.0);
-        let px2v = _mm512_set1_pd(px2);
-        // vminpd returns its *second* operand when either is NaN, so
-        // `min(fresh, mins)` keeps the running minimum NaN-free.
-        let mut mins = _mm512_set1_pd(f64::INFINITY);
-        let mut jb = 0usize;
-        while jb + 32 <= k_pad {
-            let mut a0 = _mm512_setzero_pd();
-            let mut a1 = _mm512_setzero_pd();
-            let mut a2 = _mm512_setzero_pd();
-            let mut a3 = _mm512_setzero_pd();
-            for (d, &xd) in x.iter().enumerate() {
-                let v = _mm512_set1_pd(xd);
-                let base = pl.add(d * k_pad + jb);
-                a0 = _mm512_fmadd_pd(v, _mm512_loadu_pd(base), a0);
-                a1 = _mm512_fmadd_pd(v, _mm512_loadu_pd(base.add(8)), a1);
-                a2 = _mm512_fmadd_pd(v, _mm512_loadu_pd(base.add(16)), a2);
-                a3 = _mm512_fmadd_pd(v, _mm512_loadu_pd(base.add(24)), a3);
-            }
-            // out = (px2 − 2·dot) + cn, same association as the portable
-            // sweep.
-            let t0 = _mm512_add_pd(_mm512_fnmadd_pd(two, a0, px2v), _mm512_loadu_pd(cn.add(jb)));
-            let t1 =
-                _mm512_add_pd(_mm512_fnmadd_pd(two, a1, px2v), _mm512_loadu_pd(cn.add(jb + 8)));
-            let t2 =
-                _mm512_add_pd(_mm512_fnmadd_pd(two, a2, px2v), _mm512_loadu_pd(cn.add(jb + 16)));
-            let t3 =
-                _mm512_add_pd(_mm512_fnmadd_pd(two, a3, px2v), _mm512_loadu_pd(cn.add(jb + 24)));
-            _mm512_storeu_pd(out.add(jb), t0);
-            _mm512_storeu_pd(out.add(jb + 8), t1);
-            _mm512_storeu_pd(out.add(jb + 16), t2);
-            _mm512_storeu_pd(out.add(jb + 24), t3);
-            mins = _mm512_min_pd(t0, mins);
-            mins = _mm512_min_pd(t1, mins);
-            mins = _mm512_min_pd(t2, mins);
-            mins = _mm512_min_pd(t3, mins);
-            jb += 32;
-        }
-        while jb < k_pad {
-            let mut a0 = _mm512_setzero_pd();
-            for (d, &xd) in x.iter().enumerate() {
-                let v = _mm512_set1_pd(xd);
-                a0 = _mm512_fmadd_pd(v, _mm512_loadu_pd(pl.add(d * k_pad + jb)), a0);
-            }
-            let t0 = _mm512_add_pd(_mm512_fnmadd_pd(two, a0, px2v), _mm512_loadu_pd(cn.add(jb)));
-            _mm512_storeu_pd(out.add(jb), t0);
-            mins = _mm512_min_pd(t0, mins);
-            jb += 8;
-        }
-        let mut lanes = [0.0f64; LANES];
-        _mm512_storeu_pd(lanes.as_mut_ptr(), mins);
-        reduce_min8(&lanes)
+    unsafe fn nearest_avx512<const P: usize>(
+        &self,
+        xs: [&[f64]; P],
+        px2: [f64; P],
+        scratch: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> [Hit; P] {
+        self.nearest_simd::<std::arch::x86_64::__m512d, P>(xs, px2, scratch, stats)
     }
 
-    /// AVX2+FMA screen sweep: panels of 16 centroids (four `__m256d`
-    /// accumulators) with a 4-wide tail. Same contract as
-    /// [`Self::screen_avx512`].
+    /// [`Self::nearest_simd`] on 4-wide `__m256d`.
     ///
     /// # Safety
     ///
-    /// Requires the `avx2` and `fma` CPU features.
+    /// Requires the `avx2` and `fma` CPU features, and the conditions of
+    /// [`Self::nearest_simd`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn screen_avx2(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> f64 {
-        use std::arch::x86_64::*;
-        let pl = self.planes.as_ptr();
-        let cn = self.cnorm2.as_ptr();
-        let out = approx.as_mut_ptr();
+    unsafe fn nearest_avx2<const P: usize>(
+        &self,
+        xs: [&[f64]; P],
+        px2: [f64; P],
+        scratch: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> [Hit; P] {
+        self.nearest_simd::<std::arch::x86_64::__m256d, P>(xs, px2, scratch, stats)
+    }
+
+    /// Sweep, window and rescue of `P` points, generic over the vector
+    /// type and inlined whole into its `#[target_feature]` caller. Point
+    /// `p`'s screened values land in `scratch[p·k_pad..(p + 1)·k_pad]`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `V`'s instruction set; every `xs[p]` must be
+    /// `dim` long and `scratch` at least `P · k_pad`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn nearest_simd<V: Lanes, const P: usize>(
+        &self,
+        xs: [&[f64]; P],
+        px2: [f64; P],
+        scratch: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> [Hit; P] {
         let k_pad = self.k_pad;
-        let two = _mm256_set1_pd(2.0);
-        let px2v = _mm256_set1_pd(px2);
-        let mut mins = _mm256_set1_pd(f64::INFINITY);
+        let out = scratch.as_mut_ptr();
+
+        // --- Screen: ‖x‖² − 2·x·c + ‖c‖² for every (point, centroid) ---
+        // Eight accumulator chains per panel hide the FMA latency: four
+        // vectors of centroids for one point, two for a block of four.
+        // `min_keep` keeps the running minimum NaN-free.
+        let mut mins = [V::splat(f64::INFINITY); P];
+        let wide = if P == 1 { 4 } else { 2 };
         let mut jb = 0usize;
-        while jb + 16 <= k_pad {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut a2 = _mm256_setzero_pd();
-            let mut a3 = _mm256_setzero_pd();
-            for (d, &xd) in x.iter().enumerate() {
-                let v = _mm256_set1_pd(xd);
-                let base = pl.add(d * k_pad + jb);
-                a0 = _mm256_fmadd_pd(v, _mm256_loadu_pd(base), a0);
-                a1 = _mm256_fmadd_pd(v, _mm256_loadu_pd(base.add(4)), a1);
-                a2 = _mm256_fmadd_pd(v, _mm256_loadu_pd(base.add(8)), a2);
-                a3 = _mm256_fmadd_pd(v, _mm256_loadu_pd(base.add(12)), a3);
+        while jb + wide * V::N <= k_pad {
+            if P == 1 {
+                self.panel::<V, P, 4>(&xs, &px2, jb, out, &mut mins);
+            } else {
+                self.panel::<V, P, 2>(&xs, &px2, jb, out, &mut mins);
             }
-            let t0 = _mm256_add_pd(_mm256_fnmadd_pd(two, a0, px2v), _mm256_loadu_pd(cn.add(jb)));
-            let t1 =
-                _mm256_add_pd(_mm256_fnmadd_pd(two, a1, px2v), _mm256_loadu_pd(cn.add(jb + 4)));
-            let t2 =
-                _mm256_add_pd(_mm256_fnmadd_pd(two, a2, px2v), _mm256_loadu_pd(cn.add(jb + 8)));
-            let t3 =
-                _mm256_add_pd(_mm256_fnmadd_pd(two, a3, px2v), _mm256_loadu_pd(cn.add(jb + 12)));
-            _mm256_storeu_pd(out.add(jb), t0);
-            _mm256_storeu_pd(out.add(jb + 4), t1);
-            _mm256_storeu_pd(out.add(jb + 8), t2);
-            _mm256_storeu_pd(out.add(jb + 12), t3);
-            mins = _mm256_min_pd(t0, mins);
-            mins = _mm256_min_pd(t1, mins);
-            mins = _mm256_min_pd(t2, mins);
-            mins = _mm256_min_pd(t3, mins);
-            jb += 16;
+            jb += wide * V::N;
         }
         while jb < k_pad {
-            let mut a0 = _mm256_setzero_pd();
-            for (d, &xd) in x.iter().enumerate() {
-                let v = _mm256_set1_pd(xd);
-                a0 = _mm256_fmadd_pd(v, _mm256_loadu_pd(pl.add(d * k_pad + jb)), a0);
-            }
-            let t0 = _mm256_add_pd(_mm256_fnmadd_pd(two, a0, px2v), _mm256_loadu_pd(cn.add(jb)));
-            _mm256_storeu_pd(out.add(jb), t0);
-            mins = _mm256_min_pd(t0, mins);
-            jb += 4;
+            self.panel::<V, P, 1>(&xs, &px2, jb, out, &mut mins);
+            jb += V::N;
         }
-        let mut lanes = [0.0f64; 4];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), mins);
-        let m01 = if lanes[1] < lanes[0] { lanes[1] } else { lanes[0] };
-        let m23 = if lanes[3] < lanes[2] { lanes[3] } else { lanes[2] };
-        if m23 < m01 {
-            m23
-        } else {
-            m01
+
+        // --- Rescue: exact distances within the error window -----------
+        let mut hits = [NO_HIT; P];
+        for p in 0..P {
+            let x = xs[p];
+            let approx = out.add(p * k_pad) as *const f64;
+            let w = V::splat(self.window(mins[p].reduce_min(), px2[p]));
+            let mut hit = NO_HIT;
+            let mut jb = 0usize;
+            if k_pad <= 64 {
+                // One mask for the whole table, walked once.
+                let mut m = 0u64;
+                while jb < k_pad {
+                    m |= V::load(approx.add(jb)).le_mask(w) << jb;
+                    jb += V::N;
+                }
+                while m != 0 {
+                    self.rescue(x, m.trailing_zeros() as usize, &mut hit, stats);
+                    m &= m - 1;
+                }
+            } else {
+                while jb < k_pad {
+                    let mut m = V::load(approx.add(jb)).le_mask(w);
+                    while m != 0 {
+                        self.rescue(x, jb + m.trailing_zeros() as usize, &mut hit, stats);
+                        m &= m - 1;
+                    }
+                    jb += V::N;
+                }
+            }
+            hits[p] = self.settle(x, hit, stats);
+        }
+        hits
+    }
+
+    /// One panel of the screen: `W` vectors of centroids starting at `jb`
+    /// against all `P` points. Each plane vector is loaded once and
+    /// multiplied into one accumulator per point, FMA in ascending `d`;
+    /// then `(‖x‖² − 2·dot) + ‖c‖²` is stored to the point's scratch row
+    /// and folded into its running minimum.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::nearest_simd`], with `jb + W · V::N ≤ k_pad` and `out`
+    /// pointing at `P · k_pad` writable values.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // p, w and d each index several arrays
+    unsafe fn panel<V: Lanes, const P: usize, const W: usize>(
+        &self,
+        xs: &[&[f64]; P],
+        px2: &[f64; P],
+        jb: usize,
+        out: *mut f64,
+        mins: &mut [V; P],
+    ) {
+        let k_pad = self.k_pad;
+        let mut acc = [[V::splat(0.0); W]; P];
+        for d in 0..self.dim {
+            let base = self.planes.as_ptr().add(d * k_pad + jb);
+            let mut plane = [V::splat(0.0); W];
+            for (w, v) in plane.iter_mut().enumerate() {
+                *v = V::load(base.add(w * V::N));
+            }
+            for p in 0..P {
+                let xd = V::splat(xs[p][d]);
+                for w in 0..W {
+                    acc[p][w] = xd.mul_add(plane[w], acc[p][w]);
+                }
+            }
+        }
+        let two = V::splat(2.0);
+        for w in 0..W {
+            let cn = V::load(self.cnorm2.as_ptr().add(jb + w * V::N));
+            for p in 0..P {
+                let t = two.neg_mul_add(acc[p][w], V::splat(px2[p])).add(cn);
+                t.store(out.add(p * k_pad + jb + w * V::N));
+                mins[p] = t.min_keep(mins[p]);
+            }
         }
     }
 }
 
-/// Capacity of the fixed rescue-candidate buffer the masked window scan
-/// fills. On real data the window admits one candidate; overflowing the
-/// buffer (pathological near-tie pile-ups) falls back to the scalar sweep.
-const MAX_WINDOW_CANDIDATES: usize = 64;
-
-/// Masked window scan, AVX-512: compare all screened values (including
-/// padding) against `window` eight at a time and collect qualifying
-/// indices in ascending order. Returns `None` when `out` would overflow.
-///
-/// # Safety
-///
-/// Requires the `avx512f` CPU feature; `approx.len()` must be a multiple
-/// of [`LANES`].
+/// The vector operations [`FusedLayout::nearest_simd`] is written in, so
+/// the AVX2 and AVX-512 paths are one routine. Every method is
+/// `#[inline(always)]` and must only be reached from a function compiled
+/// with the implementing type's target features.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn collect_window_avx512(
-    approx: &[f64],
-    window: f64,
-    out: &mut [u32; MAX_WINDOW_CANDIDATES],
-) -> Option<usize> {
-    use std::arch::x86_64::*;
-    let w = _mm512_set1_pd(window);
-    let p = approx.as_ptr();
-    let mut count = 0usize;
-    let mut jb = 0usize;
-    while jb < approx.len() {
-        // LE_OQ: NaN compares false, so poisoned lanes never qualify.
-        let mut m = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(_mm512_loadu_pd(p.add(jb)), w) as u32;
-        while m != 0 {
-            if count == MAX_WINDOW_CANDIDATES {
-                return None;
-            }
-            out[count] = jb as u32 + m.trailing_zeros();
-            count += 1;
-            m &= m - 1;
-        }
-        jb += 8;
+trait Lanes: Copy {
+    /// f64 lanes per vector; divides [`LANES`].
+    const N: usize;
+    unsafe fn splat(v: f64) -> Self;
+    /// Unaligned load of `N` values.
+    unsafe fn load(p: *const f64) -> Self;
+    /// Unaligned store of `N` values.
+    unsafe fn store(self, p: *mut f64);
+    /// `self · b + c`, fused.
+    unsafe fn mul_add(self, b: Self, c: Self) -> Self;
+    /// `c − self · b`, fused.
+    unsafe fn neg_mul_add(self, b: Self, c: Self) -> Self;
+    unsafe fn add(self, b: Self) -> Self;
+    /// Lane-wise minimum that returns `acc`'s lane when either is NaN
+    /// (`vminpd` returns its second operand then).
+    unsafe fn min_keep(self, acc: Self) -> Self;
+    /// Bit `l` set where lane `l` of `self` is `≤` lane `l` of `w`; NaN
+    /// compares false (`LE_OQ`), so poisoned lanes never qualify.
+    unsafe fn le_mask(self, w: Self) -> u64;
+
+    /// Minimum over the lanes, NaN-keeps-old select form.
+    #[inline(always)]
+    unsafe fn reduce_min(self) -> f64 {
+        let mut lanes = [f64::INFINITY; LANES];
+        self.store(lanes.as_mut_ptr());
+        reduce_min8(&lanes)
     }
-    Some(count)
 }
 
-/// Masked window scan, AVX2: same contract as
-/// [`collect_window_avx512`], four lanes at a time.
-///
-/// # Safety
-///
-/// Requires the `avx2` CPU feature; `approx.len()` must be a multiple of
-/// [`LANES`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn collect_window_avx2(
-    approx: &[f64],
-    window: f64,
-    out: &mut [u32; MAX_WINDOW_CANDIDATES],
-) -> Option<usize> {
+mod x86 {
+    use super::Lanes;
     use std::arch::x86_64::*;
-    let w = _mm256_set1_pd(window);
-    let p = approx.as_ptr();
-    let mut count = 0usize;
-    let mut jb = 0usize;
-    while jb < approx.len() {
-        let cmp = _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(p.add(jb)), w);
-        let mut m = _mm256_movemask_pd(cmp) as u32;
-        while m != 0 {
-            if count == MAX_WINDOW_CANDIDATES {
-                return None;
-            }
-            out[count] = jb as u32 + m.trailing_zeros();
-            count += 1;
-            m &= m - 1;
+
+    impl Lanes for __m512d {
+        const N: usize = 8;
+        #[inline(always)]
+        unsafe fn splat(v: f64) -> Self {
+            _mm512_set1_pd(v)
         }
-        jb += 4;
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm512_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm512_storeu_pd(p, self)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(self, b: Self, c: Self) -> Self {
+            _mm512_fmadd_pd(self, b, c)
+        }
+        #[inline(always)]
+        unsafe fn neg_mul_add(self, b: Self, c: Self) -> Self {
+            _mm512_fnmadd_pd(self, b, c)
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm512_add_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn min_keep(self, acc: Self) -> Self {
+            _mm512_min_pd(self, acc)
+        }
+        #[inline(always)]
+        unsafe fn le_mask(self, w: Self) -> u64 {
+            u64::from(_mm512_cmp_pd_mask::<_CMP_LE_OQ>(self, w))
+        }
     }
-    Some(count)
+
+    impl Lanes for __m256d {
+        const N: usize = 4;
+        #[inline(always)]
+        unsafe fn splat(v: f64) -> Self {
+            _mm256_set1_pd(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm256_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm256_storeu_pd(p, self)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(self, b: Self, c: Self) -> Self {
+            _mm256_fmadd_pd(self, b, c)
+        }
+        #[inline(always)]
+        unsafe fn neg_mul_add(self, b: Self, c: Self) -> Self {
+            _mm256_fnmadd_pd(self, b, c)
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm256_add_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn min_keep(self, acc: Self) -> Self {
+            _mm256_min_pd(self, acc)
+        }
+        #[inline(always)]
+        unsafe fn le_mask(self, w: Self) -> u64 {
+            // Four sign bits, zero-extended.
+            _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(self, w)) as u64
+        }
+    }
 }
 
 /// Tree-reduce eight lane minima with the NaN-keeps-old select form.
@@ -675,23 +797,59 @@ mod tests {
         assert!(stats.rescues_per_point() >= 1.0);
     }
 
+    /// Every arm this CPU can run, widest last: an AVX-512 box can and
+    /// must run the AVX2 arm too.
+    fn supported_isas() -> Vec<ScreenIsa> {
+        let mut isas = vec![ScreenIsa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                isas.push(ScreenIsa::Avx2Fma);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(ScreenIsa::Avx512);
+            }
+        }
+        isas
+    }
+
     #[test]
     fn simd_and_portable_dispatch_agree() {
+        // Every arm forced through the `isa` field, both entry points,
+        // against the scalar scan; k up to 150 crosses the one-mask /
+        // per-vector window split at k_pad = 64.
         let mut rng = rng_for(22, 0);
         for _ in 0..200 {
             let dim = rng.gen_range(1usize..10);
-            let k = rng.gen_range(1usize..70);
+            let k = rng.gen_range(1usize..150);
             let cents: Vec<f64> = (0..k * dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-            let simd = FusedLayout::new(&cents, dim);
-            let mut portable = simd.clone();
-            portable.isa = ScreenIsa::Portable;
-            let mut s1 = vec![0.0; simd.scratch_len()];
-            let mut s2 = vec![0.0; simd.scratch_len()];
-            let x: Vec<f64> = (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-            let a = simd.nearest(&x, &mut s1);
-            let b = portable.nearest(&x, &mut s2);
-            assert_eq!(a.0, b.0, "index ({}, dim={dim}, k={k})", simd.isa_label());
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "distance bits ({})", simd.isa_label());
+            let mut xs: Vec<f64> =
+                (0..FusedLayout::BLOCK * dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
+            // One query sits on a centroid: an exact zero and, with luck, a tie.
+            xs[..dim].copy_from_slice(&cents[(k / 2) * dim..(k / 2 + 1) * dim]);
+            let xs: [&[f64]; FusedLayout::BLOCK] =
+                std::array::from_fn(|p| &xs[p * dim..(p + 1) * dim]);
+            let want = xs.map(|x| nearest_centroid(x, &cents, dim));
+            let bits = |hits: [Hit; FusedLayout::BLOCK]| hits.map(|(j, d)| (j, d.to_bits()));
+
+            let mut layout = FusedLayout::new(&cents, dim);
+            let mut scratch = vec![0.0; FusedLayout::BLOCK * layout.scratch_len()];
+            for isa in supported_isas() {
+                layout.isa = isa;
+                let label = layout.isa_label();
+                let mut single = KernelStats::default();
+                let one = xs.map(|x| layout.nearest_counted(x, &mut scratch, &mut single));
+                assert_eq!(bits(one), bits(want), "single ({label}, dim={dim}, k={k})");
+                let mut block = KernelStats::default();
+                let four = layout.nearest_block(xs, &mut scratch, &mut block);
+                assert_eq!(bits(four), bits(want), "block ({label}, dim={dim}, k={k})");
+                assert_eq!(block, single, "block tallies ({label})");
+                // FMA and mul-add screens differ in the last bits, so arms
+                // may rescue different near-ties; none may skip a point.
+                assert_eq!(single.points, FusedLayout::BLOCK as u64);
+            }
         }
     }
 

@@ -64,8 +64,8 @@ struct Scratch {
     sums: Vec<f64>,
     /// Per-cluster total weight.
     weights: Vec<f64>,
-    /// Screened-distance buffer for the fused kernel (`k` padded to whole
-    /// SoA blocks), unused by the scalar paths.
+    /// Screened-distance buffer for the fused kernel (one padded row per
+    /// point of a block), unused by the scalar paths.
     screen: Vec<f64>,
 }
 
@@ -243,24 +243,39 @@ fn assign<S: PointSource + ?Sized>(
 
     if kernel == KernelKind::Fused {
         // Fused path: one pass over the points does the SoA screen, the
-        // exact rescue, and the weighted accumulator updates.
+        // exact rescue, and the weighted accumulator updates — four points
+        // per sweep of the planes, then the `n mod 4` tail one at a time.
+        // Sums, weights and the SSE accumulate in point order either way.
+        const BLOCK: usize = FusedLayout::BLOCK;
         let layout = FusedLayout::new(cents, dim);
-        scratch.screen.resize(layout.scratch_len(), 0.0);
+        // Allocates on a run's first call only: k is fixed for the run.
+        scratch.screen.resize(BLOCK * layout.scratch_len(), 0.0);
         scratch.sums.fill(0.0);
         scratch.weights.fill(0.0);
+        let Scratch { assignments, d2, sums, weights, screen } = scratch;
         let mut wsse = 0.0;
-        for i in 0..n {
-            let x = src.coords(i);
-            let (j, d2) = layout.nearest_counted(x, &mut scratch.screen, kernel_stats);
-            scratch.assignments[i] = j as u32;
-            scratch.d2[i] = d2;
+        let mut accumulate = |i: usize, x: &[f64], (j, dist2): (usize, f64)| {
+            assignments[i] = j as u32;
+            d2[i] = dist2;
             let w = src.weight(i);
-            let sum = &mut scratch.sums[j * dim..(j + 1) * dim];
-            for (s, c) in sum.iter_mut().zip(x) {
+            for (s, c) in sums[j * dim..(j + 1) * dim].iter_mut().zip(x) {
                 *s += w * c;
             }
-            scratch.weights[j] += w;
-            wsse += w * d2;
+            weights[j] += w;
+            wsse += w * dist2;
+        };
+        let mut i = 0;
+        while i + BLOCK <= n {
+            let xs: [&[f64]; BLOCK] = std::array::from_fn(|p| src.coords(i + p));
+            let hits = layout.nearest_block(xs, screen, kernel_stats);
+            for (p, (x, hit)) in xs.into_iter().zip(hits).enumerate() {
+                accumulate(i + p, x, hit);
+            }
+            i += BLOCK;
+        }
+        for i in i..n {
+            let x = src.coords(i);
+            accumulate(i, x, layout.nearest_counted(x, screen, kernel_stats));
         }
         return wsse;
     }
@@ -542,6 +557,77 @@ mod tests {
             .unwrap();
         // One fused screen per point per distance calculation.
         assert_eq!(fused_points, (ds.len() * (observed.iterations + 1)) as u64);
+    }
+
+    /// A 6-D chunk of the shape `planet_classic` streams: a 40-blob
+    /// mixture with per-blob spread (the coreset golden's generator).
+    fn wide_chunk(seed: u64, n: usize) -> Dataset {
+        use rand::Rng;
+        let mut rng = crate::seeding::rng_for(seed, 0x6D1D);
+        let mut ds = Dataset::new(6).unwrap();
+        let mut row = [0.0f64; 6];
+        for _ in 0..n {
+            let blob = f64::from(rng.gen_range(0..40i32));
+            for (d, x) in row.iter_mut().enumerate() {
+                *x = blob * (7.0 + d as f64) % 90.0 + rng.gen_range(-2.5..2.5);
+            }
+            ds.push(&row).unwrap();
+        }
+        ds
+    }
+
+    /// Word-wise FNV-1a over a stream of 64-bit words.
+    fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// Digest of a best-of-10 run at the paper's parameters: centroid bits,
+    /// `mse` bits, the iteration total over all restarts, every assignment.
+    fn kmeans_digest(n: usize, seed: u64) -> u64 {
+        let cfg = crate::KMeansConfig::paper(40, seed);
+        let out = crate::kmeans(&wide_chunk(seed, n), &cfg).unwrap();
+        let best = &out.best;
+        fnv_words(
+            (best.centroids.as_flat().iter().map(|v| v.to_bits()))
+                .chain([best.mse.to_bits(), out.total_iterations() as u64])
+                .chain(best.assignments.iter().map(|&a| u64::from(a))),
+        )
+    }
+
+    // All four digests were recorded on the commit *before* the assignment
+    // kernel went to four points per sweep and a one-mask rescue window
+    // (ee18bf5: this test, printing instead of asserting, dropped into a
+    // `git archive` export of that tree; debug and release printed the same
+    // words). `sse_ratio_vs_serial` says one cell's final centroids did not
+    // move; this says no centroid bit, no assignment and no iteration count
+    // of any restart did, on a `planet_classic` chunk (2,500 x 6), a
+    // small-cell chunk (125 x 6), a chunk with a three-point tail behind
+    // its blocks, and the merge's weighted Lloyd over 400 centroids.
+    #[test]
+    fn lloyd_bits_are_pinned() {
+        assert_eq!(kmeans_digest(2_500, 42), 0x3153_ad8e_b63f_2a3c, "2,500 x 6, k = 40");
+        assert_eq!(kmeans_digest(125, 43), 0x07b6_6320_301d_3fa9, "125 x 6, k = 40");
+        assert_eq!(kmeans_digest(2_503, 44), 0x3bbd_3b90_3d24_bd97, "2,503 x 6: tail of 3");
+
+        // Ten partitions' worth of weighted centroids, as the merge sees them.
+        let sets: Vec<WeightedSet> = (0..10u64)
+            .map(|p| {
+                let mut ws = WeightedSet::new(6).unwrap();
+                for (i, row) in wide_chunk(100 + p, 40).as_flat().chunks_exact(6).enumerate() {
+                    ws.push(row, 1.0 + ((i as u64 * 37 + p * 11) % 120) as f64).unwrap();
+                }
+                ws
+            })
+            .collect();
+        let out = crate::merge_collective(&sets, &crate::KMeansConfig::paper(40, 45), 1).unwrap();
+        assert_eq!(out.input_centroids, 400);
+        let digest = fnv_words(
+            (out.centroids.as_flat().iter().chain(&out.cluster_weights).map(|v| v.to_bits()))
+                .chain([out.mse.to_bits(), out.epm.to_bits(), out.iterations as u64]),
+        );
+        assert_eq!(digest, 0x1c56_a119_bbb9_06a6, "merge_collective over 400 weighted points");
     }
 
     #[test]

@@ -7,17 +7,20 @@
 //! (same lowest-index tie-break) and same distance bits — not merely
 //! approximately equal ones. These tests hold it to that promise across
 //! dim ∈ [1, 32] and k ∈ [1, 64], including duplicate centroids, exact
-//! ties, and degenerate all-equal inputs, and then check that threading the
-//! kernel through full Lloyd runs leaves assignments identical and the MSE
-//! within 1e-9 relative of the scalar path.
+//! ties, and degenerate all-equal inputs, hold the four-point block entry
+//! point to the same promise (and to the tallies of four single-point
+//! calls) up to k = 300, and then check that threading the kernel through
+//! full Lloyd runs — blocks of four and every length of tail — leaves
+//! assignments identical and the MSE within 1e-9 relative of the scalar
+//! path.
 //!
 //! The coreset builder is the kernel's second caller: `chunk_coreset` finds
 //! every point's nearest of up to `size` sampled representatives through
 //! one [`FusedLayout`]. The scalar double loop it replaced is kept as
 //! [`common::chunk_coreset_scalar`], and the last section holds the two to
 //! equal output bits — over k far beyond a centroid table's (320
-//! representatives, `k_pad` > 64) and over piles of coincident
-//! representatives that overflow the kernel's fixed rescue buffer.
+//! representatives, `k_pad` > 64) and over piles of more than 64
+//! coincident representatives, all inside one rescue window.
 
 mod common;
 
@@ -72,6 +75,34 @@ fn assert_bit_identical(
     Ok(())
 }
 
+/// Four points through the block entry point: index and distance bits of
+/// four scalar searches, and the tallies of four single-point calls.
+fn assert_block_bit_identical(
+    dim: usize,
+    cents: &[f64],
+    points: [&[f64]; FusedLayout::BLOCK],
+) -> std::result::Result<(), TestCaseError> {
+    let layout = FusedLayout::new(cents, dim);
+    let mut scratch = vec![0.0; FusedLayout::BLOCK * layout.scratch_len()];
+    let mut block_stats = KernelStats::default();
+    let block = layout.nearest_block(points, &mut scratch, &mut block_stats);
+    let mut single_stats = KernelStats::default();
+    for (x, (bj, bd)) in points.into_iter().zip(block) {
+        let (sj, sd) = nearest_centroid(x, cents, dim);
+        prop_assert_eq!(bj, sj, "block index diverged for x = {:?}", x);
+        prop_assert_eq!(bd.to_bits(), sd.to_bits(), "block distance bits: {} vs {}", bd, sd);
+        layout.nearest_counted(x, &mut scratch, &mut single_stats);
+    }
+    prop_assert_eq!(block_stats, single_stats, "one block call tallies as four single calls");
+    prop_assert_eq!(block_stats.points, FusedLayout::BLOCK as u64);
+    Ok(())
+}
+
+/// The largest `m ≤ n` with `m mod 4 == tail` (0 when there is none).
+fn with_tail(n: usize, tail: usize) -> usize {
+    n.saturating_sub((n + FusedLayout::BLOCK - tail) % FusedLayout::BLOCK)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -121,17 +152,56 @@ proptest! {
         assert_bit_identical(dim, &cents, &points)?;
     }
 
+    // The block entry point against the same oracle, over tables wide
+    // enough to cross k_pad 64 -> 72 (one-mask window to per-vector window)
+    // and several mask words. `lattice` snaps every coordinate to nine
+    // values per axis, so low dimensions are full of coincident centroids
+    // and exact ties; `mirror` makes every odd centroid the negation of its
+    // predecessor, so the origin (query 0) ties exactly within each pair;
+    // query 1 sits on a centroid.
+    #[test]
+    fn block_matches_scalar_search(
+        (dim, k, mut cents) in arb_centroids(32, 300),
+        raw in proptest::collection::vec(-100.0..100.0f64, 32 * 4),
+        (lattice, mirror) in (any::<bool>(), any::<bool>()),
+        pick in any::<usize>(),
+    ) {
+        let mut queries = raw[..dim * FusedLayout::BLOCK].to_vec();
+        if lattice {
+            for v in cents.iter_mut().chain(queries.iter_mut()) {
+                *v = (*v / 25.0).round();
+            }
+        }
+        if mirror {
+            for j in (1..k).step_by(2) {
+                let (a, b) = cents.split_at_mut(j * dim);
+                for (dst, src) in b[..dim].iter_mut().zip(&a[(j - 1) * dim..]) {
+                    *dst = -src;
+                }
+            }
+            queries[..dim].fill(0.0);
+        }
+        let on = pick % k;
+        queries[dim..2 * dim].copy_from_slice(&cents[on * dim..(on + 1) * dim]);
+        let points: [&[f64]; FusedLayout::BLOCK] =
+            std::array::from_fn(|p| &queries[p * dim..(p + 1) * dim]);
+        assert_block_bit_identical(dim, &cents, points)?;
+    }
+
     // Threaded through full Lloyd runs: the fused path must reproduce the
     // scalar path's assignments exactly and its MSE to ≤ 1e-9 relative —
-    // the acceptance bar — on both unweighted and weighted sources.
+    // the acceptance bar — on both unweighted and weighted sources. `tail`
+    // fixes n mod 4, so whole blocks alone and every length of tail behind
+    // them are all drawn.
     #[test]
     fn fused_lloyd_matches_scalar_lloyd(
         flat in proptest::collection::vec(-1000.0..1000.0f64, 6..360),
         dim in 1usize..7,
         k in 1usize..9,
+        tail in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let n = flat.len() / dim;
+        let n = with_tail(flat.len() / dim, tail);
         prop_assume!(n >= 1);
         let ds = Dataset::from_flat(dim, flat[..n * dim].to_vec()).unwrap();
         prop_assume!(k <= ds.len());
@@ -158,9 +228,10 @@ proptest! {
         weights_raw in proptest::collection::vec(0.5..20.0f64, 60),
         dim in 1usize..5,
         k in 1usize..13,
+        tail in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let n = flat.len() / dim;
+        let n = with_tail(flat.len() / dim, tail);
         prop_assume!(n >= 1 && k <= n);
         let mut ws = WeightedSet::new(dim).unwrap();
         for i in 0..n {
@@ -240,10 +311,10 @@ proptest! {
 /// 600 coincident points and 10 distinct ones, 200 draws: about half the
 /// draws land on the pile, so the representative table holds 89 identical
 /// rows (of 99, with this seed), and for every point of the pile all of
-/// them tie inside the rescue window — more than the
-/// `MAX_WINDOW_CANDIDATES` = 64 the masked scan can collect, which sends
-/// the kernel down its scalar-sweep arm. The lowest-index copy must take
-/// the whole pile; the rest end with zero mass and are dropped.
+/// them tie inside the rescue window — more candidates than one 64-bit
+/// mask holds, on a table (`k_pad` = 104) that scans its window vector by
+/// vector. The lowest-index copy must take the whole pile; the rest end
+/// with zero mass and are dropped.
 #[test]
 fn coreset_with_more_than_64_coincident_representatives() {
     let mut ds = Dataset::new(3).unwrap();
@@ -260,15 +331,38 @@ fn coreset_with_more_than_64_coincident_representatives() {
     let pile = cs.weights()[0];
     assert!(pile >= 600.0, "the first representative is the pile's, weight {pile}");
 
-    // The arm itself, seen from outside: a window the masked scan could
-    // collect rescues at most 64 candidates for one point.
+    // Seen from outside: every tied copy is rescued, none skipped.
     let table: Vec<f64> = ds.as_flat()[..3 * 90].to_vec();
     let layout = FusedLayout::new(&table, 3);
     let mut scratch = vec![0.0; layout.scratch_len()];
     let mut stats = KernelStats::default();
     let got = layout.nearest_counted(ds.coords(0), &mut scratch, &mut stats);
     assert_eq!(got, (0, 0.0));
-    assert_eq!(stats.rescued, 90, "all 90 tied copies rescued by the sweep");
+    assert_eq!(stats.rescued, 90, "all 90 tied copies rescued");
+}
+
+/// Tables of coincident centroids through the block entry point: 64 of
+/// them fill the one-mask window to its last bit (`k_pad` = 64, all 64
+/// set), 100 need the per-vector scan (`k_pad` = 104) and put more than 64
+/// candidates inside one window. Every copy ties for every query, so each
+/// point rescues the whole table and settles on index 0.
+#[test]
+fn block_over_tables_of_coincident_centroids() {
+    for k in [64usize, 100] {
+        let table: Vec<f64> = [2.5, -1.0, 7.0].repeat(k);
+        let layout = FusedLayout::new(&table, 3);
+        let mut scratch = vec![0.0; FusedLayout::BLOCK * layout.scratch_len()];
+        let mut stats = KernelStats::default();
+        let far = [40.0, -60.0, 0.0];
+        let queries: [&[f64]; FusedLayout::BLOCK] =
+            [&table[..3], &far, &[0.0, 0.0, 0.0], &[2.5, -1.0, 7.5]];
+        let block = layout.nearest_block(queries, &mut scratch, &mut stats);
+        for (x, hit) in queries.into_iter().zip(block) {
+            assert_eq!(hit, nearest_centroid(x, &table, 3), "k = {k}, x = {x:?}");
+            assert_eq!(hit.0, 0, "ties go to the lowest index");
+        }
+        assert_eq!(stats, KernelStats { points: 4, rescued: 4 * k as u64 }, "k = {k}");
+    }
 }
 
 /// Mirrored exact ties: a 25 x 25 integer lattice centred on the origin.

@@ -135,37 +135,67 @@ proptest! {
         prop_assert!(out.best.cluster_weights.iter().all(|w| w.is_finite()));
     }
 
-    // The fused kernel's overflow fallback: with coordinates large enough
-    // that ‖x‖² or the cross term overflows to ±inf, the screen produces
-    // inf/NaN approximations — the kernel must degrade to the exact scalar
-    // scan and still agree with `nearest_centroid`, never return a bogus
-    // index from a NaN comparison.
+    // The fused kernel's overflow guard: with coordinates large enough
+    // that ‖x‖², ‖c‖² or the cross term overflows to ±inf, the screen would
+    // produce inf/NaN approximations — the kernel must take the exact
+    // scalar scan and agree with `nearest_centroid`, never return a bogus
+    // index from a NaN comparison. One strategy scales the whole case by
+    // one power of ten; the other draws an exponent in 150..156 per
+    // coordinate, so norms land on both sides of sqrt(f64::MAX) ≈ 1.34e154
+    // inside one table — the band where some terms overflow and others do
+    // not. Both entry points, every point of the block.
     #[test]
     fn fused_kernel_survives_overflowing_magnitudes(
         dim in 1usize..7,
         k in 1usize..9,
         scale_exp in 150.0..308.0f64,
+        band_exps in proptest::collection::vec(150.0..156.0f64, 67),
+        mixed in any::<bool>(),
         raw in proptest::collection::vec(-1.0..1.0f64, 1..64),
-        praw in proptest::collection::vec(-1.0..1.0f64, 8),
+        praw in proptest::collection::vec(-1.0..1.0f64, 4 * 8),
     ) {
-        let scale = 10f64.powf(scale_exp);
-        let mut cents = vec![0.0f64; k * dim];
-        for (i, c) in cents.iter_mut().enumerate() {
-            let v = raw[i % raw.len()] * scale;
-            *c = if v.is_finite() { v } else { 0.0 };
-        }
-        let x: Vec<f64> = (0..dim).map(|d| praw[d] * scale).collect();
-        prop_assume!(all_finite(&x) && all_finite(&cents));
+        let scale = |i: usize| 10f64.powf(if mixed { band_exps[i % band_exps.len()] } else { scale_exp });
+        let finite_or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
+        let cents: Vec<f64> =
+            (0..k * dim).map(|i| finite_or_zero(raw[i % raw.len()] * scale(i))).collect();
+        let points: Vec<Vec<f64>> = (0..FusedLayout::BLOCK)
+            .map(|p| (0..dim).map(|d| finite_or_zero(praw[p * 8 + d] * scale(31 * p + d))).collect())
+            .collect();
 
         let layout = FusedLayout::new(&cents, dim);
-        let mut scratch = vec![0.0; layout.scratch_len()];
+        let mut scratch = vec![0.0; FusedLayout::BLOCK * layout.scratch_len()];
         let mut stats = KernelStats::default();
-        let (fj, fd) = layout.nearest_counted(&x, &mut scratch, &mut stats);
-        let (sj, sd) = nearest_centroid(&x, &cents, dim);
-        prop_assert_eq!(fj, sj);
-        // Distances may both be +inf here; bit-compare handles that too.
-        prop_assert_eq!(fd.to_bits(), sd.to_bits());
+        let xs: [&[f64]; FusedLayout::BLOCK] = std::array::from_fn(|p| points[p].as_slice());
+        let block = layout.nearest_block(xs, &mut scratch, &mut stats);
+        for (x, (bj, bd)) in xs.into_iter().zip(block) {
+            let (fj, fd) = layout.nearest_counted(x, &mut scratch, &mut stats);
+            let (sj, sd) = nearest_centroid(x, &cents, dim);
+            prop_assert_eq!((fj, bj), (sj, sj), "x = {:?}, table = {:?}", x, &cents);
+            // Distances may all be +inf here; bit-compare handles that too.
+            prop_assert_eq!((fd.to_bits(), bd.to_bits()), (sd.to_bits(), sd.to_bits()));
+        }
     }
+}
+
+/// The gap the guard closes, hand-built: `‖x‖²` = 1.8225e308 overflows, so
+/// candidate 0 screened as NaN, the window went `+inf`, and the rescue only
+/// ever saw candidate 1. Before the guard the kernel answered
+/// `(1, 1.5625e308)` here.
+#[test]
+fn norms_straddling_sqrt_max_stay_exact() {
+    let cents = [1.35e154, 0.0, 1e153, 0.0];
+    let x = [1.35e154, 0.0];
+    assert_eq!(nearest_centroid(&x, &cents, 2), (0, 0.0));
+    let layout = FusedLayout::new(&cents, 2);
+    let mut scratch = vec![0.0; FusedLayout::BLOCK * layout.scratch_len()];
+    let mut stats = KernelStats::default();
+    assert_eq!(layout.nearest_counted(&x, &mut scratch, &mut stats), (0, 0.0));
+    assert_eq!(stats, KernelStats { points: 1, rescued: 2 }, "tallied as an exact scan of k = 2");
+    // One such point sends its whole block down the exact scan.
+    let near = [1e153, 1.0];
+    let block = layout.nearest_block([&x, &near, &x, &near], &mut scratch, &mut stats);
+    assert_eq!(block, [(0, 0.0), (1, 1.0), (0, 0.0), (1, 1.0)]);
+    assert_eq!(stats, KernelStats { points: 5, rescued: 10 });
 }
 
 /// Serde round-trips cannot resurrect poison either: a `Dataset` is
