@@ -66,7 +66,8 @@ fn main() {
         points_per_chunk,
     );
     let rec = std::sync::Arc::new(pmkm_obs::Recorder::new());
-    let observed = pmkm_stream::execute_observed(&plan, Some(rec.clone())).expect("observed run");
+    let observed =
+        pmkm_stream::execute_with_faults(&plan, Some(rec.clone()), None).expect("observed run");
     write_json("speedup_run_report", &observed.run_report(Some(&rec))).expect("write run report");
     std::fs::remove_dir_all(&dir).ok();
 

@@ -582,46 +582,13 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         Resources::detect()
     };
     let fault_plan = parse_chaos("cluster", &args.get_str("chaos", ""))?;
-    let mut plan = match args.get::<usize>("splits", 0)? {
-        0 => {
-            let memory = args.get("memory", resources.chunk_memory_bytes)?;
-            optimize(logical, &Resources { chunk_memory_bytes: memory, ..resources })
-        }
-        splits => {
-            // Resolve splits per the largest bucket so every bucket gets at
-            // most `splits` chunks. probe() reads only the header, and
-            // understands both bucket formats.
-            let max_points = logical
-                .inputs
-                .iter()
-                .map(|p| pmkm_data::probe(p).map(|info| info.count))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(run_err)?
-                .into_iter()
-                .max()
-                .unwrap_or(1);
-            optimize_fixed_split(logical, &resources, max_points.div_ceil(splits).max(1))
-        }
-    };
-    plan.scan_backend = parse_backend("cluster", args)?;
-    if args.flag("tolerant") {
-        plan.fault_policy = pmkm_stream::FaultPolicy::tolerant();
-    }
-    plan.coreset = parse_coreset("cluster", args)?;
+    let plan = physical_plan("cluster", args, logical, resources)?;
     let metrics_out = args.get_str("metrics-out", "");
     let trace_out = args.get_str("trace", "");
     let ledger_out = args.get_str("ledger", "");
     let serve_addr = args.get_str("serve", "");
     let folded_out = args.get_str("folded", "");
-    // A ledger backs the /events long-poll, so --serve without --ledger
-    // still gets an in-memory journal; a bare run gets none at all.
-    let ledger = if !ledger_out.is_empty() {
-        Some(std::sync::Arc::new(pmkm_obs::LedgerSink::create(&ledger_out).map_err(run_err)?))
-    } else if !serve_addr.is_empty() {
-        Some(std::sync::Arc::new(pmkm_obs::LedgerSink::in_memory()))
-    } else {
-        None
-    };
+    let ledger = open_ledger(&ledger_out, &serve_addr)?;
     let recorder = if metrics_out.is_empty()
         && trace_out.is_empty()
         && serve_addr.is_empty()
@@ -645,9 +612,9 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         None
     } else {
         let rec = recorder.clone().expect("recorder is built whenever --serve is given");
-        let ledger = ledger.clone().expect("ledger is built whenever --serve is given");
-        let server = pmkm_obs::MetricsServer::serve_with_ledger(serve_addr.as_str(), rec, ledger)
-            .map_err(run_err)?;
+        let server =
+            pmkm_obs::MetricsServer::serve_full(serve_addr.as_str(), rec, 4, ledger.clone(), None)
+                .map_err(run_err)?;
         writeln!(
             out,
             "serving telemetry at http://{} (/metrics, /report.json, /healthz, /events, \
@@ -667,44 +634,9 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     )
     .map_err(run_err)?;
     for cell in &report.cells {
-        let weight: f64 = cell.output.cluster_weights.iter().sum();
-        let degraded = if cell.degraded {
-            format!(
-                " [degraded: lost {} points in {} chunk(s)]",
-                cell.lost_points, cell.lost_chunks
-            )
-        } else {
-            String::new()
-        };
-        let tree = coreset_tag(cell.coreset.as_ref());
-        writeln!(
-            out,
-            "  cell {}: {} chunks, {} centroids, E_pm {:.1}, {} points{tree}{degraded}",
-            cell.cell.index(),
-            cell.chunks.len(),
-            cell.output.centroids.k(),
-            cell.output.epm,
-            weight as u64
-        )
-        .map_err(run_err)?;
+        write_cell_line(out, cell, "")?;
     }
-    if report.faults.any() {
-        let f = &report.faults;
-        writeln!(
-            out,
-            "  [faults] scan retries {}, scan failures {}, poisoned {}, quarantined {}, \
-             worker panics {}, chunk retries {}, stalls {}, degraded cells {}",
-            f.scan_retries,
-            f.scan_failures,
-            f.chunks_poisoned,
-            f.chunks_quarantined,
-            f.worker_panics,
-            f.chunk_retries,
-            f.queue_stalls,
-            f.cells_degraded
-        )
-        .map_err(run_err)?;
-    }
+    write_faults_line(out, &report.faults)?;
     for op in &report.op_stats {
         writeln!(
             out,
@@ -723,10 +655,7 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         rec.flush();
     }
     if !metrics_out.is_empty() {
-        let run_report = report.run_report(recorder.as_deref());
-        let json = serde_json::to_string_pretty(&run_report).map_err(run_err)?;
-        std::fs::write(&metrics_out, json).map_err(run_err)?;
-        writeln!(out, "wrote run report to {metrics_out}").map_err(run_err)?;
+        write_run_report(out, &metrics_out, &report.run_report(recorder.as_deref()))?;
     }
     if !trace_out.is_empty() {
         writeln!(out, "wrote trace to {trace_out}").map_err(run_err)?;
@@ -747,6 +676,117 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         server.shutdown();
     }
     Ok(())
+}
+
+/// Compiles `logical` into the physical plan both engine fronts run:
+/// chunk size from `--splits` (per the largest bucket) or `--memory`, then
+/// `--backend`, `--tolerant` and the `--coreset*` knobs.
+fn physical_plan(
+    cmd: &str,
+    args: &Args,
+    logical: LogicalPlan,
+    resources: Resources,
+) -> Result<pmkm_stream::PhysicalPlan, CliError> {
+    let mut plan = match args.get::<usize>("splits", 0)? {
+        0 => {
+            let memory = args.get("memory", resources.chunk_memory_bytes)?;
+            optimize(logical, &Resources { chunk_memory_bytes: memory, ..resources })
+        }
+        splits => {
+            // Resolve splits per the largest bucket so every bucket gets at
+            // most `splits` chunks. probe() reads only the header, and
+            // understands both bucket formats.
+            let max_points = logical
+                .inputs
+                .iter()
+                .map(|p| pmkm_data::probe(p).map(|info| info.count))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(run_err)?
+                .into_iter()
+                .max()
+                .unwrap_or(1);
+            optimize_fixed_split(logical, &resources, max_points.div_ceil(splits).max(1))
+        }
+    };
+    plan.scan_backend = parse_backend(cmd, args)?;
+    if args.flag("tolerant") {
+        plan.fault_policy = pmkm_stream::FaultPolicy::tolerant();
+    }
+    plan.coreset = parse_coreset(cmd, args)?;
+    Ok(plan)
+}
+
+/// Opens the run ledger: a file for `--ledger=PATH`; a ledger also backs
+/// the /events long-poll, so `--serve` without `--ledger` still gets an
+/// in-memory journal; a bare run gets none at all.
+fn open_ledger(
+    ledger_out: &str,
+    serve_addr: &str,
+) -> Result<Option<std::sync::Arc<pmkm_obs::LedgerSink>>, CliError> {
+    Ok(if !ledger_out.is_empty() {
+        Some(std::sync::Arc::new(pmkm_obs::LedgerSink::create(ledger_out).map_err(run_err)?))
+    } else if !serve_addr.is_empty() {
+        Some(std::sync::Arc::new(pmkm_obs::LedgerSink::in_memory()))
+    } else {
+        None
+    })
+}
+
+/// One clustered cell's row; `tag` trails it (`" [resumed]"` or nothing).
+fn write_cell_line<W: Write>(
+    out: &mut W,
+    cell: &pmkm_stream::CellClustering,
+    tag: &str,
+) -> Result<(), CliError> {
+    let weight: f64 = cell.output.cluster_weights.iter().sum();
+    let degraded = if cell.degraded {
+        format!(" [degraded: lost {} points in {} chunk(s)]", cell.lost_points, cell.lost_chunks)
+    } else {
+        String::new()
+    };
+    let tree = coreset_tag(cell.coreset.as_ref());
+    writeln!(
+        out,
+        "  cell {}: {} chunks, {} centroids, E_pm {:.1}, {} points{tree}{degraded}{tag}",
+        cell.cell.index(),
+        cell.chunks.len(),
+        cell.output.centroids.k(),
+        cell.output.epm,
+        weight as u64
+    )
+    .map_err(run_err)
+}
+
+/// The `[faults]` counter row, when any fault fired.
+fn write_faults_line<W: Write>(out: &mut W, f: &pmkm_obs::FaultReport) -> Result<(), CliError> {
+    if !f.any() {
+        return Ok(());
+    }
+    writeln!(
+        out,
+        "  [faults] scan retries {}, scan failures {}, poisoned {}, quarantined {}, \
+         worker panics {}, chunk retries {}, stalls {}, degraded cells {}",
+        f.scan_retries,
+        f.scan_failures,
+        f.chunks_poisoned,
+        f.chunks_quarantined,
+        f.worker_panics,
+        f.chunk_retries,
+        f.queue_stalls,
+        f.cells_degraded
+    )
+    .map_err(run_err)
+}
+
+/// Writes the `--metrics-out` run report.
+fn write_run_report<W: Write>(
+    out: &mut W,
+    path: &str,
+    report: &pmkm_obs::RunReport,
+) -> Result<(), CliError> {
+    let json = serde_json::to_string_pretty(report).map_err(run_err)?;
+    std::fs::write(path, json).map_err(run_err)?;
+    writeln!(out, "wrote run report to {path}").map_err(run_err)
 }
 
 /// Parses the coreset-engine knobs: `--coreset=SIZE` switches the plan's
@@ -912,29 +952,7 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     // orchestrator's cross-cell workers are the parallelism axis.
     let workers = args.get("workers", 1usize)?.max(1);
     let resources = Resources { workers, ..Resources::detect() };
-    let mut plan = match args.get::<usize>("splits", 0)? {
-        0 => {
-            let memory = args.get("memory", resources.chunk_memory_bytes)?;
-            optimize(logical, &Resources { chunk_memory_bytes: memory, ..resources })
-        }
-        splits => {
-            let max_points = logical
-                .inputs
-                .iter()
-                .map(|p| pmkm_data::probe(p).map(|info| info.count))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(run_err)?
-                .into_iter()
-                .max()
-                .unwrap_or(1);
-            optimize_fixed_split(logical, &resources, max_points.div_ceil(splits).max(1))
-        }
-    };
-    plan.scan_backend = parse_backend("orchestrate", args)?;
-    if args.flag("tolerant") {
-        plan.fault_policy = pmkm_stream::FaultPolicy::tolerant();
-    }
-    plan.coreset = parse_coreset("orchestrate", args)?;
+    let plan = physical_plan("orchestrate", args, logical, resources)?;
     let fault_plan = parse_chaos("orchestrate", &args.get_str("chaos", ""))?;
 
     let mut opts = pmkm_stream::OrchestratorOptions::new(args.get("jobs", 4usize)?);
@@ -964,15 +982,7 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let ledger_out = args.get_str("ledger", "");
     let serve_addr = args.get_str("serve", "");
     let watchdog_secs = args.get("watchdog", 0u64)?;
-    // A ledger backs the /events long-poll, so --serve without --ledger
-    // still gets an in-memory journal; a bare run gets none at all.
-    let ledger = if !ledger_out.is_empty() {
-        Some(std::sync::Arc::new(pmkm_obs::LedgerSink::create(&ledger_out).map_err(run_err)?))
-    } else if !serve_addr.is_empty() {
-        Some(std::sync::Arc::new(pmkm_obs::LedgerSink::in_memory()))
-    } else {
-        None
-    };
+    let ledger = open_ledger(&ledger_out, &serve_addr)?;
     let watchdog_sink =
         (watchdog_secs > 0).then(|| std::sync::Arc::new(pmkm_stream::WatchdogSink::new()));
     let status = (!serve_addr.is_empty()).then(|| std::sync::Arc::new(pmkm_obs::StatusCell::new()));
@@ -1051,51 +1061,14 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     for o in &planet.cells {
         let tag = if o.resumed { " [resumed]" } else { "" };
         match &o.clustering {
-            Some(c) => {
-                let weight: f64 = c.output.cluster_weights.iter().sum();
-                let degraded = if c.degraded {
-                    format!(
-                        " [degraded: lost {} points in {} chunk(s)]",
-                        c.lost_points, c.lost_chunks
-                    )
-                } else {
-                    String::new()
-                };
-                let tree = coreset_tag(c.coreset.as_ref());
-                writeln!(
-                    out,
-                    "  cell {}: {} chunks, {} centroids, E_pm {:.1}, {} points{tree}{degraded}{tag}",
-                    c.cell.index(),
-                    c.chunks.len(),
-                    c.output.centroids.k(),
-                    c.output.epm,
-                    weight as u64
-                )
-                .map_err(run_err)?;
-            }
+            Some(c) => write_cell_line(out, c, tag)?,
             None => {
                 writeln!(out, "  cell #{}: no surviving chunks [degraded]{tag}", o.input)
                     .map_err(run_err)?;
             }
         }
     }
-    if planet.faults.any() {
-        let f = &planet.faults;
-        writeln!(
-            out,
-            "  [faults] scan retries {}, scan failures {}, poisoned {}, quarantined {}, \
-             worker panics {}, chunk retries {}, stalls {}, degraded cells {}",
-            f.scan_retries,
-            f.scan_failures,
-            f.chunks_poisoned,
-            f.chunks_quarantined,
-            f.worker_panics,
-            f.chunk_retries,
-            f.queue_stalls,
-            f.cells_degraded
-        )
-        .map_err(run_err)?;
-    }
+    write_faults_line(out, &planet.faults)?;
     if let Some(rec) = &recorder {
         rec.flush();
     }
@@ -1111,10 +1084,7 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         }
     }
     if !metrics_out.is_empty() {
-        let run_report = planet.run_report(recorder.as_deref());
-        let json = serde_json::to_string_pretty(&run_report).map_err(run_err)?;
-        std::fs::write(&metrics_out, json).map_err(run_err)?;
-        writeln!(out, "wrote run report to {metrics_out}").map_err(run_err)?;
+        write_run_report(out, &metrics_out, &planet.run_report(recorder.as_deref()))?;
     }
     if !ledger_out.is_empty() {
         writeln!(out, "wrote ledger to {ledger_out}").map_err(run_err)?;

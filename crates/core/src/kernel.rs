@@ -97,7 +97,7 @@
 //! is a multiple of [`LANES`], all loads/stores stay below `k_pad` within a
 //! plane or a point's scratch row, and the entry points assert the point
 //! and scratch lengths — and each `#[target_feature]` function is only
-//! reachable through a [`ScreenIsa`] variant constructed after
+//! reachable through a `ScreenIsa` variant constructed after
 //! `is_x86_feature_detected!` confirmed the features.
 #![allow(unsafe_code)]
 

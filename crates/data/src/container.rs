@@ -61,7 +61,7 @@ pub struct BlockEntry {
     pub clen: u64,
     /// Uncompressed length in bytes.
     pub ulen: u64,
-    /// Word-wise FNV-1a (see [`fnv1a_words`]) over the uncompressed
+    /// Word-wise FNV-1a (see `fnv1a_words`) over the uncompressed
     /// block bytes.
     pub checksum: u64,
     /// Index of the first point in this block.

@@ -117,7 +117,7 @@ struct LedgerState {
 
 /// Append-only JSONL journal sink. See the [module docs](self).
 ///
-/// The sink keeps an in-memory tail of the newest [`DEFAULT_RETAINED`]
+/// The sink keeps an in-memory tail of the newest `DEFAULT_RETAINED`
 /// records (for `/events` long-polling) and, when file-backed, streams
 /// every record to disk as it is recorded.
 pub struct LedgerSink {

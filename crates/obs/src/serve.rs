@@ -11,7 +11,7 @@
 //!   fly, so the endpoint is useful while a run is still in flight;
 //! * `GET /healthz` — `{"status":"ok", ...}` liveness probe;
 //! * `GET /events?after=N` — run-ledger long-poll (requires a
-//!   [`LedgerSink`] via [`MetricsServer::serve_with_ledger`]): returns the
+//!   [`LedgerSink`] via [`MetricsServer::serve_full`]): returns the
 //!   JSONL records with sequence number greater than `N` as soon as any
 //!   exist, waiting up to ~2 s before answering with an empty body. Each
 //!   record carries its own `seq`, so a scraper resumes from the last one
@@ -80,45 +80,16 @@ impl MetricsServer {
     /// starts answering requests on a background accept thread plus a
     /// small worker pool.
     pub fn serve(addr: impl ToSocketAddrs, recorder: Arc<Recorder>) -> std::io::Result<Self> {
-        Self::serve_with_options(addr, recorder, DEFAULT_WORKERS, None)
+        Self::serve_full(addr, recorder, DEFAULT_WORKERS, None, None)
     }
 
-    /// Like [`MetricsServer::serve`] with an explicit worker-pool size
-    /// (clamped to at least one worker).
-    pub fn serve_with_workers(
-        addr: impl ToSocketAddrs,
-        recorder: Arc<Recorder>,
-        workers: usize,
-    ) -> std::io::Result<Self> {
-        Self::serve_with_options(addr, recorder, workers, None)
-    }
-
-    /// Like [`MetricsServer::serve`] with a run ledger attached, enabling
-    /// the `/events` long-poll stream and the `/ledger.jsonl` download.
-    /// The ledger should also be registered as a sink on `recorder` so it
-    /// actually receives the run's events.
-    pub fn serve_with_ledger(
-        addr: impl ToSocketAddrs,
-        recorder: Arc<Recorder>,
-        ledger: Arc<LedgerSink>,
-    ) -> std::io::Result<Self> {
-        Self::serve_with_options(addr, recorder, DEFAULT_WORKERS, Some(ledger))
-    }
-
-    /// Like [`MetricsServer::serve_with_options`] without a `/status`
-    /// source. Kept for callers that predate the status endpoint.
-    pub fn serve_with_options(
-        addr: impl ToSocketAddrs,
-        recorder: Arc<Recorder>,
-        workers: usize,
-        ledger: Option<Arc<LedgerSink>>,
-    ) -> std::io::Result<Self> {
-        Self::serve_full(addr, recorder, workers, ledger, None)
-    }
-
-    /// The fully-explicit constructor behind the `serve*` conveniences.
-    /// A [`StatusCell`] enables the `/status` endpoint; the orchestrator
-    /// publishes snapshots into it while the exporter reads them.
+    /// [`MetricsServer::serve`] with everything explicit: the worker-pool
+    /// size (clamped to at least one worker), a run ledger enabling the
+    /// `/events` long-poll stream and the `/ledger.jsonl` download (it
+    /// should also be registered as a sink on `recorder` so it actually
+    /// receives the run's events), and a [`StatusCell`] enabling the
+    /// `/status` endpoint; the orchestrator publishes snapshots into it
+    /// while the exporter reads them.
     pub fn serve_full(
         addr: impl ToSocketAddrs,
         recorder: Arc<Recorder>,

@@ -214,8 +214,9 @@ fn exporter_streams_ledger_events_and_tolerates_slow_consumers() {
     let ledger = Arc::new(LedgerSink::in_memory());
     let rec = Arc::new(Recorder::new().with_sink(Arc::clone(&ledger) as _));
     rec.event("chunk.close", &[("cell", 3u64.into()), ("points", 500u64.into())]);
-    let server = MetricsServer::serve_with_ledger("127.0.0.1:0", Arc::clone(&rec), ledger.clone())
-        .expect("bind");
+    let server =
+        MetricsServer::serve_full("127.0.0.1:0", Arc::clone(&rec), 4, Some(ledger.clone()), None)
+            .expect("bind");
     let addr = server.local_addr();
 
     // /ledger.jsonl — the whole journal (header + our event) as NDJSON.

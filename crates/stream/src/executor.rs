@@ -6,13 +6,14 @@
 use crate::error::{EngineError, Result};
 use crate::fault::{FaultContext, FaultPlan};
 use crate::item::{CellClustering, ChunkMsg, MergeMsg, ScanMsg};
-use crate::ops::{ChunkerOp, CoresetOp, MergeKMeansOp, PartialKMeansOp, ScanOp};
-use crate::plan::PhysicalPlan;
+use crate::ops::{ChunkerOp, PartialKMeansOp, ScanOp, TailOp};
+use crate::plan::{CoresetSpec, PhysicalPlan};
 use crate::queue::{QueueStats, SmartQueue};
 use crate::telemetry::OpStats;
 use pmkm_obs::{
     CellReport, ChunkReport, CoresetReport, FaultReport, MergeReport, Recorder, RunReport,
 };
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,9 +43,8 @@ impl EngineReport {
         self.op_stats.iter().filter(|s| s.name == "partial-kmeans").map(|s| s.busy).sum()
     }
 
-    /// Busy time of the merge operator (`t merge`). Coreset runs replace
-    /// the merge operator with the coreset operator, whose busy time
-    /// (tree maintenance + anytime queries) plays the same role.
+    /// Busy time of the tail operator (`t merge`): the merge clustering,
+    /// or in coreset mode tree maintenance + anytime queries.
     pub fn merge_busy(&self) -> Duration {
         self.op_stats
             .iter()
@@ -136,68 +136,70 @@ pub fn cell_report(c: &CellClustering) -> CellReport {
 /// Executes a physical plan to completion.
 ///
 /// The dataflow is scan → chunker → `partial_clones` × partial k-means →
-/// merge, with the final results drained on the calling thread. Operator
-/// panics and errors abort the run and surface as [`EngineError`].
+/// tail (the merge, or in coreset mode the merge-reduce tree), with the
+/// final results drained on the calling thread. Operator panics and errors
+/// abort the run and surface as [`EngineError`].
 pub fn execute(plan: &PhysicalPlan) -> Result<EngineReport> {
-    execute_observed(plan, None)
+    execute_with_faults(plan, None, None)
 }
 
 /// [`execute`] with an optional trace/metrics recorder attached to every
-/// operator instance. With `None` this is exactly `execute` — no events,
-/// no metrics, no extra work on the hot path.
-pub fn execute_observed(plan: &PhysicalPlan, rec: Option<Arc<Recorder>>) -> Result<EngineReport> {
-    execute_with_faults(plan, rec, None)
-}
-
-/// [`execute_observed`] with a deterministic fault-injection schedule — the
-/// entry point of the chaos suite. With `fault_plan: None` and the default
-/// [`crate::fault::FaultPolicy::strict`] policy this is exactly
-/// `execute_observed`: no injection, no validation passes, byte-identical
-/// results.
+/// operator instance and an optional deterministic fault-injection schedule
+/// — the entry point of observed runs and of the chaos suite. With `None`
+/// for both and the default [`crate::fault::FaultPolicy::strict`] policy
+/// this is exactly `execute`: no events, no metrics, no injection, no
+/// validation passes, byte-identical results.
 pub fn execute_with_faults(
     plan: &PhysicalPlan,
     rec: Option<Arc<Recorder>>,
     fault_plan: Option<FaultPlan>,
 ) -> Result<EngineReport> {
-    execute_inner(plan, rec, fault_plan, true)
-}
-
-/// [`execute_with_faults`] without the run-level journal framing — the
-/// orchestrator's per-cell hook. Cell-scoped events (`cell.open`,
-/// `cell.close`, `chunk.close`, faults) still flow to the recorder, but
-/// `run.open` / `run.close` / phase emission are left to the caller, which
-/// brackets the whole multi-cell run exactly once.
-pub fn execute_cell(
-    plan: &PhysicalPlan,
-    rec: Option<Arc<Recorder>>,
-    fault_plan: Option<FaultPlan>,
-) -> Result<EngineReport> {
-    execute_inner(plan, rec, fault_plan, false)
-}
-
-fn execute_inner(
-    plan: &PhysicalPlan,
-    rec: Option<Arc<Recorder>>,
-    fault_plan: Option<FaultPlan>,
-    emit_run_events: bool,
-) -> Result<EngineReport> {
     plan.validate()?;
-    let faults = FaultContext::new(fault_plan, plan.fault_policy);
-    let started = Instant::now();
-    if emit_run_events {
-        if let Some(rec) = rec.as_deref() {
-            rec.event(
-                "run.open",
-                &[
-                    ("cells", plan.logical.inputs.len().into()),
-                    ("partial_clones", plan.partial_clones.into()),
-                    ("scan_clones", plan.scan_clones.into()),
-                ],
-            );
-        }
+    if let Some(rec) = rec.as_deref() {
+        rec.event(
+            "run.open",
+            &[
+                ("cells", plan.logical.inputs.len().into()),
+                ("partial_clones", plan.partial_clones.into()),
+                ("scan_clones", plan.scan_clones.into()),
+            ],
+        );
     }
+    let ctx = FaultContext { rec, ..FaultContext::new(fault_plan, plan.fault_policy) };
+    let report = run_pipeline(plan, &plan.logical.inputs, plan.coreset.as_ref(), &ctx)?;
+    if let Some(rec) = ctx.rec() {
+        // Phases before close: `run.close` marks the journal's logical end.
+        pmkm_obs::emit_phase_events(rec);
+        rec.event(
+            "run.close",
+            &[
+                ("elapsed_us", (report.elapsed.as_micros() as u64).into()),
+                ("cells", report.cells.len().into()),
+                ("degraded", report.degraded.into()),
+            ],
+        );
+        rec.flush();
+    }
+    Ok(report)
+}
+
+/// One pass of the pipeline over `inputs` with every knob from `plan`,
+/// without the run-level journal framing — the orchestrator's per-cell
+/// hook. Cell-scoped events (`cell.open`, `cell.close`, `chunk.close`,
+/// faults) still flow to the context's recorder, but `run.open` /
+/// `run.close` / phase emission are left to the caller, which brackets the
+/// whole run exactly once. `coreset` is the plan's own spec, or the
+/// caller's copy of it with a status probe attached. `ctx` carries the
+/// run's fault counters, so one context is one report.
+pub(crate) fn run_pipeline(
+    plan: &PhysicalPlan,
+    inputs: &[PathBuf],
+    coreset: Option<&CoresetSpec>,
+    ctx: &FaultContext,
+) -> Result<EngineReport> {
+    let started = Instant::now();
     let cap = plan.queue_capacity;
-    let depth_every = rec.as_deref().map(|r| r.config().depth_sample_interval()).unwrap_or(1);
+    let depth_every = ctx.rec().map(|r| r.config().depth_sample_interval()).unwrap_or(1);
     let q_scan: SmartQueue<ScanMsg> =
         SmartQueue::new("scan→chunker", cap).with_depth_sample_interval(depth_every);
     let q_chunks: SmartQueue<ChunkMsg> =
@@ -208,17 +210,15 @@ fn execute_inner(
         SmartQueue::new("merge→sink", cap).with_depth_sample_interval(depth_every);
 
     // Deal input buckets round-robin over the scan clones.
-    let scan_clones = plan.scan_clones.min(plan.logical.inputs.len()).max(1);
-    let mut scan_inputs: Vec<Vec<std::path::PathBuf>> = vec![Vec::new(); scan_clones];
-    for (i, path) in plan.logical.inputs.iter().enumerate() {
+    let scan_clones = plan.scan_clones.min(inputs.len()).max(1);
+    let mut scan_inputs: Vec<Vec<PathBuf>> = vec![Vec::new(); scan_clones];
+    for (i, path) in inputs.iter().enumerate() {
         scan_inputs[i % scan_clones].push(path.clone());
     }
     let scans: Vec<ScanOp> = scan_inputs
         .into_iter()
         .map(|paths| {
-            ScanOp::new(paths, plan.scan_batch, q_scan.producer())
-                .with_recorder(rec.clone())
-                .with_faults(faults.clone())
+            ScanOp::new(paths, plan.scan_batch, q_scan.producer(), ctx.clone())
                 .with_backend(plan.scan_backend)
         })
         .collect();
@@ -227,45 +227,22 @@ fn execute_inner(
         q_chunks.producer(),
         q_merge.producer(),
         plan.chunk_policy,
-    )
-    .with_recorder(rec.clone())
-    .with_faults(faults.clone());
+        ctx.clone(),
+    );
     let partials: Vec<PartialKMeansOp> = (0..plan.partial_clones)
         .map(|i| {
-            PartialKMeansOp::new(q_chunks.consumer(), q_merge.producer(), plan.logical.kmeans, i)
-                .with_coreset(plan.coreset.as_ref().map(|s| s.size))
-                .with_recorder(rec.clone())
-                .with_faults(faults.clone())
+            let kmeans = plan.logical.kmeans;
+            PartialKMeansOp::new(q_chunks.consumer(), q_merge.producer(), kmeans, i, ctx.clone())
+                .with_coreset(coreset.map(|s| s.size))
         })
         .collect();
-    // The tail of the pipeline is either the classic buffer-everything
-    // merge or the bounded-memory coreset tree — same queues, same
-    // contract, different operator.
-    let tail_name = if plan.coreset.is_some() { "coreset" } else { "merge" };
-    let tail: Box<dyn FnOnce() -> Result<OpStats> + Send> = if let Some(spec) = plan.coreset.clone()
-    {
-        let op = CoresetOp::new(
-            q_merge.consumer(),
-            q_results.producer(),
-            plan.logical.kmeans,
-            plan.logical.merge_restarts,
-            spec,
-        )
-        .with_recorder(rec.clone())
-        .with_faults(faults.clone());
-        Box::new(move || op.run())
-    } else {
-        let op = MergeKMeansOp::new(
-            q_merge.consumer(),
-            q_results.producer(),
-            plan.logical.kmeans,
-            plan.logical.merge_mode,
-            plan.logical.merge_restarts,
-        )
-        .with_recorder(rec.clone())
-        .with_faults(faults.clone());
-        Box::new(move || op.run())
-    };
+    let tail = TailOp::new(
+        q_merge.consumer(),
+        q_results.producer(),
+        &plan.logical,
+        coreset.cloned(),
+        ctx.clone(),
+    );
     let results = q_results.consumer();
     q_scan.seal();
     q_chunks.seal();
@@ -281,7 +258,7 @@ fn execute_inner(
         for p in partials {
             handles.push(("partial-kmeans", s.spawn(move |_| p.run())));
         }
-        handles.push((tail_name, s.spawn(move |_| tail())));
+        handles.push((tail.name(), s.spawn(move |_| tail.run())));
 
         // Sink: drain final results on this thread while the pipeline runs.
         let mut cells = Vec::new();
@@ -320,28 +297,10 @@ fn execute_inner(
 
     cells.sort_by_key(|c| c.cell.index());
     let queue_stats = vec![q_scan.stats(), q_chunks.stats(), q_merge.stats(), q_results.stats()];
-    let fault_report = faults.counters.snapshot();
-    let degraded = fault_report.scan_failures > 0
-        || fault_report.chunks_quarantined > 0
-        || fault_report.cells_degraded > 0;
-    let elapsed = started.elapsed();
-    if emit_run_events {
-        if let Some(rec) = rec.as_deref() {
-            // Phases before close: `run.close` marks the journal's logical
-            // end.
-            pmkm_obs::emit_phase_events(rec);
-            rec.event(
-                "run.close",
-                &[
-                    ("elapsed_us", (elapsed.as_micros() as u64).into()),
-                    ("cells", cells.len().into()),
-                    ("degraded", degraded.into()),
-                ],
-            );
-            rec.flush();
-        }
-    }
-    Ok(EngineReport { cells, op_stats, queue_stats, elapsed, faults: fault_report, degraded })
+    let faults = ctx.counters.snapshot();
+    let degraded =
+        faults.scan_failures > 0 || faults.chunks_quarantined > 0 || faults.cells_degraded > 0;
+    Ok(EngineReport { cells, op_stats, queue_stats, elapsed: started.elapsed(), faults, degraded })
 }
 
 #[cfg(test)]
@@ -526,7 +485,7 @@ mod tests {
         let rec = Arc::new(
             Recorder::new().with_sink(ring.clone()).with_profiler(Arc::new(Profiler::new())),
         );
-        let observed = execute_observed(&mk_plan(), Some(rec.clone())).unwrap();
+        let observed = execute_with_faults(&mk_plan(), Some(rec.clone()), None).unwrap();
 
         // Observation must not change the results.
         assert_eq!(plain.cells.len(), observed.cells.len());

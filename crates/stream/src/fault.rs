@@ -21,25 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Emits one `fault` ledger event (`kind` plus any site-specific context
-/// fields) and bumps the `fault_events_total{kind="..."}` counter family.
-///
-/// Call this at exactly the sites that increment a [`FaultCounters`]
-/// field, using the kind names the ledger rollup maps back onto
-/// [`FaultReport`] counters (`scan_retry`, `scan_failure`,
-/// `chunk_poisoned`, `chunk_quarantined`, `worker_panic`, `chunk_retry`,
-/// `queue_stall`, `cell_degraded`) — that one-to-one pairing is what lets
-/// a ledger rollup reproduce the run's fault counters exactly.
-pub fn record_fault(rec: Option<&Recorder>, kind: &str, fields: &[(&str, FieldValue)]) {
-    if let Some(rec) = rec {
-        let mut all: Vec<(&str, FieldValue)> = Vec::with_capacity(fields.len() + 1);
-        all.push(("kind", kind.into()));
-        all.extend_from_slice(fields);
-        rec.event("fault", &all);
-        rec.registry().counter(&labeled_name("fault_events_total", "kind", kind)).inc();
-    }
-}
-
 /// Injection site tags, hashed into every roll so the same key draws
 /// independent faults at different sites.
 const SITE_SCAN: u64 = 0x5343_414E; // "SCAN"
@@ -334,11 +315,14 @@ impl FaultCounters {
     }
 }
 
-/// Everything fault-related an operator needs, bundled so the executor can
-/// hand one value to every clone: the (optional) injection schedule, the
-/// reaction policy, and the shared counters.
+/// Everything an operator is handed beside its queues, bundled so the
+/// executor passes one value to every clone: the run's recorder, the
+/// (optional) injection schedule, the reaction policy, and the shared
+/// counters. The default is the bare strict run: no observer, no injection.
 #[derive(Debug, Clone, Default)]
 pub struct FaultContext {
+    /// Trace/metrics recorder; `None` records nothing and costs nothing.
+    pub rec: Option<Arc<Recorder>>,
     /// The injection schedule; `None` injects nothing.
     pub plan: Option<Arc<FaultPlan>>,
     /// How the operators react to faults.
@@ -348,9 +332,38 @@ pub struct FaultContext {
 }
 
 impl FaultContext {
-    /// A context that injects `plan` under `policy`.
+    /// An unobserved context that injects `plan` under `policy`.
     pub fn new(plan: Option<FaultPlan>, policy: FaultPolicy) -> Self {
-        Self { plan: plan.map(Arc::new), policy, counters: Arc::new(FaultCounters::default()) }
+        Self {
+            rec: None,
+            plan: plan.map(Arc::new),
+            policy,
+            counters: Arc::new(FaultCounters::default()),
+        }
+    }
+
+    /// The recorder, if the run is observed.
+    pub fn rec(&self) -> Option<&Recorder> {
+        self.rec.as_deref()
+    }
+
+    /// Emits one `fault` ledger event (`kind` plus any site-specific context
+    /// fields) and bumps the `fault_events_total{kind="..."}` counter family.
+    ///
+    /// Call this at exactly the sites that increment a [`FaultCounters`]
+    /// field, using the kind names the ledger rollup maps back onto
+    /// [`FaultReport`] counters (`scan_retry`, `scan_failure`,
+    /// `chunk_poisoned`, `chunk_quarantined`, `worker_panic`, `chunk_retry`,
+    /// `queue_stall`, `cell_degraded`) — that one-to-one pairing is what lets
+    /// a ledger rollup reproduce the run's fault counters exactly.
+    pub fn record_fault(&self, kind: &str, fields: &[(&str, FieldValue)]) {
+        if let Some(rec) = self.rec() {
+            let mut all: Vec<(&str, FieldValue)> = Vec::with_capacity(fields.len() + 1);
+            all.push(("kind", kind.into()));
+            all.extend_from_slice(fields);
+            rec.event("fault", &all);
+            rec.registry().counter(&labeled_name("fault_events_total", "kind", kind)).inc();
+        }
     }
 
     /// True when chunk payloads must be validated before clustering:
@@ -367,14 +380,13 @@ impl FaultContext {
 
     /// Sleeps through an injected queue-send stall, if the plan schedules
     /// one for `(edge, key)`; counts it either way it fires.
-    pub fn maybe_stall(&self, edge: u64, key: u64, rec: Option<&pmkm_obs::Recorder>) {
+    pub fn maybe_stall(&self, edge: u64, key: u64) {
         if let Some(stall) = self.plan.as_deref().and_then(|p| p.stall(edge, key)) {
             self.counters.queue_stalls.fetch_add(1, Ordering::Relaxed);
-            if let Some(rec) = rec {
+            if let Some(rec) = self.rec() {
                 rec.registry().counter("fault_queue_stalls_total").inc();
             }
-            record_fault(
-                rec,
+            self.record_fault(
                 "queue_stall",
                 &[("edge", edge.into()), ("stall_us", (stall.as_micros() as u64).into())],
             );

@@ -77,7 +77,7 @@ pub enum MergeMsg {
     },
 }
 
-/// Final per-cell result emitted by the merge operator.
+/// Final per-cell result emitted by the tail operator.
 ///
 /// Serializable because it is exactly the payload an orchestrated run
 /// persists in a per-cell checkpoint file after the merge completes.

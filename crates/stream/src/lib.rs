@@ -13,7 +13,9 @@
 //! ```
 //!
 //! * [`queue`] — bounded MPMC edges with backpressure + telemetry,
-//! * [`ops`] — the four operators of Figure 5,
+//! * [`ops`] — the four operators of Figure 5; the last, [`ops::tail`], is
+//!   the paper's merge or (in coreset mode) a merge-reduce tree behind one
+//!   per-cell protocol,
 //! * [`plan`] / [`optimizer`] / [`resources`] — logical plans compiled to
 //!   physical plans under a resource model (clone degree from processors,
 //!   chunk size from memory),
@@ -58,10 +60,8 @@ pub mod telemetry;
 pub mod watchdog;
 
 pub use error::{EngineError, Result};
-pub use executor::{
-    coreset_report, execute, execute_cell, execute_observed, execute_with_faults, EngineReport,
-};
-pub use fault::{record_fault, FaultContext, FaultCounters, FaultPlan, FaultPolicy};
+pub use executor::{coreset_report, execute, execute_with_faults, EngineReport};
+pub use fault::{FaultContext, FaultCounters, FaultPlan, FaultPolicy};
 pub use item::{CellClustering, ChunkMsg, MergeMsg, ScanMsg};
 pub use optimizer::{optimize, optimize_fixed_split};
 pub use orchestrator::{
@@ -75,7 +75,7 @@ pub use watchdog::{Watchdog, WatchdogConfig, WatchdogSink};
 
 /// Convenience prelude.
 pub mod prelude {
-    pub use crate::executor::{execute, execute_observed, execute_with_faults, EngineReport};
+    pub use crate::executor::{execute, execute_with_faults, EngineReport};
     pub use crate::fault::{FaultPlan, FaultPolicy};
     pub use crate::optimizer::{optimize, optimize_fixed_split};
     pub use crate::orchestrator::{orchestrate, OrchestratorOptions, PlanetReport};

@@ -14,9 +14,7 @@ use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::{Dataset, PointSource};
 use pmkm_data::GridCell;
-use pmkm_obs::Recorder;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How partition sizes are decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +56,7 @@ pub struct ChunkerOp {
     chunks_out: QueueProducer<ChunkMsg>,
     plan_out: QueueProducer<MergeMsg>,
     policy: ChunkPolicy,
-    recorder: Option<Arc<Recorder>>,
-    faults: FaultContext,
+    ctx: FaultContext,
 }
 
 impl ChunkerOp {
@@ -69,31 +66,13 @@ impl ChunkerOp {
         chunks_out: QueueProducer<ChunkMsg>,
         plan_out: QueueProducer<MergeMsg>,
         policy: ChunkPolicy,
+        ctx: FaultContext,
     ) -> Self {
-        Self {
-            input,
-            chunks_out,
-            plan_out,
-            policy,
-            recorder: None,
-            faults: FaultContext::default(),
-        }
-    }
-
-    /// Attaches an observability recorder (builder style).
-    pub fn with_recorder(mut self, recorder: Option<Arc<Recorder>>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attaches a fault plan/policy/counter bundle (builder style).
-    pub fn with_faults(mut self, faults: FaultContext) -> Self {
-        self.faults = faults;
-        self
+        Self { input, chunks_out, plan_out, policy, ctx }
     }
 
     fn observe_chunk(&self, points: usize) {
-        if let Some(rec) = self.recorder.as_deref() {
+        if let Some(rec) = self.ctx.rec() {
             rec.registry()
                 .histogram("chunk_points", &pmkm_core::pipeline::CHUNK_SIZE_BOUNDS)
                 .observe(points as f64);
@@ -103,7 +82,7 @@ impl ChunkerOp {
     /// Applies any scheduled corruption to an outgoing chunk — the chunker
     /// is where truncated and NaN-poisoned payloads enter the pipeline.
     fn corrupt_chunk(&self, cell: GridCell, chunk_id: usize, points: Dataset) -> Dataset {
-        let Some(plan) = self.faults.plan.as_deref() else { return points };
+        let Some(plan) = self.ctx.plan.as_deref() else { return points };
         match plan.chunk_fault(cell.index(), chunk_id) {
             None => points,
             Some(ChunkFault::Truncate) => {
@@ -131,7 +110,7 @@ impl ChunkerOp {
         while let Some(msg) = meter.wait(|| self.input.recv()) {
             meter.item_in();
             // Span covers message processing only, never the recv wait above.
-            let _phase = self.recorder.as_deref().and_then(|r| r.phase("chunk"));
+            let _phase = self.ctx.rec().and_then(|r| r.phase("chunk"));
             match msg {
                 ScanMsg::Batch { cell, points } => {
                     if points.is_empty() {
@@ -161,11 +140,7 @@ impl ChunkerOp {
                         let stall_key = ((cell.index() as u64) << 20) ^ chunk_id as u64;
                         meter
                             .wait(|| {
-                                self.faults.maybe_stall(
-                                    EDGE_CHUNKS,
-                                    stall_key,
-                                    self.recorder.as_deref(),
-                                );
+                                self.ctx.maybe_stall(EDGE_CHUNKS, stall_key);
                                 self.chunks_out.send(msg)
                             })
                             .map_err(|_| EngineError::Disconnected("chunker→partial"))?;
@@ -188,11 +163,7 @@ impl ChunkerOp {
                                 let stall_key = ((cell.index() as u64) << 20) ^ chunk_id as u64;
                                 meter
                                     .wait(|| {
-                                        self.faults.maybe_stall(
-                                            EDGE_CHUNKS,
-                                            stall_key,
-                                            self.recorder.as_deref(),
-                                        );
+                                        self.ctx.maybe_stall(EDGE_CHUNKS, stall_key);
                                         self.chunks_out.send(msg)
                                     })
                                     .map_err(|_| EngineError::Disconnected("chunker→partial"))?;
@@ -202,7 +173,7 @@ impl ChunkerOp {
                         None => 0, // empty bucket: zero chunks
                     };
                     meter.item_out();
-                    if let Some(rec) = self.recorder.as_deref() {
+                    if let Some(rec) = self.ctx.rec() {
                         rec.event(
                             "chunker.cell_plan",
                             &[("cell", cell.index().into()), ("chunks", chunks.into())],
@@ -250,24 +221,7 @@ mod tests {
 
     /// Drives the chunker over `msgs` and returns (chunks, merge msgs).
     fn drive(msgs: Vec<ScanMsg>, policy: ChunkPolicy) -> (Vec<ChunkMsg>, Vec<MergeMsg>) {
-        let q_in: SmartQueue<ScanMsg> = SmartQueue::new("in", 128);
-        let q_chunks: SmartQueue<ChunkMsg> = SmartQueue::new("chunks", 128);
-        let q_merge: SmartQueue<MergeMsg> = SmartQueue::new("merge", 128);
-        let p_in = q_in.producer();
-        let op = ChunkerOp::new(q_in.consumer(), q_chunks.producer(), q_merge.producer(), policy);
-        let c_chunks = q_chunks.consumer();
-        let c_merge = q_merge.consumer();
-        q_in.seal();
-        q_chunks.seal();
-        q_merge.seal();
-        for m in msgs {
-            p_in.send(m).unwrap();
-        }
-        drop(p_in);
-        op.run().unwrap();
-        let chunks: Vec<ChunkMsg> = std::iter::from_fn(|| c_chunks.recv()).collect();
-        let merges: Vec<MergeMsg> = std::iter::from_fn(|| c_merge.recv()).collect();
-        (chunks, merges)
+        drive_faulted(msgs, policy, FaultContext::default())
     }
 
     #[test]
@@ -342,8 +296,13 @@ mod tests {
         let q_chunks: SmartQueue<ChunkMsg> = SmartQueue::new("chunks", 128);
         let q_merge: SmartQueue<MergeMsg> = SmartQueue::new("merge", 128);
         let p_in = q_in.producer();
-        let op = ChunkerOp::new(q_in.consumer(), q_chunks.producer(), q_merge.producer(), policy)
-            .with_faults(faults);
+        let op = ChunkerOp::new(
+            q_in.consumer(),
+            q_chunks.producer(),
+            q_merge.producer(),
+            policy,
+            faults,
+        );
         let c_chunks = q_chunks.consumer();
         let c_merge = q_merge.consumer();
         q_in.seal();
@@ -432,6 +391,7 @@ mod tests {
             q_chunks.producer(),
             q_merge.producer(),
             ChunkPolicy::MemoryBudget { bytes: 8 }, // dim 2 needs 16
+            FaultContext::default(),
         );
         let _cc = q_chunks.consumer();
         let _cm = q_merge.consumer();

@@ -8,7 +8,7 @@
 //! wall-clock time, never results.
 
 use crate::error::{EngineError, Result};
-use crate::fault::{record_fault, FaultContext, InjectedPanic, EDGE_MERGE};
+use crate::fault::{FaultContext, InjectedPanic, EDGE_MERGE};
 use crate::item::{ChunkMsg, MergeMsg};
 use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
@@ -20,7 +20,6 @@ use pmkm_data::GridCell;
 use pmkm_obs::Recorder;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Stream tag for per-(cell, chunk) seeds.
@@ -81,8 +80,7 @@ pub struct PartialKMeansOp {
     out: QueueProducer<MergeMsg>,
     kmeans: KMeansConfig,
     clone_id: usize,
-    recorder: Option<Arc<Recorder>>,
-    faults: FaultContext,
+    ctx: FaultContext,
     coreset_size: Option<usize>,
 }
 
@@ -93,28 +91,9 @@ impl PartialKMeansOp {
         out: QueueProducer<MergeMsg>,
         kmeans: KMeansConfig,
         clone_id: usize,
+        ctx: FaultContext,
     ) -> Self {
-        Self {
-            input,
-            out,
-            kmeans,
-            clone_id,
-            recorder: None,
-            faults: FaultContext::default(),
-            coreset_size: None,
-        }
-    }
-
-    /// Attaches an observability recorder (builder style).
-    pub fn with_recorder(mut self, recorder: Option<Arc<Recorder>>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attaches a fault plan/policy/counter bundle (builder style).
-    pub fn with_faults(mut self, faults: FaultContext) -> Self {
-        self.faults = faults;
-        self
+        Self { input, out, kmeans, clone_id, ctx, coreset_size: None }
     }
 
     /// Switches the clone into coreset mode (builder style): each chunk is
@@ -135,8 +114,8 @@ impl PartialKMeansOp {
         chunk_id: usize,
         points: usize,
     ) -> Result<()> {
-        self.faults.counters.chunks_quarantined.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.recorder.as_deref() {
+        self.ctx.counters.chunks_quarantined.fetch_add(1, Ordering::Relaxed);
+        if let Some(rec) = self.ctx.rec() {
             rec.registry().counter("fault_chunks_quarantined_total").inc();
             rec.event(
                 "partial.chunk_quarantined",
@@ -147,8 +126,7 @@ impl PartialKMeansOp {
                 ],
             );
         }
-        record_fault(
-            self.recorder.as_deref(),
+        self.ctx.record_fault(
             "chunk_quarantined",
             &[("cell", cell.index().into()), ("chunk", chunk_id.into()), ("points", points.into())],
         );
@@ -163,7 +141,7 @@ impl PartialKMeansOp {
         'chunks: while let Some(ChunkMsg { cell, chunk_id, points }) =
             meter.wait(|| self.input.recv())
         {
-            let rec = self.recorder.as_deref();
+            let rec = self.ctx.rec();
             meter.item_in();
             if let Some(rec) = rec {
                 // Coalesced by the timeline, so per-chunk cost is one
@@ -172,17 +150,16 @@ impl PartialKMeansOp {
             }
             // Poison gate: a chunk with non-finite coordinates would corrupt
             // every centroid it touches, so it never reaches the kernel.
-            if self.faults.validate_chunks() && points.as_flat().iter().any(|v| !v.is_finite()) {
-                self.faults.counters.chunks_poisoned.fetch_add(1, Ordering::Relaxed);
+            if self.ctx.validate_chunks() && points.as_flat().iter().any(|v| !v.is_finite()) {
+                self.ctx.counters.chunks_poisoned.fetch_add(1, Ordering::Relaxed);
                 if let Some(rec) = rec {
                     rec.registry().counter("fault_chunks_poisoned_total").inc();
                 }
-                record_fault(
-                    rec,
+                self.ctx.record_fault(
                     "chunk_poisoned",
                     &[("cell", cell.index().into()), ("chunk", chunk_id.into())],
                 );
-                if self.faults.policy.quarantine {
+                if self.ctx.policy.quarantine {
                     self.quarantine_chunk(&mut meter, cell, chunk_id, points.len())?;
                     continue;
                 }
@@ -201,7 +178,7 @@ impl PartialKMeansOp {
             let started = rec.map(|_| std::time::Instant::now());
             let output = loop {
                 let inject = self
-                    .faults
+                    .ctx
                     .plan
                     .as_deref()
                     .is_some_and(|p| p.panic_fault(cell.index(), chunk_id, attempt));
@@ -222,7 +199,7 @@ impl PartialKMeansOp {
                 match outcome {
                     Ok(result) => break result?,
                     Err(payload) => {
-                        self.faults.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+                        self.ctx.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
                         if let Some(rec) = rec {
                             rec.registry().counter("fault_worker_panics_total").inc();
                             rec.event(
@@ -234,8 +211,7 @@ impl PartialKMeansOp {
                                 ],
                             );
                         }
-                        record_fault(
-                            rec,
+                        self.ctx.record_fault(
                             "worker_panic",
                             &[
                                 ("cell", cell.index().into()),
@@ -244,19 +220,18 @@ impl PartialKMeansOp {
                             ],
                         );
                         attempt += 1;
-                        if attempt < self.faults.policy.max_chunk_attempts {
-                            self.faults.counters.chunk_retries.fetch_add(1, Ordering::Relaxed);
+                        if attempt < self.ctx.policy.max_chunk_attempts {
+                            self.ctx.counters.chunk_retries.fetch_add(1, Ordering::Relaxed);
                             if let Some(rec) = rec {
                                 rec.registry().counter("fault_chunk_retries_total").inc();
                             }
-                            record_fault(
-                                rec,
+                            self.ctx.record_fault(
                                 "chunk_retry",
                                 &[("cell", cell.index().into()), ("chunk", chunk_id.into())],
                             );
                             continue;
                         }
-                        if self.faults.policy.quarantine {
+                        if self.ctx.policy.quarantine {
                             self.quarantine_chunk(&mut meter, cell, chunk_id, points.len())?;
                             continue 'chunks;
                         }
@@ -281,13 +256,13 @@ impl PartialKMeansOp {
             let stall_key = ((cell.index() as u64) << 20) ^ chunk_id as u64;
             meter
                 .wait(|| {
-                    self.faults.maybe_stall(EDGE_MERGE, stall_key, rec);
+                    self.ctx.maybe_stall(EDGE_MERGE, stall_key);
                     self.out.send(MergeMsg::Partial { cell, chunk_id, output }).map_err(drop)
                 })
                 .map_err(|_| EngineError::Disconnected("partial→merge"))?;
         }
         let stats = meter.finish();
-        if let Some(rec) = self.recorder.as_deref() {
+        if let Some(rec) = self.ctx.rec() {
             rec.event(
                 "op.finish",
                 &[
@@ -327,6 +302,7 @@ mod tests {
             q_out.producer(),
             KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 5) },
             0,
+            FaultContext::default(),
         );
         let c = q_out.consumer();
         q_in.seal();
@@ -374,6 +350,7 @@ mod tests {
                 q_out.producer(),
                 KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 9) },
                 0,
+                FaultContext::default(),
             );
             let c = q_out.consumer();
             q_in.seal();
@@ -409,8 +386,8 @@ mod tests {
             q_out.producer(),
             KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 5) },
             0,
-        )
-        .with_faults(faults);
+            faults,
+        );
         let c = q_out.consumer();
         q_in.seal();
         q_out.seal();

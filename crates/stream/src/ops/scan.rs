@@ -1,7 +1,7 @@
 //! The scan operator: grid-bucket files → point batches.
 
 use crate::error::{EngineError, Result};
-use crate::fault::{path_key, record_fault, FaultContext, ScanFault};
+use crate::fault::{path_key, FaultContext, ScanFault};
 use crate::item::ScanMsg;
 use crate::queue::QueueProducer;
 use crate::telemetry::{OpMeter, OpStats};
@@ -9,7 +9,6 @@ use pmkm_data::{
     BackendKind, BlockReadStats, BucketFormat, BucketReader, DataError, FileBackend, Gb02Reader,
     MmapBackend, ScanBackend, SimObjectStore,
 };
-use pmkm_obs::Recorder;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -55,34 +54,19 @@ pub struct ScanOp {
     paths: Vec<PathBuf>,
     batch_points: usize,
     out: QueueProducer<ScanMsg>,
-    recorder: Option<Arc<Recorder>>,
-    faults: FaultContext,
+    ctx: FaultContext,
     backend: BackendKind,
 }
 
 impl ScanOp {
     /// Creates the operator.
-    pub fn new(paths: Vec<PathBuf>, batch_points: usize, out: QueueProducer<ScanMsg>) -> Self {
-        Self {
-            paths,
-            batch_points: batch_points.max(1),
-            out,
-            recorder: None,
-            faults: FaultContext::default(),
-            backend: BackendKind::default(),
-        }
-    }
-
-    /// Attaches an observability recorder (builder style).
-    pub fn with_recorder(mut self, recorder: Option<Arc<Recorder>>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attaches a fault plan/policy/counter bundle (builder style).
-    pub fn with_faults(mut self, faults: FaultContext) -> Self {
-        self.faults = faults;
-        self
+    pub fn new(
+        paths: Vec<PathBuf>,
+        batch_points: usize,
+        out: QueueProducer<ScanMsg>,
+        ctx: FaultContext,
+    ) -> Self {
+        Self { paths, batch_points: batch_points.max(1), out, ctx, backend: BackendKind::default() }
     }
 
     /// Selects the storage backend for GB02 containers (builder style).
@@ -104,7 +88,7 @@ impl ScanOp {
             BackendKind::Mmap => Arc::new(MmapBackend::open(path)?),
             BackendKind::SimObjectStore => {
                 let mut store = SimObjectStore::open(path, SIM_STORE_LATENCY_US)?;
-                if let Some(plan) = self.faults.plan.clone() {
+                if let Some(plan) = self.ctx.plan.clone() {
                     store = store
                         .with_fault_hook(Arc::new(move |get| plan.object_get_fault(pkey, get)));
                 }
@@ -122,12 +106,12 @@ impl ScanOp {
         batch: u64,
         mut read: impl FnMut() -> pmkm_data::Result<T>,
     ) -> Result<T> {
-        let attempts = self.faults.policy.scan_retries + 1;
-        let mut backoff = self.faults.policy.retry_backoff;
+        let attempts = self.ctx.policy.scan_retries + 1;
+        let mut backoff = self.ctx.policy.retry_backoff;
         let mut last_err = None;
         for attempt in 0..attempts {
             let injected = self
-                .faults
+                .ctx
                 .plan
                 .as_deref()
                 .and_then(|p| p.scan_fault(path, batch))
@@ -142,12 +126,11 @@ impl ScanOp {
                 Err(e) => {
                     last_err = Some(e);
                     if attempt + 1 < attempts {
-                        self.faults.counters.scan_retries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(rec) = self.recorder.as_deref() {
+                        self.ctx.counters.scan_retries.fetch_add(1, Ordering::Relaxed);
+                        if let Some(rec) = self.ctx.rec() {
                             rec.registry().counter("fault_scan_retries_total").inc();
                         }
-                        record_fault(
-                            self.recorder.as_deref(),
+                        self.ctx.record_fault(
                             "scan_retry",
                             &[("batch", batch.into()), ("attempt", (attempt as u64).into())],
                         );
@@ -164,19 +147,15 @@ impl ScanOp {
 
     /// Records a bucket (or bucket tail) abandoned under quarantine.
     fn note_scan_failure(&self, path: &std::path::Path, err: &EngineError) {
-        self.faults.counters.scan_failures.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.recorder.as_deref() {
+        self.ctx.counters.scan_failures.fetch_add(1, Ordering::Relaxed);
+        if let Some(rec) = self.ctx.rec() {
             rec.registry().counter("fault_scan_failures_total").inc();
             rec.event(
                 "scan.failure",
                 &[("path", path.display().to_string().into()), ("error", err.to_string().into())],
             );
         }
-        record_fault(
-            self.recorder.as_deref(),
-            "scan_failure",
-            &[("path", path.display().to_string().into())],
-        );
+        self.ctx.record_fault("scan_failure", &[("path", path.display().to_string().into())]);
     }
 
     /// Opens one bucket in whichever format its magic declares. GB02 goes
@@ -220,7 +199,7 @@ impl ScanOp {
                 .read_with_retry(meter, pkey, batch_idx, || reader.next_batch(self.batch_points))
             {
                 Ok(b) => b,
-                Err(e) if self.faults.policy.quarantine => {
+                Err(e) if self.ctx.policy.quarantine => {
                     // Abandon the bucket's tail; CellEnd afterwards still
                     // reports the promised count, so the missing mass is
                     // visible downstream.
@@ -260,17 +239,10 @@ impl ScanOp {
             std::result::Result<(pmkm_core::Dataset, BlockReadStats), DataError>,
         )>(PREFETCH_DEPTH);
         let fetch_reader = Arc::clone(&reader);
-        let fetch_faults = self.faults.clone();
-        let fetch_rec = self.recorder.clone();
+        let fetch_ctx = self.ctx.clone();
         let fetcher = std::thread::spawn(move || {
             for i in 0..n_blocks {
-                let res = fetch_block_with_retry(
-                    &fetch_faults,
-                    fetch_rec.as_deref(),
-                    pkey,
-                    i,
-                    &fetch_reader,
-                );
+                let res = fetch_block_with_retry(&fetch_ctx, pkey, i, &fetch_reader);
                 let failed = res.is_err();
                 if tx.send((i, res)).is_err() || failed {
                     return;
@@ -293,7 +265,7 @@ impl ScanOp {
             let Some((block, result)) = msg else { break };
             match result {
                 Ok((points, stats)) => {
-                    if let Some(rec) = self.recorder.as_deref() {
+                    if let Some(rec) = self.ctx.rec() {
                         let reg = rec.registry();
                         reg.counter("scan_blocks_total").inc();
                         reg.counter("scan_stored_bytes_total").add(stats.stored_bytes);
@@ -331,7 +303,7 @@ impl ScanOp {
         let _ = fetcher.join();
         match failed {
             None => Ok(()),
-            Some(e) if self.faults.policy.quarantine => {
+            Some(e) if self.ctx.policy.quarantine => {
                 self.note_scan_failure(path, &e);
                 Ok(())
             }
@@ -343,14 +315,14 @@ impl ScanOp {
     pub fn run(self) -> Result<OpStats> {
         let mut meter = OpMeter::new("scan", 0);
         for path in &self.paths {
-            let _phase = self.recorder.as_deref().and_then(|r| r.phase("scan"));
+            let _phase = self.ctx.rec().and_then(|r| r.phase("scan"));
             let pkey = path_key(path);
             let mut backend_cache: Option<Arc<dyn ScanBackend>> = None;
             let reader = match self.read_with_retry(&mut meter, pkey, OPEN_BATCH_KEY, || {
                 self.open_any(path, pkey, &mut backend_cache)
             }) {
                 Ok(r) => r,
-                Err(e) if self.faults.policy.quarantine => {
+                Err(e) if self.ctx.policy.quarantine => {
                     // Header unreadable: the cell never enters the
                     // stream; only the failure counter records it.
                     self.note_scan_failure(path, &e);
@@ -362,7 +334,7 @@ impl ScanOp {
                 AnyReader::Gb01(r) => (r.cell, r.count),
                 AnyReader::Gb02(r) => (r.cell, r.count),
             };
-            if let Some(rec) = self.recorder.as_deref() {
+            if let Some(rec) = self.ctx.rec() {
                 rec.event(
                     "cell.open",
                     &[("cell", cell.index().into()), ("expected_points", expected_points.into())],
@@ -377,7 +349,7 @@ impl ScanOp {
             meter
                 .wait(|| self.out.send(ScanMsg::CellEnd { cell, expected_points }))
                 .map_err(|_| EngineError::Disconnected("scan→chunker"))?;
-            if let Some(rec) = self.recorder.as_deref() {
+            if let Some(rec) = self.ctx.rec() {
                 rec.registry().counter("scan_cells_total").inc();
                 rec.event("scan.cell", &[("cell", cell.index().into())]);
                 let reg = rec.registry();
@@ -389,7 +361,7 @@ impl ScanOp {
             }
         }
         let stats = meter.finish();
-        if let Some(rec) = self.recorder.as_deref() {
+        if let Some(rec) = self.ctx.rec() {
             rec.event(
                 "op.finish",
                 &[
@@ -407,17 +379,16 @@ impl ScanOp {
 /// the thread-side mirror of [`ScanOp::read_with_retry`] (no meter: the
 /// scan's own wait/work accounting happens on the consuming side).
 fn fetch_block_with_retry(
-    faults: &FaultContext,
-    recorder: Option<&Recorder>,
+    ctx: &FaultContext,
     path: u64,
     block: usize,
     reader: &Gb02Reader,
 ) -> std::result::Result<(pmkm_core::Dataset, BlockReadStats), DataError> {
-    let attempts = faults.policy.scan_retries + 1;
-    let mut backoff = faults.policy.retry_backoff;
+    let attempts = ctx.policy.scan_retries + 1;
+    let mut backoff = ctx.policy.retry_backoff;
     let mut last_err = None;
     for attempt in 0..attempts {
-        let injected = faults
+        let injected = ctx
             .plan
             .as_deref()
             .and_then(|p| p.scan_fault(path, block as u64))
@@ -432,12 +403,11 @@ fn fetch_block_with_retry(
             Err(e) => {
                 last_err = Some(e);
                 if attempt + 1 < attempts {
-                    faults.counters.scan_retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(rec) = recorder {
+                    ctx.counters.scan_retries.fetch_add(1, Ordering::Relaxed);
+                    if let Some(rec) = ctx.rec() {
                         rec.registry().counter("fault_scan_retries_total").inc();
                     }
-                    record_fault(
-                        recorder,
+                    ctx.record_fault(
                         "scan_retry",
                         &[("batch", (block as u64).into()), ("attempt", (attempt as u64).into())],
                     );
@@ -513,7 +483,7 @@ mod tests {
         let paths = vec![write_bucket(&dir, c1, 25), write_bucket(&dir, c2, 5)];
 
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 64);
-        let op = ScanOp::new(paths, 10, q.producer());
+        let op = ScanOp::new(paths, 10, q.producer(), FaultContext::default());
         let c = q.consumer();
         q.seal();
         let stats = op.run().unwrap();
@@ -546,7 +516,12 @@ mod tests {
     #[test]
     fn missing_file_is_reported() {
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 4);
-        let op = ScanOp::new(vec![PathBuf::from("/nonexistent/x.gb")], 10, q.producer());
+        let op = ScanOp::new(
+            vec![PathBuf::from("/nonexistent/x.gb")],
+            10,
+            q.producer(),
+            FaultContext::default(),
+        );
         let _c = q.consumer();
         q.seal();
         assert!(matches!(op.run(), Err(EngineError::Data(_))));
@@ -567,7 +542,7 @@ mod tests {
             FaultPolicy { scan_retries: 2, ..FaultPolicy::tolerant() },
         );
         let counters = Arc::clone(&faults.counters);
-        let op = ScanOp::new(paths, 10, q.producer()).with_faults(faults);
+        let op = ScanOp::new(paths, 10, q.producer(), faults);
         let c = q.consumer();
         q.seal();
         op.run().unwrap();
@@ -597,8 +572,8 @@ mod tests {
 
         // Strict: the injected permanent error surfaces as a data error.
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 64);
-        let op = ScanOp::new(paths.clone(), 10, q.producer())
-            .with_faults(FaultContext::new(Some(plan.clone()), FaultPolicy::strict()));
+        let strict = FaultContext::new(Some(plan.clone()), FaultPolicy::strict());
+        let op = ScanOp::new(paths.clone(), 10, q.producer(), strict);
         let _c = q.consumer();
         q.seal();
         assert!(matches!(op.run(), Err(EngineError::Data(_))));
@@ -608,7 +583,7 @@ mod tests {
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 64);
         let faults = FaultContext::new(Some(plan), FaultPolicy::tolerant());
         let counters = Arc::clone(&faults.counters);
-        let op = ScanOp::new(paths, 10, q.producer()).with_faults(faults);
+        let op = ScanOp::new(paths, 10, q.producer(), faults);
         let c = q.consumer();
         q.seal();
         op.run().unwrap();
@@ -648,7 +623,7 @@ mod tests {
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 64);
         let faults = FaultContext::new(Some(plan), FaultPolicy::tolerant());
         let counters = Arc::clone(&faults.counters);
-        let op = ScanOp::new(paths, 10, q.producer()).with_faults(faults);
+        let op = ScanOp::new(paths, 10, q.producer(), faults);
         let c = q.consumer();
         q.seal();
         op.run().unwrap();
@@ -681,7 +656,7 @@ mod tests {
         let gb01 = write_bucket(&dir, cell, n);
 
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 256);
-        let op = ScanOp::new(vec![gb01], 10, q.producer());
+        let op = ScanOp::new(vec![gb01], 10, q.producer(), FaultContext::default());
         let c = q.consumer();
         q.seal();
         op.run().unwrap();
@@ -692,7 +667,8 @@ mod tests {
             for codec in Codec::ALL {
                 let path = write_bucket_gb02(&dir, cell, n, codec, 16);
                 let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 256);
-                let op = ScanOp::new(vec![path.clone()], 10, q.producer()).with_backend(backend);
+                let op = ScanOp::new(vec![path.clone()], 10, q.producer(), FaultContext::default())
+                    .with_backend(backend);
                 let c = q.consumer();
                 q.seal();
                 let stats = op.run().unwrap();
@@ -734,7 +710,7 @@ mod tests {
             FaultPolicy { scan_retries: 2, ..FaultPolicy::tolerant() },
         );
         let counters = Arc::clone(&faults.counters);
-        let op = ScanOp::new(vec![path.clone()], 10, q.producer()).with_faults(faults);
+        let op = ScanOp::new(vec![path.clone()], 10, q.producer(), faults);
         let c = q.consumer();
         q.seal();
         op.run().unwrap();
@@ -747,8 +723,8 @@ mod tests {
         let plan =
             FaultPlan { scan_error_rate: 1.0, scan_permanent_fraction: 1.0, ..FaultPlan::none(3) };
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 256);
-        let op = ScanOp::new(vec![path.clone()], 10, q.producer())
-            .with_faults(FaultContext::new(Some(plan.clone()), FaultPolicy::strict()));
+        let strict = FaultContext::new(Some(plan.clone()), FaultPolicy::strict());
+        let op = ScanOp::new(vec![path.clone()], 10, q.producer(), strict);
         let _c = q.consumer();
         q.seal();
         assert!(matches!(op.run(), Err(EngineError::Data(_))));
@@ -776,7 +752,7 @@ mod tests {
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 256);
         let faults = FaultContext::new(Some(plan), FaultPolicy::tolerant());
         let counters = Arc::clone(&faults.counters);
-        let op = ScanOp::new(vec![path], 10, q.producer()).with_faults(faults);
+        let op = ScanOp::new(vec![path], 10, q.producer(), faults);
         let c = q.consumer();
         q.seal();
         op.run().unwrap();
@@ -811,8 +787,7 @@ mod tests {
                 FaultPolicy { scan_retries: 10, ..FaultPolicy::tolerant() },
             );
             let counters = Arc::clone(&faults.counters);
-            let op = ScanOp::new(vec![path.clone()], 10, q.producer())
-                .with_faults(faults)
+            let op = ScanOp::new(vec![path.clone()], 10, q.producer(), faults)
                 .with_backend(BackendKind::SimObjectStore);
             let c = q.consumer();
             q.seal();
@@ -838,8 +813,9 @@ mod tests {
         let cell = GridCell::new(9, 9).unwrap();
         let path = write_bucket_gb02(&dir, cell, 90, Codec::ShuffleRle, 16);
         let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 256);
-        let rec = Arc::new(Recorder::new());
-        let op = ScanOp::new(vec![path], 10, q.producer()).with_recorder(Some(Arc::clone(&rec)));
+        let rec = Arc::new(pmkm_obs::Recorder::new());
+        let ctx = FaultContext { rec: Some(Arc::clone(&rec)), ..FaultContext::default() };
+        let op = ScanOp::new(vec![path], 10, q.producer(), ctx);
         let c = q.consumer();
         q.seal();
         op.run().unwrap();

@@ -39,11 +39,12 @@
 //! and the cell is silently re-scanned, never a panic.
 
 use crate::error::{EngineError, Result};
-use crate::executor::{cell_report, execute_cell};
-use crate::fault::FaultPlan;
+use crate::executor::{cell_report, run_pipeline};
+use crate::fault::{FaultContext, FaultPlan};
 use crate::item::CellClustering;
+use crate::ops::tail::{note_cell_close, CellClose};
 use crate::ops::ChunkPolicy;
-use crate::plan::PhysicalPlan;
+use crate::plan::{CoresetSpec, PhysicalPlan};
 use parking_lot::Mutex;
 use pmkm_obs::{
     FaultReport, OrchestratorReport, Recorder, RunReport, StatusCell, StatusSnapshot, WorkerState,
@@ -337,10 +338,9 @@ impl PlanetReport {
 /// Runs every input cell of `plan` through the pipeline under `opts`,
 /// concurrently, and rolls the results into a [`PlanetReport`].
 ///
-/// Each cell runs as its own single-bucket pipeline via
-/// [`execute_cell`], so per-cell results are bit-identical to a serial
-/// `execute` loop regardless of `jobs`, completion order, or whether the
-/// cell was restored from a checkpoint.
+/// Each cell runs as its own single-bucket pipeline, so per-cell results
+/// are bit-identical to a serial `execute` loop regardless of `jobs`,
+/// completion order, or whether the cell was restored from a checkpoint.
 pub fn orchestrate(
     plan: &PhysicalPlan,
     opts: &OrchestratorOptions,
@@ -447,33 +447,24 @@ pub fn orchestrate(
             );
             // Re-announce each restored cell so a resumed run's ledger
             // still rolls up the full per-cell table and mass audit, and
-            // roll the restored mass into the same gauges the merge path
-            // maintains — `/metrics` then reports `Σw_received /
-            // Σw_expected` over the *whole* run, resumed cells included.
+            // `/metrics` reports `Σw_received / Σw_expected` over the
+            // *whole* run, resumed cells included.
             for o in outcomes.iter().flatten() {
                 if let Some(c) = &o.clustering {
-                    rec.event(
-                        "cell.close",
-                        &[
-                            ("cell", c.cell.index().into()),
-                            ("chunks", c.chunks.len().into()),
-                            ("expected_points", c.expected_points.into()),
-                            ("lost_points", c.lost_points.into()),
-                            ("lost_chunks", c.lost_chunks.into()),
-                            ("degraded", c.degraded.into()),
-                            ("mse", c.output.mse.into()),
-                            ("epm", c.output.epm.into()),
-                            ("resumed", true.into()),
-                        ],
+                    note_cell_close(
+                        Some(rec),
+                        &CellClose {
+                            cell: c.cell.index(),
+                            chunks: c.chunks.len(),
+                            expected_points: c.expected_points,
+                            lost_points: c.lost_points,
+                            lost_chunks: c.lost_chunks,
+                            degraded: c.degraded,
+                            mse: c.output.mse,
+                            epm: c.output.epm,
+                            resumed: true,
+                        },
                     );
-                    let expected = rec.registry().gauge("mass_weight_expected");
-                    let received = rec.registry().gauge("mass_weight_received");
-                    expected.add(c.expected_points);
-                    received.add(c.expected_points - c.lost_points);
-                    let total = expected.get();
-                    if total > 0.0 {
-                        rec.registry().gauge("mass_conservation_ratio").set(received.get() / total);
-                    }
                 }
             }
         }
@@ -491,10 +482,20 @@ pub fn orchestrate(
         .map(|w| rec.as_deref().and_then(|r| r.register_worker(&format!("w{w}"))))
         .collect();
 
+    // Coreset runs report their anytime clustering on /status: route the
+    // status cell into the tail unless the caller already wired a probe of
+    // their own.
+    let coreset = plan.coreset.clone().map(|mut spec| {
+        if spec.probe.is_none() {
+            spec.probe = opts.status.clone();
+        }
+        spec
+    });
+
     let shared = Shared {
         plan,
-        rec: rec.clone(),
-        fault_plan,
+        coreset,
+        ctx: FaultContext { rec: rec.clone(), ..FaultContext::new(fault_plan, plan.fault_policy) },
         queues,
         costs,
         cell_ids,
@@ -519,7 +520,7 @@ pub fn orchestrate(
     crossbeam::thread::scope(|s| {
         for w in 0..jobs {
             let shared = &shared;
-            s.spawn(move |_| worker(w, jobs, shared));
+            s.spawn(move |_| worker(w, shared));
         }
     })
     .map_err(|_| EngineError::OperatorPanic("orchestrator worker".into()))?;
@@ -588,8 +589,11 @@ pub fn orchestrate(
 
 struct Shared<'a> {
     plan: &'a PhysicalPlan,
-    rec: Option<Arc<Recorder>>,
-    fault_plan: Option<FaultPlan>,
+    /// The plan's coreset spec with the run's status probe attached.
+    coreset: Option<CoresetSpec>,
+    /// Recorder, injection schedule and policy of the run; every cell runs
+    /// under a copy with counters of its own.
+    ctx: FaultContext,
     queues: Vec<Mutex<VecDeque<usize>>>,
     costs: Vec<usize>,
     cell_ids: Vec<Option<u32>>,
@@ -613,7 +617,7 @@ struct Shared<'a> {
 impl Shared<'_> {
     /// Records worker `w`'s state on its timeline lane (no-op without one).
     fn set_state(&self, w: usize, state: WorkerState) {
-        if let (Some(rec), Some(&Some(lane))) = (self.rec.as_deref(), self.lanes.get(w)) {
+        if let (Some(rec), Some(&Some(lane))) = (self.ctx.rec(), self.lanes.get(w)) {
             rec.worker_state(lane, state);
         }
     }
@@ -622,7 +626,7 @@ impl Shared<'_> {
     /// `w`'s lane for the duration of the cell's run.
     fn bind_cell(&self, w: usize, i: usize) {
         if let (Some(rec), Some(&Some(lane)), Some(&Some(cell))) =
-            (self.rec.as_deref(), self.lanes.get(w), self.cell_ids.get(i))
+            (self.ctx.rec(), self.lanes.get(w), self.cell_ids.get(i))
         {
             if let Some(tl) = rec.timeline() {
                 tl.bind_cell(cell, lane);
@@ -631,7 +635,7 @@ impl Shared<'_> {
     }
 
     fn unbind_cell(&self, i: usize) {
-        if let (Some(rec), Some(&Some(cell))) = (self.rec.as_deref(), self.cell_ids.get(i)) {
+        if let (Some(rec), Some(&Some(cell))) = (self.ctx.rec(), self.cell_ids.get(i)) {
             if let Some(tl) = rec.timeline() {
                 tl.unbind_cell(cell);
             }
@@ -675,7 +679,7 @@ impl Shared<'_> {
             snap.budget_peak_bytes = b.peak() as u64;
         }
         snap.steals = self.steals.load(Ordering::Relaxed);
-        snap.elapsed_us = match self.rec.as_deref() {
+        snap.elapsed_us = match self.ctx.rec() {
             // The recorder clock keeps /status consistent with the
             // timeline and the ledger; without one, the run clock.
             Some(rec) => rec.elapsed_us(),
@@ -689,7 +693,7 @@ impl Shared<'_> {
         if executed > 0 && remaining > 0 {
             snap.eta_us = snap.elapsed_us * remaining as u64 / executed as u64;
         }
-        if let Some(tl) = self.rec.as_deref().and_then(Recorder::timeline) {
+        if let Some(tl) = self.ctx.rec().and_then(Recorder::timeline) {
             snap.workers = tl
                 .snapshot(snap.elapsed_us)
                 .workers
@@ -705,28 +709,39 @@ impl Shared<'_> {
     }
 }
 
-fn worker(w: usize, jobs: usize, shared: &Shared<'_>) {
+/// Worker `w`'s next cell and whether it was stolen: its own deque
+/// front-first, else the back of another worker's (`before_steal` runs
+/// between the two). The own deque's lock is released before a victim's is
+/// taken: two workers going idle together would otherwise each hold their
+/// own deque while waiting for the other's, and the run would never end.
+fn take_task(
+    queues: &[Mutex<VecDeque<usize>>],
+    w: usize,
+    before_steal: impl FnOnce(),
+) -> Option<(usize, bool)> {
+    let own = queues[w].lock().pop_front();
+    if let Some(i) = own {
+        return Some((i, false));
+    }
+    before_steal();
+    let jobs = queues.len();
+    (1..jobs).find_map(|d| queues[(w + d) % jobs].lock().pop_back()).map(|i| (i, true))
+}
+
+fn worker(w: usize, shared: &Shared<'_>) {
     loop {
         if shared.kill.load(Ordering::Relaxed) {
             shared.set_state(w, WorkerState::Idle);
             return;
         }
-        // Own queue front-first; steal from the back of the others.
-        let task = shared.queues[w].lock().pop_front().or_else(|| {
-            shared.set_state(w, WorkerState::Stealing);
-            (1..jobs).find_map(|d| {
-                let victim = (w + d) % jobs;
-                let stolen = shared.queues[victim].lock().pop_back();
-                if stolen.is_some() {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                stolen
-            })
-        });
-        let Some(i) = task else {
+        let task = take_task(&shared.queues, w, || shared.set_state(w, WorkerState::Stealing));
+        let Some((i, stolen)) = task else {
             shared.set_state(w, WorkerState::Idle);
             return;
         };
+        if stolen {
+            shared.steals.fetch_add(1, Ordering::Relaxed);
+        }
 
         let cost = shared.costs[i];
         if let Some(b) = &shared.budget {
@@ -773,7 +788,7 @@ fn worker(w: usize, jobs: usize, shared: &Shared<'_>) {
                     match write_checkpoint(dir, shared.fingerprint, &outcome) {
                         Ok(bytes) => {
                             *written += 1;
-                            if let Some(rec) = shared.rec.as_deref() {
+                            if let Some(rec) = shared.ctx.rec() {
                                 let cell = outcome
                                     .clustering
                                     .as_ref()
@@ -817,22 +832,14 @@ fn worker(w: usize, jobs: usize, shared: &Shared<'_>) {
 }
 
 fn run_one_cell(shared: &Shared<'_>, i: usize) -> Result<CellOutcome> {
-    let path = shared.plan.logical.inputs[i].clone();
-    let mut cell_plan = shared.plan.clone();
-    cell_plan.logical.inputs = vec![path.clone()];
-    cell_plan.scan_clones = 1;
-    // Coreset runs report their anytime clustering on /status: route the
-    // orchestrator's status cell into the operator unless the caller
-    // already wired a probe of their own.
-    if let Some(spec) = cell_plan.coreset.as_mut() {
-        if spec.probe.is_none() {
-            spec.probe = shared.status.clone();
-        }
-    }
-    let report = execute_cell(&cell_plan, shared.rec.clone(), shared.fault_plan.clone())?;
+    let plan = shared.plan;
+    let inputs = std::slice::from_ref(&plan.logical.inputs[i]);
+    // Fresh counters per cell: they become the cell's own fault report.
+    let ctx = FaultContext { counters: Arc::default(), ..shared.ctx.clone() };
+    let report = run_pipeline(plan, inputs, shared.coreset.as_ref(), &ctx)?;
     Ok(CellOutcome {
         input: i,
-        path,
+        path: inputs[0].clone(),
         clustering: report.cells.into_iter().next(),
         faults: report.faults,
         degraded: report.degraded,
@@ -1101,6 +1108,38 @@ mod tests {
             assert_eq!(o.path, paths[i]);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn workers_going_idle_together_do_not_deadlock() {
+        // Two workers over two empty deques, released together round after
+        // round: each must let go of its own deque before it looks into the
+        // other's. Holding on (as `lock().pop_front().or_else(steal)` did,
+        // the guard living to the end of the statement) deadlocks within a
+        // few thousand rounds; the watcher turns that into a failure.
+        let queues: Vec<Mutex<VecDeque<usize>>> =
+            (0..2).map(|_| Mutex::new(VecDeque::new())).collect();
+        let barrier = std::sync::Barrier::new(2);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            for w in 0..2 {
+                let (queues, barrier, done_tx) = (&queues, &barrier, done_tx.clone());
+                s.spawn(move || {
+                    for _ in 0..20_000 {
+                        barrier.wait();
+                        assert_eq!(take_task(queues, w, || {}), None);
+                    }
+                    done_tx.send(()).unwrap();
+                });
+            }
+            for _ in 0..2 {
+                if done_rx.recv_timeout(Duration::from_secs(60)).is_err() {
+                    // Unwinding would join the stuck threads forever.
+                    eprintln!("idle workers deadlocked stealing from each other");
+                    std::process::abort();
+                }
+            }
+        });
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct CoresetSpec {
     pub window: Option<usize>,
     /// Exponential decay λ ∈ (0, 1] applied per arriving chunk.
     pub decay: Option<f64>,
-    /// Live status cell the coreset operator publishes anytime-query
+    /// Live status cell the tail's coreset tree publishes anytime-query
     /// results into (the `/status` dashboard's mid-stream clustering).
     /// Not part of the plan's identity: fingerprints and `Debug` ignore it.
     pub probe: Option<Arc<StatusCell>>,

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LogicalPlan::new(paths, KMeansConfig { restarts: 3, ..KMeansConfig::paper(40, 11) });
     let resources = Resources { chunk_memory_bytes: 256 << 10, ..Resources::detect() };
     let plan = optimize(logical, &resources);
-    let report = execute_observed(&plan, Some(rec.clone()))?;
+    let report = execute_with_faults(&plan, Some(rec.clone()), None)?;
     println!(
         "\nengine: {} cells in {:.0} ms, {} partial clones",
         report.cells.len(),

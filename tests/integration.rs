@@ -330,7 +330,7 @@ fn observed_engine_run_report_round_trips_and_balances() {
         500,
     );
     let rec = std::sync::Arc::new(pmkm_obs::Recorder::new());
-    let engine = pmkm_stream::execute_observed(&plan, Some(rec.clone())).unwrap();
+    let engine = pmkm_stream::execute_with_faults(&plan, Some(rec.clone()), None).unwrap();
     let report = engine.run_report(Some(&rec));
 
     assert_eq!(report.total_points(), n);
