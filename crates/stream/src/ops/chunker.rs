@@ -10,6 +10,7 @@
 use crate::error::{EngineError, Result};
 use crate::fault::{ChunkFault, FaultContext, EDGE_CHUNKS};
 use crate::item::{ChunkMsg, MergeMsg, ScanMsg};
+use crate::ops::send_on;
 use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::{Dataset, PointSource};
@@ -52,144 +53,148 @@ struct CellState {
 
 /// The chunker operator.
 pub struct ChunkerOp {
-    input: QueueConsumer<ScanMsg>,
-    chunks_out: QueueProducer<ChunkMsg>,
-    plan_out: QueueProducer<MergeMsg>,
     policy: ChunkPolicy,
     ctx: FaultContext,
+    cells: HashMap<GridCell, CellState>,
+    meter: OpMeter,
 }
 
 impl ChunkerOp {
     /// Creates the operator.
-    pub fn new(
-        input: QueueConsumer<ScanMsg>,
-        chunks_out: QueueProducer<ChunkMsg>,
-        plan_out: QueueProducer<MergeMsg>,
-        policy: ChunkPolicy,
-        ctx: FaultContext,
-    ) -> Self {
-        Self { input, chunks_out, plan_out, policy, ctx }
+    pub fn new(policy: ChunkPolicy, ctx: FaultContext) -> Self {
+        Self { policy, ctx, cells: HashMap::new(), meter: OpMeter::new("chunker", 0) }
     }
 
-    fn observe_chunk(&self, points: usize) {
+    /// One scan message. A batch is buffered and every chunk it fills is
+    /// handed to `emit`; a cell's end hands on the cell's last, short chunk
+    /// and returns the cell's plan, which goes to the tail.
+    pub(crate) fn handle(
+        &mut self,
+        msg: ScanMsg,
+        emit: &mut impl FnMut(&mut OpMeter, ChunkMsg) -> Result<()>,
+    ) -> Result<Option<MergeMsg>> {
+        self.meter.item_in();
+        match msg {
+            ScanMsg::Batch { cell, points } => {
+                if !points.is_empty() {
+                    self.buffer(cell, &points)?;
+                    while let Some(chunk) = self.cut(cell, false)? {
+                        self.hand_on(chunk, emit)?;
+                    }
+                }
+                Ok(None)
+            }
+            ScanMsg::CellEnd { cell, expected_points } => {
+                if let Some(chunk) = self.cut(cell, true)? {
+                    self.hand_on(chunk, emit)?;
+                }
+                // An empty bucket never opened a state: zero chunks.
+                let chunks = self.cells.remove(&cell).map_or(0, |state| state.next_chunk);
+                self.meter.item_out();
+                if let Some(rec) = self.ctx.rec() {
+                    rec.event(
+                        "chunker.cell_plan",
+                        &[("cell", cell.index().into()), ("chunks", chunks.into())],
+                    );
+                }
+                Ok(Some(MergeMsg::CellPlan { cell, chunks, expected_points }))
+            }
+        }
+    }
+
+    /// Appends a batch to its cell's buffer, under the `chunk` span.
+    fn buffer(&mut self, cell: GridCell, points: &Dataset) -> Result<()> {
+        let _phase = self.ctx.rec().and_then(|r| r.phase("chunk"));
+        let state = match self.cells.entry(cell) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(e) => e.insert(CellState {
+                buffer: Dataset::new(points.dim())?,
+                next_chunk: 0,
+                points_per_chunk: self.policy.points_per_chunk(points.dim())?,
+            }),
+        };
+        state.buffer.extend_from(points)?;
+        Ok(())
+    }
+
+    /// Cuts the cell's next chunk under the `chunk` span: a full one, or
+    /// with `flush` whatever is left. Scheduled corruption is applied here.
+    fn cut(&mut self, cell: GridCell, flush: bool) -> Result<Option<ChunkMsg>> {
+        let Some(state) = self.cells.get_mut(&cell) else { return Ok(None) };
+        let n = state.buffer.len().min(state.points_per_chunk);
+        if n == 0 || (n < state.points_per_chunk && !flush) {
+            return Ok(None);
+        }
+        let _phase = self.ctx.rec().and_then(|r| r.phase("chunk"));
+        let points = split_front(&mut state.buffer, n)?;
+        let chunk_id = state.next_chunk;
+        state.next_chunk += 1;
+        let points = corrupt_chunk(&self.ctx, cell, chunk_id, points);
         if let Some(rec) = self.ctx.rec() {
             rec.registry()
                 .histogram("chunk_points", &pmkm_core::pipeline::CHUNK_SIZE_BOUNDS)
-                .observe(points as f64);
+                .observe(points.len() as f64);
         }
+        Ok(Some(ChunkMsg { cell, chunk_id, points }))
     }
 
-    /// Applies any scheduled corruption to an outgoing chunk — the chunker
-    /// is where truncated and NaN-poisoned payloads enter the pipeline.
-    fn corrupt_chunk(&self, cell: GridCell, chunk_id: usize, points: Dataset) -> Dataset {
-        let Some(plan) = self.ctx.plan.as_deref() else { return points };
-        match plan.chunk_fault(cell.index(), chunk_id) {
-            None => points,
-            Some(ChunkFault::Truncate) => {
-                let dim = points.dim();
-                let keep = points.len().div_ceil(2);
-                let mut flat = points.into_flat();
-                flat.truncate(keep * dim);
-                Dataset::from_flat(dim, flat).expect("prefix of a valid chunk")
-            }
-            Some(ChunkFault::Poison) => {
-                let dim = points.dim();
-                let mut flat = points.into_flat();
-                let idx = (plan.seed ^ ((cell.index() as u64) << 20) ^ chunk_id as u64) as usize
-                    % flat.len();
-                flat[idx] = f64::NAN;
-                Dataset::from_flat_unchecked(dim, flat).expect("shape unchanged")
-            }
-        }
+    /// Hands one chunk on, after any stall the fault plan schedules for it.
+    fn hand_on(
+        &mut self,
+        chunk: ChunkMsg,
+        emit: &mut impl FnMut(&mut OpMeter, ChunkMsg) -> Result<()>,
+    ) -> Result<()> {
+        self.meter.item_out();
+        let stall_key = ((chunk.cell.index() as u64) << 20) ^ chunk.chunk_id as u64;
+        self.meter.wait(|| self.ctx.maybe_stall(EDGE_CHUNKS, stall_key));
+        emit(&mut self.meter, chunk)
     }
 
-    /// Runs to completion.
-    pub fn run(self) -> Result<OpStats> {
-        let mut meter = OpMeter::new("chunker", 0);
-        let mut cells: HashMap<GridCell, CellState> = HashMap::new();
-        while let Some(msg) = meter.wait(|| self.input.recv()) {
-            meter.item_in();
-            // Span covers message processing only, never the recv wait above.
-            let _phase = self.ctx.rec().and_then(|r| r.phase("chunk"));
-            match msg {
-                ScanMsg::Batch { cell, points } => {
-                    if points.is_empty() {
-                        continue;
-                    }
-                    let policy = self.policy;
-                    let state = match cells.entry(cell) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            let ppc = policy.points_per_chunk(points.dim())?;
-                            e.insert(CellState {
-                                buffer: Dataset::new(points.dim())?,
-                                next_chunk: 0,
-                                points_per_chunk: ppc,
-                            })
-                        }
-                    };
-                    state.buffer.extend_from(&points)?;
-                    while state.buffer.len() >= state.points_per_chunk {
-                        let chunk = split_front(&mut state.buffer, state.points_per_chunk)?;
-                        let chunk_id = state.next_chunk;
-                        let chunk = self.corrupt_chunk(cell, chunk_id, chunk);
-                        self.observe_chunk(chunk.len());
-                        let msg = ChunkMsg { cell, chunk_id, points: chunk };
-                        state.next_chunk += 1;
-                        meter.item_out();
-                        let stall_key = ((cell.index() as u64) << 20) ^ chunk_id as u64;
-                        meter
-                            .wait(|| {
-                                self.ctx.maybe_stall(EDGE_CHUNKS, stall_key);
-                                self.chunks_out.send(msg)
-                            })
-                            .map_err(|_| EngineError::Disconnected("chunker→partial"))?;
-                    }
-                }
-                ScanMsg::CellEnd { cell, expected_points } => {
-                    let chunks = match cells.remove(&cell) {
-                        Some(mut state) => {
-                            if !state.buffer.is_empty() {
-                                let points = std::mem::replace(
-                                    &mut state.buffer,
-                                    Dataset::new(1).expect("dim 1 is valid"),
-                                );
-                                let chunk_id = state.next_chunk;
-                                let points = self.corrupt_chunk(cell, chunk_id, points);
-                                self.observe_chunk(points.len());
-                                let msg = ChunkMsg { cell, chunk_id, points };
-                                state.next_chunk += 1;
-                                meter.item_out();
-                                let stall_key = ((cell.index() as u64) << 20) ^ chunk_id as u64;
-                                meter
-                                    .wait(|| {
-                                        self.ctx.maybe_stall(EDGE_CHUNKS, stall_key);
-                                        self.chunks_out.send(msg)
-                                    })
-                                    .map_err(|_| EngineError::Disconnected("chunker→partial"))?;
-                            }
-                            state.next_chunk
-                        }
-                        None => 0, // empty bucket: zero chunks
-                    };
-                    meter.item_out();
-                    if let Some(rec) = self.ctx.rec() {
-                        rec.event(
-                            "chunker.cell_plan",
-                            &[("cell", cell.index().into()), ("chunks", chunks.into())],
-                        );
-                    }
-                    meter
-                        .wait(|| {
-                            self.plan_out
-                                .send(MergeMsg::CellPlan { cell, chunks, expected_points })
-                                .map_err(drop)
-                        })
-                        .map_err(|_| EngineError::Disconnected("chunker→merge"))?;
-                }
+    /// Ends the stream: the operator's telemetry.
+    pub(crate) fn finish(self) -> OpStats {
+        self.meter.finish()
+    }
+
+    /// Runs to completion on the threaded driver: chunks to the partial
+    /// clones, cell plans to the tail.
+    pub fn run(
+        mut self,
+        input: QueueConsumer<ScanMsg>,
+        chunks_out: QueueProducer<ChunkMsg>,
+        plan_out: QueueProducer<MergeMsg>,
+    ) -> Result<OpStats> {
+        let mut to_partials = send_on(&chunks_out, "chunker→partial");
+        let mut to_tail = send_on(&plan_out, "chunker→merge");
+        while let Some(msg) = self.meter.wait(|| input.recv()) {
+            if let Some(plan) = self.handle(msg, &mut to_partials)? {
+                to_tail(&mut self.meter, plan)?;
             }
         }
-        Ok(meter.finish())
+        Ok(self.finish())
+    }
+}
+
+/// Applies any scheduled corruption to an outgoing chunk — the chunker is
+/// where truncated and NaN-poisoned payloads enter the pipeline.
+fn corrupt_chunk(ctx: &FaultContext, cell: GridCell, chunk_id: usize, points: Dataset) -> Dataset {
+    let Some(plan) = ctx.plan.as_deref() else { return points };
+    match plan.chunk_fault(cell.index(), chunk_id) {
+        None => points,
+        Some(ChunkFault::Truncate) => {
+            let dim = points.dim();
+            let keep = points.len().div_ceil(2);
+            let mut flat = points.into_flat();
+            flat.truncate(keep * dim);
+            Dataset::from_flat(dim, flat).expect("prefix of a valid chunk")
+        }
+        Some(ChunkFault::Poison) => {
+            let dim = points.dim();
+            let mut flat = points.into_flat();
+            let idx =
+                (plan.seed ^ ((cell.index() as u64) << 20) ^ chunk_id as u64) as usize % flat.len();
+            flat[idx] = f64::NAN;
+            Dataset::from_flat_unchecked(dim, flat).expect("shape unchanged")
+        }
     }
 }
 
@@ -205,7 +210,6 @@ fn split_front(ds: &mut Dataset, n: usize) -> Result<Dataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::SmartQueue;
 
     fn cell(i: u16) -> GridCell {
         GridCell::new(i, i).unwrap()
@@ -286,36 +290,22 @@ mod tests {
         assert_eq!(merges, vec![MergeMsg::CellPlan { cell: c, chunks: 0, expected_points: 0 }]);
     }
 
-    /// Drives the chunker with a fault plan attached.
+    /// Steps the chunker through `msgs` with a fault context attached.
     fn drive_faulted(
         msgs: Vec<ScanMsg>,
         policy: ChunkPolicy,
         faults: FaultContext,
     ) -> (Vec<ChunkMsg>, Vec<MergeMsg>) {
-        let q_in: SmartQueue<ScanMsg> = SmartQueue::new("in", 128);
-        let q_chunks: SmartQueue<ChunkMsg> = SmartQueue::new("chunks", 128);
-        let q_merge: SmartQueue<MergeMsg> = SmartQueue::new("merge", 128);
-        let p_in = q_in.producer();
-        let op = ChunkerOp::new(
-            q_in.consumer(),
-            q_chunks.producer(),
-            q_merge.producer(),
-            policy,
-            faults,
-        );
-        let c_chunks = q_chunks.consumer();
-        let c_merge = q_merge.consumer();
-        q_in.seal();
-        q_chunks.seal();
-        q_merge.seal();
-        for m in msgs {
-            p_in.send(m).unwrap();
+        let mut op = ChunkerOp::new(policy, faults);
+        let (mut chunks, mut plans) = (Vec::new(), Vec::new());
+        for msg in msgs {
+            let plan = op.handle(msg, &mut |_, chunk| {
+                chunks.push(chunk);
+                Ok(())
+            });
+            plans.extend(plan.unwrap());
         }
-        drop(p_in);
-        op.run().unwrap();
-        let chunks: Vec<ChunkMsg> = std::iter::from_fn(|| c_chunks.recv()).collect();
-        let merges: Vec<MergeMsg> = std::iter::from_fn(|| c_merge.recv()).collect();
-        (chunks, merges)
+        (chunks, plans)
     }
 
     #[test]
@@ -382,25 +372,11 @@ mod tests {
 
     #[test]
     fn budget_smaller_than_point_is_error() {
-        let q_in: SmartQueue<ScanMsg> = SmartQueue::new("in", 8);
-        let q_chunks: SmartQueue<ChunkMsg> = SmartQueue::new("chunks", 8);
-        let q_merge: SmartQueue<MergeMsg> = SmartQueue::new("merge", 8);
-        let p = q_in.producer();
-        let op = ChunkerOp::new(
-            q_in.consumer(),
-            q_chunks.producer(),
-            q_merge.producer(),
-            ChunkPolicy::MemoryBudget { bytes: 8 }, // dim 2 needs 16
-            FaultContext::default(),
-        );
-        let _cc = q_chunks.consumer();
-        let _cm = q_merge.consumer();
-        q_in.seal();
-        q_chunks.seal();
-        q_merge.seal();
-        p.send(batch(cell(0), 3, 0)).unwrap();
-        drop(p);
-        assert!(matches!(op.run(), Err(EngineError::InvalidPlan(_))));
+        // dim 2 needs 16 B per point.
+        let mut op =
+            ChunkerOp::new(ChunkPolicy::MemoryBudget { bytes: 8 }, FaultContext::default());
+        let res = op.handle(batch(cell(0), 3, 0), &mut |_, _| Ok(()));
+        assert!(matches!(res, Err(EngineError::InvalidPlan(_))));
     }
 
     #[test]

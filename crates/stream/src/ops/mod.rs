@@ -2,6 +2,13 @@
 //! (Figure 5 of the paper): scan → chunker → cloned partial k-means → tail,
 //! the tail being the paper's merge or, in coreset mode, a merge-reduce
 //! tree behind the same protocol.
+//!
+//! Every operator is written as steps, not as a thread: `handle` consumes
+//! one input message and hands its outputs to an `emit` callback (or, when
+//! a step yields at most one message, returns it), and `finish` ends the
+//! stream. `run` is the threaded driver's loop around those steps — receive
+//! from the input queue, step, send on the output queue — while the
+//! executor's inline driver chains the same steps directly on one thread.
 
 pub mod chunker;
 pub mod fine;
@@ -14,6 +21,22 @@ pub use fine::{choose_random_seeds, fine_kmeans, FineRun};
 pub use partial_op::{chunk_seed, PartialKMeansOp};
 pub use scan::ScanOp;
 pub use tail::TailOp;
+
+use crate::error::{EngineError, Result};
+use crate::queue::QueueProducer;
+use crate::telemetry::OpMeter;
+
+/// The threaded driver's `emit`: a send on `out`, booked as the operator's
+/// blocked time, that fails with [`EngineError::Disconnected`] naming
+/// `edge` once every consumer has gone.
+pub(crate) fn send_on<'a, T>(
+    out: &'a QueueProducer<T>,
+    edge: &'static str,
+) -> impl FnMut(&mut OpMeter, T) -> Result<()> + 'a {
+    move |meter, item| {
+        meter.wait(|| out.send(item).map_err(drop)).map_err(|()| EngineError::Disconnected(edge))
+    }
+}
 
 /// Instantiates [`tail`]'s protocol cases for one accumulator as
 /// `$id => $case` pairs. The two modules below keep the test ids the cases

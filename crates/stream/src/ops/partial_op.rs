@@ -10,6 +10,7 @@
 use crate::error::{EngineError, Result};
 use crate::fault::{FaultContext, InjectedPanic, EDGE_MERGE};
 use crate::item::{ChunkMsg, MergeMsg};
+use crate::ops::send_on;
 use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::coreset::chunk_coreset;
@@ -76,24 +77,16 @@ pub fn chunk_seed(base: u64, cell_index: u32, chunk_id: usize) -> u64 {
 
 /// One clone of the partial k-means operator.
 pub struct PartialKMeansOp {
-    input: QueueConsumer<ChunkMsg>,
-    out: QueueProducer<MergeMsg>,
     kmeans: KMeansConfig,
-    clone_id: usize,
     ctx: FaultContext,
     coreset_size: Option<usize>,
+    meter: OpMeter,
 }
 
 impl PartialKMeansOp {
     /// Creates one clone.
-    pub fn new(
-        input: QueueConsumer<ChunkMsg>,
-        out: QueueProducer<MergeMsg>,
-        kmeans: KMeansConfig,
-        clone_id: usize,
-        ctx: FaultContext,
-    ) -> Self {
-        Self { input, out, kmeans, clone_id, ctx, coreset_size: None }
+    pub fn new(kmeans: KMeansConfig, clone_id: usize, ctx: FaultContext) -> Self {
+        Self { kmeans, ctx, coreset_size: None, meter: OpMeter::new("partial-kmeans", clone_id) }
     }
 
     /// Switches the clone into coreset mode (builder style): each chunk is
@@ -105,15 +98,9 @@ impl PartialKMeansOp {
         self
     }
 
-    /// Records a quarantined chunk and tells the merge operator the chunk is
-    /// gone so the cell's plan still closes.
-    fn quarantine_chunk(
-        &self,
-        meter: &mut OpMeter,
-        cell: pmkm_data::GridCell,
-        chunk_id: usize,
-        points: usize,
-    ) -> Result<()> {
+    /// Records a quarantined chunk; the returned notice tells the tail the
+    /// chunk is gone, so the cell's plan still closes.
+    fn quarantine_chunk(&self, cell: GridCell, chunk_id: usize, points: usize) -> MergeMsg {
         self.ctx.counters.chunks_quarantined.fetch_add(1, Ordering::Relaxed);
         if let Some(rec) = self.ctx.rec() {
             rec.registry().counter("fault_chunks_quarantined_total").inc();
@@ -130,138 +117,136 @@ impl PartialKMeansOp {
             "chunk_quarantined",
             &[("cell", cell.index().into()), ("chunk", chunk_id.into()), ("points", points.into())],
         );
-        meter
-            .wait(|| self.out.send(MergeMsg::ChunkLost { cell, chunk_id, points }).map_err(drop))
-            .map_err(|_| EngineError::Disconnected("partial→merge"))
+        MergeMsg::ChunkLost { cell, chunk_id, points }
     }
 
-    /// Runs until the chunk stream ends.
-    pub fn run(self) -> Result<OpStats> {
-        let mut meter = OpMeter::new("partial-kmeans", self.clone_id);
-        'chunks: while let Some(ChunkMsg { cell, chunk_id, points }) =
-            meter.wait(|| self.input.recv())
-        {
-            let rec = self.ctx.rec();
-            meter.item_in();
+    /// One chunk: its summary for the tail (weighted centroids, or in
+    /// coreset mode a weighted coreset), or — once validation or the retry
+    /// budget gives up on the chunk under a quarantining policy — the
+    /// `ChunkLost` notice that closes its slot. Under the strict policy a
+    /// chunk that panics on its last attempt re-raises the panic.
+    pub(crate) fn handle(&mut self, chunk: ChunkMsg) -> Result<MergeMsg> {
+        let ChunkMsg { cell, chunk_id, points } = chunk;
+        let rec = self.ctx.rec();
+        self.meter.item_in();
+        if let Some(rec) = rec {
+            // Coalesced by the timeline, so per-chunk cost is one
+            // same-state check on the lane the cell is bound to.
+            rec.worker_state_cell(cell.index(), pmkm_obs::WorkerState::Partial);
+        }
+        // Poison gate: a chunk with non-finite coordinates would corrupt
+        // every centroid it touches, so it never reaches the kernel.
+        if self.ctx.validate_chunks() && points.as_flat().iter().any(|v| !v.is_finite()) {
+            self.ctx.counters.chunks_poisoned.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = rec {
-                // Coalesced by the timeline, so per-chunk cost is one
-                // same-state check on the lane the cell is bound to.
-                rec.worker_state_cell(cell.index(), pmkm_obs::WorkerState::Partial);
+                rec.registry().counter("fault_chunks_poisoned_total").inc();
             }
-            // Poison gate: a chunk with non-finite coordinates would corrupt
-            // every centroid it touches, so it never reaches the kernel.
-            if self.ctx.validate_chunks() && points.as_flat().iter().any(|v| !v.is_finite()) {
-                self.ctx.counters.chunks_poisoned.fetch_add(1, Ordering::Relaxed);
-                if let Some(rec) = rec {
-                    rec.registry().counter("fault_chunks_poisoned_total").inc();
-                }
-                self.ctx.record_fault(
-                    "chunk_poisoned",
-                    &[("cell", cell.index().into()), ("chunk", chunk_id.into())],
-                );
-                if self.ctx.policy.quarantine {
-                    self.quarantine_chunk(&mut meter, cell, chunk_id, points.len())?;
-                    continue;
-                }
-                return Err(EngineError::PoisonedChunk { cell: cell.index(), chunk_id });
+            self.ctx.record_fault(
+                "chunk_poisoned",
+                &[("cell", cell.index().into()), ("chunk", chunk_id.into())],
+            );
+            if self.ctx.policy.quarantine {
+                return Ok(self.quarantine_chunk(cell, chunk_id, points.len()));
             }
-            let cfg = KMeansConfig {
-                seed: chunk_seed(self.kmeans.seed, cell.index(), chunk_id),
-                ..self.kmeans
-            };
-            // Panic isolation: a crash while clustering one chunk (injected
-            // or real) must not take the whole pipeline down. The chunk is
-            // retried — deterministically reseeded, so a retry that succeeds
-            // yields the exact fault-free result — and quarantined only once
-            // the attempt budget is spent.
-            let mut attempt = 0usize;
-            let started = rec.map(|_| std::time::Instant::now());
-            let output = loop {
-                let inject = self
-                    .ctx
-                    .plan
-                    .as_deref()
-                    .is_some_and(|p| p.panic_fault(cell.index(), chunk_id, attempt));
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if inject {
-                        std::panic::panic_any(InjectedPanic);
-                    }
-                    if let Some(size) = self.coreset_size {
-                        let _phase = rec.and_then(|r| r.phase("coreset"));
-                        meter.work(|| build_chunk_coreset(&points, size, &cfg, cell, chunk_id, rec))
-                    } else {
-                        let _phase = rec.and_then(|r| r.phase("partial"));
-                        meter
-                            .work(|| partial_kmeans_observed(&points, &cfg, rec))
-                            .map_err(EngineError::from)
-                    }
-                }));
-                match outcome {
-                    Ok(result) => break result?,
-                    Err(payload) => {
-                        self.ctx.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                        if let Some(rec) = rec {
-                            rec.registry().counter("fault_worker_panics_total").inc();
-                            rec.event(
-                                "partial.panic",
-                                &[
-                                    ("cell", cell.index().into()),
-                                    ("chunk", chunk_id.into()),
-                                    ("attempt", attempt.into()),
-                                ],
-                            );
-                        }
-                        self.ctx.record_fault(
-                            "worker_panic",
+            return Err(EngineError::PoisonedChunk { cell: cell.index(), chunk_id });
+        }
+        let cfg = KMeansConfig {
+            seed: chunk_seed(self.kmeans.seed, cell.index(), chunk_id),
+            ..self.kmeans
+        };
+        // Panic isolation: a crash while clustering one chunk (injected
+        // or real) must not take the whole pipeline down. The chunk is
+        // retried — deterministically reseeded, so a retry that succeeds
+        // yields the exact fault-free result — and quarantined only once
+        // the attempt budget is spent.
+        let mut attempt = 0usize;
+        let started = rec.map(|_| std::time::Instant::now());
+        let output = loop {
+            let inject = self
+                .ctx
+                .plan
+                .as_deref()
+                .is_some_and(|p| p.panic_fault(cell.index(), chunk_id, attempt));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if inject {
+                    std::panic::panic_any(InjectedPanic);
+                }
+                if let Some(size) = self.coreset_size {
+                    let _phase = rec.and_then(|r| r.phase("coreset"));
+                    self.meter
+                        .work(|| build_chunk_coreset(&points, size, &cfg, cell, chunk_id, rec))
+                } else {
+                    let _phase = rec.and_then(|r| r.phase("partial"));
+                    self.meter
+                        .work(|| partial_kmeans_observed(&points, &cfg, rec))
+                        .map_err(EngineError::from)
+                }
+            }));
+            match outcome {
+                Ok(result) => break result?,
+                Err(payload) => {
+                    self.ctx.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+                    if let Some(rec) = rec {
+                        rec.registry().counter("fault_worker_panics_total").inc();
+                        rec.event(
+                            "partial.panic",
                             &[
                                 ("cell", cell.index().into()),
                                 ("chunk", chunk_id.into()),
                                 ("attempt", attempt.into()),
                             ],
                         );
-                        attempt += 1;
-                        if attempt < self.ctx.policy.max_chunk_attempts {
-                            self.ctx.counters.chunk_retries.fetch_add(1, Ordering::Relaxed);
-                            if let Some(rec) = rec {
-                                rec.registry().counter("fault_chunk_retries_total").inc();
-                            }
-                            self.ctx.record_fault(
-                                "chunk_retry",
-                                &[("cell", cell.index().into()), ("chunk", chunk_id.into())],
-                            );
-                            continue;
-                        }
-                        if self.ctx.policy.quarantine {
-                            self.quarantine_chunk(&mut meter, cell, chunk_id, points.len())?;
-                            continue 'chunks;
-                        }
-                        resume_unwind(payload);
                     }
+                    self.ctx.record_fault(
+                        "worker_panic",
+                        &[
+                            ("cell", cell.index().into()),
+                            ("chunk", chunk_id.into()),
+                            ("attempt", attempt.into()),
+                        ],
+                    );
+                    attempt += 1;
+                    if attempt < self.ctx.policy.max_chunk_attempts {
+                        self.ctx.counters.chunk_retries.fetch_add(1, Ordering::Relaxed);
+                        if let Some(rec) = rec {
+                            rec.registry().counter("fault_chunk_retries_total").inc();
+                        }
+                        self.ctx.record_fault(
+                            "chunk_retry",
+                            &[("cell", cell.index().into()), ("chunk", chunk_id.into())],
+                        );
+                        continue;
+                    }
+                    if self.ctx.policy.quarantine {
+                        return Ok(self.quarantine_chunk(cell, chunk_id, points.len()));
+                    }
+                    resume_unwind(payload);
                 }
-            };
-            if let Some(rec) = rec {
-                let duration_us = started.map_or(0, |t| t.elapsed().as_micros() as u64);
-                rec.event(
-                    "chunk.close",
-                    &[
-                        ("cell", cell.index().into()),
-                        ("chunk", chunk_id.into()),
-                        ("points", points.len().into()),
-                        ("duration_us", duration_us.into()),
-                        ("attempts", (attempt + 1).into()),
-                    ],
-                );
             }
-            meter.item_out();
-            let stall_key = ((cell.index() as u64) << 20) ^ chunk_id as u64;
-            meter
-                .wait(|| {
-                    self.ctx.maybe_stall(EDGE_MERGE, stall_key);
-                    self.out.send(MergeMsg::Partial { cell, chunk_id, output }).map_err(drop)
-                })
-                .map_err(|_| EngineError::Disconnected("partial→merge"))?;
+        };
+        if let Some(rec) = rec {
+            let duration_us = started.map_or(0, |t| t.elapsed().as_micros() as u64);
+            rec.event(
+                "chunk.close",
+                &[
+                    ("cell", cell.index().into()),
+                    ("chunk", chunk_id.into()),
+                    ("points", points.len().into()),
+                    ("duration_us", duration_us.into()),
+                    ("attempts", (attempt + 1).into()),
+                ],
+            );
         }
-        let stats = meter.finish();
+        self.meter.item_out();
+        let stall_key = ((cell.index() as u64) << 20) ^ chunk_id as u64;
+        self.meter.wait(|| self.ctx.maybe_stall(EDGE_MERGE, stall_key));
+        Ok(MergeMsg::Partial { cell, chunk_id, output })
+    }
+
+    /// Ends the chunk stream: the clone's telemetry, journaled as
+    /// `op.finish`.
+    pub(crate) fn finish(self) -> OpStats {
+        let stats = self.meter.finish();
         if let Some(rec) = self.ctx.rec() {
             rec.event(
                 "op.finish",
@@ -272,7 +257,21 @@ impl PartialKMeansOp {
                 ],
             );
         }
-        Ok(stats)
+        stats
+    }
+
+    /// Runs until the chunk stream ends on the threaded driver.
+    pub fn run(
+        mut self,
+        input: QueueConsumer<ChunkMsg>,
+        out: QueueProducer<MergeMsg>,
+    ) -> Result<OpStats> {
+        let mut to_tail = send_on(&out, "partial→merge");
+        while let Some(chunk) = self.meter.wait(|| input.recv()) {
+            let summary = self.handle(chunk)?;
+            to_tail(&mut self.meter, summary)?;
+        }
+        Ok(self.finish())
     }
 }
 
@@ -297,20 +296,19 @@ mod tests {
         let q_in: SmartQueue<ChunkMsg> = SmartQueue::new("chunks", 16);
         let q_out: SmartQueue<MergeMsg> = SmartQueue::new("merge", 16);
         let p = q_in.producer();
-        let op = PartialKMeansOp::new(
-            q_in.consumer(),
-            q_out.producer(),
-            KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 5) },
-            0,
-            FaultContext::default(),
-        );
+        let (input, out) = (q_in.consumer(), q_out.producer());
         let c = q_out.consumer();
         q_in.seal();
         q_out.seal();
         p.send(chunk(1, 0, 30)).unwrap();
         p.send(chunk(1, 1, 30)).unwrap();
         drop(p);
-        let stats = op.run().unwrap();
+        let op = PartialKMeansOp::new(
+            KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 5) },
+            0,
+            FaultContext::default(),
+        );
+        let stats = op.run(input, out).unwrap();
         assert_eq!(stats.items_in, 2);
         assert_eq!(stats.items_out, 2);
         let results: Vec<MergeMsg> = std::iter::from_fn(|| c.recv()).collect();
@@ -342,26 +340,14 @@ mod tests {
         // Two separate single-clone runs over permuted chunk orders produce
         // identical per-chunk outputs.
         let run = |order: Vec<ChunkMsg>| {
-            let q_in: SmartQueue<ChunkMsg> = SmartQueue::new("chunks", 16);
-            let q_out: SmartQueue<MergeMsg> = SmartQueue::new("merge", 16);
-            let p = q_in.producer();
-            let op = PartialKMeansOp::new(
-                q_in.consumer(),
-                q_out.producer(),
+            let mut op = PartialKMeansOp::new(
                 KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 9) },
                 0,
                 FaultContext::default(),
             );
-            let c = q_out.consumer();
-            q_in.seal();
-            q_out.seal();
-            for m in order {
-                p.send(m).unwrap();
-            }
-            drop(p);
-            op.run().unwrap();
-            let mut out: Vec<(usize, pmkm_core::WeightedSet)> = std::iter::from_fn(|| c.recv())
-                .map(|m| match m {
+            let mut out: Vec<(usize, pmkm_core::WeightedSet)> = order
+                .into_iter()
+                .map(|m| match op.handle(m).unwrap() {
                     MergeMsg::Partial { chunk_id, output, .. } => (chunk_id, output.centroids),
                     other => panic!("unexpected {other:?}"),
                 })
@@ -376,28 +362,22 @@ mod tests {
 
     use crate::fault::{FaultContext, FaultPlan, FaultPolicy};
 
-    /// Runs one clone over `msgs` with the given fault context.
+    /// Steps one clone through `msgs` with the given fault context,
+    /// stopping at the first error.
     fn run_faulted(msgs: Vec<ChunkMsg>, faults: FaultContext) -> (Result<OpStats>, Vec<MergeMsg>) {
-        let q_in: SmartQueue<ChunkMsg> = SmartQueue::new("chunks", 16);
-        let q_out: SmartQueue<MergeMsg> = SmartQueue::new("merge", 16);
-        let p = q_in.producer();
-        let op = PartialKMeansOp::new(
-            q_in.consumer(),
-            q_out.producer(),
+        let mut op = PartialKMeansOp::new(
             KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 5) },
             0,
             faults,
         );
-        let c = q_out.consumer();
-        q_in.seal();
-        q_out.seal();
-        for m in msgs {
-            p.send(m).unwrap();
+        let mut out = Vec::new();
+        for msg in msgs {
+            match op.handle(msg) {
+                Ok(summary) => out.push(summary),
+                Err(e) => return (Err(e), out),
+            }
         }
-        drop(p);
-        let stats = op.run();
-        let out: Vec<MergeMsg> = std::iter::from_fn(|| c.recv()).collect();
-        (stats, out)
+        (Ok(op.finish()), out)
     }
 
     fn poisoned_chunk() -> ChunkMsg {

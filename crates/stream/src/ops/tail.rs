@@ -24,6 +24,7 @@
 use crate::error::{EngineError, Result};
 use crate::fault::FaultContext;
 use crate::item::{CellClustering, MergeMsg};
+use crate::ops::send_on;
 use crate::plan::{CoresetSpec, LogicalPlan};
 use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
@@ -138,8 +139,6 @@ impl CellState {
 
 /// The tail operator.
 pub struct TailOp {
-    input: QueueConsumer<MergeMsg>,
-    out: QueueProducer<CellClustering>,
     kmeans: KMeansConfig,
     merge_mode: MergeMode,
     merge_restarts: usize,
@@ -147,27 +146,25 @@ pub struct TailOp {
     coreset: Option<CoresetSpec>,
     wire: &'static Wire,
     ctx: FaultContext,
+    /// Cells with a message seen and no answer sent yet.
+    cells: HashMap<GridCell, CellState>,
+    meter: OpMeter,
 }
 
 impl TailOp {
     /// Creates the operator: the paper's buffering merge, or with a
     /// `coreset` spec the bounded-memory tree.
-    pub fn new(
-        input: QueueConsumer<MergeMsg>,
-        out: QueueProducer<CellClustering>,
-        logical: &LogicalPlan,
-        coreset: Option<CoresetSpec>,
-        ctx: FaultContext,
-    ) -> Self {
+    pub fn new(logical: &LogicalPlan, coreset: Option<CoresetSpec>, ctx: FaultContext) -> Self {
+        let wire = if coreset.is_some() { &CORESET } else { &MERGE };
         Self {
-            input,
-            out,
             kmeans: logical.kmeans,
             merge_mode: logical.merge_mode,
             merge_restarts: logical.merge_restarts,
-            wire: if coreset.is_some() { &CORESET } else { &MERGE },
+            wire,
             coreset,
             ctx,
+            cells: HashMap::new(),
+            meter: OpMeter::new(wire.op, 0),
         }
     }
 
@@ -176,74 +173,97 @@ impl TailOp {
         self.wire.op
     }
 
-    /// Runs until the partial stream ends. Under the strict policy any
-    /// incomplete cell or missing mass is an error (lost messages — a
-    /// broken pipeline); under a degraded-merge policy the cell answers
-    /// from whatever survived and the lost mass is reported.
-    pub fn run(self) -> Result<OpStats> {
-        let mut meter = OpMeter::new(self.wire.op, 0);
-        let mut cells: HashMap<GridCell, CellState> = HashMap::new();
-        while let Some(msg) = meter.wait(|| self.input.recv()) {
-            meter.item_in();
-            let (MergeMsg::Partial { cell, .. }
-            | MergeMsg::CellPlan { cell, .. }
-            | MergeMsg::ChunkLost { cell, .. }) = msg;
-            let state = match cells.entry(cell) {
-                std::collections::hash_map::Entry::Occupied(slot) => slot.into_mut(),
-                std::collections::hash_map::Entry::Vacant(slot) => slot.insert(self.open(cell)?),
-            };
-            match msg {
-                MergeMsg::CellPlan { chunks, expected_points, .. } => {
-                    state.expected_points = expected_points;
-                    if state.expected.replace(chunks).is_some() {
-                        return Err(EngineError::InvalidPlan(format!(
-                            "duplicate cell plan for cell {}",
-                            cell.index()
-                        )));
-                    }
-                }
-                MergeMsg::Partial { chunk_id, .. } | MergeMsg::ChunkLost { chunk_id, .. }
-                    if chunk_id < state.next_chunk
-                        || state.pending.contains_key(&chunk_id)
-                        || state.pending_lost.contains_key(&chunk_id) =>
-                {
+    /// One message from the chunker or a partial clone. A cell it completes
+    /// is answered and handed to `emit`; under the strict policy a
+    /// duplicate, or a completed cell with missing mass, is an error.
+    pub(crate) fn handle(
+        &mut self,
+        msg: MergeMsg,
+        emit: &mut impl FnMut(&mut OpMeter, CellClustering) -> Result<()>,
+    ) -> Result<()> {
+        self.meter.item_in();
+        let (MergeMsg::Partial { cell, .. }
+        | MergeMsg::CellPlan { cell, .. }
+        | MergeMsg::ChunkLost { cell, .. }) = msg;
+        let mut state = match self.cells.remove(&cell) {
+            Some(state) => state,
+            None => self.open(cell)?,
+        };
+        match msg {
+            MergeMsg::CellPlan { chunks, expected_points, .. } => {
+                state.expected_points = expected_points;
+                if state.expected.replace(chunks).is_some() {
                     return Err(EngineError::InvalidPlan(format!(
-                        "duplicate chunk {chunk_id} for cell {}",
+                        "duplicate cell plan for cell {}",
                         cell.index()
                     )));
                 }
-                MergeMsg::Partial { chunk_id, output, .. } => {
-                    state.pending.insert(chunk_id, output);
-                    self.drain(&mut meter, cell, state)?;
-                }
-                MergeMsg::ChunkLost { chunk_id, points, .. } => {
-                    state.pending_lost.insert(chunk_id, points);
-                    self.drain(&mut meter, cell, state)?;
-                }
             }
-            if state.complete() {
-                let state = cells.remove(&cell).expect("looked up above");
-                self.finish_cell(&mut meter, cell, state, false)?;
+            MergeMsg::Partial { chunk_id, .. } | MergeMsg::ChunkLost { chunk_id, .. }
+                if chunk_id < state.next_chunk
+                    || state.pending.contains_key(&chunk_id)
+                    || state.pending_lost.contains_key(&chunk_id) =>
+            {
+                return Err(EngineError::InvalidPlan(format!(
+                    "duplicate chunk {chunk_id} for cell {}",
+                    cell.index()
+                )));
+            }
+            MergeMsg::Partial { chunk_id, output, .. } => {
+                state.pending.insert(chunk_id, output);
+                self.drain(cell, &mut state)?;
+            }
+            MergeMsg::ChunkLost { chunk_id, points, .. } => {
+                state.pending_lost.insert(chunk_id, points);
+                self.drain(cell, &mut state)?;
             }
         }
-        if !cells.is_empty() {
+        if state.complete() {
+            return self.finish_cell(cell, state, false, emit);
+        }
+        self.cells.insert(cell, state);
+        Ok(())
+    }
+
+    /// Ends the partial stream. Under the strict policy a cell still open
+    /// is an error (lost messages — a broken pipeline); under a
+    /// degraded-merge policy each answers from whatever survived and the
+    /// lost mass is reported.
+    pub(crate) fn finish(
+        mut self,
+        emit: &mut impl FnMut(&mut OpMeter, CellClustering) -> Result<()>,
+    ) -> Result<OpStats> {
+        if !self.cells.is_empty() {
             if self.ctx.strict_mass_check() {
-                let cell = cells.keys().next().expect("non-empty");
+                let cell = self.cells.keys().next().expect("non-empty");
                 return Err(EngineError::InvalidPlan(format!(
                     "stream ended with {} incomplete cell(s), e.g. cell {}",
-                    cells.len(),
+                    self.cells.len(),
                     cell.index()
                 )));
             }
             // Degraded path: the stream died mid-cell; answer from what
             // survived.
-            let mut rest: Vec<(GridCell, CellState)> = cells.drain().collect();
+            let mut rest: Vec<(GridCell, CellState)> = self.cells.drain().collect();
             rest.sort_by_key(|(cell, _)| cell.index());
             for (cell, state) in rest {
-                self.finish_cell(&mut meter, cell, state, true)?;
+                self.finish_cell(cell, state, true, emit)?;
             }
         }
-        Ok(meter.finish())
+        Ok(self.meter.finish())
+    }
+
+    /// Runs until the partial stream ends on the threaded driver.
+    pub fn run(
+        mut self,
+        input: QueueConsumer<MergeMsg>,
+        out: QueueProducer<CellClustering>,
+    ) -> Result<OpStats> {
+        let mut to_sink = send_on(&out, self.wire.edge);
+        while let Some(msg) = self.meter.wait(|| input.recv()) {
+            self.handle(msg, &mut to_sink)?;
+        }
+        self.finish(&mut to_sink)
     }
 
     /// Fresh per-cell state with an empty accumulator.
@@ -272,11 +292,11 @@ impl TailOp {
     /// so insertion order — and therefore every compaction and the merge's
     /// input order — is a pure function of the plan, not of worker
     /// scheduling.
-    fn drain(&self, meter: &mut OpMeter, cell: GridCell, state: &mut CellState) -> Result<()> {
+    fn drain(&mut self, cell: GridCell, state: &mut CellState) -> Result<()> {
         loop {
             let chunk_id = state.next_chunk;
             if let Some(output) = state.pending.remove(&chunk_id) {
-                self.insert(meter, cell, state, chunk_id, output)?;
+                self.insert(cell, state, chunk_id, output)?;
             } else if let Some(points) = state.pending_lost.remove(&chunk_id) {
                 state.note_lost(points);
             } else {
@@ -290,8 +310,7 @@ impl TailOp {
     /// compactions and evictions the insert caused and refreshes the
     /// anytime probe when it grew a level.
     fn insert(
-        &self,
-        meter: &mut OpMeter,
+        &mut self,
         cell: GridCell,
         state: &mut CellState,
         chunk_id: usize,
@@ -326,7 +345,7 @@ impl TailOp {
             Accumulator::Tree(tree) => tree,
         };
         let before_level = tree.max_level();
-        let outcome = meter.work(|| tree.insert_chunk(chunk_id, centroids, points as f64))?;
+        let outcome = self.meter.work(|| tree.insert_chunk(chunk_id, centroids, points as f64))?;
         if let Some(rec) = self.ctx.rec() {
             for ev in &outcome.evictions {
                 rec.registry().counter("coreset_evictions_total").inc();
@@ -362,20 +381,15 @@ impl TailOp {
         // anytime queries per cell, each O(levels × size) input points.
         let probing = self.coreset.as_ref().is_some_and(|spec| spec.probe.is_some());
         if probing && (first || tree.max_level() > before_level) {
-            self.query(meter, cell, tree)?;
+            self.query(cell, tree)?;
         }
         Ok(())
     }
 
     /// Runs the anytime query (weighted Lloyd over the live-bucket union),
     /// journals it and publishes it to the plan's live status probe.
-    fn query(
-        &self,
-        meter: &mut OpMeter,
-        cell: GridCell,
-        tree: &mut CoresetTree,
-    ) -> Result<MergeOutput> {
-        let out = meter.work(|| {
+    fn query(&mut self, cell: GridCell, tree: &mut CoresetTree) -> Result<MergeOutput> {
+        let out = self.meter.work(|| {
             // The anytime query is the coreset path's merge clustering;
             // profile it under the same phase as the classic merge so
             // phase breakdowns stay comparable across engine modes.
@@ -424,14 +438,14 @@ impl TailOp {
     /// terminal merge, which is what makes `query_now()` after the last
     /// chunk bit-identical to the emitted result.
     fn answer(
-        &self,
-        meter: &mut OpMeter,
+        &mut self,
         cell: GridCell,
         acc: &mut Accumulator,
         expected: f64,
     ) -> Result<MergeOutput> {
         match acc {
-            Accumulator::Buffered(sets) => Ok(meter
+            Accumulator::Buffered(sets) => Ok(self
+                .meter
                 .work(|| {
                     merge_degraded_observed(
                         sets,
@@ -443,25 +457,25 @@ impl TailOp {
                     )
                 })?
                 .output),
-            Accumulator::Tree(tree) => self.query(meter, cell, tree),
+            Accumulator::Tree(tree) => self.query(cell, tree),
         }
     }
 
-    /// Answers a finished (or, at end of stream, abandoned) cell and emits
-    /// the result. `incomplete` forces the degraded flag: a cell whose plan
-    /// never closed has unknown loss, which is still loss.
+    /// Answers a finished (or, at end of stream, abandoned) cell and hands
+    /// the result to `emit`. `incomplete` forces the degraded flag: a cell
+    /// whose plan never closed has unknown loss, which is still loss.
     fn finish_cell(
-        &self,
-        meter: &mut OpMeter,
+        &mut self,
         cell: GridCell,
         mut state: CellState,
         incomplete: bool,
+        emit: &mut impl FnMut(&mut OpMeter, CellClustering) -> Result<()>,
     ) -> Result<()> {
         // An abandoned cell may hold buffered chunks beyond a gap the
         // drain never crossed; fold them in ascending order so the
         // degraded answer still uses every surviving chunk.
         for (chunk_id, output) in std::mem::take(&mut state.pending) {
-            self.insert(meter, cell, &mut state, chunk_id, output)?;
+            self.insert(cell, &mut state, chunk_id, output)?;
         }
         for (_, points) in std::mem::take(&mut state.pending_lost) {
             state.note_lost(points);
@@ -518,7 +532,7 @@ impl TailOp {
         if let Some(rec) = self.ctx.rec() {
             rec.worker_state_cell(cell.index(), WorkerState::Merge);
         }
-        let output = self.answer(meter, cell, &mut state.acc, expected)?;
+        let output = self.answer(cell, &mut state.acc, expected)?;
         if degraded {
             self.note_degraded(cell, lost);
         }
@@ -563,10 +577,8 @@ impl TailOp {
             degraded,
             coreset: state.acc.stats(),
         };
-        meter.item_out();
-        meter
-            .wait(|| self.out.send(result).map_err(drop))
-            .map_err(|_| EngineError::Disconnected(self.wire.edge))
+        self.meter.item_out();
+        emit(&mut self.meter, result)
     }
 
     fn note_degraded(&self, cell: GridCell, lost_points: f64) {
@@ -636,7 +648,6 @@ pub(crate) fn note_cell_close(rec: Option<&Recorder>, close: &CellClose) {
 pub(super) mod tests {
     use super::*;
     use crate::fault::FaultPolicy;
-    use crate::queue::SmartQueue;
     use pmkm_core::partial::partial_kmeans;
     use pmkm_core::Dataset;
     use pmkm_obs::{FieldValue, RingBufferSink, StatusCell};
@@ -666,23 +677,21 @@ pub(super) mod tests {
     }
 
     fn run_with(msgs: Vec<MergeMsg>, acc: Acc, ctx: FaultContext) -> Result<Vec<CellClustering>> {
-        let q_in: SmartQueue<MergeMsg> = SmartQueue::new("tail", 64);
-        let q_out: SmartQueue<CellClustering> = SmartQueue::new("results", 64);
-        let p = q_in.producer();
         let logical = LogicalPlan::new(
             vec!["unused.gb".into()],
             KMeansConfig { restarts: 1, ..KMeansConfig::paper(2, 3) },
         );
-        let op = TailOp::new(q_in.consumer(), q_out.producer(), &logical, acc, ctx);
-        let c = q_out.consumer();
-        q_in.seal();
-        q_out.seal();
+        let mut op = TailOp::new(&logical, acc, ctx);
+        let mut out = Vec::new();
+        let mut sink = |_: &mut OpMeter, cell| {
+            out.push(cell);
+            Ok(())
+        };
         for m in msgs {
-            p.send(m).unwrap();
+            op.handle(m, &mut sink)?;
         }
-        drop(p);
-        op.run()?;
-        Ok(std::iter::from_fn(|| c.recv()).collect())
+        op.finish(&mut sink)?;
+        Ok(out)
     }
 
     fn run(msgs: Vec<MergeMsg>, acc: Acc) -> Result<Vec<CellClustering>> {

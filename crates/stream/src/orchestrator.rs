@@ -338,9 +338,11 @@ impl PlanetReport {
 /// Runs every input cell of `plan` through the pipeline under `opts`,
 /// concurrently, and rolls the results into a [`PlanetReport`].
 ///
-/// Each cell runs as its own single-bucket pipeline, so per-cell results
-/// are bit-identical to a serial `execute` loop regardless of `jobs`,
-/// completion order, or whether the cell was restored from a checkpoint.
+/// Each cell runs as its own single-bucket pipeline — inline on the
+/// worker's thread when the plan has one partial clone — so per-cell
+/// results are bit-identical to a serial `execute` loop regardless of
+/// `jobs`, completion order, or whether the cell was restored from a
+/// checkpoint.
 pub fn orchestrate(
     plan: &PhysicalPlan,
     opts: &OrchestratorOptions,

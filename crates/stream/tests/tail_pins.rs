@@ -8,12 +8,19 @@
 //! and `orchestrate`, the tail's own ledger events under a tolerant chaos
 //! schedule, and the checkpoint fingerprint of a fixed plan. A change to
 //! the tail that moves any constant changed an output.
+//!
+//! The one-bucket cases, the orchestrated chaos run, the strict-panic error
+//! and the phase paths were recorded the same way on af34532, the last
+//! commit on which every pipeline ran one thread per operator: a
+//! one-bucket, one-clone plan must answer, fail and profile as it did
+//! there.
 
 use pmkm_core::KMeansConfig;
-use pmkm_obs::{FieldValue, LedgerRecord, LedgerSink, Recorder};
+use pmkm_obs::{FaultReport, FieldValue, LedgerRecord, LedgerSink, Profiler, Recorder};
 use pmkm_stream::fault::InjectedPanic;
 use pmkm_stream::prelude::*;
-use pmkm_stream::{CellClustering, CoresetSpec, FaultPlan, FaultPolicy};
+use pmkm_stream::{CellClustering, CoresetSpec, EngineError, FaultPlan, FaultPolicy};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Once};
 
@@ -195,12 +202,28 @@ fn tail_bits_are_pinned() {
         assert_eq!(digest(planet.clusterings()), CORESET, "orchestrate coreset, {jobs} job(s)");
     }
 
+    // One bucket per plan, the shape every orchestrated cell runs: the
+    // three answers in cell order are the three-cell run's words.
+    assert_eq!(digest(&one_bucket_at_a_time(&classic)), CLASSIC, "single-bucket classic");
+    assert_eq!(digest(&one_bucket_at_a_time(&coreset)), CORESET, "single-bucket coreset");
+
     // The observed run answers the same and closes every cell once.
     let (ledger, rec) = observed();
     let report = execute_with_faults(&classic, Some(rec), None).unwrap();
     assert_eq!(digest(&report.cells), CLASSIC, "observed classic");
     assert_eq!(tail_events(&ledger).lines().filter(|l| l.starts_with("cell.close")).count(), 3);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `execute` over each of `plan`'s buckets alone, answers in input order.
+fn one_bucket_at_a_time(plan: &PhysicalPlan) -> Vec<CellClustering> {
+    let mut cells = Vec::new();
+    for input in &plan.logical.inputs {
+        let mut one = plan.clone();
+        one.logical.inputs = vec![input.clone()];
+        cells.extend(execute(&one).unwrap().cells);
+    }
+    cells
 }
 
 #[test]
@@ -227,6 +250,123 @@ fn tail_events_under_chaos_are_pinned() {
     assert!(report.faults.cells_degraded > 0, "the schedule must degrade a cell");
     assert_eq!(digest(&report.cells), CHAOS_CORESET, "coreset under chaos");
     assert_eq!(fnv_text(&events), CHAOS_CORESET_EVENTS, "coreset tail events:\n{events}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The chaos schedule's fault counters summed over the planet, the same in
+/// both modes (every injection site sits before the tail).
+const CHAOS_FAULTS: FaultReport = FaultReport {
+    scan_retries: 0,
+    scan_failures: 0,
+    chunks_poisoned: 2,
+    chunks_quarantined: 4,
+    worker_panics: 7,
+    chunk_retries: 5,
+    queue_stalls: 6,
+    cells_degraded: 3,
+};
+
+/// `orchestrate` runs each cell as a one-bucket, one-clone pipeline. Under
+/// the tolerant chaos schedule it answers with the words, fault counters and
+/// tail events of the three-bucket `execute` above, whatever the job count.
+#[test]
+fn orchestrate_under_chaos_is_pinned() {
+    quiet_injected_panics();
+    let (dir, mut classic) = planet("orch_chaos");
+    assert_eq!(classic.partial_clones, 1);
+    classic.fault_policy = FaultPolicy::tolerant();
+    let mut coreset = classic.clone();
+    coreset.coreset = Some(CoresetSpec::new(64));
+    let chaos = FaultPlan { scan_error_rate: 0.0, ..FaultPlan::heavy(29) };
+    let cases = [
+        ("classic", &classic, CHAOS_CLASSIC, CHAOS_CLASSIC_EVENTS),
+        ("coreset", &coreset, CHAOS_CORESET, CHAOS_CORESET_EVENTS),
+    ];
+    for (mode, plan, answers, tail) in cases {
+        for jobs in [1, 2] {
+            let (ledger, rec) = observed();
+            let opts = OrchestratorOptions::new(jobs);
+            let planet = orchestrate(plan, &opts, Some(rec), Some(chaos.clone())).unwrap();
+            let events = tail_events(&ledger);
+            assert_eq!(digest(planet.clusterings()), answers, "{mode}, {jobs} job(s)");
+            assert_eq!(planet.faults, CHAOS_FAULTS, "{mode}, {jobs} job(s)");
+            assert_eq!(fnv_text(&events), tail, "{mode}, {jobs} job(s) tail events:\n{events}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A chunk that panics on every attempt under the strict policy fails the
+/// run naming the partial operator, through either entry point and at any
+/// clone count.
+#[test]
+fn strict_sticky_panic_fails_the_run_as_an_operator_panic() {
+    quiet_injected_panics();
+    let (dir, planet_plan) = planet("strict_panic");
+    let sticky = FaultPlan { panic_rate: 1.0, panic_sticky_fraction: 1.0, ..FaultPlan::none(5) };
+    let is_partial_panic = |r: &Result<_, EngineError>| matches!(r, Err(EngineError::OperatorPanic(op)) if op == "partial-kmeans");
+    for clones in [1, 2] {
+        let mut plan = planet_plan.clone();
+        plan.partial_clones = clones;
+        let mut one = plan.clone();
+        one.logical.inputs.truncate(1);
+        let run = execute_with_faults(&one, None, Some(sticky.clone())).map(|_| ());
+        assert!(is_partial_panic(&run), "execute, {clones} clone(s): {run:?}");
+        let opts = OrchestratorOptions::new(2);
+        let run = orchestrate(&plan, &opts, None, Some(sticky.clone())).map(|_| ());
+        assert!(is_partial_panic(&run), "orchestrate, {clones} clone(s): {run:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+const CLASSIC_PHASES: [&str; 12] = [
+    "chunk",
+    "merge",
+    "merge/assign",
+    "merge/converge",
+    "merge/seed",
+    "merge/update",
+    "partial",
+    "partial/assign",
+    "partial/converge",
+    "partial/seed",
+    "partial/update",
+    "scan",
+];
+const CORESET_PHASES: [&str; 8] = [
+    "chunk",
+    "coreset",
+    "merge",
+    "merge/assign",
+    "merge/converge",
+    "merge/seed",
+    "merge/update",
+    "scan",
+];
+
+/// Phase paths of an observed one-bucket, one-clone run: no operator's span
+/// encloses another operator's work, whichever thread runs it.
+#[test]
+fn phase_paths_do_not_nest_across_operators() {
+    let (dir, classic) = planet("phases");
+    let mut coreset = classic.clone();
+    coreset.coreset = Some(CoresetSpec::new(64));
+    let paths = |rec: &Recorder| -> BTreeSet<String> {
+        rec.phase_rows().into_iter().map(|row| row.path).collect()
+    };
+    for (mode, plan, want) in
+        [("classic", &classic, CLASSIC_PHASES.as_slice()), ("coreset", &coreset, &CORESET_PHASES)]
+    {
+        let want: BTreeSet<String> = want.iter().map(|p| p.to_string()).collect();
+        let mut one = plan.clone();
+        one.logical.inputs.truncate(1);
+        let rec = Arc::new(Recorder::new().with_profiler(Arc::new(Profiler::new())));
+        execute_with_faults(&one, Some(rec.clone()), None).unwrap();
+        assert_eq!(paths(&rec), want, "{mode} execute");
+        let rec = Arc::new(Recorder::new().with_profiler(Arc::new(Profiler::new())));
+        orchestrate(plan, &OrchestratorOptions::new(2), Some(rec.clone()), None).unwrap();
+        assert_eq!(paths(&rec), want, "{mode} orchestrate");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
