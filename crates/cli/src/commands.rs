@@ -1072,13 +1072,19 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     if let Some(rec) = &recorder {
         rec.flush();
     }
-    if let Some(ledger) = &ledger {
-        let roll = pmkm_obs::rollup(&ledger.records_after(0));
-        if roll.watchdog_stalls > 0 || roll.watchdog_stragglers > 0 {
+    if let (Some(_), Some(_), Some(rec)) = (&ledger, &watchdog_sink, &recorder) {
+        // The watchdog counts its verdicts as it journals them; read the
+        // counts without creating counters a silent watchdog never made.
+        let verdicts = |kind| {
+            let name = pmkm_obs::labeled_name("watchdog_events_total", "kind", kind);
+            rec.registry().counter_value(&name)
+        };
+        let (stalls, stragglers) = (verdicts("stall"), verdicts("straggler"));
+        if stalls > 0 || stragglers > 0 {
             writeln!(
                 out,
-                "  [watchdog] {} stall(s), {} straggler(s) — see the ledger for details",
-                roll.watchdog_stalls, roll.watchdog_stragglers
+                "  [watchdog] {stalls} stall(s), {stragglers} straggler(s) — see the ledger for \
+                 details"
             )
             .map_err(run_err)?;
         }

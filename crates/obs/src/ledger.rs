@@ -37,7 +37,9 @@ use crate::report::{FaultReport, PhaseReport, RunReport};
 use crate::trace::{Event, FieldValue, TraceSink};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -48,8 +50,9 @@ use std::path::{Path, PathBuf};
 /// journals keep parsing under new readers.
 pub const LEDGER_VERSION: u32 = 1;
 
-/// Default number of records retained in memory for `/events` serving.
-const DEFAULT_RETAINED: usize = 65_536;
+/// Number of records a sink that keeps a tail holds in memory for
+/// `/events` serving.
+const RETAINED: usize = 65_536;
 
 /// One journal line: a trace event plus its ledger sequence number.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,19 +114,31 @@ impl LedgerRecord {
 
 struct LedgerState {
     writer: Option<BufWriter<std::fs::File>>,
-    tail: VecDeque<LedgerRecord>,
+    /// The newest records as `(seq, body)`, where the body is the line
+    /// after its `{"seq":N,` prefix. `None` while nothing reads the sink's
+    /// memory.
+    tail: Option<VecDeque<(u64, Box<str>)>>,
     next_seq: u64,
+}
+
+thread_local! {
+    /// Per-thread scratch line for [`LedgerSink::record`]: a record is
+    /// formatted here before the sink's lock is taken, and the buffer's
+    /// capacity carries over to the thread's next record.
+    static BODY: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// Append-only JSONL journal sink. See the [module docs](self).
 ///
-/// The sink keeps an in-memory tail of the newest `DEFAULT_RETAINED`
-/// records (for `/events` long-polling) and, when file-backed, streams
-/// every record to disk as it is recorded.
+/// Each record is formatted once, straight from the borrowed [`Event`],
+/// into a per-thread buffer; the sink's lock covers only the `seq`
+/// assignment and the buffered append. A file-backed sink holds no records
+/// in memory — the file is the journal — until the HTTP exporter serves it
+/// ([`crate::MetricsServer::serve_full`]); from then on, like a memory-only sink,
+/// it also keeps the newest 65,536 formatted lines for `/events`.
 pub struct LedgerSink {
     state: Mutex<LedgerState>,
     path: Option<PathBuf>,
-    retained: usize,
 }
 
 impl LedgerSink {
@@ -131,57 +146,47 @@ impl LedgerSink {
     /// versioned `ledger.open` header record.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let file = std::fs::File::create(path.as_ref())?;
-        let sink = Self {
-            state: Mutex::new(LedgerState {
-                writer: Some(BufWriter::new(file)),
-                tail: VecDeque::new(),
-                next_seq: 0,
-            }),
-            path: Some(path.as_ref().to_path_buf()),
-            retained: DEFAULT_RETAINED,
-        };
-        sink.write_header();
-        Ok(sink)
+        Ok(Self::open(Some(BufWriter::new(file)), Some(path.as_ref().to_path_buf())))
     }
 
     /// A memory-only ledger (serves `/events` without touching disk).
     pub fn in_memory() -> Self {
-        let sink = Self {
-            state: Mutex::new(LedgerState { writer: None, tail: VecDeque::new(), next_seq: 0 }),
-            path: None,
-            retained: DEFAULT_RETAINED,
-        };
-        sink.write_header();
-        sink
+        Self::open(None, None)
     }
 
-    fn write_header(&self) {
-        self.push(Event {
+    /// Writes the header; a sink without a file keeps a tail from the start.
+    fn open(writer: Option<BufWriter<std::fs::File>>, path: Option<PathBuf>) -> Self {
+        let tail = writer.is_none().then(VecDeque::new);
+        let sink = Self { state: Mutex::new(LedgerState { writer, tail, next_seq: 0 }), path };
+        sink.record(&Event {
             ts_us: 0,
             name: "ledger.open".to_string(),
             fields: vec![("version".to_string(), FieldValue::U64(LEDGER_VERSION as u64))],
         });
+        sink
     }
 
-    fn push(&self, event: Event) {
+    /// Starts keeping the newest records in memory, for `/events`. The
+    /// exporter calls this when it serves the sink; records appended
+    /// before then are only in the file.
+    pub(crate) fn retain_tail(&self) {
+        self.state.lock().tail.get_or_insert_with(VecDeque::new);
+    }
+
+    /// Appends one formatted record body under the next sequence number.
+    fn append(&self, body: &str) {
         let mut state = self.state.lock();
-        let record = LedgerRecord {
-            seq: state.next_seq,
-            ts_us: event.ts_us,
-            name: event.name,
-            fields: event.fields,
-        };
+        let seq = state.next_seq;
         state.next_seq += 1;
         if let Some(writer) = state.writer.as_mut() {
-            if let Ok(line) = serde_json::to_string(&record) {
-                let _ = writer.write_all(line.as_bytes());
-                let _ = writer.write_all(b"\n");
+            let _ = writeln!(writer, "{{\"seq\":{seq},{body}");
+        }
+        if let Some(tail) = state.tail.as_mut() {
+            if tail.len() == RETAINED {
+                tail.pop_front();
             }
+            tail.push_back((seq, body.into()));
         }
-        if state.tail.len() == self.retained {
-            state.tail.pop_front();
-        }
-        state.tail.push_back(record);
     }
 
     /// The backing file path, when file-backed.
@@ -194,15 +199,35 @@ impl LedgerSink {
         self.state.lock().next_seq
     }
 
-    /// Retained records with `seq > after`, oldest first — the `/events`
-    /// long-poll read. Records older than the retained tail are gone; use
+    /// Retained records with `seq > after`, oldest first, parsed from the
+    /// retained lines. Only a memory-only or served sink retains any (see
+    /// [`LedgerSink`]); records older than the newest 65,536 are gone. Use
     /// the journal file for the full history.
     pub fn records_after(&self, after: u64) -> Vec<LedgerRecord> {
-        self.state.lock().tail.iter().filter(|r| r.seq > after).cloned().collect()
+        parse_ledger(&self.jsonl_after(after)).expect("the sink's own lines parse")
+    }
+
+    /// Retained lines with `seq > after` as JSONL text — the `/events`
+    /// long-poll body.
+    pub(crate) fn jsonl_after(&self, after: u64) -> String {
+        self.tail_jsonl(after.saturating_add(1))
+    }
+
+    /// Retained lines with `seq >= from`, oldest first.
+    fn tail_jsonl(&self, from: u64) -> String {
+        let state = self.state.lock();
+        let mut out = String::new();
+        if let Some(tail) = &state.tail {
+            let start = tail.partition_point(|(seq, _)| *seq < from);
+            for (seq, body) in tail.range(start..) {
+                let _ = writeln!(out, "{{\"seq\":{seq},{body}");
+            }
+        }
+        out
     }
 
     /// The full journal as JSONL text: the file contents when file-backed
-    /// (flushed first), else the serialized in-memory tail.
+    /// (flushed first), else the retained lines.
     pub fn snapshot_jsonl(&self) -> String {
         self.flush();
         if let Some(path) = &self.path {
@@ -210,21 +235,74 @@ impl LedgerSink {
                 return text;
             }
         }
-        let state = self.state.lock();
-        let mut out = String::new();
-        for record in &state.tail {
-            if let Ok(line) = serde_json::to_string(record) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out
+        self.tail_jsonl(0)
     }
+}
+
+/// Appends an event's journal body, `"ts_us":T,"name":…,"fields":[…]}` —
+/// byte for byte what `serde_json::to_string` prints for the
+/// [`LedgerRecord`] after its `{"seq":N,` prefix (pinned by the
+/// `ledger_bytes_are_pinned` test and a proptest oracle).
+fn write_body(event: &Event, out: &mut String) {
+    let _ = write!(out, "\"ts_us\":{},\"name\":", event.ts_us);
+    push_json_str(&event.name, out);
+    out.push_str(",\"fields\":[");
+    for (i, (key, value)) in event.fields.iter().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        push_json_str(key, out);
+        let _ = match value {
+            FieldValue::U64(v) => write!(out, ",{{\"U64\":{v}}}]"),
+            FieldValue::I64(v) => write!(out, ",{{\"I64\":{v}}}]"),
+            // `{:?}` is serde_json's shortest round-trip float form.
+            FieldValue::F64(v) if v.is_finite() => write!(out, ",{{\"F64\":{v:?}}}]"),
+            FieldValue::F64(_) => write!(out, ",{{\"F64\":null}}]"),
+            FieldValue::Bool(v) => write!(out, ",{{\"Bool\":{v}}}]"),
+            FieldValue::Str(s) => {
+                out.push_str(",{\"Str\":");
+                push_json_str(s, out);
+                write!(out, "}}]")
+            }
+        };
+    }
+    out.push_str("]}");
+}
+
+/// Appends `s` as a JSON string, escaped as serde_json escapes it: `"`,
+/// `\`, `\n`, `\r` and `\t` by name, other control characters as `\u00XX`,
+/// everything else verbatim. Every escaped character is ASCII, so the runs
+/// between them are copied whole.
+fn push_json_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let named = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if named.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(named);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 impl TraceSink for LedgerSink {
     fn record(&self, event: &Event) {
-        self.push(event.clone());
+        BODY.with_borrow_mut(|body| {
+            body.clear();
+            write_body(event, body);
+            self.append(body);
+        });
     }
 
     fn flush(&self) {
@@ -985,6 +1063,7 @@ pub fn diff_profiles(a: &RunProfile, b: &RunProfile, threshold: f64) -> ProfileD
 mod tests {
     use super::*;
     use crate::trace::Recorder;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -995,8 +1074,11 @@ mod tests {
     fn ledger_round_trips_write_parse_rollup() {
         let path = temp_path("roundtrip");
         {
+            // A file-backed sink keeps no tail; a memory-only one fed the
+            // same events does.
             let sink = Arc::new(LedgerSink::create(&path).unwrap());
-            let rec = Recorder::new().with_sink(sink.clone());
+            let memory = Arc::new(LedgerSink::in_memory());
+            let rec = Recorder::new().with_sink(sink.clone()).with_sink(memory.clone());
             rec.event("cell.open", &[("cell", "0".into()), ("expected_points", 100.0.into())]);
             rec.event(
                 "chunk.close",
@@ -1024,7 +1106,8 @@ mod tests {
             );
             rec.flush();
             // Rollup of the in-memory tail matches rollup of the file.
-            let from_tail = rollup(&sink.records_after(0));
+            assert!(sink.records_after(0).is_empty());
+            let from_tail = rollup(&memory.records_after(0));
             let from_file = rollup(&read_ledger(&path).unwrap());
             // Header (seq 0) is excluded from the tail read; fold it in.
             assert_eq!(from_file.cells, from_tail.cells);
@@ -1133,6 +1216,133 @@ mod tests {
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].seq, 4);
         assert!(sink.records_after(100).is_empty());
+    }
+
+    /// A file-backed sink that an exporter serves keeps a tail from then
+    /// on, and `records_after(k)` is exactly the file's records past `k`.
+    #[test]
+    fn served_tail_matches_the_file_past_every_cursor() {
+        let path = temp_path("served");
+        let sink = Arc::new(LedgerSink::create(&path).unwrap());
+        let rec = Arc::new(Recorder::new().with_sink(sink.clone()));
+        let server = crate::serve::MetricsServer::serve_full(
+            "127.0.0.1:0",
+            Arc::clone(&rec),
+            1,
+            Some(sink.clone()),
+            None,
+        )
+        .unwrap();
+        for i in 0..300u64 {
+            rec.event("e", &[("i", i.into()), ("s", format!("v\"{i}\n").into())]);
+        }
+        server.shutdown();
+        let file = parse_ledger(&sink.snapshot_jsonl()).unwrap();
+        assert_eq!(file.len(), 301);
+        for k in [0, 1, 57, 299, 300, 301, u64::MAX] {
+            let want: Vec<LedgerRecord> = file.iter().filter(|r| r.seq > k).cloned().collect();
+            assert_eq!(sink.records_after(k), want, "after {k}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Formatting happens outside the lock, so only `seq` assignment and
+    /// the append are ordered: every line must still parse, `seq` must be
+    /// dense, and the file must be in `seq` order.
+    #[test]
+    fn concurrent_records_keep_seq_dense_and_the_file_in_order() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 5_000;
+        let path = temp_path("concurrent");
+        let sink = Arc::new(LedgerSink::create(&path).unwrap());
+        let rec = Arc::new(Recorder::new().with_sink(sink.clone()));
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (rec, barrier) = (Arc::clone(&rec), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for i in 0..PER_THREAD {
+                        rec.event(
+                            "chunk.close",
+                            &[
+                                ("thread", t.into()),
+                                ("i", i.into()),
+                                ("x", (i as f64 / 7.0).into()),
+                            ],
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        rec.flush();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut next_i = [0u64; THREADS as usize];
+        for (line_no, line) in text.lines().enumerate() {
+            let r: LedgerRecord = serde_json::from_str(line)
+                .unwrap_or_else(|e| panic!("line {line_no} does not parse ({e}): {line}"));
+            assert_eq!(r.seq, line_no as u64, "file out of seq order at line {line_no}");
+            if r.seq > 0 {
+                // Each thread's own events keep their emission order.
+                let t = r.u64_field("thread").unwrap() as usize;
+                assert_eq!(r.u64_field("i"), Some(next_i[t]));
+                next_i[t] += 1;
+            }
+        }
+        assert_eq!(text.lines().count() as u64, THREADS * PER_THREAD + 1);
+        assert_eq!(next_i, [PER_THREAD; THREADS as usize]);
+        assert_eq!(sink.next_seq(), THREADS * PER_THREAD + 1);
+    }
+
+    /// Characters the escaper treats specially, mixed with plain ASCII and
+    /// multi-byte text.
+    fn arbitrary_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any::<u32>(), 0..12).prop_map(|codes| {
+            codes
+                .into_iter()
+                .map(|c| match c % 6 {
+                    0 => ['"', '\\', '\n', '\r', '\t', '/'][(c / 6 % 6) as usize],
+                    1 => char::from_u32(c / 6 % 0x20).unwrap(),
+                    2 => char::from_u32(0x20 + c / 6 % 0x60).unwrap(),
+                    3 => char::from_u32(0x80 + c / 6 % 0x780).unwrap(),
+                    4 => char::from_u32(0x1_0000 + c / 6 % 0x1_0000).unwrap(),
+                    _ => char::from_u32(c / 6 % 0x11_0000).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        })
+    }
+
+    fn arbitrary_field() -> impl Strategy<Value = FieldValue> {
+        (any::<u64>(), arbitrary_string()).prop_map(|(bits, s)| match bits % 5 {
+            0 => FieldValue::U64(bits.rotate_left(7)),
+            1 => FieldValue::I64(bits.rotate_left(13) as i64),
+            // Every bit pattern: NaNs, infinities, subnormals, -0.0.
+            2 => FieldValue::F64(f64::from_bits(bits.rotate_left(29))),
+            3 => FieldValue::Bool(bits & 8 != 0),
+            _ => FieldValue::Str(s),
+        })
+    }
+
+    proptest! {
+        // The direct formatter is an exact stand-in for serde_json: the
+        // line the sink journals for an event is the one serde_json prints
+        // for the equivalent record.
+        #[test]
+        fn formatted_line_equals_serde_json(
+            ts_us in any::<u64>(),
+            name in arbitrary_string(),
+            fields in proptest::collection::vec((arbitrary_string(), arbitrary_field()), 0..6),
+        ) {
+            let sink = LedgerSink::in_memory();
+            let event = Event { ts_us, name, fields };
+            sink.record(&event);
+            let record = LedgerRecord { seq: 1, ts_us, name: event.name, fields: event.fields };
+            prop_assert_eq!(sink.jsonl_after(0), serde_json::to_string(&record).unwrap() + "\n");
+        }
     }
 
     #[test]

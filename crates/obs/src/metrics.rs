@@ -165,6 +165,13 @@ impl Registry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
+    /// The value of the counter named `name`, or 0 when there is none.
+    /// Unlike [`Registry::counter`] this never creates the counter, so
+    /// reading leaves the registry's snapshot and rendering unchanged.
+    pub fn counter_value(&self, name: &str) -> u64 {
+        self.counters.lock().get(name).map_or(0, |c| c.get())
+    }
+
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut map = self.gauges.lock();
@@ -293,6 +300,10 @@ mod tests {
         // Same name returns the same instrument.
         assert_eq!(r.counter("items").get(), 5);
         assert_eq!(r.counter("other").get(), 0);
+        // Reading by value never creates a counter.
+        assert_eq!(r.counter_value("items"), 5);
+        assert_eq!(r.counter_value("absent"), 0);
+        assert_eq!(r.snapshot().counters.len(), 2);
     }
 
     #[test]

@@ -87,9 +87,10 @@ impl MetricsServer {
     /// size (clamped to at least one worker), a run ledger enabling the
     /// `/events` long-poll stream and the `/ledger.jsonl` download (it
     /// should also be registered as a sink on `recorder` so it actually
-    /// receives the run's events), and a [`StatusCell`] enabling the
-    /// `/status` endpoint; the orchestrator publishes snapshots into it
-    /// while the exporter reads them.
+    /// receives the run's events; a file-backed ledger starts keeping its
+    /// in-memory tail here), and a [`StatusCell`] enabling the `/status`
+    /// endpoint; the orchestrator publishes snapshots into it while the
+    /// exporter reads them.
     pub fn serve_full(
         addr: impl ToSocketAddrs,
         recorder: Arc<Recorder>,
@@ -99,6 +100,9 @@ impl MetricsServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        if let Some(ledger) = &ledger {
+            ledger.retain_tail();
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let report: Arc<Mutex<Option<RunReport>>> = Arc::new(Mutex::new(None));
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
@@ -244,16 +248,9 @@ fn status_body(recorder: &Recorder, status: &StatusCell) -> Result<String, serde
 fn poll_events(ledger: &LedgerSink, after: u64, stop: &AtomicBool) -> String {
     let deadline = Instant::now() + EVENTS_POLL_WINDOW;
     loop {
-        let records = ledger.records_after(after);
-        if !records.is_empty() {
-            let mut out = String::new();
-            for record in &records {
-                if let Ok(line) = serde_json::to_string(record) {
-                    out.push_str(&line);
-                    out.push('\n');
-                }
-            }
-            return out;
+        let lines = ledger.jsonl_after(after);
+        if !lines.is_empty() {
+            return lines;
         }
         if Instant::now() >= deadline || stop.load(Ordering::SeqCst) {
             return String::new();

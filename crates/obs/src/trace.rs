@@ -309,8 +309,11 @@ impl Recorder {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Emits one event to every sink.
+    /// Emits one event to every sink. Without sinks nothing is built.
     pub fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
+        if self.sinks.is_empty() {
+            return;
+        }
         let event = Event {
             ts_us: self.elapsed_us(),
             name: name.to_string(),
@@ -350,14 +353,20 @@ pub struct Span<'r> {
 }
 
 impl Span<'_> {
-    /// Attaches a field to the closing event.
+    /// Attaches a field to the closing event (dropped when the recorder has
+    /// no sinks, as the event is).
     pub fn field(&mut self, key: &str, value: FieldValue) {
-        self.fields.push((key.to_string(), value));
+        if !self.recorder.sinks.is_empty() {
+            self.fields.push((key.to_string(), value));
+        }
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
+        if self.recorder.sinks.is_empty() {
+            return;
+        }
         let mut fields: Vec<(String, FieldValue)> =
             vec![("duration_us".to_string(), (self.started.elapsed().as_micros() as u64).into())];
         fields.append(&mut self.fields);
@@ -419,6 +428,25 @@ mod tests {
             ref other => panic!("unexpected {other:?}"),
         }
         assert_eq!(events[0].fields[1], ("items".to_string(), FieldValue::U64(7)));
+    }
+
+    #[test]
+    fn sinkless_recorder_still_counts_and_profiles() {
+        use crate::profile::{ManualClock, Profiler};
+        let clock = Arc::new(ManualClock::new());
+        let rec = Recorder::new().with_profiler(Arc::new(Profiler::with_clock(clock.clone())));
+        {
+            let _phase = rec.phase("assign");
+            let mut span = rec.span("work");
+            span.field("items", 7u64.into());
+            rec.event("e", &[("n", 1u64.into())]);
+            rec.registry().counter("chunks_total").add(2);
+            clock.advance_us(5);
+        }
+        assert_eq!(rec.registry().counter_value("chunks_total"), 2);
+        let rows = rec.phase_rows();
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].path.as_str(), rows[0].calls, rows[0].total_us), ("assign", 1, 5));
     }
 
     #[test]

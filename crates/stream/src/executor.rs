@@ -774,6 +774,100 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A recorder without sinks (a `--metrics-out`-only run) builds no
+    /// events, yet counts every registry counter and profiler phase a
+    /// journaled run does, and its answers are the bare run's bits.
+    #[test]
+    fn sinkless_recorder_counts_and_profiles_at_bare_bits() {
+        use pmkm_obs::{Profiler, RingBufferSink};
+        let dir = tmpdir("sinkless");
+        let one = vec![write_cell(&dir, 18, 300, 19)];
+        let two = vec![write_cell(&dir, 19, 250, 19), write_cell(&dir, 20, 90, 19)];
+        // One bucket at one worker runs inline, two buckets threaded.
+        for (paths, workers) in [(one, 1), (two, 2)] {
+            let plan = optimize_fixed_split(
+                LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 8) }),
+                &Resources::fixed(1 << 20, workers),
+                50,
+            );
+            let bare = execute(&plan).unwrap();
+            let observe = |rec: Recorder| {
+                let rec = Arc::new(rec.with_profiler(Arc::new(Profiler::new())));
+                let report = execute_with_faults(&plan, Some(rec.clone()), None).unwrap();
+                (report, rec)
+            };
+            let (sinkless, rec) = observe(Recorder::new());
+            let ring = Arc::new(RingBufferSink::new(1 << 16));
+            let (journaled, journaled_rec) = observe(Recorder::new().with_sink(ring.clone()));
+            assert!(!ring.is_empty());
+
+            assert_eq!(bare.cells.len(), sinkless.cells.len());
+            for (a, b) in bare.cells.iter().zip(&sinkless.cells) {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let flat = |c: &CellClustering| -> Vec<f64> {
+                    c.output.centroids.iter().flat_map(|p| p.iter().copied()).collect()
+                };
+                assert_eq!(bits(&flat(a)), bits(&flat(b)), "{workers} worker(s)");
+                assert_eq!(bits(&a.output.cluster_weights), bits(&b.output.cluster_weights));
+                assert_eq!(a.output.epm.to_bits(), b.output.epm.to_bits());
+                assert_eq!(a.output.mse.to_bits(), b.output.mse.to_bits());
+            }
+            let counters =
+                |r: &EngineReport, rec: &Recorder| r.run_report(Some(rec)).metrics.counters;
+            let seen = counters(&sinkless, &rec);
+            assert!(seen.iter().any(|c| c.name == "lloyd_iterations_total" && c.value > 0));
+            assert_eq!(seen, counters(&journaled, &journaled_rec), "{workers} worker(s)");
+            let paths = |rec: &Recorder| {
+                rec.phase_rows().into_iter().map(|p| (p.path, p.calls)).collect::<Vec<_>>()
+            };
+            assert!(paths(&rec).iter().any(|(p, n)| p == "partial/assign" && *n > 0));
+            assert_eq!(paths(&rec), paths(&journaled_rec), "{workers} worker(s)");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A consumer that errors out must end the threaded run, not leave its
+    /// producer blocked on a full queue: two partial clones of a strict
+    /// heavy-chaos run over a 500-chunk cell both die long before the
+    /// chunker runs out of chunks.
+    #[test]
+    fn dead_consumers_end_the_threaded_run_instead_of_hanging() {
+        use crate::fault::{path_key, FaultPolicy};
+        let dir = tmpdir("dead_consumers");
+        let path = write_cell(&dir, 22, 20_000, 1);
+        let mut plan = optimize_fixed_split(
+            LogicalPlan::new(
+                vec![path.clone()],
+                KMeansConfig { restarts: 1, ..KMeansConfig::paper(4, 0) },
+            ),
+            &Resources::fixed(1 << 20, 2),
+            40,
+        );
+        plan.fault_policy = FaultPolicy::strict();
+        assert_eq!(plan.partial_clones, 2);
+        // The bucket's key holds the temp path, so pick the first heavy
+        // seed whose scan reads the whole cell: the chunker then has all
+        // 500 chunks to push at a queue of 64.
+        let key = path_key(&path);
+        let batches = 20_000u64.div_ceil(plan.scan_batch as u64);
+        let seed = (1..10_000u64)
+            .find(|&s| {
+                let p = FaultPlan::heavy(s);
+                std::iter::once(u64::MAX).chain(0..=batches).all(|b| p.scan_fault(key, b).is_none())
+            })
+            .expect("some heavy seed reads the whole cell");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(execute_with_faults(&plan, None, Some(FaultPlan::heavy(seed))));
+        });
+        let run = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the threaded run hung after its partial clones died");
+        let err = run.expect_err("strict heavy chaos must fail the run");
+        assert!(!matches!(err, EngineError::Disconnected(_)), "root cause kept: {err:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn chaos_ledger_rollup_reproduces_fault_counters_and_mass() {
         use crate::fault::FaultPolicy;

@@ -136,13 +136,14 @@ impl Counters {
 ///
 /// Cheap to clone on both ends; the channel closes when every sender (or
 /// every receiver) is dropped, which is how end-of-stream propagates through
-/// a pipeline without explicit EOS messages on most edges.
+/// a pipeline without explicit EOS messages on most edges — and how a
+/// producer learns that every consumer has gone.
 pub struct SmartQueue<T> {
     name: String,
     capacity: usize,
     counters: Arc<Counters>,
     sender: Mutex<Option<Sender<T>>>,
-    receiver: Receiver<T>,
+    receiver: Mutex<Option<Receiver<T>>>,
 }
 
 impl<T> SmartQueue<T> {
@@ -155,7 +156,7 @@ impl<T> SmartQueue<T> {
             capacity,
             counters: Arc::new(Counters::default()),
             sender: Mutex::new(Some(tx)),
-            receiver: rx,
+            receiver: Mutex::new(Some(rx)),
         }
     }
 
@@ -176,16 +177,22 @@ impl<T> SmartQueue<T> {
         QueueProducer { tx, counters: Arc::clone(&self.counters) }
     }
 
-    /// A consumer handle. Call once per consumer clone.
+    /// A consumer handle. Call once per consumer clone, **before**
+    /// [`SmartQueue::seal`].
     pub fn consumer(&self) -> QueueConsumer<T> {
-        QueueConsumer { rx: self.receiver.clone(), counters: Arc::clone(&self.counters) }
+        let guard = self.receiver.lock();
+        let rx = guard.as_ref().expect("queue already sealed").clone();
+        QueueConsumer { rx, counters: Arc::clone(&self.counters) }
     }
 
-    /// Drops the queue's internal sender so the channel closes once all
-    /// handed-out producers finish. Must be called after wiring, before
-    /// waiting for the pipeline, or consumers never see end-of-stream.
+    /// Drops the queue's internal sender and receiver, so the channel
+    /// closes once all handed-out producers finish (consumers see
+    /// end-of-stream) or once all handed-out consumers are gone (a
+    /// producer's send, even one blocked on a full queue, fails). Must be
+    /// called after wiring, before waiting for the pipeline.
     pub fn seal(&self) {
         self.sender.lock().take();
+        self.receiver.lock().take();
     }
 
     /// Telemetry snapshot.
@@ -381,10 +388,37 @@ mod tests {
         let c = q.consumer();
         q.seal();
         drop(c);
-        // Note: the SmartQueue itself holds a receiver; a real pipeline
-        // hands it out and drops the queue. Simulate by dropping the queue.
-        drop(q);
+        // The sealed queue holds no receiver of its own.
         assert!(p.send(1).is_err());
+    }
+
+    #[test]
+    fn blocked_send_fails_when_the_last_consumer_drops() {
+        let q: SmartQueue<u32> = SmartQueue::new("t", 1);
+        let p = q.producer();
+        let c1 = q.consumer();
+        let c2 = q.consumer();
+        q.seal();
+        p.send(0).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let blocked = thread::spawn(move || {
+            // The queue is full: this send blocks until a consumer drains
+            // it or every consumer is gone.
+            done_tx.send(p.send(1).is_err()).unwrap();
+        });
+        while q.stats().full_blocks == 0 {
+            thread::yield_now();
+        }
+        drop(c1);
+        assert!(done_rx.try_recv().is_err(), "one consumer is still live");
+        drop(c2);
+        let failed = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a producer blocked on a full queue hangs after its consumers are gone");
+        assert!(failed);
+        blocked.join().unwrap();
+        let s = q.stats();
+        assert_eq!((s.sends, s.full_blocks), (1, 1));
     }
 
     #[test]
