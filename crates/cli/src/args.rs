@@ -133,9 +133,9 @@ mod tests {
 
     #[test]
     fn splits_options_flags_positionals() {
-        let a = parse(&["--k=40", "--incremental", "a.gb", "b.gb"]);
+        let a = parse(&["--k=40", "--tolerant", "a.gb", "b.gb"]);
         assert_eq!(a.get::<usize>("k", 0).unwrap(), 40);
-        assert!(a.flag("incremental"));
+        assert!(a.flag("tolerant"));
         assert!(!a.flag("full"));
         assert_eq!(a.positionals(), &["a.gb".to_string(), "b.gb".to_string()]);
     }

@@ -4,7 +4,7 @@
 
 use crate::args::{ArgError, Args};
 use pmkm_compress::compress_cell;
-use pmkm_core::{KMeansConfig, MergeMode, PartialMergeConfig, PartitionSpec, PointSource};
+use pmkm_core::{KMeansConfig, PartialMergeConfig, PartitionSpec, PointSource};
 use pmkm_data::binner::bin_stripes;
 use pmkm_data::{GridBucket, SwathConfig, SwathSimulator};
 use pmkm_stream::prelude::*;
@@ -95,7 +95,6 @@ COMMANDS
             as a Chrome trace-event JSON (chrome://tracing, Perfetto).
   cluster   [--k=40] [--restarts=10] [--seed=0] [--splits=P | --memory=BYTES]
             [--workers=N] [--kernel=auto] [--backend=local-file]
-            [--incremental]
             [--coreset=SIZE] [--coreset-window=CHUNKS] [--coreset-decay=L]
             [--tolerant] [--chaos=LEVEL:SEED]
             [--metrics-out=REPORT.json] [--trace=TRACE.jsonl]
@@ -546,7 +545,6 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "workers",
         "kernel",
         "backend",
-        "incremental",
         "metrics-out",
         "trace",
         "ledger",
@@ -571,10 +569,7 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         ..KMeansConfig::paper(args.get("k", 40usize)?, args.get("seed", 0u64)?)
     };
     kcfg.lloyd.kernel = kernel;
-    let mut logical = LogicalPlan::new(paths, kcfg);
-    if args.flag("incremental") {
-        logical.merge_mode = MergeMode::Incremental;
-    }
+    let logical = LogicalPlan::new(paths, kcfg);
     let workers = args.get("workers", 0usize)?;
     let resources = if workers > 0 {
         Resources { workers, ..Resources::detect() }

@@ -42,12 +42,14 @@ fn unknown_command_is_named_on_stderr() {
     assert!(o.stderr.contains("unknown command 'frobnicate'"), "{}", o.stderr);
 }
 
-/// The flag was removed, not turned into an ignored no-op.
+/// The flags were removed, not turned into ignored no-ops.
 #[test]
 fn cluster_rejects_the_retired_adaptive_flag() {
-    let o = pmkm(&["cluster", "--adaptive", "x.gb"]);
-    assert_eq!(o.code, 1);
-    assert!(o.stderr.contains("unknown option --adaptive"), "{}", o.stderr);
+    for flag in ["--adaptive", "--incremental"] {
+        let o = pmkm(&["cluster", flag, "x.gb"]);
+        assert_eq!(o.code, 1, "{flag}");
+        assert!(o.stderr.contains(&format!("unknown option {flag}")), "{}", o.stderr);
+    }
 }
 
 #[test]

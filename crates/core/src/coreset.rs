@@ -69,6 +69,14 @@ impl CoresetConfig {
         Self { size, window: None, decay: None }
     }
 
+    /// The paper's buffer (§3.3): a bucket size no union can exceed, so
+    /// every carry keeps `left ++ right` verbatim and nothing is ever
+    /// sampled. The tree's union is then every chunk's set concatenated in
+    /// chunk-id order, and its query is the collective merge over them.
+    pub fn buffer() -> Self {
+        Self::new(usize::MAX)
+    }
+
     /// Checks the knobs are usable.
     ///
     /// # Errors
@@ -563,6 +571,7 @@ mod tests {
     use super::*;
     use crate::config::KMeansConfig;
     use crate::dataset::Dataset;
+    use crate::merge::merge_collective;
 
     fn blob_chunk(seed: u64, n: usize) -> Dataset {
         let mut rng = rng_for(seed, 0xB10B);
@@ -663,6 +672,41 @@ mod tests {
             0xd553_78d4_4f85_1e0f,
             "union after 60 chunks"
         );
+    }
+
+    /// The identity the stream engine's classic tail rests on: a buffer
+    /// tree answers exactly what the collective merge over the buffered
+    /// chunk sets answers.
+    #[test]
+    fn buffer_tree_is_the_collective_merge() {
+        let sets: Vec<WeightedSet> = (0..7u64)
+            .map(|chunk| WeightedSet::from_dataset(&blob_chunk(chunk + 60, 30 + chunk as usize)))
+            .collect();
+        let mut tree = CoresetTree::new(CoresetConfig::buffer(), 3, 0).unwrap();
+        for (chunk, set) in sets.iter().enumerate() {
+            tree.insert_chunk(chunk, set.clone(), set.total_weight()).unwrap();
+        }
+        // 7 = 0b111 chunks: carries reached levels 1 and 2, and three
+        // buckets stay live.
+        assert_eq!((tree.stats().compactions, tree.live_buckets(), tree.stats().levels), (4, 3, 3));
+
+        let mut concatenated = WeightedSet::new(2).unwrap();
+        for set in &sets {
+            concatenated.extend_from(set).unwrap();
+        }
+        let union = tree.union().unwrap();
+        let bits = |s: &WeightedSet| -> Vec<u64> {
+            s.as_flat().iter().chain(s.weights()).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&union), bits(&concatenated), "no compaction sampled");
+
+        let cfg = KMeansConfig::paper(3, 19);
+        let from_tree = merge_collective(std::slice::from_ref(&union), &cfg, 2).unwrap();
+        let from_sets = merge_collective(&sets, &cfg, 2).unwrap();
+        assert_eq!(from_tree.centroids, from_sets.centroids);
+        assert_eq!(from_tree.cluster_weights, from_sets.cluster_weights);
+        assert_eq!(from_tree.epm.to_bits(), from_sets.epm.to_bits());
+        assert_eq!(from_tree.iterations, from_sets.iterations);
     }
 
     #[test]

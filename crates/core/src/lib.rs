@@ -95,8 +95,7 @@ pub use kernel::{FusedLayout, KernelStats};
 pub use kmeans::{kmeans, kmeans_observed, KMeansOutcome, RestartStats};
 pub use lloyd::{lloyd, lloyd_observed, LloydRun};
 pub use merge::{
-    merge, merge_collective, merge_collective_observed, merge_degraded_observed, merge_incremental,
-    merge_incremental_observed, merge_observed, DegradedMergeOutput, MergeOutput,
+    merge, merge_collective, merge_collective_observed, merge_incremental, MergeOutput,
 };
 pub use partial::{
     partial_ecvq, partial_kmeans, partial_kmeans_observed, partition_random, PartialOutput,

@@ -49,78 +49,11 @@ pub struct MergeOutput {
     pub elapsed: Duration,
 }
 
-/// A [`MergeOutput`] plus the mass accounting of a fault-tolerant merge:
-/// how much input weight the merge *expected* versus what actually arrived
-/// in the surviving partial sets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedMergeOutput {
-    /// The merged representation over the surviving sets.
-    pub output: MergeOutput,
-    /// Input weight the cell should have carried (`Σw_expected`, typically
-    /// the cell's point count).
-    pub expected_weight: f64,
-    /// Input weight actually present in the surviving sets
-    /// (`Σw_received`).
-    pub received_weight: f64,
-    /// `max(0, expected − received)`.
-    pub lost_weight: f64,
-    /// True when mass was lost (`received < expected`).
-    pub degraded: bool,
-}
-
-impl DegradedMergeOutput {
-    /// `Σw_received / Σw_expected` in `[0, 1]`; `1.0` when nothing was
-    /// expected.
-    pub fn mass_fraction(&self) -> f64 {
-        if self.expected_weight > 0.0 {
-            (self.received_weight / self.expected_weight).min(1.0)
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Fault-tolerant merge: clusters whatever partial sets survived and
-/// reports the lost mass instead of failing on an incomplete cell.
-///
-/// `expected_weight` is the input weight the caller promised for the cell
-/// (its point count); the surviving weight is summed from `sets`. At least
-/// one non-empty set is still required — a cell with *no* survivors has no
-/// representation to offer and keeps returning [`Error::EmptyDataset`].
-pub fn merge_degraded_observed(
-    sets: &[WeightedSet],
-    cfg: &KMeansConfig,
-    mode: MergeMode,
-    merge_restarts: usize,
-    expected_weight: f64,
-    rec: Option<&Recorder>,
-) -> Result<DegradedMergeOutput> {
-    let received_weight: f64 = sets.iter().flat_map(|s| s.weights().iter()).sum();
-    let output = merge_observed(sets, cfg, mode, merge_restarts, rec)?;
-    let lost_weight = (expected_weight - received_weight).max(0.0);
-    Ok(DegradedMergeOutput {
-        output,
-        expected_weight,
-        received_weight,
-        lost_weight,
-        degraded: received_weight < expected_weight,
-    })
-}
-
-/// Merges partition outputs with the requested strategy.
+/// Merges partition outputs with the requested strategy. With a recorder
+/// the whole step runs inside a `merge` profiler phase, and the inner
+/// weighted k-means nests its own `seed`/`assign`/`update`/`converge`
+/// phases and events under it.
 pub fn merge(
-    sets: &[WeightedSet],
-    cfg: &KMeansConfig,
-    mode: MergeMode,
-    merge_restarts: usize,
-) -> Result<MergeOutput> {
-    merge_observed(sets, cfg, mode, merge_restarts, None)
-}
-
-/// [`merge`] with observability hooks: the whole step runs inside a
-/// `merge` profiler phase, and the inner weighted k-means nests its own
-/// `seed`/`assign`/`update`/`converge` phases and events under it.
-pub fn merge_observed(
     sets: &[WeightedSet],
     cfg: &KMeansConfig,
     mode: MergeMode,
@@ -130,7 +63,7 @@ pub fn merge_observed(
     let _phase = rec.and_then(|r| r.phase("merge"));
     match mode {
         MergeMode::Collective => merge_collective_observed(sets, cfg, merge_restarts, rec),
-        MergeMode::Incremental => merge_incremental_observed(sets, cfg, merge_restarts, rec),
+        MergeMode::Incremental => merge_incremental(sets, cfg, merge_restarts, rec),
     }
 }
 
@@ -203,18 +136,9 @@ pub fn merge_collective_observed(
 }
 
 /// Incremental merge: fold partitions in order. The running representation
-/// is the weighted centroid set produced by the previous fold.
+/// is the weighted centroid set produced by the previous fold. A recorder,
+/// when given, is threaded into each fold's weighted k-means.
 pub fn merge_incremental(
-    sets: &[WeightedSet],
-    cfg: &KMeansConfig,
-    merge_restarts: usize,
-) -> Result<MergeOutput> {
-    merge_incremental_observed(sets, cfg, merge_restarts, None)
-}
-
-/// [`merge_incremental`] with observability hooks threaded into each fold's
-/// weighted k-means.
-pub fn merge_incremental_observed(
     sets: &[WeightedSet],
     cfg: &KMeansConfig,
     merge_restarts: usize,
@@ -346,7 +270,7 @@ mod tests {
 
     #[test]
     fn incremental_merge_also_finds_blobs() {
-        let out = merge_incremental(&chunk_sets(), &cfg(2), 1).unwrap();
+        let out = merge_incremental(&chunk_sets(), &cfg(2), 1, None).unwrap();
         assert_eq!(out.centroids.k(), 2);
         let mut xs: Vec<f64> = out.centroids.iter().map(|c| c[0]).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -360,7 +284,7 @@ mod tests {
         // directly comparable with the collective number.
         let sets = chunk_sets();
         let col = merge_collective(&sets, &cfg(2), 1).unwrap();
-        let inc = merge_incremental(&sets, &cfg(2), 1).unwrap();
+        let inc = merge_incremental(&sets, &cfg(2), 1, None).unwrap();
         assert_eq!(col.input_centroids, inc.input_centroids);
         // Both recover the same 2-blob structure here.
         assert!((col.epm - inc.epm).abs() < 1e-9, "{} vs {}", col.epm, inc.epm);
@@ -369,11 +293,11 @@ mod tests {
     #[test]
     fn merge_dispatch_respects_mode() {
         let sets = chunk_sets();
-        let a = merge(&sets, &cfg(2), MergeMode::Collective, 1).unwrap();
+        let a = merge(&sets, &cfg(2), MergeMode::Collective, 1, None).unwrap();
         let b = merge_collective(&sets, &cfg(2), 1).unwrap();
         assert_eq!(a.centroids, b.centroids);
-        let c = merge(&sets, &cfg(2), MergeMode::Incremental, 1).unwrap();
-        let d = merge_incremental(&sets, &cfg(2), 1).unwrap();
+        let c = merge(&sets, &cfg(2), MergeMode::Incremental, 1, None).unwrap();
+        let d = merge_incremental(&sets, &cfg(2), 1, None).unwrap();
         assert_eq!(c.centroids, d.centroids);
     }
 
@@ -381,14 +305,14 @@ mod tests {
     fn all_empty_sets_is_error() {
         let sets = vec![WeightedSet::new(2).unwrap()];
         assert_eq!(merge_collective(&sets, &cfg(2), 1), Err(Error::EmptyDataset));
-        assert_eq!(merge_incremental(&sets, &cfg(2), 1), Err(Error::EmptyDataset));
+        assert_eq!(merge_incremental(&sets, &cfg(2), 1, None), Err(Error::EmptyDataset));
     }
 
     #[test]
     fn empty_sets_among_inputs_are_skipped() {
         let mut sets = chunk_sets();
         sets.push(WeightedSet::new(2).unwrap());
-        let out = merge_incremental(&sets, &cfg(2), 1).unwrap();
+        let out = merge_incremental(&sets, &cfg(2), 1, None).unwrap();
         assert_eq!(out.input_centroids, 4);
         assert_eq!(out.centroids.k(), 2);
     }
@@ -400,45 +324,6 @@ mod tests {
         let b = merge_collective(&sets, &cfg(2), 3).unwrap();
         assert_eq!(a.centroids, b.centroids);
         assert_eq!(a.epm, b.epm);
-    }
-
-    #[test]
-    fn degraded_merge_reports_lost_mass() {
-        // Two chunks expected (200 points), only one arrived.
-        let sets = &chunk_sets()[..1];
-        let out =
-            merge_degraded_observed(sets, &cfg(2), MergeMode::Collective, 1, 200.0, None).unwrap();
-        assert!(out.degraded);
-        assert_eq!(out.expected_weight, 200.0);
-        assert_eq!(out.received_weight, 100.0);
-        assert_eq!(out.lost_weight, 100.0);
-        assert!((out.mass_fraction() - 0.5).abs() < 1e-12);
-        // The merged output still conserves the surviving mass.
-        let total: f64 = out.output.cluster_weights.iter().sum();
-        assert_eq!(total, 100.0);
-    }
-
-    #[test]
-    fn degraded_merge_with_full_mass_is_not_degraded() {
-        let sets = chunk_sets();
-        let full = merge_collective(&sets, &cfg(2), 1).unwrap();
-        let out =
-            merge_degraded_observed(&sets, &cfg(2), MergeMode::Collective, 1, 200.0, None).unwrap();
-        assert!(!out.degraded);
-        assert_eq!(out.lost_weight, 0.0);
-        assert_eq!(out.mass_fraction(), 1.0);
-        // The inner merge is bit-identical to the non-degraded path
-        // (modulo wall-clock).
-        assert_eq!(out.output.centroids, full.centroids);
-        assert_eq!(out.output.cluster_weights, full.cluster_weights);
-        assert_eq!(out.output.epm, full.epm);
-    }
-
-    #[test]
-    fn degraded_merge_with_no_survivors_is_an_error() {
-        let sets = vec![WeightedSet::new(2).unwrap()];
-        let err = merge_degraded_observed(&sets, &cfg(2), MergeMode::Collective, 1, 50.0, None);
-        assert_eq!(err, Err(Error::EmptyDataset));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::config::PartialMergeConfig;
 use crate::dataset::{Dataset, PointSource};
 use crate::error::Result;
-use crate::merge::{merge, merge_observed, MergeOutput};
+use crate::merge::{merge, MergeOutput};
 use crate::partial::partial_kmeans_observed;
 use crate::seeding::derive_seed;
 use crate::slicing::slice;
@@ -164,7 +164,7 @@ pub fn partial_merge_ecvq(
     let partial_elapsed = partial_started.elapsed();
     let sets: Vec<crate::dataset::WeightedSet> =
         outputs.iter().map(|(_, o)| o.centroids.clone()).collect();
-    let merged = merge(&sets, &cfg.kmeans, cfg.merge_mode, cfg.merge_restarts)?;
+    let merged = merge(&sets, &cfg.kmeans, cfg.merge_mode, cfg.merge_restarts, None)?;
     let chunks = outputs
         .into_iter()
         .map(|(i, o)| ChunkStats {
@@ -212,7 +212,7 @@ fn run(
 
     let sets: Vec<crate::dataset::WeightedSet> =
         outputs.iter().map(|(_, o)| o.centroids.clone()).collect();
-    let merged = merge_observed(&sets, &cfg.kmeans, cfg.merge_mode, cfg.merge_restarts, rec)?;
+    let merged = merge(&sets, &cfg.kmeans, cfg.merge_mode, cfg.merge_restarts, rec)?;
 
     let mut chunks = Vec::with_capacity(outputs.len());
     let mut trajectories = Vec::with_capacity(outputs.len());

@@ -1,7 +1,7 @@
 //! The concrete stream operators of the partial/merge dataflow
 //! (Figure 5 of the paper): scan → chunker → cloned partial k-means → tail,
-//! the tail being the paper's merge or, in coreset mode, a merge-reduce
-//! tree behind the same protocol.
+//! the tail keeping one merge-reduce tree per cell — the paper's buffer,
+//! whose reduction never fires, or in coreset mode a bounded one.
 //!
 //! Every operator is written as steps, not as a thread: `handle` consumes
 //! one input message and hands its outputs to an `emit` callback (or, when
@@ -38,9 +38,9 @@ pub(crate) fn send_on<'a, T>(
     }
 }
 
-/// Instantiates [`tail`]'s protocol cases for one accumulator as
-/// `$id => $case` pairs. The two modules below keep the test ids the cases
-/// have carried since the accumulators were two operators.
+/// Instantiates [`tail`]'s protocol cases for one wire as `$id => $case`
+/// pairs. The two modules below keep the test ids the cases have carried
+/// since the classic and coreset tails were two operators.
 #[cfg(test)]
 macro_rules! tail_cases {
     ($acc:ident: $($id:ident => $case:ident),* $(,)?) => {
@@ -56,13 +56,15 @@ macro_rules! tail_cases {
 
 #[cfg(test)]
 mod merge_op {
-    tail_cases!(buffered:
+    tail_cases!(classic:
         merges_when_all_chunks_arrive => completes_cell_and_conserves_mass,
         plan_before_partials_also_completes => plan_before_partials_also_completes,
         arrival_order_does_not_change_result => arrival_order_does_not_change_result,
         interleaved_cells_emit_separately => interleaved_cells_emit_separately,
         empty_cell_plan_emits_nothing => empty_cell_plan_emits_nothing,
         incomplete_cell_is_an_error => incomplete_cell_is_an_error_under_strict_policy,
+        end_of_stream_error_names_the_lowest_incomplete_cell
+            => end_of_stream_error_names_the_lowest_incomplete_cell,
         duplicate_chunk_is_an_error => duplicate_chunk_is_an_error,
         duplicate_between_lost_and_partial_is_an_error
             => duplicate_between_lost_and_partial_is_an_error,
@@ -89,6 +91,8 @@ mod coreset_op {
         empty_cell_plan_emits_nothing => empty_cell_plan_emits_nothing,
         incomplete_cell_is_an_error_under_strict_policy
             => incomplete_cell_is_an_error_under_strict_policy,
+        end_of_stream_error_names_the_lowest_incomplete_cell
+            => end_of_stream_error_names_the_lowest_incomplete_cell,
         duplicate_chunk_is_an_error => duplicate_chunk_is_an_error,
         duplicate_between_lost_and_partial_is_an_error
             => duplicate_between_lost_and_partial_is_an_error,

@@ -7,18 +7,20 @@
 //! in chunk-id order whatever order the workers finished in, completeness
 //! against the chunker's [`MergeMsg::CellPlan`], strict-vs-degraded
 //! handling of lost mass, the `cell.close` mass audit, the send — over one
-//! private accumulator with two variants that know only *insert /
-//! note-lost / answer*:
+//! binary-counter merge-reduce [`CoresetTree`] per cell, whose answer is the
+//! collective merge over the union of its live buckets:
 //!
-//! * **buffered** — the paper's merge (§3.3): keep every chunk's weighted
-//!   centroids and cluster them all when the cell closes; the one-level,
-//!   no-reduction case.
-//! * **tree** — a binary-counter merge-reduce [`CoresetTree`]: live memory
-//!   is `levels × size` representatives however long the stream, an
-//!   anytime query is published to the status probe on every level-up, and
-//!   the final answer *is* that same query over the finished tree.
+//! * **classic** — the paper's merge (§3.3) is the tree of
+//!   [`CoresetConfig::buffer`]: no union outgrows its bucket, so the
+//!   reduction never fires, the union is every chunk's weighted centroids
+//!   in chunk-id order, and the query is one weighted k-means over all of
+//!   them. The classic wire shows none of the tree's bookkeeping.
+//! * **coreset** — a tree of bounded buckets: live memory is
+//!   `levels × size` representatives however long the stream, an anytime
+//!   query is published to the status probe on every level-up, and the
+//!   final answer *is* that same query over the finished tree.
 //!
-//! Because chunks reach either summary in chunk-id order, a replay with a
+//! Because chunks reach the tree in chunk-id order, a replay with a
 //! different worker count is bit-identical.
 
 use crate::error::{EngineError, Result};
@@ -28,11 +30,11 @@ use crate::ops::send_on;
 use crate::plan::{CoresetSpec, LogicalPlan};
 use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
-use pmkm_core::coreset::{CoresetStats, CoresetTree};
-use pmkm_core::merge::{merge_degraded_observed, MergeOutput};
+use pmkm_core::coreset::{CoresetConfig, CoresetTree};
+use pmkm_core::merge::MergeOutput;
 use pmkm_core::partial::PartialOutput;
 use pmkm_core::pipeline::ChunkStats;
-use pmkm_core::{KMeansConfig, MergeMode, WeightedSet};
+use pmkm_core::KMeansConfig;
 use pmkm_data::GridCell;
 use pmkm_obs::{CoresetStatus, Recorder, WorkerState};
 use std::collections::{BTreeMap, HashMap};
@@ -42,8 +44,8 @@ use std::sync::atomic::Ordering;
 struct Wire {
     /// Operator name in telemetry and [`OpStats`].
     op: &'static str,
-    /// Event announcing a finished merge clustering (the tree journals its
-    /// queries as they happen instead).
+    /// Event announcing a finished merge clustering (a coreset tree
+    /// journals its queries as they happen instead).
     done_event: Option<&'static str>,
     /// Event announcing a cell that answered with missing mass.
     degraded_event: &'static str,
@@ -73,39 +75,10 @@ const CORESET: Wire = Wire {
     edge: "coreset→results",
 };
 
-/// One cell's summary of the chunks drained so far.
-enum Accumulator {
-    Buffered(Vec<WeightedSet>),
-    Tree(CoresetTree),
-}
-
-impl Accumulator {
-    /// Raw point mass the summary holds an answer for.
-    fn received(&self) -> f64 {
-        match self {
-            Accumulator::Buffered(sets) => sets.iter().flat_map(|s| s.weights().iter()).sum(),
-            Accumulator::Tree(tree) => tree.stats().ingested_points,
-        }
-    }
-
-    /// Debits mass that will never arrive from the summary's own audit.
-    fn note_lost(&mut self, points: f64) {
-        if let Accumulator::Tree(tree) = self {
-            tree.note_lost(points);
-        }
-    }
-
-    fn stats(&self) -> Option<CoresetStats> {
-        match self {
-            Accumulator::Buffered(_) => None,
-            Accumulator::Tree(tree) => Some(tree.stats()),
-        }
-    }
-}
-
-/// Per-cell protocol state around the accumulator.
+/// Per-cell protocol state around the summary.
 struct CellState {
-    acc: Accumulator,
+    /// The chunks drained so far.
+    tree: CoresetTree,
     /// Arrived but not yet drained (waiting for earlier chunk ids).
     pending: BTreeMap<usize, PartialOutput>,
     /// Quarantined but not yet drained: `chunk_id → points lost`.
@@ -131,7 +104,7 @@ impl CellState {
     }
 
     fn note_lost(&mut self, points: usize) {
-        self.acc.note_lost(points as f64);
+        self.tree.note_lost(points as f64);
         self.lost_chunks += 1;
         self.lost_points += points;
     }
@@ -140,9 +113,8 @@ impl CellState {
 /// The tail operator.
 pub struct TailOp {
     kmeans: KMeansConfig,
-    merge_mode: MergeMode,
     merge_restarts: usize,
-    /// `Some` keeps a coreset tree per cell, `None` buffers the sets.
+    /// `Some` bounds each cell's tree; `None` is the paper's buffer.
     coreset: Option<CoresetSpec>,
     wire: &'static Wire,
     ctx: FaultContext,
@@ -158,7 +130,6 @@ impl TailOp {
         let wire = if coreset.is_some() { &CORESET } else { &MERGE };
         Self {
             kmeans: logical.kmeans,
-            merge_mode: logical.merge_mode,
             merge_restarts: logical.merge_restarts,
             wire,
             coreset,
@@ -235,11 +206,10 @@ impl TailOp {
     ) -> Result<OpStats> {
         if !self.cells.is_empty() {
             if self.ctx.strict_mass_check() {
-                let cell = self.cells.keys().next().expect("non-empty");
+                let lowest = self.cells.keys().map(GridCell::index).min().expect("non-empty");
                 return Err(EngineError::InvalidPlan(format!(
-                    "stream ended with {} incomplete cell(s), e.g. cell {}",
-                    self.cells.len(),
-                    cell.index()
+                    "stream ended with {} incomplete cell(s), e.g. cell {lowest}",
+                    self.cells.len()
                 )));
             }
             // Degraded path: the stream died mid-cell; answer from what
@@ -266,16 +236,11 @@ impl TailOp {
         self.finish(&mut to_sink)
     }
 
-    /// Fresh per-cell state with an empty accumulator.
+    /// Fresh per-cell state with an empty tree.
     fn open(&self, cell: GridCell) -> Result<CellState> {
-        let acc = match &self.coreset {
-            None => Accumulator::Buffered(Vec::new()),
-            Some(spec) => {
-                Accumulator::Tree(CoresetTree::new(spec.config(), self.kmeans.seed, cell.index())?)
-            }
-        };
+        let cfg = self.coreset.as_ref().map_or_else(CoresetConfig::buffer, CoresetSpec::config);
         Ok(CellState {
-            acc,
+            tree: CoresetTree::new(cfg, self.kmeans.seed, cell.index())?,
             pending: BTreeMap::new(),
             pending_lost: BTreeMap::new(),
             next_chunk: 0,
@@ -288,7 +253,7 @@ impl TailOp {
         })
     }
 
-    /// Feeds the contiguous prefix of buffered chunks into the accumulator,
+    /// Feeds the contiguous prefix of buffered chunks into the tree,
     /// so insertion order — and therefore every compaction and the merge's
     /// input order — is a pure function of the plan, not of worker
     /// scheduling.
@@ -306,7 +271,7 @@ impl TailOp {
         }
     }
 
-    /// Hands one chunk's summary to the accumulator. The tree journals the
+    /// Hands one chunk's summary to the tree. A coreset tree journals the
     /// compactions and evictions the insert caused and refreshes the
     /// anytime probe when it grew a level.
     fn insert(
@@ -337,15 +302,14 @@ impl TailOp {
             elapsed,
         });
         state.trajectories.push(best_trajectory);
-        let tree = match &mut state.acc {
-            Accumulator::Buffered(sets) => {
-                sets.push(centroids);
-                return Ok(());
-            }
-            Accumulator::Tree(tree) => tree,
-        };
+        let tree = &mut state.tree;
         let before_level = tree.max_level();
         let outcome = self.meter.work(|| tree.insert_chunk(chunk_id, centroids, points as f64))?;
+        let Some(spec) = &self.coreset else {
+            // The paper's buffer: its carries only concatenate, and the
+            // classic wire journals none of them.
+            return Ok(());
+        };
         if let Some(rec) = self.ctx.rec() {
             for ev in &outcome.evictions {
                 rec.registry().counter("coreset_evictions_total").inc();
@@ -379,23 +343,24 @@ impl TailOp {
         // Refresh the probe's mid-stream clustering when the tree grows a
         // level (plus once on the very first chunk) — O(log chunks)
         // anytime queries per cell, each O(levels × size) input points.
-        let probing = self.coreset.as_ref().is_some_and(|spec| spec.probe.is_some());
-        if probing && (first || tree.max_level() > before_level) {
+        if spec.probe.is_some() && (first || tree.max_level() > before_level) {
             self.query(cell, tree)?;
         }
         Ok(())
     }
 
-    /// Runs the anytime query (weighted Lloyd over the live-bucket union),
-    /// journals it and publishes it to the plan's live status probe.
+    /// Runs the query (weighted Lloyd over the live-bucket union) under the
+    /// `merge` phase. A coreset tree's query is also journaled and published
+    /// to the plan's live status probe. The final clustering *is* the query
+    /// over the finished tree — there is no separate terminal merge, which
+    /// is what makes `query_now()` after the last chunk bit-identical to
+    /// the emitted result.
     fn query(&mut self, cell: GridCell, tree: &mut CoresetTree) -> Result<MergeOutput> {
         let out = self.meter.work(|| {
-            // The anytime query is the coreset path's merge clustering;
-            // profile it under the same phase as the classic merge so
-            // phase breakdowns stay comparable across engine modes.
             let _phase = self.ctx.rec().and_then(|r| r.phase("merge"));
             tree.query(&self.kmeans, self.merge_restarts, self.ctx.rec())
         })?;
+        let Some(spec) = &self.coreset else { return Ok(out) };
         if let Some(rec) = self.ctx.rec() {
             rec.registry().counter("coreset_queries_total").inc();
             rec.event(
@@ -410,7 +375,7 @@ impl TailOp {
                 ],
             );
         }
-        if let Some(probe) = self.coreset.as_ref().and_then(|spec| spec.probe.as_ref()) {
+        if let Some(probe) = &spec.probe {
             let stats = tree.stats();
             probe.publish_coreset(CoresetStatus {
                 cell: cell.index(),
@@ -433,34 +398,6 @@ impl TailOp {
         Ok(out)
     }
 
-    /// The accumulator's answer for the cell. The tree's final clustering
-    /// *is* the anytime query over the finished tree — there is no separate
-    /// terminal merge, which is what makes `query_now()` after the last
-    /// chunk bit-identical to the emitted result.
-    fn answer(
-        &mut self,
-        cell: GridCell,
-        acc: &mut Accumulator,
-        expected: f64,
-    ) -> Result<MergeOutput> {
-        match acc {
-            Accumulator::Buffered(sets) => Ok(self
-                .meter
-                .work(|| {
-                    merge_degraded_observed(
-                        sets,
-                        &self.kmeans,
-                        self.merge_mode,
-                        self.merge_restarts,
-                        expected,
-                        self.ctx.rec(),
-                    )
-                })?
-                .output),
-            Accumulator::Tree(tree) => self.query(cell, tree),
-        }
-    }
-
     /// Answers a finished (or, at end of stream, abandoned) cell and hands
     /// the result to `emit`. `incomplete` forces the degraded flag: a cell
     /// whose plan never closed has unknown loss, which is still loss.
@@ -480,7 +417,7 @@ impl TailOp {
         for (_, points) in std::mem::take(&mut state.pending_lost) {
             state.note_lost(points);
         }
-        let received = state.acc.received();
+        let received = state.tree.stats().ingested_points;
         let expected = if state.expected.is_some() {
             state.expected_points as f64
         } else {
@@ -490,11 +427,11 @@ impl TailOp {
         };
         let lost = (expected - received).max(0.0);
         // Silent shortfall (e.g. a truncated chunk that was never
-        // quarantined) must still debit the accumulator's audit so its
-        // stats balance: ingested + lost == expected.
+        // quarantined) must still debit the tree's audit so its stats
+        // balance: ingested + lost == expected.
         let shortfall = lost - state.lost_points as f64;
         if shortfall > 0.0 {
-            state.acc.note_lost(shortfall);
+            state.tree.note_lost(shortfall);
         }
         let degraded = incomplete || state.lost_chunks > 0 || lost > 0.0;
         if degraded && self.ctx.strict_mass_check() {
@@ -532,7 +469,7 @@ impl TailOp {
         if let Some(rec) = self.ctx.rec() {
             rec.worker_state_cell(cell.index(), WorkerState::Merge);
         }
-        let output = self.answer(cell, &mut state.acc, expected)?;
+        let output = self.query(cell, &mut state.tree)?;
         if degraded {
             self.note_degraded(cell, lost);
         }
@@ -575,7 +512,7 @@ impl TailOp {
             lost_points: lost,
             lost_chunks: state.lost_chunks,
             degraded,
-            coreset: state.acc.stats(),
+            coreset: self.coreset.is_some().then(|| state.tree.stats()),
         };
         self.meter.item_out();
         emit(&mut self.meter, result)
@@ -642,8 +579,8 @@ pub(crate) fn note_cell_close(rec: Option<&Recorder>, close: &CellClose) {
     }
 }
 
-/// The protocol cases, each written once over the accumulator under test;
-/// [`super`] instantiates them per accumulator.
+/// The protocol cases, each written once over the tail under test;
+/// [`super`] instantiates them per wire.
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
@@ -653,10 +590,11 @@ pub(super) mod tests {
     use pmkm_obs::{FieldValue, RingBufferSink, StatusCell};
     use std::sync::Arc;
 
-    /// The accumulator a case runs over: `None` buffers, `Some` is a tree.
+    /// The tail a case runs over: `None` is the paper's buffer, `Some` a
+    /// bounded coreset tree.
     pub(crate) type Acc = Option<CoresetSpec>;
 
-    pub(crate) fn buffered() -> Acc {
+    pub(crate) fn classic() -> Acc {
         None
     }
 
@@ -812,6 +750,24 @@ pub(super) mod tests {
             acc,
         );
         assert!(matches!(err, Err(EngineError::InvalidPlan(_))));
+    }
+
+    /// The strict refusal names the lowest incomplete cell, whatever order
+    /// the cells sit in memory.
+    pub(crate) fn end_of_stream_error_names_the_lowest_incomplete_cell(acc: Acc) {
+        let cells = [cell(40), cell(17), cell(33), cell(21)];
+        let msgs = cells
+            .iter()
+            .map(|&c| MergeMsg::Partial { cell: c, chunk_id: 0, output: partial(5, 0.0) })
+            .collect();
+        let lowest = cells.iter().map(|c| c.index()).min().unwrap();
+        match run(msgs, acc) {
+            Err(EngineError::InvalidPlan(msg)) => assert!(
+                msg.ends_with(&format!("4 incomplete cell(s), e.g. cell {lowest}")),
+                "{msg}"
+            ),
+            other => panic!("expected a strict-policy refusal, got {other:?}"),
+        }
     }
 
     pub(crate) fn duplicate_chunk_is_an_error(acc: Acc) {

@@ -868,10 +868,11 @@ fn plan_fingerprint(plan: &PhysicalPlan, fault_plan: Option<&FaultPlan>) -> u64 
     // live dashboard never invalidates checkpoints.
     // The scan backend is part of the key: backends change injection
     // granularity under chaos, so checkpoints must not cross backends.
+    // `Collective` holds the slot of the retired merge mode, so checkpoints
+    // written before it was retired stay resumable.
     let key = format!(
-        "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        "{:?}|Collective|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
         plan.logical.kmeans,
-        plan.logical.merge_mode,
         plan.logical.merge_restarts,
         plan.chunk_policy,
         plan.fault_policy,

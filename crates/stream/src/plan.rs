@@ -10,7 +10,7 @@ use crate::error::{EngineError, Result};
 use crate::fault::FaultPolicy;
 use crate::ops::ChunkPolicy;
 use pmkm_core::coreset::CoresetConfig;
-use pmkm_core::{KMeansConfig, MergeMode};
+use pmkm_core::KMeansConfig;
 use pmkm_obs::StatusCell;
 use std::fmt;
 use std::path::PathBuf;
@@ -23,8 +23,6 @@ pub struct LogicalPlan {
     pub inputs: Vec<PathBuf>,
     /// k-means parameters for the partial runs (k, restarts, ε).
     pub kmeans: KMeansConfig,
-    /// Merge strategy.
-    pub merge_mode: MergeMode,
     /// Restarts of the merge k-means.
     pub merge_restarts: usize,
 }
@@ -32,7 +30,7 @@ pub struct LogicalPlan {
 impl LogicalPlan {
     /// A plan with the paper's algorithm defaults over the given buckets.
     pub fn new(inputs: Vec<PathBuf>, kmeans: KMeansConfig) -> Self {
-        Self { inputs, kmeans, merge_mode: MergeMode::Collective, merge_restarts: 1 }
+        Self { inputs, kmeans, merge_restarts: 1 }
     }
 
     /// Validates the plan.
@@ -112,8 +110,9 @@ pub struct PhysicalPlan {
     /// and merges degraded cells.
     pub fault_policy: FaultPolicy,
     /// `Some` switches the engine into coreset mode: partial clones build
-    /// per-chunk coresets and a merge-reduce tree replaces the merge
-    /// operator's gather, bounding live memory on unbounded streams.
+    /// per-chunk coresets and the tail's per-cell tree compacts at this
+    /// bucket size, bounding live memory on unbounded streams. `None` keeps
+    /// the paper's buffer, a tree that never samples.
     pub coreset: Option<CoresetSpec>,
     /// Storage backend the scan reads GB02 block containers through
     /// (GB01 buckets always use the legacy buffered reader). Part of the
@@ -173,7 +172,6 @@ mod tests {
     #[test]
     fn logical_defaults_match_paper() {
         let p = logical();
-        assert_eq!(p.merge_mode, MergeMode::Collective);
         assert_eq!(p.merge_restarts, 1);
         p.validate().unwrap();
     }
