@@ -1,15 +1,81 @@
-//! A small, dependency-free argument parser: `--key=value` and `--flag`
-//! options plus positional arguments, with typed accessors and unknown-key
-//! detection.
+//! A small, dependency-free argument parser driven by flag tables. Each
+//! command declares its flags as [`Flag`] rows; the rows alone decide which
+//! options it accepts, whether each takes a value, what an absent one reads
+//! as, and what its help line says.
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+/// Table text: flag names, placeholders, defaults and help lines.
+type Text = &'static str;
+
+/// Whether a flag takes a value, and the placeholder that names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A bare `--name`.
+    Switch,
+    /// `--name=VALUE`.
+    Value(Text),
+    /// `--name=VALUE`, repeatable.
+    Repeated(Text),
+}
+
+/// One row of a command's flag table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flag {
+    /// The name after `--`.
+    pub name: Text,
+    /// Switch or valued.
+    pub kind: Kind,
+    /// What an absent flag reads as (`""`: unset); `None` when the command
+    /// computes it at run time.
+    pub default: Option<Text>,
+    /// One help line.
+    pub help: Text,
+}
+
+impl Flag {
+    /// A bare `--name`.
+    pub const fn switch(name: Text, help: Text) -> Self {
+        Flag { name, kind: Kind::Switch, default: Some(""), help }
+    }
+
+    /// `--name=VALUE`, reading as `default` when absent.
+    pub const fn value(name: Text, meta: Text, default: Text, help: Text) -> Self {
+        Flag { name, kind: Kind::Value(meta), default: Some(default), help }
+    }
+
+    /// `--name=VALUE` whose absent value the command computes at run time.
+    pub const fn computed(name: Text, meta: Text, help: Text) -> Self {
+        Flag { name, kind: Kind::Value(meta), default: None, help }
+    }
+
+    /// `--name=VALUE`, any number of times.
+    pub const fn repeated(name: Text, meta: Text, help: Text) -> Self {
+        Flag { name, kind: Kind::Repeated(meta), default: Some(""), help }
+    }
+
+    /// The form a user types: `--tolerant`, `--k=N`, `--range=DIM:LO:HI…`.
+    pub fn form(&self) -> String {
+        match self.kind {
+            Kind::Switch => format!("--{}", self.name),
+            Kind::Value(p) => format!("--{}={p}", self.name),
+            Kind::Repeated(p) => format!("--{}={p}…", self.name),
+        }
+    }
+}
 
 /// Parsing / validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// An option was given that the command does not define.
     Unknown(String),
+    /// A switch given `=value`, or a valued option given bare.
+    Malformed {
+        /// What was typed, without the leading `--`.
+        given: String,
+        /// The row's form, e.g. `--k=N`.
+        form: String,
+    },
     /// A value failed to parse as the requested type.
     BadValue {
         /// Option name.
@@ -19,48 +85,49 @@ pub enum ArgError {
         /// Expected type name.
         expected: &'static str,
     },
-    /// A required option was missing.
-    Missing(String),
 }
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ArgError::Unknown(k) => write!(f, "unknown option --{k}"),
-            ArgError::BadValue { key, value, expected } => {
+            Self::Unknown(k) => write!(f, "unknown option --{k}"),
+            Self::Malformed { given, form } => {
+                write!(f, "malformed option --{given}: write {form}")
+            }
+            Self::BadValue { key, value, expected } => {
                 write!(f, "--{key}={value}: expected {expected}")
             }
-            ArgError::Missing(k) => write!(f, "missing required option --{k}"),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-/// Parsed command line: options and positionals.
+/// Parsed command line: options and positionals, and once [`Args::check`]ed,
+/// the flag table its getters read defaults from.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    options: BTreeMap<String, String>,
-    /// Every occurrence of every option, in order (for repeatable options).
-    occurrences: Vec<(String, String)>,
-    flags: Vec<String>,
+    /// Every option in order: `--key=value` as `Some(value)`, `--key` as `None`.
+    given: Vec<(String, Option<String>)>,
     positionals: Vec<String>,
+    table: &'static [&'static [Flag]],
+}
+
+fn lookup(table: &'static [&'static [Flag]], key: &str) -> Option<&'static Flag> {
+    table.iter().flat_map(|group| group.iter()).find(|row| row.name == key)
 }
 
 impl Args {
-    /// Parses raw arguments. `--key=value` becomes an option, bare `--key`
-    /// a flag, anything else a positional.
+    /// Parses raw arguments. `--key=value` and bare `--key` become options,
+    /// anything else a positional.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Self {
         let mut out = Args::default();
         for arg in raw {
             if let Some(rest) = arg.strip_prefix("--") {
-                match rest.split_once('=') {
-                    Some((k, v)) => {
-                        out.options.insert(k.to_string(), v.to_string());
-                        out.occurrences.push((k.to_string(), v.to_string()));
-                    }
-                    None => out.flags.push(rest.to_string()),
-                }
+                out.given.push(match rest.split_once('=') {
+                    Some((k, v)) => (k.to_string(), Some(v.to_string())),
+                    None => (rest.to_string(), None),
+                });
             } else {
                 out.positionals.push(arg);
             }
@@ -68,53 +135,63 @@ impl Args {
         out
     }
 
-    /// Rejects any option or flag not in `allowed`.
-    pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
-        for k in self.options.keys().chain(self.flags.iter()) {
-            if !allowed.contains(&k.as_str()) {
-                return Err(ArgError::Unknown(k.clone()));
+    /// Checks every option against `table`'s rows: an unknown name, a switch
+    /// given `=value` and a valued flag given bare are errors. The checked
+    /// arguments read absent flags' defaults from `table`.
+    pub fn check(mut self, table: &'static [&'static [Flag]]) -> Result<Self, ArgError> {
+        for (key, value) in &self.given {
+            let row = lookup(table, key).ok_or_else(|| ArgError::Unknown(key.clone()))?;
+            if (row.kind == Kind::Switch) != value.is_none() {
+                let given = value.as_ref().map_or_else(|| key.clone(), |v| format!("{key}={v}"));
+                return Err(ArgError::Malformed { given, form: row.form() });
             }
         }
-        Ok(())
+        self.table = table;
+        Ok(self)
     }
 
-    /// A typed option with a default.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                key: key.to_string(),
-                value: v.clone(),
-                expected: std::any::type_name::<T>(),
-            }),
-        }
+    fn row(&self, key: &str) -> &'static Flag {
+        lookup(self.table, key).unwrap_or_else(|| panic!("--{key} has no row in the checked table"))
     }
 
-    /// A required typed option.
-    pub fn require<T: std::str::FromStr>(&self, key: &str) -> Result<T, ArgError> {
-        match self.options.get(key) {
-            None => Err(ArgError::Missing(key.to_string())),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                key: key.to_string(),
-                value: v.clone(),
-                expected: std::any::type_name::<T>(),
-            }),
-        }
+    /// The last value given for `key`, if any.
+    pub fn given(&self, key: &str) -> Option<&str> {
+        self.given.iter().rev().find(|(k, _)| k == key).and_then(|(_, v)| v.as_deref())
     }
 
-    /// A string option with a default.
-    pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.options.get(key).cloned().unwrap_or_else(|| default.to_string())
+    fn parse_value<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ArgError> {
+        value.parse().map_err(|_| ArgError::BadValue {
+            key: key.to_string(),
+            value: value.to_string(),
+            expected: std::any::type_name::<T>(),
+        })
     }
 
-    /// True if the bare flag was given.
+    /// A typed option: the given value, else the row's default.
+    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Result<T, ArgError> {
+        let default = self.row(key).default.expect("a computed row is read with get_or");
+        Self::parse_value(key, self.given(key).unwrap_or(default))
+    }
+
+    /// A typed option whose row is computed: the given value, else `computed`.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, computed: T) -> Result<T, ArgError> {
+        debug_assert_eq!(self.row(key).default, None, "--{key} has a literal default");
+        self.given(key).map_or(Ok(computed), |v| Self::parse_value(key, v))
+    }
+
+    /// A string option: the given value, else the row's default.
+    pub fn get_str(&self, key: &str) -> String {
+        self.get(key).expect("any text parses as a String")
+    }
+
+    /// True if the bare switch was given.
     pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+        self.given.iter().any(|(k, v)| k == key && v.is_none())
     }
 
     /// Every value given for a repeatable option, in order.
     pub fn get_all(&self, key: &str) -> Vec<&str> {
-        self.occurrences.iter().filter(|(k, _)| k == key).map(|(_, v)| v.as_str()).collect()
+        self.given.iter().filter(|(k, _)| k == key).filter_map(|(_, v)| v.as_deref()).collect()
     }
 
     /// The positional arguments.
@@ -127,14 +204,28 @@ impl Args {
 mod tests {
     use super::*;
 
+    const GROUP: &[Flag] = &[
+        Flag::value("k", "N", "40", "clusters"),
+        Flag::value("seed", "N", "0", "seed"),
+        Flag::switch("tolerant", "degrade"),
+        Flag::value("out", "DIR", "default", "output"),
+        Flag::repeated("range", "DIM:LO:HI", "ranges"),
+        Flag::computed("memory", "BYTES", "budget"),
+    ];
+    const TABLE: &[&[Flag]] = &[GROUP];
+
     fn parse(s: &[&str]) -> Args {
-        Args::parse(s.iter().map(|s| s.to_string()))
+        Args::parse(s.iter().map(|s| s.to_string())).check(TABLE).unwrap()
+    }
+
+    fn reject(s: &[&str]) -> ArgError {
+        Args::parse(s.iter().map(|s| s.to_string())).check(TABLE).unwrap_err()
     }
 
     #[test]
     fn splits_options_flags_positionals() {
         let a = parse(&["--k=40", "--tolerant", "a.gb", "b.gb"]);
-        assert_eq!(a.get::<usize>("k", 0).unwrap(), 40);
+        assert_eq!(a.get::<usize>("k").unwrap(), 40);
         assert!(a.flag("tolerant"));
         assert!(!a.flag("full"));
         assert_eq!(a.positionals(), &["a.gb".to_string(), "b.gb".to_string()]);
@@ -143,30 +234,42 @@ mod tests {
     #[test]
     fn defaults_and_requirements() {
         let a = parse(&["--seed=7"]);
-        assert_eq!(a.get::<u64>("seed", 0).unwrap(), 7);
-        assert_eq!(a.get::<usize>("k", 40).unwrap(), 40);
-        assert_eq!(a.require::<u64>("seed").unwrap(), 7);
-        assert_eq!(a.require::<usize>("k"), Err(ArgError::Missing("k".into())));
+        assert_eq!(a.get::<u64>("seed").unwrap(), 7);
+        assert_eq!(a.get::<usize>("k").unwrap(), 40, "the row's default");
+        assert_eq!(a.get_or::<usize>("memory", 9).unwrap(), 9, "computed when absent");
+        assert_eq!(parse(&["--memory=3"]).get_or::<usize>("memory", 9).unwrap(), 3);
+        assert_eq!(a.given("seed"), Some("7"));
+        assert_eq!(a.given("k"), None);
     }
 
     #[test]
     fn bad_values_are_reported() {
         let a = parse(&["--k=forty"]);
-        assert!(matches!(a.get::<usize>("k", 0), Err(ArgError::BadValue { .. })));
+        assert!(matches!(a.get::<usize>("k"), Err(ArgError::BadValue { .. })));
     }
 
     #[test]
     fn unknown_options_detected() {
-        let a = parse(&["--k=1", "--bogus=2", "x"]);
-        assert_eq!(a.expect_only(&["k"]), Err(ArgError::Unknown("bogus".into())));
-        assert!(a.expect_only(&["k", "bogus"]).is_ok());
+        assert_eq!(reject(&["--k=1", "--bogus=2", "x"]), ArgError::Unknown("bogus".into()));
+        assert_eq!(reject(&["--bogus"]), ArgError::Unknown("bogus".into()));
+    }
+
+    #[test]
+    fn malformed_options_show_the_form() {
+        let form = |given: &str, form: &str| ArgError::Malformed {
+            given: given.into(),
+            form: form.into(),
+        };
+        assert_eq!(reject(&["--tolerant=yes"]), form("tolerant=yes", "--tolerant"));
+        assert_eq!(reject(&["--k", "4"]), form("k", "--k=N"));
+        assert_eq!(reject(&["--range"]), form("range", "--range=DIM:LO:HI…"));
     }
 
     #[test]
     fn string_options() {
         let a = parse(&["--out=dir/sub"]);
-        assert_eq!(a.get_str("out", "default"), "dir/sub");
-        assert_eq!(a.get_str("missing", "default"), "default");
+        assert_eq!(a.get_str("out"), "dir/sub");
+        assert_eq!(parse(&[]).get_str("out"), "default");
     }
 
     #[test]
@@ -174,12 +277,13 @@ mod tests {
         let a = parse(&["--range=0:1:2", "--range=1:3:4", "--k=2"]);
         assert_eq!(a.get_all("range"), vec!["0:1:2", "1:3:4"]);
         assert_eq!(a.get_all("k"), vec!["2"]);
-        assert!(a.get_all("missing").is_empty());
+        assert!(a.get_all("seed").is_empty());
     }
 
     #[test]
     fn display_messages() {
         assert_eq!(ArgError::Unknown("x".into()).to_string(), "unknown option --x");
-        assert!(ArgError::Missing("k".into()).to_string().contains("--k"));
+        let e = ArgError::Malformed { given: "k".into(), form: "--k=N".into() };
+        assert_eq!(e.to_string(), "malformed option --k: write --k=N");
     }
 }

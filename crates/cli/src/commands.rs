@@ -1,43 +1,58 @@
-//! The `pmkm` subcommands. Each command is a function from parsed [`Args`]
-//! to an exit outcome, writing human-readable output to the supplied
-//! writer so tests can capture it.
+//! The `pmkm` subcommands. Each command is one row of [`COMMANDS`]: its
+//! synopsis, help and flag table, and a function from checked [`Args`] to
+//! an exit outcome that writes human-readable output to the supplied writer
+//! so tests can capture it. Parsing, defaults, help and dispatch all read
+//! the rows.
 
-use crate::args::{ArgError, Args};
+use crate::args::{ArgError, Args, Flag};
 use pmkm_compress::compress_cell;
-use pmkm_core::{KMeansConfig, PartialMergeConfig, PartitionSpec, PointSource};
+use pmkm_core::{KMeansConfig, PartialMergeConfig, PointSource};
 use pmkm_data::binner::bin_stripes;
 use pmkm_data::{GridBucket, SwathConfig, SwathSimulator};
+use pmkm_obs::{
+    LedgerRecord, LedgerSink, MetricsServer, Profiler, Recorder, RunReport, StatusCell,
+};
 use pmkm_stream::prelude::*;
+use pmkm_stream::CellClustering;
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Any command failure.
 #[derive(Debug)]
 pub enum CliError {
-    /// Bad command line.
+    /// A flag the command's table rejects.
     Args(ArgError),
+    /// Any other misuse: wrong operands, exclusive flags together.
+    Usage(String),
     /// Underlying library failure.
     Run(String),
     /// No such subcommand.
     UnknownCommand(String),
-    /// `pmkm diff` detected a performance regression — a distinct variant
-    /// so the binary can exit with a machine-readable code (3) that CI
-    /// gates can tell apart from plain failures (1).
+    /// A compared run regressed past the threshold.
     Regression(String),
+}
+
+impl CliError {
+    /// The process exit status: 2 for misuse, 3 for a detected regression,
+    /// 1 for any other failure.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            Self::Run(_) => 1,
+            Self::Regression(_) => 3,
+            Self::Args(_) | Self::Usage(_) | Self::UnknownCommand(_) => 2,
+        }
+    }
 }
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CliError::Args(e) => write!(f, "{e}"),
-            CliError::Run(msg) => write!(f, "{msg}"),
-            CliError::Regression(msg) => write!(f, "{msg}"),
-            CliError::UnknownCommand(c) => {
-                write!(
-                    f,
-                    "unknown command '{c}'; try: generate, bin, inspect, cluster, orchestrate, \
-                     convert, diff, compress, query, serve-demo"
-                )
+            Self::Args(e) => write!(f, "{e}"),
+            Self::Usage(msg) | Self::Run(msg) | Self::Regression(msg) => write!(f, "{msg}"),
+            Self::UnknownCommand(c) => {
+                let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+                write!(f, "unknown command '{c}'; try: {}", names.join(", "))
             }
         }
     }
@@ -51,179 +66,261 @@ impl From<ArgError> for CliError {
     }
 }
 
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        run_err(e)
+    }
+}
+
 fn run_err<E: std::fmt::Display>(e: E) -> CliError {
     CliError::Run(e.to_string())
 }
 
-/// Dispatches a subcommand.
-pub fn dispatch<W: Write>(command: &str, args: &Args, out: &mut W) -> Result<(), CliError> {
-    match command {
-        "generate" => generate(args, out),
-        "bin" => bin(args, out),
-        "inspect" => inspect(args, out),
-        "cluster" => cluster(args, out),
-        "orchestrate" => orchestrate_cmd(args, out),
-        "convert" => convert(args, out),
-        "diff" => diff_runs(args, out),
-        "compress" => compress(args, out),
-        "query" => query(args, out),
-        "serve-demo" => serve_demo(args, out),
-        other => Err(CliError::UnknownCommand(other.to_string())),
+/// One subcommand.
+pub struct Command {
+    /// The name typed after `pmkm`.
+    pub name: &'static str,
+    /// Operand synopsis, e.g. `<bucket files…>`.
+    pub operands: &'static str,
+    /// Fewest and most operands accepted.
+    pub arity: (usize, usize),
+    /// One paragraph, wrapped; its first line is the overview's summary.
+    pub about: &'static str,
+    /// Flag groups, shared groups first.
+    pub flags: &'static [&'static [Flag]],
+    /// Runs the command on checked arguments.
+    pub run: fn(&Args, &mut dyn Write) -> Result<(), CliError>,
+}
+
+const MANY: usize = usize::MAX;
+const SYNOPSIS: &str = "USAGE: pmkm <command> [options] [operands…]";
+const EXIT_STATUS: &str =
+    "EXIT STATUS: 0 success, 1 run failure, 2 usage error, 3 performance regression detected\n";
+
+const SEED: &[Flag] = &[Flag::value("seed", "N", "0", "random seed")];
+
+const KMEANS: &[Flag] = &[
+    Flag::value("k", "N", "40", "clusters per cell"),
+    Flag::value("restarts", "R", "10", "k-means restarts per chunk; the best run is kept"),
+];
+
+/// The physical-plan knobs, read by [`physical_plan`] and [`parse_chaos`].
+#[rustfmt::skip]
+const PLAN: &[Flag] = &[
+    Flag::value("splits", "P", "0", "chunks per bucket, sized by the largest bucket; excludes --memory"),
+    Flag::computed("memory", "BYTES", "chunk memory budget, from the detected resources"),
+    Flag::value("backend", "KIND", "local-file", "GB02 storage backend: local-file, mmap, sim-object-store"),
+    Flag::switch("tolerant", "retry scans, quarantine poison chunks and merge degraded, not fail fast"),
+    Flag::value("chaos", "LEVEL:SEED", "", "inject a seeded fault schedule, light:SEED or heavy:SEED"),
+    Flag::value("coreset", "SIZE", "0", "merge through a tree of SIZE-point coresets (0: buffer all)"),
+    Flag::value("coreset-window", "CHUNKS", "0", "keep only the last CHUNKS chunks; needs --coreset"),
+    Flag::value("coreset-decay", "L", "0", "scale live weights by L in (0,1] per chunk; needs --coreset"),
+];
+
+/// The observers a clustering run can write or serve.
+#[rustfmt::skip]
+const OBSERVE: &[Flag] = &[
+    Flag::value("metrics-out", "REPORT.json", "", "write a structured RunReport (JSON)"),
+    Flag::value("ledger", "LEDGER.jsonl", "", "journal the run as an append-only JSONL event ledger"),
+    Flag::value("serve", "ADDR", "", "serve live telemetry over HTTP for the duration of the run"),
+];
+
+/// Every subcommand, in overview order: the only list of them.
+#[rustfmt::skip]
+pub const COMMANDS: &[Command] = &[
+    Command { name: "generate", operands: "", arity: (0, 0), run: generate,
+        about: "Simulate a satellite swath and write its stripe files into --out.",
+        flags: &[SEED, &[
+            Flag::value("out", "DIR", "stripes", "output directory"),
+            Flag::value("orbits", "N", "4", "orbits to simulate"),
+            Flag::value("dim", "N", "6", "attributes per observation"),
+            Flag::value("lat", "DEG", "20", "latitude band, ±DEG"),
+            Flag::value("step", "DEG", "0.05", "along-track step"),
+            Flag::value("samples", "N", "16", "cross-track samples per step"),
+        ]] },
+    Command { name: "bin", operands: "<stripe files…>", arity: (1, MANY), run: bin,
+        about: "Sort stripe observations into per-cell grid-bucket files under --out.",
+        flags: &[&[Flag::value("out", "DIR", "buckets", "output directory")]] },
+    Command { name: "inspect", operands: "<bucket files… | ledger.jsonl… | report.json…>",
+        arity: (1, MANY), run: inspect,
+        about: "Summarize buckets, run ledgers or run reports.\n\
+                A bucket gets its header and per-dimension statistics; a run ledger its\n\
+                per-phase table, per-cell mass audit, slowest chunks, kernel dispatches,\n\
+                fault timeline and per-worker Gantt; a RunReport its headline numbers and\n\
+                per-worker utilization.",
+        flags: &[&[Flag::value("timeline", "TRACE.json", "", "export the run as a Chrome trace (Perfetto)")]] },
+    Command { name: "cluster", operands: "<bucket files…>", arity: (1, MANY), run: cluster,
+        about: "Cluster each bucket with partial/merge k-means on the stream engine.\n\
+                Prints a line per cell and the operator telemetry. --backend applies to\n\
+                GB02 containers; GB01 buckets always use the buffered reader. With\n\
+                --coreset, live memory stays bounded by levels x SIZE regardless of\n\
+                stream length.",
+        flags: &[KMEANS, SEED, PLAN, OBSERVE, &[
+            Flag::computed("workers", "N", "partial clones per cell, one per core (0: detect)"),
+            Flag::value("kernel", "KIND", "auto", "assignment kernel: auto, scalar, fused"),
+            Flag::value("folded", "STACKS.txt", "", "write the profiler's folded stacks (flamegraph)"),
+        ]] },
+    Command { name: "orchestrate", operands: "<bucket files…>", arity: (1, MANY), run: orchestrate_cmd,
+        about: "Run many cells through the pipeline concurrently.\n\
+                Each cell is an independent pipeline on one of --jobs work-stealing workers.\n\
+                A resumed run is bit-identical to an uninterrupted one, and a clean run\n\
+                deletes stale checkpoints. The backend is part of the checkpoint\n\
+                fingerprint. --serve adds the /status dashboard, which under --coreset\n\
+                carries the anytime clustering.",
+        flags: &[KMEANS, SEED, PLAN, OBSERVE, &[
+            Flag::value("jobs", "N", "4", "cells run at a time, on work-stealing workers"),
+            Flag::value("cells", "N", "0", "run only the first N buckets (0: all)"),
+            Flag::value("workers", "N", "1", "partial clones inside each cell"),
+            Flag::value("budget", "BYTES", "0", "bound the in-flight chunk memory across cells (0: off)"),
+            Flag::value("checkpoint-dir", "DIR", "", "write each finished cell to a checksummed checkpoint"),
+            Flag::switch("resume", "load valid checkpoints instead of re-scanning; needs --checkpoint-dir"),
+            Flag::value("kill-after", "K", "0", "drill: exit after the K-th checkpoint; needs --checkpoint-dir"),
+            Flag::value("watchdog", "SECS", "0", "journal stalls and stragglers past SECS (0: off)"),
+        ]] },
+    Command { name: "convert", operands: "<bucket files…>", arity: (1, MANY), run: convert,
+        about: "Re-encode buckets as PMKMGB02 block containers.\n\
+                Each block is compressed on its own and indexed for ranged reads. Writes\n\
+                NAME.gb2 next to each input, or into --out.",
+        flags: &[&[
+            Flag::value("codec", "NAME", "shuffle-rle", "block codec: raw, shuffle-rle"),
+            Flag::value("block-points", "N", "4096", "points per block"),
+            Flag::value("out", "DIR", "", "write into DIR instead of next to each input"),
+        ]] },
+    Command { name: "diff", operands: "<A> <B>", arity: (2, 2), run: diff_runs,
+        about: "Compare two runs, each a run ledger or a RunReport JSON.\n\
+                Prints the elapsed ratio and attributes the delta to phases, kernels,\n\
+                faults and mass drift; exits 3 when B is more than --threshold slower.",
+        flags: &[&[Flag::value("threshold", "FRAC", "0.10", "slowdown that counts as a regression")]] },
+    Command { name: "serve-demo", operands: "", arity: (0, 0), run: serve_demo,
+        about: "Serve live telemetry over HTTP while a synthetic workload runs.\n\
+                Self-probes /healthz, /metrics and /report.json and prints the results.",
+        flags: &[SEED, &[
+            Flag::value("addr", "ADDR", "127.0.0.1:0", "listen address"),
+            Flag::value("iters", "N", "3", "workload iterations"),
+            Flag::value("n", "N", "2000", "points in the synthetic cell"),
+            Flag::value("k", "N", "8", "clusters"),
+            Flag::value("splits", "P", "4", "chunks per iteration"),
+            Flag::value("restarts", "R", "2", "k-means restarts per chunk"),
+        ]] },
+    Command { name: "compress", operands: "<bucket files…>", arity: (1, MANY), run: compress,
+        about: "Compress each bucket into a multivariate histogram (JSON) under --out.",
+        flags: &[KMEANS, SEED, &[
+            Flag::value("splits", "P", "5", "chunks per bucket"),
+            Flag::value("out", "DIR", "histograms", "output directory"),
+        ]] },
+    Command { name: "query", operands: "<histogram.json>", arity: (1, 1), run: query,
+        about: "Estimate a range count and mean from a compressed histogram.",
+        flags: &[&[
+            Flag::repeated("range", "DIM:LO:HI", "restrict dimension DIM to [LO, HI]"),
+            Flag::value("exact", "BUCKET.gb", "", "compare with the exact answer from this bucket"),
+        ]] },
+    Command { name: "help", operands: "[command]", arity: (0, 1), run: print_help, flags: &[],
+        about: "Print this overview, or one command's options and exit status." },
+];
+
+impl Command {
+    /// `USAGE: pmkm NAME [options] OPERANDS`.
+    pub fn synopsis(&self) -> String {
+        let options = if self.flags.is_empty() { "" } else { " [options]" };
+        format!("USAGE: pmkm {}{options} {}", self.name, self.operands).trim_end().to_string()
+    }
+
+    /// Every flag row, shared groups first.
+    pub fn rows(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    /// The synopsis, the about paragraph, one line per flag, the exit status.
+    pub fn help(&self) -> String {
+        let mut text = format!("{}\n\n", self.synopsis());
+        for line in self.about.lines() {
+            text += &format!("  {line}\n");
+        }
+        text += "\nOPTIONS\n";
+        let width = self.rows().map(|row| row.form().chars().count()).max().unwrap_or(0);
+        for row in self.rows() {
+            let default = match row.default {
+                None => " [default: computed]".to_string(),
+                Some("") => String::new(),
+                Some(value) => format!(" [default: {value}]"),
+            };
+            text += &format!("  {:<width$}  {}{default}\n", row.form(), row.help);
+        }
+        format!("{text}  {:<width$}  print this help\n\n{EXIT_STATUS}", "--help")
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-pmkm — partial/merge k-means over data streams (ICDE 2004 reproduction)
+/// The top-level help: each command's summary line, and the exit status.
+pub fn overview() -> String {
+    let mut text = format!(
+        "pmkm — partial/merge k-means over data streams (ICDE 2004 reproduction)\n\n\
+         {SYNOPSIS}\n\nCOMMANDS\n"
+    );
+    let width = COMMANDS.iter().map(|c| c.name.len()).max().unwrap_or(0);
+    for c in COMMANDS {
+        text += &format!("  {:<width$}  {}\n", c.name, c.about.lines().next().unwrap_or_default());
+    }
+    format!("{text}\nRun 'pmkm <command> --help' for a command's options.\n\n{EXIT_STATUS}")
+}
 
-USAGE: pmkm <command> [options] [paths…]
+/// The synopsis shown under a usage error; the top-level one if no such command.
+pub fn usage_hint(command: &str) -> String {
+    match find(command) {
+        Ok(c) => format!("{}\nRun 'pmkm {} --help' for its options.", c.synopsis(), c.name),
+        Err(_) => format!("{SYNOPSIS}\nRun 'pmkm --help' for the commands."),
+    }
+}
 
-COMMANDS
-  generate  --out=DIR [--orbits=4] [--dim=6] [--seed=0] [--lat=20]
-            [--step=0.05] [--samples=16]
-            Simulate a satellite swath; writes stripe files into DIR.
-  bin       --out=DIR <stripe files…>
-            Sort stripe observations into per-cell grid-bucket files.
-  inspect   [--timeline=TRACE.json] <bucket files… | ledger.jsonl… | report.json…>
-            Print each bucket's header and per-dimension statistics. Given
-            a run ledger (JSONL, from cluster --ledger) instead, print its
-            rollup: per-phase table, per-cell mass audit, the slowest
-            chunks, kernel dispatches, the fault timeline, and an ASCII
-            Gantt of per-worker states when the run journaled a timeline.
-            Given a RunReport JSON (from --metrics-out), print its headline
-            numbers and per-worker utilization. --timeline exports the run
-            as a Chrome trace-event JSON (chrome://tracing, Perfetto).
-  cluster   [--k=40] [--restarts=10] [--seed=0] [--splits=P | --memory=BYTES]
-            [--workers=N] [--kernel=auto] [--backend=local-file]
-            [--coreset=SIZE] [--coreset-window=CHUNKS] [--coreset-decay=L]
-            [--tolerant] [--chaos=LEVEL:SEED]
-            [--metrics-out=REPORT.json] [--trace=TRACE.jsonl]
-            [--ledger=LEDGER.jsonl] [--serve=ADDR] [--folded=STACKS.txt]
-            <bucket files…>
-            Cluster each bucket with partial/merge k-means on the stream
-            engine; prints centroids summary and operator telemetry.
-            --kernel picks the assignment strategy (auto, scalar,
-            fused); --backend picks the storage backend for GB02 block
-            containers (local-file, mmap, sim-object-store) — GB01
-            buckets always use the legacy buffered reader, and
-            sim-object-store adds per-GET latency (plus seeded
-            flakiness under --chaos); --tolerant enables the
-            fault-tolerant policy (scan retries, poison quarantine,
-            degraded merge with lost-mass accounting) instead of the
-            strict fail-fast default; --chaos injects a seeded fault
-            schedule (light:SEED or heavy:SEED) for chaos drills —
-            combine with --tolerant to watch the engine degrade instead
-            of erroring; --metrics-out writes a structured RunReport
-            (JSON); --trace streams structured events as JSON lines;
-            --ledger journals the run as an append-only JSONL event
-            ledger (inspect or diff it afterwards); --serve exposes
-            /metrics, /report.json, /healthz — plus /events and
-            /ledger.jsonl when a ledger is active — over HTTP for the
-            duration of the run; --folded writes the span profiler's
-            folded stacks (pipe into inferno-flamegraph for an SVG
-            flamegraph). --coreset=SIZE replaces the buffer-everything
-            merge with a merge-reduce coreset tree: each chunk becomes a
-            SIZE-point weighted coreset and live memory stays bounded by
-            levels x SIZE regardless of stream length;
-            --coreset-window=CHUNKS keeps only the last CHUNKS chunks
-            (bucket-granularity eviction) and --coreset-decay=L scales
-            live weights by L in (0,1] per chunk for recency-weighted
-            clustering.
-  orchestrate [--jobs=4] [--cells=N] [--k=40] [--restarts=10] [--seed=0]
-            [--splits=P | --memory=BYTES] [--workers=1] [--budget=BYTES]
-            [--backend=local-file]
-            [--checkpoint-dir=DIR] [--resume] [--kill-after=K]
-            [--coreset=SIZE] [--coreset-window=CHUNKS] [--coreset-decay=L]
-            [--tolerant] [--chaos=LEVEL:SEED]
-            [--metrics-out=REPORT.json] [--ledger=LEDGER.jsonl]
-            [--serve=ADDR] [--watchdog=SECS]
-            <bucket files…>
-            Run many cells through the pipeline concurrently on --jobs
-            work-stealing workers, each cell an independent pipeline
-            (--workers partial clones inside it). --cells caps how many
-            of the given buckets run; --budget bounds the total in-flight
-            chunk memory across cells (workers block when exhausted);
-            --checkpoint-dir persists each cell's merged result to a
-            versioned, checksummed checkpoint file as it completes, and
-            --resume loads valid checkpoints instead of re-scanning —
-            a resumed run is bit-identical to an uninterrupted one.
-            --kill-after=K is the chaos drill: simulate the process dying
-            right after the K-th checkpoint write (pair with a later
-            --resume to exercise recovery end-to-end). After a clean run,
-            stale checkpoint files in --checkpoint-dir (foreign buckets,
-            outdated plans) are garbage-collected. --serve exposes the
-            live dashboard for the duration of the run: /status (planet
-            progress, per-worker state and utilization, ETA) plus
-            /metrics, /report.json, /healthz, /events, /ledger.jsonl.
-            --watchdog=SECS starts a stall watchdog: no progress for SECS
-            emits watchdog.stall to the ledger, a cell open longer than
-            SECS and 4x the median cell time emits watchdog.straggler,
-            and a worker parked on the memory budget past the deadline
-            is flagged. --coreset=SIZE runs every cell on the bounded-
-            memory merge-reduce coreset tree (see cluster); with --serve
-            the anytime query — the mid-stream clustering over the live
-            buckets — is published into /status as the `coreset` block
-            on every tree level-up and at completion. --backend picks
-            the GB02 storage backend (see cluster); the backend is part
-            of the checkpoint plan fingerprint, so --resume only
-            accepts checkpoints written under the same backend.
-  convert   [--codec=shuffle-rle] [--block-points=4096] [--out=DIR]
-            <bucket files…>
-            Re-encode buckets as PMKMGB02 block containers: the payload
-            is split into fixed-point-count blocks, each independently
-            compressed and covered by an FNV-1a entry in a trailing
-            index that enables ranged reads. Reads either format (GB01
-            blobs or existing GB02 files, e.g. to recompress); writes
-            NAME.gb2 next to each input, or into --out=DIR. --codec
-            picks the block codec (raw, shuffle-rle); --block-points
-            sets the points per block. Prints the block count and the
-            payload compression ratio per file.
-  diff      [--threshold=0.10] <A> <B>
-            Compare two runs (each a run ledger or a RunReport JSON, mixed
-            freely): prints the elapsed ratio, per-phase attribution of
-            the delta with a confidence score, kernel dispatch changes,
-            fault-counter deltas, and mass-conservation drift. Exits 3
-            when B is more than --threshold slower than A, so CI gates
-            can tell a regression (3) from a plain failure (1).
-  serve-demo [--addr=127.0.0.1:0] [--iters=3] [--n=2000] [--k=8]
-            [--splits=4] [--restarts=2] [--seed=0]
-            Run a synthetic partial/merge workload while serving live
-            telemetry over HTTP; self-probes /healthz and /metrics and
-            prints the results. Useful for demos and smoke tests.
-  compress  [--k=40] [--restarts=10] [--splits=5] [--seed=0] [--out=DIR]
-            <bucket files…>
-            Compress each bucket into a multivariate histogram (JSON).
-  query     --range=DIM:LO:HI [--range=…] [--exact=BUCKET.gb] <histogram.json>
-            Estimate range count/mean from a compressed histogram;
-            --exact compares against the original bucket file.
-";
+/// The command named `name`.
+pub fn find(name: &str) -> Result<&'static Command, CliError> {
+    COMMANDS.iter().find(|c| c.name == name).ok_or_else(|| CliError::UnknownCommand(name.into()))
+}
 
-fn generate<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["out", "orbits", "dim", "seed", "lat", "step", "samples"])?;
-    let dir: PathBuf = PathBuf::from(args.get_str("out", "stripes"));
-    let lat: f64 = args.get("lat", 20.0)?;
+/// Dispatches a subcommand: `--help` prints its help; otherwise its flags
+/// and operand count are checked against its row before it runs.
+pub fn dispatch<W: Write>(command: &str, args: &Args, out: &mut W) -> Result<(), CliError> {
+    let cmd = find(command)?;
+    if args.flag("help") {
+        return Ok(out.write_all(cmd.help().as_bytes())?);
+    }
+    let args = args.clone().check(cmd.flags)?;
+    let n = args.positionals().len();
+    if n < cmd.arity.0 || n > cmd.arity.1 {
+        let want = if cmd.operands.is_empty() { "no operands" } else { cmd.operands };
+        return Err(CliError::Usage(format!("expected {want}, got {n} operand(s)")));
+    }
+    (cmd.run)(&args, out)
+}
+
+fn print_help(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let text = match args.positionals().first() {
+        Some(name) => find(name)?.help(),
+        None => overview(),
+    };
+    Ok(out.write_all(text.as_bytes())?)
+}
+
+fn generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let dir: PathBuf = PathBuf::from(args.get_str("out"));
+    let lat: f64 = args.get("lat")?;
     let cfg = SwathConfig {
-        orbits: args.get("orbits", 4usize)?,
-        attrs_dim: args.get("dim", 6usize)?,
-        seed: args.get("seed", 0u64)?,
+        orbits: args.get("orbits")?,
+        attrs_dim: args.get("dim")?,
+        seed: args.get("seed")?,
         lat_range: (-lat.abs(), lat.abs()),
-        along_track_step_deg: args.get("step", 0.05f64)?,
-        cross_track_samples: args.get("samples", 16usize)?,
+        along_track_step_deg: args.get("step")?,
+        cross_track_samples: args.get("samples")?,
         ..SwathConfig::default()
     };
     let mut sim = SwathSimulator::new(cfg).map_err(run_err)?;
     let stripes = sim.write_stripes(&dir).map_err(run_err)?;
-    writeln!(out, "wrote {} stripe files to {}", stripes.len(), dir.display()).map_err(run_err)?;
+    writeln!(out, "wrote {} stripe files to {}", stripes.len(), dir.display())?;
     Ok(())
 }
 
-fn bin<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["out"])?;
-    let dir = PathBuf::from(args.get_str("out", "buckets"));
+fn bin(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let dir = PathBuf::from(args.get_str("out"));
     let stripes: Vec<PathBuf> = args.positionals().iter().map(PathBuf::from).collect();
-    if stripes.is_empty() {
-        return Err(CliError::Run("bin: no stripe files given".into()));
-    }
     let summary = bin_stripes(&stripes, &dir).map_err(run_err)?;
     writeln!(
         out,
@@ -231,8 +328,7 @@ fn bin<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         summary.observations,
         summary.buckets.len(),
         dir.display()
-    )
-    .map_err(run_err)?;
+    )?;
     Ok(())
 }
 
@@ -244,10 +340,10 @@ fn looks_like_ledger(path: &str) -> bool {
 }
 
 /// Prints the per-cell / per-phase rollup of one run ledger.
-fn inspect_ledger<W: Write>(
+fn inspect_ledger(
     path: &str,
-    records: &[pmkm_obs::LedgerRecord],
-    out: &mut W,
+    records: &[LedgerRecord],
+    out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let roll = pmkm_obs::rollup(records);
     writeln!(
@@ -257,17 +353,15 @@ fn inspect_ledger<W: Write>(
         roll.events,
         roll.elapsed_us,
         roll.mass_ratio()
-    )
-    .map_err(run_err)?;
+    )?;
     if !roll.phases.is_empty() {
-        writeln!(out, "  [phases] path, calls, total µs, self µs, wall µs").map_err(run_err)?;
+        writeln!(out, "  [phases] path, calls, total µs, self µs, wall µs")?;
         for p in &roll.phases {
             writeln!(
                 out,
                 "    {:<24} {:>6} {:>10} {:>10} {:>10}",
                 p.path, p.calls, p.total_us, p.self_us, p.wall_us
-            )
-            .map_err(run_err)?;
+            )?;
         }
     }
     for c in &roll.cells {
@@ -277,55 +371,48 @@ fn inspect_ledger<W: Write>(
             "  [cell {}] {} chunks, expected {:.0}, lost {:.0} in {} chunk(s), \
              mse {:.3}, E_pm {:.1}{flag}",
             c.cell, c.chunks, c.expected_points, c.lost_points, c.lost_chunks, c.mse, c.epm
-        )
-        .map_err(run_err)?;
+        )?;
     }
     for ch in roll.slowest_chunks(5) {
         writeln!(
             out,
             "  [slow chunk] cell {} chunk {}: {} points in {} µs ({} attempt(s))",
             ch.cell, ch.chunk, ch.points, ch.duration_us, ch.attempts
-        )
-        .map_err(run_err)?;
+        )?;
     }
     for k in &roll.kernels {
-        writeln!(out, "  [kernel] {}: {} dispatches, {} points", k.kind, k.runs, k.points)
-            .map_err(run_err)?;
+        writeln!(out, "  [kernel] {}: {} dispatches, {} points", k.kind, k.runs, k.points)?;
     }
     for f in &roll.fault_timeline {
-        writeln!(out, "  [fault +{} µs] {} {}", f.ts_us, f.kind, f.detail).map_err(run_err)?;
+        writeln!(out, "  [fault +{} µs] {} {}", f.ts_us, f.kind, f.detail)?;
     }
     if roll.resumed_cells > 0 || roll.invalid_checkpoints > 0 {
         writeln!(
             out,
             "  [resume] {} cell(s) restored from checkpoint, {} invalid checkpoint(s) re-scanned",
             roll.resumed_cells, roll.invalid_checkpoints
-        )
-        .map_err(run_err)?;
+        )?;
     }
     for ck in &roll.checkpoints {
         writeln!(
             out,
             "  [checkpoint +{} µs] cell {} seq {} ({} bytes)",
             ck.ts_us, ck.cell, ck.seq, ck.bytes
-        )
-        .map_err(run_err)?;
+        )?;
     }
     if roll.worker_transitions > 0 {
         writeln!(
             out,
             "  [workers] {} state transition(s) journaled (--timeline exports a Chrome trace)",
             roll.worker_transitions
-        )
-        .map_err(run_err)?;
+        )?;
     }
     if roll.watchdog_stalls > 0 || roll.watchdog_stragglers > 0 {
         writeln!(
             out,
             "  [watchdog] {} stall(s), {} straggler(s)",
             roll.watchdog_stalls, roll.watchdog_stragglers
-        )
-        .map_err(run_err)?;
+        )?;
     }
     if !roll.scan.is_empty() {
         writeln!(
@@ -338,8 +425,7 @@ fn inspect_ledger<W: Write>(
             roll.scan.compression_ratio(),
             roll.scan.zero_copy_blocks,
             roll.scan.prefetch_hit_rate() * 100.0
-        )
-        .map_err(run_err)?;
+        )?;
     }
     if !roll.coreset.is_empty() {
         writeln!(
@@ -354,27 +440,21 @@ fn inspect_ledger<W: Write>(
             roll.coreset.live_weight(),
             roll.coreset.levels.len(),
             roll.coreset.expired_points
-        )
-        .map_err(run_err)?;
+        )?;
     }
     Ok(())
 }
 
 /// Prints the headline numbers of a structured `RunReport` JSON, including
 /// the v6 per-worker timeline rollup when present.
-fn inspect_report<W: Write>(
-    path: &str,
-    report: &pmkm_obs::RunReport,
-    out: &mut W,
-) -> Result<(), CliError> {
+fn inspect_report(path: &str, report: &RunReport, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         out,
         "{path}: run report v{}, {} cells, elapsed {:.0} ms",
         report.schema_version,
         report.cells.len(),
         report.elapsed.as_secs_f64() * 1e3
-    )
-    .map_err(run_err)?;
+    )?;
     if let Some(tl) = &report.timeline {
         writeln!(
             out,
@@ -382,8 +462,7 @@ fn inspect_report<W: Write>(
             tl.workers.len(),
             tl.wall_us,
             tl.span_us
-        )
-        .map_err(run_err)?;
+        )?;
         for w in &tl.workers {
             writeln!(
                 out,
@@ -397,26 +476,21 @@ fn inspect_report<W: Write>(
                 w.merge_us,
                 w.checkpoint_us,
                 w.budget_wait_us
-            )
-            .map_err(run_err)?;
+            )?;
         }
     }
     Ok(())
 }
 
-fn inspect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["timeline"])?;
-    let timeline_out = args.get_str("timeline", "");
-    if args.positionals().is_empty() {
-        return Err(CliError::Run("inspect: no bucket or ledger files given".into()));
-    }
+fn inspect(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let timeline_out = args.get_str("timeline");
     let mut trace_json: Option<String> = None;
     for path in args.positionals() {
         if looks_like_ledger(path) {
-            let text = std::fs::read_to_string(path).map_err(run_err)?;
+            let text = std::fs::read_to_string(path)?;
             // A RunReport is one JSON document; a ledger is JSON lines.
             // Try the report first — a ledger always fails that parse.
-            if let Ok(report) = serde_json::from_str::<pmkm_obs::RunReport>(&text) {
+            if let Ok(report) = serde_json::from_str::<RunReport>(&text) {
                 inspect_report(path, &report, out)?;
                 trace_json = Some(pmkm_obs::chrome_trace_from_report(&report));
             } else {
@@ -424,7 +498,7 @@ fn inspect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
                 inspect_ledger(path, &records, out)?;
                 if let Some(gantt) = pmkm_obs::ascii_gantt(&records, 72) {
                     for line in gantt.lines() {
-                        writeln!(out, "  {line}").map_err(run_err)?;
+                        writeln!(out, "  {line}")?;
                     }
                 }
                 trace_json = Some(pmkm_obs::chrome_trace(&records));
@@ -445,8 +519,7 @@ fn inspect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
                     reader.n_blocks(),
                     reader.block_points,
                     reader.default_codec
-                )
-                .map_err(run_err)?;
+                )?;
                 reader.read_all().map_err(run_err)?
             }
         };
@@ -458,8 +531,7 @@ fn inspect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             bucket.points.len(),
             bucket.points.dim(),
             info.format.label()
-        )
-        .map_err(run_err)?;
+        )?;
         if let Some(stats) = pmkm_data::stats::summarize(&bucket.points) {
             for (d, s) in stats.iter().enumerate() {
                 writeln!(
@@ -469,28 +541,24 @@ fn inspect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
                     s.variance.sqrt(),
                     s.min,
                     s.max
-                )
-                .map_err(run_err)?;
+                )?;
             }
         }
     }
     if !timeline_out.is_empty() {
         let json = trace_json.ok_or_else(|| {
-            CliError::Run(
-                "inspect: --timeline needs a run ledger or RunReport JSON among the inputs".into(),
-            )
+            CliError::Run("--timeline needs a run ledger or RunReport JSON among the inputs".into())
         })?;
-        std::fs::write(&timeline_out, json).map_err(run_err)?;
+        std::fs::write(&timeline_out, json)?;
         writeln!(
             out,
             "wrote Chrome trace to {timeline_out} (open in chrome://tracing or ui.perfetto.dev)"
-        )
-        .map_err(run_err)?;
+        )?;
     }
     Ok(())
 }
 
-/// Loads one side of a `pmkm diff` as a comparable [`pmkm_obs::RunProfile`].
+/// Loads one side of a comparison as a comparable [`pmkm_obs::RunProfile`].
 ///
 /// Accepts either a structured `RunReport` JSON (from `--metrics-out`) or a
 /// JSONL run ledger (from `--ledger`); the two sides of a diff may mix the
@@ -499,29 +567,22 @@ fn inspect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
 /// parser.
 fn load_profile(path: &str) -> Result<pmkm_obs::RunProfile, CliError> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Run(format!("diff: cannot read {path}: {e}")))?;
-    if let Ok(report) = serde_json::from_str::<pmkm_obs::RunReport>(&text) {
+        .map_err(|e| CliError::Run(format!("cannot read {path}: {e}")))?;
+    if let Ok(report) = serde_json::from_str::<RunReport>(&text) {
         return Ok(pmkm_obs::RunProfile::from_run_report(path, &report));
     }
-    let records = pmkm_obs::parse_ledger(&text).map_err(|e| {
-        CliError::Run(format!("diff: {path} is neither a RunReport nor a ledger: {e}"))
-    })?;
+    let records = pmkm_obs::parse_ledger(&text)
+        .map_err(|e| CliError::Run(format!("{path} is neither a RunReport nor a ledger: {e}")))?;
     Ok(pmkm_obs::RunProfile::from_rollup(path, &pmkm_obs::rollup(&records)))
 }
 
-fn diff_runs<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["threshold"])?;
-    let threshold: f64 = args.get("threshold", 0.10)?;
+fn diff_runs(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let threshold: f64 = args.get("threshold")?;
     let paths = args.positionals();
-    if paths.len() != 2 {
-        return Err(CliError::Run(
-            "diff: give exactly two runs to compare (each a ledger or a RunReport JSON)".into(),
-        ));
-    }
     let a = load_profile(&paths[0])?;
     let b = load_profile(&paths[1])?;
     let diff = pmkm_obs::diff_profiles(&a, &b, threshold);
-    write!(out, "{}", diff.render()).map_err(run_err)?;
+    write!(out, "{}", diff.render())?;
     if diff.regression {
         let culprit = diff
             .attributed_phase()
@@ -535,90 +596,42 @@ fn diff_runs<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&[
-        "k",
-        "restarts",
-        "seed",
-        "splits",
-        "memory",
-        "workers",
-        "kernel",
-        "backend",
-        "metrics-out",
-        "trace",
-        "ledger",
-        "serve",
-        "folded",
-        "tolerant",
-        "chaos",
-        "coreset",
-        "coreset-window",
-        "coreset-decay",
-    ])?;
+fn cluster(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let paths: Vec<PathBuf> = args.positionals().iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        return Err(CliError::Run("cluster: no bucket files given".into()));
-    }
-    let kernel_name = args.get_str("kernel", "auto");
+    let kernel_name = args.get_str("kernel");
     let kernel = pmkm_core::KernelKind::parse(&kernel_name).ok_or_else(|| {
-        CliError::Run(format!("cluster: unknown kernel '{kernel_name}' (auto, scalar, fused)"))
+        CliError::Run(format!("unknown kernel '{kernel_name}' (auto, scalar, fused)"))
     })?;
     let mut kcfg = KMeansConfig {
-        restarts: args.get("restarts", 10usize)?,
-        ..KMeansConfig::paper(args.get("k", 40usize)?, args.get("seed", 0u64)?)
+        restarts: args.get("restarts")?,
+        ..KMeansConfig::paper(args.get("k")?, args.get("seed")?)
     };
     kcfg.lloyd.kernel = kernel;
     let logical = LogicalPlan::new(paths, kcfg);
-    let workers = args.get("workers", 0usize)?;
-    let resources = if workers > 0 {
-        Resources { workers, ..Resources::detect() }
-    } else {
-        Resources::detect()
+    // `--workers=0` also means one clone per detected core.
+    let detected = Resources::detect();
+    let workers = match args.get_or("workers", detected.workers)? {
+        0 => detected.workers,
+        workers => workers,
     };
-    let fault_plan = parse_chaos("cluster", &args.get_str("chaos", ""))?;
-    let plan = physical_plan("cluster", args, logical, resources)?;
-    let metrics_out = args.get_str("metrics-out", "");
-    let trace_out = args.get_str("trace", "");
-    let ledger_out = args.get_str("ledger", "");
-    let serve_addr = args.get_str("serve", "");
-    let folded_out = args.get_str("folded", "");
+    let fault_plan = parse_chaos(args)?;
+    let plan = physical_plan(args, logical, Resources { workers, ..detected })?;
+    let metrics_out = args.get_str("metrics-out");
+    let ledger_out = args.get_str("ledger");
+    let serve_addr = args.get_str("serve");
+    let folded_out = args.get_str("folded");
     let ledger = open_ledger(&ledger_out, &serve_addr)?;
-    let recorder = if metrics_out.is_empty()
-        && trace_out.is_empty()
-        && serve_addr.is_empty()
-        && folded_out.is_empty()
-        && ledger.is_none()
-    {
+    // `--serve` always opens a ledger, in memory when `--ledger` is absent.
+    let recorder = if metrics_out.is_empty() && folded_out.is_empty() && ledger.is_none() {
         None
     } else {
-        let mut rec =
-            pmkm_obs::Recorder::new().with_profiler(std::sync::Arc::new(pmkm_obs::Profiler::new()));
-        if !trace_out.is_empty() {
-            let sink = pmkm_obs::JsonlSink::create(&trace_out).map_err(run_err)?;
-            rec = rec.with_sink(std::sync::Arc::new(sink));
-        }
+        let mut rec = Recorder::new().with_profiler(Arc::new(Profiler::new()));
         if let Some(ledger) = &ledger {
             rec = rec.with_sink(ledger.clone());
         }
-        Some(std::sync::Arc::new(rec))
+        Some(Arc::new(rec))
     };
-    let server = if serve_addr.is_empty() {
-        None
-    } else {
-        let rec = recorder.clone().expect("recorder is built whenever --serve is given");
-        let server =
-            pmkm_obs::MetricsServer::serve_full(serve_addr.as_str(), rec, 4, ledger.clone(), None)
-                .map_err(run_err)?;
-        writeln!(
-            out,
-            "serving telemetry at http://{} (/metrics, /report.json, /healthz, /events, \
-             /ledger.jsonl)",
-            server.local_addr()
-        )
-        .map_err(run_err)?;
-        Some(server)
-    };
+    let server = serve(out, &serve_addr, &recorder, &ledger, None)?;
     let report =
         pmkm_stream::execute_with_faults(&plan, recorder.clone(), fault_plan).map_err(run_err)?;
     writeln!(
@@ -626,8 +639,7 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "clustered {} cells in {:.0} ms",
         report.cells.len(),
         report.elapsed.as_secs_f64() * 1e3
-    )
-    .map_err(run_err)?;
+    )?;
     for cell in &report.cells {
         write_cell_line(out, cell, "")?;
     }
@@ -643,8 +655,7 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             op.utilization() * 100.0,
             op.items_in,
             op.items_out
-        )
-        .map_err(run_err)?;
+        )?;
     }
     if let Some(rec) = &recorder {
         rec.flush();
@@ -652,17 +663,14 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     if !metrics_out.is_empty() {
         write_run_report(out, &metrics_out, &report.run_report(recorder.as_deref()))?;
     }
-    if !trace_out.is_empty() {
-        writeln!(out, "wrote trace to {trace_out}").map_err(run_err)?;
-    }
     if !ledger_out.is_empty() {
-        writeln!(out, "wrote ledger to {ledger_out}").map_err(run_err)?;
+        writeln!(out, "wrote ledger to {ledger_out}")?;
     }
     if !folded_out.is_empty() {
         let folded =
             recorder.as_ref().and_then(|r| r.profiler()).map(|p| p.folded()).unwrap_or_default();
-        std::fs::write(&folded_out, folded).map_err(run_err)?;
-        writeln!(out, "wrote folded stacks to {folded_out}").map_err(run_err)?;
+        std::fs::write(&folded_out, folded)?;
+        writeln!(out, "wrote folded stacks to {folded_out}")?;
     }
     if let Some(server) = server {
         // Publish the final report so a last scrape sees the complete run,
@@ -674,65 +682,81 @@ fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
 }
 
 /// Compiles `logical` into the physical plan both engine fronts run:
-/// chunk size from `--splits` (per the largest bucket) or `--memory`, then
-/// `--backend`, `--tolerant` and the `--coreset*` knobs.
+/// chunk size from `--splits` (per the largest bucket) or `--memory`, which
+/// exclude each other, then `--backend`, `--tolerant` and the `--coreset*`
+/// knobs.
 fn physical_plan(
-    cmd: &str,
     args: &Args,
     logical: LogicalPlan,
     resources: Resources,
 ) -> Result<pmkm_stream::PhysicalPlan, CliError> {
-    let mut plan = match args.get::<usize>("splits", 0)? {
+    if args.given("splits").is_some() && args.given("memory").is_some() {
+        return Err(CliError::Usage("--splits and --memory exclude each other".into()));
+    }
+    let mut plan = match args.get::<usize>("splits")? {
         0 => {
-            let memory = args.get("memory", resources.chunk_memory_bytes)?;
+            let memory = args.get_or("memory", resources.chunk_memory_bytes)?;
             optimize(logical, &Resources { chunk_memory_bytes: memory, ..resources })
         }
         splits => {
             // Resolve splits per the largest bucket so every bucket gets at
             // most `splits` chunks. probe() reads only the header, and
             // understands both bucket formats.
-            let max_points = logical
-                .inputs
-                .iter()
-                .map(|p| pmkm_data::probe(p).map(|info| info.count))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(run_err)?
-                .into_iter()
-                .max()
-                .unwrap_or(1);
+            let mut max_points = 1;
+            for p in &logical.inputs {
+                max_points = max_points.max(pmkm_data::probe(p).map_err(run_err)?.count);
+            }
             optimize_fixed_split(logical, &resources, max_points.div_ceil(splits).max(1))
         }
     };
-    plan.scan_backend = parse_backend(cmd, args)?;
+    plan.scan_backend = parse_backend(args)?;
     if args.flag("tolerant") {
         plan.fault_policy = pmkm_stream::FaultPolicy::tolerant();
     }
-    plan.coreset = parse_coreset(cmd, args)?;
+    plan.coreset = parse_coreset(args)?;
     Ok(plan)
 }
 
 /// Opens the run ledger: a file for `--ledger=PATH`; a ledger also backs
 /// the /events long-poll, so `--serve` without `--ledger` still gets an
 /// in-memory journal; a bare run gets none at all.
-fn open_ledger(
-    ledger_out: &str,
-    serve_addr: &str,
-) -> Result<Option<std::sync::Arc<pmkm_obs::LedgerSink>>, CliError> {
+fn open_ledger(ledger_out: &str, serve_addr: &str) -> Result<Option<Arc<LedgerSink>>, CliError> {
     Ok(if !ledger_out.is_empty() {
-        Some(std::sync::Arc::new(pmkm_obs::LedgerSink::create(ledger_out).map_err(run_err)?))
+        Some(Arc::new(LedgerSink::create(ledger_out).map_err(run_err)?))
     } else if !serve_addr.is_empty() {
-        Some(std::sync::Arc::new(pmkm_obs::LedgerSink::in_memory()))
+        Some(Arc::new(LedgerSink::in_memory()))
     } else {
         None
     })
 }
 
+/// Starts the `--serve` exporter when an address is given, and announces
+/// its routes (`/status` only with a status cell).
+fn serve(
+    out: &mut dyn Write,
+    addr: &str,
+    recorder: &Option<Arc<Recorder>>,
+    ledger: &Option<Arc<LedgerSink>>,
+    status: Option<Arc<StatusCell>>,
+) -> Result<Option<MetricsServer>, CliError> {
+    if addr.is_empty() {
+        return Ok(None);
+    }
+    let rec = recorder.clone().expect("recorder is built whenever --serve is given");
+    let status_route = if status.is_some() { "/status, " } else { "" };
+    let server =
+        MetricsServer::serve_full(addr, rec, 4, ledger.clone(), status).map_err(run_err)?;
+    writeln!(
+        out,
+        "serving telemetry at http://{} (/metrics, /report.json, /healthz, {status_route}/events, \
+         /ledger.jsonl)",
+        server.local_addr()
+    )?;
+    Ok(Some(server))
+}
+
 /// One clustered cell's row; `tag` trails it (`" [resumed]"` or nothing).
-fn write_cell_line<W: Write>(
-    out: &mut W,
-    cell: &pmkm_stream::CellClustering,
-    tag: &str,
-) -> Result<(), CliError> {
+fn write_cell_line(out: &mut dyn Write, cell: &CellClustering, tag: &str) -> Result<(), CliError> {
     let weight: f64 = cell.output.cluster_weights.iter().sum();
     let degraded = if cell.degraded {
         format!(" [degraded: lost {} points in {} chunk(s)]", cell.lost_points, cell.lost_chunks)
@@ -748,12 +772,12 @@ fn write_cell_line<W: Write>(
         cell.output.centroids.k(),
         cell.output.epm,
         weight as u64
-    )
-    .map_err(run_err)
+    )?;
+    Ok(())
 }
 
 /// The `[faults]` counter row, when any fault fired.
-fn write_faults_line<W: Write>(out: &mut W, f: &pmkm_obs::FaultReport) -> Result<(), CliError> {
+fn write_faults_line(out: &mut dyn Write, f: &pmkm_obs::FaultReport) -> Result<(), CliError> {
     if !f.any() {
         return Ok(());
     }
@@ -769,19 +793,15 @@ fn write_faults_line<W: Write>(out: &mut W, f: &pmkm_obs::FaultReport) -> Result
         f.chunk_retries,
         f.queue_stalls,
         f.cells_degraded
-    )
-    .map_err(run_err)
+    )?;
+    Ok(())
 }
 
 /// Writes the `--metrics-out` run report.
-fn write_run_report<W: Write>(
-    out: &mut W,
-    path: &str,
-    report: &pmkm_obs::RunReport,
-) -> Result<(), CliError> {
+fn write_run_report(out: &mut dyn Write, path: &str, report: &RunReport) -> Result<(), CliError> {
     let json = serde_json::to_string_pretty(report).map_err(run_err)?;
-    std::fs::write(path, json).map_err(run_err)?;
-    writeln!(out, "wrote run report to {path}").map_err(run_err)
+    std::fs::write(path, json)?;
+    Ok(writeln!(out, "wrote run report to {path}")?)
 }
 
 /// Parses the coreset-engine knobs: `--coreset=SIZE` switches the plan's
@@ -789,29 +809,24 @@ fn write_run_report<W: Write>(
 /// merge-reduce tree; `--coreset-window=CHUNKS` adds a sliding window and
 /// `--coreset-decay=LAMBDA` an exponential weight decay. Returns `None`
 /// when `--coreset` is absent (the classic merge path).
-fn parse_coreset(cmd: &str, args: &Args) -> Result<Option<pmkm_stream::CoresetSpec>, CliError> {
-    let size = args.get("coreset", 0usize)?;
-    let window = args.get("coreset-window", 0usize)?;
-    let decay = args.get("coreset-decay", 0.0f64)?;
-    if size == 0 {
-        if window > 0 || decay != 0.0 {
-            return Err(CliError::Run(format!(
-                "{cmd}: --coreset-window/--coreset-decay need --coreset=SIZE"
-            )));
+fn parse_coreset(args: &Args) -> Result<Option<pmkm_stream::CoresetSpec>, CliError> {
+    let size = args.get::<usize>("coreset")?;
+    let window = Some(args.get::<usize>("coreset-window")?).filter(|&w| w > 0);
+    let decay = Some(args.get::<f64>("coreset-decay")?).filter(|&d| d != 0.0);
+    match size {
+        0 if window.is_some() || decay.is_some() => {
+            Err(CliError::Run("--coreset-window/--coreset-decay need --coreset=SIZE".into()))
         }
-        return Ok(None);
+        0 => Ok(None),
+        size => Ok(Some(pmkm_stream::CoresetSpec {
+            window,
+            decay,
+            ..pmkm_stream::CoresetSpec::new(size)
+        })),
     }
-    let mut spec = pmkm_stream::CoresetSpec::new(size);
-    if window > 0 {
-        spec.window = Some(window);
-    }
-    if decay != 0.0 {
-        spec.decay = Some(decay);
-    }
-    Ok(Some(spec))
 }
 
-/// One-line tree summary for the per-cell rows of `cluster`/`orchestrate`.
+/// One-line tree summary for the per-cell rows of a clustering run.
 fn coreset_tag(stats: Option<&pmkm_core::CoresetStats>) -> String {
     match stats {
         Some(s) => format!(
@@ -823,12 +838,10 @@ fn coreset_tag(stats: Option<&pmkm_core::CoresetStats>) -> String {
 }
 
 /// Parses `--backend=KIND` into the plan's scan-backend knob.
-fn parse_backend(cmd: &str, args: &Args) -> Result<pmkm_data::BackendKind, CliError> {
-    let name = args.get_str("backend", "local-file");
+fn parse_backend(args: &Args) -> Result<pmkm_data::BackendKind, CliError> {
+    let name = args.get_str("backend");
     pmkm_data::BackendKind::parse(&name).ok_or_else(|| {
-        CliError::Run(format!(
-            "{cmd}: unknown backend '{name}' (local-file, mmap, sim-object-store)"
-        ))
+        CliError::Run(format!("unknown backend '{name}' (local-file, mmap, sim-object-store)"))
     })
 }
 
@@ -845,22 +858,16 @@ fn read_bucket_any(path: &std::path::Path) -> Result<GridBucket, CliError> {
     }
 }
 
-fn convert<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["out", "codec", "block-points"])?;
-    let paths: Vec<PathBuf> = args.positionals().iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        return Err(CliError::Run("convert: no bucket files given".into()));
-    }
-    let codec_name = args.get_str("codec", "shuffle-rle");
-    let codec = pmkm_data::Codec::parse(&codec_name).ok_or_else(|| {
-        CliError::Run(format!("convert: unknown codec '{codec_name}' (raw, shuffle-rle)"))
-    })?;
-    let block_points = args.get("block-points", pmkm_data::DEFAULT_BLOCK_POINTS)?;
-    let out_dir = args.get_str("out", "");
+fn convert(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let codec_name = args.get_str("codec");
+    let codec = pmkm_data::Codec::parse(&codec_name)
+        .ok_or_else(|| CliError::Run(format!("unknown codec '{codec_name}' (raw, shuffle-rle)")))?;
+    let block_points = args.get("block-points")?;
+    let out_dir = args.get_str("out");
     if !out_dir.is_empty() {
-        std::fs::create_dir_all(&out_dir).map_err(run_err)?;
+        std::fs::create_dir_all(&out_dir)?;
     }
-    for path in &paths {
+    for path in args.positionals().iter().map(std::path::Path::new) {
         let bucket = read_bucket_any(path)?;
         let dst = if out_dir.is_empty() {
             path.with_extension("gb2")
@@ -878,109 +885,77 @@ fn convert<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             stats.blocks,
             stats.ratio(),
             stats.file_bytes
-        )
-        .map_err(run_err)?;
+        )?;
     }
     Ok(())
 }
 
-/// Parses `--chaos=LEVEL:SEED` into a fault plan (`""` → `None`).
-fn parse_chaos(cmd: &str, chaos: &str) -> Result<Option<pmkm_stream::FaultPlan>, CliError> {
+/// Parses `--chaos=LEVEL:SEED` into a fault plan (absent → `None`).
+fn parse_chaos(args: &Args) -> Result<Option<pmkm_stream::FaultPlan>, CliError> {
+    let chaos = args.get_str("chaos");
     if chaos.is_empty() {
         return Ok(None);
     }
     let (level, seed) = chaos.split_once(':').ok_or_else(|| {
-        CliError::Run(format!("{cmd}: --chaos takes LEVEL:SEED (e.g. light:11), got '{chaos}'"))
+        CliError::Run(format!("--chaos takes LEVEL:SEED (e.g. light:11), got '{chaos}'"))
     })?;
-    let seed: u64 =
-        seed.parse().map_err(|_| CliError::Run(format!("{cmd}: bad chaos seed '{seed}'")))?;
+    let seed: u64 = seed.parse().map_err(|_| CliError::Run(format!("bad chaos seed '{seed}'")))?;
     Ok(Some(match level {
         "light" => pmkm_stream::FaultPlan::light(seed),
         "heavy" => pmkm_stream::FaultPlan::heavy(seed),
         other => {
-            return Err(CliError::Run(format!(
-                "{cmd}: unknown chaos level '{other}' (light, heavy)"
-            )))
+            return Err(CliError::Run(format!("unknown chaos level '{other}' (light, heavy)")))
         }
     }))
 }
 
-fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&[
-        "jobs",
-        "cells",
-        "k",
-        "restarts",
-        "seed",
-        "splits",
-        "memory",
-        "workers",
-        "backend",
-        "budget",
-        "checkpoint-dir",
-        "resume",
-        "kill-after",
-        "tolerant",
-        "chaos",
-        "metrics-out",
-        "ledger",
-        "serve",
-        "watchdog",
-        "coreset",
-        "coreset-window",
-        "coreset-decay",
-    ])?;
+fn orchestrate_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut paths: Vec<PathBuf> = args.positionals().iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        return Err(CliError::Run("orchestrate: no bucket files given".into()));
-    }
-    let cells_cap = args.get("cells", 0usize)?;
-    if cells_cap > 0 {
-        paths.truncate(cells_cap);
-    }
+    paths.truncate(match args.get("cells")? {
+        0 => usize::MAX,
+        cap => cap,
+    });
     let kcfg = KMeansConfig {
-        restarts: args.get("restarts", 10usize)?,
-        ..KMeansConfig::paper(args.get("k", 40usize)?, args.get("seed", 0u64)?)
+        restarts: args.get("restarts")?,
+        ..KMeansConfig::paper(args.get("k")?, args.get("seed")?)
     };
     let logical = LogicalPlan::new(paths, kcfg);
     // Inside each cell the pipeline stays narrow by default — the
     // orchestrator's cross-cell workers are the parallelism axis.
-    let workers = args.get("workers", 1usize)?.max(1);
-    let resources = Resources { workers, ..Resources::detect() };
-    let plan = physical_plan("orchestrate", args, logical, resources)?;
-    let fault_plan = parse_chaos("orchestrate", &args.get_str("chaos", ""))?;
+    let workers = args.get::<usize>("workers")?.max(1);
+    let plan = physical_plan(args, logical, Resources { workers, ..Resources::detect() })?;
+    let fault_plan = parse_chaos(args)?;
 
-    let mut opts = pmkm_stream::OrchestratorOptions::new(args.get("jobs", 4usize)?);
-    let budget = args.get("budget", 0usize)?;
+    let mut opts = pmkm_stream::OrchestratorOptions::new(args.get("jobs")?);
+    let budget = args.get::<usize>("budget")?;
     if budget > 0 {
         opts = opts.with_budget(budget);
     }
-    let ckpt_dir = args.get_str("checkpoint-dir", "");
+    let ckpt_dir = args.get_str("checkpoint-dir");
     if !ckpt_dir.is_empty() {
         opts = opts.with_checkpoints(&ckpt_dir);
     }
     if args.flag("resume") {
         if ckpt_dir.is_empty() {
-            return Err(CliError::Run("orchestrate: --resume needs --checkpoint-dir".into()));
+            return Err(CliError::Run("--resume needs --checkpoint-dir".into()));
         }
         opts = opts.resuming();
     }
-    let kill_after = args.get("kill-after", 0usize)?;
+    let kill_after = args.get::<usize>("kill-after")?;
     if kill_after > 0 {
         if ckpt_dir.is_empty() {
-            return Err(CliError::Run("orchestrate: --kill-after needs --checkpoint-dir".into()));
+            return Err(CliError::Run("--kill-after needs --checkpoint-dir".into()));
         }
         opts = opts.kill_after(kill_after);
     }
 
-    let metrics_out = args.get_str("metrics-out", "");
-    let ledger_out = args.get_str("ledger", "");
-    let serve_addr = args.get_str("serve", "");
-    let watchdog_secs = args.get("watchdog", 0u64)?;
+    let metrics_out = args.get_str("metrics-out");
+    let ledger_out = args.get_str("ledger");
+    let serve_addr = args.get_str("serve");
+    let watchdog_secs = args.get::<u64>("watchdog")?;
     let ledger = open_ledger(&ledger_out, &serve_addr)?;
-    let watchdog_sink =
-        (watchdog_secs > 0).then(|| std::sync::Arc::new(pmkm_stream::WatchdogSink::new()));
-    let status = (!serve_addr.is_empty()).then(|| std::sync::Arc::new(pmkm_obs::StatusCell::new()));
+    let watchdog_sink = (watchdog_secs > 0).then(|| Arc::new(pmkm_stream::WatchdogSink::new()));
+    let status = (!serve_addr.is_empty()).then(|| Arc::new(StatusCell::new()));
     if let Some(status) = &status {
         opts = opts.with_status(status.clone());
     }
@@ -990,38 +965,18 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         // Any observed run gets a worker timeline: it feeds the /status
         // worker rows, the report's v6 rollup and the Chrome-trace export,
         // and costs nothing when nobody reads it.
-        let mut rec = pmkm_obs::Recorder::new()
-            .with_profiler(std::sync::Arc::new(pmkm_obs::Profiler::new()))
-            .with_timeline(std::sync::Arc::new(pmkm_obs::Timeline::new()));
+        let mut rec = Recorder::new()
+            .with_profiler(Arc::new(Profiler::new()))
+            .with_timeline(Arc::new(pmkm_obs::Timeline::new()));
         if let Some(ledger) = &ledger {
             rec = rec.with_sink(ledger.clone());
         }
         if let Some(sink) = &watchdog_sink {
             rec = rec.with_sink(sink.clone());
         }
-        Some(std::sync::Arc::new(rec))
+        Some(Arc::new(rec))
     };
-    let server = if serve_addr.is_empty() {
-        None
-    } else {
-        let rec = recorder.clone().expect("recorder is built whenever --serve is given");
-        let server = pmkm_obs::MetricsServer::serve_full(
-            serve_addr.as_str(),
-            rec,
-            4,
-            ledger.clone(),
-            status.clone(),
-        )
-        .map_err(run_err)?;
-        writeln!(
-            out,
-            "serving telemetry at http://{} (/metrics, /report.json, /healthz, /status, \
-             /events, /ledger.jsonl)",
-            server.local_addr()
-        )
-        .map_err(run_err)?;
-        Some(server)
-    };
+    let server = serve(out, &serve_addr, &recorder, &ledger, status)?;
     let watchdog = watchdog_sink.as_ref().map(|sink| {
         pmkm_stream::Watchdog::start(
             recorder.clone().expect("recorder is built whenever --watchdog is given"),
@@ -1048,18 +1003,16 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         planet.checkpoints_written,
         planet.checkpoints_invalid,
         planet.steals
-    )
-    .map_err(run_err)?;
+    )?;
     if planet.budget_peak > 0 {
-        writeln!(out, "  [budget] peak in-flight {} bytes", planet.budget_peak).map_err(run_err)?;
+        writeln!(out, "  [budget] peak in-flight {} bytes", planet.budget_peak)?;
     }
     for o in &planet.cells {
         let tag = if o.resumed { " [resumed]" } else { "" };
         match &o.clustering {
             Some(c) => write_cell_line(out, c, tag)?,
             None => {
-                writeln!(out, "  cell #{}: no surviving chunks [degraded]{tag}", o.input)
-                    .map_err(run_err)?;
+                writeln!(out, "  cell #{}: no surviving chunks [degraded]{tag}", o.input)?;
             }
         }
     }
@@ -1080,15 +1033,14 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
                 out,
                 "  [watchdog] {stalls} stall(s), {stragglers} straggler(s) — see the ledger for \
                  details"
-            )
-            .map_err(run_err)?;
+            )?;
         }
     }
     if !metrics_out.is_empty() {
         write_run_report(out, &metrics_out, &planet.run_report(recorder.as_deref()))?;
     }
     if !ledger_out.is_empty() {
-        writeln!(out, "wrote ledger to {ledger_out}").map_err(run_err)?;
+        writeln!(out, "wrote ledger to {ledger_out}")?;
     }
     if let Some(server) = server {
         // Publish the final report so a last scrape sees the complete run,
@@ -1099,26 +1051,15 @@ fn orchestrate_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-fn compress<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["k", "restarts", "splits", "seed", "out"])?;
-    let paths: Vec<PathBuf> = args.positionals().iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        return Err(CliError::Run("compress: no bucket files given".into()));
-    }
-    let out_dir = PathBuf::from(args.get_str("out", "histograms"));
-    std::fs::create_dir_all(&out_dir).map_err(run_err)?;
-    let cfg = PartialMergeConfig {
-        kmeans: KMeansConfig {
-            restarts: args.get("restarts", 10usize)?,
-            ..KMeansConfig::paper(args.get("k", 40usize)?, args.get("seed", 0u64)?)
-        },
-        partitions: PartitionSpec::Count(args.get("splits", 5usize)?),
-        ..PartialMergeConfig::paper(40, 5, 0)
-    };
-    for path in &paths {
+fn compress(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let out_dir = PathBuf::from(args.get_str("out"));
+    std::fs::create_dir_all(&out_dir)?;
+    let mut cfg = PartialMergeConfig::paper(args.get("k")?, args.get("splits")?, args.get("seed")?);
+    cfg.kmeans.restarts = args.get("restarts")?;
+    for path in args.positionals().iter().map(std::path::Path::new) {
         let bucket = read_bucket_any(path)?;
         if bucket.points.is_empty() {
-            writeln!(out, "{}: empty, skipped", path.display()).map_err(run_err)?;
+            writeln!(out, "{}: empty, skipped", path.display())?;
             continue;
         }
         let mut cell_cfg = cfg;
@@ -1126,7 +1067,7 @@ fn compress<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         let compressed = compress_cell(&bucket.points, &cell_cfg).map_err(run_err)?;
         let json_path = out_dir.join(format!("cell_{}.json", bucket.cell.index()));
         let json = serde_json::to_string_pretty(&compressed.histogram).map_err(run_err)?;
-        std::fs::write(&json_path, json).map_err(run_err)?;
+        std::fs::write(&json_path, json)?;
         writeln!(
             out,
             "{}: {} points -> {} buckets, ratio {:.1}x, rms {:.2} -> {}",
@@ -1136,8 +1077,7 @@ fn compress<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             compressed.summary.ratio,
             compressed.summary.mse.sqrt(),
             json_path.display()
-        )
-        .map_err(run_err)?;
+        )?;
     }
     Ok(())
 }
@@ -1163,13 +1103,8 @@ fn parse_ranges(args: &Args, dim: usize) -> Result<pmkm_compress::RangeQuery, Cl
     Ok(q)
 }
 
-fn query<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["range", "exact"])?;
-    let paths = args.positionals();
-    if paths.len() != 1 {
-        return Err(CliError::Run("query: give exactly one histogram.json".into()));
-    }
-    let text = std::fs::read_to_string(&paths[0]).map_err(run_err)?;
+fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let text = std::fs::read_to_string(&args.positionals()[0])?;
     let hist: pmkm_compress::MultivariateHistogram =
         serde_json::from_str(&text).map_err(run_err)?;
     let q = parse_ranges(args, hist.dim)?;
@@ -1180,13 +1115,12 @@ fn query<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         est.count,
         hist.total_count as u64,
         est.selectivity * 100.0
-    )
-    .map_err(run_err)?;
+    )?;
     if let Some(mean) = pmkm_compress::estimate_mean(&hist, &q).map_err(run_err)? {
         let pretty: Vec<String> = mean.iter().map(|m| format!("{m:.2}")).collect();
-        writeln!(out, "estimated mean: [{}]", pretty.join(", ")).map_err(run_err)?;
+        writeln!(out, "estimated mean: [{}]", pretty.join(", "))?;
     }
-    let exact_path = args.get_str("exact", "");
+    let exact_path = args.get_str("exact");
     if !exact_path.is_empty() {
         let bucket = read_bucket_any(&PathBuf::from(&exact_path))?;
         let exact = pmkm_compress::exact_answer(&bucket.points, &q).map_err(run_err)?;
@@ -1195,8 +1129,7 @@ fn query<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             "exact count:     {} (estimate error {:.2}% of cell)",
             exact.count,
             (est.count - exact.count as f64).abs() / bucket.points.len().max(1) as f64 * 100.0
-        )
-        .map_err(run_err)?;
+        )?;
     }
     Ok(())
 }
@@ -1212,36 +1145,23 @@ fn probe(addr: &std::net::SocketAddr, path: &str) -> std::io::Result<String> {
     Ok(response.lines().next().unwrap_or_default().to_string())
 }
 
-fn serve_demo<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["addr", "iters", "n", "k", "splits", "restarts", "seed"])?;
-    let addr = args.get_str("addr", "127.0.0.1:0");
-    let iters = args.get("iters", 3usize)?;
-    let n = args.get("n", 2_000usize)?;
-    let k = args.get("k", 8usize)?;
-    let splits = args.get("splits", 4usize)?;
-    let restarts = args.get("restarts", 2usize)?;
-    let seed = args.get("seed", 0u64)?;
+fn serve_demo(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let (addr, iters, n) = (args.get_str("addr"), args.get::<usize>("iters")?, args.get("n")?);
+    let (k, splits, seed) = (args.get("k")?, args.get("splits")?, args.get::<u64>("seed")?);
+    let restarts = args.get("restarts")?;
 
-    let rec = std::sync::Arc::new(
-        pmkm_obs::Recorder::new().with_profiler(std::sync::Arc::new(pmkm_obs::Profiler::new())),
-    );
-    let server = pmkm_obs::MetricsServer::serve(addr.as_str(), rec.clone()).map_err(run_err)?;
+    let rec = Arc::new(Recorder::new().with_profiler(Arc::new(Profiler::new())));
+    let server = MetricsServer::serve(addr.as_str(), rec.clone()).map_err(run_err)?;
     let local = server.local_addr();
-    writeln!(out, "serving telemetry at http://{local} (/metrics, /report.json, /healthz)")
-        .map_err(run_err)?;
+    writeln!(out, "serving telemetry at http://{local} (/metrics, /report.json, /healthz)")?;
 
     let points =
         pmkm_data::generator::generate_cell(&pmkm_data::generator::CellConfig::paper(n, seed))
             .map_err(run_err)?;
     for iter in 0..iters {
-        let cfg = PartialMergeConfig {
-            kmeans: KMeansConfig {
-                restarts,
-                ..KMeansConfig::paper(k, seed.wrapping_add(iter as u64))
-            },
-            partitions: PartitionSpec::Count(splits),
-            ..PartialMergeConfig::paper(k, splits, seed)
-        };
+        let mut cfg = PartialMergeConfig::paper(k, splits, seed);
+        cfg.kmeans =
+            KMeansConfig { restarts, ..KMeansConfig::paper(k, seed.wrapping_add(iter as u64)) };
         let (result, run_report) =
             pmkm_core::partial_merge_observed(&points, &cfg, Some(&rec)).map_err(run_err)?;
         rec.registry().counter("demo_iterations_total").inc();
@@ -1250,15 +1170,14 @@ fn serve_demo<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             out,
             "iter {iter}: E_pm {:.1}, {} merge iterations",
             result.merge.epm, result.merge.iterations
-        )
-        .map_err(run_err)?;
+        )?;
     }
 
     // Self-probe so scripted runs (and CI smoke tests) verify liveness
     // end-to-end without an external HTTP client.
     for path in ["/healthz", "/metrics", "/report.json"] {
-        let status = probe(&local, path).map_err(run_err)?;
-        writeln!(out, "self-probe {path}: {status}").map_err(run_err)?;
+        let status = probe(&local, path)?;
+        writeln!(out, "self-probe {path}: {status}")?;
     }
     server.shutdown();
     Ok(())
@@ -1398,7 +1317,6 @@ mod tests {
         pmkm_data::GridBucket { cell, points }.write_to(&bucket_path).unwrap();
 
         let report_path = dir.join("report.json");
-        let trace_path = dir.join("trace.jsonl");
         let out = run(
             "cluster",
             &[
@@ -1406,13 +1324,11 @@ mod tests {
                 "--restarts=2".into(),
                 "--splits=3".into(),
                 format!("--metrics-out={}", report_path.display()),
-                format!("--trace={}", trace_path.display()),
                 bucket_path.display().to_string(),
             ],
         )
         .unwrap();
         assert!(out.contains("wrote run report"), "{out}");
-        assert!(out.contains("wrote trace"), "{out}");
         assert!(out.contains("util"), "{out}");
 
         // The written report parses, matches the dataset, and survives a
@@ -1426,12 +1342,6 @@ mod tests {
         let again = serde_json::to_string_pretty(&report).unwrap();
         let report2: pmkm_obs::RunReport = serde_json::from_str(&again).unwrap();
         assert_eq!(report, report2);
-
-        // The trace is valid JSONL with at least one event per operator.
-        let trace = std::fs::read_to_string(&trace_path).unwrap();
-        let events: Vec<serde::Value> =
-            trace.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
-        assert!(events.len() >= 4, "only {} events", events.len());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1598,10 +1508,42 @@ mod tests {
             run("cluster", &["--bogus=1".into()]),
             Err(CliError::Args(ArgError::Unknown(_)))
         ));
-        assert!(matches!(run("cluster", &[]), Err(CliError::Run(_))));
-        assert!(matches!(run("bin", &[]), Err(CliError::Run(_))));
-        assert!(matches!(run("inspect", &[]), Err(CliError::Run(_))));
-        assert!(matches!(run("compress", &[]), Err(CliError::Run(_))));
+        assert!(matches!(run("cluster", &[]), Err(CliError::Usage(_))));
+        assert!(matches!(run("bin", &[]), Err(CliError::Usage(_))));
+        assert!(matches!(run("inspect", &[]), Err(CliError::Usage(_))));
+        assert!(matches!(run("compress", &[]), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn help_is_derived_from_the_rows() {
+        let help = run("help", &["cluster".into()]).unwrap();
+        assert_eq!(help, run("cluster", &["--help".into()]).unwrap());
+        assert!(help.starts_with("USAGE: pmkm cluster [options] <bucket files…>\n"), "{help}");
+        assert!(help.contains("--k=N "), "{help}");
+        assert!(help.contains("clusters per cell [default: 40]"), "{help}");
+        assert!(help.contains("[default: computed]"), "{help}");
+        assert!(help.contains("--tolerant "), "{help}");
+        assert!(help.contains("EXIT STATUS"), "{help}");
+        let overview = run("help", &[]).unwrap();
+        for c in COMMANDS {
+            assert!(overview.contains(&format!("  {} ", c.name)), "{overview}");
+        }
+        assert!(matches!(run("help", &["frobnicate".into()]), Err(CliError::UnknownCommand(_))));
+    }
+
+    #[test]
+    fn splits_and_memory_exclude_each_other() {
+        let argv = ["--splits=2".into(), "--memory=1".into(), "x.gb".into()];
+        let err = run("cluster", &argv).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        assert!(err.to_string().contains("--memory"), "{err}");
+    }
+
+    #[test]
+    fn block_points_row_matches_the_container_default() {
+        let row = find("convert").unwrap().rows().find(|r| r.name == "block-points");
+        let default = pmkm_data::DEFAULT_BLOCK_POINTS.to_string();
+        assert_eq!(row.unwrap().default, Some(default.as_str()));
     }
 
     #[test]
@@ -1673,7 +1615,7 @@ mod tests {
         assert!(out.contains(&report_a), "{out}");
 
         // Usage errors: wrong arity, unreadable input.
-        assert!(matches!(run("diff", std::slice::from_ref(&ledger_a)), Err(CliError::Run(_))));
+        assert!(matches!(run("diff", std::slice::from_ref(&ledger_a)), Err(CliError::Usage(_))));
         assert!(matches!(
             run("diff", &[ledger_a, "no_such_file.jsonl".into()]),
             Err(CliError::Run(_))
@@ -1833,7 +1775,7 @@ mod tests {
         assert!(err.to_string().contains("unknown codec"), "{err}");
         let err = run("cluster", &["--backend=s3".into(), buckets[0].clone()]).unwrap_err();
         assert!(err.to_string().contains("unknown backend"), "{err}");
-        assert!(matches!(run("convert", &[]), Err(CliError::Run(_))));
+        assert!(matches!(run("convert", &[]), Err(CliError::Usage(_))));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1901,7 +1843,7 @@ mod tests {
         argv.push("--kill-after=1".into());
         argv.extend(buckets.iter().cloned());
         assert!(matches!(run("orchestrate", &argv), Err(CliError::Run(_))));
-        assert!(matches!(run("orchestrate", &[]), Err(CliError::Run(_))));
+        assert!(matches!(run("orchestrate", &[]), Err(CliError::Usage(_))));
 
         // --cells caps the planet.
         let mut argv = base;

@@ -1,8 +1,9 @@
 //! # pmkm-cli — command-line front end
 //!
-//! `pmkm generate | bin | inspect | cluster | compress`: the full
-//! acquisition → binning → clustering → compression workflow of the paper
-//! as a composable command-line tool. See [`commands::USAGE`].
+//! The `pmkm` tool: the acquisition → binning → clustering → compression
+//! workflow of the paper as composable subcommands. [`COMMANDS`] is the one
+//! list of them; each row's flag table drives parsing, defaults and the
+//! help that `pmkm help <command>` prints.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -10,5 +11,5 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{ArgError, Args};
-pub use commands::{dispatch, CliError, USAGE};
+pub use args::{ArgError, Args, Flag, Kind};
+pub use commands::{dispatch, find, overview, usage_hint, CliError, Command, COMMANDS};

@@ -1,25 +1,25 @@
-//! `pmkm` binary: thin shell over [`pmkm_cli::dispatch`].
+//! `pmkm` binary: thin shell over [`pmkm_cli::dispatch`], exiting with
+//! [`pmkm_cli::CliError::exit_code`].
 
 fn main() {
     let mut argv = std::env::args().skip(1);
-    let Some(command) = argv.next() else {
-        eprint!("{}", pmkm_cli::USAGE);
-        std::process::exit(2);
+    let command = match argv.next() {
+        None => {
+            eprint!("{}", pmkm_cli::overview());
+            std::process::exit(2);
+        }
+        Some(arg) if arg == "--help" || arg == "-h" => {
+            print!("{}", pmkm_cli::overview());
+            return;
+        }
+        Some(command) => command,
     };
-    if command == "help" || command == "--help" || command == "-h" {
-        print!("{}", pmkm_cli::USAGE);
-        return;
-    }
     let args = pmkm_cli::Args::parse(argv);
-    let mut stdout = std::io::stdout();
-    if let Err(e) = pmkm_cli::dispatch(&command, &args, &mut stdout) {
+    if let Err(e) = pmkm_cli::dispatch(&command, &args, &mut std::io::stdout()) {
         eprintln!("pmkm {command}: {e}");
-        // Exit 3 for detected regressions so CI gates can tell "B is
-        // slower" (3) apart from "the diff itself failed" (1).
-        let code = match e {
-            pmkm_cli::CliError::Regression(_) => 3,
-            _ => 1,
-        };
-        std::process::exit(code);
+        if e.exit_code() == 2 {
+            eprintln!("{}", pmkm_cli::usage_hint(&command));
+        }
+        std::process::exit(e.exit_code());
     }
 }

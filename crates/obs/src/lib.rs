@@ -7,8 +7,8 @@
 //!    Prometheus text renderer ([`Registry::render_prometheus`]).
 //! 2. [`trace`] — a structured [`Recorder`] that stamps [`Event`]s with
 //!    monotonic microsecond timestamps and fans them out to pluggable
-//!    [`TraceSink`]s (an in-memory [`RingBufferSink`], a [`JsonlSink`]
-//!    file writer).
+//!    [`TraceSink`]s (an in-memory [`RingBufferSink`]; the run ledger's
+//!    [`LedgerSink`] is the on-disk one).
 //! 3. [`report`] — plain-data [`RunReport`] types (serde round-trippable)
 //!    that the pipeline and the stream engine fill in per run.
 //! 4. [`profile`] — a hierarchical span [`Profiler`] aggregating nested
@@ -81,4 +81,4 @@ pub use report::{
 pub use serve::MetricsServer;
 pub use status::{CoresetStatus, StatusCell, StatusSnapshot, WorkerStatus, STATUS_SCHEMA_VERSION};
 pub use timeline::{Timeline, Transition, WorkerLaneReport, WorkerState, WorkerTimeline};
-pub use trace::{Event, FieldValue, JsonlSink, Recorder, RingBufferSink, Span, TraceSink};
+pub use trace::{Event, FieldValue, Recorder, RingBufferSink, Span, TraceSink};

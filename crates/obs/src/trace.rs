@@ -7,8 +7,6 @@ use crate::timeline::{Timeline, WorkerState};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -130,39 +128,6 @@ impl TraceSink for RingBufferSink {
             buf.pop_front();
         }
         buf.push_back(event.clone());
-    }
-}
-
-/// A sink appending one JSON object per line (JSONL) to a file.
-pub struct JsonlSink {
-    out: Mutex<BufWriter<std::fs::File>>,
-}
-
-impl JsonlSink {
-    /// Creates (truncates) `path` and writes events to it as JSONL.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self { out: Mutex::new(BufWriter::new(file)) })
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&self, event: &Event) {
-        if let Ok(line) = serde_json::to_string(event) {
-            let mut out = self.out.lock();
-            let _ = out.write_all(line.as_bytes());
-            let _ = out.write_all(b"\n");
-        }
-    }
-
-    fn flush(&self) {
-        let _ = self.out.lock().flush();
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        let _ = self.out.lock().flush();
     }
 }
 
@@ -447,27 +412,6 @@ mod tests {
         let rows = rec.phase_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!((rows[0].path.as_str(), rows[0].calls, rows[0].total_us), ("assign", 1, 5));
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let path =
-            std::env::temp_dir().join(format!("pmkm_obs_trace_{}.jsonl", std::process::id()));
-        {
-            let sink = Arc::new(JsonlSink::create(&path).unwrap());
-            let rec = Recorder::new().with_sink(sink);
-            rec.event("one", &[("v", 1u64.into())]);
-            rec.event("two", &[("s", "hi".into())]);
-            rec.flush();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let back: Event = serde_json::from_str(line).unwrap();
-            assert!(back.name == "one" || back.name == "two");
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

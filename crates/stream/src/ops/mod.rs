@@ -11,13 +11,11 @@
 //! executor's inline driver chains the same steps directly on one thread.
 
 pub mod chunker;
-pub mod fine;
 pub mod partial_op;
 pub mod scan;
 pub mod tail;
 
 pub use chunker::{ChunkPolicy, ChunkerOp};
-pub use fine::{choose_random_seeds, fine_kmeans, FineRun};
 pub use partial_op::{chunk_seed, PartialKMeansOp};
 pub use scan::ScanOp;
 pub use tail::TailOp;

@@ -1,7 +1,5 @@
-//! Property tests for the smart-queue substrate and fine-grained operators.
+//! Property tests for the smart-queue substrate.
 
-use pmkm_core::{Dataset, KMeansConfig, PointSource};
-use pmkm_stream::ops::fine_kmeans;
 use pmkm_stream::SmartQueue;
 use proptest::prelude::*;
 use std::thread;
@@ -207,22 +205,5 @@ proptest! {
         prop_assert_eq!(s.sends, items.len() as u64);
         prop_assert_eq!(s.recvs, items.len() as u64);
         prop_assert!(s.empty_blocks <= s.recvs + consumers as u64);
-    }
-
-    #[test]
-    fn fine_kmeans_conserves_weight_any_input(
-        flat in proptest::collection::vec(-100.0..100.0f64, 2 * 8..2 * 48),
-        sorters in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let n2 = flat.len() - flat.len() % 2;
-        let ds = Dataset::from_flat(2, flat[..n2].to_vec()).unwrap();
-        let k = 2.min(ds.len());
-        let cfg = KMeansConfig { restarts: 1, ..KMeansConfig::paper(k, seed) };
-        let run = fine_kmeans(&ds, &cfg, sorters).unwrap();
-        let total: f64 = run.cluster_weights.iter().sum();
-        prop_assert!((total - ds.len() as f64).abs() < 1e-9);
-        prop_assert!(run.mse.is_finite() && run.mse >= 0.0);
-        prop_assert_eq!(run.centroids.k(), k);
     }
 }

@@ -2,7 +2,8 @@
 //! the in-memory partial/merge pipeline and the stream engine, then inspect
 //! the three outputs it produces —
 //!
-//! * a **structured event trace** (ring buffer in memory + JSONL on disk),
+//! * a **structured event trace** (ring buffer in memory + JSONL run ledger
+//!   on disk),
 //! * a **metrics registry** (counters / gauges / histograms, renderable as
 //!   Prometheus text),
 //! * a **RunReport** (one JSON document per run: per-chunk MSE
@@ -19,7 +20,7 @@
 
 use pmkm_core::{partial_merge_observed, KMeansConfig, PartialMergeConfig, PartitionSpec};
 use pmkm_data::{CellConfig, GridBucket, GridCell};
-use pmkm_obs::{JsonlSink, MetricsServer, Profiler, Recorder, RingBufferSink};
+use pmkm_obs::{LedgerSink, MetricsServer, Profiler, Recorder, RingBufferSink};
 use pmkm_stream::prelude::*;
 use std::sync::Arc;
 
@@ -29,13 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A recorder fans every event out to its sinks; metrics live in its
     // registry. Both sinks here: a bounded in-memory ring (for programmatic
-    // inspection) and a JSONL file (for offline tooling).
-    let trace_path = dir.join("trace.jsonl");
+    // inspection) and a JSONL run ledger (for `pmkm inspect` and `pmkm diff`).
+    let ledger_path = dir.join("ledger.jsonl");
     let ring = Arc::new(RingBufferSink::new(8192));
     let rec = Arc::new(
         Recorder::new()
             .with_sink(ring.clone())
-            .with_sink(Arc::new(JsonlSink::create(&trace_path)?))
+            .with_sink(Arc::new(LedgerSink::create(&ledger_path)?))
             .with_profiler(Arc::new(Profiler::new())),
     );
 
@@ -110,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&report_path, serde_json::to_string_pretty(&engine_report)?)?;
     rec.flush();
     println!("\nrun report : {}", report_path.display());
-    println!("trace      : {} ({} events buffered in the ring)", trace_path.display(), ring.len());
+    println!("ledger     : {} ({} events buffered in the ring)", ledger_path.display(), ring.len());
 
     // Prometheus text rendering of the metrics registry (excerpt).
     let prom = rec.registry().render_prometheus();
