@@ -28,7 +28,7 @@ fn main() {
             let cell = cfg.cell(n, version);
             let mut pm = pmkm_core::PartialMergeConfig {
                 kmeans: cfg.kmeans_for(n, version),
-                partitions: pmkm_core::PartitionSpec::Count(splits),
+                partitions: splits,
                 ..pmkm_core::PartialMergeConfig::paper(cfg.k, splits, 0)
             };
             pm.merge_restarts = 3;

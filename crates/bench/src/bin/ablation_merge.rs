@@ -5,7 +5,7 @@
 
 use pmkm_bench::experiments::SweepConfig;
 use pmkm_bench::report::{grouped, print_table, write_json};
-use pmkm_core::{metrics, partial_merge, MergeMode, PartialMergeConfig, PartitionSpec};
+use pmkm_core::{metrics, partial_merge, MergeMode, PartialMergeConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -30,7 +30,7 @@ fn main() {
                 eprintln!("[ablation_merge] n={n} v={version} {label}");
                 let pm = PartialMergeConfig {
                     kmeans: cfg.kmeans_for(n, version),
-                    partitions: PartitionSpec::Count(splits),
+                    partitions: splits,
                     merge_mode: mode,
                     merge_restarts: 1,
                     slicing: pmkm_core::SliceStrategy::RandomOverlap,

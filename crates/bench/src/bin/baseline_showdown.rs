@@ -9,7 +9,7 @@ use pmkm_baselines::{
 };
 use pmkm_bench::experiments::SweepConfig;
 use pmkm_bench::report::{grouped, ms, print_table, write_json};
-use pmkm_core::{metrics, partial_merge, PartialMergeConfig, PartitionSpec, PointSource};
+use pmkm_core::{metrics, partial_merge, PartialMergeConfig, PointSource};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -44,7 +44,7 @@ fn main() {
             // Partial/merge (10-split).
             let pm = PartialMergeConfig {
                 kmeans: kcfg,
-                partitions: PartitionSpec::Count(10),
+                partitions: 10,
                 merge_mode: pmkm_core::MergeMode::Collective,
                 merge_restarts: 1,
                 slicing: pmkm_core::SliceStrategy::RandomOverlap,

@@ -63,7 +63,7 @@ fn main() {
         let cell = cfg.cell(n, 0);
         let pm = pmkm_core::PartialMergeConfig {
             kmeans: cfg.kmeans_for(n, 0),
-            partitions: pmkm_core::PartitionSpec::Count(5),
+            partitions: 5,
             ..pmkm_core::PartialMergeConfig::paper(cfg.k, 5, cfg.seed)
         };
         let rec = pmkm_obs::Recorder::new();

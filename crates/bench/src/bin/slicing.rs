@@ -10,9 +10,7 @@
 
 use pmkm_bench::experiments::SweepConfig;
 use pmkm_bench::report::{grouped, print_table, write_json};
-use pmkm_core::{
-    metrics, partial_merge, Dataset, PartialMergeConfig, PartitionSpec, PointSource, SliceStrategy,
-};
+use pmkm_core::{metrics, partial_merge, Dataset, PartialMergeConfig, PointSource, SliceStrategy};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -53,7 +51,7 @@ fn main() {
                     eprintln!("[slicing] n={n} v={version} {scenario} {label}");
                     let pm = PartialMergeConfig {
                         kmeans: cfg.kmeans_for(n, version),
-                        partitions: PartitionSpec::Count(10),
+                        partitions: 10,
                         merge_mode: pmkm_core::MergeMode::Collective,
                         merge_restarts: 1,
                         slicing: strategy,

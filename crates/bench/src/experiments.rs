@@ -136,7 +136,7 @@ pub fn run_split(cfg: &SweepConfig, n: usize, version: u32, splits: usize) -> Ca
     let cell = cfg.cell(n, version);
     let pm_cfg = PartialMergeConfig {
         kmeans: cfg.kmeans_for(n, version),
-        partitions: pmkm_core::PartitionSpec::Count(splits),
+        partitions: splits,
         merge_mode: MergeMode::Collective,
         merge_restarts: 1,
         slicing: pmkm_core::SliceStrategy::RandomOverlap,

@@ -744,8 +744,7 @@ fn serve(
     }
     let rec = recorder.clone().expect("recorder is built whenever --serve is given");
     let status_route = if status.is_some() { "/status, " } else { "" };
-    let server =
-        MetricsServer::serve_full(addr, rec, 4, ledger.clone(), status).map_err(run_err)?;
+    let server = MetricsServer::serve_full(addr, rec, ledger.clone(), status).map_err(run_err)?;
     writeln!(
         out,
         "serving telemetry at http://{} (/metrics, /report.json, /healthz, {status_route}/events, \

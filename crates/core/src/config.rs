@@ -156,51 +156,6 @@ impl KMeansConfig {
     }
 }
 
-/// How a grid cell's points are split into memory-sized chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PartitionSpec {
-    /// A fixed number of near-equal chunks (the paper's 5-split / 10-split).
-    Count(usize),
-    /// As many chunks as needed so that each chunk's point payload fits the
-    /// given byte budget — the paper's "partitions that fit into available
-    /// volatile memory".
-    MemoryBudget {
-        /// Volatile-memory budget for one chunk's point payload, in bytes.
-        bytes: usize,
-    },
-    /// A fixed maximum number of points per chunk.
-    MaxPoints(usize),
-}
-
-impl PartitionSpec {
-    /// Resolves the spec into a chunk count for `n` points of `dim` f64s.
-    ///
-    /// Always returns at least 1; errors if the budget cannot hold a single
-    /// point (which would force an infinite number of partitions).
-    pub fn resolve(&self, n: usize, dim: usize) -> Result<usize> {
-        match *self {
-            PartitionSpec::Count(0) => {
-                Err(Error::InvalidPartitioning("partition count must be >= 1".into()))
-            }
-            PartitionSpec::Count(p) => Ok(p),
-            PartitionSpec::MemoryBudget { bytes } => {
-                let per_point = dim * std::mem::size_of::<f64>();
-                let points_per_chunk = bytes / per_point;
-                if points_per_chunk == 0 {
-                    return Err(Error::InvalidPartitioning(format!(
-                        "budget of {bytes} bytes cannot hold one {dim}-dimensional point"
-                    )));
-                }
-                Ok(n.div_ceil(points_per_chunk).max(1))
-            }
-            PartitionSpec::MaxPoints(0) => {
-                Err(Error::InvalidPartitioning("max points per chunk must be >= 1".into()))
-            }
-            PartitionSpec::MaxPoints(m) => Ok(n.div_ceil(m).max(1)),
-        }
-    }
-}
-
 /// How the merge step consumes the per-chunk centroid sets (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MergeMode {
@@ -219,8 +174,9 @@ pub struct PartialMergeConfig {
     /// k-means parameters shared by the partial runs (the paper fixes one k
     /// for all partitions of a cell).
     pub kmeans: KMeansConfig,
-    /// Chunking policy.
-    pub partitions: PartitionSpec,
+    /// Number of near-equal chunks `p` a cell is split into (the paper's
+    /// 5-split / 10-split). Must be at least 1.
+    pub partitions: usize,
     /// Merge strategy.
     pub merge_mode: MergeMode,
     /// Restarts for the merge k-means. The paper seeds the merge
@@ -237,7 +193,7 @@ impl PartialMergeConfig {
     pub fn paper(k: usize, partitions: usize, seed: u64) -> Self {
         Self {
             kmeans: KMeansConfig::paper(k, seed),
-            partitions: PartitionSpec::Count(partitions),
+            partitions,
             merge_mode: MergeMode::Collective,
             merge_restarts: 1,
             slicing: crate::slicing::SliceStrategy::RandomOverlap,
@@ -247,6 +203,9 @@ impl PartialMergeConfig {
     /// Validates all nested configuration.
     pub fn validate(&self) -> Result<()> {
         self.kmeans.validate()?;
+        if self.partitions == 0 {
+            return Err(Error::InvalidPartitioning("partition count must be >= 1".into()));
+        }
         if self.merge_restarts == 0 {
             return Err(Error::InvalidConfig("merge_restarts must be at least 1".into()));
         }
@@ -286,36 +245,18 @@ mod tests {
 
     #[test]
     fn partition_count_resolves_verbatim() {
-        assert_eq!(PartitionSpec::Count(5).resolve(75_000, 6).unwrap(), 5);
-        assert!(PartitionSpec::Count(0).resolve(10, 6).is_err());
-    }
-
-    #[test]
-    fn memory_budget_resolves_to_ceiling() {
-        // 6-dim points are 48 bytes; 480-byte budget = 10 points per chunk.
-        let spec = PartitionSpec::MemoryBudget { bytes: 480 };
-        assert_eq!(spec.resolve(100, 6).unwrap(), 10);
-        assert_eq!(spec.resolve(101, 6).unwrap(), 11);
-        assert_eq!(spec.resolve(0, 6).unwrap(), 1);
-    }
-
-    #[test]
-    fn memory_budget_too_small_is_error() {
-        let spec = PartitionSpec::MemoryBudget { bytes: 47 };
-        assert!(spec.resolve(10, 6).is_err());
-    }
-
-    #[test]
-    fn max_points_resolves_to_ceiling() {
-        assert_eq!(PartitionSpec::MaxPoints(2500).resolve(12_500, 6).unwrap(), 5);
-        assert_eq!(PartitionSpec::MaxPoints(2500).resolve(12_501, 6).unwrap(), 6);
-        assert!(PartitionSpec::MaxPoints(0).resolve(10, 6).is_err());
+        let ds = crate::Dataset::from_flat(1, (0..75).map(f64::from).collect()).unwrap();
+        let res = crate::partial_merge(&ds, &PartialMergeConfig::paper(2, 5, 0)).unwrap();
+        assert_eq!(res.partitions, 5);
+        let c = PartialMergeConfig::paper(2, 0, 0);
+        assert!(matches!(c.validate(), Err(Error::InvalidPartitioning(_))));
+        assert!(crate::partial_merge(&ds, &c).is_err());
     }
 
     #[test]
     fn partial_merge_paper_defaults() {
         let c = PartialMergeConfig::paper(40, 10, 1);
-        assert_eq!(c.partitions, PartitionSpec::Count(10));
+        assert_eq!(c.partitions, 10);
         assert_eq!(c.merge_mode, MergeMode::Collective);
         assert_eq!(c.slicing, crate::slicing::SliceStrategy::RandomOverlap);
         c.validate().unwrap();
@@ -329,7 +270,6 @@ mod tests {
         assert_serde::<LloydConfig>();
         assert_serde::<KMeansConfig>();
         assert_serde::<PartialMergeConfig>();
-        assert_serde::<PartitionSpec>();
         assert_serde::<MergeMode>();
         assert_serde::<SeedMode>();
     }

@@ -82,7 +82,7 @@ pub mod seeding;
 pub mod slicing;
 
 pub use config::{
-    KMeansConfig, KernelKind, LloydConfig, MergeMode, PartialMergeConfig, PartitionSpec, SeedMode,
+    KMeansConfig, KernelKind, LloydConfig, MergeMode, PartialMergeConfig, SeedMode,
     DEFAULT_MAX_ITERS, PAPER_EPSILON,
 };
 pub use coreset::{
@@ -108,8 +108,7 @@ pub use slicing::{slice, SliceStrategy};
 /// Convenience prelude: `use pmkm_core::prelude::*;`.
 pub mod prelude {
     pub use crate::config::{
-        KMeansConfig, KernelKind, LloydConfig, MergeMode, PartialMergeConfig, PartitionSpec,
-        SeedMode,
+        KMeansConfig, KernelKind, LloydConfig, MergeMode, PartialMergeConfig, SeedMode,
     };
     pub use crate::dataset::{Centroids, Dataset, PointSource, WeightedSet};
     pub use crate::error::{Error, Result};

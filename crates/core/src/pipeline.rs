@@ -150,7 +150,7 @@ pub fn partial_merge_ecvq(
 ) -> Result<PartialMergeResult> {
     cfg.validate()?;
     let started = Instant::now();
-    let p = cfg.partitions.resolve(ds.len(), ds.dim())?;
+    let p = cfg.partitions;
     let parts = slice(ds, p, cfg.slicing, cfg.kmeans.seed)?;
     let partial_started = Instant::now();
     let mut outputs = Vec::new();
@@ -191,7 +191,7 @@ fn run(
 ) -> Result<(PartialMergeResult, Vec<Vec<f64>>)> {
     cfg.validate()?;
     let started = Instant::now();
-    let p = cfg.partitions.resolve(ds.len(), ds.dim())?;
+    let p = cfg.partitions;
     let parts = slice(ds, p, cfg.slicing, cfg.kmeans.seed)?;
     let nonempty: Vec<(usize, &Dataset)> =
         parts.iter().enumerate().filter(|(_, c)| !c.is_empty()).collect();
@@ -249,7 +249,7 @@ fn chunk_cfg(cfg: &PartialMergeConfig, chunk: usize) -> crate::config::KMeansCon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MergeMode, PartitionSpec};
+    use crate::config::MergeMode;
     use crate::metrics;
 
     fn three_blob_cell(n_per: usize) -> Dataset {
@@ -289,18 +289,6 @@ mod tests {
         let res = partial_merge(&ds, &cfg).unwrap();
         let total: f64 = res.merge.cluster_weights.iter().sum();
         assert!((total - 120.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn memory_budget_partitioning_is_respected() {
-        let ds = three_blob_cell(100); // 300 points × 2 dims × 8 B = 4800 B
-        let mut cfg = PartialMergeConfig::paper(3, 1, 5);
-        cfg.partitions = PartitionSpec::MemoryBudget { bytes: 800 }; // 50 pts/chunk
-        let res = partial_merge(&ds, &cfg).unwrap();
-        assert_eq!(res.partitions, 6);
-        for c in &res.chunks {
-            assert!(c.points <= 50);
-        }
     }
 
     #[test]

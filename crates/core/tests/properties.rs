@@ -181,16 +181,6 @@ proptest! {
             prop_assert!(seen.insert(derive_seed(base, stream)));
         }
     }
-
-    #[test]
-    fn partition_spec_memory_budget_fits(n in 1usize..100_000, dim in 1usize..16) {
-        let budget = 64 * 1024; // 64 KiB
-        let spec = PartitionSpec::MemoryBudget { bytes: budget };
-        let p = spec.resolve(n, dim).unwrap();
-        // Every chunk of ceil(n/p) points fits the budget.
-        let per_chunk = n.div_ceil(p);
-        prop_assert!(per_chunk * dim * 8 <= budget || n == 0);
-    }
 }
 
 // --- Pipeline invariants (PR 2): mass conservation, E_pm sign, monotone

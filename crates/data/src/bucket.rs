@@ -19,9 +19,9 @@
 //! payload   count × dim × 8 B   row-major f64
 //! ```
 
+use crate::codec::LeCursor;
 use crate::error::{DataError, Result};
 use crate::grid::GridCell;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pmkm_core::{Dataset, PointSource};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -54,38 +54,38 @@ pub struct GridBucket {
 impl GridBucket {
     /// Serializes the bucket to bytes. The payload is written through the
     /// bulk little-endian path, not value-by-value.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let flat = self.points.as_flat();
         let mut payload = Vec::with_capacity(flat.len() * 8);
         crate::codec::f64s_to_le(flat, &mut payload);
         let checksum = fnv1a(&payload);
-        let mut out = BytesMut::with_capacity(HEADER_LEN + payload.len());
-        out.put_slice(&MAGIC);
-        out.put_u32_le(self.cell.index());
-        out.put_u32_le(self.points.dim() as u32);
-        out.put_u64_le(self.points.len() as u64);
-        out.put_u64_le(checksum);
-        out.put_slice(&payload);
-        out.freeze()
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&self.cell.index().to_le_bytes());
+        out.extend_from_slice(&(self.points.dim() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.points.len() as u64).to_le_bytes());
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
     }
 
     /// Parses a bucket from bytes, verifying magic, shape and checksum.
-    pub fn from_bytes(mut buf: &[u8]) -> Result<Self> {
+    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
         if buf.len() < HEADER_LEN {
             return Err(DataError::Format(format!(
                 "bucket of {} bytes is shorter than the {HEADER_LEN}-byte header",
                 buf.len()
             )));
         }
-        let mut magic = [0u8; 8];
-        buf.copy_to_slice(&mut magic);
-        if magic != MAGIC {
+        let mut cur = LeCursor::new(buf);
+        if cur.array() != MAGIC {
             return Err(DataError::Format("bad magic; not a PMKMGB01 bucket".into()));
         }
-        let cell = GridCell::from_index(buf.get_u32_le())?;
-        let dim = buf.get_u32_le() as usize;
-        let count = buf.get_u64_le() as usize;
-        let checksum = buf.get_u64_le();
+        let cell = GridCell::from_index(cur.u32())?;
+        let dim = cur.u32() as usize;
+        let count = cur.u64() as usize;
+        let checksum = cur.u64();
+        let buf = cur.rest();
         if dim == 0 {
             return Err(DataError::Format("bucket declares zero dimensions".into()));
         }
@@ -93,10 +93,10 @@ impl GridBucket {
             .checked_mul(dim)
             .and_then(|n| n.checked_mul(8))
             .ok_or_else(|| DataError::Format("payload size overflows".into()))?;
-        if buf.remaining() != payload_len {
+        if buf.len() != payload_len {
             return Err(DataError::Format(format!(
                 "payload is {} bytes, header promises {payload_len}",
-                buf.remaining()
+                buf.len()
             )));
         }
         let actual = fnv1a(buf);
@@ -147,16 +147,14 @@ impl BucketReader {
         let mut reader = BufReader::new(File::open(path)?);
         let mut header = [0u8; HEADER_LEN];
         reader.read_exact(&mut header)?;
-        let mut buf = &header[..];
-        let mut magic = [0u8; 8];
-        buf.copy_to_slice(&mut magic);
-        if magic != MAGIC {
+        let mut cur = LeCursor::new(&header);
+        if cur.array() != MAGIC {
             return Err(DataError::Format("bad magic; not a PMKMGB01 bucket".into()));
         }
-        let cell = GridCell::from_index(buf.get_u32_le())?;
-        let dim = buf.get_u32_le() as usize;
-        let count = buf.get_u64_le() as usize;
-        let checksum_expected = buf.get_u64_le();
+        let cell = GridCell::from_index(cur.u32())?;
+        let dim = cur.u32() as usize;
+        let count = cur.u64() as usize;
+        let checksum_expected = cur.u64();
         if dim == 0 {
             return Err(DataError::Format("bucket declares zero dimensions".into()));
         }
@@ -242,7 +240,7 @@ mod tests {
     #[test]
     fn detects_bad_magic() {
         let b = bucket(3);
-        let mut bytes = b.to_bytes().to_vec();
+        let mut bytes = b.to_bytes();
         bytes[0] = b'X';
         assert!(matches!(GridBucket::from_bytes(&bytes), Err(DataError::Format(_))));
     }
@@ -261,7 +259,7 @@ mod tests {
     #[test]
     fn detects_payload_corruption() {
         let b = bucket(5);
-        let mut bytes = b.to_bytes().to_vec();
+        let mut bytes = b.to_bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         assert!(matches!(GridBucket::from_bytes(&bytes), Err(DataError::ChecksumMismatch { .. })));
@@ -302,7 +300,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corrupt.gb");
         let b = bucket(20);
-        let mut bytes = b.to_bytes().to_vec();
+        let mut bytes = b.to_bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();

@@ -29,10 +29,9 @@
 
 use crate::backend::{open_backend, BackendKind, ScanBackend};
 use crate::bucket::{fnv1a, GridBucket, HEADER_LEN, MAGIC};
-use crate::codec::{self, Codec};
+use crate::codec::{self, Codec, LeCursor};
 use crate::error::{DataError, Result};
 use crate::grid::GridCell;
-use bytes::Buf;
 use pmkm_core::{Dataset, PointSource};
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -244,13 +243,11 @@ impl Gb02Reader {
 
         // Footer first: it locates everything else.
         let footer = backend.read_range(total - FOOTER_LEN as u64, FOOTER_LEN)?;
-        let mut f = &footer[..];
-        let index_offset = f.get_u64_le();
-        let n_blocks = f.get_u64_le();
-        let index_checksum = f.get_u64_le();
-        let mut fmagic = [0u8; 8];
-        f.copy_to_slice(&mut fmagic);
-        if fmagic != FOOTER_MAGIC {
+        let mut f = LeCursor::new(&footer);
+        let index_offset = f.u64();
+        let n_blocks = f.u64();
+        let index_checksum = f.u64();
+        if f.array() != FOOTER_MAGIC {
             return Err(DataError::Format(
                 "bad footer magic; truncated or not a PMKMGB02 container".into(),
             ));
@@ -275,17 +272,15 @@ impl Gb02Reader {
         }
 
         let header = backend.read_range(0, HEADER2_LEN)?;
-        let mut h = &header[..];
-        let mut magic = [0u8; 8];
-        h.copy_to_slice(&mut magic);
-        if magic != MAGIC2 {
+        let mut h = LeCursor::new(&header);
+        if h.array() != MAGIC2 {
             return Err(DataError::Format("bad magic; not a PMKMGB02 container".into()));
         }
-        let cell = GridCell::from_index(h.get_u32_le())?;
-        let dim = h.get_u32_le() as usize;
-        let count = h.get_u64_le() as usize;
-        let block_points = h.get_u32_le() as usize;
-        let default_codec = Codec::from_id(h.get_u8())?;
+        let cell = GridCell::from_index(h.u32())?;
+        let dim = h.u32() as usize;
+        let count = h.u64() as usize;
+        let block_points = h.u32() as usize;
+        let default_codec = Codec::from_id(h.u8())?;
         if dim == 0 {
             return Err(DataError::Format("container declares zero dimensions".into()));
         }
@@ -296,18 +291,18 @@ impl Gb02Reader {
         // Parse and validate the block map: blocks must tile the payload
         // region densely and the point ranges must partition [0, count).
         let mut index = Vec::with_capacity(n_blocks as usize);
-        let mut b = &index_bytes[..];
+        let mut b = LeCursor::new(&index_bytes);
         let mut byte_cursor = HEADER2_LEN as u64;
         let mut point_cursor = 0u64;
         for i in 0..n_blocks {
             let entry = BlockEntry {
-                offset: b.get_u64_le(),
-                clen: b.get_u64_le(),
-                ulen: b.get_u64_le(),
-                checksum: b.get_u64_le(),
-                point_start: b.get_u64_le(),
-                point_count: b.get_u64_le(),
-                codec: Codec::from_id(b.get_u8())?,
+                offset: b.u64(),
+                clen: b.u64(),
+                ulen: b.u64(),
+                checksum: b.u64(),
+                point_start: b.u64(),
+                point_count: b.u64(),
+                codec: Codec::from_id(b.u8())?,
             };
             if entry.offset != byte_cursor {
                 return Err(DataError::Format(format!(
@@ -478,9 +473,8 @@ pub fn probe(path: &Path) -> Result<BucketInfo> {
     f.read_exact(&mut header).map_err(|_| {
         DataError::Format(format!("file shorter than the {HEADER2_LEN}-byte bucket header"))
     })?;
-    let mut h = &header[..];
-    let mut magic = [0u8; 8];
-    h.copy_to_slice(&mut magic);
+    let mut h = LeCursor::new(&header);
+    let magic: [u8; 8] = h.array();
     let format = if magic == MAGIC {
         BucketFormat::Gb01
     } else if magic == MAGIC2 {
@@ -488,9 +482,9 @@ pub fn probe(path: &Path) -> Result<BucketInfo> {
     } else {
         return Err(DataError::Format("bad magic; not a PMKM grid bucket".into()));
     };
-    let cell = GridCell::from_index(h.get_u32_le())?;
-    let dim = h.get_u32_le() as usize;
-    let count = h.get_u64_le() as usize;
+    let cell = GridCell::from_index(h.u32())?;
+    let dim = h.u32() as usize;
+    let count = h.u64() as usize;
     if dim == 0 {
         return Err(DataError::Format("bucket declares zero dimensions".into()));
     }

@@ -19,10 +19,10 @@
 //! records count × (2 + dim) × 8 B   lat, lon, attrs…
 //! ```
 
+use crate::codec::LeCursor;
 use crate::error::{DataError, Result};
 use crate::grid::GridCell;
 use crate::mixture::Mixture;
-use bytes::{Buf, BufMut, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -194,10 +194,10 @@ impl SwathSimulator {
 
 /// Writes observations to a stripe file.
 pub fn write_stripe(path: &Path, dim: usize, obs: &[Observation]) -> Result<()> {
-    let mut buf = BytesMut::with_capacity(20 + obs.len() * (2 + dim) * 8);
-    buf.put_slice(&STRIPE_MAGIC);
-    buf.put_u32_le(dim as u32);
-    buf.put_u64_le(obs.len() as u64);
+    let mut buf = Vec::with_capacity(20 + obs.len() * (2 + dim) * 8);
+    buf.extend_from_slice(&STRIPE_MAGIC);
+    buf.extend_from_slice(&(dim as u32).to_le_bytes());
+    buf.extend_from_slice(&(obs.len() as u64).to_le_bytes());
     for o in obs {
         if o.attrs.len() != dim {
             return Err(DataError::Invalid(format!(
@@ -205,10 +205,10 @@ pub fn write_stripe(path: &Path, dim: usize, obs: &[Observation]) -> Result<()> 
                 o.attrs.len()
             )));
         }
-        buf.put_f64_le(o.lat);
-        buf.put_f64_le(o.lon);
+        buf.extend_from_slice(&o.lat.to_le_bytes());
+        buf.extend_from_slice(&o.lon.to_le_bytes());
         for a in &o.attrs {
-            buf.put_f64_le(*a);
+            buf.extend_from_slice(&a.to_le_bytes());
         }
     }
     let mut w = BufWriter::new(File::create(path)?);
@@ -222,29 +222,33 @@ pub fn read_stripe(path: &Path) -> Result<Vec<Observation>> {
     let mut r = BufReader::new(File::open(path)?);
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
-    let mut buf = &raw[..];
-    if buf.len() < 20 {
+    if raw.len() < 20 {
         return Err(DataError::Format("stripe shorter than header".into()));
     }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if magic != STRIPE_MAGIC {
+    let mut cur = LeCursor::new(&raw);
+    if cur.array() != STRIPE_MAGIC {
         return Err(DataError::Format("bad magic; not a PMKMSW01 stripe".into()));
     }
-    let dim = buf.get_u32_le() as usize;
-    let count = buf.get_u64_le() as usize;
-    let expect = count * (2 + dim) * 8;
-    if buf.remaining() != expect {
+    let dim = cur.u32() as usize;
+    let count = cur.u64() as usize;
+    // The payload length check bounds `count` by the file size before
+    // anything is allocated for it.
+    let expect = dim
+        .checked_add(2)
+        .and_then(|n| n.checked_mul(8))
+        .and_then(|n| n.checked_mul(count))
+        .ok_or_else(|| DataError::Format("stripe payload size overflows".into()))?;
+    if cur.rest().len() != expect {
         return Err(DataError::Format(format!(
             "stripe payload is {} bytes, header promises {expect}",
-            buf.remaining()
+            cur.rest().len()
         )));
     }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let lat = buf.get_f64_le();
-        let lon = buf.get_f64_le();
-        let attrs: Vec<f64> = (0..dim).map(|_| buf.get_f64_le()).collect();
+        let lat = cur.f64();
+        let lon = cur.f64();
+        let attrs: Vec<f64> = (0..dim).map(|_| cur.f64()).collect();
         out.push(Observation { lat, lon, attrs });
     }
     Ok(out)
@@ -314,6 +318,20 @@ mod tests {
         ];
         write_stripe(&path, 2, &obs).unwrap();
         assert_eq!(read_stripe(&path).unwrap(), obs);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn stripe_header_whose_payload_size_overflows_is_a_format_error() {
+        let dir = std::env::temp_dir().join("pmkm_swath_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile.sw");
+        // Magic, dim 0, count 2^60: 2^60 points of 16 bytes overflow usize.
+        let mut bytes = STRIPE_MAGIC.to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_stripe(&path), Err(DataError::Format(_))));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -37,7 +37,7 @@ proptest! {
     fn bucket_parser_rejects_any_single_bitflip(ds in arb_dataset(), flip_bit in any::<u16>()) {
         prop_assume!(ds.len() > 0);
         let bucket = GridBucket { cell: GridCell::new(0, 0).unwrap(), points: ds };
-        let mut bytes = bucket.to_bytes().to_vec();
+        let mut bytes = bucket.to_bytes();
         // Flip one bit somewhere in the payload region (after the header).
         let header = pmkm_data::bucket::HEADER_LEN;
         let pos = header + (flip_bit as usize / 8) % (bytes.len() - header);
@@ -220,5 +220,5 @@ fn golden_gb01_bucket_still_reads() {
     assert_eq!(streamed, bucket.points);
 
     // And the current writer still produces byte-identical GB01 output.
-    assert_eq!(bucket.to_bytes().to_vec(), std::fs::read(&path).unwrap());
+    assert_eq!(bucket.to_bytes(), std::fs::read(&path).unwrap());
 }

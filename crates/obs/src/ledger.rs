@@ -1228,7 +1228,6 @@ mod tests {
         let server = crate::serve::MetricsServer::serve_full(
             "127.0.0.1:0",
             Arc::clone(&rec),
-            1,
             Some(sink.clone()),
             None,
         )

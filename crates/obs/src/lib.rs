@@ -1,6 +1,6 @@
 //! # pmkm-obs — observability for the partial/merge pipeline
 //!
-//! Three small layers, each usable on its own:
+//! Nine modules, each usable on its own:
 //!
 //! 1. [`metrics`] — a lock-cheap metrics [`Registry`] of named
 //!    [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s, with a
@@ -18,20 +18,18 @@
 //!    `/metrics`, `/report.json`, `/healthz`, and — when a ledger is
 //!    attached — the `/events` long-poll stream and `/ledger.jsonl`
 //!    download, on a background thread.
-//! 6. [`config`] — [`ObsConfig`] knobs (trace ring capacity, queue-depth
-//!    sampling interval) carried by the [`Recorder`].
-//! 7. [`ledger`] — the versioned, append-only JSONL run ledger
+//! 6. [`ledger`] — the versioned, append-only JSONL run ledger
 //!    ([`LedgerSink`]) with a parser, a per-cell/per-phase [`rollup`]
 //!    engine, and the cross-run [`diff_profiles`] attribution engine.
-//! 8. [`timeline`] — per-worker state [`Timeline`]s (bounded transition
+//! 7. [`timeline`] — per-worker state [`Timeline`]s (bounded transition
 //!    rings on the recorder clock) aggregated into [`WorkerTimeline`]
 //!    utilization and per-thread-max wall rollups.
-//! 9. [`status`] — the live `/status` planet-progress document
+//! 8. [`status`] — the live `/status` planet-progress document
 //!    ([`StatusSnapshot`]) published through a pointer-swap
 //!    [`StatusCell`].
-//! 10. [`chrome`] — Chrome trace-event / Perfetto JSON export
-//!     ([`chrome_trace`]) and terminal Gantt rendering ([`ascii_gantt`])
-//!     of a run ledger.
+//! 9. [`chrome`] — Chrome trace-event / Perfetto JSON export
+//!    ([`chrome_trace`]) and terminal Gantt rendering ([`ascii_gantt`]) of
+//!    a run ledger.
 //!
 //! The instrumented code paths in `pmkm-core` and `pmkm-stream` thread an
 //! `Option<&Recorder>` through; `None` keeps the hooks zero-cost (no
@@ -54,7 +52,6 @@
 #![forbid(unsafe_code)]
 
 pub mod chrome;
-pub mod config;
 pub mod ledger;
 pub mod metrics;
 pub mod profile;
@@ -65,7 +62,6 @@ pub mod timeline;
 pub mod trace;
 
 pub use chrome::{ascii_gantt, chrome_trace, chrome_trace_from_report};
-pub use config::ObsConfig;
 pub use ledger::{
     attribute_phases, diff_profiles, emit_phase_events, parse_ledger, read_ledger, rollup,
     CheckpointRollup, CoresetLevelRollup, CoresetRollup, LedgerRecord, LedgerRollup, LedgerSink,

@@ -65,7 +65,7 @@ const EVENTS_POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Worker threads answering requests concurrently. Scrapes are cheap, so
 /// a handful of workers rides out a slow client without unbounded threads.
-const DEFAULT_WORKERS: usize = 4;
+const WORKERS: usize = 4;
 
 /// A running telemetry HTTP server. See the [module docs](self).
 pub struct MetricsServer {
@@ -78,23 +78,21 @@ pub struct MetricsServer {
 impl MetricsServer {
     /// Binds `addr` (e.g. `"127.0.0.1:9464"`, port 0 for OS-assigned) and
     /// starts answering requests on a background accept thread plus a
-    /// small worker pool.
+    /// pool of four workers.
     pub fn serve(addr: impl ToSocketAddrs, recorder: Arc<Recorder>) -> std::io::Result<Self> {
-        Self::serve_full(addr, recorder, DEFAULT_WORKERS, None, None)
+        Self::serve_full(addr, recorder, None, None)
     }
 
-    /// [`MetricsServer::serve`] with everything explicit: the worker-pool
-    /// size (clamped to at least one worker), a run ledger enabling the
-    /// `/events` long-poll stream and the `/ledger.jsonl` download (it
-    /// should also be registered as a sink on `recorder` so it actually
-    /// receives the run's events; a file-backed ledger starts keeping its
-    /// in-memory tail here), and a [`StatusCell`] enabling the `/status`
-    /// endpoint; the orchestrator publishes snapshots into it while the
-    /// exporter reads them.
+    /// [`MetricsServer::serve`] with the optional endpoints: a run ledger
+    /// enabling the `/events` long-poll stream and the `/ledger.jsonl`
+    /// download (it should also be registered as a sink on `recorder` so it
+    /// actually receives the run's events; a file-backed ledger starts
+    /// keeping its in-memory tail here), and a [`StatusCell`] enabling the
+    /// `/status` endpoint; the orchestrator publishes snapshots into it
+    /// while the exporter reads them.
     pub fn serve_full(
         addr: impl ToSocketAddrs,
         recorder: Arc<Recorder>,
-        workers: usize,
         ledger: Option<Arc<LedgerSink>>,
         status: Option<Arc<StatusCell>>,
     ) -> std::io::Result<Self> {
@@ -107,8 +105,8 @@ impl MetricsServer {
         let report: Arc<Mutex<Option<RunReport>>> = Arc::new(Mutex::new(None));
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let mut handles = Vec::with_capacity(workers + 1);
-        for i in 0..workers.max(1) {
+        let mut handles = Vec::with_capacity(WORKERS + 1);
+        for i in 0..WORKERS {
             let conn_rx = Arc::clone(&conn_rx);
             let recorder = Arc::clone(&recorder);
             let report = Arc::clone(&report);

@@ -28,7 +28,8 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
-/// Default per-lane transition ring capacity.
+/// Per-lane transition ring capacity: a lane keeps its newest
+/// `DEFAULT_LANE_CAPACITY` transitions.
 pub const DEFAULT_LANE_CAPACITY: usize = 1024;
 
 /// The states a worker lane moves through.
@@ -117,8 +118,8 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(label: String, ts_us: u64, capacity: usize) -> Self {
-        let mut ring = VecDeque::with_capacity(capacity.min(64));
+    fn new(label: String, ts_us: u64) -> Self {
+        let mut ring = VecDeque::with_capacity(64);
         ring.push_back(Transition { ts_us, state: WorkerState::Idle });
         Self {
             label,
@@ -134,39 +135,24 @@ impl Lane {
 }
 
 /// Shared per-worker state timeline. See the [module docs](self).
+#[derive(Default)]
 pub struct Timeline {
-    capacity: usize,
     lanes: Mutex<Vec<Lane>>,
     bindings: Mutex<HashMap<u32, usize>>,
 }
 
-impl Default for Timeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Timeline {
-    /// A timeline with the default per-lane ring capacity.
+    /// A timeline whose lanes keep at most [`DEFAULT_LANE_CAPACITY`]
+    /// transitions each.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_LANE_CAPACITY)
-    }
-
-    /// A timeline whose lanes keep at most `capacity` transitions (min 2,
-    /// so the opening state and the newest transition always survive).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(2),
-            lanes: Mutex::new(Vec::new()),
-            bindings: Mutex::new(HashMap::new()),
-        }
+        Self::default()
     }
 
     /// Registers a worker lane starting in `idle` at `ts_us`; returns its
     /// lane id.
     pub fn register(&self, label: &str, ts_us: u64) -> usize {
         let mut lanes = self.lanes.lock();
-        lanes.push(Lane::new(label.to_string(), ts_us, self.capacity));
+        lanes.push(Lane::new(label.to_string(), ts_us));
         lanes.len() - 1
     }
 
@@ -196,7 +182,7 @@ impl Timeline {
         l.current = state;
         l.since_us = ts_us;
         l.transitions += 1;
-        if l.ring.len() == self.capacity {
+        if l.ring.len() == DEFAULT_LANE_CAPACITY {
             l.ring.pop_front();
         }
         l.ring.push_back(Transition { ts_us, state });
@@ -268,10 +254,7 @@ impl Timeline {
 
 impl std::fmt::Debug for Timeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Timeline")
-            .field("lanes", &self.lanes.lock().len())
-            .field("capacity", &self.capacity)
-            .finish()
+        f.debug_struct("Timeline").field("lanes", &self.lanes.lock().len()).finish()
     }
 }
 
@@ -381,19 +364,21 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_keeps_newest() {
-        let tl = Timeline::with_capacity(4);
+        let tl = Timeline::new();
         let w = tl.register("w0", 0);
-        // Alternate states so nothing coalesces.
-        for i in 0..10u64 {
+        // Alternate states so nothing coalesces; the opening state plus
+        // `n` transitions overflow the ring by 10.
+        let n = DEFAULT_LANE_CAPACITY as u64 + 9;
+        for i in 0..n {
             let s = if i % 2 == 0 { WorkerState::Scan } else { WorkerState::Idle };
             tl.record(w, s, i * 10);
         }
         let ring = tl.transitions(w);
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.last().unwrap().ts_us, 90);
+        assert_eq!(ring.len(), DEFAULT_LANE_CAPACITY);
+        assert_eq!(ring.last().unwrap().ts_us, (n - 1) * 10);
         // Dwell accounting is unaffected by ring eviction.
-        let snap = tl.snapshot(90);
-        assert_eq!(snap.workers[0].scan_us + snap.workers[0].idle_us, 90);
+        let snap = tl.snapshot((n - 1) * 10);
+        assert_eq!(snap.workers[0].scan_us + snap.workers[0].idle_us, (n - 1) * 10);
     }
 
     #[test]

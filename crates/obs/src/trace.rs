@@ -1,6 +1,5 @@
 //! Structured tracing: events, spans, and pluggable sinks.
 
-use crate::config::ObsConfig;
 use crate::metrics::Registry;
 use crate::profile::{PhaseGuard, Profiler};
 use crate::timeline::{Timeline, WorkerState};
@@ -100,11 +99,6 @@ impl RingBufferSink {
         Self { capacity, buf: Mutex::new(VecDeque::with_capacity(capacity)) }
     }
 
-    /// A ring sized by [`ObsConfig::trace_ring_capacity`].
-    pub fn from_config(config: &ObsConfig) -> Self {
-        Self::new(config.trace_ring_capacity)
-    }
-
     /// A copy of the retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
         self.buf.lock().iter().cloned().collect()
@@ -143,7 +137,6 @@ pub struct Recorder {
     registry: Registry,
     profiler: Option<Arc<Profiler>>,
     timeline: Option<Arc<Timeline>>,
-    config: ObsConfig,
 }
 
 impl Default for Recorder {
@@ -161,7 +154,6 @@ impl Recorder {
             registry: Registry::new(),
             profiler: None,
             timeline: None,
-            config: ObsConfig::default(),
         }
     }
 
@@ -175,12 +167,6 @@ impl Recorder {
     /// go nowhere without one.
     pub fn with_profiler(mut self, profiler: Arc<Profiler>) -> Self {
         self.profiler = Some(profiler);
-        self
-    }
-
-    /// Replaces the observability config (builder style).
-    pub fn with_config(mut self, config: ObsConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -238,11 +224,6 @@ impl Recorder {
             "worker.state",
             &[("worker", label.into()), ("lane", lane.into()), ("state", state.as_str().into())],
         );
-    }
-
-    /// The observability config (defaults unless overridden).
-    pub fn config(&self) -> &ObsConfig {
-        &self.config
     }
 
     /// Opens a profiler phase span, or returns `None` when no profiler is

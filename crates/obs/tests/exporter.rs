@@ -93,14 +93,9 @@ fn exporter_serves_status_with_live_worker_rows() {
     let timeline = Arc::new(Timeline::new());
     let rec = Arc::new(Recorder::new().with_timeline(Arc::clone(&timeline)));
     let status = Arc::new(StatusCell::new());
-    let server = MetricsServer::serve_full(
-        "127.0.0.1:0",
-        Arc::clone(&rec),
-        2,
-        None,
-        Some(Arc::clone(&status)),
-    )
-    .expect("bind");
+    let server =
+        MetricsServer::serve_full("127.0.0.1:0", Arc::clone(&rec), None, Some(Arc::clone(&status)))
+            .expect("bind");
     let addr = server.local_addr();
 
     // Idle snapshot before the orchestrator publishes anything.
@@ -215,7 +210,7 @@ fn exporter_streams_ledger_events_and_tolerates_slow_consumers() {
     let rec = Arc::new(Recorder::new().with_sink(Arc::clone(&ledger) as _));
     rec.event("chunk.close", &[("cell", 3u64.into()), ("points", 500u64.into())]);
     let server =
-        MetricsServer::serve_full("127.0.0.1:0", Arc::clone(&rec), 4, Some(ledger.clone()), None)
+        MetricsServer::serve_full("127.0.0.1:0", Arc::clone(&rec), Some(ledger.clone()), None)
             .expect("bind");
     let addr = server.local_addr();
 

@@ -22,6 +22,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Capacity of every inter-operator queue of the threaded driver.
+const QUEUE_CAPACITY: usize = 64;
+
+/// Points per scan batch.
+const SCAN_BATCH: usize = 4096;
+
 /// Everything a finished pipeline run reports.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
@@ -270,7 +276,7 @@ fn run_inline(
     ctx: &FaultContext,
 ) -> Result<(Vec<CellClustering>, Vec<OpStats>)> {
     let scan =
-        ScanOp::new(inputs.to_vec(), plan.scan_batch, ctx.clone()).with_backend(plan.scan_backend);
+        ScanOp::new(inputs.to_vec(), SCAN_BATCH, ctx.clone()).with_backend(plan.scan_backend);
     let mut chunker = ChunkerOp::new(plan.chunk_policy, ctx.clone());
     let mut partial = PartialKMeansOp::new(plan.logical.kmeans, 0, ctx.clone())
         .with_coreset(coreset.map(|s| s.size));
@@ -326,16 +332,10 @@ fn run_threaded(
     coreset: Option<&CoresetSpec>,
     ctx: &FaultContext,
 ) -> Result<(Vec<CellClustering>, Vec<OpStats>, Vec<QueueStats>)> {
-    let cap = plan.queue_capacity;
-    let depth_every = ctx.rec().map(|r| r.config().depth_sample_interval()).unwrap_or(1);
-    let q_scan: SmartQueue<ScanMsg> =
-        SmartQueue::new("scan→chunker", cap).with_depth_sample_interval(depth_every);
-    let q_chunks: SmartQueue<ChunkMsg> =
-        SmartQueue::new("chunker→partial", cap).with_depth_sample_interval(depth_every);
-    let q_merge: SmartQueue<MergeMsg> =
-        SmartQueue::new("partial→merge", cap).with_depth_sample_interval(depth_every);
-    let q_results: SmartQueue<CellClustering> =
-        SmartQueue::new("merge→sink", cap).with_depth_sample_interval(depth_every);
+    let q_scan: SmartQueue<ScanMsg> = SmartQueue::new("scan→chunker", QUEUE_CAPACITY);
+    let q_chunks: SmartQueue<ChunkMsg> = SmartQueue::new("chunker→partial", QUEUE_CAPACITY);
+    let q_merge: SmartQueue<MergeMsg> = SmartQueue::new("partial→merge", QUEUE_CAPACITY);
+    let q_results: SmartQueue<CellClustering> = SmartQueue::new("merge→sink", QUEUE_CAPACITY);
 
     // Deal input buckets round-robin over the scan clones.
     let scan_clones = plan.scan_clones.min(inputs.len()).max(1);
@@ -346,8 +346,7 @@ fn run_threaded(
     let scans: Vec<(ScanOp, QueueProducer<ScanMsg>)> = scan_inputs
         .into_iter()
         .map(|paths| {
-            let op =
-                ScanOp::new(paths, plan.scan_batch, ctx.clone()).with_backend(plan.scan_backend);
+            let op = ScanOp::new(paths, SCAN_BATCH, ctx.clone()).with_backend(plan.scan_backend);
             (op, q_scan.producer())
         })
         .collect();
@@ -849,7 +848,7 @@ mod tests {
         // seed whose scan reads the whole cell: the chunker then has all
         // 500 chunks to push at a queue of 64.
         let key = path_key(&path);
-        let batches = 20_000u64.div_ceil(plan.scan_batch as u64);
+        let batches = 20_000u64.div_ceil(SCAN_BATCH as u64);
         let seed = (1..10_000u64)
             .find(|&s| {
                 let p = FaultPlan::heavy(s);

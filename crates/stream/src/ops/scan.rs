@@ -104,54 +104,6 @@ impl ScanOp {
         })
     }
 
-    /// One read with injection and retry-with-backoff. `batch` keys the
-    /// injection roll (`OPEN_BATCH_KEY` for the header read).
-    fn read_with_retry<T>(
-        &self,
-        meter: &mut OpMeter,
-        path: u64,
-        batch: u64,
-        mut read: impl FnMut() -> pmkm_data::Result<T>,
-    ) -> Result<T> {
-        let attempts = self.ctx.policy.scan_retries + 1;
-        let mut backoff = self.ctx.policy.retry_backoff;
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            let injected = self
-                .ctx
-                .plan
-                .as_deref()
-                .and_then(|p| p.scan_fault(path, batch))
-                .is_some_and(|f| f == ScanFault::Permanent || attempt == 0);
-            let result = if injected {
-                Err(DataError::Io(std::io::Error::other("injected scan read error")))
-            } else {
-                meter.work(&mut read)
-            };
-            match result {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    last_err = Some(e);
-                    if attempt + 1 < attempts {
-                        self.ctx.counters.scan_retries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(rec) = self.ctx.rec() {
-                            rec.registry().counter("fault_scan_retries_total").inc();
-                        }
-                        self.ctx.record_fault(
-                            "scan_retry",
-                            &[("batch", batch.into()), ("attempt", (attempt as u64).into())],
-                        );
-                        if !backoff.is_zero() {
-                            meter.wait(|| std::thread::sleep(backoff));
-                            backoff = backoff.saturating_mul(2);
-                        }
-                    }
-                }
-            }
-        }
-        Err(EngineError::Data(last_err.expect("at least one attempt")))
-    }
-
     /// Records a bucket (or bucket tail) abandoned under quarantine.
     fn note_scan_failure(&self, path: &std::path::Path, err: &EngineError) {
         self.ctx.counters.scan_failures.fetch_add(1, Ordering::Relaxed);
@@ -206,9 +158,10 @@ impl ScanOp {
         loop {
             let read = {
                 let _phase = self.span();
-                self.read_with_retry(meter, pkey, batch_idx, || {
+                read_with_retry(&self.ctx, Some(meter), pkey, batch_idx, || {
                     reader.next_batch(self.batch_points)
                 })
+                .map_err(EngineError::Data)
             };
             let batch = match read {
                 Ok(b) => b,
@@ -248,7 +201,7 @@ impl ScanOp {
         let failed = if reader.n_blocks() == 1 {
             let read = {
                 let _phase = self.span();
-                meter.work(|| fetch_block_with_retry(&self.ctx, pkey, 0, &reader))
+                read_with_retry(&self.ctx, Some(meter), pkey, 0, || reader.read_block_with_stats(0))
             };
             match read {
                 Ok(block) => {
@@ -288,7 +241,9 @@ impl ScanOp {
         let fetch_ctx = self.ctx.clone();
         let fetcher = std::thread::spawn(move || {
             for i in 0..n_blocks {
-                let res = fetch_block_with_retry(&fetch_ctx, pkey, i, &reader);
+                let res = read_with_retry(&fetch_ctx, None, pkey, i as u64, || {
+                    reader.read_block_with_stats(i)
+                });
                 let failed = res.is_err();
                 if tx.send((i, res)).is_err() || failed {
                     return;
@@ -383,9 +338,10 @@ impl ScanOp {
         let mut backend_cache: Option<Arc<dyn ScanBackend>> = None;
         let opened = {
             let _phase = self.span();
-            self.read_with_retry(meter, pkey, OPEN_BATCH_KEY, || {
+            read_with_retry(&self.ctx, Some(meter), pkey, OPEN_BATCH_KEY, || {
                 self.open_any(path, pkey, &mut backend_cache)
             })
+            .map_err(EngineError::Data)
         };
         let reader = match opened {
             Ok(r) => r,
@@ -457,15 +413,18 @@ impl ScanOp {
     }
 }
 
-/// One block read with injection and retry-with-backoff, on the prefetch
-/// thread or in place — the mirror of [`ScanOp::read_with_retry`] without
-/// a meter (the scan books the read, or its wait for it, itself).
-fn fetch_block_with_retry(
+/// One read with injection and retry-with-backoff, on the scan thread or
+/// the prefetch thread. `batch` keys the injection roll (`OPEN_BATCH_KEY`
+/// for the header read, the block index for a GB02 block). With a meter,
+/// each attempt books as work and each backoff as wait; the prefetch
+/// thread has none, and the scan books its wait for the block instead.
+fn read_with_retry<T>(
     ctx: &FaultContext,
+    mut meter: Option<&mut OpMeter>,
     path: u64,
-    block: usize,
-    reader: &Gb02Reader,
-) -> std::result::Result<Block, DataError> {
+    batch: u64,
+    mut read: impl FnMut() -> pmkm_data::Result<T>,
+) -> pmkm_data::Result<T> {
     let attempts = ctx.policy.scan_retries + 1;
     let mut backoff = ctx.policy.retry_backoff;
     let mut last_err = None;
@@ -473,12 +432,15 @@ fn fetch_block_with_retry(
         let injected = ctx
             .plan
             .as_deref()
-            .and_then(|p| p.scan_fault(path, block as u64))
+            .and_then(|p| p.scan_fault(path, batch))
             .is_some_and(|f| f == ScanFault::Permanent || attempt == 0);
         let result = if injected {
             Err(DataError::Io(std::io::Error::other("injected scan read error")))
         } else {
-            reader.read_block_with_stats(block)
+            match meter.as_deref_mut() {
+                Some(m) => m.work(&mut read),
+                None => read(),
+            }
         };
         match result {
             Ok(v) => return Ok(v),
@@ -491,10 +453,14 @@ fn fetch_block_with_retry(
                     }
                     ctx.record_fault(
                         "scan_retry",
-                        &[("batch", (block as u64).into()), ("attempt", (attempt as u64).into())],
+                        &[("batch", batch.into()), ("attempt", (attempt as u64).into())],
                     );
                     if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
+                        let sleep = || std::thread::sleep(backoff);
+                        match meter.as_deref_mut() {
+                            Some(m) => m.wait(sleep),
+                            None => sleep(),
+                        }
                         backoff = backoff.saturating_mul(2);
                     }
                 }
@@ -921,6 +887,25 @@ mod tests {
         let block = ring.events().into_iter().find(|e| e.name == "scan.block").unwrap();
         let hit = block.fields.iter().find(|(k, _)| k == "prefetch_hit").map(|(_, v)| v.clone());
         assert_eq!(hit, Some(FieldValue::Bool(false)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The retry backoff books as wait on every path, the in-place block
+    /// read's included: here the open and the one block each back off once.
+    #[test]
+    fn retry_backoff_books_as_wait_on_the_single_block_path() {
+        let dir = tmpdir("gb02_one_block_wait");
+        let cell = GridCell::new(11, 11).unwrap();
+        let path = write_bucket_gb02(&dir, cell, 12, Codec::Raw, 16);
+        let backoff = std::time::Duration::from_millis(20);
+        let transient =
+            FaultPlan { scan_error_rate: 1.0, scan_permanent_fraction: 0.0, ..FaultPlan::none(17) };
+        let policy = FaultPolicy { retry_backoff: backoff, ..FaultPolicy::tolerant() };
+        let ctx = FaultContext::new(Some(transient), policy);
+        let counters = Arc::clone(&ctx.counters);
+        let stats = scan(ScanOp::new(vec![path], 10, ctx)).0.unwrap();
+        assert_eq!(counters.snapshot().scan_retries, 2);
+        assert!(stats.blocked >= 2 * backoff, "blocked {:?}", stats.blocked);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -22,8 +22,6 @@ pub fn optimize(logical: LogicalPlan, resources: &Resources) -> PhysicalPlan {
         logical,
         partial_clones: resources.workers.max(1),
         chunk_policy: ChunkPolicy::MemoryBudget { bytes: resources.chunk_memory_bytes.max(1) },
-        queue_capacity: resources.queue_capacity.max(1),
-        scan_batch: resources.scan_batch.max(1),
         // One scanner per two workers, capped by the input count: the scan
         // is I/O-bound, so it rarely pays to clone it as aggressively as
         // the partial operator.
@@ -74,10 +72,11 @@ mod tests {
 
     #[test]
     fn degenerate_resources_are_clamped() {
-        let r = Resources { chunk_memory_bytes: 0, workers: 0, queue_capacity: 0, scan_batch: 0 };
+        let r = Resources { chunk_memory_bytes: 0, workers: 0 };
         let plan = optimize(logical(), &r);
         assert_eq!(plan.partial_clones, 1);
-        assert_eq!(plan.queue_capacity, 1);
-        assert_eq!(plan.scan_batch, 1);
+        assert_eq!(plan.scan_clones, 1);
+        assert_eq!(plan.chunk_policy, ChunkPolicy::MemoryBudget { bytes: 1 });
+        plan.validate().unwrap();
     }
 }

@@ -46,6 +46,7 @@ use crate::ops::tail::{note_cell_close, CellClose};
 use crate::ops::ChunkPolicy;
 use crate::plan::{CoresetSpec, PhysicalPlan};
 use parking_lot::Mutex;
+use pmkm_data::bucket::fnv1a;
 use pmkm_obs::{
     FaultReport, OrchestratorReport, Recorder, RunReport, StatusCell, StatusSnapshot, WorkerState,
 };
@@ -851,18 +852,20 @@ fn run_one_cell(shared: &Shared<'_>, i: usize) -> Result<CellOutcome> {
 }
 
 /// In-flight bytes one cell's pipeline holds: one chunk per partial clone
-/// plus the chunker's build buffer and the merge's gathered set.
+/// plus the chunker's build buffer and the merge's gathered set. Saturates,
+/// since the chunk budget comes from the command line: a cost too large to
+/// count is one no budget can admit.
 fn cell_cost(plan: &PhysicalPlan, dim: usize) -> usize {
     let chunk_bytes = match plan.chunk_policy {
         ChunkPolicy::MemoryBudget { bytes } => bytes,
-        ChunkPolicy::FixedPoints(p) => p * dim * std::mem::size_of::<f64>(),
+        ChunkPolicy::FixedPoints(p) => p.saturating_mul(dim).saturating_mul(size_of::<f64>()),
     };
-    chunk_bytes * (plan.partial_clones + 2)
+    chunk_bytes.saturating_mul(plan.partial_clones.saturating_add(2))
 }
 
 /// Every plan knob that changes clustering results or fault injection —
-/// parallelism knobs (clones, queue capacities, jobs) are deliberately
-/// excluded because results are invariant to them.
+/// parallelism knobs (clones, jobs) are deliberately excluded because
+/// results are invariant to them.
 fn plan_fingerprint(plan: &PhysicalPlan, fault_plan: Option<&FaultPlan>) -> u64 {
     // `CoresetSpec`'s manual Debug omits the status probe, so attaching a
     // live dashboard never invalidates checkpoints.
@@ -881,15 +884,6 @@ fn plan_fingerprint(plan: &PhysicalPlan, fault_plan: Option<&FaultPlan>) -> u64 
         plan.scan_backend
     );
     fnv1a(key.as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn file_name(path: &Path) -> String {
@@ -1195,6 +1189,25 @@ mod tests {
         let opts = OrchestratorOptions::new(2).with_budget(16);
         match orchestrate(&plan, &opts, None, None) {
             Err(EngineError::InvalidPlan(msg)) => assert!(msg.contains("budget")),
+            other => panic!("expected InvalidPlan, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn oversized_chunk_budget_saturates_and_is_refused() {
+        let dir = tmpdir("budget_huge");
+        let paths = vec![write_cell(&dir, 3, 21, 5)];
+        let logical =
+            LogicalPlan::new(paths, KMeansConfig { restarts: 1, ..KMeansConfig::paper(2, 7) });
+        // One clone: three chunks in flight, whose byte count wraps to 2.
+        let plan = crate::optimizer::optimize(logical, &Resources::fixed(usize::MAX / 3 + 1, 1));
+        assert_eq!(cell_cost(&plan, 2), usize::MAX);
+        let planet = orchestrate(&plan, &OrchestratorOptions::new(1), None, None).unwrap();
+        assert_eq!(planet.cells.len(), 1);
+        let opts = OrchestratorOptions::new(1).with_budget(100);
+        match orchestrate(&plan, &opts, None, None) {
+            Err(EngineError::InvalidPlan(msg)) => assert!(msg.contains("cannot admit"), "{msg}"),
             other => panic!("expected InvalidPlan, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();

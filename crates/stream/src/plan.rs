@@ -97,10 +97,6 @@ pub struct PhysicalPlan {
     pub partial_clones: usize,
     /// Chunk sizing policy handed to the chunker.
     pub chunk_policy: ChunkPolicy,
-    /// Capacity of every inter-operator queue.
-    pub queue_capacity: usize,
-    /// Points per scan batch.
-    pub scan_batch: usize,
     /// Number of scan-operator clones; input buckets are dealt round-robin
     /// across them (cloning is generic in the engine — §3's "the model
     /// allows to automatically clone operators").
@@ -130,11 +126,6 @@ impl PhysicalPlan {
         }
         if self.fault_policy.max_chunk_attempts == 0 {
             return Err(EngineError::InvalidPlan("max_chunk_attempts must be >= 1".into()));
-        }
-        if self.queue_capacity == 0 || self.scan_batch == 0 {
-            return Err(EngineError::InvalidPlan(
-                "queue_capacity and scan_batch must be >= 1".into(),
-            ));
         }
         if self.scan_clones == 0 {
             return Err(EngineError::InvalidPlan("scan_clones must be >= 1".into()));
@@ -188,8 +179,6 @@ mod tests {
             logical: logical(),
             partial_clones: 2,
             chunk_policy: ChunkPolicy::FixedPoints(100),
-            queue_capacity: 8,
-            scan_batch: 64,
             scan_clones: 1,
             fault_policy: FaultPolicy::default(),
             coreset: None,
@@ -201,8 +190,6 @@ mod tests {
         let bad = PhysicalPlan { partial_clones: 0, ..ok.clone() };
         assert!(bad.validate().is_err());
         let bad = PhysicalPlan { chunk_policy: ChunkPolicy::FixedPoints(0), ..ok.clone() };
-        assert!(bad.validate().is_err());
-        let bad = PhysicalPlan { queue_capacity: 0, ..ok.clone() };
         assert!(bad.validate().is_err());
         let bad = PhysicalPlan {
             fault_policy: FaultPolicy { max_chunk_attempts: 0, ..FaultPolicy::tolerant() },

@@ -59,10 +59,9 @@ pub struct QueueStats {
     pub blocked_send: Duration,
     /// Total time consumers spent blocked on an empty queue.
     pub blocked_recv: Duration,
-    /// Queue-depth histogram sampled after every Nth successful send (N is
-    /// the depth-sample interval, default 1): counts for depths 0, 1, 2–3,
-    /// 4–7, 8–15, 16–31, 32–63, 64+. With the default interval the counts
-    /// sum to `sends`.
+    /// Queue-depth histogram observed after every successful send: counts
+    /// for depths 0, 1, 2–3, 4–7, 8–15, 16–31, 32–63, 64+. The counts sum
+    /// to `sends`.
     pub depth_counts: Vec<u64>,
 }
 
@@ -90,7 +89,7 @@ impl QueueStats {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Counters {
     sends: AtomicU64,
     recvs: AtomicU64,
@@ -99,36 +98,11 @@ struct Counters {
     blocked_send_nanos: AtomicU64,
     blocked_recv_nanos: AtomicU64,
     depth: [AtomicU64; DEPTH_BUCKETS],
-    /// Successful sends seen by the depth sampler (shared across producer
-    /// clones so the interval applies to the edge, not per clone).
-    depth_seq: AtomicU64,
-    /// Sample the depth histogram every Nth send (≥ 1).
-    depth_every: AtomicU64,
-}
-
-impl Default for Counters {
-    fn default() -> Self {
-        Self {
-            sends: AtomicU64::new(0),
-            recvs: AtomicU64::new(0),
-            full_blocks: AtomicU64::new(0),
-            empty_blocks: AtomicU64::new(0),
-            blocked_send_nanos: AtomicU64::new(0),
-            blocked_recv_nanos: AtomicU64::new(0),
-            depth: Default::default(),
-            depth_seq: AtomicU64::new(0),
-            depth_every: AtomicU64::new(1),
-        }
-    }
 }
 
 impl Counters {
     fn observe_depth(&self, depth: usize) {
-        let seq = self.depth_seq.fetch_add(1, Ordering::Relaxed);
-        let every = self.depth_every.load(Ordering::Relaxed);
-        if seq.is_multiple_of(every) {
-            self.depth[depth_bucket(depth)].fetch_add(1, Ordering::Relaxed);
-        }
+        self.depth[depth_bucket(depth)].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -158,15 +132,6 @@ impl<T> SmartQueue<T> {
             sender: Mutex::new(Some(tx)),
             receiver: Mutex::new(Some(rx)),
         }
-    }
-
-    /// Sets the depth-histogram sampling interval: observe the depth on
-    /// every Nth successful send (builder style, clamped to ≥ 1; the
-    /// default 1 samples every send). Driven by
-    /// `ObsConfig::queue_depth_sample_interval` in the executor.
-    pub fn with_depth_sample_interval(self, every: u64) -> Self {
-        self.counters.depth_every.store(every.max(1), Ordering::Relaxed);
-        self
     }
 
     /// A producer handle. Call once per producer clone, **before**
@@ -469,33 +434,6 @@ mod tests {
         assert_eq!(report.depth.count, 20);
         assert_eq!(report.depth.counts, s.depth_counts);
         assert_eq!(report.depth.bounds.len() + 1, report.depth.counts.len());
-    }
-
-    #[test]
-    fn depth_sampling_interval_thins_observations() {
-        let q: SmartQueue<u32> = SmartQueue::new("t", 32).with_depth_sample_interval(4);
-        let p = q.producer();
-        let _c = q.consumer();
-        q.seal();
-        for i in 0..20 {
-            p.send(i).unwrap();
-        }
-        let s = q.stats();
-        assert_eq!(s.sends, 20);
-        // Sends 0, 4, 8, 12, 16 are sampled: 5 observations, not 20.
-        assert_eq!(s.depth_counts.iter().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn depth_sampling_interval_zero_clamps_to_every_send() {
-        let q: SmartQueue<u32> = SmartQueue::new("t", 8).with_depth_sample_interval(0);
-        let p = q.producer();
-        let _c = q.consumer();
-        q.seal();
-        for i in 0..6 {
-            p.send(i).unwrap();
-        }
-        assert_eq!(q.stats().depth_counts.iter().sum::<u64>(), 6);
     }
 
     #[test]

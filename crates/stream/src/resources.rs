@@ -2,9 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Available computing resources: the paper's two bottleneck axes (volatile
-/// memory for operator state, processors for operator clones) plus the
-/// queueing knobs.
+/// Available computing resources: the paper's two bottleneck axes, volatile
+/// memory for operator state and processors for operator clones (§3.2, §3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Resources {
     /// Volatile memory available to one partial operator's state — a chunk
@@ -14,10 +13,6 @@ pub struct Resources {
     /// Worker threads available for operator clones ("machines" in the
     /// paper's network-of-PCs deployment).
     pub workers: usize,
-    /// Capacity of each smart queue.
-    pub queue_capacity: usize,
-    /// Points per scan batch.
-    pub scan_batch: usize,
 }
 
 impl Resources {
@@ -25,12 +20,12 @@ impl Resources {
     /// budget (≈ 700k 6-dim points — a comfortable laptop-scale default).
     pub fn detect() -> Self {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { chunk_memory_bytes: 32 << 20, workers, queue_capacity: 64, scan_batch: 4096 }
+        Self { chunk_memory_bytes: 32 << 20, workers }
     }
 
     /// A fixed, test-friendly resource set.
     pub fn fixed(chunk_memory_bytes: usize, workers: usize) -> Self {
-        Self { chunk_memory_bytes, workers: workers.max(1), queue_capacity: 64, scan_batch: 4096 }
+        Self { chunk_memory_bytes, workers: workers.max(1) }
     }
 }
 

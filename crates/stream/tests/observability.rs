@@ -259,7 +259,6 @@ fn events_and_status_stay_live_under_a_multi_worker_run() {
     let server = MetricsServer::serve_full(
         "127.0.0.1:0",
         Arc::clone(&rec),
-        2,
         Some(Arc::clone(&ledger)),
         Some(Arc::clone(&status)),
     )

@@ -114,16 +114,14 @@ proptest! {
         prop_assert!(s.full_blocks <= s.sends);
     }
 
-    // The depth histogram only ever grows, stays within the sampling
-    // budget (`ceil(sends / every)` observations), and never records a
-    // depth above the queue's capacity.
+    // The depth histogram only ever grows, holds exactly one observation
+    // per send, and never records a depth above the queue's capacity.
     #[test]
     fn depth_histogram_is_monotone_and_bounded(
         rounds in proptest::collection::vec(1usize..16, 1..12),
         capacity in 1usize..32,
-        every in 1u64..6,
     ) {
-        let q: SmartQueue<u32> = SmartQueue::new("depth", capacity).with_depth_sample_interval(every);
+        let q: SmartQueue<u32> = SmartQueue::new("depth", capacity);
         let p = q.producer();
         let c = q.consumer();
         q.seal();
@@ -147,9 +145,9 @@ proptest! {
                 prop_assert!(now >= before, "bucket shrank: {:?} -> {:?}", prev, s.depth_counts);
             }
             prev = s.depth_counts;
-            // Bounded by the sampling interval: seq 0, every, 2*every, ...
-            let sampled: u64 = prev.iter().sum();
-            prop_assert_eq!(sampled, sent.div_ceil(every));
+            // One depth observation per send.
+            let observed: u64 = prev.iter().sum();
+            prop_assert_eq!(observed, sent);
         }
         // Depths beyond capacity are impossible; the overflow buckets
         // strictly above the capacity's bucket must stay empty.

@@ -32,11 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report("serial k-means", t.elapsed().as_secs_f64() * 1e3, serial.outcome.best.mse);
 
     // Partial/merge, 10 chunks, serial partial phase.
-    let pm_cfg = PartialMergeConfig {
-        kmeans: kcfg,
-        partitions: pmkm_core::PartitionSpec::Count(10),
-        ..PartialMergeConfig::paper(k, 10, 17)
-    };
+    let pm_cfg =
+        PartialMergeConfig { kmeans: kcfg, partitions: 10, ..PartialMergeConfig::paper(k, 10, 17) };
     let t = Instant::now();
     let pm = partial_merge(&cell, &pm_cfg)?;
     let mse = metrics::mse_against(&cell, &pm.merge.centroids)?;

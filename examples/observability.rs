@@ -18,7 +18,7 @@
 //! cargo run --release --example observability
 //! ```
 
-use pmkm_core::{partial_merge_observed, KMeansConfig, PartialMergeConfig, PartitionSpec};
+use pmkm_core::{partial_merge_observed, KMeansConfig, PartialMergeConfig};
 use pmkm_data::{CellConfig, GridBucket, GridCell};
 use pmkm_obs::{LedgerSink, MetricsServer, Profiler, Recorder, RingBufferSink};
 use pmkm_stream::prelude::*;
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let points = pmkm_data::generator::generate_cell(&CellConfig::paper(20_000, 7))?;
     let pm = PartialMergeConfig {
         kmeans: KMeansConfig { restarts: 3, ..KMeansConfig::paper(40, 7) },
-        partitions: PartitionSpec::Count(5),
+        partitions: 5,
         ..PartialMergeConfig::paper(40, 5, 7)
     };
     let (result, run_report) = partial_merge_observed(&points, &pm, Some(&rec))?;

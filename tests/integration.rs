@@ -5,9 +5,7 @@
 use pmkm_baselines::serial_kmeans;
 use pmkm_bench::experiments::{mean_rows, run_split, run_sweep, SweepConfig};
 use pmkm_compress::{compress_cell, faithfulness, reconstruct};
-use pmkm_core::{
-    metrics, partial_merge, KMeansConfig, PartialMergeConfig, PartitionSpec, PointSource,
-};
+use pmkm_core::{metrics, partial_merge, KMeansConfig, PartialMergeConfig, PointSource};
 use pmkm_data::binner::bin_stripes;
 use pmkm_data::{CellConfig, GridBucket, GridCell, SwathConfig, SwathSimulator};
 use pmkm_stream::prelude::*;
@@ -88,11 +86,8 @@ fn engine_and_core_pipeline_agree_structurally() {
         n / 5,
     );
     let engine = execute(&plan).unwrap();
-    let pm_cfg = PartialMergeConfig {
-        kmeans: kcfg,
-        partitions: PartitionSpec::Count(5),
-        ..PartialMergeConfig::paper(20, 5, 9)
-    };
+    let pm_cfg =
+        PartialMergeConfig { kmeans: kcfg, partitions: 5, ..PartialMergeConfig::paper(20, 5, 9) };
     let core = partial_merge(&cell, &pm_cfg).unwrap();
 
     let engine_out = &engine.cells[0].output;
@@ -192,11 +187,8 @@ fn serial_baseline_equals_partial_with_one_split() {
     let cell = pmkm_data::generator::generate_cell(&CellConfig::paper(2_000, 4)).unwrap();
     let kcfg = KMeansConfig { restarts: 3, ..KMeansConfig::paper(10, 21) };
     let serial = serial_kmeans(&cell, &kcfg).unwrap();
-    let pm = PartialMergeConfig {
-        kmeans: kcfg,
-        partitions: PartitionSpec::Count(1),
-        ..PartialMergeConfig::paper(10, 1, 21)
-    };
+    let pm =
+        PartialMergeConfig { kmeans: kcfg, partitions: 1, ..PartialMergeConfig::paper(10, 1, 21) };
     let merged = partial_merge(&cell, &pm).unwrap();
     let pm_mse = metrics::mse_against(&cell, &merged.merge.centroids).unwrap();
     // Not bit-identical (the chunk derives its own seed stream) but the
@@ -275,7 +267,7 @@ fn observed_partial_merge_reports_dataset_and_monotone_trajectories() {
     let points = pmkm_data::generator::generate_cell(&CellConfig::paper(3_000, 5)).unwrap();
     let cfg = PartialMergeConfig {
         kmeans: KMeansConfig { restarts: 3, ..KMeansConfig::paper(8, 5) },
-        partitions: PartitionSpec::Count(4),
+        partitions: 4,
         ..PartialMergeConfig::paper(8, 4, 5)
     };
     let rec = pmkm_obs::Recorder::new();
