@@ -46,3 +46,39 @@ pub use generator::{paper_cell, CellConfig, PAPER_DIM, PAPER_K, PAPER_SWEEP, PAP
 pub use grid::GridCell;
 pub use mixture::Mixture;
 pub use swath::{Observation, SwathConfig, SwathSimulator};
+
+/// The little-endian cursor every format reader in this crate shares.
+#[cfg(test)]
+mod tests {
+    use crate::codec::LeCursor;
+
+    #[test]
+    fn round_trips_little_endian() {
+        let mut bytes = b"MAGIC".to_vec();
+        bytes.push(7);
+        bytes.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        bytes.extend_from_slice(&42u64.to_le_bytes());
+        bytes.extend_from_slice(&(-1.5f64).to_le_bytes());
+        let mut cur = LeCursor::new(&bytes);
+        assert_eq!(&cur.array::<5>(), b"MAGIC");
+        assert_eq!(cur.u8(), 7);
+        assert_eq!(cur.u32(), 0xDEAD_BEEF);
+        assert_eq!(cur.u64(), 42);
+        assert_eq!(cur.f64(), -1.5);
+        assert!(cur.rest().is_empty());
+    }
+
+    #[test]
+    fn copy_to_slice_advances() {
+        let data = [1u8, 2, 3, 4];
+        let mut cur = LeCursor::new(&data);
+        assert_eq!(cur.array::<2>(), [1, 2]);
+        assert_eq!(cur.rest(), &[3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "read past a length check")]
+    fn reading_past_the_end_panics() {
+        LeCursor::new(&[1, 2, 3]).u32();
+    }
+}
