@@ -180,7 +180,8 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "convert", operands: "<bucket files…>", arity: (1, MANY), run: convert,
         about: "Re-encode buckets as PMKMGB02 block containers.\n\
                 Each block is compressed on its own and indexed for ranged reads. Writes\n\
-                NAME.gb2 next to each input, or into --out.",
+                NAME.gb2 next to each input, or into --out, one block at a time through\n\
+                NAME.gb2.tmp, so converting a .gb2 in place is safe.",
         flags: &[&[
             Flag::value("codec", "NAME", "shuffle-rle", "block codec: raw, shuffle-rle"),
             Flag::value("block-points", "N", "4096", "points per block"),
@@ -867,19 +868,19 @@ fn convert(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         std::fs::create_dir_all(&out_dir)?;
     }
     for path in args.positionals().iter().map(std::path::Path::new) {
-        let bucket = read_bucket_any(path)?;
         let dst = if out_dir.is_empty() {
             path.with_extension("gb2")
         } else {
             let name = path.file_stem().unwrap_or_default().to_string_lossy().into_owned();
             PathBuf::from(&out_dir).join(format!("{name}.gb2"))
         };
-        let stats = pmkm_data::write_gb02(&bucket, &dst, codec, block_points).map_err(run_err)?;
+        let (info, stats) =
+            pmkm_data::convert_bucket(path, &dst, codec, block_points).map_err(run_err)?;
         writeln!(
             out,
             "{}: {} points -> {} ({} block(s), {codec}, {:.2}x payload ratio, {} bytes)",
             path.display(),
-            bucket.points.len(),
+            info.count,
             dst.display(),
             stats.blocks,
             stats.ratio(),

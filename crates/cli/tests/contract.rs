@@ -154,3 +154,105 @@ fn misuse_that_used_to_run_is_a_usage_error() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Hostile containers that used to abort (exit 134) or panic (exit 101)
+/// are run failures with a format error on every command that reads them.
+#[test]
+fn hostile_buckets_are_format_errors_on_every_reader() {
+    let hostile = concat!(env!("CARGO_MANIFEST_DIR"), "/../data/tests/hostile");
+    let out = scratch_dir("hostile");
+    let out_flag = format!("--out={}", out.display());
+    for name in ["rle_bomb.gb2", "wrapped_count.gb2", "huge_dim.gb"] {
+        let file = format!("{hostile}/{name}");
+        for argv in [
+            vec!["inspect", &file],
+            vec!["convert", &out_flag, &file],
+            vec!["cluster", "--k=2", &file],
+        ] {
+            let o = pmkm(&argv);
+            assert_eq!(o.code, 1, "{argv:?}: {}", o.stderr);
+            assert!(o.stderr.contains("file format error"), "{argv:?}: {}", o.stderr);
+        }
+    }
+    assert_eq!(std::fs::read_dir(&out).unwrap().count(), 0, "convert left files behind");
+    std::fs::remove_dir_all(&out).ok();
+}
+
+fn five_block_bucket() -> pmkm_data::GridBucket {
+    let mut points = pmkm_core::Dataset::new(2).unwrap();
+    for i in 0..50 {
+        points.push(&[f64::from(i) * 0.5, 10.0 - f64::from(i)]).unwrap();
+    }
+    pmkm_data::GridBucket { cell: pmkm_data::GridCell::new(1, 2).unwrap(), points }
+}
+
+fn tmp_files(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut tmp = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            tmp.extend(tmp_files(&path));
+        } else if path.extension().is_some_and(|e| e == "tmp") {
+            tmp.push(path);
+        }
+    }
+    tmp
+}
+
+/// A conversion that meets a corrupt block fails without touching its
+/// input, even in place, and leaves no temporary file.
+#[test]
+fn convert_in_place_of_a_corrupt_container_changes_nothing() {
+    let dir = scratch_dir("corrupt_convert");
+    let path = dir.join("cell.gb2");
+    let bucket = five_block_bucket();
+    pmkm_data::write_gb02(&bucket, &path, pmkm_data::Codec::Raw, 10).unwrap();
+    let reader =
+        pmkm_data::Gb02Reader::open_path(&path, pmkm_data::BackendKind::LocalFile).unwrap();
+    assert_eq!(reader.n_blocks(), 5);
+    let block3 = reader.entry(3).offset as usize;
+    drop(reader);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[block3 + 5] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let file = path.to_str().unwrap();
+    for codec in ["--codec=shuffle-rle", "--codec=raw"] {
+        let o = pmkm(&["convert", codec, file]);
+        assert_eq!(o.code, 1, "{codec}: {}", o.stdout);
+        assert!(o.stderr.contains("checksum mismatch"), "{codec}: {}", o.stderr);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{codec}: input changed");
+        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new(), "{codec}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Converting a container over itself writes what converting it into
+/// another directory writes, leg after leg.
+#[test]
+fn convert_in_place_equals_convert_to_another_directory() {
+    let dir = scratch_dir("in_place");
+    let (in_place, elsewhere) = (dir.join("in_place"), dir.join("elsewhere"));
+    std::fs::create_dir_all(&in_place).unwrap();
+    let file = in_place.join("cell.gb2");
+    pmkm_data::write_gb02(&five_block_bucket(), &file, pmkm_data::Codec::Raw, 10).unwrap();
+    let original = std::fs::read(&file).unwrap();
+    let copy = dir.join("cell.gb2");
+    std::fs::write(&copy, &original).unwrap();
+    let out_flag = format!("--out={}", elsewhere.display());
+
+    for (codec, block_points) in [("shuffle-rle", "7"), ("raw", "10")] {
+        let flags = [format!("--codec={codec}"), format!("--block-points={block_points}")];
+        let o = pmkm(&["convert", &flags[0], &flags[1], file.to_str().unwrap()]);
+        assert_eq!(o.code, 0, "{}", o.stderr);
+        let o = pmkm(&["convert", &flags[0], &flags[1], &out_flag, copy.to_str().unwrap()]);
+        assert_eq!(o.code, 0, "{}", o.stderr);
+        let moved = elsewhere.join("cell.gb2");
+        assert_eq!(std::fs::read(&file).unwrap(), std::fs::read(&moved).unwrap(), "{codec}");
+        std::fs::rename(&moved, &copy).unwrap();
+    }
+    // raw at 10 points per block is where the round trip started.
+    assert_eq!(std::fs::read(&file).unwrap(), original);
+    assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -158,6 +158,25 @@ impl BucketReader {
         if dim == 0 {
             return Err(DataError::Format("bucket declares zero dimensions".into()));
         }
+        // The whole-file read's shape rule, so batches are bounded by the
+        // file and a short or padded file fails here, not mid-stream.
+        let payload_len = (count as u64)
+            .checked_mul(dim as u64)
+            .and_then(|n| n.checked_mul(8))
+            .ok_or_else(|| DataError::Format("payload size overflows".into()))?;
+        let file_payload = reader.get_ref().metadata()?.len().saturating_sub(HEADER_LEN as u64);
+        if file_payload != payload_len {
+            return Err(DataError::Format(format!(
+                "payload is {file_payload} bytes, header promises {payload_len}"
+            )));
+        }
+        // An empty payload has no final batch to verify it.
+        if count == 0 && checksum_expected != fnv1a(&[]) {
+            return Err(DataError::ChecksumMismatch {
+                expected: checksum_expected,
+                actual: fnv1a(&[]),
+            });
+        }
         Ok(Self {
             reader,
             cell,

@@ -89,9 +89,22 @@ pub fn encode(codec: Codec, bytes: &[u8]) -> Result<Vec<u8>> {
             bytes.len()
         )));
     }
+    let mut block = bytes.to_vec();
+    encode_in_place(codec, &mut block, &mut Vec::new());
+    Ok(block)
+}
+
+/// Replaces the uncompressed block in `block` (whole `f64`s) with its
+/// stored bytes, using `scratch` for the shuffle; both keep their
+/// capacity, so a writer encodes block after block with no allocation.
+pub(crate) fn encode_in_place(codec: Codec, block: &mut Vec<u8>, scratch: &mut Vec<u8>) {
     match codec {
-        Codec::Raw => Ok(bytes.to_vec()),
-        Codec::ShuffleRle => Ok(rle_encode(&shuffle(bytes))),
+        Codec::Raw => {}
+        Codec::ShuffleRle => {
+            shuffle_into(block, scratch);
+            block.clear();
+            rle_encode_into(scratch, block);
+        }
     }
 }
 
@@ -119,21 +132,22 @@ pub fn decode(codec: Codec, stored: &[u8], ulen: usize) -> Result<Vec<u8>> {
     }
 }
 
-/// Transposes `bytes` (a flat `f64` array) so byte `k` of every value is
-/// contiguous: lane 0 holds the low byte of each f64, lane 7 the high byte.
-fn shuffle(bytes: &[u8]) -> Vec<u8> {
+/// Transposes `bytes` (a flat `f64` array) into `out` so byte `k` of every
+/// value is contiguous: lane 0 holds the low byte of each f64, lane 7 the
+/// high byte.
+fn shuffle_into(bytes: &[u8], out: &mut Vec<u8>) {
     let n = bytes.len() / 8;
-    let mut out = vec![0u8; bytes.len()];
+    out.clear();
+    out.resize(bytes.len(), 0);
     for lane in 0..8 {
         let dst = &mut out[lane * n..(lane + 1) * n];
         for (i, d) in dst.iter_mut().enumerate() {
             *d = bytes[i * 8 + lane];
         }
     }
-    out
 }
 
-/// Inverse of [`shuffle`].
+/// Inverse of [`shuffle_into`].
 fn unshuffle(bytes: &[u8]) -> Vec<u8> {
     let n = bytes.len() / 8;
     let mut out = vec![0u8; bytes.len()];
@@ -153,9 +167,12 @@ const MAX_LITERAL: usize = 128;
 /// Shortest repeat worth a token (a 2-byte repeat token never beats
 /// 2 literal bytes inside an open literal run).
 const MIN_RUN: usize = 3;
+/// Most payload bytes one stored RLE byte can yield: the largest token, a
+/// 2-byte repeat, decodes to [`MAX_RUN`] bytes. A block whose index
+/// promises more than this many times its stored length is corrupt.
+pub(crate) const MAX_RLE_EXPANSION: usize = MAX_RUN / 2;
 
-fn rle_encode(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+fn rle_encode_into(input: &[u8], out: &mut Vec<u8>) {
     let mut literal_start = 0usize;
     let mut i = 0usize;
     while i < input.len() {
@@ -166,7 +183,7 @@ fn rle_encode(input: &[u8]) -> Vec<u8> {
             run += 1;
         }
         if run >= MIN_RUN {
-            flush_literals(&mut out, &input[literal_start..i]);
+            flush_literals(out, &input[literal_start..i]);
             // Control 128 encodes a run of MIN_RUN (=3), i.e. run = c - 125.
             out.push((run - MIN_RUN) as u8 + 128);
             out.push(b);
@@ -176,8 +193,7 @@ fn rle_encode(input: &[u8]) -> Vec<u8> {
             i += run;
         }
     }
-    flush_literals(&mut out, &input[literal_start..]);
-    out
+    flush_literals(out, &input[literal_start..]);
 }
 
 fn flush_literals(out: &mut Vec<u8>, mut lit: &[u8]) {
@@ -190,6 +206,14 @@ fn flush_literals(out: &mut Vec<u8>, mut lit: &[u8]) {
 }
 
 fn rle_decode(input: &[u8], ulen: usize) -> Result<Vec<u8>> {
+    // Bound the allocation by what the stored bytes can decode to, so a
+    // hostile `ulen` is an error rather than an abort.
+    if input.len().checked_mul(MAX_RLE_EXPANSION).is_none_or(|max| ulen > max) {
+        return Err(DataError::Format(format!(
+            "RLE block of {} stored bytes cannot decode to {ulen} bytes",
+            input.len()
+        )));
+    }
     let mut out = Vec::with_capacity(ulen);
     let mut i = 0usize;
     while i < input.len() {
@@ -334,7 +358,8 @@ mod tests {
     fn rle_handles_long_runs_and_literal_tails() {
         let mut input = vec![0xAAu8; 1000];
         input.extend((0..=255u8).cycle().take(300));
-        let enc = rle_encode(&input);
+        let mut enc = Vec::new();
+        rle_encode_into(&input, &mut enc);
         assert!(enc.len() < input.len());
         assert_eq!(rle_decode(&enc, input.len()).unwrap(), input);
     }
@@ -342,13 +367,24 @@ mod tests {
     #[test]
     fn rle_rejects_truncated_streams() {
         let input = vec![1u8, 1, 1, 1, 1, 1, 2, 3, 4];
-        let enc = rle_encode(&input);
+        let mut enc = Vec::new();
+        rle_encode_into(&input, &mut enc);
         for cut in 1..enc.len() {
             assert!(
                 rle_decode(&enc[..cut], input.len()).is_err(),
                 "cut at {cut} must not decode cleanly"
             );
         }
+    }
+
+    #[test]
+    fn rle_decode_bounds_ulen_by_the_largest_token() {
+        // One 2-byte repeat token is the most a stored pair can yield.
+        assert_eq!(rle_decode(&[0xFF, 7], MAX_RUN).unwrap(), vec![7u8; MAX_RUN]);
+        assert!(rle_decode(&[0xFF, 7], MAX_RUN + 1).is_err());
+        // A promise far past the bound fails before allocating for it.
+        assert!(rle_decode(&[0xFF, 7], 1 << 50).is_err());
+        assert!(decode(Codec::ShuffleRle, &[0xFF, 7], 1 << 50).is_err());
     }
 
     #[test]

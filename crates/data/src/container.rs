@@ -28,14 +28,14 @@
 //! decode block *i+1* while the scan operator clusters block *i*.
 
 use crate::backend::{open_backend, BackendKind, ScanBackend};
-use crate::bucket::{fnv1a, GridBucket, HEADER_LEN, MAGIC};
+use crate::bucket::{fnv1a, BucketReader, GridBucket, HEADER_LEN, MAGIC};
 use crate::codec::{self, Codec, LeCursor};
 use crate::error::{DataError, Result};
 use crate::grid::GridCell;
 use pmkm_core::{Dataset, PointSource};
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// GB02 file magic.
 pub const MAGIC2: [u8; 8] = *b"PMKMGB02";
@@ -113,83 +113,267 @@ fn fnv1a_words(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serializes `bucket` as a GB02 container.
+impl BlockEntry {
+    /// Appends the entry's 49 index bytes to `out`.
+    fn write_le(&self, out: &mut Vec<u8>) {
+        for field in
+            [self.offset, self.clen, self.ulen, self.checksum, self.point_start, self.point_count]
+        {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        out.push(self.codec.id());
+    }
+}
+
+/// Streams a GB02 container into a [`Write`] sink: the header when it is
+/// created, each block as soon as it fills, and the index and footer on
+/// [`Gb02Writer::finish`]. Live memory is one block — two buffers of
+/// `min(block_points, count)` points — plus 49 bytes of index per block
+/// written, however large the cell.
+pub struct Gb02Writer<W: Write> {
+    sink: W,
+    codec: Codec,
+    dim: usize,
+    /// Uncompressed bytes in a full block.
+    block_bytes: usize,
+    /// `f64` values the header promises (`count × dim`).
+    promised: u64,
+    /// `f64` values pushed so far, counting any pushed past the promise.
+    pushed: u64,
+    /// The block being filled, as little-endian bytes; briefly its stored
+    /// bytes while it is written.
+    block: Vec<u8>,
+    /// The codec's working buffer.
+    scratch: Vec<u8>,
+    /// Serialized index entries of the blocks written.
+    index: Vec<u8>,
+    /// Bytes written to the sink: the next block's offset.
+    written: u64,
+    /// Points in the blocks written.
+    points_written: u64,
+}
+
+impl<W: Write> Gb02Writer<W> {
+    /// Starts a container for `count` points of `dim` attributes in `cell`
+    /// and writes its header to `sink`.
+    pub fn new(
+        mut sink: W,
+        cell: GridCell,
+        dim: usize,
+        count: usize,
+        block_codec: Codec,
+        block_points: usize,
+    ) -> Result<Self> {
+        if block_points == 0 {
+            return Err(DataError::Invalid("block_points must be at least 1".into()));
+        }
+        if dim == 0 {
+            return Err(DataError::Invalid("a container needs at least one dimension".into()));
+        }
+        let too_large = || DataError::Invalid("container shape overflows its header".into());
+        let dim32 = u32::try_from(dim).map_err(|_| too_large())?;
+        let block_points32 = u32::try_from(block_points).map_err(|_| too_large())?;
+        let promised = (count as u64).checked_mul(dim as u64).ok_or_else(too_large)?;
+        let block_bytes = block_points.checked_mul(dim * 8).ok_or_else(too_large)?;
+        let buffer_bytes = block_points.min(count) * dim * 8;
+
+        let mut header = Vec::with_capacity(HEADER2_LEN);
+        header.extend_from_slice(&MAGIC2);
+        header.extend_from_slice(&cell.index().to_le_bytes());
+        header.extend_from_slice(&dim32.to_le_bytes());
+        header.extend_from_slice(&(count as u64).to_le_bytes());
+        header.extend_from_slice(&block_points32.to_le_bytes());
+        header.push(block_codec.id());
+        header.extend_from_slice(&[0u8; 3]);
+        debug_assert_eq!(header.len(), HEADER2_LEN);
+        sink.write_all(&header)?;
+
+        Ok(Self {
+            sink,
+            codec: block_codec,
+            dim,
+            block_bytes,
+            promised,
+            pushed: 0,
+            block: Vec::with_capacity(buffer_bytes),
+            scratch: Vec::with_capacity(if block_codec == Codec::Raw { 0 } else { buffer_bytes }),
+            index: Vec::new(),
+            written: HEADER2_LEN as u64,
+            points_written: 0,
+        })
+    }
+
+    /// Appends row-major point values. Slices of any length are re-blocked:
+    /// every block but the last holds exactly `block_points` points, and a
+    /// block is written the moment it fills. Pushing past the header's
+    /// count is an error.
+    pub fn push(&mut self, mut values: &[f64]) -> Result<()> {
+        self.pushed = self.pushed.saturating_add(values.len() as u64);
+        if self.pushed > self.promised {
+            return Err(DataError::Invalid(format!(
+                "{} values pushed, the header promises {}",
+                self.pushed, self.promised
+            )));
+        }
+        while !values.is_empty() {
+            let room = (self.block_bytes - self.block.len()) / 8;
+            let (head, rest) = values.split_at(room.min(values.len()));
+            codec::f64s_to_le(head, &mut self.block);
+            values = rest;
+            if self.block.len() == self.block_bytes {
+                self.write_block()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn write_block(&mut self) -> Result<()> {
+        let ulen = self.block.len() as u64;
+        let checksum = fnv1a_words(&self.block);
+        codec::encode_in_place(self.codec, &mut self.block, &mut self.scratch);
+        self.sink.write_all(&self.block)?;
+        let entry = BlockEntry {
+            offset: self.written,
+            clen: self.block.len() as u64,
+            ulen,
+            checksum,
+            point_start: self.points_written,
+            point_count: ulen / (self.dim as u64 * 8),
+            codec: self.codec,
+        };
+        entry.write_le(&mut self.index);
+        self.written += entry.clen;
+        self.points_written += entry.point_count;
+        self.block.clear();
+        Ok(())
+    }
+
+    /// Writes the last (partial) block, the index and the footer, flushes
+    /// the sink and returns it. Fewer points than the header promises is
+    /// an error, as is any push past the promise.
+    pub fn finish(mut self) -> Result<(W, Gb02Stats)> {
+        if self.pushed != self.promised {
+            return Err(DataError::Invalid(format!(
+                "{} values pushed, the header promises {}",
+                self.pushed, self.promised
+            )));
+        }
+        if !self.block.is_empty() {
+            self.write_block()?;
+        }
+        let mut footer = Vec::with_capacity(FOOTER_LEN);
+        footer.extend_from_slice(&self.written.to_le_bytes());
+        let blocks = self.index.len() / INDEX_ENTRY_LEN;
+        footer.extend_from_slice(&(blocks as u64).to_le_bytes());
+        footer.extend_from_slice(&fnv1a(&self.index).to_le_bytes());
+        footer.extend_from_slice(&FOOTER_MAGIC);
+        self.sink.write_all(&self.index)?;
+        self.sink.write_all(&footer)?;
+        self.sink.flush()?;
+        let stats = Gb02Stats {
+            blocks,
+            payload_bytes: self.promised * 8,
+            file_bytes: self.written + (self.index.len() + FOOTER_LEN) as u64,
+        };
+        Ok((self.sink, stats))
+    }
+}
+
+/// Serializes `bucket` as a GB02 container in memory.
 pub fn gb02_to_bytes(
     bucket: &GridBucket,
     block_codec: Codec,
     block_points: usize,
 ) -> Result<(Vec<u8>, Gb02Stats)> {
-    if block_points == 0 {
-        return Err(DataError::Invalid("block_points must be at least 1".into()));
-    }
-    let dim = bucket.points.dim();
-    let flat = bucket.points.as_flat();
-    let mut out = Vec::with_capacity(HEADER2_LEN + flat.len() * 8 + FOOTER_LEN);
-    out.extend_from_slice(&MAGIC2);
-    out.extend_from_slice(&bucket.cell.index().to_le_bytes());
-    out.extend_from_slice(&(dim as u32).to_le_bytes());
-    out.extend_from_slice(&(bucket.points.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(block_points as u32).to_le_bytes());
-    out.push(block_codec.id());
-    out.extend_from_slice(&[0u8; 3]);
-    debug_assert_eq!(out.len(), HEADER2_LEN);
-
-    let mut entries: Vec<BlockEntry> = Vec::new();
-    let mut raw_block = Vec::with_capacity(block_points * dim * 8);
-    for (bi, chunk) in flat.chunks(block_points * dim).enumerate() {
-        raw_block.clear();
-        codec::f64s_to_le(chunk, &mut raw_block);
-        let checksum = fnv1a_words(&raw_block);
-        let stored = codec::encode(block_codec, &raw_block)?;
-        entries.push(BlockEntry {
-            offset: out.len() as u64,
-            clen: stored.len() as u64,
-            ulen: raw_block.len() as u64,
-            checksum,
-            point_start: (bi * block_points) as u64,
-            point_count: (chunk.len() / dim) as u64,
-            codec: block_codec,
-        });
-        out.extend_from_slice(&stored);
-    }
-
-    let index_offset = out.len() as u64;
-    let index_start = out.len();
-    for e in &entries {
-        out.extend_from_slice(&e.offset.to_le_bytes());
-        out.extend_from_slice(&e.clen.to_le_bytes());
-        out.extend_from_slice(&e.ulen.to_le_bytes());
-        out.extend_from_slice(&e.checksum.to_le_bytes());
-        out.extend_from_slice(&e.point_start.to_le_bytes());
-        out.extend_from_slice(&e.point_count.to_le_bytes());
-        out.push(e.codec.id());
-    }
-    let index_checksum = fnv1a(&out[index_start..]);
-    out.extend_from_slice(&index_offset.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    out.extend_from_slice(&index_checksum.to_le_bytes());
-    out.extend_from_slice(&FOOTER_MAGIC);
-
-    let stats = Gb02Stats {
-        blocks: entries.len(),
-        payload_bytes: (flat.len() * 8) as u64,
-        file_bytes: out.len() as u64,
-    };
-    Ok((out, stats))
+    let file_len = HEADER2_LEN + bucket.points.as_flat().len() * 8 + FOOTER_LEN;
+    write_bucket(Vec::with_capacity(file_len), bucket, block_codec, block_points)
 }
 
-/// Writes `bucket` to `path` as a GB02 container.
+/// Writes `bucket` to `path` as a GB02 container, block by block.
 pub fn write_gb02(
     bucket: &GridBucket,
     path: &Path,
     block_codec: Codec,
     block_points: usize,
 ) -> Result<Gb02Stats> {
-    let (bytes, stats) = gb02_to_bytes(bucket, block_codec, block_points)?;
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&bytes)?;
-    w.flush()?;
-    Ok(stats)
+    let sink = BufWriter::new(File::create(path)?);
+    write_bucket(sink, bucket, block_codec, block_points).map(|(_, stats)| stats)
+}
+
+fn write_bucket<W: Write>(
+    sink: W,
+    bucket: &GridBucket,
+    block_codec: Codec,
+    block_points: usize,
+) -> Result<(W, Gb02Stats)> {
+    let (dim, count) = (bucket.points.dim(), bucket.points.len());
+    let mut writer = Gb02Writer::new(sink, bucket.cell, dim, count, block_codec, block_points)?;
+    writer.push(bucket.points.as_flat())?;
+    writer.finish()
+}
+
+/// Converts the bucket at `src`, in either format, to a GB02 container at
+/// `dst`, one block at a time: GB02 blocks come from
+/// [`Gb02Reader::read_block`], GB01 points from [`BucketReader::next_batch`],
+/// and both feed one [`Gb02Writer`]. The container is written to
+/// `<dst>.tmp` and renamed over `dst` only once it is complete, so `dst`
+/// may be `src` and a failed conversion leaves both untouched and no
+/// `.tmp` behind. Returns the source's header facts and the writer's
+/// summary.
+pub fn convert_bucket(
+    src: &Path,
+    dst: &Path,
+    block_codec: Codec,
+    block_points: usize,
+) -> Result<(BucketInfo, Gb02Stats)> {
+    let mut tmp = dst.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let converted = stream_bucket(src, &tmp, block_codec, block_points).and_then(|out| {
+        std::fs::rename(&tmp, dst)?;
+        Ok(out)
+    });
+    if converted.is_err() {
+        // The conversion's own error is the one worth reporting.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    converted
+}
+
+fn stream_bucket(
+    src: &Path,
+    tmp: &Path,
+    block_codec: Codec,
+    block_points: usize,
+) -> Result<(BucketInfo, Gb02Stats)> {
+    let format = probe(src)?.format;
+    let create = |info: &BucketInfo| -> Result<Gb02Writer<BufWriter<File>>> {
+        let sink = BufWriter::new(File::create(tmp)?);
+        Gb02Writer::new(sink, info.cell, info.dim, info.count, block_codec, block_points)
+    };
+    let (info, writer) = match format {
+        BucketFormat::Gb01 => {
+            let mut reader = BucketReader::open(src)?;
+            let info =
+                BucketInfo { format, cell: reader.cell, dim: reader.dim, count: reader.count };
+            let mut writer = create(&info)?;
+            while let Some(batch) = reader.next_batch(block_points)? {
+                writer.push(batch.as_flat())?;
+            }
+            (info, writer)
+        }
+        BucketFormat::Gb02 => {
+            let reader = Gb02Reader::open_path(src, BackendKind::LocalFile)?;
+            let info =
+                BucketInfo { format, cell: reader.cell, dim: reader.dim, count: reader.count };
+            let mut writer = create(&info)?;
+            for i in 0..reader.n_blocks() {
+                writer.push(reader.read_block(i)?.as_flat())?;
+            }
+            (info, writer)
+        }
+    };
+    Ok((info, writer.finish()?.1))
 }
 
 /// Statistics from one block read, for scan metrics.
@@ -321,16 +505,33 @@ impl Gb02Reader {
             if entry.point_count == 0 {
                 return Err(DataError::Format(format!("block {i} holds zero points")));
             }
-            if entry.ulen != entry.point_count * dim as u64 * 8 {
+            if entry.point_count.checked_mul(dim as u64 * 8) != Some(entry.ulen) {
                 return Err(DataError::Format(format!(
                     "block {i} claims {} uncompressed bytes for {} points × {dim} dims",
                     entry.ulen, entry.point_count
                 )));
             }
+            // Bound what a block may decode to by its stored bytes, so a
+            // hostile `ulen` is rejected here rather than allocated later.
+            let decodable = match entry.codec {
+                Codec::Raw => entry.ulen == entry.clen,
+                Codec::ShuffleRle => entry
+                    .clen
+                    .checked_mul(codec::MAX_RLE_EXPANSION as u64)
+                    .is_none_or(|max| entry.ulen <= max),
+            };
+            if !decodable {
+                return Err(DataError::Format(format!(
+                    "block {i} stores {} bytes, which {} cannot decode to {} bytes",
+                    entry.clen, entry.codec, entry.ulen
+                )));
+            }
             byte_cursor = byte_cursor.checked_add(entry.clen).ok_or_else(|| {
                 DataError::Format(format!("block {i} extent overflows the object"))
             })?;
-            point_cursor += entry.point_count;
+            point_cursor = point_cursor
+                .checked_add(entry.point_count)
+                .ok_or_else(|| DataError::Format(format!("block {i} point range overflows")))?;
             index.push(entry);
         }
         if byte_cursor != index_offset {
@@ -603,6 +804,89 @@ mod tests {
         let r = Gb02Reader::open(Box::new(store)).unwrap();
         assert!(matches!(r.read_block(0), Err(DataError::Io(_))));
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// A sink that only counts the bytes it is handed.
+    #[derive(Clone, Default)]
+    struct Counting(std::rc::Rc<std::cell::Cell<u64>>);
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.set(self.0.get() + buf.len() as u64);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_holds_at_most_one_block() {
+        // The memory bound as a byte count: once k blocks have filled, the
+        // sink holds exactly the header and those k stored blocks, so the
+        // writer keeps nothing back but the block being filled.
+        let b = bucket(100, 3);
+        for codec in Codec::ALL {
+            let (bytes, _) = gb02_to_bytes(&b, codec, 16).unwrap();
+            let path = tmpdir().join(format!("oracle-{codec}-{}.gb2", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let entries = Gb02Reader::open_path(&path, BackendKind::LocalFile).unwrap().index;
+            std::fs::remove_file(path).unwrap();
+
+            let sink = Counting::default();
+            let mut w = Gb02Writer::new(sink.clone(), b.cell, 3, 100, codec, 16).unwrap();
+            assert_eq!(sink.0.get(), HEADER2_LEN as u64);
+            let mut stored = HEADER2_LEN as u64;
+            for (i, point) in b.points.iter().enumerate() {
+                w.push(point).unwrap();
+                if (i + 1) % 16 == 0 {
+                    stored += entries[i / 16].clen;
+                }
+                assert_eq!(sink.0.get(), stored, "{codec} after point {i}");
+            }
+            let (_, stats) = w.finish().unwrap();
+            assert_eq!(sink.0.get(), bytes.len() as u64);
+            assert_eq!(stats.file_bytes, bytes.len() as u64);
+        }
+    }
+
+    #[test]
+    fn writer_needs_exactly_the_promised_points() {
+        let b = bucket(10, 3);
+        let flat = b.points.as_flat();
+        let new = || Gb02Writer::new(Vec::new(), b.cell, 3, 10, Codec::ShuffleRle, 4).unwrap();
+
+        let mut short = new();
+        short.push(&flat[..27]).unwrap();
+        assert!(matches!(short.finish(), Err(DataError::Invalid(_))));
+
+        let mut ragged = new();
+        ragged.push(&flat[..29]).unwrap();
+        assert!(matches!(ragged.finish(), Err(DataError::Invalid(_))));
+
+        let mut long = new();
+        long.push(flat).unwrap();
+        assert!(matches!(long.push(&[1.0, 2.0, 3.0]), Err(DataError::Invalid(_))));
+        assert!(matches!(long.finish(), Err(DataError::Invalid(_))));
+
+        let mut exact = new();
+        exact.push(flat).unwrap();
+        assert_eq!(exact.finish().unwrap(), gb02_to_bytes(&b, Codec::ShuffleRle, 4).unwrap());
+    }
+
+    #[test]
+    fn writer_rejects_shapes_its_header_cannot_hold() {
+        let cell = GridCell::new(0, 0).unwrap();
+        let new = |dim, count, block_points| {
+            Gb02Writer::new(Vec::new(), cell, dim, count, Codec::Raw, block_points).map(drop)
+        };
+        assert!(matches!(new(3, 10, 0), Err(DataError::Invalid(_))));
+        assert!(matches!(new(0, 10, 4), Err(DataError::Invalid(_))));
+        assert!(matches!(new(1 << 32, 1, 4), Err(DataError::Invalid(_))));
+        assert!(matches!(new(3, 10, 1 << 32), Err(DataError::Invalid(_))));
+        assert!(matches!(new(3, usize::MAX, 4), Err(DataError::Invalid(_))));
+        // A block far larger than the cell allocates only for the cell.
+        assert!(new(3, 10, u32::MAX as usize).is_ok());
     }
 
     // ---- corruption matrix (satellite 3) ----

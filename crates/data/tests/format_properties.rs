@@ -3,16 +3,64 @@
 
 use pmkm_core::{Dataset, PointSource};
 use pmkm_data::bucket::{fnv1a, GridBucket};
+use pmkm_data::container::{FOOTER_LEN, INDEX_ENTRY_LEN};
 use pmkm_data::grid::TOTAL_CELLS;
 use pmkm_data::swath::{read_stripe, write_stripe, Observation};
-use pmkm_data::{BackendKind, BucketFormat, Codec, Gb02Reader, GridCell};
+use pmkm_data::{BackendKind, BucketFormat, Codec, DataError, Gb02Reader, Gb02Writer, GridCell};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
     (1usize..6, 0usize..64).prop_flat_map(|(dim, n)| {
         proptest::collection::vec(-1e6..1e6f64, dim * n)
             .prop_map(move |flat| Dataset::from_flat(dim, flat).unwrap())
     })
+}
+
+fn scratch_file(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pmkm_prop_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{tag}.gb2"))
+}
+
+/// Reads `path` back through the reader and through a conversion; each
+/// must fail cleanly or give back exactly `bucket`'s points.
+fn read_or_reject(
+    path: &Path,
+    bucket: &GridBucket,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    if let Ok(back) = Gb02Reader::open_path(path, BackendKind::LocalFile).and_then(|r| r.read_all())
+    {
+        prop_assert_eq!(&back, bucket);
+    }
+    let dst = path.with_extension("converted.gb2");
+    if pmkm_data::convert_bucket(path, &dst, Codec::Raw, 7).is_ok() {
+        let back =
+            Gb02Reader::open_path(&dst, BackendKind::LocalFile).and_then(|r| r.read_all()).unwrap();
+        prop_assert_eq!(&back, bucket);
+    }
+    Ok(())
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+fn write_u64(bytes: &mut [u8], at: usize, value: u64) {
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Byte offset of a GB02 file's block index, from its footer.
+fn index_offset(bytes: &[u8]) -> usize {
+    read_u64(bytes, bytes.len() - FOOTER_LEN) as usize
+}
+
+/// Recomputes the footer's index checksum so a tampered index field
+/// reaches the structural checks instead of failing the checksum.
+fn reseal_index(bytes: &mut [u8]) {
+    let footer = bytes.len() - FOOTER_LEN;
+    let checksum = fnv1a(&bytes[index_offset(bytes)..footer]);
+    write_u64(bytes, footer + 16, checksum);
 }
 
 proptest! {
@@ -171,6 +219,122 @@ proptest! {
     }
 
     #[test]
+    fn gb02_writer_is_split_invariant(
+        ds in arb_dataset(),
+        splits in proptest::collection::vec(0usize..40, 0..12),
+        block_points in 1usize..96,
+        codec_pick in 0usize..2,
+    ) {
+        // Pushing the points in arbitrary slices — empty, ragged, or
+        // straddling blocks — writes the same bytes and stats as one call.
+        let codec = Codec::ALL[codec_pick];
+        let bucket = GridBucket { cell: GridCell::new(3, 4).unwrap(), points: ds };
+        let whole = pmkm_data::gb02_to_bytes(&bucket, codec, block_points).unwrap();
+        let mut writer = Gb02Writer::new(
+            Vec::new(),
+            bucket.cell,
+            bucket.points.dim(),
+            bucket.points.len(),
+            codec,
+            block_points,
+        )
+        .unwrap();
+        let mut rest = bucket.points.as_flat();
+        for split in splits {
+            let (head, tail) = rest.split_at(split.min(rest.len()));
+            writer.push(head).unwrap();
+            rest = tail;
+        }
+        writer.push(rest).unwrap();
+        prop_assert_eq!(writer.finish().unwrap(), whole);
+    }
+
+    #[test]
+    fn gb02_survives_any_single_field_tamper(
+        ds in arb_dataset(),
+        block_points in 1usize..24,
+        codec_pick in 0usize..2,
+        field in 0usize..9,
+        block_pick in any::<u32>(),
+        value_pick in 0usize..8,
+        random in any::<u64>(),
+    ) {
+        // Changes one index, footer or header field of a valid container,
+        // re-sealing the index checksum, so the structural validation is
+        // what must catch it: a clean error or the original points, never
+        // a panic or an abort.
+        prop_assume!(ds.len() > 0);
+        let bucket = GridBucket { cell: GridCell::new(0, 0).unwrap(), points: ds };
+        let (mut bytes, stats) =
+            pmkm_data::gb02_to_bytes(&bucket, Codec::ALL[codec_pick], block_points).unwrap();
+        let entry = index_offset(&bytes) + (block_pick as usize % stats.blocks) * INDEX_ENTRY_LEN;
+        let footer = bytes.len() - FOOTER_LEN;
+        // (byte position, width) of the field: the six u64s and the codec
+        // byte of one index entry, then the footer's n_blocks and the
+        // header's point count.
+        let (at, width) = match field {
+            0..=5 => (entry + field * 8, 8),
+            6 => (entry + 48, 1),
+            7 => (footer + 8, 8),
+            _ => (16, 8),
+        };
+        let mut old = [0u8; 8];
+        old[..width].copy_from_slice(&bytes[at..at + width]);
+        let old = u64::from_le_bytes(old);
+        let value = match value_pick {
+            0 => random,
+            1 => old.wrapping_add(1 + random % 8),
+            2 => old.wrapping_sub(1 + random % 8),
+            3 => 0,
+            4 => u64::MAX,
+            5 => 1 << 40,
+            6 => (1 << 61) + 1,
+            _ => old.wrapping_mul(2),
+        };
+        bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        reseal_index(&mut bytes);
+        let path = scratch_file("tamper");
+        std::fs::write(&path, &bytes).unwrap();
+        read_or_reject(&path, &bucket)?;
+    }
+
+    #[test]
+    fn gb02_survives_a_self_consistent_point_count(
+        ds in arb_dataset(),
+        block_points in 1usize..24,
+        codec_pick in 0usize..2,
+        grow_pick in 0usize..4,
+        random in any::<u64>(),
+    ) {
+        // Grows the last block's point count and moves its `ulen` and the
+        // header's count to match (wrapping, as a hostile writer would),
+        // then re-seals the index: every field agrees with every other, so
+        // only the checked products and the bound on what the stored bytes
+        // can decode to stand between the reader and a huge allocation.
+        prop_assume!(ds.len() > 0);
+        let dim = ds.dim() as u64;
+        let bucket = GridBucket { cell: GridCell::new(0, 0).unwrap(), points: ds };
+        let (mut bytes, stats) =
+            pmkm_data::gb02_to_bytes(&bucket, Codec::ALL[codec_pick], block_points).unwrap();
+        let last = index_offset(&bytes) + (stats.blocks - 1) * INDEX_ENTRY_LEN;
+        let grow = match grow_pick {
+            0 => 1 << 40,
+            1 => 1 << 61,
+            2 => random,
+            _ => 1 + random % 1000,
+        };
+        let point_count = read_u64(&bytes, last + 40).wrapping_add(grow);
+        write_u64(&mut bytes, last + 40, point_count);
+        write_u64(&mut bytes, last + 16, point_count.wrapping_mul(dim * 8));
+        let count = read_u64(&bytes, 16).wrapping_add(grow);
+        write_u64(&mut bytes, 16, count);
+        reseal_index(&mut bytes);
+        let path = scratch_file("resize");
+        std::fs::write(&path, &bytes).unwrap();
+        read_or_reject(&path, &bucket)?;
+    }
+
+    #[test]
     fn mixture_sampling_respects_dimensions(
         dim in 1usize..6,
         comps in 1usize..5,
@@ -221,4 +385,120 @@ fn golden_gb01_bucket_still_reads() {
 
     // And the current writer still produces byte-identical GB01 output.
     assert_eq!(bucket.to_bytes(), std::fs::read(&path).unwrap());
+}
+
+/// The two committed GB02 goldens: 30 points × 3 dims in cell 12345,
+/// blocks of 8 points (8 + 8 + 8 + 6), one raw, one shuffle-rle.
+fn golden_gb02_bucket() -> GridBucket {
+    let mut points = Dataset::new(3).unwrap();
+    for i in 0..30 {
+        let i = f64::from(i);
+        points.push(&[100.0 + i * 0.125, -5.0 + (i % 7.0) * 0.5, 1.0e3 - i]).unwrap();
+    }
+    GridBucket { cell: GridCell::from_index(12345).unwrap(), points }
+}
+
+/// GB02 byte compatibility, pinned like GB01's: these files were written
+/// by the whole-file writer that predates `Gb02Writer`. They must keep
+/// reading, and the streaming writer — one call, point by point, or
+/// through a conversion — must reproduce them byte for byte.
+#[test]
+fn golden_gb02_containers_still_read_and_rewrite_byte_for_byte() {
+    let bucket = golden_gb02_bucket();
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (codec, name) in [(Codec::Raw, "gb02_v1_raw.gb2"), (Codec::ShuffleRle, "gb02_v1_rle.gb2")] {
+        let path = golden.join(name);
+        let bytes = std::fs::read(&path).unwrap();
+        for backend in BackendKind::ALL {
+            let reader = Gb02Reader::open_path(&path, backend).unwrap();
+            assert_eq!(reader.n_blocks(), 4, "{name}");
+            assert_eq!(reader.entry(3).point_count, 6, "{name}");
+            assert_eq!(reader.read_all().unwrap(), bucket, "{name} via {backend}");
+        }
+
+        let (whole, stats) = pmkm_data::gb02_to_bytes(&bucket, codec, 8).unwrap();
+        assert_eq!(whole, bytes, "{name}");
+        assert_eq!(stats.file_bytes, bytes.len() as u64);
+
+        let mut writer = Gb02Writer::new(Vec::new(), bucket.cell, 3, 30, codec, 8).unwrap();
+        for point in bucket.points.iter() {
+            writer.push(point).unwrap();
+        }
+        assert_eq!(writer.finish().unwrap(), (bytes.clone(), stats), "{name}");
+
+        // Converting the golden itself, the same points as GB01, or them
+        // in the other codec at 5 points per block lands on the same bytes.
+        let gb01 = scratch_file("golden_src").with_extension("gb");
+        bucket.write_to(&gb01).unwrap();
+        let reblocked = scratch_file("golden_reblocked");
+        pmkm_data::write_gb02(&bucket, &reblocked, Codec::ALL[1 - codec.id() as usize], 5).unwrap();
+        for src in [&gb01, &reblocked, &path] {
+            let dst = scratch_file("golden_dst");
+            let (info, converted) = pmkm_data::convert_bucket(src, &dst, codec, 8).unwrap();
+            assert_eq!((info.count, converted), (30, stats), "{name} from {}", src.display());
+            assert_eq!(std::fs::read(&dst).unwrap(), bytes, "{name} from {}", src.display());
+        }
+    }
+}
+
+/// Committed hostile files that crashed every reader before their shape
+/// was bounded: a 2-byte shuffle-rle block whose index promises 2^40
+/// points at dim 6 (an allocation abort), a dim-1 container whose point
+/// count 2^61 + 1 wraps `count × dim × 8` to 8 (a capacity-overflow
+/// panic), and a bare GB01 header with dim 2^31 (an allocation abort in
+/// the streaming reader).
+const HOSTILE: [(&str, &[u8]); 3] = [
+    ("rle_bomb.gb2", include_bytes!("hostile/rle_bomb.gb2")),
+    ("wrapped_count.gb2", include_bytes!("hostile/wrapped_count.gb2")),
+    ("huge_dim.gb", include_bytes!("hostile/huge_dim.gb")),
+];
+
+#[test]
+fn hostile_files_are_format_errors_not_crashes() {
+    for (name, bytes) in HOSTILE {
+        let path = scratch_file("hostile").with_file_name(name);
+        std::fs::write(&path, bytes).unwrap();
+        let opened = match pmkm_data::probe(&path).unwrap().format {
+            BucketFormat::Gb01 => pmkm_data::BucketReader::open(&path).map(drop),
+            BucketFormat::Gb02 => Gb02Reader::open_path(&path, BackendKind::LocalFile).map(drop),
+        };
+        assert!(matches!(opened, Err(DataError::Format(_))), "{name}: {opened:?}");
+        let dst = path.with_extension("out.gb2");
+        let converted = pmkm_data::convert_bucket(&path, &dst, Codec::ShuffleRle, 64);
+        assert!(matches!(converted, Err(DataError::Format(_))), "{name}: {converted:?}");
+        assert!(!dst.exists(), "{name}");
+    }
+}
+
+/// A streamed GB01 conversion keeps every check of the whole-file read.
+#[test]
+fn gb01_conversion_rejects_what_the_whole_file_read_rejects() {
+    let bucket = golden_gb02_bucket();
+    let good = bucket.to_bytes();
+    let mut flipped = good.clone();
+    *flipped.last_mut().unwrap() ^= 1;
+    let mut padded = good.clone();
+    padded.extend_from_slice(&[0; 8]);
+    let mut empty_bad_checksum =
+        GridBucket { cell: bucket.cell, points: Dataset::new(3).unwrap() }.to_bytes();
+    empty_bad_checksum[24] ^= 1;
+    let cases: [(&str, &[u8]); 4] = [
+        ("short", &good[..good.len() - 8]),
+        ("trailing", &padded),
+        ("checksum", &flipped),
+        ("empty-checksum", &empty_bad_checksum),
+    ];
+    for (name, bytes) in cases {
+        let src = scratch_file("gb01_reject").with_file_name(format!("{name}.gb"));
+        std::fs::write(&src, bytes).unwrap();
+        assert!(GridBucket::from_bytes(bytes).is_err(), "{name}");
+        let dst = src.with_extension("gb2");
+        let err = pmkm_data::convert_bucket(&src, &dst, Codec::Raw, 8).unwrap_err();
+        assert!(
+            matches!(err, DataError::Format(_) | DataError::ChecksumMismatch { .. }),
+            "{name}: {err:?}"
+        );
+        assert!(!dst.exists(), "{name}");
+        assert!(!dst.with_extension("gb2.tmp").exists(), "{name}");
+    }
 }
