@@ -33,15 +33,16 @@
 //! from the one monotonic recorder clock, so sorting by `(ts_us, seq)`
 //! yields a consistent global timeline.
 
+use crate::lock;
 use crate::report::{FaultReport, PhaseReport, RunReport};
 use crate::trace::{Event, FieldValue, TraceSink};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Journal schema version, stamped into the `ledger.open` header record.
 ///
@@ -170,12 +171,12 @@ impl LedgerSink {
     /// exporter calls this when it serves the sink; records appended
     /// before then are only in the file.
     pub(crate) fn retain_tail(&self) {
-        self.state.lock().tail.get_or_insert_with(VecDeque::new);
+        lock(&self.state).tail.get_or_insert_with(VecDeque::new);
     }
 
     /// Appends one formatted record body under the next sequence number.
     fn append(&self, body: &str) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let seq = state.next_seq;
         state.next_seq += 1;
         if let Some(writer) = state.writer.as_mut() {
@@ -196,7 +197,7 @@ impl LedgerSink {
 
     /// The sequence number the next record will get.
     pub fn next_seq(&self) -> u64 {
-        self.state.lock().next_seq
+        lock(&self.state).next_seq
     }
 
     /// Retained records with `seq > after`, oldest first, parsed from the
@@ -215,7 +216,7 @@ impl LedgerSink {
 
     /// Retained lines with `seq >= from`, oldest first.
     fn tail_jsonl(&self, from: u64) -> String {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         let mut out = String::new();
         if let Some(tail) = &state.tail {
             let start = tail.partition_point(|(seq, _)| *seq < from);
@@ -306,7 +307,7 @@ impl TraceSink for LedgerSink {
     }
 
     fn flush(&self) {
-        if let Some(writer) = self.state.lock().writer.as_mut() {
+        if let Some(writer) = lock(&self.state).writer.as_mut() {
             let _ = writer.flush();
         }
     }
@@ -314,7 +315,7 @@ impl TraceSink for LedgerSink {
 
 impl Drop for LedgerSink {
     fn drop(&mut self) {
-        if let Some(writer) = self.state.lock().writer.as_mut() {
+        if let Some(writer) = lock(&self.state).writer.as_mut() {
             let _ = writer.flush();
         }
     }
@@ -324,7 +325,7 @@ impl std::fmt::Debug for LedgerSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LedgerSink")
             .field("path", &self.path)
-            .field("next_seq", &self.state.lock().next_seq)
+            .field("next_seq", &lock(&self.state).next_seq)
             .finish()
     }
 }

@@ -78,3 +78,44 @@ pub use serve::MetricsServer;
 pub use status::{CoresetStatus, StatusCell, StatusSnapshot, WorkerStatus, STATUS_SCHEMA_VERSION};
 pub use timeline::{Timeline, Transition, WorkerLaneReport, WorkerState, WorkerTimeline};
 pub use trace::{Event, FieldValue, Recorder, RingBufferSink, Span, TraceSink};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the guard when another thread panicked while
+/// holding it.
+///
+/// Every lock in this crate and in `pmkm-stream`, `MemoryBudget`'s
+/// aside, is taken through here. A poisoned lock is not an error
+/// for them: what they guard (metric maps, event rings, the ledger writer,
+/// status snapshots, the run's bookkeeping) stays usable as it stands, so a
+/// worker's panic (an injected chaos fault, say) remains that worker's
+/// failure instead of cascading into every thread that takes the lock
+/// after it.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn lock_recovers_the_guard_after_a_panic_under_it() {
+        let m = Arc::new(Mutex::new(vec![1u32, 2]));
+        let held = Arc::clone(&m);
+        let panicked = std::thread::spawn(move || {
+            let mut v = lock(&held);
+            v.push(3);
+            panic!("panic while holding the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(m.is_poisoned());
+        let mut v = lock(&m);
+        assert_eq!(*v, [1, 2, 3]);
+        v.push(4);
+        drop(v);
+        assert_eq!(*lock(&m), [1, 2, 3, 4]);
+    }
+}

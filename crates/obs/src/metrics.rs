@@ -3,14 +3,14 @@
 //! Instruments are cheap to update from many threads at once: counters and
 //! gauges are single atomics, histograms are one atomic per bucket plus an
 //! atomic bit-cast sum. The registry itself takes a short
-//! [`parking_lot::Mutex`] only on instrument *creation/lookup*; hot paths
+//! [`std::sync::Mutex`] only on instrument *creation/lookup*; hot paths
 //! hold an `Arc` to the instrument and never touch the registry again.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::report::{
     CounterSample, GaugeSample, HistogramSample, HistogramSnapshot, MetricsSnapshot,
@@ -161,7 +161,7 @@ impl Registry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock();
+        let mut map = lock(&self.counters);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
@@ -169,40 +169,34 @@ impl Registry {
     /// Unlike [`Registry::counter`] this never creates the counter, so
     /// reading leaves the registry's snapshot and rendering unchanged.
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).map_or(0, |c| c.get())
+        lock(&self.counters).get(name).map_or(0, |c| c.get())
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock();
+        let mut map = lock(&self.gauges);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// The histogram named `name`; `bounds` are used only on first creation
     /// (later callers share the existing instrument).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut map = self.histograms.lock();
+        let mut map = lock(&self.histograms);
         Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new(bounds))))
     }
 
     /// A plain-data snapshot of every instrument, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
+            counters: lock(&self.counters)
                 .iter()
                 .map(|(name, c)| CounterSample { name: name.clone(), value: c.get() })
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
+            gauges: lock(&self.gauges)
                 .iter()
                 .map(|(name, g)| GaugeSample { name: name.clone(), value: g.get() })
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
+            histograms: lock(&self.histograms)
                 .iter()
                 .map(|(name, h)| HistogramSample { name: name.clone(), histogram: h.snapshot() })
                 .collect(),
@@ -223,7 +217,7 @@ impl Registry {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_family = String::new();
-        for (name, c) in self.counters.lock().iter() {
+        for (name, c) in lock(&self.counters).iter() {
             let family = metric_family(name);
             if family != last_family {
                 let _ = writeln!(out, "# TYPE {family} counter");
@@ -232,7 +226,7 @@ impl Registry {
             let _ = writeln!(out, "{name} {}", c.get());
         }
         last_family.clear();
-        for (name, g) in self.gauges.lock().iter() {
+        for (name, g) in lock(&self.gauges).iter() {
             let family = metric_family(name);
             if family != last_family {
                 let _ = writeln!(out, "# TYPE {family} gauge");
@@ -240,7 +234,7 @@ impl Registry {
             }
             let _ = writeln!(out, "{name} {}", g.get());
         }
-        for (name, h) in self.histograms.lock().iter() {
+        for (name, h) in lock(&self.histograms).iter() {
             let snap = h.snapshot();
             let _ = writeln!(out, "# TYPE {name} histogram");
             let mut cumulative = 0u64;

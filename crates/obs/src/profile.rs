@@ -42,11 +42,11 @@
 //! assert_eq!(prof.folded(), "partial 10 40\npartial;assign 30 30\n");
 //! ```
 
+use crate::lock;
 use crate::report::PhaseReport;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -185,7 +185,7 @@ impl Profiler {
     pub fn enter(&self, name: &str) -> PhaseGuard<'_> {
         let tid = std::thread::current().id();
         let node = {
-            let mut state = self.state.lock();
+            let mut state = lock(&self.state);
             let parent = state.stacks.get(&tid).and_then(|s| s.last().copied());
             let node = state.resolve(parent, name);
             state.stacks.entry(tid).or_default().push(node);
@@ -198,7 +198,7 @@ impl Profiler {
 
     fn exit(&self, node: usize, tid: ThreadId, start_us: u64) {
         let end_us = self.clock.now_us();
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if let Some(stack) = state.stacks.get_mut(&tid) {
             // Normal case: the guard being dropped is the innermost span.
             // Out-of-order drops (possible if a guard is moved) still close
@@ -218,7 +218,7 @@ impl Profiler {
     /// `self_us = total_us − Σ children.total_us` (saturating) and
     /// `wall_us = max` over the per-thread totals.
     pub fn phase_rows(&self) -> Vec<PhaseReport> {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         let mut rows = Vec::new();
         let mut pending: Vec<(usize, String)> =
             state.roots.iter().rev().map(|(name, &idx)| (idx, name.clone())).collect();
@@ -259,7 +259,7 @@ impl Profiler {
     /// Sum of the root phases' total times (≈ profiled wall time per thread,
     /// summed over threads).
     pub fn total_us(&self) -> u64 {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         state.roots.values().map(|&idx| state.nodes[idx].total_us).sum()
     }
 }
@@ -272,7 +272,7 @@ impl Default for Profiler {
 
 impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         f.debug_struct("Profiler")
             .field("nodes", &state.nodes.len())
             .field("roots", &state.roots.len())

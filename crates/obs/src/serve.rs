@@ -43,14 +43,14 @@
 //! ```
 
 use crate::ledger::LedgerSink;
+use crate::lock;
 use crate::report::RunReport;
 use crate::status::{StatusCell, WorkerStatus};
 use crate::trace::Recorder;
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
@@ -118,7 +118,7 @@ impl MetricsServer {
                     move || loop {
                         // Take the lock only to dequeue, not while serving,
                         // so workers answer distinct clients concurrently.
-                        let conn = conn_rx.lock().recv();
+                        let conn = lock(&conn_rx).recv();
                         match conn {
                             // One slow or broken client must not wedge the
                             // exporter; errors just drop the connection.
@@ -167,7 +167,7 @@ impl MetricsServer {
     /// Publishes the final report; `/report.json` serves it verbatim from
     /// now on instead of building live snapshots.
     pub fn set_report(&self, report: RunReport) {
-        *self.report.lock() = Some(report);
+        *lock(&self.report) = Some(report);
     }
 
     /// Stops the accept loop, drains the worker pool, and joins every
@@ -295,7 +295,7 @@ fn handle_connection(
         },
         Some(("GET", "/report.json")) => {
             let body = {
-                let stored = report.lock();
+                let stored = lock(report);
                 match stored.as_ref() {
                     Some(r) => serde_json::to_string_pretty(r),
                     None => serde_json::to_string_pretty(&live_report(recorder)),

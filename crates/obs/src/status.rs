@@ -8,9 +8,9 @@
 //! the HTTP exporter serves whatever snapshot is current without touching
 //! orchestrator state.
 
-use parking_lot::Mutex;
+use crate::lock;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// `/status` document schema version.
 ///
@@ -167,22 +167,22 @@ impl StatusCell {
 
     /// Publishes a new snapshot (single pointer swap).
     pub fn publish(&self, snap: StatusSnapshot) {
-        *self.snap.lock() = Arc::new(snap);
+        *lock(&self.snap) = Arc::new(snap);
     }
 
     /// The current snapshot (single pointer clone).
     pub fn get(&self) -> Arc<StatusSnapshot> {
-        Arc::clone(&self.snap.lock())
+        Arc::clone(&lock(&self.snap))
     }
 
     /// Publishes a fresh mid-stream coreset clustering (pointer swap).
     pub fn publish_coreset(&self, status: CoresetStatus) {
-        *self.coreset.lock() = Some(Arc::new(status));
+        *lock(&self.coreset) = Some(Arc::new(status));
     }
 
     /// The latest coreset clustering, if any run published one.
     pub fn coreset(&self) -> Option<Arc<CoresetStatus>> {
-        self.coreset.lock().clone()
+        lock(&self.coreset).clone()
     }
 }
 

@@ -24,9 +24,10 @@
 //! observes: attaching one must never change results, and code paths
 //! without a recorder never touch it.
 
-use parking_lot::Mutex;
+use crate::lock;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Mutex;
 
 /// Per-lane transition ring capacity: a lane keeps its newest
 /// `DEFAULT_LANE_CAPACITY` transitions.
@@ -151,19 +152,19 @@ impl Timeline {
     /// Registers a worker lane starting in `idle` at `ts_us`; returns its
     /// lane id.
     pub fn register(&self, label: &str, ts_us: u64) -> usize {
-        let mut lanes = self.lanes.lock();
+        let mut lanes = lock(&self.lanes);
         lanes.push(Lane::new(label.to_string(), ts_us));
         lanes.len() - 1
     }
 
     /// Number of registered lanes.
     pub fn lanes(&self) -> usize {
-        self.lanes.lock().len()
+        lock(&self.lanes).len()
     }
 
     /// The label a lane was registered with.
     pub fn label(&self, lane: usize) -> Option<String> {
-        self.lanes.lock().get(lane).map(|l| l.label.clone())
+        lock(&self.lanes).get(lane).map(|l| l.label.clone())
     }
 
     /// Records `lane` entering `state` at `ts_us`. Same-state records
@@ -171,7 +172,7 @@ impl Timeline {
     /// Timestamps are clamped monotonic per lane; unknown lanes are
     /// ignored.
     pub fn record(&self, lane: usize, state: WorkerState, ts_us: u64) -> bool {
-        let mut lanes = self.lanes.lock();
+        let mut lanes = lock(&self.lanes);
         let Some(l) = lanes.get_mut(lane) else { return false };
         let ts_us = ts_us.max(l.last_us);
         l.last_us = ts_us;
@@ -192,31 +193,31 @@ impl Timeline {
     /// Binds `cell` to `lane` so pipeline operators working on the cell
     /// can record states onto the worker lane that owns it.
     pub fn bind_cell(&self, cell: u32, lane: usize) {
-        self.bindings.lock().insert(cell, lane);
+        lock(&self.bindings).insert(cell, lane);
     }
 
     /// Removes a cell binding (after the cell's pipeline finished).
     pub fn unbind_cell(&self, cell: u32) {
-        self.bindings.lock().remove(&cell);
+        lock(&self.bindings).remove(&cell);
     }
 
     /// [`Timeline::record`] addressed by bound cell instead of lane.
     /// Returns the lane on a genuine transition, `None` when the cell is
     /// unbound or the record coalesced.
     pub fn record_cell(&self, cell: u32, state: WorkerState, ts_us: u64) -> Option<usize> {
-        let lane = *self.bindings.lock().get(&cell)?;
+        let lane = *lock(&self.bindings).get(&cell)?;
         self.record(lane, state, ts_us).then_some(lane)
     }
 
     /// The retained transitions of one lane, oldest first.
     pub fn transitions(&self, lane: usize) -> Vec<Transition> {
-        self.lanes.lock().get(lane).map(|l| l.ring.iter().copied().collect()).unwrap_or_default()
+        lock(&self.lanes).get(lane).map(|l| l.ring.iter().copied().collect()).unwrap_or_default()
     }
 
     /// Folds every lane into a [`WorkerTimeline`] as of `now_us` (the
     /// open interval of each lane's current state is counted up to `now`).
     pub fn snapshot(&self, now_us: u64) -> WorkerTimeline {
-        let lanes = self.lanes.lock();
+        let lanes = lock(&self.lanes);
         let mut workers = Vec::with_capacity(lanes.len());
         let mut wall_us = 0u64;
         let mut min_open = u64::MAX;
@@ -254,7 +255,7 @@ impl Timeline {
 
 impl std::fmt::Debug for Timeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Timeline").field("lanes", &self.lanes.lock().len()).finish()
+        f.debug_struct("Timeline").field("lanes", &lock(&self.lanes).len()).finish()
     }
 }
 

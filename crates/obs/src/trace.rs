@@ -1,12 +1,12 @@
 //! Structured tracing: events, spans, and pluggable sinks.
 
+use crate::lock;
 use crate::metrics::Registry;
 use crate::profile::{PhaseGuard, Profiler};
 use crate::timeline::{Timeline, WorkerState};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One typed field value on an [`Event`].
@@ -101,23 +101,23 @@ impl RingBufferSink {
 
     /// A copy of the retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.buf.lock().iter().cloned().collect()
+        lock(&self.buf).iter().cloned().collect()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        lock(&self.buf).len()
     }
 
     /// True when nothing has been recorded (or everything was evicted).
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        lock(&self.buf).is_empty()
     }
 }
 
 impl TraceSink for RingBufferSink {
     fn record(&self, event: &Event) {
-        let mut buf = self.buf.lock();
+        let mut buf = lock(&self.buf);
         if buf.len() == self.capacity {
             buf.pop_front();
         }

@@ -367,18 +367,18 @@ fn run_threaded(
     q_merge.seal();
     q_results.seal();
 
-    let (cells, op_stats) = crossbeam::thread::scope(|s| -> Result<_> {
+    let (cells, op_stats) = std::thread::scope(|s| -> Result<_> {
         let mut handles = Vec::new();
         for (scan, out) in scans {
-            handles.push(("scan", s.spawn(move |_| scan.run(out))));
+            handles.push(("scan", s.spawn(move || scan.run(out))));
         }
         let (input, chunks_out, plan_out) = chunker_io;
-        handles.push(("chunker", s.spawn(move |_| chunker.run(input, chunks_out, plan_out))));
+        handles.push(("chunker", s.spawn(move || chunker.run(input, chunks_out, plan_out))));
         for (p, input, out) in partials {
-            handles.push(("partial-kmeans", s.spawn(move |_| p.run(input, out))));
+            handles.push(("partial-kmeans", s.spawn(move || p.run(input, out))));
         }
         let (input, out) = tail_io;
-        handles.push((tail.name(), s.spawn(move |_| tail.run(input, out))));
+        handles.push((tail.name(), s.spawn(move || tail.run(input, out))));
 
         // Sink: drain final results on this thread while the pipeline runs.
         let mut cells = Vec::new();
@@ -412,8 +412,7 @@ fn run_threaded(
             Some(e) => Err(e),
             None => Ok((cells, op_stats)),
         }
-    })
-    .map_err(|_| EngineError::OperatorPanic("scope".into()))??;
+    })?;
 
     let queue_stats = vec![q_scan.stats(), q_chunks.stats(), q_merge.stats(), q_results.stats()];
     Ok((cells, op_stats, queue_stats))

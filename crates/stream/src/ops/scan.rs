@@ -13,6 +13,7 @@ use pmkm_data::{
 use pmkm_obs::PhaseGuard;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
 
 /// Batch key under which the bucket *open* (header read) is injected.
@@ -235,9 +236,8 @@ impl ScanOp {
     ) -> Result<Option<DataError>> {
         let cell = reader.cell;
         let n_blocks = reader.n_blocks();
-        let (tx, rx) = crossbeam::channel::bounded::<(usize, std::result::Result<Block, DataError>)>(
-            PREFETCH_DEPTH,
-        );
+        let (tx, rx) =
+            mpsc::sync_channel::<(usize, std::result::Result<Block, DataError>)>(PREFETCH_DEPTH);
         let fetch_ctx = self.ctx.clone();
         let fetcher = std::thread::spawn(move || {
             for i in 0..n_blocks {
@@ -258,12 +258,12 @@ impl ScanOp {
                 // A ready block means decode fully overlapped clustering.
                 match rx.try_recv() {
                     Ok(msg) => (true, Some(msg)),
-                    Err(crossbeam::channel::TryRecvError::Empty) => {
+                    Err(TryRecvError::Empty) => {
                         let mut got = None;
                         meter.wait(|| got = rx.recv().ok());
                         (false, got)
                     }
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => (false, None),
+                    Err(TryRecvError::Disconnected) => (false, None),
                 }
             };
             let Some((block, result)) = msg else { break };

@@ -45,16 +45,16 @@ use crate::item::CellClustering;
 use crate::ops::tail::{note_cell_close, CellClose};
 use crate::ops::ChunkPolicy;
 use crate::plan::{CoresetSpec, PhysicalPlan};
-use parking_lot::Mutex;
 use pmkm_data::bucket::fnv1a;
 use pmkm_obs::{
-    FaultReport, OrchestratorReport, Recorder, RunReport, StatusCell, StatusSnapshot, WorkerState,
+    lock, FaultReport, OrchestratorReport, Recorder, RunReport, StatusCell, StatusSnapshot,
+    WorkerState,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Version stamped into every checkpoint file header. Readers reject
@@ -137,8 +137,8 @@ impl OrchestratorOptions {
 #[derive(Debug)]
 pub struct MemoryBudget {
     cap: usize,
-    state: std::sync::Mutex<BudgetState>,
-    cv: std::sync::Condvar,
+    state: Mutex<BudgetState>,
+    cv: Condvar,
 }
 
 #[derive(Debug, Default)]
@@ -150,11 +150,7 @@ struct BudgetState {
 impl MemoryBudget {
     /// A budget of `cap` bytes.
     pub fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            state: std::sync::Mutex::new(BudgetState::default()),
-            cv: std::sync::Condvar::new(),
-        }
+        Self { cap, state: Mutex::new(BudgetState::default()), cv: Condvar::new() }
     }
 
     /// The configured capacity.
@@ -477,7 +473,7 @@ pub fn orchestrate(
     let queues: Vec<Mutex<VecDeque<usize>>> =
         (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
     for (pos, &i) in pending.iter().enumerate() {
-        queues[pos % jobs].lock().push_back(i);
+        lock(&queues[pos % jobs]).push_back(i);
     }
 
     // One timeline lane per worker (no-ops when no timeline is attached).
@@ -520,15 +516,21 @@ pub fn orchestrate(
     };
     shared.publish_status("running");
 
-    crossbeam::thread::scope(|s| {
-        for w in 0..jobs {
-            let shared = &shared;
-            s.spawn(move |_| worker(w, shared));
+    let panicked = std::thread::scope(|s| {
+        let shared = &shared;
+        let handles: Vec<_> = (0..jobs).map(|w| s.spawn(move || worker(w, shared))).collect();
+        // Join every worker, not just up to the first that panicked.
+        let mut panicked = false;
+        for h in handles {
+            panicked |= h.join().is_err();
         }
-    })
-    .map_err(|_| EngineError::OperatorPanic("orchestrator worker".into()))?;
+        panicked
+    });
+    if panicked {
+        return Err(EngineError::OperatorPanic("orchestrator worker".into()));
+    }
 
-    if let Some(e) = shared.first_err.lock().take() {
+    if let Some(e) = lock(&shared.first_err).take() {
         shared.publish_status("failed");
         return Err(e);
     }
@@ -550,14 +552,14 @@ pub fn orchestrate(
         }
     }
 
-    let cells: Vec<CellOutcome> = shared.outcomes.into_inner().into_iter().flatten().collect();
+    let cells: Vec<CellOutcome> = lock(&shared.outcomes).drain(..).flatten().collect();
     let mut faults = FaultReport::default();
     for o in &cells {
         add_faults(&mut faults, &o.faults);
     }
     let degraded = cells.iter().any(|o| o.degraded);
     let checkpoints_written =
-        if opts.checkpoint_dir.is_some() { *shared.ckpt_written.lock() } else { 0 };
+        if opts.checkpoint_dir.is_some() { *lock(&shared.ckpt_written) } else { 0 };
     let elapsed = started.elapsed();
     if let Some(rec) = rec.as_deref() {
         pmkm_obs::emit_phase_events(rec);
@@ -655,7 +657,7 @@ impl Shared<'_> {
         snap.state = state.to_string();
         snap.cells_total = self.cells_total;
         {
-            let outcomes = self.outcomes.lock();
+            let outcomes = lock(&self.outcomes);
             for o in outcomes.iter().flatten() {
                 snap.cells_done += 1;
                 if o.resumed {
@@ -722,13 +724,13 @@ fn take_task(
     w: usize,
     before_steal: impl FnOnce(),
 ) -> Option<(usize, bool)> {
-    let own = queues[w].lock().pop_front();
+    let own = lock(&queues[w]).pop_front();
     if let Some(i) = own {
         return Some((i, false));
     }
     before_steal();
     let jobs = queues.len();
-    (1..jobs).find_map(|d| queues[(w + d) % jobs].lock().pop_back()).map(|i| (i, true))
+    (1..jobs).find_map(|d| lock(&queues[(w + d) % jobs]).pop_back()).map(|i| (i, true))
 }
 
 fn worker(w: usize, shared: &Shared<'_>) {
@@ -768,7 +770,7 @@ fn worker(w: usize, shared: &Shared<'_>) {
         }
         match res {
             Err(e) => {
-                let mut err = shared.first_err.lock();
+                let mut err = lock(&shared.first_err);
                 if err.is_none() {
                     *err = Some(e);
                 }
@@ -781,7 +783,7 @@ fn worker(w: usize, shared: &Shared<'_>) {
                 // cell whose checkpoint was not written before the "kill"
                 // is treated as died-in-flight and discarded, exactly what
                 // a real process death would leave behind.
-                let mut written = shared.ckpt_written.lock();
+                let mut written = lock(&shared.ckpt_written);
                 if shared.kill.load(Ordering::Relaxed) {
                     shared.set_state(w, WorkerState::Idle);
                     return;
@@ -809,7 +811,7 @@ fn worker(w: usize, shared: &Shared<'_>) {
                         }
                         Err(e) => {
                             drop(written);
-                            let mut err = shared.first_err.lock();
+                            let mut err = lock(&shared.first_err);
                             if err.is_none() {
                                 *err = Some(e);
                             }
@@ -826,7 +828,7 @@ fn worker(w: usize, shared: &Shared<'_>) {
                     shared.interrupted.store(true, Ordering::Relaxed);
                 }
                 drop(written);
-                shared.outcomes.lock()[i] = Some(outcome);
+                lock(&shared.outcomes)[i] = Some(outcome);
                 shared.set_state(w, WorkerState::Idle);
                 shared.publish_status("running");
             }
@@ -1225,6 +1227,48 @@ mod tests {
         b.release(30);
         b.release(40);
         assert_eq!(b.capacity(), 100);
+    }
+
+    #[test]
+    fn contended_budget_never_exceeds_its_capacity() {
+        // Four threads start every round together and each acquires a
+        // random share (some the whole budget), holds it a moment, then
+        // releases it. At no time may the held bytes exceed the cap, and
+        // every waiter must be woken by some release.
+        use rand::Rng;
+        const CAP: usize = 100;
+        let budget = MemoryBudget::new(CAP);
+        let held = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(4);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            for w in 0..4u64 {
+                let (budget, held, barrier, done_tx) = (&budget, &held, &barrier, done_tx.clone());
+                s.spawn(move || {
+                    let mut rng = pmkm_core::seeding::rng_for(17, w);
+                    for _ in 0..500 {
+                        barrier.wait();
+                        let bytes = rng.gen_range(1..=CAP);
+                        budget.acquire(bytes);
+                        let now = held.fetch_add(bytes, Ordering::SeqCst) + bytes;
+                        assert!(now <= CAP, "{now} B held under a {CAP} B budget");
+                        std::thread::yield_now();
+                        held.fetch_sub(bytes, Ordering::SeqCst);
+                        budget.release(bytes);
+                    }
+                    done_tx.send(()).unwrap();
+                });
+            }
+            for _ in 0..4 {
+                if done_rx.recv_timeout(Duration::from_secs(60)).is_err() {
+                    // Unwinding would join the stuck threads forever.
+                    eprintln!("a budget thread failed or was never woken");
+                    std::process::abort();
+                }
+            }
+        });
+        assert!(budget.peak() <= budget.capacity());
+        assert!(budget.peak() > 0);
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! consumer holds a receiver on the same queue and the clones steal work
 //! from each other.
 
-use crossbeam::channel::{bounded, Receiver, SendError, Sender, TryRecvError, TrySendError};
-use parking_lot::Mutex;
-use pmkm_obs::{HistogramSnapshot, QueueReport};
+use pmkm_obs::{lock, HistogramSnapshot, QueueReport};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::mpsc::SendError;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of depth-histogram buckets: depths 0, 1, 2–3, 4–7, 8–15, 16–31,
@@ -39,7 +38,7 @@ fn depth_bucket(depth: usize) -> usize {
 }
 
 /// Snapshot of one queue's telemetry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueueStats {
     /// Edge name (e.g. `"chunks"`).
     pub name: String,
@@ -89,179 +88,201 @@ impl QueueStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    sends: AtomicU64,
-    recvs: AtomicU64,
-    full_blocks: AtomicU64,
-    empty_blocks: AtomicU64,
-    blocked_send_nanos: AtomicU64,
-    blocked_recv_nanos: AtomicU64,
-    depth: [AtomicU64; DEPTH_BUCKETS],
+/// Everything a queue's handles share, behind one lock.
+struct State<T> {
+    items: VecDeque<T>,
+    /// Live producer handles, plus the queue's own until it is sealed.
+    producers: usize,
+    /// Live consumer handles, plus the queue's own until it is sealed.
+    consumers: usize,
+    sealed: bool,
+    stats: QueueStats,
 }
 
-impl Counters {
-    fn observe_depth(&self, depth: usize) {
-        self.depth[depth_bucket(depth)].fetch_add(1, Ordering::Relaxed);
-    }
+struct Shared<T> {
+    state: Mutex<State<T>>,
+    /// Signalled when an item arrives or the last producer leaves.
+    not_empty: Condvar,
+    /// Signalled when an item leaves or the last consumer leaves.
+    not_full: Condvar,
 }
 
 /// A named, bounded MPMC queue.
 ///
-/// Cheap to clone on both ends; the channel closes when every sender (or
-/// every receiver) is dropped, which is how end-of-stream propagates through
-/// a pipeline without explicit EOS messages on most edges — and how a
-/// producer learns that every consumer has gone.
+/// Cheap to clone on both ends; the queue closes when every producer (or
+/// every consumer) is dropped, which is how end-of-stream propagates
+/// through a pipeline without explicit EOS messages on most edges — and
+/// how a producer learns that every consumer has gone. Items, handle
+/// counts and telemetry sit under one lock, which a send or a receive
+/// takes once.
 pub struct SmartQueue<T> {
-    name: String,
-    capacity: usize,
-    counters: Arc<Counters>,
-    sender: Mutex<Option<Sender<T>>>,
-    receiver: Mutex<Option<Receiver<T>>>,
+    shared: Arc<Shared<T>>,
 }
 
 impl<T> SmartQueue<T> {
     /// Creates a queue with the given capacity (min 1).
     pub fn new(name: impl Into<String>, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let (tx, rx) = bounded(capacity);
-        Self {
+        let stats = QueueStats {
             name: name.into(),
-            capacity,
-            counters: Arc::new(Counters::default()),
-            sender: Mutex::new(Some(tx)),
-            receiver: Mutex::new(Some(rx)),
-        }
+            capacity: capacity.max(1),
+            depth_counts: vec![0; DEPTH_BUCKETS],
+            ..QueueStats::default()
+        };
+        let state =
+            State { items: VecDeque::new(), producers: 1, consumers: 1, sealed: false, stats };
+        let shared = Shared {
+            state: Mutex::new(state),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+        };
+        Self { shared: Arc::new(shared) }
     }
 
     /// A producer handle. Call once per producer clone, **before**
     /// [`SmartQueue::seal`].
     pub fn producer(&self) -> QueueProducer<T> {
-        let guard = self.sender.lock();
-        let tx = guard.as_ref().expect("queue already sealed").clone();
-        QueueProducer { tx, counters: Arc::clone(&self.counters) }
+        let mut state = lock(&self.shared.state);
+        assert!(!state.sealed, "queue already sealed");
+        state.producers += 1;
+        QueueProducer { shared: Arc::clone(&self.shared) }
     }
 
     /// A consumer handle. Call once per consumer clone, **before**
     /// [`SmartQueue::seal`].
     pub fn consumer(&self) -> QueueConsumer<T> {
-        let guard = self.receiver.lock();
-        let rx = guard.as_ref().expect("queue already sealed").clone();
-        QueueConsumer { rx, counters: Arc::clone(&self.counters) }
+        let mut state = lock(&self.shared.state);
+        assert!(!state.sealed, "queue already sealed");
+        state.consumers += 1;
+        QueueConsumer { shared: Arc::clone(&self.shared) }
     }
 
-    /// Drops the queue's internal sender and receiver, so the channel
+    /// Releases the queue's own producer and consumer count, so the queue
     /// closes once all handed-out producers finish (consumers see
     /// end-of-stream) or once all handed-out consumers are gone (a
     /// producer's send, even one blocked on a full queue, fails). Must be
-    /// called after wiring, before waiting for the pipeline.
+    /// called after wiring, before waiting for the pipeline; dropping the
+    /// queue seals it too.
     pub fn seal(&self) {
-        self.sender.lock().take();
-        self.receiver.lock().take();
+        let mut state = lock(&self.shared.state);
+        if !state.sealed {
+            state.sealed = true;
+            state.producers -= 1;
+            state.consumers -= 1;
+            self.shared.not_empty.notify_all();
+            self.shared.not_full.notify_all();
+        }
     }
 
     /// Telemetry snapshot.
     pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            name: self.name.clone(),
-            capacity: self.capacity,
-            sends: self.counters.sends.load(Ordering::Relaxed),
-            recvs: self.counters.recvs.load(Ordering::Relaxed),
-            full_blocks: self.counters.full_blocks.load(Ordering::Relaxed),
-            empty_blocks: self.counters.empty_blocks.load(Ordering::Relaxed),
-            blocked_send: Duration::from_nanos(
-                self.counters.blocked_send_nanos.load(Ordering::Relaxed),
-            ),
-            blocked_recv: Duration::from_nanos(
-                self.counters.blocked_recv_nanos.load(Ordering::Relaxed),
-            ),
-            depth_counts: self.counters.depth.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-        }
+        lock(&self.shared.state).stats.clone()
+    }
+}
+
+impl<T> Drop for SmartQueue<T> {
+    fn drop(&mut self) {
+        self.seal();
     }
 }
 
 /// Sending half; dropped ⇒ one fewer producer on the edge.
 pub struct QueueProducer<T> {
-    tx: Sender<T>,
-    counters: Arc<Counters>,
+    shared: Arc<Shared<T>>,
 }
 
 impl<T> QueueProducer<T> {
     /// Blocking send with backpressure accounting. `Err` means every
-    /// consumer hung up (broken pipeline).
+    /// consumer hung up (broken pipeline); it hands the item back.
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
-        match self.tx.try_send(item) {
-            Ok(()) => {
-                self.counters.sends.fetch_add(1, Ordering::Relaxed);
-                self.counters.observe_depth(self.tx.len());
-                Ok(())
+        let mut state = lock(&self.shared.state);
+        let full = |s: &State<T>| s.consumers > 0 && s.items.len() >= s.stats.capacity;
+        if full(&state) {
+            state.stats.full_blocks += 1;
+            let start = Instant::now();
+            while full(&state) {
+                state = self.shared.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
-            Err(TrySendError::Full(item)) => {
-                self.counters.full_blocks.fetch_add(1, Ordering::Relaxed);
-                let start = Instant::now();
-                let res = self.tx.send(item);
-                self.counters
-                    .blocked_send_nanos
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if res.is_ok() {
-                    self.counters.sends.fetch_add(1, Ordering::Relaxed);
-                    self.counters.observe_depth(self.tx.len());
-                }
-                res
-            }
-            Err(TrySendError::Disconnected(item)) => Err(SendError(item)),
+            state.stats.blocked_send += start.elapsed();
         }
+        if state.consumers == 0 {
+            return Err(SendError(item));
+        }
+        state.items.push_back(item);
+        let depth = depth_bucket(state.items.len());
+        state.stats.depth_counts[depth] += 1;
+        state.stats.sends += 1;
+        drop(state);
+        self.shared.not_empty.notify_one();
+        Ok(())
     }
 }
 
 impl<T> Clone for QueueProducer<T> {
     fn clone(&self) -> Self {
-        Self { tx: self.tx.clone(), counters: Arc::clone(&self.counters) }
+        lock(&self.shared.state).producers += 1;
+        Self { shared: Arc::clone(&self.shared) }
+    }
+}
+
+impl<T> Drop for QueueProducer<T> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.shared.state);
+        state.producers -= 1;
+        if state.producers == 0 {
+            self.shared.not_empty.notify_all();
+        }
     }
 }
 
 /// Receiving half; clones share the queue (work stealing between operator
 /// clones).
 pub struct QueueConsumer<T> {
-    rx: Receiver<T>,
-    counters: Arc<Counters>,
+    shared: Arc<Shared<T>>,
 }
 
 impl<T> QueueConsumer<T> {
     /// Blocking receive with underflow accounting. `None` means the stream
     /// ended (all producers dropped and the queue drained).
     pub fn recv(&self) -> Option<T> {
-        match self.rx.try_recv() {
-            Ok(item) => {
-                self.counters.recvs.fetch_add(1, Ordering::Relaxed);
-                Some(item)
+        let mut state = lock(&self.shared.state);
+        let empty = |s: &State<T>| s.producers > 0 && s.items.is_empty();
+        if empty(&state) {
+            state.stats.empty_blocks += 1;
+            let start = Instant::now();
+            while empty(&state) {
+                state = self.shared.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
-            Err(TryRecvError::Empty) => {
-                self.counters.empty_blocks.fetch_add(1, Ordering::Relaxed);
-                let start = Instant::now();
-                let res = self.rx.recv().ok();
-                self.counters
-                    .blocked_recv_nanos
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if res.is_some() {
-                    self.counters.recvs.fetch_add(1, Ordering::Relaxed);
-                }
-                res
-            }
-            Err(TryRecvError::Disconnected) => None,
+            state.stats.blocked_recv += start.elapsed();
         }
+        let item = state.items.pop_front()?;
+        state.stats.recvs += 1;
+        drop(state);
+        self.shared.not_full.notify_one();
+        Some(item)
     }
 }
 
 impl<T> Clone for QueueConsumer<T> {
     fn clone(&self) -> Self {
-        Self { rx: self.rx.clone(), counters: Arc::clone(&self.counters) }
+        lock(&self.shared.state).consumers += 1;
+        Self { shared: Arc::clone(&self.shared) }
+    }
+}
+
+impl<T> Drop for QueueConsumer<T> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.shared.state);
+        state.consumers -= 1;
+        if state.consumers == 0 {
+            self.shared.not_full.notify_all();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::thread;
 
     #[test]
@@ -434,6 +455,101 @@ mod tests {
         assert_eq!(report.depth.count, 20);
         assert_eq!(report.depth.counts, s.depth_counts);
         assert_eq!(report.depth.bounds.len() + 1, report.depth.counts.len());
+    }
+
+    /// What a handle's thread did before its handle dropped.
+    enum Done {
+        /// A producer: the items handed back inside `SendError`.
+        Sent(Vec<u64>),
+        /// A consumer: the items it received, in order.
+        Received(Vec<u64>),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The close protocol under any mix of handles. Producer `p` sends
+        // `loads[p]` items and drops; a consumer with a quota under 24
+        // leaves after that many items, the others read to end-of-stream.
+        // Threads start in a random order with the seal at a random point
+        // among them. Every item ends up received exactly once, handed
+        // back, or still queued, and every blocked call returns.
+        #[test]
+        fn close_protocol_accounts_for_every_item(
+            loads in proptest::collection::vec(0u64..24, 1..5),
+            quotas in proptest::collection::vec(0usize..48, 1..5),
+            capacity in 1usize..5,
+            keys in proptest::collection::vec(any::<u64>(), 8),
+            seal_at in 0usize..9,
+        ) {
+            let q: SmartQueue<u64> = SmartQueue::new("close", capacity);
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let mut starts: Vec<(u64, Box<dyn FnOnce() -> Done + Send>)> = Vec::new();
+            for (p, &load) in loads.iter().enumerate() {
+                let producer = q.producer();
+                let items: Vec<u64> = (0..load).map(|j| p as u64 * 1000 + j).collect();
+                starts.push((keys[p], Box::new(move || {
+                    let returned = items.into_iter().filter_map(|v| producer.send(v).err()).map(|e| e.0);
+                    Done::Sent(returned.collect())
+                })));
+            }
+            for (c, &quota) in quotas.iter().enumerate() {
+                let consumer = q.consumer();
+                let quota = if quota < 24 { quota } else { usize::MAX };
+                starts.push((keys[4 + c], Box::new(move || {
+                    Done::Received(std::iter::from_fn(|| consumer.recv()).take(quota).collect())
+                })));
+            }
+            starts.sort_by_key(|(key, _)| *key);
+            let n = starts.len();
+            let mut threads = Vec::new();
+            for (i, (_, start)) in starts.into_iter().enumerate() {
+                if i == seal_at.min(n) {
+                    q.seal();
+                }
+                let done_tx = done_tx.clone();
+                threads.push(thread::spawn(move || done_tx.send(start()).unwrap()));
+            }
+            q.seal();
+            let (mut returned, mut received) = (Vec::new(), Vec::new());
+            for _ in 0..n {
+                let done = done_rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a blocked send or receive never returned");
+                match done {
+                    Done::Sent(items) => returned.extend(items),
+                    Done::Received(items) => {
+                        // One producer's items reach any one consumer in order.
+                        for p in 0..loads.len() as u64 {
+                            let mine: Vec<u64> = items.iter().copied().filter(|v| v / 1000 == p).collect();
+                            prop_assert!(mine.windows(2).all(|w| w[0] < w[1]), "{:?}", items);
+                        }
+                        received.extend(items);
+                    }
+                }
+            }
+            for t in threads {
+                t.join().unwrap();
+            }
+            let left: Vec<u64> = lock(&q.shared.state).items.iter().copied().collect();
+            let s = q.stats();
+            prop_assert_eq!(s.recvs, received.len() as u64);
+            prop_assert_eq!(s.sends, s.recvs + left.len() as u64);
+            prop_assert_eq!(s.depth_counts.iter().sum::<u64>(), s.sends);
+            prop_assert!(s.depth_counts[depth_bucket(capacity) + 1..].iter().all(|&n| n == 0));
+            if quotas.iter().any(|&quota| quota >= 24) {
+                // A consumer that reads to end-of-stream outlives every
+                // producer, so nothing is refused and nothing is left.
+                prop_assert!(returned.is_empty() && left.is_empty());
+            }
+            let mut all: Vec<u64> = [received, returned, left].concat();
+            all.sort_unstable();
+            let mut want: Vec<u64> = (0..loads.len() as u64)
+                .flat_map(|p| (0..loads[p as usize]).map(move |j| p * 1000 + j))
+                .collect();
+            want.sort_unstable();
+            prop_assert_eq!(all, want);
+        }
     }
 
     #[test]

@@ -33,11 +33,10 @@
 //! thread just calls [`WatchdogSink::check`], which the unit tests drive
 //! directly with synthetic events and hand-picked clocks.
 
-use parking_lot::Mutex;
-use pmkm_obs::{Event, FieldValue, Recorder, TraceSink};
+use pmkm_obs::{lock, Event, FieldValue, Recorder, TraceSink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Completed cells required before straggler math turns on — a median of
@@ -141,7 +140,7 @@ impl WatchdogSink {
     pub fn check(&self, rec: &Recorder, config: &WatchdogConfig, now_us: u64) {
         let mut verdicts: Vec<Verdict> = Vec::new();
         {
-            let mut m = self.model.lock();
+            let mut m = lock(&self.model);
             if !m.armed || (m.cells_total > 0 && m.cells_done >= m.cells_total) {
                 return;
             }
@@ -222,7 +221,7 @@ impl WatchdogSink {
 
 impl TraceSink for WatchdogSink {
     fn record(&self, event: &Event) {
-        let mut m = self.model.lock();
+        let mut m = lock(&self.model);
         match event.name.as_str() {
             "run.open" => {
                 *m = Model::default();
@@ -287,7 +286,7 @@ impl TraceSink for WatchdogSink {
 
 impl std::fmt::Debug for WatchdogSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.model.lock();
+        let m = lock(&self.model);
         f.debug_struct("WatchdogSink")
             .field("armed", &m.armed)
             .field("cells_done", &m.cells_done)
