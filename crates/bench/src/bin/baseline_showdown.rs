@@ -45,7 +45,6 @@ fn main() {
             let pm = PartialMergeConfig {
                 kmeans: kcfg,
                 partitions: 10,
-                merge_mode: pmkm_core::MergeMode::Collective,
                 merge_restarts: 1,
                 slicing: pmkm_core::SliceStrategy::RandomOverlap,
             };

@@ -52,7 +52,6 @@ fn main() {
                     let pm = PartialMergeConfig {
                         kmeans: cfg.kmeans_for(n, version),
                         partitions: 10,
-                        merge_mode: pmkm_core::MergeMode::Collective,
                         merge_restarts: 1,
                         slicing: strategy,
                     };

@@ -6,7 +6,7 @@
 //! five data versions per configuration).
 
 use pmkm_baselines::serial_kmeans;
-use pmkm_core::{metrics, partial_merge, Dataset, KMeansConfig, MergeMode, PartialMergeConfig};
+use pmkm_core::{metrics, partial_merge, Dataset, KMeansConfig, PartialMergeConfig};
 use pmkm_data::generator::{paper_cell, version_seed, PAPER_K, PAPER_SWEEP};
 use serde::{Deserialize, Serialize};
 
@@ -137,7 +137,6 @@ pub fn run_split(cfg: &SweepConfig, n: usize, version: u32, splits: usize) -> Ca
     let pm_cfg = PartialMergeConfig {
         kmeans: cfg.kmeans_for(n, version),
         partitions: splits,
-        merge_mode: MergeMode::Collective,
         merge_restarts: 1,
         slicing: pmkm_core::SliceStrategy::RandomOverlap,
     };

@@ -9,3 +9,9 @@
 
 pub mod experiments;
 pub mod report;
+
+/// The README, whose Rust snippets `cargo test` compiles and runs as this
+/// crate's doctests, so they cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct Readme;

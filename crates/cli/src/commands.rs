@@ -192,17 +192,6 @@ pub const COMMANDS: &[Command] = &[
                 Prints the elapsed ratio and attributes the delta to phases, kernels,\n\
                 faults and mass drift; exits 3 when B is more than --threshold slower.",
         flags: &[&[Flag::value("threshold", "FRAC", "0.10", "slowdown that counts as a regression")]] },
-    Command { name: "serve-demo", operands: "", arity: (0, 0), run: serve_demo,
-        about: "Serve live telemetry over HTTP while a synthetic workload runs.\n\
-                Self-probes /healthz, /metrics and /report.json and prints the results.",
-        flags: &[SEED, &[
-            Flag::value("addr", "ADDR", "127.0.0.1:0", "listen address"),
-            Flag::value("iters", "N", "3", "workload iterations"),
-            Flag::value("n", "N", "2000", "points in the synthetic cell"),
-            Flag::value("k", "N", "8", "clusters"),
-            Flag::value("splits", "P", "4", "chunks per iteration"),
-            Flag::value("restarts", "R", "2", "k-means restarts per chunk"),
-        ]] },
     Command { name: "compress", operands: "<bucket files…>", arity: (1, MANY), run: compress,
         about: "Compress each bucket into a multivariate histogram (JSON) under --out.",
         flags: &[KMEANS, SEED, &[
@@ -1134,55 +1123,6 @@ fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Issues one `GET path` against the exporter and returns the status line.
-fn probe(addr: &std::net::SocketAddr, path: &str) -> std::io::Result<String> {
-    use std::io::Read;
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: pmkm\r\nConnection: close\r\n\r\n")?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    Ok(response.lines().next().unwrap_or_default().to_string())
-}
-
-fn serve_demo(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let (addr, iters, n) = (args.get_str("addr"), args.get::<usize>("iters")?, args.get("n")?);
-    let (k, splits, seed) = (args.get("k")?, args.get("splits")?, args.get::<u64>("seed")?);
-    let restarts = args.get("restarts")?;
-
-    let rec = Arc::new(Recorder::new().with_profiler(Arc::new(Profiler::new())));
-    let server = MetricsServer::serve(addr.as_str(), rec.clone()).map_err(run_err)?;
-    let local = server.local_addr();
-    writeln!(out, "serving telemetry at http://{local} (/metrics, /report.json, /healthz)")?;
-
-    let points =
-        pmkm_data::generator::generate_cell(&pmkm_data::generator::CellConfig::paper(n, seed))
-            .map_err(run_err)?;
-    for iter in 0..iters {
-        let mut cfg = PartialMergeConfig::paper(k, splits, seed);
-        cfg.kmeans =
-            KMeansConfig { restarts, ..KMeansConfig::paper(k, seed.wrapping_add(iter as u64)) };
-        let (result, run_report) =
-            pmkm_core::partial_merge_observed(&points, &cfg, Some(&rec)).map_err(run_err)?;
-        rec.registry().counter("demo_iterations_total").inc();
-        server.set_report(run_report);
-        writeln!(
-            out,
-            "iter {iter}: E_pm {:.1}, {} merge iterations",
-            result.merge.epm, result.merge.iterations
-        )?;
-    }
-
-    // Self-probe so scripted runs (and CI smoke tests) verify liveness
-    // end-to-end without an external HTTP client.
-    for path in ["/healthz", "/metrics", "/report.json"] {
-        let status = probe(&local, path)?;
-        writeln!(out, "self-probe {path}: {status}")?;
-    }
-    server.shutdown();
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1454,27 +1394,6 @@ mod tests {
         assert!(matches!(run("cluster", &argv), Err(CliError::Run(_))));
 
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn serve_demo_self_probe_reports_ok() {
-        let out = run(
-            "serve-demo",
-            &[
-                "--addr=127.0.0.1:0".into(),
-                "--iters=1".into(),
-                "--n=300".into(),
-                "--k=3".into(),
-                "--splits=2".into(),
-                "--restarts=1".into(),
-            ],
-        )
-        .unwrap();
-        assert!(out.contains("serving telemetry at http://127.0.0.1:"), "{out}");
-        assert!(out.contains("iter 0: E_pm"), "{out}");
-        for path in ["/healthz", "/metrics", "/report.json"] {
-            assert!(out.contains(&format!("self-probe {path}: HTTP/1.1 200 OK")), "{out}");
-        }
     }
 
     #[test]

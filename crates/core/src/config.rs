@@ -156,18 +156,6 @@ impl KMeansConfig {
     }
 }
 
-/// How the merge step consumes the per-chunk centroid sets (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MergeMode {
-    /// Option (b): gather every chunk's weighted centroids and run one
-    /// weighted k-means over all of them. The paper argues this is the more
-    /// faithful option (no chunk is treated preferentially) and uses it.
-    Collective,
-    /// Option (a): fold chunks in arrival order, re-clustering the running
-    /// centroid set with each new chunk's centroids. Kept as an ablation.
-    Incremental,
-}
-
 /// Configuration of the full partial/merge pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PartialMergeConfig {
@@ -177,8 +165,6 @@ pub struct PartialMergeConfig {
     /// Number of near-equal chunks `p` a cell is split into (the paper's
     /// 5-split / 10-split). Must be at least 1.
     pub partitions: usize,
-    /// Merge strategy.
-    pub merge_mode: MergeMode,
     /// Restarts for the merge k-means. The paper seeds the merge
     /// deterministically with the heaviest centroids, so one run suffices;
     /// more restarts fall back to random seeding for runs beyond the first.
@@ -189,12 +175,11 @@ pub struct PartialMergeConfig {
 }
 
 impl PartialMergeConfig {
-    /// Paper defaults: `k = 40`, `R = 10`, collective merge, shuffled deal.
+    /// Paper defaults: `k = 40`, `R = 10`, one merge run, shuffled deal.
     pub fn paper(k: usize, partitions: usize, seed: u64) -> Self {
         Self {
             kmeans: KMeansConfig::paper(k, seed),
             partitions,
-            merge_mode: MergeMode::Collective,
             merge_restarts: 1,
             slicing: crate::slicing::SliceStrategy::RandomOverlap,
         }
@@ -257,7 +242,6 @@ mod tests {
     fn partial_merge_paper_defaults() {
         let c = PartialMergeConfig::paper(40, 10, 1);
         assert_eq!(c.partitions, 10);
-        assert_eq!(c.merge_mode, MergeMode::Collective);
         assert_eq!(c.slicing, crate::slicing::SliceStrategy::RandomOverlap);
         c.validate().unwrap();
     }
@@ -270,7 +254,6 @@ mod tests {
         assert_serde::<LloydConfig>();
         assert_serde::<KMeansConfig>();
         assert_serde::<PartialMergeConfig>();
-        assert_serde::<MergeMode>();
         assert_serde::<SeedMode>();
     }
 

@@ -48,8 +48,8 @@
 //! | [`mod@lloyd`] | §2 | the shared (weighted) Lloyd iteration |
 //! | [`mod@kmeans`] | §3.2 | best-of-R outer loop |
 //! | [`mod@partial`] | §3.2 | chunk clustering → weighted centroids |
-//! | [`mod@merge`] | §3.3 | collective & incremental merge |
-//! | [`mod@pipeline`] | §3.4/Fig. 5 | end-to-end partial/merge on one thread |
+//! | [`mod@merge`] | §3.3 | collective merge of the weighted centroids |
+//! | [`mod@pipeline`] | §3.4/Fig. 5 | end-to-end partial/merge on one thread (k-means or ECVQ partials) |
 //! | [`metrics`] | §2/§3.3 | `E`, `E_pm`, MSE evaluation |
 //! | [`mod@ecvq`] | §3.3 remarks | entropy-constrained VQ (adaptive k) |
 //! | [`mod@coreset`] | beyond the paper | weighted coresets, merge-reduce tree, anytime queries |
@@ -82,8 +82,8 @@ pub mod seeding;
 pub mod slicing;
 
 pub use config::{
-    KMeansConfig, KernelKind, LloydConfig, MergeMode, PartialMergeConfig, SeedMode,
-    DEFAULT_MAX_ITERS, PAPER_EPSILON,
+    KMeansConfig, KernelKind, LloydConfig, PartialMergeConfig, SeedMode, DEFAULT_MAX_ITERS,
+    PAPER_EPSILON,
 };
 pub use coreset::{
     chunk_coreset, CompactionInfo, CoresetBucket, CoresetConfig, CoresetStats, CoresetTree,
@@ -94,26 +94,23 @@ pub use error::{Error, Result};
 pub use kernel::{FusedLayout, KernelStats};
 pub use kmeans::{kmeans, kmeans_observed, KMeansOutcome, RestartStats};
 pub use lloyd::{lloyd, lloyd_observed, LloydRun};
-pub use merge::{
-    merge, merge_collective, merge_collective_observed, merge_incremental, MergeOutput,
-};
+pub use merge::{merge_collective, merge_collective_observed, MergeOutput};
 pub use partial::{
     partial_ecvq, partial_kmeans, partial_kmeans_observed, partition_random, PartialOutput,
 };
 pub use pipeline::{
-    partial_merge, partial_merge_ecvq, partial_merge_observed, ChunkStats, PartialMergeResult,
+    cell_report, chunk_seed, partial_merge, partial_merge_ecvq, partial_merge_observed, ChunkStats,
+    PartialMergeResult,
 };
 pub use slicing::{slice, SliceStrategy};
 
 /// Convenience prelude: `use pmkm_core::prelude::*;`.
 pub mod prelude {
-    pub use crate::config::{
-        KMeansConfig, KernelKind, LloydConfig, MergeMode, PartialMergeConfig, SeedMode,
-    };
+    pub use crate::config::{KMeansConfig, KernelKind, LloydConfig, PartialMergeConfig, SeedMode};
     pub use crate::dataset::{Centroids, Dataset, PointSource, WeightedSet};
     pub use crate::error::{Error, Result};
     pub use crate::kmeans::kmeans;
-    pub use crate::merge::{merge_collective, merge_incremental};
+    pub use crate::merge::merge_collective;
     pub use crate::metrics;
     pub use crate::partial::partial_kmeans;
     pub use crate::pipeline::partial_merge;

@@ -1,19 +1,20 @@
 //! The full partial/merge pipeline over an in-memory grid cell.
 //!
 //! This is the library-level entry point (Figure 5 of the paper): deal the
-//! cell into chunks, run the partial k-means on every chunk on the calling
-//! thread, and merge the weighted centroids. The stream-operator version
+//! cell into chunks, run the partial step (k-means, or ECVQ) on every chunk
+//! on the calling thread, and merge the weighted centroids. The stream-operator version
 //! that adds queues, backpressure and operator cloning (the only place the
 //! partial step runs on more than one thread) lives in the `pmkm-stream`
 //! crate. The two lay out chunks and derive chunk seeds differently, so the
 //! integration tests assert structural agreement — same partition count,
 //! point mass and k, comparable quality — not bit-identity.
 
-use crate::config::PartialMergeConfig;
-use crate::dataset::{Dataset, PointSource};
+use crate::config::{KMeansConfig, PartialMergeConfig};
+use crate::dataset::{Dataset, PointSource, WeightedSet};
+use crate::ecvq::EcvqConfig;
 use crate::error::Result;
-use crate::merge::{merge, MergeOutput};
-use crate::partial::partial_kmeans_observed;
+use crate::merge::{merge_collective_observed, MergeOutput};
+use crate::partial::{partial_ecvq, partial_kmeans_observed, PartialOutput};
 use crate::seeding::derive_seed;
 use crate::slicing::slice;
 use pmkm_obs::{CellReport, ChunkReport, MergeReport, Recorder, RunReport};
@@ -73,7 +74,7 @@ impl PartialMergeResult {
 /// paper's "even if all partial k-means steps are run serially on one
 /// machine" configuration used for Table 2.
 pub fn partial_merge(ds: &Dataset, cfg: &PartialMergeConfig) -> Result<PartialMergeResult> {
-    Ok(run(ds, cfg, None)?.0)
+    Ok(run(ds, cfg, None, kmeans_step(cfg, None))?.0)
 }
 
 /// Runs the pipeline with full observability: chunk sizes, per-iteration
@@ -86,7 +87,7 @@ pub fn partial_merge_observed(
     rec: Option<&Recorder>,
 ) -> Result<(PartialMergeResult, RunReport)> {
     let started = Instant::now();
-    let (res, trajectories) = run(ds, cfg, rec)?;
+    let (res, trajectories) = run(ds, cfg, rec, kmeans_step(cfg, rec))?;
     if let Some(rec) = rec {
         rec.event(
             "merge.done",
@@ -99,38 +100,9 @@ pub fn partial_merge_observed(
             ],
         );
     }
-    let chunks = res
-        .chunks
-        .iter()
-        .zip(trajectories)
-        .map(|(c, mse_trajectory)| ChunkReport {
-            chunk: c.chunk,
-            points: c.points,
-            best_mse: c.best_mse,
-            iterations: c.total_iterations,
-            elapsed: c.elapsed,
-            mse_trajectory,
-        })
-        .collect();
     let report = RunReport {
         elapsed: started.elapsed(),
-        cells: vec![CellReport {
-            cell: "in-memory".to_string(),
-            total_points: res.total_points(),
-            expected_points: res.total_points() as f64,
-            lost_points: 0.0,
-            lost_chunks: 0,
-            degraded: false,
-            chunks,
-            merge: MergeReport {
-                input_centroids: res.merge.input_centroids,
-                epm: res.merge.epm,
-                mse: res.merge.mse,
-                iterations: res.merge.iterations,
-                converged: res.merge.converged,
-                elapsed: res.merge.elapsed,
-            },
-        }],
+        cells: vec![cell_report("in-memory".to_string(), &res.chunks, &trajectories, &res.merge)],
         metrics: rec.map(|r| r.registry().snapshot()).unwrap_or_default(),
         phases: rec.map(|r| r.phase_rows()).unwrap_or_default(),
         ..RunReport::new()
@@ -146,77 +118,103 @@ pub fn partial_merge_observed(
 pub fn partial_merge_ecvq(
     ds: &Dataset,
     cfg: &PartialMergeConfig,
-    ecvq_cfg: &crate::ecvq::EcvqConfig,
+    ecvq_cfg: &EcvqConfig,
 ) -> Result<PartialMergeResult> {
-    cfg.validate()?;
-    let started = Instant::now();
-    let p = cfg.partitions;
-    let parts = slice(ds, p, cfg.slicing, cfg.kmeans.seed)?;
-    let partial_started = Instant::now();
-    let mut outputs = Vec::new();
-    for (i, chunk) in parts.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
-        let chunk_cfg = crate::ecvq::EcvqConfig {
-            seed: derive_seed(ecvq_cfg.seed, CHUNK_STREAM ^ i as u64),
-            ..*ecvq_cfg
-        };
-        outputs.push((i, crate::partial::partial_ecvq(chunk, &chunk_cfg)?));
-    }
-    let partial_elapsed = partial_started.elapsed();
-    let sets: Vec<crate::dataset::WeightedSet> =
-        outputs.iter().map(|(_, o)| o.centroids.clone()).collect();
-    let merged = merge(&sets, &cfg.kmeans, cfg.merge_mode, cfg.merge_restarts, None)?;
-    let chunks = outputs
-        .into_iter()
-        .map(|(i, o)| ChunkStats {
-            chunk: i,
-            points: o.points,
-            best_mse: o.best_mse,
-            total_iterations: o.total_iterations,
-            elapsed: o.elapsed,
-        })
-        .collect();
-    Ok(PartialMergeResult {
-        merge: merged,
-        chunks,
-        partitions: p,
-        partial_elapsed,
-        total_elapsed: started.elapsed(),
-    })
+    let step = |chunk: &Dataset, i| {
+        partial_ecvq(chunk, &EcvqConfig { seed: chunk_seed(ecvq_cfg.seed, i), ..*ecvq_cfg })
+    };
+    Ok(run(ds, cfg, None, step)?.0)
 }
 
+/// The seed of chunk `chunk`'s partial step, derived from the run's base
+/// seed on a stream of its own, so a chunk's clustering does not depend on
+/// how many chunks came before it or which thread runs it.
+pub fn chunk_seed(seed: u64, chunk: usize) -> u64 {
+    derive_seed(seed, CHUNK_STREAM ^ chunk as u64)
+}
+
+/// Builds the observability layer's [`CellReport`] for one merged cell from
+/// its per-chunk statistics, their winning restarts' MSE trajectories
+/// (aligned with `chunks`; a missing one reports empty) and the merge. The
+/// mass accounting is that of a fault-free run: every clustered point was
+/// expected and none was lost.
+pub fn cell_report(
+    cell: String,
+    chunks: &[ChunkStats],
+    trajectories: &[Vec<f64>],
+    merge: &MergeOutput,
+) -> CellReport {
+    let total_points = merge.cluster_weights.iter().sum::<f64>().round() as usize;
+    let chunks = chunks
+        .iter()
+        .enumerate()
+        .map(|(i, c)| ChunkReport {
+            chunk: c.chunk,
+            points: c.points,
+            best_mse: c.best_mse,
+            iterations: c.total_iterations,
+            elapsed: c.elapsed,
+            mse_trajectory: trajectories.get(i).cloned().unwrap_or_default(),
+        })
+        .collect();
+    CellReport {
+        cell,
+        total_points,
+        expected_points: total_points as f64,
+        lost_points: 0.0,
+        lost_chunks: 0,
+        degraded: false,
+        chunks,
+        merge: MergeReport {
+            input_centroids: merge.input_centroids,
+            epm: merge.epm,
+            mse: merge.mse,
+            iterations: merge.iterations,
+            converged: merge.converged,
+            elapsed: merge.elapsed,
+        },
+    }
+}
+
+/// The fixed-k partial step of chunk `i`: best-of-R k-means under the
+/// chunk's own seed.
+fn kmeans_step<'a>(
+    cfg: &'a PartialMergeConfig,
+    rec: Option<&'a Recorder>,
+) -> impl FnMut(&Dataset, usize) -> Result<PartialOutput> + 'a {
+    move |chunk, i| {
+        let chunk_cfg = KMeansConfig { seed: chunk_seed(cfg.kmeans.seed, i), ..cfg.kmeans };
+        partial_kmeans_observed(chunk, &chunk_cfg, rec)
+    }
+}
+
+/// The one chunk loop: slice the cell, run `step` on every non-empty chunk
+/// (given the chunk and its index), then merge the weighted centroid sets.
+/// Returns the result and each chunk's MSE trajectory.
 fn run(
     ds: &Dataset,
     cfg: &PartialMergeConfig,
     rec: Option<&Recorder>,
+    mut step: impl FnMut(&Dataset, usize) -> Result<PartialOutput>,
 ) -> Result<(PartialMergeResult, Vec<Vec<f64>>)> {
     cfg.validate()?;
     let started = Instant::now();
     let p = cfg.partitions;
     let parts = slice(ds, p, cfg.slicing, cfg.kmeans.seed)?;
-    let nonempty: Vec<(usize, &Dataset)> =
-        parts.iter().enumerate().filter(|(_, c)| !c.is_empty()).collect();
-    if let Some(rec) = rec {
-        let hist = rec.registry().histogram("chunk_points", &CHUNK_SIZE_BOUNDS);
-        for &(_, chunk) in &nonempty {
-            hist.observe(chunk.len() as f64);
-        }
-    }
+    let chunk_points = rec.map(|r| r.registry().histogram("chunk_points", &CHUNK_SIZE_BOUNDS));
 
     let partial_started = Instant::now();
-    let mut outputs = Vec::with_capacity(nonempty.len());
-    for &(i, chunk) in &nonempty {
-        let _phase = rec.and_then(|r| r.phase("partial"));
-        outputs.push((i, partial_kmeans_observed(chunk, &chunk_cfg(cfg, i), rec)?));
-    }
-    let partial_elapsed = partial_started.elapsed();
-
-    let sets: Vec<crate::dataset::WeightedSet> =
-        outputs.iter().map(|(_, o)| o.centroids.clone()).collect();
-    let merged = merge(&sets, &cfg.kmeans, cfg.merge_mode, cfg.merge_restarts, rec)?;
-
-    let mut chunks = Vec::with_capacity(outputs.len());
-    let mut trajectories = Vec::with_capacity(outputs.len());
-    for (i, o) in outputs {
+    let mut sets: Vec<WeightedSet> = Vec::with_capacity(p);
+    let mut chunks = Vec::with_capacity(p);
+    let mut trajectories = Vec::with_capacity(p);
+    for (i, chunk) in parts.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+        if let Some(hist) = &chunk_points {
+            hist.observe(chunk.len() as f64);
+        }
+        let o = {
+            let _phase = rec.and_then(|r| r.phase("partial"));
+            step(chunk, i)?
+        };
         chunks.push(ChunkStats {
             chunk: i,
             points: o.points,
@@ -225,7 +223,14 @@ fn run(
             elapsed: o.elapsed,
         });
         trajectories.push(o.best_trajectory);
+        sets.push(o.centroids);
     }
+    let partial_elapsed = partial_started.elapsed();
+
+    let merged = {
+        let _phase = rec.and_then(|r| r.phase("merge"));
+        merge_collective_observed(&sets, &cfg.kmeans, cfg.merge_restarts, rec)?
+    };
 
     Ok((
         PartialMergeResult {
@@ -239,17 +244,9 @@ fn run(
     ))
 }
 
-fn chunk_cfg(cfg: &PartialMergeConfig, chunk: usize) -> crate::config::KMeansConfig {
-    crate::config::KMeansConfig {
-        seed: derive_seed(cfg.kmeans.seed, CHUNK_STREAM ^ chunk as u64),
-        ..cfg.kmeans
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MergeMode;
     use crate::metrics;
 
     fn three_blob_cell(n_per: usize) -> Dataset {
@@ -289,17 +286,6 @@ mod tests {
         let res = partial_merge(&ds, &cfg).unwrap();
         let total: f64 = res.merge.cluster_weights.iter().sum();
         assert!((total - 120.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn incremental_mode_runs_end_to_end() {
-        let ds = three_blob_cell(40);
-        let mut cfg = PartialMergeConfig::paper(3, 5, 11);
-        cfg.merge_mode = MergeMode::Incremental;
-        let res = partial_merge(&ds, &cfg).unwrap();
-        assert_eq!(res.merge.centroids.k(), 3);
-        let mse = metrics::mse_against(&ds, &res.merge.centroids).unwrap();
-        assert!(mse < 2.0, "mse = {mse}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! [`ascii_gantt`] renders the same `worker.state` stream as a terminal
 //! chart for `pmkm inspect`.
 
-use crate::ledger::LedgerRecord;
+use crate::ledger::{push_json_str, LedgerRecord};
 use crate::report::RunReport;
 use crate::timeline::WorkerState;
 use std::collections::BTreeMap;
@@ -36,21 +36,10 @@ const CHECKPOINT_TID: u64 = 900;
 const FAULT_TID: u64 = 901;
 const WATCHDOG_TID: u64 = 902;
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// `s` as a quoted JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(s, &mut out);
     out
 }
 
@@ -66,27 +55,27 @@ impl TraceJson {
 
     fn complete(&mut self, name: &str, cat: &str, ts: u64, dur: u64, tid: u64) {
         self.events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
+            "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
              \"pid\":1,\"tid\":{tid}}}",
-            esc(name),
-            esc(cat),
+            quoted(name),
+            quoted(cat),
         ));
     }
 
     fn instant(&mut self, name: &str, cat: &str, ts: u64, tid: u64) {
         self.events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
+            "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
              \"pid\":1,\"tid\":{tid}}}",
-            esc(name),
-            esc(cat),
+            quoted(name),
+            quoted(cat),
         ));
     }
 
     fn thread_name(&mut self, tid: u64, name: &str) {
         self.events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            esc(name),
+             \"args\":{{\"name\":{}}}}}",
+            quoted(name),
         ));
     }
 

@@ -272,7 +272,7 @@ fn write_body(event: &Event, out: &mut String) {
 /// `\`, `\n`, `\r` and `\t` by name, other control characters as `\u00XX`,
 /// everything else verbatim. Every escaped character is ASCII, so the runs
 /// between them are copied whole.
-fn push_json_str(s: &str, out: &mut String) {
+pub(crate) fn push_json_str(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
     for (i, byte) in s.bytes().enumerate() {

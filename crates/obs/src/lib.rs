@@ -21,8 +21,8 @@
 //! 6. [`ledger`] — the versioned, append-only JSONL run ledger
 //!    ([`LedgerSink`]) with a parser, a per-cell/per-phase [`rollup`]
 //!    engine, and the cross-run [`diff_profiles`] attribution engine.
-//! 7. [`timeline`] — per-worker state [`Timeline`]s (bounded transition
-//!    rings on the recorder clock) aggregated into [`WorkerTimeline`]
+//! 7. [`timeline`] — per-worker state [`Timeline`]s (per-state dwell
+//!    times on the recorder clock) aggregated into [`WorkerTimeline`]
 //!    utilization and per-thread-max wall rollups.
 //! 8. [`status`] — the live `/status` planet-progress document
 //!    ([`StatusSnapshot`]) published through a pointer-swap
@@ -76,7 +76,7 @@ pub use report::{
 };
 pub use serve::MetricsServer;
 pub use status::{CoresetStatus, StatusCell, StatusSnapshot, WorkerStatus, STATUS_SCHEMA_VERSION};
-pub use timeline::{Timeline, Transition, WorkerLaneReport, WorkerState, WorkerTimeline};
+pub use timeline::{Timeline, WorkerLaneReport, WorkerState, WorkerTimeline};
 pub use trace::{Event, FieldValue, Recorder, RingBufferSink, Span, TraceSink};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

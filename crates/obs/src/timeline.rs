@@ -1,6 +1,6 @@
 //! Per-worker state timelines for the multi-cell orchestrator.
 //!
-//! A [`Timeline`] holds one bounded transition ring per registered worker
+//! A [`Timeline`] holds one dwell-time accumulator per registered worker
 //! lane. Every transition is stamped by the caller with the owning
 //! recorder's monotonic clock (`Recorder::elapsed_us`), so timeline
 //! entries, ledger records, and profiler spans all share one time base and
@@ -11,9 +11,9 @@
 //! directly, while the pipeline operators of the cell a lane is currently
 //! *bound* to (see [`Timeline::bind_cell`]) record `scan` / `partial` /
 //! `merge` as the cell flows through them. Same-state records coalesce, so
-//! the ring holds genuine transitions only and stays small.
+//! a lane counts genuine transitions only.
 //!
-//! [`Timeline::snapshot`] folds the rings into a [`WorkerTimeline`]:
+//! [`Timeline::snapshot`] folds the lanes into a [`WorkerTimeline`]:
 //! per-lane per-state dwell times, a busy/total utilization, and the
 //! planet-level `wall_us` rollup — the **maximum** busy time over lanes
 //! (per-thread-max, the same methodology as the profiler's `wall_us`
@@ -26,12 +26,8 @@
 
 use crate::lock;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// Per-lane transition ring capacity: a lane keeps its newest
-/// `DEFAULT_LANE_CAPACITY` transitions.
-pub const DEFAULT_LANE_CAPACITY: usize = 1024;
 
 /// The states a worker lane moves through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,15 +94,6 @@ impl WorkerState {
     }
 }
 
-/// One recorded state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transition {
-    /// When the lane entered the state (µs on the shared recorder clock).
-    pub ts_us: u64,
-    /// The state entered.
-    pub state: WorkerState,
-}
-
 struct Lane {
     label: String,
     opened_us: u64,
@@ -115,13 +102,10 @@ struct Lane {
     last_us: u64,
     transitions: u64,
     state_us: [u64; WorkerState::ALL.len()],
-    ring: VecDeque<Transition>,
 }
 
 impl Lane {
     fn new(label: String, ts_us: u64) -> Self {
-        let mut ring = VecDeque::with_capacity(64);
-        ring.push_back(Transition { ts_us, state: WorkerState::Idle });
         Self {
             label,
             opened_us: ts_us,
@@ -130,7 +114,6 @@ impl Lane {
             last_us: ts_us,
             transitions: 1,
             state_us: [0; WorkerState::ALL.len()],
-            ring,
         }
     }
 }
@@ -143,8 +126,7 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// A timeline whose lanes keep at most [`DEFAULT_LANE_CAPACITY`]
-    /// transitions each.
+    /// A timeline with no lanes.
     pub fn new() -> Self {
         Self::default()
     }
@@ -183,10 +165,6 @@ impl Timeline {
         l.current = state;
         l.since_us = ts_us;
         l.transitions += 1;
-        if l.ring.len() == DEFAULT_LANE_CAPACITY {
-            l.ring.pop_front();
-        }
-        l.ring.push_back(Transition { ts_us, state });
         true
     }
 
@@ -207,11 +185,6 @@ impl Timeline {
     pub fn record_cell(&self, cell: u32, state: WorkerState, ts_us: u64) -> Option<usize> {
         let lane = *lock(&self.bindings).get(&cell)?;
         self.record(lane, state, ts_us).then_some(lane)
-    }
-
-    /// The retained transitions of one lane, oldest first.
-    pub fn transitions(&self, lane: usize) -> Vec<Transition> {
-        lock(&self.lanes).get(lane).map(|l| l.ring.iter().copied().collect()).unwrap_or_default()
     }
 
     /// Folds every lane into a [`WorkerTimeline`] as of `now_us` (the
@@ -361,25 +334,6 @@ mod tests {
         let snap = tl.snapshot(100);
         assert_eq!(snap.workers.len(), 2);
         assert_eq!(snap.wall_us, 100, "max(100, 60), not 160");
-    }
-
-    #[test]
-    fn ring_is_bounded_and_keeps_newest() {
-        let tl = Timeline::new();
-        let w = tl.register("w0", 0);
-        // Alternate states so nothing coalesces; the opening state plus
-        // `n` transitions overflow the ring by 10.
-        let n = DEFAULT_LANE_CAPACITY as u64 + 9;
-        for i in 0..n {
-            let s = if i % 2 == 0 { WorkerState::Scan } else { WorkerState::Idle };
-            tl.record(w, s, i * 10);
-        }
-        let ring = tl.transitions(w);
-        assert_eq!(ring.len(), DEFAULT_LANE_CAPACITY);
-        assert_eq!(ring.last().unwrap().ts_us, (n - 1) * 10);
-        // Dwell accounting is unaffected by ring eviction.
-        let snap = tl.snapshot((n - 1) * 10);
-        assert_eq!(snap.workers[0].scan_us + snap.workers[0].idle_us, (n - 1) * 10);
     }
 
     #[test]

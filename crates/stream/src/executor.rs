@@ -13,9 +13,7 @@ use crate::ops::{ChunkerOp, PartialKMeansOp, ScanOp, TailOp};
 use crate::plan::{CoresetSpec, PhysicalPlan};
 use crate::queue::{QueueProducer, QueueStats, SmartQueue};
 use crate::telemetry::{OpMeter, OpStats};
-use pmkm_obs::{
-    CellReport, ChunkReport, CoresetReport, FaultReport, MergeReport, Recorder, RunReport,
-};
+use pmkm_obs::{CellReport, CoresetReport, FaultReport, Recorder, RunReport};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -110,38 +108,17 @@ pub fn coreset_report<'a>(
 }
 
 /// Converts one cell's clustering into the observability layer's
-/// [`CellReport`] — shared by the single-run executor and the multi-cell
+/// [`CellReport`]: the core pipeline's report with the engine's mass
+/// accounting — shared by the single-run executor and the multi-cell
 /// orchestrator's planet-level report.
 pub fn cell_report(c: &CellClustering) -> CellReport {
-    let chunks = c
-        .chunks
-        .iter()
-        .enumerate()
-        .map(|(i, ch)| ChunkReport {
-            chunk: ch.chunk,
-            points: ch.points,
-            best_mse: ch.best_mse,
-            iterations: ch.total_iterations,
-            elapsed: ch.elapsed,
-            mse_trajectory: c.trajectories.get(i).cloned().unwrap_or_default(),
-        })
-        .collect();
+    let cell = c.cell.index().to_string();
     CellReport {
-        cell: c.cell.index().to_string(),
-        total_points: c.output.cluster_weights.iter().sum::<f64>().round() as usize,
         expected_points: c.expected_points,
         lost_points: c.lost_points,
         lost_chunks: c.lost_chunks,
         degraded: c.degraded,
-        chunks,
-        merge: MergeReport {
-            input_centroids: c.output.input_centroids,
-            epm: c.output.epm,
-            mse: c.output.mse,
-            iterations: c.output.iterations,
-            converged: c.output.converged,
-            elapsed: c.output.elapsed,
-        },
+        ..pmkm_core::cell_report(cell, &c.chunks, &c.trajectories, &c.output)
     }
 }
 
