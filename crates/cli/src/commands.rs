@@ -371,7 +371,11 @@ fn inspect_ledger(
         )?;
     }
     for k in &roll.kernels {
-        writeln!(out, "  [kernel] {}: {} dispatches, {} points", k.kind, k.runs, k.points)?;
+        write!(out, "  [kernel] {}: {} dispatches, {} points", k.kind, k.runs, k.points)?;
+        if k.pruned > 0 {
+            write!(out, " ({} decided by bounds, no screen)", k.pruned)?;
+        }
+        writeln!(out)?;
     }
     for f in &roll.fault_timeline {
         writeln!(out, "  [fault +{} µs] {} {}", f.ts_us, f.kind, f.detail)?;

@@ -88,6 +88,18 @@
 //! The per-centroid dot product is accumulated in ascending-`d` order in
 //! both layouts, so transposing the table does not reorder the summation.
 //!
+//! ## The runner-up floor
+//!
+//! Lloyd's bounded path (`crate::lloyd`, DESIGN.md §9) needs, with each
+//! screened point, a lower bound on its distance to every centroid but the
+//! winner. [`FusedLayout::nearest_block_floored`] and
+//! [`FusedLayout::nearest_floored`] return one: the screen also keeps each
+//! lane's second minimum, and when the window held a single candidate the
+//! floor is the second-smallest screened value less `2·margin`, shrunk by
+//! `1 − η`. The floor is a const generic of the shared routine, so
+//! [`FusedLayout::nearest`], [`FusedLayout::nearest_counted`] and
+//! [`FusedLayout::nearest_block`] compile to the screen they had before it.
+//!
 //! The strategy is selected per run via [`KernelKind`] on
 //! [`crate::config::LloydConfig`]; see DESIGN.md §9 for when each wins.
 //!
@@ -114,6 +126,14 @@ pub const LANES: usize = 8;
 /// expansion (see the module docs). Loose on purpose: widening the rescue
 /// window only costs a few extra exact recomputations.
 const MARGIN_SCALE: f64 = 16.0;
+
+/// The relative error scale `η = 16·(dim + 4)·ε` of the screen: the
+/// margin is `η·(‖x‖² + max_j ‖c_j‖²)`. It is also the slack the runner-up
+/// floor ([`FusedLayout::nearest_block_floored`]) and the bounds of
+/// `lloyd` give themselves, so one constant sizes every FP allowance.
+pub fn screen_slack(dim: usize) -> f64 {
+    MARGIN_SCALE * (dim as f64 + 4.0) * f64::EPSILON
+}
 
 /// The screen is used only while `‖x‖² + max_j ‖c_j‖²` is below this.
 /// Then `|2·x·c| ≤ ‖x‖² + ‖c‖²` keeps every partial sum of the expansion,
@@ -287,7 +307,7 @@ impl FusedLayout {
         scratch: &mut [f64],
         stats: &mut KernelStats,
     ) -> (usize, f64) {
-        self.nearest_n([x], scratch, stats)[0]
+        self.nearest_n::<1, false>([x], scratch, stats, &mut [0.0])[0]
     }
 
     /// [`Self::nearest_counted`] for [`Self::BLOCK`] points in one sweep
@@ -302,17 +322,60 @@ impl FusedLayout {
         scratch: &mut [f64],
         stats: &mut KernelStats,
     ) -> [(usize, f64); Self::BLOCK] {
-        self.nearest_n(xs, scratch, stats)
+        self.nearest_n::<{ Self::BLOCK }, false>(xs, scratch, stats, &mut [0.0; Self::BLOCK])
     }
 
-    /// The one routine behind both entry points: `P` points against the
-    /// whole table.
+    /// [`Self::nearest_block`] that also returns each point's **runner-up
+    /// floor**: a squared distance no larger than the exact
+    /// [`crate::point::sq_dist`] from the point to any centroid other than
+    /// the one returned (and no larger than the true distance squared).
+    /// Hits and tallies are those of [`Self::nearest_block`].
+    ///
+    /// The floor is `(s₂ − 2·margin)·(1 − η)`, where `s₂` is the
+    /// second-smallest screened value and `η` is [`screen_slack`], when the
+    /// rescue window held exactly one candidate: that candidate is then the
+    /// screen's minimum and the winner, and every other centroid screened at
+    /// `s₂` or more, which is within `margin` of its exact distance. It is
+    /// `0` whenever that does not hold: several candidates, the exact-scan
+    /// fallback, or a floor that is not positive. It is `+inf` only for a
+    /// one-centroid table, where no other centroid exists.
     #[inline]
-    fn nearest_n<const P: usize>(
+    pub fn nearest_block_floored(
+        &self,
+        xs: [&[f64]; Self::BLOCK],
+        scratch: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> ([(usize, f64); Self::BLOCK], [f64; Self::BLOCK]) {
+        let mut floors = [0.0; Self::BLOCK];
+        let hits = self.nearest_n::<{ Self::BLOCK }, true>(xs, scratch, stats, &mut floors);
+        (hits, floors)
+    }
+
+    /// [`Self::nearest_block_floored`] for one point: the hit and tallies
+    /// of [`Self::nearest_counted`], and the runner-up floor.
+    #[inline]
+    pub fn nearest_floored(
+        &self,
+        x: &[f64],
+        scratch: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> ((usize, f64), f64) {
+        let mut floor = [0.0];
+        let hit = self.nearest_n::<1, true>([x], scratch, stats, &mut floor)[0];
+        (hit, floor[0])
+    }
+
+    /// The one routine behind every entry point: `P` points against the
+    /// whole table. With `FLOOR` the screen also keeps each lane's second
+    /// minimum and writes each point's runner-up floor to `floors`; without
+    /// it `floors` is never touched and the sweep is the plain one.
+    #[inline]
+    fn nearest_n<const P: usize, const FLOOR: bool>(
         &self,
         xs: [&[f64]; P],
         scratch: &mut [f64],
         stats: &mut KernelStats,
+        floors: &mut [f64; P],
     ) -> [Hit; P] {
         // The SIMD paths index planes by `d < x.len()` and scratch rows
         // through raw pointers: these two checks are what keeps them in
@@ -323,21 +386,27 @@ impl FusedLayout {
             x.iter().map(|v| v * v).sum::<f64>()
         });
         // Written so a NaN norm fails it too.
+        // The exact scan leaves every floor at the caller's 0.
         if !px2.iter().all(|&n| n + self.max_cnorm2 < EXPANSION_LIMIT) {
             return xs.map(|x| self.exact_scan(x, stats));
         }
         match self.isa {
             ScreenIsa::Portable => std::array::from_fn(|p| {
-                self.nearest_portable(xs[p], px2[p], &mut scratch[..self.k_pad], stats)
+                let approx = &mut scratch[..self.k_pad];
+                self.nearest_portable::<FLOOR>(xs[p], px2[p], approx, stats, &mut floors[p])
             }),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the variant is only constructed after
             // `is_x86_feature_detected!` confirmed the features; lengths
             // were asserted above.
-            ScreenIsa::Avx2Fma => unsafe { self.nearest_avx2(xs, px2, scratch, stats) },
+            ScreenIsa::Avx2Fma => unsafe {
+                self.nearest_avx2::<P, FLOOR>(xs, px2, scratch, stats, floors)
+            },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
-            ScreenIsa::Avx512 => unsafe { self.nearest_avx512(xs, px2, scratch, stats) },
+            ScreenIsa::Avx512 => unsafe {
+                self.nearest_avx512::<P, FLOOR>(xs, px2, scratch, stats, floors)
+            },
         }
     }
 
@@ -355,9 +424,28 @@ impl FusedLayout {
     /// check".
     #[inline(always)]
     fn window(&self, best_a: f64, px2: f64) -> f64 {
-        let margin =
-            MARGIN_SCALE * (self.dim as f64 + 4.0) * f64::EPSILON * (px2 + self.max_cnorm2);
-        best_a + 2.0 * margin
+        best_a + 2.0 * self.margin(px2)
+    }
+
+    /// `margin = η·(‖x‖² + max_j ‖c_j‖²)`, the bound on how far a screened
+    /// value and its exact squared distance can disagree.
+    #[inline(always)]
+    fn margin(&self, px2: f64) -> f64 {
+        screen_slack(self.dim) * (px2 + self.max_cnorm2)
+    }
+
+    /// The runner-up floor of a point whose window held `candidates`
+    /// candidates and whose second-smallest screened value was `second`
+    /// (see [`Self::nearest_block_floored`]).
+    #[inline(always)]
+    fn floor(&self, candidates: u32, second: f64, px2: f64) -> f64 {
+        let floor = (second - 2.0 * self.margin(px2)) * (1.0 - screen_slack(self.dim));
+        // Written so NaN fails too.
+        if candidates == 1 && floor > 0.0 {
+            floor
+        } else {
+            0.0
+        }
     }
 
     /// Exact distance of window candidate `j`, folded into `hit` with the
@@ -386,20 +474,29 @@ impl FusedLayout {
     }
 
     /// One point without SIMD intrinsics: autovectorized screen, scalar
-    /// window sweep. `approx` is exactly `k_pad` long.
-    fn nearest_portable(
+    /// window sweep. `approx` is exactly `k_pad` long. The floor comes from
+    /// the screen's lane minima, not from `approx`, which the next point of
+    /// a block overwrites.
+    fn nearest_portable<const FLOOR: bool>(
         &self,
         x: &[f64],
         px2: f64,
         approx: &mut [f64],
         stats: &mut KernelStats,
+        floor: &mut f64,
     ) -> Hit {
-        let window = self.window(self.screen_portable(x, px2, approx), px2);
+        let (best, second) = self.screen_portable::<FLOOR>(x, px2, approx);
+        let window = self.window(best, px2);
         let mut hit = NO_HIT;
+        let mut candidates = 0u32;
         for (j, &a) in approx[..self.k].iter().enumerate() {
             if a <= window {
+                candidates += 1;
                 self.rescue(x, j, &mut hit, stats);
             }
+        }
+        if FLOOR {
+            *floor = self.floor(candidates, second, px2);
         }
         self.settle(x, hit, stats)
     }
@@ -409,8 +506,14 @@ impl FusedLayout {
     /// plane, then a contiguous mul-add sweep whose lanes are independent
     /// accumulator chains — after which a second sweep finalizes the
     /// expansion in place and folds the running minimum in lane-wise.
-    /// Returns the minimum screened value.
-    fn screen_portable(&self, x: &[f64], px2: f64, approx: &mut [f64]) -> f64 {
+    /// Returns the minimum screened value and, with `FLOOR`, the
+    /// second-smallest one (`+inf` without).
+    fn screen_portable<const FLOOR: bool>(
+        &self,
+        x: &[f64],
+        px2: f64,
+        approx: &mut [f64],
+    ) -> (f64, f64) {
         approx.fill(0.0);
         for (d, &xd) in x.iter().enumerate() {
             let plane = &self.planes[d * self.k_pad..(d + 1) * self.k_pad];
@@ -422,6 +525,7 @@ impl FusedLayout {
         // k-deep min chain over the finished buffer costs more than the
         // screen itself.
         let mut mins = [f64::INFINITY; LANES];
+        let mut seconds = [f64::INFINITY; LANES];
         for (out, cn) in approx.chunks_exact_mut(LANES).zip(self.cnorm2.chunks_exact(LANES)) {
             let out: &mut [f64; LANES] = out.try_into().expect("approx block");
             let cn: &[f64; LANES] = cn.try_into().expect("cnorm2 block");
@@ -429,12 +533,22 @@ impl FusedLayout {
                 out[l] = px2 - 2.0 * out[l] + cn[l];
             }
             for l in 0..LANES {
+                if FLOOR {
+                    let high = if out[l] > mins[l] { out[l] } else { mins[l] };
+                    seconds[l] = if high < seconds[l] { high } else { seconds[l] };
+                }
                 // Select form (not f64::min) so NaN keeps the old minimum
                 // and the loop lowers to a plain vector compare + blend.
                 mins[l] = if out[l] < mins[l] { out[l] } else { mins[l] };
             }
         }
-        reduce_min8(&mins)
+        let best = reduce_min8(&mins);
+        if !FLOOR {
+            return (best, f64::INFINITY);
+        }
+        // The lane holding `best` contributes its second minimum.
+        let lanes = std::array::from_fn(|l| if mins[l] == best { seconds[l] } else { mins[l] });
+        (best, reduce_min8(&lanes))
     }
 
     /// [`Self::nearest_simd`] on 8-wide `__m512d`.
@@ -445,14 +559,15 @@ impl FusedLayout {
     /// [`Self::nearest_simd`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn nearest_avx512<const P: usize>(
+    unsafe fn nearest_avx512<const P: usize, const FLOOR: bool>(
         &self,
         xs: [&[f64]; P],
         px2: [f64; P],
         scratch: &mut [f64],
         stats: &mut KernelStats,
+        floors: &mut [f64; P],
     ) -> [Hit; P] {
-        self.nearest_simd::<std::arch::x86_64::__m512d, P>(xs, px2, scratch, stats)
+        self.nearest_simd::<std::arch::x86_64::__m512d, P, FLOOR>(xs, px2, scratch, stats, floors)
     }
 
     /// [`Self::nearest_simd`] on 4-wide `__m256d`.
@@ -463,19 +578,21 @@ impl FusedLayout {
     /// [`Self::nearest_simd`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn nearest_avx2<const P: usize>(
+    unsafe fn nearest_avx2<const P: usize, const FLOOR: bool>(
         &self,
         xs: [&[f64]; P],
         px2: [f64; P],
         scratch: &mut [f64],
         stats: &mut KernelStats,
+        floors: &mut [f64; P],
     ) -> [Hit; P] {
-        self.nearest_simd::<std::arch::x86_64::__m256d, P>(xs, px2, scratch, stats)
+        self.nearest_simd::<std::arch::x86_64::__m256d, P, FLOOR>(xs, px2, scratch, stats, floors)
     }
 
     /// Sweep, window and rescue of `P` points, generic over the vector
     /// type and inlined whole into its `#[target_feature]` caller. Point
-    /// `p`'s screened values land in `scratch[p·k_pad..(p + 1)·k_pad]`.
+    /// `p`'s screened values land in `scratch[p·k_pad..(p + 1)·k_pad]`, and
+    /// with `FLOOR` its runner-up floor in `floors[p]`.
     ///
     /// # Safety
     ///
@@ -483,12 +600,13 @@ impl FusedLayout {
     /// `dim` long and `scratch` at least `P · k_pad`.
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    unsafe fn nearest_simd<V: Lanes, const P: usize>(
+    unsafe fn nearest_simd<V: Lanes, const P: usize, const FLOOR: bool>(
         &self,
         xs: [&[f64]; P],
         px2: [f64; P],
         scratch: &mut [f64],
         stats: &mut KernelStats,
+        floors: &mut [f64; P],
     ) -> [Hit; P] {
         let k_pad = self.k_pad;
         let out = scratch.as_mut_ptr();
@@ -498,18 +616,19 @@ impl FusedLayout {
         // vectors of centroids for one point, two for a block of four.
         // `min_keep` keeps the running minimum NaN-free.
         let mut mins = [V::splat(f64::INFINITY); P];
+        let mut seconds = [V::splat(f64::INFINITY); P];
         let wide = if P == 1 { 4 } else { 2 };
         let mut jb = 0usize;
         while jb + wide * V::N <= k_pad {
             if P == 1 {
-                self.panel::<V, P, 4>(&xs, &px2, jb, out, &mut mins);
+                self.panel::<V, P, 4, FLOOR>(&xs, &px2, jb, out, &mut mins, &mut seconds);
             } else {
-                self.panel::<V, P, 2>(&xs, &px2, jb, out, &mut mins);
+                self.panel::<V, P, 2, FLOOR>(&xs, &px2, jb, out, &mut mins, &mut seconds);
             }
             jb += wide * V::N;
         }
         while jb < k_pad {
-            self.panel::<V, P, 1>(&xs, &px2, jb, out, &mut mins);
+            self.panel::<V, P, 1, FLOOR>(&xs, &px2, jb, out, &mut mins, &mut seconds);
             jb += V::N;
         }
 
@@ -518,8 +637,10 @@ impl FusedLayout {
         for p in 0..P {
             let x = xs[p];
             let approx = out.add(p * k_pad) as *const f64;
-            let w = V::splat(self.window(mins[p].reduce_min(), px2[p]));
+            let best = mins[p].reduce_min();
+            let w = V::splat(self.window(best, px2[p]));
             let mut hit = NO_HIT;
+            let mut candidates = 0u32;
             let mut jb = 0usize;
             if k_pad <= 64 {
                 // One mask for the whole table, walked once.
@@ -528,6 +649,9 @@ impl FusedLayout {
                     m |= V::load(approx.add(jb)).le_mask(w) << jb;
                     jb += V::N;
                 }
+                if FLOOR {
+                    candidates = m.count_ones();
+                }
                 while m != 0 {
                     self.rescue(x, m.trailing_zeros() as usize, &mut hit, stats);
                     m &= m - 1;
@@ -535,12 +659,21 @@ impl FusedLayout {
             } else {
                 while jb < k_pad {
                     let mut m = V::load(approx.add(jb)).le_mask(w);
+                    if FLOOR {
+                        candidates += m.count_ones();
+                    }
                     while m != 0 {
                         self.rescue(x, jb + m.trailing_zeros() as usize, &mut hit, stats);
                         m &= m - 1;
                     }
                     jb += V::N;
                 }
+            }
+            if FLOOR {
+                // The lane holding `best` contributes its second minimum. (A
+                // second lane at `best` is a second candidate: floor 0.)
+                let second = mins[p].replace_eq(best, seconds[p]).reduce_min();
+                floors[p] = self.floor(candidates, second, px2[p]);
             }
             hits[p] = self.settle(x, hit, stats);
         }
@@ -551,7 +684,8 @@ impl FusedLayout {
     /// against all `P` points. Each plane vector is loaded once and
     /// multiplied into one accumulator per point, FMA in ascending `d`;
     /// then `(‖x‖² − 2·dot) + ‖c‖²` is stored to the point's scratch row
-    /// and folded into its running minimum.
+    /// and folded into its running minimum (with `FLOOR`, into its running
+    /// second minimum too).
     ///
     /// # Safety
     ///
@@ -560,13 +694,14 @@ impl FusedLayout {
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     #[allow(clippy::needless_range_loop)] // p, w and d each index several arrays
-    unsafe fn panel<V: Lanes, const P: usize, const W: usize>(
+    unsafe fn panel<V: Lanes, const P: usize, const W: usize, const FLOOR: bool>(
         &self,
         xs: &[&[f64]; P],
         px2: &[f64; P],
         jb: usize,
         out: *mut f64,
         mins: &mut [V; P],
+        seconds: &mut [V; P],
     ) {
         let k_pad = self.k_pad;
         let mut acc = [[V::splat(0.0); W]; P];
@@ -589,6 +724,9 @@ impl FusedLayout {
             for p in 0..P {
                 let t = two.neg_mul_add(acc[p][w], V::splat(px2[p])).add(cn);
                 t.store(out.add(p * k_pad + jb + w * V::N));
+                if FLOOR {
+                    seconds[p] = t.max_keep(mins[p]).min_keep(seconds[p]);
+                }
                 mins[p] = t.min_keep(mins[p]);
             }
         }
@@ -616,6 +754,11 @@ trait Lanes: Copy {
     /// Lane-wise minimum that returns `acc`'s lane when either is NaN
     /// (`vminpd` returns its second operand then).
     unsafe fn min_keep(self, acc: Self) -> Self;
+    /// Lane-wise maximum that returns `acc`'s lane when either is NaN
+    /// (`vmaxpd` returns its second operand then).
+    unsafe fn max_keep(self, acc: Self) -> Self;
+    /// `self` with every lane equal to `v` replaced by `other`'s lane.
+    unsafe fn replace_eq(self, v: f64, other: Self) -> Self;
     /// Bit `l` set where lane `l` of `self` is `≤` lane `l` of `w`; NaN
     /// compares false (`LE_OQ`), so poisoned lanes never qualify.
     unsafe fn le_mask(self, w: Self) -> u64;
@@ -665,6 +808,15 @@ mod x86 {
             _mm512_min_pd(self, acc)
         }
         #[inline(always)]
+        unsafe fn max_keep(self, acc: Self) -> Self {
+            _mm512_max_pd(self, acc)
+        }
+        #[inline(always)]
+        unsafe fn replace_eq(self, v: f64, other: Self) -> Self {
+            let eq = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(self, _mm512_set1_pd(v));
+            _mm512_mask_blend_pd(eq, self, other)
+        }
+        #[inline(always)]
         unsafe fn le_mask(self, w: Self) -> u64 {
             u64::from(_mm512_cmp_pd_mask::<_CMP_LE_OQ>(self, w))
         }
@@ -699,6 +851,14 @@ mod x86 {
         #[inline(always)]
         unsafe fn min_keep(self, acc: Self) -> Self {
             _mm256_min_pd(self, acc)
+        }
+        #[inline(always)]
+        unsafe fn max_keep(self, acc: Self) -> Self {
+            _mm256_max_pd(self, acc)
+        }
+        #[inline(always)]
+        unsafe fn replace_eq(self, v: f64, other: Self) -> Self {
+            _mm256_blendv_pd(self, other, _mm256_cmp_pd::<_CMP_EQ_OQ>(self, _mm256_set1_pd(v)))
         }
         #[inline(always)]
         unsafe fn le_mask(self, w: Self) -> u64 {
@@ -815,11 +975,24 @@ mod tests {
         isas
     }
 
+    /// Smallest scalar distance from `x` to any centroid but `winner`
+    /// (`+inf` for a one-centroid table).
+    fn runner_up_distance(x: &[f64], cents: &[f64], dim: usize, winner: usize) -> f64 {
+        cents
+            .chunks_exact(dim)
+            .enumerate()
+            .filter(|&(j, _)| j != winner)
+            .map(|(_, c)| crate::point::sq_dist(x, c))
+            .fold(f64::INFINITY, f64::min)
+    }
+
     #[test]
     fn simd_and_portable_dispatch_agree() {
-        // Every arm forced through the `isa` field, both entry points,
+        // Every arm forced through the `isa` field, all four entry points,
         // against the scalar scan; k up to 150 crosses the one-mask /
-        // per-vector window split at k_pad = 64.
+        // per-vector window split at k_pad = 64. The floored entries must
+        // return the plain entries' hits and tallies, and floors no larger
+        // than the scalar distance to any other centroid.
         let mut rng = rng_for(22, 0);
         for _ in 0..200 {
             let dim = rng.gen_range(1usize..10);
@@ -849,7 +1022,46 @@ mod tests {
                 // FMA and mul-add screens differ in the last bits, so arms
                 // may rescue different near-ties; none may skip a point.
                 assert_eq!(single.points, FusedLayout::BLOCK as u64);
+
+                let mut floored = KernelStats::default();
+                let (hits, floors) = layout.nearest_block_floored(xs, &mut scratch, &mut floored);
+                assert_eq!(bits(hits), bits(want), "floored block ({label}, dim={dim}, k={k})");
+                assert_eq!(floored, block, "floored block tallies ({label})");
+                let mut floored_single = KernelStats::default();
+                for ((x, (j, _)), floor) in xs.into_iter().zip(want).zip(floors) {
+                    let (hit, one) = layout.nearest_floored(x, &mut scratch, &mut floored_single);
+                    assert_eq!(hit.0, j, "floored single ({label}, dim={dim}, k={k})");
+                    assert_eq!(one.to_bits(), floor.to_bits(), "block and single floors ({label})");
+                    let bound = runner_up_distance(x, &cents, dim, j);
+                    assert!(floor >= 0.0 && floor <= bound, "floor {floor} > {bound} ({label})");
+                }
+                assert_eq!(floored_single, single, "floored single tallies ({label})");
             }
+        }
+    }
+
+    #[test]
+    fn floors_are_zero_on_the_exact_scan() {
+        // A point whose norm passes the expansion limit sends its block down
+        // the exact scan: every floor of that block is 0. Alone, a small
+        // point gets a positive floor on every arm.
+        let cents = [0.0, 0.0, 10.0, 0.0, 0.0, 10.0];
+        let (huge, near, other) = ([1e154, 0.0], [1.0, 0.5], [9.0, 2.0]);
+        let mut layout = FusedLayout::new(&cents, 2);
+        let mut scratch = vec![0.0; FusedLayout::BLOCK * layout.scratch_len()];
+        for isa in supported_isas() {
+            layout.isa = isa;
+            let label = layout.isa_label();
+            let mut stats = KernelStats::default();
+            let xs: [&[f64]; 4] = [&near, &huge, &other, &near];
+            let (hits, floors) = layout.nearest_block_floored(xs, &mut scratch, &mut stats);
+            assert_eq!(hits, xs.map(|x| nearest_centroid(x, &cents, 2)), "{label}");
+            assert_eq!(floors, [0.0; 4], "exact-scan floors ({label})");
+            assert_eq!(stats, KernelStats { points: 4, rescued: 12 }, "four exact scans of k = 3");
+            let (hit, floor) = layout.nearest_floored(&near, &mut scratch, &mut stats);
+            assert_eq!(hit, nearest_centroid(&near, &cents, 2));
+            assert!(floor > 0.0 && floor <= runner_up_distance(&near, &cents, 2, hit.0), "{label}");
+            assert_eq!(layout.nearest_floored(&huge, &mut scratch, &mut stats).1, 0.0, "{label}");
         }
     }
 

@@ -14,13 +14,52 @@
 //! of squared point-to-assigned-centroid distances. A hard iteration cap
 //! protects against pathological inputs; hitting it is reported via
 //! [`LloydRun::converged`].
+//!
+//! ## Bounds: skipping the screen where the answer cannot change
+//!
+//! After the first few iterations most points keep their centroid. A run on
+//! the fused kernel with at least [`BOUND_GATE`] points per centroid keeps,
+//! per point, a lower bound `l` on its distance to every centroid but its
+//! own (Hamerly, "Making k-means even faster", SDM 2010). The kernel hands
+//! back the first `l` with each screened point
+//! ([`FusedLayout::nearest_block_floored`]); after each centroid update `l`
+//! shrinks by the farthest any *other* centroid moved, and a point whose
+//! exact `d² = sq_dist(x, c_a)` to its own centroid satisfies
+//! `d²·(1 + η) < l²` keeps it without entering the screen. The upper
+//! bound of Hamerly's scheme is that exact distance: the SSE needs every
+//! point's `d²` anyway, so it costs nothing to keep tight.
+//!
+//! The test only ever keeps a point the scalar scan would keep: `η` (the
+//! kernel's own [`screen_slack`]) exceeds the error of every `sq_dist`,
+//! every drift is inflated by `1 + η` and rounded up, and `l` is rounded
+//! down at each update, so `l` stays at or below the true distance and
+//! `d²` stays strictly below the scalar distance to every other centroid.
+//! Below `l = 1e-150` squares may underflow and relative bounds do not
+//! hold, so such a point is screened. Any NaN or `inf` fails the test.
+//! Assignments, distances, sums and SSE are therefore bit-identical to
+//! [`KernelKind::Scalar`]: the assignment is decided first for every point,
+//! and the accumulation then runs in point order, as without bounds.
 
 use crate::config::{KernelKind, LloydConfig};
 use crate::dataset::{Centroids, PointSource};
 use crate::error::{Error, Result};
-use crate::kernel::{FusedLayout, KernelStats};
-use crate::point::nearest_centroid;
+use crate::kernel::{screen_slack, FusedLayout, KernelStats};
+use crate::point::{nearest_centroid, sq_dist};
 use pmkm_obs::Recorder;
+
+/// Fewest points per centroid (`n ≥ BOUND_GATE · k`) at which a fused run
+/// keeps per-point bounds. The bounds break even near 5 points per
+/// centroid and win from 6 on (DESIGN.md §9 has the crossover table); 8
+/// keeps a margin. Smaller runs, among them the small-cell chunks of 125
+/// points at k = 40, take the plain path.
+pub const BOUND_GATE: usize = 8;
+
+/// Smallest lower bound the bound test trusts. Its square, `1e-300`, is far
+/// above the absolute error that underflow can put into a squared distance
+/// (a few `1e-324` per coordinate), so relative error bounds hold above it.
+/// Every drift is also padded by it, which covers a drift whose square
+/// underflowed.
+const BOUND_FLOOR: f64 = 1e-150;
 
 /// Outcome of one converged (or capped) Lloyd run.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +94,8 @@ pub struct LloydRun {
 }
 
 /// Assignment-phase scratch, reused across iterations to avoid
-/// per-iteration allocation.
+/// per-iteration allocation. `bounds` is `Some` only on runs at or above
+/// [`BOUND_GATE`]; the others allocate nothing for it.
 struct Scratch {
     assignments: Vec<u32>,
     /// Squared distance of each point to its assigned centroid.
@@ -67,16 +107,73 @@ struct Scratch {
     /// Screened-distance buffer for the fused kernel (one padded row per
     /// point of a block), unused by the scalar paths.
     screen: Vec<f64>,
+    /// Per-point bounds of a bounded run.
+    bounds: Option<Bounds>,
 }
 
 impl Scratch {
-    fn new(n: usize, k: usize, dim: usize) -> Self {
+    fn new(n: usize, k: usize, dim: usize, bounded: bool) -> Self {
         Self {
             assignments: vec![0; n],
             d2: vec![0.0; n],
             sums: vec![0.0; k * dim],
             weights: vec![0.0; k],
             screen: Vec::new(),
+            bounds: bounded.then(|| Bounds::new(n, k, dim)),
+        }
+    }
+}
+
+/// The bounds of one run (see the module docs).
+struct Bounds {
+    /// Per point: a lower bound on its true distance to every centroid
+    /// other than its own. Empty until the first assignment fills it.
+    lower: Vec<f64>,
+    /// The centroid table before the latest update.
+    prev: Vec<f64>,
+    /// Per cluster `j`: an upper bound on how far any centroid other than
+    /// `j` moved in the latest update.
+    far: Vec<f64>,
+    /// Points the bounds left undecided, in ascending order.
+    todo: Vec<usize>,
+    /// `η` of [`screen_slack`] at the run's `dim`.
+    slack: f64,
+    /// Point-assignments the bounds decided without the screen.
+    pruned: u64,
+}
+
+impl Bounds {
+    fn new(n: usize, k: usize, dim: usize) -> Self {
+        Self {
+            lower: Vec::with_capacity(n),
+            prev: vec![0.0; k * dim],
+            far: vec![0.0; k],
+            todo: Vec::with_capacity(n),
+            slack: screen_slack(dim),
+            pruned: 0,
+        }
+    }
+
+    /// Records how far each centroid moved from `prev` to `now`. A drift is
+    /// `√sq_dist · (1 + η) + BOUND_FLOOR`, at least the true distance; a
+    /// non-finite one sets every `far` to `+inf`, which fails every test.
+    fn note_drift(&mut self, now: &[f64], dim: usize) {
+        let grow = 1.0 + self.slack;
+        let (mut top, mut second, mut arg) = (0.0f64, 0.0f64, usize::MAX);
+        for (j, (new, old)) in now.chunks_exact(dim).zip(self.prev.chunks_exact(dim)).enumerate() {
+            let drift = sq_dist(new, old).sqrt() * grow + BOUND_FLOOR;
+            if !drift.is_finite() {
+                self.far.fill(f64::INFINITY);
+                return;
+            }
+            if drift > top {
+                (second, top, arg) = (top, drift, j);
+            } else if drift > second {
+                second = drift;
+            }
+        }
+        for (j, far) in self.far.iter_mut().enumerate() {
+            *far = if j == arg { second } else { top };
         }
     }
 }
@@ -125,7 +222,9 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
 
     let kernel = cfg.resolved_kernel();
     let mut centroids = init.clone();
-    let mut scratch = Scratch::new(n, k, dim);
+    // One centroid has no runner-up to bound.
+    let bounded = kernel == KernelKind::Fused && k > 1 && n >= BOUND_GATE * k;
+    let mut scratch = Scratch::new(n, k, dim, bounded);
     // Fused-kernel tallies are two integer bumps per point — cheap enough
     // to keep unconditionally without forking the code path.
     let mut kernel_stats = KernelStats::default();
@@ -152,7 +251,14 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
         // clusters re-seeded from the points farthest from their centroid.
         reseeds += {
             let _phase = rec.and_then(|r| r.phase("update"));
-            recompute_means(src, &mut centroids, &mut scratch)
+            if let Some(b) = &mut scratch.bounds {
+                b.prev.copy_from_slice(centroids.as_flat());
+            }
+            let reseeded = recompute_means(src, &mut centroids, &mut scratch);
+            if let Some(b) = &mut scratch.bounds {
+                b.note_drift(centroids.as_flat(), dim);
+            }
+            reseeded
         };
         let mse = {
             let _phase = rec.and_then(|r| r.phase("assign"));
@@ -195,16 +301,18 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
             rec.registry().counter("kernel_fused_points_total").add(kernel_stats.points);
             rec.registry().counter("kernel_fused_rescued_total").add(kernel_stats.rescued);
         }
-        rec.event(
-            "lloyd.kernel",
-            &[
-                ("kind", kernel.label().into()),
-                ("points", kernel_stats.points.into()),
-                ("rescued", kernel_stats.rescued.into()),
-                ("rescues_per_point", kernel_stats.rescues_per_point().into()),
-                ("reseeds", reseeds.into()),
-            ],
-        );
+        let pruned = scratch.bounds.as_ref().map(|b| b.pruned);
+        let fields = [
+            ("kind", kernel.label().into()),
+            ("points", kernel_stats.points.into()),
+            ("rescued", kernel_stats.rescued.into()),
+            ("rescues_per_point", kernel_stats.rescues_per_point().into()),
+            ("reseeds", reseeds.into()),
+            ("pruned", pruned.unwrap_or(0).into()),
+        ];
+        // Only bounded runs carry `pruned`, so the others' events keep
+        // their bytes.
+        rec.event("lloyd.kernel", if pruned.is_some() { &fields } else { &fields[..5] });
     }
 
     let sse = final_mse * total_weight;
@@ -250,9 +358,12 @@ fn assign<S: PointSource + ?Sized>(
         let layout = FusedLayout::new(cents, dim);
         // Allocates on a run's first call only: k is fixed for the run.
         scratch.screen.resize(BLOCK * layout.scratch_len(), 0.0);
+        if scratch.bounds.is_some() {
+            return assign_bounded(src, &layout, cents, scratch, kernel_stats);
+        }
         scratch.sums.fill(0.0);
         scratch.weights.fill(0.0);
-        let Scratch { assignments, d2, sums, weights, screen } = scratch;
+        let Scratch { assignments, d2, sums, weights, screen, .. } = scratch;
         let mut wsse = 0.0;
         let mut accumulate = |i: usize, x: &[f64], (j, dist2): (usize, f64)| {
             assignments[i] = j as u32;
@@ -285,21 +396,98 @@ fn assign<S: PointSource + ?Sized>(
         *a = j as u32;
         *d = d2;
     }
+    accumulate(src, scratch)
+}
 
-    scratch.sums.fill(0.0);
-    scratch.weights.fill(0.0);
+/// Per-cluster sums and weights of `scratch`'s assignments, accumulated in
+/// point order, and the weighted SSE of its distances.
+fn accumulate<S: PointSource + ?Sized>(src: &S, scratch: &mut Scratch) -> f64 {
+    let dim = src.dim();
+    let Scratch { assignments, d2, sums, weights, .. } = scratch;
+    sums.fill(0.0);
+    weights.fill(0.0);
     let mut wsse = 0.0;
-    for i in 0..n {
-        let j = scratch.assignments[i] as usize;
+    for (i, (&j, &dist2)) in assignments.iter().zip(d2.iter()).enumerate() {
+        let j = j as usize;
         let w = src.weight(i);
-        let sum = &mut scratch.sums[j * dim..(j + 1) * dim];
-        for (s, c) in sum.iter_mut().zip(src.coords(i)) {
+        for (s, c) in sums[j * dim..(j + 1) * dim].iter_mut().zip(src.coords(i)) {
             *s += w * c;
         }
-        scratch.weights[j] += w;
-        wsse += w * scratch.d2[i];
+        weights[j] += w;
+        wsse += w * dist2;
     }
     wsse
+}
+
+/// [`assign`] on a bounded run, in two passes. The first decides every
+/// point: on the run's first call all of them go to the screen; later a
+/// point whose bound holds keeps its centroid, and the rest are screened in
+/// blocks of four from a gathered index list, each with its new floor. The
+/// second accumulates sums, weights and SSE in point order, from the same
+/// `d²` the screen's rescue returns, so the result is the unbounded path's
+/// to the bit.
+fn assign_bounded<S: PointSource + ?Sized>(
+    src: &S,
+    layout: &FusedLayout,
+    cents: &[f64],
+    scratch: &mut Scratch,
+    kernel_stats: &mut KernelStats,
+) -> f64 {
+    const BLOCK: usize = FusedLayout::BLOCK;
+    // `l − far` rounded down: with round-to-nearest the product of the
+    // rounded difference and `1 − ε` never exceeds the exact difference.
+    const SHRINK: f64 = 1.0 - f64::EPSILON;
+    let dim = src.dim();
+    let n = src.len();
+    let Scratch { assignments, d2, screen, bounds, .. } = scratch;
+    let b = bounds.as_mut().expect("assign_bounded runs with bounds");
+
+    b.todo.clear();
+    if b.lower.is_empty() {
+        b.lower.resize(n, 0.0);
+        b.todo.extend(0..n);
+    } else {
+        let grow = 1.0 + b.slack;
+        for (i, ((&a, d2), lower)) in
+            assignments.iter().zip(d2.iter_mut()).zip(b.lower.iter_mut()).enumerate()
+        {
+            let a = a as usize;
+            let d = sq_dist(src.coords(i), &cents[a * dim..(a + 1) * dim]);
+            let l = (*lower - b.far[a]) * SHRINK;
+            *d2 = d;
+            *lower = l;
+            // Written so NaN fails it too.
+            if !(l > BOUND_FLOOR && d * grow < l * l) {
+                b.todo.push(i);
+            }
+        }
+    }
+    // A kept point is tallied as assigned with one exact distance, its
+    // own: what the screen's rescue computes for a point alone in its
+    // window.
+    let kept = (n - b.todo.len()) as u64;
+    b.pruned += kept;
+    kernel_stats.points += kept;
+    kernel_stats.rescued += kept;
+
+    let mut settle = |i: usize, (j, dist2): (usize, f64), floor: f64| {
+        assignments[i] = j as u32;
+        d2[i] = dist2;
+        b.lower[i] = floor.sqrt();
+    };
+    let mut blocks = b.todo.chunks_exact(BLOCK);
+    for idx in &mut blocks {
+        let xs: [&[f64]; BLOCK] = std::array::from_fn(|p| src.coords(idx[p]));
+        let (hits, floors) = layout.nearest_block_floored(xs, screen, kernel_stats);
+        for p in 0..BLOCK {
+            settle(idx[p], hits[p], floors[p]);
+        }
+    }
+    for &i in blocks.remainder() {
+        let (hit, floor) = layout.nearest_floored(src.coords(i), screen, kernel_stats);
+        settle(i, hit, floor);
+    }
+    accumulate(src, scratch)
 }
 
 /// Centroid recalculation from the accumulated sums. Clusters that received
@@ -596,15 +784,20 @@ mod tests {
         )
     }
 
-    // All four digests were recorded on the commit *before* the assignment
-    // kernel went to four points per sweep and a one-mask rescue window
-    // (ee18bf5: this test, printing instead of asserting, dropped into a
-    // `git archive` export of that tree; debug and release printed the same
-    // words). `sse_ratio_vs_serial` says one cell's final centroids did not
-    // move; this says no centroid bit, no assignment and no iteration count
-    // of any restart did, on a `planet_classic` chunk (2,500 x 6), a
-    // small-cell chunk (125 x 6), a chunk with a three-point tail behind
-    // its blocks, and the merge's weighted Lloyd over 400 centroids.
+    // The first four digests were recorded on the commit *before* the
+    // assignment kernel went to four points per sweep and a one-mask rescue
+    // window (ee18bf5: this test, printing instead of asserting, dropped
+    // into a `git archive` export of that tree; debug and release printed
+    // the same words). `sse_ratio_vs_serial` says one cell's final
+    // centroids did not move; this says no centroid bit, no assignment and
+    // no iteration count of any restart did, on a `planet_classic` chunk
+    // (2,500 x 6), a small-cell chunk (125 x 6), a chunk with a three-point
+    // tail behind its blocks, and the merge's weighted Lloyd over 400
+    // centroids. The last two were recorded the same way on f3a8e7c, the
+    // commit before Lloyd kept per-point bounds: a 20,000-point run, long
+    // enough for the bounds to decide most assignments, and a weighted
+    // Lloyd over 1,500 points (more than 16 per centroid, as in a coreset
+    // query).
     #[test]
     fn lloyd_bits_are_pinned() {
         assert_eq!(kmeans_digest(2_500, 42), 0x3153_ad8e_b63f_2a3c, "2,500 x 6, k = 40");
@@ -628,6 +821,25 @@ mod tests {
                 .chain([out.mse.to_bits(), out.epm.to_bits(), out.iterations as u64]),
         );
         assert_eq!(digest, 0x1c56_a119_bbb9_06a6, "merge_collective over 400 weighted points");
+
+        // A long run, and one union of 1,500 weighted points as a coreset
+        // query sees it.
+        assert_eq!(kmeans_digest(20_000, 46), 0x6bb5_2448_6a0a_f4e4, "20,000 x 6, k = 40");
+        let mut union = WeightedSet::new(6).unwrap();
+        for (i, row) in wide_chunk(200, 1_500).as_flat().chunks_exact(6).enumerate() {
+            union.push(row, 1.0 + ((i as u64 * 53) % 97) as f64).unwrap();
+        }
+        let out = crate::merge_collective(
+            std::slice::from_ref(&union),
+            &crate::KMeansConfig::paper(40, 47),
+            1,
+        )
+        .unwrap();
+        let digest = fnv_words(
+            (out.centroids.as_flat().iter().chain(&out.cluster_weights).map(|v| v.to_bits()))
+                .chain([out.mse.to_bits(), out.epm.to_bits(), out.iterations as u64]),
+        );
+        assert_eq!(digest, 0x9362_8611_d50f_f50e, "merge_collective over one union of 1,500");
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! assignments identical and the MSE within 1e-9 relative of the scalar
 //! path.
 //!
+//! A Lloyd run with at least `BOUND_GATE` points per centroid keeps
+//! per-point bounds and screens only the points they leave undecided; the
+//! bounded-path oracle drives such runs on clustered data full of exact
+//! duplicates, mirrored ties and empty clusters, on both sides of the gate,
+//! and holds every word of the run to the scalar path's.
+//!
 //! The coreset builder is the kernel's second caller: `chunk_coreset` finds
 //! every point's nearest of up to `size` sampled representatives through
 //! one [`FusedLayout`]. The scalar double loop it replaced is kept as
@@ -26,13 +32,16 @@ mod common;
 
 use common::{assert_coreset_matches_oracle, chunk_coreset_scalar, set_bits};
 use pmkm_core::kernel::FusedLayout;
+use pmkm_core::lloyd::{LloydRun, BOUND_GATE};
 use pmkm_core::point::nearest_centroid;
 use pmkm_core::prelude::*;
 use pmkm_core::seeding::{rng_for, seed_centroids};
 use pmkm_core::{chunk_coreset, lloyd, KernelStats};
+use pmkm_obs::{FieldValue, Recorder, RingBufferSink};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Flat centroid buffer with optional duplicates: with `dup_from` supplied,
 /// roughly half the centroids are copies of earlier ones, so ties between
@@ -305,6 +314,101 @@ proptest! {
         let scalar = chunk_coreset_scalar(src, size, &mut rng_for(seed, 0xC0)).unwrap();
         prop_assert!(fused.len() <= size.min(n));
         prop_assert_eq!(set_bits(&fused), set_bits(&scalar));
+    }
+}
+
+/// Every output word of a Lloyd run, as bits.
+type RunBits = (Vec<u32>, Vec<u64>, Vec<u64>, Vec<u64>, usize, usize, u64);
+
+fn run_bits(run: &LloydRun) -> RunBits {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (
+        run.assignments.clone(),
+        bits(run.centroids.as_flat()),
+        bits(&run.cluster_weights),
+        bits(&run.mse_trajectory),
+        run.iterations,
+        run.reseeds,
+        run.sse.to_bits(),
+    )
+}
+
+/// `n` points around `blobs` tight blobs: about one in eight an exact copy
+/// of an earlier point and one in eight the mirror image of one through
+/// the origin (the blob centres are mirrored too, so mirrored points tie
+/// exactly between mirrored centroids). `lattice` snaps every coordinate
+/// to a multiple of 0.5, which makes exact ties common.
+fn blob_rows(n: usize, dim: usize, blobs: usize, lattice: bool, seed: u64) -> Vec<f64> {
+    let mut rng = rng_for(seed, 0xB0B5);
+    let centres: Vec<f64> = (0..blobs * dim).map(|_| rng.gen_range(-100.0..100.0)).collect();
+    let mut flat: Vec<f64> = Vec::with_capacity(n * dim);
+    for i in 0..n {
+        let roll = rng.gen_range(0..8u32);
+        let row: Vec<f64> = if i > 0 && roll == 0 {
+            let from = rng.gen_range(0..i);
+            flat[from * dim..(from + 1) * dim].to_vec()
+        } else if i > 0 && roll == 1 {
+            let from = rng.gen_range(0..i);
+            flat[from * dim..(from + 1) * dim].iter().map(|v| -v).collect()
+        } else {
+            let b = rng.gen_range(0..blobs);
+            let sign = if rng.gen_range(0..2u32) == 0 { 1.0 } else { -1.0 };
+            (0..dim).map(|d| sign * centres[b * dim + d] + rng.gen_range(-0.5..0.5)).collect()
+        };
+        flat.extend(row.into_iter().map(|v| if lattice { (v * 2.0).round() / 2.0 } else { v }));
+    }
+    flat
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The bounded-path oracle. `ratio` puts n = ratio·k + tail on both
+    // sides of `BOUND_GATE`; `collapse` seeds every centroid from the
+    // first few points, so most start as duplicates and the run must
+    // re-seed empty clusters; `weighted` runs the merge's weighted Lloyd.
+    // The fused run must equal the scalar run in every word, and carry a
+    // `pruned` tally exactly when it took the bounded path.
+    #[test]
+    fn bounded_lloyd_matches_scalar_lloyd(
+        (dim, k, blobs) in (1usize..7, 2usize..=64, 1usize..6),
+        (ratio, tail) in (1usize..=3 * BOUND_GATE, 0usize..4),
+        (lattice, weighted, collapse) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        weights_raw in proptest::collection::vec(0.5..20.0f64, 61),
+        seed in any::<u64>(),
+    ) {
+        let n = ratio * k + tail;
+        let flat = blob_rows(n, dim, blobs, lattice, seed);
+        let ds = Dataset::from_flat(dim, flat.clone()).unwrap();
+        let mut ws = WeightedSet::new(dim).unwrap();
+        for (i, row) in flat.chunks_exact(dim).enumerate() {
+            ws.push(row, weights_raw[i % weights_raw.len()]).unwrap();
+        }
+        let src: &dyn PointSource = if weighted { &ws } else { &ds };
+        let init = if collapse {
+            let few = 1 + k / 8;
+            let rows: Vec<f64> = (0..k).flat_map(|j| src.coords(j % few).to_vec()).collect();
+            Centroids::from_flat(dim, rows).unwrap()
+        } else {
+            seed_centroids(src, k, SeedMode::RandomPoints, &mut rng_for(seed, 17)).unwrap()
+        };
+
+        let scalar_cfg = LloydConfig { kernel: KernelKind::Scalar, ..LloydConfig::default() };
+        let fused_cfg = LloydConfig { kernel: KernelKind::Fused, ..LloydConfig::default() };
+        let s = lloyd::lloyd(src, &init, &scalar_cfg).unwrap();
+        let ring = Arc::new(RingBufferSink::new(1024));
+        let rec = Recorder::new().with_sink(ring.clone());
+        let f = lloyd::lloyd_observed(src, &init, &fused_cfg, Some(&rec)).unwrap();
+        prop_assert_eq!(run_bits(&f), run_bits(&s), "n = {}, k = {}, dim = {}", n, k, dim);
+
+        let events = ring.events();
+        let kernel = events.iter().find(|e| e.name == "lloyd.kernel").unwrap();
+        let pruned = kernel.fields.iter().find(|(key, _)| key == "pruned");
+        prop_assert_eq!(pruned.is_some(), n >= BOUND_GATE * k, "pruned only on bounded runs");
+        if let Some((_, FieldValue::U64(pruned))) = pruned {
+            let points = (n * (f.iterations + 1)) as u64;
+            prop_assert!(*pruned <= points - n as u64, "the first assignment screens every point");
+        }
     }
 }
 

@@ -233,3 +233,44 @@ fn chunk_coreset_survives_overflowing_distances() {
     assert!((2..=10).contains(&got.len()), "{} representatives", got.len());
     assert_eq!(got.total_weight(), ds.total_weight(), "mass is conserved");
 }
+
+/// A bounded Lloyd run (64 points, k = 4: 16 per centroid) on coordinates
+/// in the 1e150–1e154 band: four blobs near 1e150 and four outliers near
+/// 1e154. Against the seeds, the outliers' norms pass the kernel's
+/// expansion limit, so they take the exact scan inside the run (floor 0)
+/// while the blobs are screened; once a centroid follows an outlier the
+/// whole table does, and some squared distances overflow to +inf, which
+/// must fail every bound test. The fused run must equal the scalar run in
+/// every word.
+#[test]
+fn bounded_lloyd_survives_overflowing_magnitudes() {
+    let mut ds = Dataset::new(2).unwrap();
+    for i in 0..64u32 {
+        let t = f64::from(i);
+        let (sx, sy) = if i % 4 == 0 { (1.0, 1.0) } else { (-1.0, 1.0) };
+        let row = if i % 16 == 15 {
+            [sx * 1e154 * (1.0 + t / 100.0), -sy * 5e153]
+        } else {
+            let blob = f64::from(i % 3);
+            [sx * 1e150 * (3.0 + blob + (t * 0.61) % 1.0), sy * 1e151 * (blob - (t * 0.37) % 1.0)]
+        };
+        ds.push(&row).unwrap();
+    }
+    assert!(ds.len() >= pmkm_core::lloyd::BOUND_GATE * 4, "the run takes the bounded path");
+    let init = Centroids::from_flat(2, ds.as_flat()[..8].to_vec()).unwrap();
+    let run = |kernel| {
+        pmkm_core::lloyd(&ds, &init, &LloydConfig { kernel, ..LloydConfig::default() }).unwrap()
+    };
+    let (f, s) = (run(KernelKind::Fused), run(KernelKind::Scalar));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(f.assignments, s.assignments);
+    assert_eq!(bits(f.centroids.as_flat()), bits(s.centroids.as_flat()));
+    assert_eq!(bits(&f.cluster_weights), bits(&s.cluster_weights));
+    assert_eq!(bits(&f.mse_trajectory), bits(&s.mse_trajectory));
+    assert_eq!((f.iterations, f.reseeds), (s.iterations, s.reseeds));
+    // Against the seeds the band reaches both sides of the limit.
+    let norm2 = |v: &[f64]| v.iter().map(|c| c * c).sum::<f64>();
+    let max_c = init.as_flat().chunks_exact(2).map(norm2).fold(0.0, f64::max);
+    let exact = (0..ds.len()).filter(|&i| norm2(ds.coords(i)) + max_c >= f64::MAX / 4.0).count();
+    assert_eq!(exact, 4, "the four outliers take the exact scan against the seeds");
+}

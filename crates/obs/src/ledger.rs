@@ -420,6 +420,10 @@ pub struct KernelRollup {
     pub runs: u64,
     /// Point-assignments executed by this kernel.
     pub points: u64,
+    /// Of those, the ones a bounded Lloyd run decided without the screen
+    /// (the event's `pruned` field; runs without it count 0).
+    #[serde(default)]
+    pub pruned: u64,
 }
 
 /// One checkpoint write, folded from `cell.checkpoint` records of an
@@ -737,13 +741,12 @@ pub fn rollup(records: &[LedgerRecord]) -> LedgerRollup {
             "watchdog.straggler" => out.watchdog_stragglers += 1,
             "lloyd.kernel" => {
                 let kind = r.str_field("kind").unwrap_or("unknown").to_string();
-                let entry = kernels.entry(kind.clone()).or_insert_with(|| KernelRollup {
-                    kind,
-                    runs: 0,
-                    points: 0,
-                });
+                let entry = kernels
+                    .entry(kind.clone())
+                    .or_insert_with(|| KernelRollup { kind, ..KernelRollup::default() });
                 entry.runs += 1;
                 entry.points += r.u64_field("points").unwrap_or(0);
+                entry.pruned += r.u64_field("pruned").unwrap_or(0);
             }
             "coreset.build" => {
                 out.coreset.builds += 1;
@@ -1376,6 +1379,7 @@ mod tests {
                 fields: vec![
                     ("kind".into(), FieldValue::Str("fused".into())),
                     ("points".into(), FieldValue::U64(500)),
+                    ("pruned".into(), FieldValue::U64(300)),
                 ],
             },
             LedgerRecord {
@@ -1390,6 +1394,8 @@ mod tests {
         assert_eq!(up.kernels.len(), 1);
         assert_eq!(up.kernels[0].runs, 2);
         assert_eq!(up.kernels[0].points, 1500);
+        // Only bounded runs carry `pruned`; the other reads as 0.
+        assert_eq!(up.kernels[0].pruned, 300);
     }
 
     fn phases(rows: &[(&str, u64)]) -> Vec<PhaseReport> {
@@ -1438,10 +1444,10 @@ mod tests {
     #[test]
     fn diff_reports_fault_and_kernel_changes() {
         let mut a = RunProfile { label: "a".into(), elapsed_us: 100, ..RunProfile::default() };
-        a.kernels = vec![KernelRollup { kind: "fused".into(), runs: 4, points: 100 }];
+        a.kernels = vec![KernelRollup { kind: "fused".into(), runs: 4, points: 100, pruned: 0 }];
         let mut b = RunProfile { label: "b".into(), elapsed_us: 104, ..RunProfile::default() };
         b.faults.worker_panics = 2;
-        b.kernels = vec![KernelRollup { kind: "scalar".into(), runs: 4, points: 100 }];
+        b.kernels = vec![KernelRollup { kind: "scalar".into(), runs: 4, points: 100, pruned: 0 }];
         let diff = diff_profiles(&a, &b, 0.10);
         assert!(!diff.regression);
         assert_eq!(diff.fault_deltas.len(), 1);
