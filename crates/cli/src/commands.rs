@@ -152,9 +152,10 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "cluster", operands: "<bucket files…>", arity: (1, MANY), run: cluster,
         about: "Cluster each bucket with partial/merge k-means on the stream engine.\n\
                 Prints a line per cell and the operator telemetry. --backend applies to\n\
-                GB02 containers; GB01 buckets always use the buffered reader. With\n\
-                --coreset, live memory stays bounded by levels x SIZE regardless of\n\
-                stream length.",
+                GB02 containers; GB01 buckets always use the buffered reader. At any\n\
+                --workers, at most workers + 2 chunks of --memory bytes are in flight\n\
+                (one per partial clone, one queued, one being built); with --coreset,\n\
+                the tail's tree adds levels x SIZE, regardless of stream length.",
         flags: &[KMEANS, SEED, PLAN, OBSERVE, &[
             Flag::computed("workers", "N", "partial clones per cell, one per core (0: detect)"),
             Flag::value("kernel", "KIND", "auto", "assignment kernel: auto, scalar, fused"),

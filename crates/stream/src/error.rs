@@ -9,12 +9,12 @@ pub enum EngineError {
     Core(pmkm_core::Error),
     /// Reading input data failed.
     Data(pmkm_data::DataError),
-    /// A downstream operator hung up before the stream finished — the
-    /// pipeline is broken (usually a panicked operator).
+    /// Every consumer of a stream edge hung up before the stream finished
+    /// — the pipeline is broken (every partial worker failed).
     Disconnected(&'static str),
     /// Invalid plan or resource specification.
     InvalidPlan(String),
-    /// An operator thread panicked.
+    /// An operator step panicked.
     OperatorPanic(String),
     /// A chunk carried non-finite coordinates and the fault policy does
     /// not allow quarantining it.

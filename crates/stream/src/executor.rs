@@ -1,27 +1,24 @@
-//! The pipelined executor: one thread per physical operator instance,
-//! bounded smart queues between them, end-of-stream propagated by producer
-//! hang-up (§3: "all data stream operators process data in a pipelined
-//! fashion"). A plan with one bucket and one partial clone has nothing to
-//! pipeline, so the same operator steps run inline on the calling thread —
-//! the per-operator cost the paper blames for Conquest's slowdown on tiny
-//! cells is then a few function calls.
+//! The executor: one driver chains the operator steps on the calling
+//! thread, and only the partial k-means is cloned (§3.4), onto a pool of
+//! worker threads fed one chunk at a time, so the chunks in flight are
+//! bounded by the clone count, not by the cell (§3.2). A plan with one
+//! bucket and one clone has no pool: the per-operator cost the paper blames
+//! for Conquest's slowdown on tiny cells is then a few function calls.
 
 use crate::error::{EngineError, Result};
 use crate::fault::{FaultContext, FaultPlan};
-use crate::item::{CellClustering, ChunkMsg, MergeMsg, ScanMsg};
+use crate::item::{CellClustering, ChunkMsg, MergeMsg};
 use crate::ops::{ChunkerOp, PartialKMeansOp, ScanOp, TailOp};
 use crate::plan::{CoresetSpec, PhysicalPlan};
-use crate::queue::{QueueProducer, QueueStats, SmartQueue};
+use crate::queue::{QueueConsumer, QueueProducer, QueueStats, SmartQueue};
 use crate::telemetry::{OpMeter, OpStats};
 use pmkm_obs::{CellReport, CoresetReport, FaultReport, Recorder, RunReport};
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
-
-/// Capacity of every inter-operator queue of the threaded driver.
-const QUEUE_CAPACITY: usize = 64;
 
 /// Points per scan batch.
 const SCAN_BATCH: usize = 4096;
@@ -33,8 +30,8 @@ pub struct EngineReport {
     pub cells: Vec<CellClustering>,
     /// Telemetry of every operator instance.
     pub op_stats: Vec<OpStats>,
-    /// Telemetry of every queue; empty when the pipeline ran inline, which
-    /// has none.
+    /// Telemetry of the partial pool's two queues; empty when the plan ran
+    /// without a pool.
     pub queue_stats: Vec<QueueStats>,
     /// End-to-end wall time.
     pub elapsed: Duration,
@@ -126,7 +123,7 @@ pub fn cell_report(c: &CellClustering) -> CellReport {
 ///
 /// The dataflow is scan → chunker → `partial_clones` × partial k-means →
 /// tail (the merge, or in coreset mode the merge-reduce tree), with the
-/// final results drained on the calling thread. Operator panics and errors
+/// final results collected on the calling thread. Operator panics and errors
 /// abort the run and surface as [`EngineError`].
 pub fn execute(plan: &PhysicalPlan) -> Result<EngineReport> {
     execute_with_faults(plan, None, None)
@@ -150,7 +147,6 @@ pub fn execute_with_faults(
             &[
                 ("cells", plan.logical.inputs.len().into()),
                 ("partial_clones", plan.partial_clones.into()),
-                ("scan_clones", plan.scan_clones.into()),
             ],
         );
     }
@@ -181,12 +177,10 @@ pub fn execute_with_faults(
 /// caller's copy of it with a status probe attached. `ctx` carries the
 /// run's fault counters, so one context is one report.
 ///
-/// A plan with one bucket and one partial clone has nothing to run in
-/// parallel, so it runs inline on the calling thread ([`run_inline`]);
-/// any other plan gets one thread per operator instance
-/// ([`run_threaded`]) — with several buckets, even at one clone, the
-/// next bucket's scan then overlaps this one's clustering (DESIGN.md
-/// §12 has the numbers). Both drive the same operator steps.
+/// A plan with one bucket and one partial clone runs every step on the
+/// calling thread. Any other plan gets a [`Pool`] for its partial step, so
+/// even at one clone the caller scans the next chunk while the pool
+/// clusters this one (DESIGN.md §12 has the numbers).
 pub(crate) fn run_pipeline(
     plan: &PhysicalPlan,
     inputs: &[PathBuf],
@@ -195,11 +189,8 @@ pub(crate) fn run_pipeline(
 ) -> Result<EngineReport> {
     let started = Instant::now();
     let (mut cells, op_stats, queue_stats) = match inputs {
-        [_] if plan.partial_clones == 1 => {
-            let (cells, op_stats) = run_inline(plan, inputs, coreset, ctx)?;
-            (cells, op_stats, Vec::new())
-        }
-        _ => run_threaded(plan, inputs, coreset, ctx)?,
+        [_] if plan.partial_clones == 1 => run_cell(plan, inputs, coreset, ctx, None)?,
+        _ => std::thread::scope(|s| run_cell(plan, inputs, coreset, ctx, Some(s)))?,
     };
     cells.sort_by_key(|c| c.cell.index());
     let faults = ctx.counters.snapshot();
@@ -208,15 +199,22 @@ pub(crate) fn run_pipeline(
     Ok(EngineReport { cells, op_stats, queue_stats, elapsed: started.elapsed(), faults, degraded })
 }
 
-/// The inline driver's stages, in dataflow order.
+/// The driver's stages, in dataflow order.
 const SCAN: usize = 0;
 const CHUNKER: usize = 1;
 const PARTIAL: usize = 2;
 const TAIL: usize = 3;
 
-/// Runs the inline driver's steps and remembers where a failure began.
+/// Runs one step of operator `op`, turning a panic into
+/// [`EngineError::OperatorPanic`] naming it.
+fn caught<T>(op: &str, step: impl FnOnce() -> Result<T>) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(step))
+        .unwrap_or_else(|_| Err(EngineError::OperatorPanic(op.to_string())))
+}
+
+/// Runs the calling thread's steps and remembers where a failure began.
 struct Steps {
-    /// Operator name of each stage, as the threaded join reports it.
+    /// Operator name of each stage.
     names: [&'static str; 4],
     /// The deepest stage whose step failed. A failure unwinds through
     /// every stage upstream of it, so this is the stage it started in.
@@ -224,39 +222,54 @@ struct Steps {
 }
 
 impl Steps {
-    /// Runs one step of `stage`, turning a panic into the error the
-    /// threaded driver's join reports for that operator's thread.
+    /// Runs one step of `stage`.
     fn run<T>(&self, stage: usize, step: impl FnOnce() -> Result<T>) -> Result<T> {
-        let out = catch_unwind(AssertUnwindSafe(step))
-            .unwrap_or_else(|_| Err(EngineError::OperatorPanic(self.names[stage].to_string())));
-        if out.is_err() {
-            self.failed.set(self.failed.get().max(stage));
-        }
-        out
+        caught(self.names[stage], step)
+            .inspect_err(|_| self.failed.set(self.failed.get().max(stage)))
+    }
+
+    /// Did every failure so far start upstream of `stage`?
+    fn live(&self, stage: usize) -> bool {
+        self.failed.get() < stage
     }
 }
 
-/// The inline driver: every scan message runs through the chunker, the
-/// partial step and the tail on the calling thread before the next is
-/// read, so at most one chunk is in flight and no thread, queue or
-/// hand-off exists. Answers, fault handling, events and phase paths are
-/// the threaded driver's; there are simply no queues to report.
+/// Where the partial step runs: on the calling thread, or on a pool.
+enum Partial<'scope> {
+    Inline(PartialKMeansOp),
+    Pool(Pool<'scope>),
+}
+
+/// The driver. Every scan message runs through the chunker on the calling
+/// thread, each chunk through the partial step (inline, or pushed to the
+/// pool), and every summary and cell plan through the tail, again on the
+/// calling thread. Without a pool at most one chunk is in flight and no
+/// thread, queue or hand-off exists; with one, at most `clones + 2`.
 ///
-/// When a step fails, the stages downstream of it still finish — on the
-/// threaded driver their input queues would close and they would finish
-/// normally — so a failed run journals the same `op.finish` events and
-/// degraded-cell answers. The stages upstream stop at once.
-fn run_inline(
+/// When a step fails, the stages downstream of it still finish, as they
+/// would once their input ended, so a failed run journals the `op.finish`
+/// events and degraded-cell answers an ended input gives. The stages
+/// upstream stop at once, except the pool's workers: they finish the
+/// chunks they hold, and then the stream, whichever stage failed.
+fn run_cell<'scope>(
     plan: &PhysicalPlan,
     inputs: &[PathBuf],
     coreset: Option<&CoresetSpec>,
     ctx: &FaultContext,
-) -> Result<(Vec<CellClustering>, Vec<OpStats>)> {
+    pool: Option<&'scope Scope<'scope, '_>>,
+) -> Result<(Vec<CellClustering>, Vec<OpStats>, Vec<QueueStats>)> {
     let scan =
         ScanOp::new(inputs.to_vec(), SCAN_BATCH, ctx.clone()).with_backend(plan.scan_backend);
     let mut chunker = ChunkerOp::new(plan.chunk_policy, ctx.clone());
-    let mut partial = PartialKMeansOp::new(plan.logical.kmeans, 0, ctx.clone())
-        .with_coreset(coreset.map(|s| s.size));
+    let partial_op = |clone| {
+        PartialKMeansOp::new(plan.logical.kmeans, clone, ctx.clone())
+            .with_coreset(coreset.map(|s| s.size))
+    };
+    let clones = (0..plan.partial_clones).map(&partial_op);
+    let mut partial = match pool {
+        None => Partial::Inline(partial_op(0)),
+        Some(s) => Partial::Pool(Pool::start(s, clones.collect())),
+    };
     let mut tail = TailOp::new(&plan.logical, coreset.cloned(), ctx.clone());
     let steps = Steps {
         names: ["scan", "chunker", "partial-kmeans", tail.name()],
@@ -272,127 +285,120 @@ fn run_inline(
     let scanned = steps.run(SCAN, || {
         scan.drive(&mut |_, msg| {
             let cell_plan = steps.run(CHUNKER, || {
-                chunker.handle(msg, &mut |_, chunk| {
-                    let summary = steps.run(PARTIAL, || partial.handle(chunk))?;
-                    to_tail(summary)
+                chunker.handle(msg, &mut |_, chunk| match &mut partial {
+                    Partial::Inline(op) => to_tail(steps.run(PARTIAL, || op.handle(chunk))?),
+                    Partial::Pool(pool) => {
+                        pool.push(chunk, &mut |summary| to_tail(steps.run(PARTIAL, || summary)?))
+                    }
                 })
             })?;
             cell_plan.map_or(Ok(()), &mut to_tail)
         })
     });
-    let scan_stats = match scanned {
-        Ok(stats) => stats,
-        Err(e) => {
-            let failed = steps.failed.get();
-            if failed < CHUNKER {
-                chunker.finish();
-            }
-            if failed < PARTIAL {
-                partial.finish();
-            }
-            if failed < TAIL {
-                // The run fails with `e` whatever the tail answers.
-                let _ = steps.run(TAIL, || tail.finish(&mut to_sink));
-            }
-            return Err(e);
-        }
+
+    let (mut op_stats, mut first_err) = match scanned {
+        Ok(scan_stats) => (vec![scan_stats, chunker.finish()], None),
+        Err(e) => (Vec::new(), Some(e)),
     };
-    let tail_stats = steps.run(TAIL, || tail.finish(&mut to_sink))?;
-    Ok((cells, vec![scan_stats, chunker.finish(), partial.finish(), tail_stats]))
+    let mut queue_stats = Vec::new();
+    match partial {
+        Partial::Inline(op) if steps.live(PARTIAL) => op_stats.push(op.finish()),
+        Partial::Inline(_) => {}
+        Partial::Pool(pool) => {
+            queue_stats = pool.close(&mut op_stats, |summary| {
+                if steps.live(TAIL) {
+                    let fed = steps.run(PARTIAL, || summary).and_then(&mut to_tail);
+                    first_err = first_err.take().or(fed.err());
+                }
+            })
+        }
+    }
+    if steps.live(TAIL) {
+        match steps.run(TAIL, || tail.finish(&mut to_sink)) {
+            Ok(tail_stats) => op_stats.push(tail_stats),
+            Err(e) => first_err = first_err.or(Some(e)),
+        }
+    }
+    first_err.map_or(Ok((cells, op_stats, queue_stats)), Err)
 }
 
-/// The threaded driver: one thread per operator instance, bounded queues
-/// between them, end of stream propagated by producer hang-up.
-fn run_threaded(
-    plan: &PhysicalPlan,
-    inputs: &[PathBuf],
-    coreset: Option<&CoresetSpec>,
-    ctx: &FaultContext,
-) -> Result<(Vec<CellClustering>, Vec<OpStats>, Vec<QueueStats>)> {
-    let q_scan: SmartQueue<ScanMsg> = SmartQueue::new("scan→chunker", QUEUE_CAPACITY);
-    let q_chunks: SmartQueue<ChunkMsg> = SmartQueue::new("chunker→partial", QUEUE_CAPACITY);
-    let q_merge: SmartQueue<MergeMsg> = SmartQueue::new("partial→merge", QUEUE_CAPACITY);
-    let q_results: SmartQueue<CellClustering> = SmartQueue::new("merge→sink", QUEUE_CAPACITY);
+/// A chunk's summary from a pool worker, or the error that ended it.
+type Summary = Result<MergeMsg>;
 
-    // Deal input buckets round-robin over the scan clones.
-    let scan_clones = plan.scan_clones.min(inputs.len()).max(1);
-    let mut scan_inputs: Vec<Vec<PathBuf>> = vec![Vec::new(); scan_clones];
-    for (i, path) in inputs.iter().enumerate() {
-        scan_inputs[i % scan_clones].push(path.clone());
-    }
-    let scans: Vec<(ScanOp, QueueProducer<ScanMsg>)> = scan_inputs
-        .into_iter()
-        .map(|paths| {
-            let op = ScanOp::new(paths, SCAN_BATCH, ctx.clone()).with_backend(plan.scan_backend);
-            (op, q_scan.producer())
-        })
-        .collect();
-    let chunker = ChunkerOp::new(plan.chunk_policy, ctx.clone());
-    let chunker_io = (q_scan.consumer(), q_chunks.producer(), q_merge.producer());
-    let partials: Vec<_> = (0..plan.partial_clones)
-        .map(|i| {
-            let op = PartialKMeansOp::new(plan.logical.kmeans, i, ctx.clone())
-                .with_coreset(coreset.map(|s| s.size));
-            (op, q_chunks.consumer(), q_merge.producer())
-        })
-        .collect();
-    let tail = TailOp::new(&plan.logical, coreset.cloned(), ctx.clone());
-    let tail_io = (q_merge.consumer(), q_results.producer());
-    let results = q_results.consumer();
-    q_scan.seal();
-    q_chunks.seal();
-    q_merge.seal();
-    q_results.seal();
+/// The partial step's pool: one scoped thread per clone, fed by a chunk
+/// queue of capacity 1, answering on a summary queue the caller drains
+/// before every push. In flight are at most a chunk per worker, one queued
+/// and one being built: the `chunk × (clones + 2)` `cell_cost` books.
+struct Pool<'scope> {
+    chunks: SmartQueue<ChunkMsg>,
+    summaries: SmartQueue<Summary>,
+    to_workers: QueueProducer<ChunkMsg>,
+    from_workers: QueueConsumer<Summary>,
+    workers: Vec<ScopedJoinHandle<'scope, Option<OpStats>>>,
+}
 
-    let (cells, op_stats) = std::thread::scope(|s| -> Result<_> {
-        let mut handles = Vec::new();
-        for (scan, out) in scans {
-            handles.push(("scan", s.spawn(move || scan.run(out))));
-        }
-        let (input, chunks_out, plan_out) = chunker_io;
-        handles.push(("chunker", s.spawn(move || chunker.run(input, chunks_out, plan_out))));
-        for (p, input, out) in partials {
-            handles.push(("partial-kmeans", s.spawn(move || p.run(input, out))));
-        }
-        let (input, out) = tail_io;
-        handles.push((tail.name(), s.spawn(move || tail.run(input, out))));
-
-        // Sink: drain final results on this thread while the pipeline runs.
-        let mut cells = Vec::new();
-        while let Some(r) = results.recv() {
-            cells.push(r);
-        }
-
-        let mut op_stats = Vec::new();
-        let mut first_err: Option<EngineError> = None;
-        for (name, h) in handles {
-            match h.join() {
-                Ok(Ok(stats)) => op_stats.push(stats),
-                Ok(Err(e)) => {
-                    // Keep the root cause: a Disconnected error is the
-                    // *consequence* of another operator failing, so prefer
-                    // non-disconnection errors.
-                    match (&first_err, &e) {
-                        (None, _) => first_err = Some(e),
-                        (Some(EngineError::Disconnected(_)), e2)
-                            if !matches!(e2, EngineError::Disconnected(_)) =>
-                        {
-                            first_err = Some(e)
+impl<'scope> Pool<'scope> {
+    /// Starts one worker per clone. A failed step's error is a worker's last
+    /// summary, so it reaches the caller before the `Disconnected` it may
+    /// cause; a worker that ends the stream journals `op.finish`.
+    fn start(s: &'scope Scope<'scope, '_>, clones: Vec<PartialKMeansOp>) -> Self {
+        let chunks = SmartQueue::new("chunker→partial", 1);
+        // One push between two drains: the summaries that can wait are one
+        // per chunk in a worker, queued or pushed, so no send ever blocks.
+        let summaries = SmartQueue::new("partial→merge", clones.len() + 2);
+        let workers = clones
+            .into_iter()
+            .map(|mut op| {
+                let (input, output) = (chunks.consumer(), summaries.producer());
+                s.spawn(move || {
+                    while let Some(chunk) = op.meter.wait(|| input.recv()) {
+                        let summary = caught("partial-kmeans", || op.handle(chunk));
+                        let failed = summary.is_err();
+                        if output.send(summary).is_err() || failed {
+                            return None;
                         }
-                        _ => {}
                     }
-                }
-                Err(_) => first_err = Some(EngineError::OperatorPanic(name.to_string())),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok((cells, op_stats)),
-        }
-    })?;
+                    Some(op.finish())
+                })
+            })
+            .collect();
+        let (to_workers, from_workers) = (chunks.producer(), summaries.consumer());
+        chunks.seal();
+        summaries.seal();
+        Self { chunks, summaries, to_workers, from_workers, workers }
+    }
 
-    let queue_stats = vec![q_scan.stats(), q_chunks.stats(), q_merge.stats(), q_results.stats()];
-    Ok((cells, op_stats, queue_stats))
+    /// Hands the summaries already back to `emit`, then pushes `chunk`,
+    /// blocking while the queue holds one.
+    fn push(&self, chunk: ChunkMsg, emit: &mut impl FnMut(Summary) -> Result<()>) -> Result<()> {
+        self.drain(emit)?;
+        self.to_workers.send(chunk).or_else(|_| {
+            // Every worker has failed, and each sent its error first.
+            self.drain(emit)?;
+            Err(EngineError::Disconnected("chunker→partial"))
+        })
+    }
+
+    fn drain(&self, emit: &mut impl FnMut(Summary) -> Result<()>) -> Result<()> {
+        while let Some(summary) = self.from_workers.try_recv() {
+            emit(summary)?;
+        }
+        Ok(())
+    }
+
+    /// Ends the chunk stream, hands every summary still to come to `emit`,
+    /// and joins the workers, adding the telemetry of those that finished
+    /// to `op_stats`; returns the two queues'.
+    fn close(self, op_stats: &mut Vec<OpStats>, mut emit: impl FnMut(Summary)) -> Vec<QueueStats> {
+        drop(self.to_workers);
+        while let Some(summary) = self.from_workers.recv() {
+            emit(summary);
+        }
+        for worker in self.workers {
+            op_stats.extend(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        vec![self.chunks.stats(), self.summaries.stats()]
+    }
 }
 
 #[cfg(test)]
@@ -427,6 +433,21 @@ mod tests {
         d
     }
 
+    /// `execute_with_faults` on a thread of its own, failing the test
+    /// instead of hanging it when the run does not end within a minute.
+    fn within_a_minute(
+        plan: &PhysicalPlan,
+        rec: Option<Arc<Recorder>>,
+        faults: Option<FaultPlan>,
+    ) -> Result<EngineReport> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let plan = plan.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(execute_with_faults(&plan, rec, faults));
+        });
+        rx.recv_timeout(Duration::from_secs(60)).expect("the run hung")
+    }
+
     #[test]
     fn clusters_multiple_cells_end_to_end() {
         let dir = tmpdir("multi");
@@ -452,7 +473,7 @@ mod tests {
         }
         // Telemetry exists for every operator.
         assert_eq!(report.op_stats.iter().filter(|s| s.name == "partial-kmeans").count(), 3);
-        assert_eq!(report.queue_stats.len(), 4);
+        assert_eq!(report.queue_stats.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -493,12 +514,12 @@ mod tests {
             )
         };
         let inline = execute(&mk_plan(1)).unwrap();
-        let threaded = execute(&mk_plan(2)).unwrap();
-        assert_eq!(inline.cells[0].output.centroids, threaded.cells[0].output.centroids);
+        let pooled = execute(&mk_plan(2)).unwrap();
+        assert_eq!(inline.cells[0].output.centroids, pooled.cells[0].output.centroids);
         // No queues exist inline; every operator still reports one row, and
-        // folding the threaded clones gives the same item counts.
+        // folding the pooled clones gives the same item counts.
         assert!(inline.queue_stats.is_empty());
-        assert_eq!(threaded.queue_stats.len(), 4);
+        assert_eq!(pooled.queue_stats.len(), 2);
         let rows = |r: &EngineReport| {
             let mut rows: Vec<OpStats> = Vec::new();
             for s in &r.op_stats {
@@ -510,7 +531,7 @@ mod tests {
             rows.into_iter().map(|s| (s.name, s.items_in, s.items_out)).collect::<Vec<_>>()
         };
         assert_eq!(inline.op_stats.len(), 4);
-        assert_eq!(rows(&inline), rows(&threaded));
+        assert_eq!(rows(&inline), rows(&pooled));
         assert_eq!(rows(&inline)[3], ("merge".to_string(), 5 + 1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -551,41 +572,8 @@ mod tests {
     }
 
     #[test]
-    fn scan_clones_do_not_change_results() {
-        let dir = tmpdir("scanclones");
-        let paths = vec![
-            write_cell(&dir, 11, 200, 4),
-            write_cell(&dir, 12, 150, 4),
-            write_cell(&dir, 13, 120, 4),
-        ];
-        let mk = |scan_clones: usize| {
-            let mut plan = optimize_fixed_split(
-                LogicalPlan::new(
-                    paths.clone(),
-                    KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 6) },
-                ),
-                &Resources::fixed(1 << 20, 2),
-                60,
-            );
-            plan.scan_clones = scan_clones;
-            plan
-        };
-        let one = execute(&mk(1)).unwrap();
-        let three = execute(&mk(3)).unwrap();
-        assert_eq!(one.cells.len(), 3);
-        for (a, b) in one.cells.iter().zip(&three.cells) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.output.centroids, b.output.centroids);
-            assert_eq!(a.output.epm, b.output.epm);
-        }
-        // Telemetry reflects the clone count.
-        assert_eq!(three.op_stats.iter().filter(|s| s.name == "scan").count(), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn missing_bucket_aborts_with_data_error() {
-        // One worker runs the lone bucket inline, two run it threaded.
+        // One worker runs the lone bucket inline, two on a pool.
         for workers in [1, 2] {
             let logical = LogicalPlan::new(
                 vec![PathBuf::from("/nonexistent/cell.gb")],
@@ -618,7 +606,7 @@ mod tests {
                     && p.scan_fault(key, 1) == Some(ScanFault::Permanent)
             })
             .expect("some seed fails exactly batch 1");
-        // One worker runs inline, two threaded: either way the partial
+        // One worker runs inline, two on a pool: either way the partial
         // clones see their input end and journal `op.finish`, the scan
         // does not, and the run fails with the scan's error.
         for workers in [1, 2] {
@@ -676,9 +664,9 @@ mod tests {
                 )
             };
             let inline = execute(&mk_plan(1)).unwrap();
-            let threaded = execute(&mk_plan(2)).unwrap();
+            let pooled = execute(&mk_plan(2)).unwrap();
             assert!(inline.queue_stats.is_empty());
-            let (a, b) = (&inline.cells[0], &threaded.cells[0]);
+            let (a, b) = (&inline.cells[0], &pooled.cells[0]);
             assert_eq!(a.output.centroids, b.output.centroids, "{block_points}-point blocks");
             assert_eq!(a.output.epm.to_bits(), b.output.epm.to_bits());
             assert_eq!(a.chunks.len(), 7);
@@ -726,7 +714,7 @@ mod tests {
         assert_eq!(report.cells.len(), 2);
         assert_eq!(report.total_points(), 340);
         assert_eq!(report.operators.len(), observed.op_stats.len());
-        assert_eq!(report.queues.len(), 4);
+        assert_eq!(report.queues.len(), 2);
         // Queue depth histograms account for every send.
         for q in &report.queues {
             let bucketed: u64 = q.depth.counts.iter().sum();
@@ -758,7 +746,7 @@ mod tests {
         let dir = tmpdir("sinkless");
         let one = vec![write_cell(&dir, 18, 300, 19)];
         let two = vec![write_cell(&dir, 19, 250, 19), write_cell(&dir, 20, 90, 19)];
-        // One bucket at one worker runs inline, two buckets threaded.
+        // One bucket at one worker runs inline, two buckets on a pool.
         for (paths, workers) in [(one, 1), (two, 2)] {
             let plan = optimize_fixed_split(
                 LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 8) }),
@@ -801,12 +789,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A consumer that errors out must end the threaded run, not leave its
-    /// producer blocked on a full queue: two partial clones of a strict
+    /// A worker that errors out must end the pooled run, not leave the
+    /// caller blocked pushing chunks: two partial clones of a strict
     /// heavy-chaos run over a 500-chunk cell both die long before the
     /// chunker runs out of chunks.
     #[test]
-    fn dead_consumers_end_the_threaded_run_instead_of_hanging() {
+    fn dead_workers_end_the_pooled_run_instead_of_hanging() {
         use crate::fault::{path_key, FaultPolicy};
         let dir = tmpdir("dead_consumers");
         let path = write_cell(&dir, 22, 20_000, 1);
@@ -822,7 +810,7 @@ mod tests {
         assert_eq!(plan.partial_clones, 2);
         // The bucket's key holds the temp path, so pick the first heavy
         // seed whose scan reads the whole cell: the chunker then has all
-        // 500 chunks to push at a queue of 64.
+        // 500 chunks to push at a one-chunk queue.
         let key = path_key(&path);
         let batches = 20_000u64.div_ceil(SCAN_BATCH as u64);
         let seed = (1..10_000u64)
@@ -831,15 +819,134 @@ mod tests {
                 std::iter::once(u64::MAX).chain(0..=batches).all(|b| p.scan_fault(key, b).is_none())
             })
             .expect("some heavy seed reads the whole cell");
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(execute_with_faults(&plan, None, Some(FaultPlan::heavy(seed))));
-        });
-        let run = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("the threaded run hung after its partial clones died");
+        let run = within_a_minute(&plan, None, Some(FaultPlan::heavy(seed)));
         let err = run.expect_err("strict heavy chaos must fail the run");
         assert!(!matches!(err, EngineError::Disconnected(_)), "root cause kept: {err:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The pool bounds what is in flight by construction. Over a 250-chunk
+    /// cell at two and three clones, classic and coreset, the chunk queue
+    /// never holds more than its one chunk, and no worker ever blocks on
+    /// the summary queue, which the caller drains before every push (at a
+    /// smaller capacity the run can deadlock). The answers are the inline
+    /// driver's.
+    #[test]
+    fn pool_queues_bound_the_chunks_in_flight() {
+        use crate::plan::CoresetSpec;
+        let dir = tmpdir("bound");
+        let path = write_cell(&dir, 23, 20_000, 2);
+        for coreset in [None, Some(CoresetSpec::new(32))] {
+            let mk_plan = |clones: usize| {
+                let mut plan = optimize_fixed_split(
+                    LogicalPlan::new(
+                        vec![path.clone()],
+                        KMeansConfig { restarts: 1, ..KMeansConfig::paper(4, 3) },
+                    ),
+                    &Resources::fixed(1 << 20, clones),
+                    80,
+                );
+                plan.coreset = coreset.clone();
+                plan
+            };
+            let inline = execute(&mk_plan(1)).unwrap();
+            assert_eq!(inline.cells[0].chunks.len(), 250);
+            for clones in [2, 3] {
+                let pooled = within_a_minute(&mk_plan(clones), None, None).unwrap();
+                assert_eq!(pooled.cells[0].output.centroids, inline.cells[0].output.centroids);
+                let [chunks, summaries] = pooled.queue_stats.as_slice() else {
+                    panic!("a pool has two queues: {:?}", pooled.queue_stats)
+                };
+                assert_eq!((chunks.capacity, chunks.sends), (1, 250), "{chunks:?}");
+                assert!(chunks.depth_counts[2..].iter().all(|&n| n == 0), "{chunks:?}");
+                assert_eq!((summaries.capacity, summaries.sends), (clones + 2, 250));
+                assert_eq!(summaries.full_blocks, 0, "{clones} clones: {summaries:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A strict tail failure on the calling thread, while the workers hold
+    /// chunks of the next cell, ends the pooled run with the tail's error:
+    /// the chunk queue closes, and both workers finish what they hold and
+    /// journal `op.finish`.
+    #[test]
+    fn strict_tail_failure_ends_the_pooled_run_and_finishes_the_workers() {
+        use pmkm_obs::{FieldValue, RingBufferSink};
+        let dir = tmpdir("tail_failure");
+        // Every chunk loses its back half, so the 3-chunk first cell fails
+        // the tail's strict mass check as soon as its last summary arrives,
+        // with the 30-chunk second cell streaming. Its chunks take longer to
+        // cluster than to cut, so the workers are busy when that happens.
+        let paths = vec![write_cell(&dir, 24, 1_200, 3), write_cell(&dir, 25, 12_000, 3)];
+        let plan = optimize_fixed_split(
+            LogicalPlan::new(paths, KMeansConfig { restarts: 3, ..KMeansConfig::paper(8, 0) }),
+            &Resources::fixed(1 << 20, 2),
+            400,
+        );
+        let truncate = FaultPlan { truncate_rate: 1.0, ..FaultPlan::none(5) };
+        let ring = Arc::new(RingBufferSink::new(1 << 14));
+        let rec = Arc::new(Recorder::new().with_sink(ring.clone()));
+        match within_a_minute(&plan, Some(rec), Some(truncate)) {
+            Err(EngineError::InvalidPlan(msg)) => assert!(msg.contains("strict"), "{msg}"),
+            other => panic!("the tail's strict mass check must fail the run: {other:?}"),
+        }
+        let field = |e: &pmkm_obs::Event, name: &str| {
+            e.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+        };
+        let partial = Some(FieldValue::Str("partial-kmeans".into()));
+        let mut finished: Vec<_> = ring
+            .events()
+            .iter()
+            .filter(|e| e.name == "op.finish" && field(e, "op") == partial)
+            .map(|e| field(e, "clone"))
+            .collect();
+        finished.sort_by_key(|clone| format!("{clone:?}"));
+        assert_eq!(finished, [Some(FieldValue::U64(0)), Some(FieldValue::U64(1))]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Injected stalls on both pool edges (the caller's chunk push and the
+    /// worker's summary) change timing only. At one clone over three
+    /// buckets, and at two and three clones, the answers and the stall
+    /// count are those of each bucket run inline on its own.
+    #[test]
+    fn stalls_on_the_pool_edges_do_not_change_the_answers() {
+        let dir = tmpdir("stalls");
+        let paths = vec![
+            write_cell(&dir, 26, 400, 4),
+            write_cell(&dir, 27, 250, 4),
+            write_cell(&dir, 28, 160, 4),
+        ];
+        let stalls =
+            FaultPlan { stall_rate: 0.5, stall: Duration::from_micros(500), ..FaultPlan::none(13) };
+        let run = |inputs: Vec<PathBuf>, clones: usize| {
+            let plan = optimize_fixed_split(
+                LogicalPlan::new(
+                    inputs,
+                    KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 17) },
+                ),
+                &Resources::fixed(1 << 20, clones),
+                30,
+            );
+            execute_with_faults(&plan, None, Some(stalls.clone())).unwrap()
+        };
+        let inline: Vec<EngineReport> = paths.iter().map(|p| run(vec![p.clone()], 1)).collect();
+        let stalled: u64 = inline.iter().map(|r| r.faults.queue_stalls).sum();
+        assert!(stalled > 0, "the schedule must stall");
+        let bits = |c: &CellClustering| -> Vec<u64> {
+            let flat = c.output.centroids.iter().flat_map(|p| p.iter().copied());
+            flat.chain([c.output.epm]).map(f64::to_bits).collect()
+        };
+        for clones in [1, 2, 3] {
+            let pooled = run(paths.clone(), clones);
+            assert_eq!(pooled.queue_stats.len(), 2, "{clones} clone(s) run a pool");
+            assert_eq!(pooled.faults.queue_stalls, stalled, "{clones} clone(s)");
+            assert_eq!(pooled.cells.len(), 3);
+            for (a, b) in inline.iter().map(|r| &r.cells[0]).zip(&pooled.cells) {
+                assert_eq!(bits(a), bits(b), "{clones} clone(s), cell {}", a.cell.index());
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

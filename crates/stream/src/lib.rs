@@ -19,7 +19,8 @@
 //! * [`plan`] / [`optimizer`] / [`resources`] — logical plans compiled to
 //!   physical plans under a resource model (clone degree from processors,
 //!   chunk size from memory),
-//! * [`executor`] — thread-per-operator pipelined execution,
+//! * [`executor`] — one driver: scan, chunker and tail on the calling
+//!   thread, the partial clones on a scoped pool fed one chunk at a time,
 //! * [`telemetry`] — per-operator busy/idle accounting (the paper's
 //!   observation that "the merge operator ... is likely to be idle most of
 //!   the time" is directly measurable from [`telemetry::OpStats`]).

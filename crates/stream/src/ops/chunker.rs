@@ -10,8 +10,6 @@
 use crate::error::{EngineError, Result};
 use crate::fault::{ChunkFault, FaultContext, EDGE_CHUNKS};
 use crate::item::{ChunkMsg, MergeMsg, ScanMsg};
-use crate::ops::send_on;
-use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::{Dataset, PointSource};
 use pmkm_data::GridCell;
@@ -153,24 +151,6 @@ impl ChunkerOp {
     /// Ends the stream: the operator's telemetry.
     pub(crate) fn finish(self) -> OpStats {
         self.meter.finish()
-    }
-
-    /// Runs to completion on the threaded driver: chunks to the partial
-    /// clones, cell plans to the tail.
-    pub fn run(
-        mut self,
-        input: QueueConsumer<ScanMsg>,
-        chunks_out: QueueProducer<ChunkMsg>,
-        plan_out: QueueProducer<MergeMsg>,
-    ) -> Result<OpStats> {
-        let mut to_partials = send_on(&chunks_out, "chunker→partial");
-        let mut to_tail = send_on(&plan_out, "chunker→merge");
-        while let Some(msg) = self.meter.wait(|| input.recv()) {
-            if let Some(plan) = self.handle(msg, &mut to_partials)? {
-                to_tail(&mut self.meter, plan)?;
-            }
-        }
-        Ok(self.finish())
     }
 }
 

@@ -6,9 +6,9 @@
 //! Every operator is written as steps, not as a thread: `handle` consumes
 //! one input message and hands its outputs to an `emit` callback (or, when
 //! a step yields at most one message, returns it), and `finish` ends the
-//! stream. `run` is the threaded driver's loop around those steps — receive
-//! from the input queue, step, send on the output queue — while the
-//! executor's inline driver chains the same steps directly on one thread.
+//! stream. The executor chains the steps on the calling thread; only the
+//! partial step, the one the paper clones, may run on a pool of worker
+//! threads instead.
 
 pub mod chunker;
 pub mod partial_op;
@@ -19,22 +19,6 @@ pub use chunker::{ChunkPolicy, ChunkerOp};
 pub use partial_op::{chunk_seed, PartialKMeansOp};
 pub use scan::ScanOp;
 pub use tail::TailOp;
-
-use crate::error::{EngineError, Result};
-use crate::queue::QueueProducer;
-use crate::telemetry::OpMeter;
-
-/// The threaded driver's `emit`: a send on `out`, booked as the operator's
-/// blocked time, that fails with [`EngineError::Disconnected`] naming
-/// `edge` once every consumer has gone.
-pub(crate) fn send_on<'a, T>(
-    out: &'a QueueProducer<T>,
-    edge: &'static str,
-) -> impl FnMut(&mut OpMeter, T) -> Result<()> + 'a {
-    move |meter, item| {
-        meter.wait(|| out.send(item).map_err(drop)).map_err(|()| EngineError::Disconnected(edge))
-    }
-}
 
 /// Instantiates [`tail`]'s protocol cases for one wire as `$id => $case`
 /// pairs. The two modules below keep the test ids the cases have carried

@@ -1,8 +1,8 @@
 //! The partial k-means operator — "by far the most expensive computation"
 //! (§3.4) and therefore the operator the optimizer clones.
 //!
-//! Every clone consumes chunks from the shared chunk queue (MPMC work
-//! stealing) and emits the chunk's weighted centroids. Per-chunk RNG seeds
+//! Every clone takes chunks from the executor's chunk queue (MPMC work
+//! stealing) and returns each chunk's weighted centroids. Per-chunk RNG seeds
 //! derive from `(base seed, cell, chunk_id)`, so the clustering of a chunk
 //! is identical no matter which clone processes it — cloning changes
 //! wall-clock time, never results.
@@ -10,8 +10,6 @@
 use crate::error::{EngineError, Result};
 use crate::fault::{FaultContext, InjectedPanic, EDGE_MERGE};
 use crate::item::{ChunkMsg, MergeMsg};
-use crate::ops::send_on;
-use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::coreset::chunk_coreset;
 use pmkm_core::partial::{partial_kmeans_observed, PartialOutput};
@@ -80,7 +78,8 @@ pub struct PartialKMeansOp {
     kmeans: KMeansConfig,
     ctx: FaultContext,
     coreset_size: Option<usize>,
-    meter: OpMeter,
+    /// The clone's telemetry; a pool worker books its wait for chunks here.
+    pub(crate) meter: OpMeter,
 }
 
 impl PartialKMeansOp {
@@ -259,26 +258,11 @@ impl PartialKMeansOp {
         }
         stats
     }
-
-    /// Runs until the chunk stream ends on the threaded driver.
-    pub fn run(
-        mut self,
-        input: QueueConsumer<ChunkMsg>,
-        out: QueueProducer<MergeMsg>,
-    ) -> Result<OpStats> {
-        let mut to_tail = send_on(&out, "partial→merge");
-        while let Some(chunk) = self.meter.wait(|| input.recv()) {
-            let summary = self.handle(chunk)?;
-            to_tail(&mut self.meter, summary)?;
-        }
-        Ok(self.finish())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::SmartQueue;
     use pmkm_core::Dataset;
     use pmkm_data::GridCell;
 
@@ -293,25 +277,16 @@ mod tests {
 
     #[test]
     fn clusters_each_chunk_and_forwards() {
-        let q_in: SmartQueue<ChunkMsg> = SmartQueue::new("chunks", 16);
-        let q_out: SmartQueue<MergeMsg> = SmartQueue::new("merge", 16);
-        let p = q_in.producer();
-        let (input, out) = (q_in.consumer(), q_out.producer());
-        let c = q_out.consumer();
-        q_in.seal();
-        q_out.seal();
-        p.send(chunk(1, 0, 30)).unwrap();
-        p.send(chunk(1, 1, 30)).unwrap();
-        drop(p);
-        let op = PartialKMeansOp::new(
+        let mut op = PartialKMeansOp::new(
             KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 5) },
             0,
             FaultContext::default(),
         );
-        let stats = op.run(input, out).unwrap();
+        let results: Vec<MergeMsg> =
+            [chunk(1, 0, 30), chunk(1, 1, 30)].into_iter().map(|c| op.handle(c).unwrap()).collect();
+        let stats = op.finish();
         assert_eq!(stats.items_in, 2);
         assert_eq!(stats.items_out, 2);
-        let results: Vec<MergeMsg> = std::iter::from_fn(|| c.recv()).collect();
         assert_eq!(results.len(), 2);
         for r in &results {
             match r {

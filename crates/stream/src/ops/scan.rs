@@ -3,8 +3,6 @@
 use crate::error::{EngineError, Result};
 use crate::fault::{path_key, FaultContext, ScanFault};
 use crate::item::ScanMsg;
-use crate::ops::send_on;
-use crate::queue::QueueProducer;
 use crate::telemetry::{OpMeter, OpStats};
 use pmkm_data::{
     BackendKind, BlockReadStats, BucketFormat, BucketReader, DataError, FileBackend, Gb02Reader,
@@ -383,8 +381,8 @@ impl ScanOp {
 
     /// Scans every bucket in order, handing each message to `emit`, and
     /// returns the telemetry. The scan is the source, so this one step is
-    /// the whole operator; on the inline driver `emit` runs the rest of
-    /// the pipeline.
+    /// the whole operator; the executor's `emit` runs the rest of the
+    /// pipeline.
     pub(crate) fn drive(
         self,
         emit: &mut impl FnMut(&mut OpMeter, ScanMsg) -> Result<()>,
@@ -405,11 +403,6 @@ impl ScanOp {
             );
         }
         Ok(stats)
-    }
-
-    /// Runs to completion on the threaded driver, sending on `out`.
-    pub fn run(self, out: QueueProducer<ScanMsg>) -> Result<OpStats> {
-        self.drive(&mut send_on(&out, "scan→chunker"))
     }
 }
 
@@ -474,7 +467,6 @@ fn read_with_retry<T>(
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultPolicy};
-    use crate::queue::SmartQueue;
     use pmkm_core::{Dataset, PointSource};
     use pmkm_data::{Codec, GridBucket, GridCell};
 
@@ -540,16 +532,9 @@ mod tests {
         let c2 = GridCell::new(2, 2).unwrap();
         let paths = vec![write_bucket(&dir, c1, 25), write_bucket(&dir, c2, 5)];
 
-        // The threaded driver: the same steps, sent on a queue.
-        let q: SmartQueue<ScanMsg> = SmartQueue::new("scan", 64);
-        let out = q.producer();
-        let c = q.consumer();
-        q.seal();
-        let stats = ScanOp::new(paths, 10, FaultContext::default()).run(out).unwrap();
+        let (stats, msgs) = scan(ScanOp::new(paths, 10, FaultContext::default()));
         // 25 points at batch 10 → 3 batches + end; 5 points → 1 batch + end.
-        assert_eq!(stats.items_out, 3 + 1 + 1 + 1);
-
-        let msgs: Vec<ScanMsg> = std::iter::from_fn(|| c.recv()).collect();
+        assert_eq!(stats.unwrap().items_out, 3 + 1 + 1 + 1);
         assert_eq!(msgs.len(), 6);
         let mut c1_points = 0;
         match &msgs[3] {

@@ -26,9 +26,7 @@
 use crate::error::{EngineError, Result};
 use crate::fault::FaultContext;
 use crate::item::{CellClustering, MergeMsg};
-use crate::ops::send_on;
 use crate::plan::{CoresetSpec, LogicalPlan};
-use crate::queue::{QueueConsumer, QueueProducer};
 use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::coreset::{CoresetConfig, CoresetTree};
 use pmkm_core::merge::MergeOutput;
@@ -53,8 +51,6 @@ struct Wire {
     cells_counter: &'static str,
     /// Timeline state stamped when a chunk reaches the summary.
     insert_state: Option<WorkerState>,
-    /// Edge label of a send that found the sink gone.
-    edge: &'static str,
 }
 
 const MERGE: Wire = Wire {
@@ -63,7 +59,6 @@ const MERGE: Wire = Wire {
     degraded_event: "merge.degraded",
     cells_counter: "merge_cells_total",
     insert_state: None,
-    edge: "merge→results",
 };
 
 const CORESET: Wire = Wire {
@@ -72,7 +67,6 @@ const CORESET: Wire = Wire {
     degraded_event: "coreset.degraded",
     cells_counter: "coreset_cells_total",
     insert_state: Some(WorkerState::Compact),
-    edge: "coreset→results",
 };
 
 /// Per-cell protocol state around the summary.
@@ -221,19 +215,6 @@ impl TailOp {
             }
         }
         Ok(self.meter.finish())
-    }
-
-    /// Runs until the partial stream ends on the threaded driver.
-    pub fn run(
-        mut self,
-        input: QueueConsumer<MergeMsg>,
-        out: QueueProducer<CellClustering>,
-    ) -> Result<OpStats> {
-        let mut to_sink = send_on(&out, self.wire.edge);
-        while let Some(msg) = self.meter.wait(|| input.recv()) {
-            self.handle(msg, &mut to_sink)?;
-        }
-        self.finish(&mut to_sink)
     }
 
     /// Fresh per-cell state with an empty tree.

@@ -8,8 +8,9 @@
 //!   machines as possible"),
 //! * the chunk size comes from the volatile-memory budget, so every
 //!   partition "can be stored into available volatile memory",
-//! * scan, chunker and merge stay single-instance: the scan is I/O-bound
-//!   and the merge "is likely to be idle most of the time".
+//! * scan, chunker and merge stay single-instance on the calling thread:
+//!   the scan is I/O-bound and the merge "is likely to be idle most of the
+//!   time".
 
 use crate::ops::ChunkPolicy;
 use crate::plan::{LogicalPlan, PhysicalPlan};
@@ -17,15 +18,10 @@ use crate::resources::Resources;
 
 /// Plans the physical execution of `logical` under `resources`.
 pub fn optimize(logical: LogicalPlan, resources: &Resources) -> PhysicalPlan {
-    let logical_inputs = logical.inputs.len().max(1);
     PhysicalPlan {
         logical,
         partial_clones: resources.workers.max(1),
         chunk_policy: ChunkPolicy::MemoryBudget { bytes: resources.chunk_memory_bytes.max(1) },
-        // One scanner per two workers, capped by the input count: the scan
-        // is I/O-bound, so it rarely pays to clone it as aggressively as
-        // the partial operator.
-        scan_clones: (resources.workers / 2).clamp(1, logical_inputs),
         fault_policy: crate::fault::FaultPolicy::default(),
         coreset: None,
         scan_backend: pmkm_data::BackendKind::default(),
@@ -75,7 +71,6 @@ mod tests {
         let r = Resources { chunk_memory_bytes: 0, workers: 0 };
         let plan = optimize(logical(), &r);
         assert_eq!(plan.partial_clones, 1);
-        assert_eq!(plan.scan_clones, 1);
         assert_eq!(plan.chunk_policy, ChunkPolicy::MemoryBudget { bytes: 1 });
         plan.validate().unwrap();
     }

@@ -335,8 +335,9 @@ impl PlanetReport {
 /// Runs every input cell of `plan` through the pipeline under `opts`,
 /// concurrently, and rolls the results into a [`PlanetReport`].
 ///
-/// Each cell runs as its own single-bucket pipeline — inline on the
-/// worker's thread when the plan has one partial clone — so per-cell
+/// Each cell runs as its own single-bucket pipeline on the worker's thread
+/// — its partial step on a pool when the plan has more than one partial
+/// clone — so per-cell
 /// results are bit-identical to a serial `execute` loop regardless of
 /// `jobs`, completion order, or whether the cell was restored from a
 /// checkpoint.
@@ -853,10 +854,12 @@ fn run_one_cell(shared: &Shared<'_>, i: usize) -> Result<CellOutcome> {
     })
 }
 
-/// In-flight bytes one cell's pipeline holds: one chunk per partial clone
-/// plus the chunker's build buffer and the merge's gathered set. Saturates,
-/// since the chunk budget comes from the command line: a cost too large to
-/// count is one no budget can admit.
+/// In-flight chunk bytes of one cell: a chunk in each of the partial
+/// pool's workers, one in its queue and one the chunker builds, a bound the
+/// driver keeps by construction. Unbooked: each clone's per-point Lloyd
+/// scratch, the scan's batch and prefetched block, and the tail's summaries.
+/// Saturates, since the chunk budget comes from the command line: a cost
+/// too large to count is one no budget can admit.
 fn cell_cost(plan: &PhysicalPlan, dim: usize) -> usize {
     let chunk_bytes = match plan.chunk_policy {
         ChunkPolicy::MemoryBudget { bytes } => bytes,
@@ -1078,7 +1081,6 @@ mod tests {
         for (i, outcome) in planet.cells.iter().enumerate() {
             let mut one = plan.clone();
             one.logical.inputs = vec![paths[i].clone()];
-            one.scan_clones = 1;
             let solo = execute(&one).unwrap();
             let orch = outcome.clustering.as_ref().unwrap();
             assert_eq!(orch.output.centroids, solo.cells[0].output.centroids);

@@ -97,10 +97,6 @@ pub struct PhysicalPlan {
     pub partial_clones: usize,
     /// Chunk sizing policy handed to the chunker.
     pub chunk_policy: ChunkPolicy,
-    /// Number of scan-operator clones; input buckets are dealt round-robin
-    /// across them (cloning is generic in the engine — §3's "the model
-    /// allows to automatically clone operators").
-    pub scan_clones: usize,
     /// How the engine reacts to faults: [`FaultPolicy::strict`] (the
     /// default) fails fast, [`FaultPolicy::tolerant`] retries, quarantines
     /// and merges degraded cells.
@@ -126,9 +122,6 @@ impl PhysicalPlan {
         }
         if self.fault_policy.max_chunk_attempts == 0 {
             return Err(EngineError::InvalidPlan("max_chunk_attempts must be >= 1".into()));
-        }
-        if self.scan_clones == 0 {
-            return Err(EngineError::InvalidPlan("scan_clones must be >= 1".into()));
         }
         match self.chunk_policy {
             ChunkPolicy::FixedPoints(0) => {
@@ -179,14 +172,11 @@ mod tests {
             logical: logical(),
             partial_clones: 2,
             chunk_policy: ChunkPolicy::FixedPoints(100),
-            scan_clones: 1,
             fault_policy: FaultPolicy::default(),
             coreset: None,
             scan_backend: pmkm_data::BackendKind::LocalFile,
         };
         ok.validate().unwrap();
-        let bad = PhysicalPlan { scan_clones: 0, ..ok.clone() };
-        assert!(bad.validate().is_err());
         let bad = PhysicalPlan { partial_clones: 0, ..ok.clone() };
         assert!(bad.validate().is_err());
         let bad = PhysicalPlan { chunk_policy: ChunkPolicy::FixedPoints(0), ..ok.clone() };

@@ -13,7 +13,7 @@ use pmkm_obs::{lock, HistogramSnapshot, QueueReport};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::mpsc::SendError;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of depth-histogram buckets: depths 0, 1, 2–3, 4–7, 8–15, 16–31,
@@ -109,12 +109,11 @@ struct Shared<T> {
 
 /// A named, bounded MPMC queue.
 ///
-/// Cheap to clone on both ends; the queue closes when every producer (or
-/// every consumer) is dropped, which is how end-of-stream propagates
-/// through a pipeline without explicit EOS messages on most edges — and
-/// how a producer learns that every consumer has gone. Items, handle
-/// counts and telemetry sit under one lock, which a send or a receive
-/// takes once.
+/// Hands out any number of producers and consumers; the queue closes
+/// when every producer (or every consumer) is dropped, which is how
+/// end-of-stream propagates without explicit EOS messages — and how a
+/// producer learns that every consumer has gone. Items, handle counts and
+/// telemetry sit under one lock, which a send or a receive takes once.
 pub struct SmartQueue<T> {
     shared: Arc<Shared<T>>,
 }
@@ -217,13 +216,6 @@ impl<T> QueueProducer<T> {
     }
 }
 
-impl<T> Clone for QueueProducer<T> {
-    fn clone(&self) -> Self {
-        lock(&self.shared.state).producers += 1;
-        Self { shared: Arc::clone(&self.shared) }
-    }
-}
-
 impl<T> Drop for QueueProducer<T> {
     fn drop(&mut self) {
         let mut state = lock(&self.shared.state);
@@ -234,8 +226,8 @@ impl<T> Drop for QueueProducer<T> {
     }
 }
 
-/// Receiving half; clones share the queue (work stealing between operator
-/// clones).
+/// Receiving half; the consumers of one queue share it (work stealing
+/// between operator clones).
 pub struct QueueConsumer<T> {
     shared: Arc<Shared<T>>,
 }
@@ -254,18 +246,23 @@ impl<T> QueueConsumer<T> {
             }
             state.stats.blocked_recv += start.elapsed();
         }
+        self.pop(state)
+    }
+
+    /// Non-blocking receive: the next item if one is queued, `None`
+    /// otherwise, whether or not the stream has ended. Counted as `recv`
+    /// counts; it never blocks, so it books no underflow.
+    pub(crate) fn try_recv(&self) -> Option<T> {
+        self.pop(lock(&self.shared.state))
+    }
+
+    /// Pops the front item, releases the lock, and wakes one producer.
+    fn pop(&self, mut state: MutexGuard<'_, State<T>>) -> Option<T> {
         let item = state.items.pop_front()?;
         state.stats.recvs += 1;
         drop(state);
         self.shared.not_full.notify_one();
         Some(item)
-    }
-}
-
-impl<T> Clone for QueueConsumer<T> {
-    fn clone(&self) -> Self {
-        lock(&self.shared.state).consumers += 1;
-        Self { shared: Arc::clone(&self.shared) }
     }
 }
 
@@ -405,6 +402,27 @@ mod tests {
         blocked.join().unwrap();
         let s = q.stats();
         assert_eq!((s.sends, s.full_blocks), (1, 1));
+    }
+
+    #[test]
+    fn try_recv_takes_what_is_queued_without_blocking() {
+        let q: SmartQueue<u32> = SmartQueue::new("t", 1);
+        let p = q.producer();
+        let c = q.consumer();
+        q.seal();
+        assert_eq!(c.try_recv(), None);
+        p.send(0).unwrap();
+        let blocked = thread::spawn(move || p.send(1).unwrap());
+        while q.stats().full_blocks == 0 {
+            thread::yield_now();
+        }
+        // Taking the queued item wakes the producer blocked behind it.
+        assert_eq!(c.try_recv(), Some(0));
+        blocked.join().unwrap();
+        assert_eq!(c.try_recv(), Some(1));
+        assert_eq!(c.try_recv(), None, "ended and drained");
+        let s = q.stats();
+        assert_eq!((s.sends, s.recvs, s.empty_blocks), (2, 2, 0));
     }
 
     #[test]

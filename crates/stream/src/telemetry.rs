@@ -64,7 +64,7 @@ impl OpStats {
     }
 }
 
-/// Builder used inside operator run loops.
+/// Meters one operator instance's steps.
 #[derive(Debug)]
 pub struct OpMeter {
     name: String,
