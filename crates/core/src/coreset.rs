@@ -37,7 +37,7 @@
 use crate::config::KMeansConfig;
 use crate::dataset::{PointSource, WeightedSet};
 use crate::error::{Error, Result};
-use crate::kernel::FusedLayout;
+use crate::kernel::{FusedLayout, KernelStats};
 use crate::merge::{merge_collective_observed, MergeOutput};
 use crate::point::sq_dist;
 use crate::seeding::{derive_seed, rng_for};
@@ -108,9 +108,9 @@ impl CoresetConfig {
 /// `q(i) = ½·wᵢ/W + ½·wᵢ·d²(xᵢ, μ) / Σⱼ wⱼ·d²(xⱼ, μ)` around the weighted
 /// mean `μ`, and each representative is re-weighted with the total input
 /// mass nearest to it (ties broken towards the earlier representative —
-/// [`FusedLayout::nearest`] guarantees the scalar scan's index, lowest on
-/// ties — so the result is a deterministic function of `src` and the RNG
-/// state).
+/// [`FusedLayout::nearest_block`] guarantees the scalar scan's index,
+/// lowest on ties — so the result is a deterministic function of `src` and
+/// the RNG state).
 ///
 /// Mass conservation is exact for integer weights: every input weight is
 /// added to exactly one representative, so the output total is the same
@@ -185,19 +185,21 @@ pub fn chunk_coreset<S: PointSource + ?Sized>(
 
     // Nearest-representative mass aggregation on the fused kernel: table,
     // layout and screen buffer are built once per call (and only here,
-    // past the pass-through return). The kernel's rescue pass returns the
-    // scalar scan's index, lowest on ties, so the assignment — and
-    // therefore the weights — is deterministic.
+    // past the pass-through return). Four points go per sweep of the
+    // table, then the `n mod 4` tail one at a time, and masses add up in
+    // point order. The kernel's rescue pass returns the scalar scan's
+    // index, lowest on ties, so the assignment — and therefore the
+    // weights — is deterministic.
     let mut table = Vec::with_capacity(reps.len() * dim);
     for &r in &reps {
         table.extend_from_slice(src.coords(r));
     }
     let layout = FusedLayout::new(&table, dim);
-    let mut screen = vec![0.0f64; layout.scratch_len()];
+    let mut screen = vec![0.0f64; FusedLayout::BLOCK * layout.scratch_len()];
     let mut agg = vec![0.0f64; reps.len()];
-    for i in 0..n {
-        agg[layout.nearest(src.coords(i), &mut screen).0] += src.weight(i);
-    }
+    layout.for_each_nearest(src, &mut screen, &mut KernelStats::default(), |i, _, (j, _)| {
+        agg[j] += src.weight(i);
+    });
     for (j, &r) in reps.iter().enumerate() {
         // A representative that is a duplicate of an earlier one can end up
         // with zero mass; dropping it loses nothing.

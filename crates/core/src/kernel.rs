@@ -113,6 +113,7 @@
 //! `is_x86_feature_detected!` confirmed the features.
 #![allow(unsafe_code)]
 
+use crate::dataset::PointSource;
 use crate::point::{nearest_centroid, sq_dist};
 
 pub use crate::config::KernelKind;
@@ -363,6 +364,35 @@ impl FusedLayout {
         let mut floor = [0.0];
         let hit = self.nearest_n::<1, true>([x], scratch, stats, &mut floor)[0];
         (hit, floor[0])
+    }
+
+    /// Nearest centroid of every point of `src`, handed to `f(i, x_i, hit)`
+    /// in ascending `i`: [`Self::nearest_block`] on each run of four
+    /// points, then [`Self::nearest_counted`] on the `n mod 4` tail.
+    /// `screen` must be at least `BLOCK × scratch_len()` long.
+    #[inline]
+    pub(crate) fn for_each_nearest<S: PointSource + ?Sized>(
+        &self,
+        src: &S,
+        screen: &mut [f64],
+        stats: &mut KernelStats,
+        mut f: impl FnMut(usize, &[f64], Hit),
+    ) {
+        const BLOCK: usize = FusedLayout::BLOCK;
+        let n = src.len();
+        let mut i = 0;
+        while i + BLOCK <= n {
+            let xs: [&[f64]; BLOCK] = std::array::from_fn(|p| src.coords(i + p));
+            let hits = self.nearest_block(xs, screen, stats);
+            for (p, (x, hit)) in xs.into_iter().zip(hits).enumerate() {
+                f(i + p, x, hit);
+            }
+            i += BLOCK;
+        }
+        for i in i..n {
+            let x = src.coords(i);
+            f(i, x, self.nearest_counted(x, screen, stats));
+        }
     }
 
     /// The one routine behind every entry point: `P` points against the

@@ -39,6 +39,18 @@
 //! Assignments, distances, sums and SSE are therefore bit-identical to
 //! [`KernelKind::Scalar`]: the assignment is decided first for every point,
 //! and the accumulation then runs in point order, as without bounds.
+//!
+//! ## Decided points: a branch-free gather and fixed-width rows
+//!
+//! On a bounded run most points are decided by their bound, so what a
+//! decided point costs is most of the step. The decide pass writes every
+//! point's index to the undecided list and advances the list's length by
+//! the bound test's result, so no branch depends on the outcome. At the
+//! paper's six dimensions the whole step, the decide pass's `sq_dist` and
+//! the per-cluster row add included, runs with the row width fixed at
+//! compile time; any other width runs the same body with the width read
+//! at run time. Either way every `sq_dist` sums its coordinates in order
+//! and every cluster sum adds its points in order.
 
 use crate::config::{KernelKind, LloydConfig};
 use crate::dataset::{Centroids, PointSource};
@@ -48,11 +60,11 @@ use crate::point::{nearest_centroid, sq_dist};
 use pmkm_obs::Recorder;
 
 /// Fewest points per centroid (`n ≥ BOUND_GATE · k`) at which a fused run
-/// keeps per-point bounds. The bounds break even near 5 points per
-/// centroid and win from 6 on (DESIGN.md §9 has the crossover table); 8
-/// keeps a margin. Smaller runs, among them the small-cell chunks of 125
-/// points at k = 40, take the plain path.
-pub const BOUND_GATE: usize = 8;
+/// keeps per-point bounds. The bounds break even near 3 points per
+/// centroid and win from 4 on (DESIGN.md §9 has the crossover table).
+/// Smaller runs, among them the small-cell chunks of 125 points at
+/// k = 40, take the plain path.
+pub const BOUND_GATE: usize = 4;
 
 /// Smallest lower bound the bound test trusts. Its square, `1e-300`, is far
 /// above the absolute error that underflow can put into a squared distance
@@ -134,8 +146,10 @@ struct Bounds {
     /// Per cluster `j`: an upper bound on how far any centroid other than
     /// `j` moved in the latest update.
     far: Vec<f64>,
-    /// Points the bounds left undecided, in ascending order.
-    todo: Vec<usize>,
+    /// Points the bounds left undecided, in ascending order, in the first
+    /// slots; the rest of its `n` slots are stale. `u32` like the
+    /// assignments: a run of more points takes the plain path.
+    todo: Vec<u32>,
     /// `η` of [`screen_slack`] at the run's `dim`.
     slack: f64,
     /// Point-assignments the bounds decided without the screen.
@@ -148,7 +162,8 @@ impl Bounds {
             lower: Vec::with_capacity(n),
             prev: vec![0.0; k * dim],
             far: vec![0.0; k],
-            todo: Vec::with_capacity(n),
+            // Bounded runs have `n ≤ u32::MAX`.
+            todo: (0..n as u32).collect(),
             slack: screen_slack(dim),
             pruned: 0,
         }
@@ -222,8 +237,10 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
 
     let kernel = cfg.resolved_kernel();
     let mut centroids = init.clone();
-    // One centroid has no runner-up to bound.
-    let bounded = kernel == KernelKind::Fused && k > 1 && n >= BOUND_GATE * k;
+    // One centroid has no runner-up to bound, and the bounds index points
+    // with `u32`.
+    let bounded =
+        kernel == KernelKind::Fused && k > 1 && n >= BOUND_GATE * k && u32::try_from(n).is_ok();
     let mut scratch = Scratch::new(n, k, dim, bounded);
     // Fused-kernel tallies are two integer bumps per point — cheap enough
     // to keep unconditionally without forking the code path.
@@ -329,6 +346,33 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
     })
 }
 
+/// The paper's dimensionality (six metrics per measurement), the one
+/// width [`assign`] compiles at a known length.
+const PAPER_DIM: usize = 6;
+
+/// The width parameter `D` of the assignment step when the width is read
+/// at run time; any other `D` is the width, known at compile time, so row
+/// loops over it unroll.
+const RUN_TIME: usize = 0;
+
+/// The row width of `src` at width parameter `D`.
+#[inline(always)]
+fn width<const D: usize, S: PointSource + ?Sized>(src: &S) -> usize {
+    if D == RUN_TIME {
+        src.dim()
+    } else {
+        D
+    }
+}
+
+/// `sum += w·x`, coordinate by coordinate.
+#[inline(always)]
+fn add_row(sum: &mut [f64], w: f64, x: &[f64]) {
+    for (s, c) in sum.iter_mut().zip(x) {
+        *s += w * c;
+    }
+}
+
 /// Distance-calculation step: assigns every point to its nearest centroid,
 /// filling `scratch` (assignments, per-point d², per-cluster sums/weights)
 /// and returning the weighted SSE.
@@ -337,7 +381,10 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
 /// kernel's rescue pass recomputes the winning distance with the scalar
 /// `sq_dist`, and the accumulation visits points in the same order), so
 /// iteration counts, trajectories, and final centroids never depend on the
-/// kernel choice.
+/// kernel choice. At the paper's six dimensions the step runs with the
+/// width fixed at compile time, at any other with the width read at run
+/// time; both are the one body of [`assign_at`], with the same operations
+/// in the same order.
 fn assign<S: PointSource + ?Sized>(
     src: &S,
     centroids: &Centroids,
@@ -345,49 +392,47 @@ fn assign<S: PointSource + ?Sized>(
     scratch: &mut Scratch,
     kernel_stats: &mut KernelStats,
 ) -> f64 {
-    let dim = src.dim();
+    match src.dim() {
+        PAPER_DIM => assign_at::<PAPER_DIM, S>(src, centroids, kernel, scratch, kernel_stats),
+        _ => assign_at::<RUN_TIME, S>(src, centroids, kernel, scratch, kernel_stats),
+    }
+}
+
+/// [`assign`] at width parameter `D` (see [`RUN_TIME`]).
+#[inline(always)]
+fn assign_at<const D: usize, S: PointSource + ?Sized>(
+    src: &S,
+    centroids: &Centroids,
+    kernel: KernelKind,
+    scratch: &mut Scratch,
+    kernel_stats: &mut KernelStats,
+) -> f64 {
+    let dim = width::<D, S>(src);
     let cents = centroids.as_flat();
-    let n = src.len();
 
     if kernel == KernelKind::Fused {
         // Fused path: one pass over the points does the SoA screen, the
         // exact rescue, and the weighted accumulator updates — four points
         // per sweep of the planes, then the `n mod 4` tail one at a time.
         // Sums, weights and the SSE accumulate in point order either way.
-        const BLOCK: usize = FusedLayout::BLOCK;
         let layout = FusedLayout::new(cents, dim);
         // Allocates on a run's first call only: k is fixed for the run.
-        scratch.screen.resize(BLOCK * layout.scratch_len(), 0.0);
+        scratch.screen.resize(FusedLayout::BLOCK * layout.scratch_len(), 0.0);
         if scratch.bounds.is_some() {
-            return assign_bounded(src, &layout, cents, scratch, kernel_stats);
+            return assign_bounded::<D, S>(src, &layout, cents, scratch, kernel_stats);
         }
         scratch.sums.fill(0.0);
         scratch.weights.fill(0.0);
         let Scratch { assignments, d2, sums, weights, screen, .. } = scratch;
         let mut wsse = 0.0;
-        let mut accumulate = |i: usize, x: &[f64], (j, dist2): (usize, f64)| {
+        layout.for_each_nearest(src, screen, kernel_stats, |i, x, (j, dist2)| {
             assignments[i] = j as u32;
             d2[i] = dist2;
             let w = src.weight(i);
-            for (s, c) in sums[j * dim..(j + 1) * dim].iter_mut().zip(x) {
-                *s += w * c;
-            }
+            add_row(&mut sums[j * dim..(j + 1) * dim], w, &x[..dim]);
             weights[j] += w;
             wsse += w * dist2;
-        };
-        let mut i = 0;
-        while i + BLOCK <= n {
-            let xs: [&[f64]; BLOCK] = std::array::from_fn(|p| src.coords(i + p));
-            let hits = layout.nearest_block(xs, screen, kernel_stats);
-            for (p, (x, hit)) in xs.into_iter().zip(hits).enumerate() {
-                accumulate(i + p, x, hit);
-            }
-            i += BLOCK;
-        }
-        for i in i..n {
-            let x = src.coords(i);
-            accumulate(i, x, layout.nearest_counted(x, screen, kernel_stats));
-        }
+        });
         return wsse;
     }
 
@@ -396,13 +441,14 @@ fn assign<S: PointSource + ?Sized>(
         *a = j as u32;
         *d = d2;
     }
-    accumulate(src, scratch)
+    accumulate::<D, S>(src, scratch)
 }
 
 /// Per-cluster sums and weights of `scratch`'s assignments, accumulated in
 /// point order, and the weighted SSE of its distances.
-fn accumulate<S: PointSource + ?Sized>(src: &S, scratch: &mut Scratch) -> f64 {
-    let dim = src.dim();
+#[inline(always)]
+fn accumulate<const D: usize, S: PointSource + ?Sized>(src: &S, scratch: &mut Scratch) -> f64 {
+    let dim = width::<D, S>(src);
     let Scratch { assignments, d2, sums, weights, .. } = scratch;
     sums.fill(0.0);
     weights.fill(0.0);
@@ -410,23 +456,24 @@ fn accumulate<S: PointSource + ?Sized>(src: &S, scratch: &mut Scratch) -> f64 {
     for (i, (&j, &dist2)) in assignments.iter().zip(d2.iter()).enumerate() {
         let j = j as usize;
         let w = src.weight(i);
-        for (s, c) in sums[j * dim..(j + 1) * dim].iter_mut().zip(src.coords(i)) {
-            *s += w * c;
-        }
+        add_row(&mut sums[j * dim..(j + 1) * dim], w, &src.coords(i)[..dim]);
         weights[j] += w;
         wsse += w * dist2;
     }
     wsse
 }
 
-/// [`assign`] on a bounded run, in two passes. The first decides every
-/// point: on the run's first call all of them go to the screen; later a
-/// point whose bound holds keeps its centroid, and the rest are screened in
-/// blocks of four from a gathered index list, each with its new floor. The
-/// second accumulates sums, weights and SSE in point order, from the same
-/// `d²` the screen's rescue returns, so the result is the unbounded path's
-/// to the bit.
-fn assign_bounded<S: PointSource + ?Sized>(
+/// [`assign`] on a bounded run, in three passes. The first decides every
+/// point without a branch on the outcome: it refreshes the point's exact
+/// `d²` and bound, writes the point's index to the next free slot of the
+/// undecided list, and advances the list's length by the test's result,
+/// 0 for a point the bound keeps and 1 for the rest (on the run's first
+/// call every point is undecided). The second screens the undecided points
+/// in blocks of four, each with its new floor. The third accumulates sums,
+/// weights and SSE in point order, from the same `d²` the screen's rescue
+/// returns, so the result is the unbounded path's to the bit.
+#[inline(always)]
+fn assign_bounded<const D: usize, S: PointSource + ?Sized>(
     src: &S,
     layout: &FusedLayout,
     cents: &[f64],
@@ -437,35 +484,36 @@ fn assign_bounded<S: PointSource + ?Sized>(
     // `l − far` rounded down: with round-to-nearest the product of the
     // rounded difference and `1 − ε` never exceeds the exact difference.
     const SHRINK: f64 = 1.0 - f64::EPSILON;
-    let dim = src.dim();
+    let dim = width::<D, S>(src);
     let n = src.len();
     let Scratch { assignments, d2, screen, bounds, .. } = scratch;
     let b = bounds.as_mut().expect("assign_bounded runs with bounds");
 
-    b.todo.clear();
-    if b.lower.is_empty() {
+    // `todo` starts as `0..n`, the first call's list.
+    let undecided = if b.lower.is_empty() {
         b.lower.resize(n, 0.0);
-        b.todo.extend(0..n);
+        n
     } else {
         let grow = 1.0 + b.slack;
+        let mut m = 0;
         for (i, ((&a, d2), lower)) in
             assignments.iter().zip(d2.iter_mut()).zip(b.lower.iter_mut()).enumerate()
         {
             let a = a as usize;
-            let d = sq_dist(src.coords(i), &cents[a * dim..(a + 1) * dim]);
+            let d = sq_dist(&src.coords(i)[..dim], &cents[a * dim..(a + 1) * dim]);
             let l = (*lower - b.far[a]) * SHRINK;
             *d2 = d;
             *lower = l;
+            b.todo[m] = i as u32;
             // Written so NaN fails it too.
-            if !(l > BOUND_FLOOR && d * grow < l * l) {
-                b.todo.push(i);
-            }
+            m += usize::from(!(l > BOUND_FLOOR && d * grow < l * l));
         }
-    }
+        m
+    };
     // A kept point is tallied as assigned with one exact distance, its
     // own: what the screen's rescue computes for a point alone in its
     // window.
-    let kept = (n - b.todo.len()) as u64;
+    let kept = (n - undecided) as u64;
     b.pruned += kept;
     kernel_stats.points += kept;
     kernel_stats.rescued += kept;
@@ -475,19 +523,21 @@ fn assign_bounded<S: PointSource + ?Sized>(
         d2[i] = dist2;
         b.lower[i] = floor.sqrt();
     };
-    let mut blocks = b.todo.chunks_exact(BLOCK);
+    let mut blocks = b.todo[..undecided].chunks_exact(BLOCK);
     for idx in &mut blocks {
-        let xs: [&[f64]; BLOCK] = std::array::from_fn(|p| src.coords(idx[p]));
+        let idx: [usize; BLOCK] = std::array::from_fn(|p| idx[p] as usize);
+        let xs = idx.map(|i| src.coords(i));
         let (hits, floors) = layout.nearest_block_floored(xs, screen, kernel_stats);
         for p in 0..BLOCK {
             settle(idx[p], hits[p], floors[p]);
         }
     }
     for &i in blocks.remainder() {
+        let i = i as usize;
         let (hit, floor) = layout.nearest_floored(src.coords(i), screen, kernel_stats);
         settle(i, hit, floor);
     }
-    accumulate(src, scratch)
+    accumulate::<D, S>(src, scratch)
 }
 
 /// Centroid recalculation from the accumulated sums. Clusters that received
@@ -750,10 +800,15 @@ mod tests {
     /// A 6-D chunk of the shape `planet_classic` streams: a 40-blob
     /// mixture with per-blob spread (the coreset golden's generator).
     fn wide_chunk(seed: u64, n: usize) -> Dataset {
+        chunk_of_width(seed, n, 6)
+    }
+
+    /// [`wide_chunk`]'s mixture at any width; at 6 it is the same chunk.
+    fn chunk_of_width(seed: u64, n: usize, dim: usize) -> Dataset {
         use rand::Rng;
         let mut rng = crate::seeding::rng_for(seed, 0x6D1D);
-        let mut ds = Dataset::new(6).unwrap();
-        let mut row = [0.0f64; 6];
+        let mut ds = Dataset::new(dim).unwrap();
+        let mut row = vec![0.0f64; dim];
         for _ in 0..n {
             let blob = f64::from(rng.gen_range(0..40i32));
             for (d, x) in row.iter_mut().enumerate() {
@@ -774,8 +829,13 @@ mod tests {
     /// Digest of a best-of-10 run at the paper's parameters: centroid bits,
     /// `mse` bits, the iteration total over all restarts, every assignment.
     fn kmeans_digest(n: usize, seed: u64) -> u64 {
+        kmeans_digest_at(n, 6, seed)
+    }
+
+    /// [`kmeans_digest`] on a chunk of width `dim`.
+    fn kmeans_digest_at(n: usize, dim: usize, seed: u64) -> u64 {
         let cfg = crate::KMeansConfig::paper(40, seed);
-        let out = crate::kmeans(&wide_chunk(seed, n), &cfg).unwrap();
+        let out = crate::kmeans(&chunk_of_width(seed, n, dim), &cfg).unwrap();
         let best = &out.best;
         fnv_words(
             (best.centroids.as_flat().iter().map(|v| v.to_bits()))
@@ -797,7 +857,9 @@ mod tests {
     // commit before Lloyd kept per-point bounds: a 20,000-point run, long
     // enough for the bounds to decide most assignments, and a weighted
     // Lloyd over 1,500 points (more than 16 per centroid, as in a coreset
-    // query).
+    // query). The two digests at widths 3 and 11 were recorded the same
+    // way on b561354, the commit before the assignment step dispatched on
+    // the row width.
     #[test]
     fn lloyd_bits_are_pinned() {
         assert_eq!(kmeans_digest(2_500, 42), 0x3153_ad8e_b63f_2a3c, "2,500 x 6, k = 40");
@@ -840,6 +902,11 @@ mod tests {
                 .chain([out.mse.to_bits(), out.epm.to_bits(), out.iterations as u64]),
         );
         assert_eq!(digest, 0x9362_8611_d50f_f50e, "merge_collective over one union of 1,500");
+
+        // Long runs at widths other than the paper's 6, which take the
+        // assignment step's run-time-width body.
+        assert_eq!(kmeans_digest_at(20_000, 3, 48), 0xc154_5552_c20e_9608, "20,000 x 3, k = 40");
+        assert_eq!(kmeans_digest_at(20_000, 11, 49), 0xc116_0570_3fa1_1230, "20,000 x 11, k = 40");
     }
 
     #[test]

@@ -368,10 +368,12 @@ proptest! {
     // first few points, so most start as duplicates and the run must
     // re-seed empty clusters; `weighted` runs the merge's weighted Lloyd.
     // The fused run must equal the scalar run in every word, and carry a
-    // `pruned` tally exactly when it took the bounded path.
+    // `pruned` tally exactly when it took the bounded path. Widths up to
+    // 12 run both bodies of the assignment step: the one compiled at the
+    // paper's width 6 and the one that reads the width at run time.
     #[test]
     fn bounded_lloyd_matches_scalar_lloyd(
-        (dim, k, blobs) in (1usize..7, 2usize..=64, 1usize..6),
+        (dim, k, blobs) in (1usize..=12, 2usize..=64, 1usize..6),
         (ratio, tail) in (1usize..=3 * BOUND_GATE, 0usize..4),
         (lattice, weighted, collapse) in (any::<bool>(), any::<bool>(), any::<bool>()),
         weights_raw in proptest::collection::vec(0.5..20.0f64, 61),
