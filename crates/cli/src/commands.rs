@@ -172,7 +172,7 @@ pub const COMMANDS: &[Command] = &[
             Flag::value("jobs", "N", "4", "cells run at a time, on work-stealing workers"),
             Flag::value("cells", "N", "0", "run only the first N buckets (0: all)"),
             Flag::value("workers", "N", "1", "partial clones inside each cell"),
-            Flag::value("budget", "BYTES", "0", "bound the in-flight chunk memory across cells (0: off)"),
+            Flag::value("budget", "BYTES", "0", "bound in-flight chunks and Lloyd scratch across cells (0: off)"),
             Flag::value("checkpoint-dir", "DIR", "", "write each finished cell to a checksummed checkpoint"),
             Flag::switch("resume", "load valid checkpoints instead of re-scanning; needs --checkpoint-dir"),
             Flag::value("kill-after", "K", "0", "drill: exit after the K-th checkpoint; needs --checkpoint-dir"),

@@ -56,7 +56,7 @@ use crate::config::{KernelKind, LloydConfig};
 use crate::dataset::{Centroids, PointSource};
 use crate::error::{Error, Result};
 use crate::kernel::{screen_slack, FusedLayout, KernelStats};
-use crate::point::{nearest_centroid, sq_dist};
+use crate::point::{nearest_centroid, sq_dist, width, PAPER_DIM, RUN_TIME};
 use pmkm_obs::Recorder;
 
 /// Fewest points per centroid (`n ≥ BOUND_GATE · k`) at which a fused run
@@ -268,14 +268,7 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
         // clusters re-seeded from the points farthest from their centroid.
         reseeds += {
             let _phase = rec.and_then(|r| r.phase("update"));
-            if let Some(b) = &mut scratch.bounds {
-                b.prev.copy_from_slice(centroids.as_flat());
-            }
-            let reseeded = recompute_means(src, &mut centroids, &mut scratch);
-            if let Some(b) = &mut scratch.bounds {
-                b.note_drift(centroids.as_flat(), dim);
-            }
-            reseeded
+            update(src, &mut centroids, &mut scratch)
         };
         let mse = {
             let _phase = rec.and_then(|r| r.phase("assign"));
@@ -346,25 +339,6 @@ pub fn lloyd_observed<S: PointSource + ?Sized>(
     })
 }
 
-/// The paper's dimensionality (six metrics per measurement), the one
-/// width [`assign`] compiles at a known length.
-const PAPER_DIM: usize = 6;
-
-/// The width parameter `D` of the assignment step when the width is read
-/// at run time; any other `D` is the width, known at compile time, so row
-/// loops over it unroll.
-const RUN_TIME: usize = 0;
-
-/// The row width of `src` at width parameter `D`.
-#[inline(always)]
-fn width<const D: usize, S: PointSource + ?Sized>(src: &S) -> usize {
-    if D == RUN_TIME {
-        src.dim()
-    } else {
-        D
-    }
-}
-
 /// `sum += w·x`, coordinate by coordinate.
 #[inline(always)]
 fn add_row(sum: &mut [f64], w: f64, x: &[f64]) {
@@ -407,7 +381,7 @@ fn assign_at<const D: usize, S: PointSource + ?Sized>(
     scratch: &mut Scratch,
     kernel_stats: &mut KernelStats,
 ) -> f64 {
-    let dim = width::<D, S>(src);
+    let dim = width::<D>(src.dim());
     let cents = centroids.as_flat();
 
     if kernel == KernelKind::Fused {
@@ -448,7 +422,7 @@ fn assign_at<const D: usize, S: PointSource + ?Sized>(
 /// point order, and the weighted SSE of its distances.
 #[inline(always)]
 fn accumulate<const D: usize, S: PointSource + ?Sized>(src: &S, scratch: &mut Scratch) -> f64 {
-    let dim = width::<D, S>(src);
+    let dim = width::<D>(src.dim());
     let Scratch { assignments, d2, sums, weights, .. } = scratch;
     sums.fill(0.0);
     weights.fill(0.0);
@@ -484,7 +458,7 @@ fn assign_bounded<const D: usize, S: PointSource + ?Sized>(
     // `l − far` rounded down: with round-to-nearest the product of the
     // rounded difference and `1 − ε` never exceeds the exact difference.
     const SHRINK: f64 = 1.0 - f64::EPSILON;
-    let dim = width::<D, S>(src);
+    let dim = width::<D>(src.dim());
     let n = src.len();
     let Scratch { assignments, d2, screen, bounds, .. } = scratch;
     let b = bounds.as_mut().expect("assign_bounded runs with bounds");
@@ -538,6 +512,23 @@ fn assign_bounded<const D: usize, S: PointSource + ?Sized>(
         settle(i, hit, floor);
     }
     accumulate::<D, S>(src, scratch)
+}
+
+/// The update step: [`recompute_means`], with a bounded run's drifts noted.
+/// Returns how many clusters were re-seeded.
+fn update<S: PointSource + ?Sized>(
+    src: &S,
+    centroids: &mut Centroids,
+    scratch: &mut Scratch,
+) -> usize {
+    if let Some(b) = &mut scratch.bounds {
+        b.prev.copy_from_slice(centroids.as_flat());
+    }
+    let reseeded = recompute_means(src, centroids, scratch);
+    if let Some(b) = &mut scratch.bounds {
+        b.note_drift(centroids.as_flat(), src.dim());
+    }
+    reseeded
 }
 
 /// Centroid recalculation from the accumulated sums. Clusters that received
@@ -826,22 +817,74 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325u64, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
     }
 
-    /// Digest of a best-of-10 run at the paper's parameters: centroid bits,
-    /// `mse` bits, the iteration total over all restarts, every assignment.
-    fn kmeans_digest(n: usize, seed: u64) -> u64 {
+    /// Two digests of a best-of-10 run at the paper's parameters. The first
+    /// hashes centroid bits, `mse` bits, the iteration total over all
+    /// restarts and every assignment; the second hashes the same words and
+    /// then every restart's `mse`.
+    fn kmeans_digest(n: usize, seed: u64) -> [u64; 2] {
         kmeans_digest_at(n, 6, seed)
     }
 
     /// [`kmeans_digest`] on a chunk of width `dim`.
-    fn kmeans_digest_at(n: usize, dim: usize, seed: u64) -> u64 {
+    fn kmeans_digest_at(n: usize, dim: usize, seed: u64) -> [u64; 2] {
         let cfg = crate::KMeansConfig::paper(40, seed);
         let out = crate::kmeans(&chunk_of_width(seed, n, dim), &cfg).unwrap();
         let best = &out.best;
-        fnv_words(
-            (best.centroids.as_flat().iter().map(|v| v.to_bits()))
-                .chain([best.mse.to_bits(), out.total_iterations() as u64])
-                .chain(best.assignments.iter().map(|&a| u64::from(a))),
-        )
+        let words: Vec<u64> = (best.centroids.as_flat().iter().map(|v| v.to_bits()))
+            .chain([best.mse.to_bits(), out.total_iterations() as u64])
+            .chain(best.assignments.iter().map(|&a| u64::from(a)))
+            .collect();
+        let restarts = out.restarts.iter().map(|r| r.mse.to_bits());
+        [fnv_words(words.iter().copied()), fnv_words(words.into_iter().chain(restarts))]
+    }
+
+    /// Digests of one fused run's assign steps at k = 40 from random seeds:
+    /// every point's `d²` bits and the step's SSE bits after the first step
+    /// (every point screened), then the same after the fifth (on a bounded
+    /// run, some points decided by their bounds) followed by the kernel's
+    /// tallies and, on a bounded run, `pruned`.
+    fn d2_digest(n: usize, dim: usize, seed: u64) -> [u64; 2] {
+        use crate::config::SeedMode;
+        const K: usize = 40;
+        let ds = chunk_of_width(seed, n, dim);
+        let mut rng = crate::seeding::rng_for(seed, 1);
+        let mut centroids =
+            crate::seeding::seed_centroids(&ds, K, SeedMode::RandomPoints, &mut rng).unwrap();
+        let mut scratch = Scratch::new(n, K, dim, n >= BOUND_GATE * K);
+        let mut stats = KernelStats::default();
+        let mut step = |centroids: &Centroids, scratch: &mut Scratch| {
+            let sse = assign(&ds, centroids, KernelKind::Fused, scratch, &mut stats);
+            scratch.d2.iter().map(|v| v.to_bits()).chain([sse.to_bits()]).collect::<Vec<_>>()
+        };
+        let first = step(&centroids, &mut scratch);
+        let mut later = Vec::new();
+        for _ in 0..4 {
+            update(&ds, &mut centroids, &mut scratch);
+            later = step(&centroids, &mut scratch);
+        }
+        let pruned = scratch.bounds.as_ref().map(|b| b.pruned);
+        later.extend([stats.points, stats.rescued].into_iter().chain(pruned));
+        [fnv_words(first), fnv_words(later)]
+    }
+
+    // Recorded on 0bed336, the commit before the screen kept its row in
+    // registers, the way the constants of `lloyd_bits_are_pinned` were (the
+    // test printing instead of asserting, in a `git archive` export; debug
+    // and release printed the same words). A one-ulp change in a single
+    // `d²` vanishes in the SSE that `lloyd_bits_are_pinned` hashes; here
+    // every `d²` is a word of its own. The bounded path runs at 2,500 x 6
+    // and at the two run-time widths, the unbounded one on a small-cell
+    // chunk.
+    #[test]
+    fn assign_d2_bits_are_pinned() {
+        for ((n, dim, seed), want) in [
+            ((2_500, 6, 42), [0x29d6_bf21_a0d1_8f06, 0x423e_417a_176e_8ab8]),
+            ((20_000, 3, 48), [0x42e1_a1ac_3c78_5ca2, 0x5496_6d20_93af_68ec]),
+            ((20_000, 11, 49), [0x017f_416b_5335_bdc9, 0x6c30_b8c1_c12d_c91b]),
+            ((125, 6, 43), [0x0e81_1c9f_fe01_7acc, 0x6719_52c5_e782_80ea]),
+        ] {
+            assert_eq!(d2_digest(n, dim, seed), want, "{n} x {dim}: first and fifth assign step");
+        }
     }
 
     // The first four digests were recorded on the commit *before* the
@@ -859,12 +902,26 @@ mod tests {
     // Lloyd over 1,500 points (more than 16 per centroid, as in a coreset
     // query). The two digests at widths 3 and 11 were recorded the same
     // way on b561354, the commit before the assignment step dispatched on
-    // the row width.
+    // the row width. The second word of each `kmeans_digest` pair also
+    // hashes every restart's `mse`; those were recorded the same way on
+    // 0bed336, the commit before the screen kept its row in registers.
     #[test]
     fn lloyd_bits_are_pinned() {
-        assert_eq!(kmeans_digest(2_500, 42), 0x3153_ad8e_b63f_2a3c, "2,500 x 6, k = 40");
-        assert_eq!(kmeans_digest(125, 43), 0x07b6_6320_301d_3fa9, "125 x 6, k = 40");
-        assert_eq!(kmeans_digest(2_503, 44), 0x3bbd_3b90_3d24_bd97, "2,503 x 6: tail of 3");
+        assert_eq!(
+            kmeans_digest(2_500, 42),
+            [0x3153_ad8e_b63f_2a3c, 0x82e1_bd4f_09b2_5290],
+            "2,500 x 6, k = 40"
+        );
+        assert_eq!(
+            kmeans_digest(125, 43),
+            [0x07b6_6320_301d_3fa9, 0xd52e_237d_cb44_2efa],
+            "125 x 6, k = 40"
+        );
+        assert_eq!(
+            kmeans_digest(2_503, 44),
+            [0x3bbd_3b90_3d24_bd97, 0x4eb2_2544_a47b_35bb],
+            "2,503 x 6: tail of 3"
+        );
 
         // Ten partitions' worth of weighted centroids, as the merge sees them.
         let sets: Vec<WeightedSet> = (0..10u64)
@@ -886,7 +943,11 @@ mod tests {
 
         // A long run, and one union of 1,500 weighted points as a coreset
         // query sees it.
-        assert_eq!(kmeans_digest(20_000, 46), 0x6bb5_2448_6a0a_f4e4, "20,000 x 6, k = 40");
+        assert_eq!(
+            kmeans_digest(20_000, 46),
+            [0x6bb5_2448_6a0a_f4e4, 0xee79_60ce_1197_0680],
+            "20,000 x 6, k = 40"
+        );
         let mut union = WeightedSet::new(6).unwrap();
         for (i, row) in wide_chunk(200, 1_500).as_flat().chunks_exact(6).enumerate() {
             union.push(row, 1.0 + ((i as u64 * 53) % 97) as f64).unwrap();
@@ -905,8 +966,16 @@ mod tests {
 
         // Long runs at widths other than the paper's 6, which take the
         // assignment step's run-time-width body.
-        assert_eq!(kmeans_digest_at(20_000, 3, 48), 0xc154_5552_c20e_9608, "20,000 x 3, k = 40");
-        assert_eq!(kmeans_digest_at(20_000, 11, 49), 0xc116_0570_3fa1_1230, "20,000 x 11, k = 40");
+        assert_eq!(
+            kmeans_digest_at(20_000, 3, 48),
+            [0xc154_5552_c20e_9608, 0xb16b_a991_09b2_0a82],
+            "20,000 x 3, k = 40"
+        );
+        assert_eq!(
+            kmeans_digest_at(20_000, 11, 49),
+            [0xc116_0570_3fa1_1230, 0xc277_6e45_53b0_e3ba],
+            "20,000 x 11, k = 40"
+        );
     }
 
     #[test]

@@ -6,6 +6,27 @@
 //! nearest-centroid decisions are identical) and only takes the square root
 //! at reporting boundaries.
 
+/// The paper's dimensionality (six metrics per measurement), the one row
+/// width the Lloyd assignment step and the fused kernel compile at a known
+/// length.
+pub(crate) const PAPER_DIM: usize = 6;
+
+/// The width parameter `D` of a row loop whose width is read at run time;
+/// any other `D` is the width, known at compile time, so loops over it
+/// unroll. Code generic over `D` runs the same operations in the same order
+/// at either.
+pub(crate) const RUN_TIME: usize = 0;
+
+/// The row width at width parameter `D`: `dim` at [`RUN_TIME`], else `D`.
+#[inline(always)]
+pub(crate) fn width<const D: usize>(dim: usize) -> usize {
+    if D == RUN_TIME {
+        dim
+    } else {
+        D
+    }
+}
+
 /// Squared Euclidean distance between two equal-length coordinate slices.
 ///
 /// Panics in debug builds if the slices differ in length; callers in this

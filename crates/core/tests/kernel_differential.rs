@@ -9,10 +9,12 @@
 //! dim ∈ [1, 32] and k ∈ [1, 64], including duplicate centroids, exact
 //! ties, and degenerate all-equal inputs, hold the four-point block entry
 //! point to the same promise (and to the tallies of four single-point
-//! calls) up to k = 300, and then check that threading the kernel through
-//! full Lloyd runs — blocks of four and every length of tail — leaves
-//! assignments identical and the MSE within 1e-9 relative of the scalar
-//! path.
+//! calls) up to k = 300, run all four entry points (one point and a
+//! block, plain and floored) at every vector count the kernel dispatches
+//! on (k ∈ [1, 72], dim ∈ [1, 12]), and then check that threading the
+//! kernel through full Lloyd runs — blocks of four and every length of
+//! tail — leaves assignments identical and the MSE within 1e-9 relative
+//! of the scalar path.
 //!
 //! A Lloyd run with at least `BOUND_GATE` points per centroid keeps
 //! per-point bounds and screens only the points they leave undecided; the
@@ -107,6 +109,44 @@ fn assert_block_bit_identical(
     Ok(())
 }
 
+/// The floored entry points on four points: the hits and tallies of the
+/// plain ones, equal floors from a block and from single calls, and every
+/// floor at most the scalar distance to any centroid but the winner.
+fn assert_floored_bit_identical(
+    dim: usize,
+    cents: &[f64],
+    points: [&[f64]; FusedLayout::BLOCK],
+) -> std::result::Result<(), TestCaseError> {
+    let layout = FusedLayout::new(cents, dim);
+    let mut scratch = vec![0.0; FusedLayout::BLOCK * layout.scratch_len()];
+    let mut plain = KernelStats::default();
+    let want = layout.nearest_block(points, &mut scratch, &mut plain);
+    let mut block = KernelStats::default();
+    let (hits, floors) = layout.nearest_block_floored(points, &mut scratch, &mut block);
+    prop_assert_eq!(block, plain, "floored block tallies as the plain block");
+    let mut single = KernelStats::default();
+    for (((x, hit), (wj, wd)), floor) in points.into_iter().zip(hits).zip(want).zip(floors) {
+        prop_assert_eq!((hit.0, hit.1.to_bits()), (wj, wd.to_bits()), "floored block hit");
+        let (one, one_floor) = layout.nearest_floored(x, &mut scratch, &mut single);
+        prop_assert_eq!((one.0, one.1.to_bits()), (wj, wd.to_bits()), "floored single hit");
+        prop_assert_eq!(one_floor.to_bits(), floor.to_bits(), "block and single floors");
+        let runner_up = cents
+            .chunks_exact(dim)
+            .enumerate()
+            .filter(|&(j, _)| j != wj)
+            .map(|(_, c)| pmkm_core::point::sq_dist(x, c))
+            .fold(f64::INFINITY, f64::min);
+        prop_assert!(
+            floor >= 0.0 && floor <= runner_up,
+            "floor {} > runner-up {}",
+            floor,
+            runner_up
+        );
+    }
+    prop_assert_eq!(single, plain, "four floored single calls tally as the plain block");
+    Ok(())
+}
+
 /// The largest `m ≤ n` with `m mod 4 == tail` (0 when there is none).
 fn with_tail(n: usize, tail: usize) -> usize {
     n.saturating_sub((n + FusedLayout::BLOCK - tail) % FusedLayout::BLOCK)
@@ -195,6 +235,34 @@ proptest! {
         let points: [&[f64]; FusedLayout::BLOCK] =
             std::array::from_fn(|p| &queries[p * dim..(p + 1) * dim]);
         assert_block_bit_identical(dim, &cents, points)?;
+    }
+
+    // Every vector count the kernel dispatches on: k up to 72 crosses every
+    // 4- and 8-lane boundary and, from k = 65, the wide tables; widths up
+    // to 12 run both the paper's compile-time width and the run-time one.
+    // One point and a block of four, plain and floored, on the host's
+    // instruction set (the in-module `simd_and_portable_dispatch_agree`
+    // forces every arm the host supports). Half the draws snap to a
+    // lattice, so coincident centroids and exact ties are common.
+    #[test]
+    fn every_vector_count_matches_scalar_search(
+        (dim, k, mut cents) in arb_centroids(12, 72),
+        mut queries in proptest::collection::vec(-100.0..100.0f64, 12 * 4),
+        lattice in any::<bool>(),
+        pick in any::<usize>(),
+    ) {
+        queries.truncate(dim * FusedLayout::BLOCK);
+        if lattice {
+            for v in cents.iter_mut().chain(queries.iter_mut()) {
+                *v = (*v / 25.0).round();
+            }
+        }
+        let on = pick % k;
+        queries[..dim].copy_from_slice(&cents[on * dim..(on + 1) * dim]);
+        let points: [&[f64]; FusedLayout::BLOCK] =
+            std::array::from_fn(|p| &queries[p * dim..(p + 1) * dim]);
+        assert_block_bit_identical(dim, &cents, points)?;
+        assert_floored_bit_identical(dim, &cents, points)?;
     }
 
     // Threaded through full Lloyd runs: the fused path must reproduce the

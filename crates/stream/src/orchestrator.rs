@@ -854,18 +854,30 @@ fn run_one_cell(shared: &Shared<'_>, i: usize) -> Result<CellOutcome> {
     })
 }
 
-/// In-flight chunk bytes of one cell: a chunk in each of the partial
-/// pool's workers, one in its queue and one the chunker builds, a bound the
-/// driver keeps by construction. Unbooked: each clone's per-point Lloyd
-/// scratch, the scan's batch and prefetched block, and the tail's summaries.
+/// Per-point Lloyd scratch a partial clone holds at most while it clusters
+/// a chunk: the running restart's assignment (4 B), `d²` (8 B), Hamerly
+/// lower bound (8 B) and entry in the `u32` list of undecided points
+/// (4 B), an observed run's copy of the previous assignments (4 B), and
+/// the best restart so far's assignment, which best-of-R keeps while the
+/// next restart runs (4 B).
+const LLOYD_SCRATCH_PER_POINT: usize = 32;
+
+/// In-flight bytes of one cell: a chunk in each of the partial pool's
+/// workers, one in its queue and one the chunker builds, plus each
+/// worker's per-point Lloyd scratch for its chunk — a bound the driver
+/// keeps by construction. Unbooked: the scan's batch and prefetched block,
+/// the tail's summaries and the per-centroid Lloyd buffers (`O(k · dim)`).
 /// Saturates, since the chunk budget comes from the command line: a cost
 /// too large to count is one no budget can admit.
 fn cell_cost(plan: &PhysicalPlan, dim: usize) -> usize {
-    let chunk_bytes = match plan.chunk_policy {
-        ChunkPolicy::MemoryBudget { bytes } => bytes,
-        ChunkPolicy::FixedPoints(p) => p.saturating_mul(dim).saturating_mul(size_of::<f64>()),
+    let row = dim.saturating_mul(size_of::<f64>());
+    let (chunk_bytes, chunk_points) = match plan.chunk_policy {
+        ChunkPolicy::MemoryBudget { bytes } => (bytes, bytes / row.max(1)),
+        ChunkPolicy::FixedPoints(p) => (p.saturating_mul(row), p),
     };
-    chunk_bytes.saturating_mul(plan.partial_clones.saturating_add(2))
+    let clones = plan.partial_clones;
+    let scratch = clones.saturating_mul(chunk_points).saturating_mul(LLOYD_SCRATCH_PER_POINT);
+    chunk_bytes.saturating_mul(clones.saturating_add(2)).saturating_add(scratch)
 }
 
 /// Every plan knob that changes clustering results or fault injection —
@@ -1183,6 +1195,21 @@ mod tests {
         let free = orchestrate(&plan, &OrchestratorOptions::new(4), None, None).unwrap();
         assert_same_cells(&planet, &free);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cell_cost_books_chunks_and_lloyd_scratch() {
+        // Two clones of 1,000-point 6-D chunks: four chunks of 48,000 B in
+        // flight, and 32 B of Lloyd scratch per point in each clone.
+        let mut plan = mk_plan(&[], 7);
+        plan.partial_clones = 2;
+        plan.chunk_policy = ChunkPolicy::FixedPoints(1_000);
+        assert_eq!(cell_cost(&plan, 6), 4 * 48_000 + 2 * 32_000);
+        // A byte budget holds its bytes over the row size in points.
+        plan.chunk_policy = ChunkPolicy::MemoryBudget { bytes: 48_010 };
+        assert_eq!(cell_cost(&plan, 6), 4 * 48_010 + 2 * 32_000);
+        plan.chunk_policy = ChunkPolicy::FixedPoints(usize::MAX);
+        assert_eq!(cell_cost(&plan, 6), usize::MAX, "saturates");
     }
 
     #[test]
