@@ -11,7 +11,7 @@
 //!   out borrowed slices so raw-codec blocks decode straight from the page
 //!   cache with no intermediate payload buffer.
 //! * [`SimObjectStore`] — a local file dressed up as an object store:
-//!   every `read_range` is a ranged GET with injected per-GET latency and
+//!   every read is a ranged GET with injected per-GET latency and
 //!   an optional deterministic fault hook, so the chaos suite can exercise
 //!   flaky remote storage without a network.
 //!
@@ -86,13 +86,21 @@ pub trait ScanBackend: Send + Sync {
         self.len() == 0
     }
 
+    /// Fills `buf` with the `buf.len()` bytes starting at `offset`.
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> io::Result<()>;
+
     /// Reads exactly `len` bytes starting at `offset` into a fresh buffer.
-    fn read_range(&self, offset: u64, len: usize) -> io::Result<Vec<u8>>;
+    fn read_range(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0; len];
+        self.read_into(offset, &mut buf)?;
+        Ok(buf)
+    }
 
     /// Borrowed view of a range when the backend can serve one without a
-    /// copy (mmap); `None` means callers must use [`read_range`].
+    /// copy (mmap); `None` means callers must read a copy with
+    /// [`read_into`].
     ///
-    /// [`read_range`]: ScanBackend::read_range
+    /// [`read_into`]: ScanBackend::read_into
     fn map_range(&self, _offset: u64, _len: usize) -> Option<&[u8]> {
         None
     }
@@ -108,8 +116,8 @@ impl ScanBackend for Arc<dyn ScanBackend> {
         (**self).len()
     }
 
-    fn read_range(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        (**self).read_range(offset, len)
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        (**self).read_into(offset, buf)
     }
 
     fn map_range(&self, offset: u64, len: usize) -> Option<&[u8]> {
@@ -148,13 +156,11 @@ impl ScanBackend for FileBackend {
         self.len
     }
 
-    fn read_range(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        if offset.checked_add(len as u64).is_none_or(|end| end > self.len) {
-            return Err(range_err(offset, len, self.len));
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        if offset.checked_add(buf.len() as u64).is_none_or(|end| end > self.len) {
+            return Err(range_err(offset, buf.len(), self.len));
         }
-        let mut buf = vec![0u8; len];
-        read_exact_at(&self.file, &mut buf, offset)?;
-        Ok(buf)
+        read_exact_at(&self.file, buf, offset)
     }
 
     fn kind(&self) -> BackendKind {
@@ -204,10 +210,10 @@ impl ScanBackend for MmapBackend {
         self.map.len() as u64
     }
 
-    fn read_range(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        self.map_range(offset, len)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| range_err(offset, len, self.len()))
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let range = self.map_range(offset, buf.len());
+        buf.copy_from_slice(range.ok_or_else(|| range_err(offset, buf.len(), self.len()))?);
+        Ok(())
     }
 
     fn map_range(&self, offset: u64, len: usize) -> Option<&[u8]> {
@@ -260,7 +266,7 @@ impl ScanBackend for SimObjectStore {
         self.inner.len()
     }
 
-    fn read_range(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         let ordinal = self.gets.fetch_add(1, Ordering::Relaxed);
         if self.latency_us > 0 {
             std::thread::sleep(std::time::Duration::from_micros(self.latency_us));
@@ -273,7 +279,7 @@ impl ScanBackend for SimObjectStore {
                 ));
             }
         }
-        self.inner.read_range(offset, len)
+        self.inner.read_into(offset, buf)
     }
 
     fn kind(&self) -> BackendKind {

@@ -207,19 +207,41 @@ impl<W: Write> Gb02Writer<W> {
     /// every block but the last holds exactly `block_points` points, and a
     /// block is written the moment it fills. Pushing past the header's
     /// count is an error.
-    pub fn push(&mut self, mut values: &[f64]) -> Result<()> {
-        self.pushed = self.pushed.saturating_add(values.len() as u64);
+    pub fn push(&mut self, values: &[f64]) -> Result<()> {
+        self.append(values.len(), |block, from, to| codec::f64s_to_le(&values[from..to], block))
+    }
+
+    /// [`Gb02Writer::push`] for values already in little-endian bytes (a
+    /// whole number of them), such as a block's payload from
+    /// [`Gb02Reader`].
+    fn push_le(&mut self, bytes: &[u8]) -> Result<()> {
+        debug_assert!(bytes.len().is_multiple_of(8), "block payloads are whole f64s");
+        self.append(bytes.len() / 8, |block, from, to| {
+            block.extend_from_slice(&bytes[from * 8..to * 8]);
+        })
+    }
+
+    /// The re-blocking loop: appends values `from..to` of the `values`
+    /// being pushed to the block with `copy`, as many as fit, and writes
+    /// each block as it fills.
+    fn append(
+        &mut self,
+        values: usize,
+        mut copy: impl FnMut(&mut Vec<u8>, usize, usize),
+    ) -> Result<()> {
+        self.pushed = self.pushed.saturating_add(values as u64);
         if self.pushed > self.promised {
             return Err(DataError::Invalid(format!(
                 "{} values pushed, the header promises {}",
                 self.pushed, self.promised
             )));
         }
-        while !values.is_empty() {
+        let mut from = 0;
+        while from < values {
             let room = (self.block_bytes - self.block.len()) / 8;
-            let (head, rest) = values.split_at(room.min(values.len()));
-            codec::f64s_to_le(head, &mut self.block);
-            values = rest;
+            let to = values.min(from + room);
+            copy(&mut self.block, from, to);
+            from = to;
             if self.block.len() == self.block_bytes {
                 self.write_block()?;
             }
@@ -313,12 +335,13 @@ fn write_bucket<W: Write>(
 }
 
 /// Converts the bucket at `src`, in either format, to a GB02 container at
-/// `dst`, one block at a time: GB02 blocks come from
-/// [`Gb02Reader::read_block`], GB01 points from [`BucketReader::next_batch`],
-/// and both feed one [`Gb02Writer`]. The container is written to
-/// `<dst>.tmp` and renamed over `dst` only once it is complete, so `dst`
-/// may be `src` and a failed conversion leaves both untouched and no
-/// `.tmp` behind. Returns the source's header facts and the writer's
+/// `dst`, one block at a time: a GB02 block's verified payload goes to the
+/// [`Gb02Writer`] as the little-endian bytes it decoded to, through
+/// buffers reused from block to block, and GB01 points from
+/// [`BucketReader::next_batch`] are pushed as values. The container is
+/// written to `<dst>.tmp` and renamed over `dst` only once it is complete,
+/// so `dst` may be `src` and a failed conversion leaves both untouched and
+/// no `.tmp` behind. Returns the source's header facts and the writer's
 /// summary.
 pub fn convert_bucket(
     src: &Path,
@@ -367,8 +390,9 @@ fn stream_bucket(
             let info =
                 BucketInfo { format, cell: reader.cell, dim: reader.dim, count: reader.count };
             let mut writer = create(&info)?;
+            let (mut block, mut scratch) = (Vec::new(), Vec::new());
             for i in 0..reader.n_blocks() {
-                writer.push(reader.read_block(i)?.as_flat())?;
+                writer.push_le(reader.payload(i, &mut block, &mut scratch)?.0)?;
             }
             (info, writer)
         }
@@ -575,44 +599,46 @@ impl Gb02Reader {
 
     /// [`Gb02Reader::read_block`], plus byte accounting for scan metrics.
     pub fn read_block_with_stats(&self, i: usize) -> Result<(Dataset, BlockReadStats)> {
+        let mut block = Vec::new();
+        // The codec's scratch is freed before the payload becomes `f64`s.
+        let (payload, stats) = self.payload(i, &mut block, &mut Vec::new())?;
+        Ok((self.flat_to_dataset(codec::f64s_from_le(payload))?, stats))
+    }
+
+    /// Reads block `i`, decodes it and checks its checksum: the one path
+    /// from stored bytes to a verified little-endian payload. A raw block
+    /// in a mapped file is its own payload, read straight from the page
+    /// cache; any other block is read into `block` and decoded there, with
+    /// `scratch` as the codec's working buffer. Callers that pass the same
+    /// buffers for every block allocate nothing per block.
+    fn payload<'a>(
+        &'a self,
+        i: usize,
+        block: &'a mut Vec<u8>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(&'a [u8], BlockReadStats)> {
         let e = *self.entry(i);
         let clen = usize::try_from(e.clen)
             .map_err(|_| DataError::Format(format!("block {i} too large for this host")))?;
         let ulen = usize::try_from(e.ulen)
             .map_err(|_| DataError::Format(format!("block {i} too large for this host")))?;
-
-        // Zero-copy fast path: a raw-codec block in a mapped file decodes
-        // straight from the page cache — checksum and f64 materialization
-        // read the mapped bytes with no intermediate payload buffer.
-        if e.codec == Codec::Raw {
-            if let Some(stored) = self.backend.map_range(e.offset, clen) {
-                let actual = fnv1a_words(stored);
-                if actual != e.checksum {
-                    return Err(DataError::ChecksumMismatch { expected: e.checksum, actual });
-                }
-                if stored.len() != ulen {
-                    return Err(DataError::Format(format!(
-                        "raw block {i} is {} bytes, index promises {ulen}",
-                        stored.len()
-                    )));
-                }
-                let ds = self.flat_to_dataset(codec::f64s_from_le(stored))?;
-                let stats =
-                    BlockReadStats { stored_bytes: e.clen, payload_bytes: e.ulen, zero_copy: true };
-                return Ok((ds, stats));
+        let mapped = self.backend.map_range(e.offset, clen).filter(|_| e.codec == Codec::Raw);
+        let zero_copy = mapped.is_some();
+        let payload = match mapped {
+            Some(stored) => codec::raw_payload(stored, ulen)?,
+            None => {
+                // `open` bounded `clen` by the object's length.
+                block.resize(clen, 0);
+                self.backend.read_into(e.offset, block)?;
+                codec::decode_in_place(e.codec, block, ulen, scratch)?;
+                block
             }
-        }
-
-        let stored = self.backend.read_range(e.offset, clen)?;
-        let payload = codec::decode(e.codec, &stored, ulen)?;
-        let actual = fnv1a_words(&payload);
+        };
+        let actual = fnv1a_words(payload);
         if actual != e.checksum {
             return Err(DataError::ChecksumMismatch { expected: e.checksum, actual });
         }
-        let ds = self.flat_to_dataset(codec::f64s_from_le(&payload))?;
-        let stats =
-            BlockReadStats { stored_bytes: e.clen, payload_bytes: e.ulen, zero_copy: false };
-        Ok((ds, stats))
+        Ok((payload, BlockReadStats { stored_bytes: e.clen, payload_bytes: e.ulen, zero_copy }))
     }
 
     fn flat_to_dataset(&self, flat: Vec<f64>) -> Result<Dataset> {

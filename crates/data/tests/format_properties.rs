@@ -4,6 +4,7 @@
 use pmkm_core::{Dataset, PointSource};
 use pmkm_data::bucket::{fnv1a, GridBucket};
 use pmkm_data::container::{FOOTER_LEN, INDEX_ENTRY_LEN};
+use pmkm_data::generator::{generate_cell, CellConfig};
 use pmkm_data::grid::TOTAL_CELLS;
 use pmkm_data::swath::{read_stripe, write_stripe, Observation};
 use pmkm_data::{BackendKind, BucketFormat, Codec, DataError, Gb02Reader, Gb02Writer, GridCell};
@@ -439,6 +440,24 @@ fn golden_gb02_containers_still_read_and_rewrite_byte_for_byte() {
             assert_eq!(std::fs::read(&dst).unwrap(), bytes, "{name} from {}", src.display());
         }
     }
+}
+
+/// The shuffle-rle container of one paper-shaped cell (150,000 points ×
+/// 6 attributes in blocks of 4,096), pinned by the FNV-1a digest of the
+/// file the byte-at-a-time codec wrote for it: the word-at-a-time kernels
+/// must write the same bytes on real coordinates, not only on the codec's
+/// own test blocks.
+#[test]
+fn paper_cell_shuffle_rle_container_is_pinned() {
+    let points = generate_cell(&CellConfig::paper(150_000, 42)).unwrap();
+    let bucket = GridBucket { cell: GridCell::from_index(0).unwrap(), points };
+    let path = scratch_file("paper_pin");
+    pmkm_data::write_gb02(&bucket, &path, Codec::ShuffleRle, 4096).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (6_371_710, 0xb15f_22f5_0a59_bed9));
+    let reader = Gb02Reader::open_path(&path, BackendKind::LocalFile).unwrap();
+    assert_eq!(reader.read_all().unwrap(), bucket);
+    std::fs::remove_file(path).unwrap();
 }
 
 /// Committed hostile files that crashed every reader before their shape
