@@ -4,10 +4,10 @@
 //! rate/quality trade-off it buys (fewer transmitted centroids vs merged
 //! quality).
 
+use pmkm_bench::ecvq::{partial_merge_ecvq, EcvqConfig};
 use pmkm_bench::experiments::SweepConfig;
 use pmkm_bench::report::{grouped, print_table, write_json};
-use pmkm_core::ecvq::EcvqConfig;
-use pmkm_core::{metrics, partial_merge, partial_merge_ecvq};
+use pmkm_core::{metrics, partial_merge};
 use serde::Serialize;
 
 #[derive(Serialize)]

@@ -1,4 +1,4 @@
-//! Entropy-Constrained Vector Quantization (ECVQ).
+//! Entropy-Constrained Vector Quantization (ECVQ) as a partial step.
 //!
 //! The paper's §3.3 remarks point at ECVQ (Chou, Lookabaugh & Gray 1989;
 //! Braverman 2002) as the answer to "which k for which partition size":
@@ -9,18 +9,20 @@
 //! and can be discarded. This allows to find an optimal k for a partition on
 //! the fly."
 //!
-//! This module implements that future-work extension; the
-//! `ablation_seeding`/compression harnesses exercise it.
+//! Neither engine runs it: only the `ablation_ecvq` harness does, so it
+//! lives here, over `pmkm-core`'s public slicing, seeding and merge.
 
-use crate::config::LloydConfig;
-use crate::dataset::{Centroids, PointSource, WeightedSet};
-use crate::error::{Error, Result};
-use crate::point::sq_dist;
-use crate::seeding::{rng_for, seed_centroids};
-use serde::{Deserialize, Serialize};
+use pmkm_core::point::sq_dist;
+use pmkm_core::seeding::{rng_for, seed_centroids};
+use pmkm_core::{
+    chunk_seed, merge_collective, slice, Centroids, ChunkStats, Dataset, Error, LloydConfig,
+    PartialMergeConfig, PartialMergeResult, PartialOutput, PointSource, Result, SeedMode,
+    WeightedSet, DEFAULT_MAX_ITERS, PAPER_EPSILON,
+};
+use std::time::Instant;
 
 /// ECVQ parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EcvqConfig {
     /// Upper bound on the codebook size (the paper: "define a maximum k").
     pub max_k: usize,
@@ -41,8 +43,8 @@ impl Default for EcvqConfig {
         Self {
             max_k: 40,
             lambda: 1.0,
-            epsilon: crate::config::PAPER_EPSILON,
-            max_iters: crate::config::DEFAULT_MAX_ITERS,
+            epsilon: PAPER_EPSILON,
+            max_iters: DEFAULT_MAX_ITERS,
             seed: 0,
         }
     }
@@ -110,7 +112,7 @@ pub fn ecvq<S: PointSource + ?Sized>(src: &S, cfg: &EcvqConfig) -> Result<EcvqRe
     let dim = src.dim();
     let k0 = cfg.max_k.min(n);
     let mut rng = rng_for(cfg.seed, 0);
-    let init = seed_centroids(src, k0, crate::config::SeedMode::RandomPoints, &mut rng)?;
+    let init = seed_centroids(src, k0, SeedMode::RandomPoints, &mut rng)?;
     let total_w = src.total_weight();
 
     // Live codebook as (coords, probability) with uniform initial code
@@ -212,10 +214,68 @@ struct IterationOut {
     k: usize,
 }
 
+/// Runs ECVQ on one partition instead of fixed-k k-means: small partitions
+/// are represented with fewer centroids (starved codewords are discarded),
+/// large ones with up to `max_k`, and the merge step consumes the weighted
+/// codebook exactly like a fixed-k partial output.
+pub fn partial_ecvq(chunk: &Dataset, cfg: &EcvqConfig) -> Result<PartialOutput> {
+    if chunk.is_empty() {
+        return Err(Error::EmptyDataset);
+    }
+    let started = Instant::now();
+    let res = ecvq(chunk, cfg)?;
+    Ok(PartialOutput {
+        centroids: res.to_weighted_set()?,
+        points: chunk.len(),
+        best_mse: res.distortion / chunk.len() as f64,
+        restarts: Vec::new(),
+        total_iterations: res.iterations,
+        elapsed: started.elapsed(),
+        best_trajectory: Vec::new(),
+    })
+}
+
+/// Partial/merge with the ECVQ partial step: the cell is sliced as
+/// [`pmkm_core::partial_merge`] slices it, every non-empty chunk is
+/// quantized under `ecvq_cfg` with the chunk's own [`chunk_seed`], and the
+/// adaptive-size codebooks are merged with the ordinary weighted merge
+/// k-means from `cfg.kmeans`.
+pub fn partial_merge_ecvq(
+    ds: &Dataset,
+    cfg: &PartialMergeConfig,
+    ecvq_cfg: &EcvqConfig,
+) -> Result<PartialMergeResult> {
+    cfg.validate()?;
+    let started = Instant::now();
+    let parts = slice(ds, cfg.partitions, cfg.slicing, cfg.kmeans.seed)?;
+    let partial_started = Instant::now();
+    let mut sets: Vec<WeightedSet> = Vec::with_capacity(parts.len());
+    let mut chunks = Vec::with_capacity(parts.len());
+    for (i, chunk) in parts.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+        let o =
+            partial_ecvq(chunk, &EcvqConfig { seed: chunk_seed(ecvq_cfg.seed, i), ..*ecvq_cfg })?;
+        chunks.push(ChunkStats {
+            chunk: i,
+            points: o.points,
+            best_mse: o.best_mse,
+            total_iterations: o.total_iterations,
+            elapsed: o.elapsed,
+        });
+        sets.push(o.centroids);
+    }
+    let partial_elapsed = partial_started.elapsed();
+    Ok(PartialMergeResult {
+        merge: merge_collective(&sets, &cfg.kmeans, cfg.merge_restarts)?,
+        chunks,
+        partitions: cfg.partitions,
+        partial_elapsed,
+        total_elapsed: started.elapsed(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
 
     fn blobs(n_per: usize, centers: &[f64]) -> Dataset {
         let mut ds = Dataset::new(1).unwrap();

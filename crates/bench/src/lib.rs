@@ -7,6 +7,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ecvq;
 pub mod experiments;
 pub mod report;
 

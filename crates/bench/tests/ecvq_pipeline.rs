@@ -1,9 +1,12 @@
 //! Tests for the ECVQ partial step and the ECVQ pipeline variant
-//! (§3.3 remarks: adaptive k per partition).
+//! (§3.3 remarks: adaptive k per partition), and the bit-level pin on the
+//! pipeline's output.
 
-use pmkm_core::ecvq::EcvqConfig;
+use pmkm_bench::ecvq::{partial_ecvq, partial_merge_ecvq, EcvqConfig};
 use pmkm_core::prelude::*;
-use pmkm_core::{partial_ecvq, partial_merge_ecvq, SliceStrategy};
+use pmkm_core::seeding::rng_for;
+use pmkm_core::{PartialMergeResult, SliceStrategy};
+use rand::Rng;
 
 fn blob_cell(n_per: usize) -> Dataset {
     let mut ds = Dataset::new(2).unwrap();
@@ -104,4 +107,78 @@ fn ecvq_pipeline_rejects_invalid_configs() {
     assert!(partial_merge_ecvq(&cell, &pm, &bad).is_err());
     let bad = EcvqConfig { lambda: f64::NAN, ..EcvqConfig::default() };
     assert!(partial_merge_ecvq(&cell, &pm, &bad).is_err());
+}
+
+/// Word-wise FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn float(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    fn floats(&mut self, vs: &[f64]) {
+        self.word(vs.len() as u64);
+        vs.iter().for_each(|&v| self.float(v));
+    }
+}
+
+/// `n` 3-D points around five blobs of unequal spread, arrival-ordered by
+/// blob so that salami slicing sees skewed chunks.
+fn cell(n: usize, seed: u64) -> Dataset {
+    let mut rng = rng_for(seed, 0x5049_4E53);
+    let mut ds = Dataset::new(3).unwrap();
+    for i in 0..n {
+        let blob = (i * 5 / n) as f64;
+        let spread = 0.5 + blob;
+        let p: Vec<f64> = (0..3)
+            .map(|d| blob * 20.0 * (d as f64 - 1.0) + rng.gen_range(-spread..spread))
+            .collect();
+        ds.push(&p).unwrap();
+    }
+    ds
+}
+
+fn digest_result(h: &mut Fnv, res: &PartialMergeResult) {
+    let m = &res.merge;
+    h.word(m.centroids.k() as u64);
+    h.floats(m.centroids.as_flat());
+    h.floats(&m.cluster_weights);
+    h.float(m.epm);
+    h.float(m.mse);
+    h.word(m.iterations as u64);
+    h.word(u64::from(m.converged));
+    h.word(m.input_centroids as u64);
+    h.word(res.partitions as u64);
+    h.word(res.chunks.len() as u64);
+    for c in &res.chunks {
+        h.word(c.chunk as u64);
+        h.word(c.points as u64);
+        h.float(c.best_mse);
+        h.word(c.total_iterations as u64);
+    }
+}
+
+/// Recorded on e60cfb7 with `pmkm-core`'s own ECVQ pipeline, which this
+/// pipeline replaces: it covers every word the pipeline returns except
+/// durations, so a change that moves it changed an output.
+#[test]
+fn partial_merge_ecvq_bits_are_pinned() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (slicing, lambda) in [(SliceStrategy::RandomOverlap, 10.0), (SliceStrategy::Salami, 200.0)]
+    {
+        let cfg = PartialMergeConfig {
+            slicing,
+            merge_restarts: 3,
+            ..PartialMergeConfig::paper(5, 6, 11)
+        };
+        let ecvq = EcvqConfig { max_k: 8, lambda, seed: 5, ..EcvqConfig::default() };
+        digest_result(&mut h, &partial_merge_ecvq(&cell(1_800, 11), &cfg, &ecvq).unwrap());
+    }
+    let (got, want) = (h.0, 0x0745_21ea_cba7_9d17);
+    assert_eq!(got, want, "ecvq: digest {got:#018x}, pinned {want:#018x}");
 }

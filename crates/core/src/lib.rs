@@ -49,10 +49,9 @@
 //! | [`mod@kmeans`] | §3.2 | best-of-R outer loop |
 //! | [`mod@partial`] | §3.2 | chunk clustering → weighted centroids |
 //! | [`mod@merge`] | §3.3 | collective merge of the weighted centroids |
-//! | [`mod@pipeline`] | §3.4/Fig. 5 | end-to-end partial/merge on one thread (k-means or ECVQ partials) |
+//! | [`mod@pipeline`] | §3.4/Fig. 5 | end-to-end partial/merge on one thread |
 //! | [`metrics`] | §2/§3.3 | `E`, `E_pm`, MSE evaluation |
-//! | [`mod@ecvq`] | §3.3 remarks | entropy-constrained VQ (adaptive k) |
-//! | [`mod@coreset`] | beyond the paper | weighted coresets, merge-reduce tree, anytime queries |
+//! //! | [`mod@coreset`] | beyond the paper | weighted coresets, merge-reduce tree, anytime queries |
 //!
 //! The stream-operator execution (queues, backpressure, operator cloning —
 //! §3/§4 of the paper) lives in the companion crate `pmkm-stream`, which
@@ -68,7 +67,6 @@
 pub mod config;
 pub mod coreset;
 pub mod dataset;
-pub mod ecvq;
 pub mod error;
 pub mod kernel;
 pub mod kmeans;
@@ -95,12 +93,9 @@ pub use kernel::{FusedLayout, KernelStats};
 pub use kmeans::{kmeans, kmeans_observed, KMeansOutcome, RestartStats};
 pub use lloyd::{lloyd, lloyd_observed, LloydRun};
 pub use merge::{merge_collective, merge_collective_observed, MergeOutput};
-pub use partial::{
-    partial_ecvq, partial_kmeans, partial_kmeans_observed, partition_random, PartialOutput,
-};
+pub use partial::{partial_kmeans, partial_kmeans_observed, partition_random, PartialOutput};
 pub use pipeline::{
-    cell_report, chunk_seed, partial_merge, partial_merge_ecvq, partial_merge_observed, ChunkStats,
-    PartialMergeResult,
+    cell_report, chunk_seed, partial_merge, partial_merge_observed, ChunkStats, PartialMergeResult,
 };
 pub use slicing::{slice, SliceStrategy};
 

@@ -8,7 +8,6 @@
 
 use crate::config::KMeansConfig;
 use crate::dataset::{Dataset, PointSource, WeightedSet};
-use crate::ecvq::{ecvq, EcvqConfig};
 use crate::error::{Error, Result};
 use crate::kmeans::{kmeans_observed, RestartStats};
 use crate::seeding::{derive_seed, rng_for};
@@ -41,7 +40,7 @@ pub struct PartialOutput {
     /// Wall time of this partition's clustering.
     pub elapsed: Duration,
     /// Per-iteration MSE of the winning restart (starting with `MSE(0)`).
-    /// Empty for the tiny-chunk passthrough and for ECVQ partitions.
+    /// Empty for the tiny-chunk passthrough.
     pub best_trajectory: Vec<f64>,
 }
 
@@ -129,29 +128,6 @@ fn record_chunk(rec: Option<&Recorder>, points: usize, centroids: usize, best_ms
             ],
         );
     }
-}
-
-/// Runs entropy-constrained VQ on one partition instead of fixed-k
-/// k-means — the §3.3 remark that ECVQ "allows to find an optimal k for a
-/// partition on the fly": small partitions are represented with fewer
-/// centroids (starved codewords are discarded), large ones with up to
-/// `max_k`, and the merge step consumes the weighted codebook exactly like
-/// a fixed-k partial output.
-pub fn partial_ecvq(chunk: &Dataset, cfg: &EcvqConfig) -> Result<PartialOutput> {
-    if chunk.is_empty() {
-        return Err(Error::EmptyDataset);
-    }
-    let started = Instant::now();
-    let res = ecvq(chunk, cfg)?;
-    Ok(PartialOutput {
-        centroids: res.to_weighted_set()?,
-        points: chunk.len(),
-        best_mse: res.distortion / chunk.len() as f64,
-        restarts: Vec::new(),
-        total_iterations: res.iterations,
-        elapsed: started.elapsed(),
-        best_trajectory: Vec::new(),
-    })
 }
 
 /// Deals a cell's points into `p` near-equal chunks, optionally after a

@@ -1,8 +1,8 @@
 //! The full partial/merge pipeline over an in-memory grid cell.
 //!
 //! This is the library-level entry point (Figure 5 of the paper): deal the
-//! cell into chunks, run the partial step (k-means, or ECVQ) on every chunk
-//! on the calling thread, and merge the weighted centroids. The stream-operator version
+//! cell into chunks, run best-of-R k-means on every chunk on the calling
+//! thread, and merge the weighted centroids. The stream-operator version
 //! that adds queues, backpressure and operator cloning (the only place the
 //! partial step runs on more than one thread) lives in the `pmkm-stream`
 //! crate. The two lay out chunks and derive chunk seeds differently, so the
@@ -11,10 +11,9 @@
 
 use crate::config::{KMeansConfig, PartialMergeConfig};
 use crate::dataset::{Dataset, PointSource, WeightedSet};
-use crate::ecvq::EcvqConfig;
 use crate::error::Result;
 use crate::merge::{merge_collective_observed, MergeOutput};
-use crate::partial::{partial_ecvq, partial_kmeans_observed, PartialOutput};
+use crate::partial::partial_kmeans_observed;
 use crate::seeding::derive_seed;
 use crate::slicing::slice;
 use pmkm_obs::{CellReport, ChunkReport, MergeReport, Recorder, RunReport};
@@ -59,11 +58,6 @@ pub struct PartialMergeResult {
 }
 
 impl PartialMergeResult {
-    /// Sum of per-chunk clustering times (machine-seconds of partial work).
-    pub fn partial_cpu_time(&self) -> Duration {
-        self.chunks.iter().map(|c| c.elapsed).sum()
-    }
-
     /// Total points across all chunks.
     pub fn total_points(&self) -> usize {
         self.chunks.iter().map(|c| c.points).sum()
@@ -74,7 +68,7 @@ impl PartialMergeResult {
 /// paper's "even if all partial k-means steps are run serially on one
 /// machine" configuration used for Table 2.
 pub fn partial_merge(ds: &Dataset, cfg: &PartialMergeConfig) -> Result<PartialMergeResult> {
-    Ok(run(ds, cfg, None, kmeans_step(cfg, None))?.0)
+    Ok(run(ds, cfg, None)?.0)
 }
 
 /// Runs the pipeline with full observability: chunk sizes, per-iteration
@@ -87,7 +81,7 @@ pub fn partial_merge_observed(
     rec: Option<&Recorder>,
 ) -> Result<(PartialMergeResult, RunReport)> {
     let started = Instant::now();
-    let (res, trajectories) = run(ds, cfg, rec, kmeans_step(cfg, rec))?;
+    let (res, trajectories) = run(ds, cfg, rec)?;
     if let Some(rec) = rec {
         rec.event(
             "merge.done",
@@ -108,22 +102,6 @@ pub fn partial_merge_observed(
         ..RunReport::new()
     };
     Ok((res, report))
-}
-
-/// Runs the pipeline with the ECVQ partial step (§3.3 remarks): every chunk
-/// is quantized with entropy-constrained VQ under `ecvq_cfg` (per-chunk
-/// seeds derived like the k-means path), then the adaptive-size weighted
-/// codebooks are merged with the ordinary weighted merge k-means from
-/// `cfg.kmeans`.
-pub fn partial_merge_ecvq(
-    ds: &Dataset,
-    cfg: &PartialMergeConfig,
-    ecvq_cfg: &EcvqConfig,
-) -> Result<PartialMergeResult> {
-    let step = |chunk: &Dataset, i| {
-        partial_ecvq(chunk, &EcvqConfig { seed: chunk_seed(ecvq_cfg.seed, i), ..*ecvq_cfg })
-    };
-    Ok(run(ds, cfg, None, step)?.0)
 }
 
 /// The seed of chunk `chunk`'s partial step, derived from the run's base
@@ -176,26 +154,13 @@ pub fn cell_report(
     }
 }
 
-/// The fixed-k partial step of chunk `i`: best-of-R k-means under the
-/// chunk's own seed.
-fn kmeans_step<'a>(
-    cfg: &'a PartialMergeConfig,
-    rec: Option<&'a Recorder>,
-) -> impl FnMut(&Dataset, usize) -> Result<PartialOutput> + 'a {
-    move |chunk, i| {
-        let chunk_cfg = KMeansConfig { seed: chunk_seed(cfg.kmeans.seed, i), ..cfg.kmeans };
-        partial_kmeans_observed(chunk, &chunk_cfg, rec)
-    }
-}
-
-/// The one chunk loop: slice the cell, run `step` on every non-empty chunk
-/// (given the chunk and its index), then merge the weighted centroid sets.
+/// The chunk loop: slice the cell, run best-of-R k-means on every non-empty
+/// chunk under its [`chunk_seed`], then merge the weighted centroid sets.
 /// Returns the result and each chunk's MSE trajectory.
 fn run(
     ds: &Dataset,
     cfg: &PartialMergeConfig,
     rec: Option<&Recorder>,
-    mut step: impl FnMut(&Dataset, usize) -> Result<PartialOutput>,
 ) -> Result<(PartialMergeResult, Vec<Vec<f64>>)> {
     cfg.validate()?;
     let started = Instant::now();
@@ -213,7 +178,8 @@ fn run(
         }
         let o = {
             let _phase = rec.and_then(|r| r.phase("partial"));
-            step(chunk, i)?
+            let chunk_cfg = KMeansConfig { seed: chunk_seed(cfg.kmeans.seed, i), ..cfg.kmeans };
+            partial_kmeans_observed(chunk, &chunk_cfg, rec)?
         };
         chunks.push(ChunkStats {
             chunk: i,
@@ -321,7 +287,6 @@ mod tests {
             assert!(c.points == 30);
             assert!(c.total_iterations > 0);
         }
-        assert!(res.partial_cpu_time() <= res.total_elapsed);
     }
 
     #[test]

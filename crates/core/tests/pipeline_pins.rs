@@ -10,11 +10,10 @@
 //! profiler's phase rows are left out). A change that moves any constant
 //! changed an output.
 
-use pmkm_core::ecvq::EcvqConfig;
 use pmkm_core::seeding::rng_for;
 use pmkm_core::{
-    partial_merge, partial_merge_ecvq, partial_merge_observed, Dataset, PartialMergeConfig,
-    PartialMergeResult, SliceStrategy,
+    partial_merge, partial_merge_observed, Dataset, PartialMergeConfig, PartialMergeResult,
+    SliceStrategy,
 };
 use pmkm_obs::{Profiler, Recorder, RunReport};
 use rand::Rng;
@@ -151,22 +150,6 @@ fn partial_merge_bits_are_pinned() {
         }
         pin(&format!("{slicing:?}"), h.0, want);
     }
-}
-
-#[test]
-fn partial_merge_ecvq_bits_are_pinned() {
-    let mut h = Fnv::new();
-    for (slicing, lambda) in [(SliceStrategy::RandomOverlap, 10.0), (SliceStrategy::Salami, 200.0)]
-    {
-        let cfg = PartialMergeConfig {
-            slicing,
-            merge_restarts: 3,
-            ..PartialMergeConfig::paper(5, 6, 11)
-        };
-        let ecvq = EcvqConfig { max_k: 8, lambda, seed: 5, ..EcvqConfig::default() };
-        digest_result(&mut h, &partial_merge_ecvq(&cell(1_800, 11), &cfg, &ecvq).unwrap());
-    }
-    pin("ecvq", h.0, 0x0745_21ea_cba7_9d17);
 }
 
 #[test]

@@ -104,9 +104,6 @@ pub trait ScanBackend: Send + Sync {
     fn map_range(&self, _offset: u64, _len: usize) -> Option<&[u8]> {
         None
     }
-
-    /// The backend's [`BackendKind`] label, for metrics and errors.
-    fn kind(&self) -> BackendKind;
 }
 
 // Shared handles delegate, so one backend (and its GET accounting) can
@@ -122,10 +119,6 @@ impl ScanBackend for Arc<dyn ScanBackend> {
 
     fn map_range(&self, offset: u64, len: usize) -> Option<&[u8]> {
         (**self).map_range(offset, len)
-    }
-
-    fn kind(&self) -> BackendKind {
-        (**self).kind()
     }
 }
 
@@ -161,10 +154,6 @@ impl ScanBackend for FileBackend {
             return Err(range_err(offset, buf.len(), self.len));
         }
         read_exact_at(&self.file, buf, offset)
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::LocalFile
     }
 }
 
@@ -219,10 +208,6 @@ impl ScanBackend for MmapBackend {
     fn map_range(&self, offset: u64, len: usize) -> Option<&[u8]> {
         let start = usize::try_from(offset).ok()?;
         self.map.get(start..start.checked_add(len)?)
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Mmap
     }
 }
 
@@ -280,10 +265,6 @@ impl ScanBackend for SimObjectStore {
             }
         }
         self.inner.read_into(offset, buf)
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::SimObjectStore
     }
 }
 

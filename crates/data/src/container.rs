@@ -587,11 +587,6 @@ impl Gb02Reader {
         &self.index[i]
     }
 
-    /// The backend kind serving this reader.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
-    }
-
     /// Reads, integrity-checks, and decodes block `i` into a dataset.
     pub fn read_block(&self, i: usize) -> Result<Dataset> {
         self.read_block_with_stats(i).map(|(ds, _)| ds)

@@ -34,7 +34,7 @@
 //! yields a consistent global timeline.
 
 use crate::lock;
-use crate::report::{FaultReport, PhaseReport, RunReport};
+use crate::report::{FaultKind, FaultReport, PhaseReport, RunReport};
 use crate::trace::{Event, FieldValue, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -445,7 +445,7 @@ pub struct CheckpointRollup {
 pub struct FaultEntry {
     /// When the fault was recorded (µs since recorder epoch).
     pub ts_us: u64,
-    /// Fault kind (`"scan_retry"`, `"chunk_quarantined"`, …).
+    /// Fault kind ([`FaultKind::kind`], or an unknown kind verbatim).
     pub kind: String,
     /// Compact rendering of the fault's context fields.
     pub detail: String,
@@ -632,24 +632,6 @@ impl LedgerRollup {
     }
 }
 
-/// Applies one `fault` record's `kind` to the counter block. Returns false
-/// for kinds this reader does not know (newer writers), which are still
-/// kept on the timeline.
-fn apply_fault_kind(faults: &mut FaultReport, kind: &str) -> bool {
-    match kind {
-        "scan_retry" => faults.scan_retries += 1,
-        "scan_failure" => faults.scan_failures += 1,
-        "chunk_poisoned" => faults.chunks_poisoned += 1,
-        "chunk_quarantined" => faults.chunks_quarantined += 1,
-        "worker_panic" => faults.worker_panics += 1,
-        "chunk_retry" => faults.chunk_retries += 1,
-        "queue_stall" => faults.queue_stalls += 1,
-        "cell_degraded" => faults.cells_degraded += 1,
-        _ => return false,
-    }
-    true
-}
-
 /// Folds a record stream into a [`LedgerRollup`].
 pub fn rollup(records: &[LedgerRecord]) -> LedgerRollup {
     let mut out = LedgerRollup { events: records.len() as u64, ..LedgerRollup::default() };
@@ -683,7 +665,11 @@ pub fn rollup(records: &[LedgerRecord]) -> LedgerRollup {
             }
             "fault" => {
                 let kind = r.str_field("kind").unwrap_or("unknown").to_string();
-                apply_fault_kind(&mut out.faults, &kind);
+                // A kind this reader does not know (a newer writer's) is
+                // still kept on the timeline.
+                if let Some(k) = FaultKind::from_kind(&kind) {
+                    *out.faults.count_mut(k) += 1;
+                }
                 let detail = r
                     .fields
                     .iter()
@@ -912,25 +898,12 @@ pub fn attribute_phases(a: &[PhaseReport], b: &[PhaseReport]) -> Vec<PhaseDelta>
 /// One fault counter that changed between two runs.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultDelta {
-    /// Fault kind.
+    /// The [`FaultReport`] field that changed ([`FaultKind::field`]).
     pub kind: String,
     /// Count in run A.
     pub a: u64,
     /// Count in run B.
     pub b: u64,
-}
-
-fn fault_pairs(f: &FaultReport) -> [(&'static str, u64); 8] {
-    [
-        ("scan_retries", f.scan_retries),
-        ("scan_failures", f.scan_failures),
-        ("chunks_poisoned", f.chunks_poisoned),
-        ("chunks_quarantined", f.chunks_quarantined),
-        ("worker_panics", f.worker_panics),
-        ("chunk_retries", f.chunk_retries),
-        ("queue_stalls", f.queue_stalls),
-        ("cells_degraded", f.cells_degraded),
-    ]
 }
 
 /// The result of diffing two [`RunProfile`]s.
@@ -1028,11 +1001,14 @@ pub fn diff_profiles(a: &RunProfile, b: &RunProfile, threshold: f64) -> ProfileD
     let slowdown = if a.elapsed_us == 0 { 1.0 } else { b.elapsed_us as f64 / a.elapsed_us as f64 };
     let phases = attribute_phases(&a.phases, &b.phases);
     let confidence = phases.first().map(|p| p.share).unwrap_or(0.0);
-    let fault_deltas = fault_pairs(&a.faults)
-        .iter()
-        .zip(fault_pairs(&b.faults).iter())
-        .filter(|((_, x), (_, y))| x != y)
-        .map(|(&(kind, x), &(_, y))| FaultDelta { kind: kind.to_string(), a: x, b: y })
+    let fault_deltas = FaultKind::ALL
+        .into_iter()
+        .map(|k| FaultDelta {
+            kind: k.field().to_string(),
+            a: a.faults.count(k),
+            b: b.faults.count(k),
+        })
+        .filter(|d| d.a != d.b)
         .collect();
     let mut kernel_changes = Vec::new();
     let mut kinds: BTreeMap<&str, (u64, u64)> = BTreeMap::new();

@@ -70,14 +70,14 @@ pub use ledger::{
 pub use metrics::{escape_label_value, labeled_name, Counter, Gauge, Histogram, Registry};
 pub use profile::{ManualClock, MonotonicClock, PhaseGuard, Profiler, ProfilerClock};
 pub use report::{
-    CellReport, ChunkReport, CoresetReport, CounterSample, FaultReport, GaugeSample,
+    CellReport, ChunkReport, CoresetReport, CounterSample, FaultKind, FaultReport, GaugeSample,
     HistogramSample, HistogramSnapshot, MergeReport, MetricsSnapshot, OperatorReport,
     OrchestratorReport, PhaseReport, QueueReport, RunReport,
 };
 pub use serve::MetricsServer;
 pub use status::{CoresetStatus, StatusCell, StatusSnapshot, WorkerStatus, STATUS_SCHEMA_VERSION};
 pub use timeline::{Timeline, WorkerLaneReport, WorkerState, WorkerTimeline};
-pub use trace::{Event, FieldValue, Recorder, RingBufferSink, Span, TraceSink};
+pub use trace::{Event, FieldValue, Recorder, RingBufferSink, TraceSink};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -19,7 +19,8 @@ use std::time::Duration;
 /// per-thread-max wall clock); v7 added the optional `coreset` block
 /// (merge-reduce tree shape and mass accounting of coreset-mode runs) and
 /// the timeline lanes' `compact_us` column.
-/// Every addition is `#[serde(default)]`, so older documents still parse.
+/// The reader expects every key of the current version: older documents
+/// are not parsed.
 pub const SCHEMA_VERSION: u32 = 7;
 
 /// Coreset-engine accounting for one run (schema v7): the aggregated shape
@@ -49,8 +50,74 @@ pub struct CoresetReport {
     pub expired_points: f64,
 }
 
-/// Fault-tolerance counters for one run (schema v3). All zero on a
-/// fault-free run — and on any report parsed from a v1/v2 document.
+/// The kinds of fault a run books, in [`FaultReport`] field order. Each
+/// kind is counted once per occurrence in three places that must agree:
+/// its [`FaultReport`] field, the `kind` of a `fault` ledger event, and the
+/// `fault_events_total{kind}` metric family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FaultKind {
+    /// A scan read retried after a transient error.
+    ScanRetry,
+    /// A bucket (or bucket tail) abandoned after retries were exhausted.
+    ScanFailure,
+    /// A chunk whose payload failed validation.
+    ChunkPoisoned,
+    /// A chunk abandoned entirely; its mass is reported lost.
+    ChunkQuarantined,
+    /// A partial-worker panic caught and isolated.
+    WorkerPanic,
+    /// A chunk clustering re-run after a caught panic.
+    ChunkRetry,
+    /// An artificial queue-send stall injected by a fault plan.
+    QueueStall,
+    /// A cell merged with missing mass.
+    CellDegraded,
+}
+
+impl FaultKind {
+    /// Every kind, in [`FaultReport`] field order.
+    pub const ALL: [FaultKind; 8] = [
+        FaultKind::ScanRetry,
+        FaultKind::ScanFailure,
+        FaultKind::ChunkPoisoned,
+        FaultKind::ChunkQuarantined,
+        FaultKind::WorkerPanic,
+        FaultKind::ChunkRetry,
+        FaultKind::QueueStall,
+        FaultKind::CellDegraded,
+    ];
+
+    /// `(ledger kind, FaultReport field)` of each kind, indexed by kind.
+    const NAMES: [(&'static str, &'static str); 8] = [
+        ("scan_retry", "scan_retries"),
+        ("scan_failure", "scan_failures"),
+        ("chunk_poisoned", "chunks_poisoned"),
+        ("chunk_quarantined", "chunks_quarantined"),
+        ("worker_panic", "worker_panics"),
+        ("chunk_retry", "chunk_retries"),
+        ("queue_stall", "queue_stalls"),
+        ("cell_degraded", "cells_degraded"),
+    ];
+
+    /// The `kind` field of the kind's `fault` ledger event, and its label in
+    /// the `fault_events_total{kind}` family.
+    pub fn kind(self) -> &'static str {
+        Self::NAMES[self as usize].0
+    }
+
+    /// The name of the [`FaultReport`] field that counts the kind.
+    pub fn field(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+
+    /// The kind whose ledger string is `kind`, if any.
+    pub fn from_kind(kind: &str) -> Option<FaultKind> {
+        Self::ALL.into_iter().find(|k| k.kind() == kind)
+    }
+}
+
+/// Fault-tolerance counters for one run (schema v3), one field per
+/// [`FaultKind`]. All zero on a fault-free run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FaultReport {
     /// Scan read attempts that were retried after a transient error.
@@ -77,6 +144,25 @@ impl FaultReport {
     /// True when any counter is non-zero.
     pub fn any(&self) -> bool {
         *self != Self::default()
+    }
+
+    /// The counter of `kind`.
+    pub fn count(mut self, kind: FaultKind) -> u64 {
+        *self.count_mut(kind)
+    }
+
+    /// The counter of `kind`, for update.
+    pub fn count_mut(&mut self, kind: FaultKind) -> &mut u64 {
+        match kind {
+            FaultKind::ScanRetry => &mut self.scan_retries,
+            FaultKind::ScanFailure => &mut self.scan_failures,
+            FaultKind::ChunkPoisoned => &mut self.chunks_poisoned,
+            FaultKind::ChunkQuarantined => &mut self.chunks_quarantined,
+            FaultKind::WorkerPanic => &mut self.worker_panics,
+            FaultKind::ChunkRetry => &mut self.chunk_retries,
+            FaultKind::QueueStall => &mut self.queue_stalls,
+            FaultKind::CellDegraded => &mut self.cells_degraded,
+        }
     }
 }
 
@@ -149,9 +235,7 @@ pub struct PhaseReport {
     /// Time not attributed to any child span, summed over threads (µs).
     pub self_us: u64,
     /// Maximum per-thread time inside the span (µs) — the phase's elapsed
-    /// wall time when its threads run concurrently. Absent (0) in pre-v4
-    /// documents.
-    #[serde(default)]
+    /// wall time when its threads run concurrently.
     pub wall_us: u64,
 }
 
@@ -241,19 +325,14 @@ pub struct CellReport {
     pub cell: String,
     /// Points clustered in the cell.
     pub total_points: usize,
-    /// Points the cell was expected to carry (`0` when unknown — v1/v2
-    /// documents and in-memory runs).
-    #[serde(default)]
+    /// Points the cell was expected to carry.
     pub expected_points: f64,
     /// Input mass lost to quarantined chunks or failed reads
     /// (`Σw_expected − Σw_received`).
-    #[serde(default)]
     pub lost_points: f64,
     /// Chunks of this cell that were quarantined instead of merged.
-    #[serde(default)]
     pub lost_chunks: usize,
     /// True when the cell was merged with missing mass.
-    #[serde(default)]
     pub degraded: bool,
     /// Per-chunk outcomes, chunk order.
     pub chunks: Vec<ChunkReport>,
@@ -301,28 +380,18 @@ pub struct RunReport {
     pub queues: Vec<QueueReport>,
     /// Snapshot of the recorder's metrics registry.
     pub metrics: MetricsSnapshot,
-    /// Span-profiler phase breakdown (empty when no profiler was attached;
-    /// absent in schema v1 documents).
-    #[serde(default)]
+    /// Span-profiler phase breakdown (empty when no profiler was attached).
     pub phases: Vec<PhaseReport>,
-    /// True when any cell was merged with missing mass (absent in v1/v2
-    /// documents).
-    #[serde(default)]
+    /// True when any cell was merged with missing mass.
     pub degraded: bool,
-    /// Fault-tolerance counters (all zero for fault-free and v1/v2 runs).
-    #[serde(default)]
+    /// Fault-tolerance counters (all zero for fault-free runs).
     pub faults: FaultReport,
-    /// Planet-level orchestration accounting (`None` for single runs and
-    /// pre-v5 documents).
-    #[serde(default)]
+    /// Planet-level orchestration accounting (`None` for single runs).
     pub orchestrator: Option<OrchestratorReport>,
     /// Per-worker state-timeline rollup (`None` when no timeline was
-    /// attached and for pre-v6 documents).
-    #[serde(default)]
+    /// attached).
     pub timeline: Option<crate::timeline::WorkerTimeline>,
-    /// Coreset-engine rollup (`None` on classic merge-path runs and for
-    /// pre-v7 documents).
-    #[serde(default)]
+    /// Coreset-engine rollup (`None` on classic merge-path runs).
     pub coreset: Option<CoresetReport>,
 }
 
@@ -443,104 +512,6 @@ mod tests {
         }
     }
 
-    /// Strips the v7 `coreset` key from a serialized report, producing the
-    /// JSON a v6-or-older writer would have emitted.
-    fn strip_v7_keys(json: &str) -> String {
-        let json = json.replace(",\"coreset\":null", "");
-        assert!(!json.contains("\"coreset\""), "surgery failed: {json}");
-        json
-    }
-
-    /// Strips the v6 `timeline` key from a serialized report, producing
-    /// the JSON a v5-or-older writer would have emitted.
-    fn strip_v6_keys(json: &str) -> String {
-        let json = strip_v7_keys(json).replace(",\"timeline\":null", "");
-        assert!(!json.contains("timeline"), "surgery failed: {json}");
-        json
-    }
-
-    /// Strips the v5 `orchestrator` key from a serialized report,
-    /// producing the JSON a v4-or-older writer would have emitted.
-    fn strip_v5_keys(json: &str) -> String {
-        let json = strip_v6_keys(json).replace(",\"orchestrator\":null", "");
-        assert!(!json.contains("orchestrator"), "surgery failed: {json}");
-        json
-    }
-
-    /// Strips every v3 addition from a serialized report, producing the
-    /// exact JSON an older (v1/v2) writer would have emitted. The report
-    /// must carry default values in all v3 fields for the surgery to apply.
-    fn strip_v3_keys(report: &RunReport) -> String {
-        let faults_json = serde_json::to_string(&FaultReport::default()).unwrap();
-        let json = strip_v5_keys(&serde_json::to_string(report).unwrap())
-            .replace(&format!(",\"degraded\":false,\"faults\":{faults_json}"), "")
-            .replace(
-                ",\"expected_points\":0.0,\"lost_points\":0.0,\"lost_chunks\":0,\"degraded\":false",
-                "",
-            );
-        for absent in ["faults", "lost_points", "lost_chunks", "expected_points"] {
-            assert!(!json.contains(absent), "surgery failed for {absent}: {json}");
-        }
-        json
-    }
-
-    #[test]
-    fn v1_report_without_phases_still_parses() {
-        let mut report = sample_report();
-        report.phases.clear();
-        report.schema_version = 1;
-        report.cells[0].expected_points = 0.0;
-        // A v1 document has none of the v2/v3 keys at all.
-        let json = strip_v3_keys(&report).replace(",\"phases\":[]", "");
-        assert!(!json.contains("phases"), "surgery failed: {json}");
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, 1);
-        assert!(back.phases.is_empty());
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v2_report_without_fault_fields_still_parses() {
-        let mut report = sample_report();
-        report.schema_version = 2;
-        report.cells[0].expected_points = 0.0;
-        let json = strip_v3_keys(&report);
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, 2);
-        assert!(!back.degraded);
-        assert!(!back.faults.any());
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v3_report_without_wall_us_still_parses() {
-        // A v3 writer emitted phases without the v4 `wall_us` column; the
-        // field must default to 0 under the current reader.
-        let mut report = sample_report();
-        report.schema_version = 3;
-        report.phases[0].wall_us = 0;
-        let json =
-            strip_v5_keys(&serde_json::to_string(&report).unwrap()).replace(",\"wall_us\":0", "");
-        assert!(!json.contains("wall_us"), "surgery failed: {json}");
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, 3);
-        assert_eq!(back.phases[0].wall_us, 0);
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v6_report_without_coreset_block_still_parses() {
-        // A v6 writer emitted no `coreset` key at all; the field must
-        // default to None under the current reader.
-        let mut report = sample_report();
-        report.schema_version = 6;
-        let json = strip_v7_keys(&serde_json::to_string(&report).unwrap());
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, 6);
-        assert!(back.coreset.is_none());
-        assert_eq!(back, report);
-    }
-
     #[test]
     fn coreset_block_round_trips() {
         let mut report = sample_report();
@@ -560,32 +531,6 @@ mod tests {
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.coreset.unwrap().compactions, 13);
-    }
-
-    #[test]
-    fn v5_report_without_timeline_block_still_parses() {
-        // A v5 writer emitted no `timeline` key at all; the field must
-        // default to None under the current reader.
-        let mut report = sample_report();
-        report.schema_version = 5;
-        let json = strip_v6_keys(&serde_json::to_string(&report).unwrap());
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, 5);
-        assert!(back.timeline.is_none());
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v4_report_without_orchestrator_block_still_parses() {
-        // A v4 writer emitted no `orchestrator` key at all; the field must
-        // default to None under the current reader.
-        let mut report = sample_report();
-        report.schema_version = 4;
-        let json = strip_v5_keys(&serde_json::to_string(&report).unwrap());
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, 4);
-        assert!(back.orchestrator.is_none());
-        assert_eq!(back, report);
     }
 
     #[test]
@@ -637,6 +582,21 @@ mod tests {
             },
         });
         assert_eq!(report.total_points(), 1250);
+    }
+
+    #[test]
+    fn fault_kinds_name_their_report_fields() {
+        let mut seen = std::collections::HashSet::new();
+        for kind in FaultKind::ALL {
+            assert_eq!(FaultKind::from_kind(kind.kind()), Some(kind));
+            assert!(seen.insert(kind.field()), "{kind:?} shares a field");
+            let mut faults = FaultReport::default();
+            *faults.count_mut(kind) = 7;
+            assert_eq!(faults.count(kind), 7);
+            let json = serde_json::to_string(&faults).unwrap();
+            assert!(json.contains(&format!("\"{}\":7", kind.field())), "{kind:?}: {json}");
+        }
+        assert_eq!(FaultKind::from_kind("unknown"), None);
     }
 
     #[test]

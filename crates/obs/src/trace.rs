@@ -1,4 +1,4 @@
-//! Structured tracing: events, spans, and pluggable sinks.
+//! Structured tracing: events and pluggable sinks.
 
 use crate::lock;
 use crate::metrics::Registry;
@@ -270,12 +270,6 @@ impl Recorder {
         }
     }
 
-    /// Starts a span; dropping the guard emits `<name>` with a
-    /// `duration_us` field (plus any fields given at close).
-    pub fn span<'r>(&'r self, name: &'r str) -> Span<'r> {
-        Span { recorder: self, name, started: Instant::now(), fields: Vec::new() }
-    }
-
     /// Flushes every sink.
     pub fn flush(&self) {
         for sink in &self.sinks {
@@ -287,40 +281,6 @@ impl Recorder {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder").field("sinks", &self.sinks.len()).finish()
-    }
-}
-
-/// Guard returned by [`Recorder::span`].
-pub struct Span<'r> {
-    recorder: &'r Recorder,
-    name: &'r str,
-    started: Instant,
-    fields: Vec<(String, FieldValue)>,
-}
-
-impl Span<'_> {
-    /// Attaches a field to the closing event (dropped when the recorder has
-    /// no sinks, as the event is).
-    pub fn field(&mut self, key: &str, value: FieldValue) {
-        if !self.recorder.sinks.is_empty() {
-            self.fields.push((key.to_string(), value));
-        }
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if self.recorder.sinks.is_empty() {
-            return;
-        }
-        let mut fields: Vec<(String, FieldValue)> =
-            vec![("duration_us".to_string(), (self.started.elapsed().as_micros() as u64).into())];
-        fields.append(&mut self.fields);
-        let event =
-            Event { ts_us: self.recorder.elapsed_us(), name: self.name.to_string(), fields };
-        for sink in &self.recorder.sinks {
-            sink.record(&event);
-        }
     }
 }
 
@@ -355,36 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn span_emits_duration_on_drop() {
-        let ring = Arc::new(RingBufferSink::new(4));
-        let rec = Recorder::new().with_sink(ring.clone());
-        {
-            let mut span = rec.span("work");
-            span.field("items", 7u64.into());
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let events = ring.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "work");
-        match events[0].fields[0] {
-            (ref k, FieldValue::U64(us)) => {
-                assert_eq!(k, "duration_us");
-                assert!(us >= 1_000);
-            }
-            ref other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(events[0].fields[1], ("items".to_string(), FieldValue::U64(7)));
-    }
-
-    #[test]
     fn sinkless_recorder_still_counts_and_profiles() {
         use crate::profile::{ManualClock, Profiler};
         let clock = Arc::new(ManualClock::new());
         let rec = Recorder::new().with_profiler(Arc::new(Profiler::with_clock(clock.clone())));
         {
             let _phase = rec.phase("assign");
-            let mut span = rec.span("work");
-            span.field("items", 7u64.into());
             rec.event("e", &[("n", 1u64.into())]);
             rec.registry().counter("chunks_total").add(2);
             clock.advance_us(5);

@@ -44,22 +44,6 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Total wall time the cloned partial operators spent busy — the
-    /// engine-level equivalent of Table 2's `t C0−Ci` column.
-    pub fn partial_busy(&self) -> Duration {
-        self.op_stats.iter().filter(|s| s.name == "partial-kmeans").map(|s| s.busy).sum()
-    }
-
-    /// Busy time of the tail operator (`t merge`): the merge clustering,
-    /// or in coreset mode tree maintenance + anytime queries.
-    pub fn merge_busy(&self) -> Duration {
-        self.op_stats
-            .iter()
-            .filter(|s| s.name == "merge" || s.name == "coreset")
-            .map(|s| s.busy)
-            .sum()
-    }
-
     /// Converts the engine telemetry into the observability layer's
     /// [`RunReport`]. When a recorder is supplied, its metrics registry is
     /// snapshotted into the report as well.
@@ -1074,21 +1058,6 @@ mod tests {
         let mut classic = mk_plan(3);
         classic.coreset = None;
         assert!(execute(&classic).unwrap().run_report(None).coreset.is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn report_busy_accessors() {
-        let dir = tmpdir("busy");
-        let paths = vec![write_cell(&dir, 4, 150, 1)];
-        let plan = optimize_fixed_split(
-            LogicalPlan::new(paths, KMeansConfig { restarts: 1, ..KMeansConfig::paper(2, 0) }),
-            &Resources::fixed(1 << 20, 2),
-            30,
-        );
-        let report = execute(&plan).unwrap();
-        assert!(report.partial_busy() > Duration::ZERO);
-        assert!(report.elapsed >= report.merge_busy());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,7 +16,7 @@
 //! tolerance are orthogonal: chaos tests combine a `FaultPlan` with either
 //! policy, and production runs use a policy with no plan at all.
 
-use pmkm_obs::{labeled_name, FaultReport, FieldValue, Recorder};
+use pmkm_obs::{FaultKind, FaultReport, FieldValue, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -277,41 +277,19 @@ impl Default for FaultPolicy {
     }
 }
 
-/// Shared failure counters, incremented by the operators as faults are hit
-/// and snapshotted into the run's [`FaultReport`].
+/// Shared failure counters, one per [`FaultKind`], bumped by
+/// [`FaultContext::fault`] and snapshotted into the run's [`FaultReport`].
 #[derive(Debug, Default)]
-pub struct FaultCounters {
-    /// Scan reads retried after a transient error.
-    pub scan_retries: AtomicU64,
-    /// Buckets (or bucket tails) abandoned after retries were exhausted.
-    pub scan_failures: AtomicU64,
-    /// Chunks whose payload failed finiteness validation.
-    pub chunks_poisoned: AtomicU64,
-    /// Chunks abandoned entirely; their mass is reported lost.
-    pub chunks_quarantined: AtomicU64,
-    /// Partial-worker panics caught and isolated.
-    pub worker_panics: AtomicU64,
-    /// Chunk clusterings re-run after a caught panic.
-    pub chunk_retries: AtomicU64,
-    /// Queue-send stalls injected by the fault plan.
-    pub queue_stalls: AtomicU64,
-    /// Cells merged with missing mass.
-    pub cells_degraded: AtomicU64,
-}
+pub struct FaultCounters([AtomicU64; FaultKind::ALL.len()]);
 
 impl FaultCounters {
     /// Plain-data copy for reports.
     pub fn snapshot(&self) -> FaultReport {
-        FaultReport {
-            scan_retries: self.scan_retries.load(Ordering::Relaxed),
-            scan_failures: self.scan_failures.load(Ordering::Relaxed),
-            chunks_poisoned: self.chunks_poisoned.load(Ordering::Relaxed),
-            chunks_quarantined: self.chunks_quarantined.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            chunk_retries: self.chunk_retries.load(Ordering::Relaxed),
-            queue_stalls: self.queue_stalls.load(Ordering::Relaxed),
-            cells_degraded: self.cells_degraded.load(Ordering::Relaxed),
+        let mut report = FaultReport::default();
+        for kind in FaultKind::ALL {
+            *report.count_mut(kind) = self.0[kind as usize].load(Ordering::Relaxed);
         }
+        report
     }
 }
 
@@ -347,22 +325,20 @@ impl FaultContext {
         self.rec.as_deref()
     }
 
-    /// Emits one `fault` ledger event (`kind` plus any site-specific context
-    /// fields) and bumps the `fault_events_total{kind="..."}` counter family.
+    /// Books one fault of `kind`: bumps its counter and, when the run is
+    /// observed, emits one `fault` ledger event (`kind` plus any
+    /// site-specific context fields) and bumps `fault_events_total{kind}`.
     ///
-    /// Call this at exactly the sites that increment a [`FaultCounters`]
-    /// field, using the kind names the ledger rollup maps back onto
-    /// [`FaultReport`] counters (`scan_retry`, `scan_failure`,
-    /// `chunk_poisoned`, `chunk_quarantined`, `worker_panic`, `chunk_retry`,
-    /// `queue_stall`, `cell_degraded`) — that one-to-one pairing is what lets
-    /// a ledger rollup reproduce the run's fault counters exactly.
-    pub fn record_fault(&self, kind: &str, fields: &[(&str, FieldValue)]) {
+    /// Each kind has one booking site, so a ledger rollup and the metric
+    /// family reproduce the run's [`FaultReport`] count for count.
+    pub fn fault(&self, kind: FaultKind, fields: &[(&str, FieldValue)]) {
+        self.counters.0[kind as usize].fetch_add(1, Ordering::Relaxed);
         if let Some(rec) = self.rec() {
             let mut all: Vec<(&str, FieldValue)> = Vec::with_capacity(fields.len() + 1);
-            all.push(("kind", kind.into()));
+            all.push(("kind", kind.kind().into()));
             all.extend_from_slice(fields);
             rec.event("fault", &all);
-            rec.registry().counter(&labeled_name("fault_events_total", "kind", kind)).inc();
+            rec.registry().labeled_counter("fault_events_total", "kind", kind.kind()).inc();
         }
     }
 
@@ -382,12 +358,8 @@ impl FaultContext {
     /// one for `(edge, key)`; counts it either way it fires.
     pub fn maybe_stall(&self, edge: u64, key: u64) {
         if let Some(stall) = self.plan.as_deref().and_then(|p| p.stall(edge, key)) {
-            self.counters.queue_stalls.fetch_add(1, Ordering::Relaxed);
-            if let Some(rec) = self.rec() {
-                rec.registry().counter("fault_queue_stalls_total").inc();
-            }
-            self.record_fault(
-                "queue_stall",
+            self.fault(
+                FaultKind::QueueStall,
                 &[("edge", edge.into()), ("stall_us", (stall.as_micros() as u64).into())],
             );
             if !stall.is_zero() {
@@ -487,9 +459,9 @@ mod tests {
     #[test]
     fn counters_snapshot_roundtrip() {
         let c = FaultCounters::default();
-        c.scan_retries.store(2, Ordering::Relaxed);
-        c.worker_panics.store(1, Ordering::Relaxed);
-        c.cells_degraded.store(3, Ordering::Relaxed);
+        c.0[FaultKind::ScanRetry as usize].store(2, Ordering::Relaxed);
+        c.0[FaultKind::WorkerPanic as usize].store(1, Ordering::Relaxed);
+        c.0[FaultKind::CellDegraded as usize].store(3, Ordering::Relaxed);
         let snap = c.snapshot();
         assert_eq!(snap.scan_retries, 2);
         assert_eq!(snap.worker_panics, 1);

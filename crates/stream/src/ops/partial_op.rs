@@ -16,9 +16,8 @@ use pmkm_core::partial::{partial_kmeans_observed, PartialOutput};
 use pmkm_core::seeding::{derive_seed, rng_for};
 use pmkm_core::{Dataset, KMeansConfig, PointSource};
 use pmkm_data::GridCell;
-use pmkm_obs::Recorder;
+use pmkm_obs::{FaultKind, Recorder};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Stream tag for per-(cell, chunk) seeds.
@@ -100,9 +99,7 @@ impl PartialKMeansOp {
     /// Records a quarantined chunk; the returned notice tells the tail the
     /// chunk is gone, so the cell's plan still closes.
     fn quarantine_chunk(&self, cell: GridCell, chunk_id: usize, points: usize) -> MergeMsg {
-        self.ctx.counters.chunks_quarantined.fetch_add(1, Ordering::Relaxed);
         if let Some(rec) = self.ctx.rec() {
-            rec.registry().counter("fault_chunks_quarantined_total").inc();
             rec.event(
                 "partial.chunk_quarantined",
                 &[
@@ -112,8 +109,8 @@ impl PartialKMeansOp {
                 ],
             );
         }
-        self.ctx.record_fault(
-            "chunk_quarantined",
+        self.ctx.fault(
+            FaultKind::ChunkQuarantined,
             &[("cell", cell.index().into()), ("chunk", chunk_id.into()), ("points", points.into())],
         );
         MergeMsg::ChunkLost { cell, chunk_id, points }
@@ -136,12 +133,8 @@ impl PartialKMeansOp {
         // Poison gate: a chunk with non-finite coordinates would corrupt
         // every centroid it touches, so it never reaches the kernel.
         if self.ctx.validate_chunks() && points.as_flat().iter().any(|v| !v.is_finite()) {
-            self.ctx.counters.chunks_poisoned.fetch_add(1, Ordering::Relaxed);
-            if let Some(rec) = rec {
-                rec.registry().counter("fault_chunks_poisoned_total").inc();
-            }
-            self.ctx.record_fault(
-                "chunk_poisoned",
+            self.ctx.fault(
+                FaultKind::ChunkPoisoned,
                 &[("cell", cell.index().into()), ("chunk", chunk_id.into())],
             );
             if self.ctx.policy.quarantine {
@@ -184,9 +177,7 @@ impl PartialKMeansOp {
             match outcome {
                 Ok(result) => break result?,
                 Err(payload) => {
-                    self.ctx.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
                     if let Some(rec) = rec {
-                        rec.registry().counter("fault_worker_panics_total").inc();
                         rec.event(
                             "partial.panic",
                             &[
@@ -196,8 +187,8 @@ impl PartialKMeansOp {
                             ],
                         );
                     }
-                    self.ctx.record_fault(
-                        "worker_panic",
+                    self.ctx.fault(
+                        FaultKind::WorkerPanic,
                         &[
                             ("cell", cell.index().into()),
                             ("chunk", chunk_id.into()),
@@ -206,12 +197,8 @@ impl PartialKMeansOp {
                     );
                     attempt += 1;
                     if attempt < self.ctx.policy.max_chunk_attempts {
-                        self.ctx.counters.chunk_retries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(rec) = rec {
-                            rec.registry().counter("fault_chunk_retries_total").inc();
-                        }
-                        self.ctx.record_fault(
-                            "chunk_retry",
+                        self.ctx.fault(
+                            FaultKind::ChunkRetry,
                             &[("cell", cell.index().into()), ("chunk", chunk_id.into())],
                         );
                         continue;

@@ -8,9 +8,8 @@ use pmkm_data::{
     BackendKind, BlockReadStats, BucketFormat, BucketReader, DataError, FileBackend, Gb02Reader,
     MmapBackend, ScanBackend, SimObjectStore,
 };
-use pmkm_obs::PhaseGuard;
+use pmkm_obs::{FaultKind, PhaseGuard};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
 
@@ -105,15 +104,13 @@ impl ScanOp {
 
     /// Records a bucket (or bucket tail) abandoned under quarantine.
     fn note_scan_failure(&self, path: &std::path::Path, err: &EngineError) {
-        self.ctx.counters.scan_failures.fetch_add(1, Ordering::Relaxed);
         if let Some(rec) = self.ctx.rec() {
-            rec.registry().counter("fault_scan_failures_total").inc();
             rec.event(
                 "scan.failure",
                 &[("path", path.display().to_string().into()), ("error", err.to_string().into())],
             );
         }
-        self.ctx.record_fault("scan_failure", &[("path", path.display().to_string().into())]);
+        self.ctx.fault(FaultKind::ScanFailure, &[("path", path.display().to_string().into())]);
     }
 
     /// Opens one bucket in whichever format its magic declares. GB02 goes
@@ -440,12 +437,8 @@ fn read_with_retry<T>(
             Err(e) => {
                 last_err = Some(e);
                 if attempt + 1 < attempts {
-                    ctx.counters.scan_retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(rec) = ctx.rec() {
-                        rec.registry().counter("fault_scan_retries_total").inc();
-                    }
-                    ctx.record_fault(
-                        "scan_retry",
+                    ctx.fault(
+                        FaultKind::ScanRetry,
                         &[("batch", batch.into()), ("attempt", (attempt as u64).into())],
                     );
                     if !backoff.is_zero() {

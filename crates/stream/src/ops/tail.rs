@@ -34,9 +34,8 @@ use pmkm_core::partial::PartialOutput;
 use pmkm_core::pipeline::ChunkStats;
 use pmkm_core::KMeansConfig;
 use pmkm_data::GridCell;
-use pmkm_obs::{CoresetStatus, Recorder, WorkerState};
+use pmkm_obs::{CoresetStatus, FaultKind, Recorder, WorkerState};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::Ordering;
 
 /// What tells the two tails apart on the wire: names, never behaviour.
 struct Wire {
@@ -500,16 +499,14 @@ impl TailOp {
     }
 
     fn note_degraded(&self, cell: GridCell, lost_points: f64) {
-        self.ctx.counters.cells_degraded.fetch_add(1, Ordering::Relaxed);
         if let Some(rec) = self.ctx.rec() {
-            rec.registry().counter("fault_cells_degraded_total").inc();
             rec.event(
                 self.wire.degraded_event,
                 &[("cell", cell.index().into()), ("lost_points", lost_points.into())],
             );
         }
-        self.ctx.record_fault(
-            "cell_degraded",
+        self.ctx.fault(
+            FaultKind::CellDegraded,
             &[("cell", cell.index().into()), ("lost_points", lost_points.into())],
         );
     }

@@ -47,8 +47,8 @@ use crate::ops::ChunkPolicy;
 use crate::plan::{CoresetSpec, PhysicalPlan};
 use pmkm_data::bucket::fnv1a;
 use pmkm_obs::{
-    lock, FaultReport, OrchestratorReport, Recorder, RunReport, StatusCell, StatusSnapshot,
-    WorkerState,
+    lock, FaultKind, FaultReport, OrchestratorReport, Recorder, RunReport, StatusCell,
+    StatusSnapshot, WorkerState,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -1015,14 +1015,9 @@ fn load_checkpoint(dir: &Path, input: &Path, fingerprint: u64) -> CheckpointStat
 }
 
 fn add_faults(into: &mut FaultReport, from: &FaultReport) {
-    into.scan_retries += from.scan_retries;
-    into.scan_failures += from.scan_failures;
-    into.chunks_poisoned += from.chunks_poisoned;
-    into.chunks_quarantined += from.chunks_quarantined;
-    into.worker_panics += from.worker_panics;
-    into.chunk_retries += from.chunk_retries;
-    into.queue_stalls += from.queue_stalls;
-    into.cells_degraded += from.cells_degraded;
+    for kind in FaultKind::ALL {
+        *into.count_mut(kind) += from.count(kind);
+    }
 }
 
 #[cfg(test)]

