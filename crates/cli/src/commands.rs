@@ -182,7 +182,9 @@ pub const COMMANDS: &[Command] = &[
         about: "Re-encode buckets as PMKMGB02 block containers.\n\
                 Each block is compressed on its own and indexed for ranged reads. Writes\n\
                 NAME.gb2 next to each input, or into --out, one block at a time through\n\
-                NAME.gb2.tmp, so converting a .gb2 in place is safe.",
+                NAME.gb2.tmp, so converting a .gb2 in place is safe. Converts one file per\n\
+                core at a time. Refuses, before writing anything, an output that is another\n\
+                input or another input's output.",
         flags: &[&[
             Flag::value("codec", "NAME", "shuffle-rle", "block codec: raw, shuffle-rle"),
             Flag::value("block-points", "N", "4096", "points per block"),
@@ -861,15 +863,28 @@ fn convert(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if !out_dir.is_empty() {
         std::fs::create_dir_all(&out_dir)?;
     }
-    for path in args.positionals().iter().map(std::path::Path::new) {
-        let dst = if out_dir.is_empty() {
-            path.with_extension("gb2")
-        } else {
-            let name = path.file_stem().unwrap_or_default().to_string_lossy().into_owned();
-            PathBuf::from(&out_dir).join(format!("{name}.gb2"))
-        };
+    let pairs: Vec<(PathBuf, PathBuf)> = args
+        .positionals()
+        .iter()
+        .map(|path| {
+            let path = PathBuf::from(path);
+            let dst = if out_dir.is_empty() {
+                path.with_extension("gb2")
+            } else {
+                let name = path.file_stem().unwrap_or_default().to_string_lossy().into_owned();
+                PathBuf::from(&out_dir).join(format!("{name}.gb2"))
+            };
+            (path, dst)
+        })
+        .collect();
+    pmkm_data::check_destinations(&pairs).map_err(run_err)?;
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let results = pmkm_data::convert_buckets(&pairs, codec, block_points, workers);
+    // Slots fill in input order up to the first failure, so the loop
+    // returns that failure before the unclaimed (`None`) slots after it.
+    for ((path, dst), result) in pairs.iter().zip(results.into_iter().flatten()) {
         let (info, stats) =
-            pmkm_data::convert_bucket(path, &dst, codec, block_points).map_err(run_err)?;
+            result.map_err(|e| CliError::Run(format!("{}: {e}", path.display())))?;
         writeln!(
             out,
             "{}: {} points -> {} ({} block(s), {codec}, {:.2}x payload ratio, {} bytes)",

@@ -256,3 +256,90 @@ fn convert_in_place_equals_convert_to_another_directory() {
     assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An output that is another input, or another input's output, is a run
+/// failure that names both operands before any file is written.
+#[test]
+fn colliding_convert_destinations_write_nothing() {
+    let dir = scratch_dir("collide");
+    for sub in ["a", "b", "out"] {
+        std::fs::create_dir_all(dir.join(sub)).unwrap();
+    }
+    let bucket = five_block_bucket();
+    let (gb01, gb02) = (dir.join("x.gb"), dir.join("x.gb2"));
+    bucket.write_to(&gb01).unwrap();
+    pmkm_data::write_gb02(&bucket, &gb02, pmkm_data::Codec::Raw, 10).unwrap();
+    for sub in ["a", "b"] {
+        bucket.write_to(&dir.join(sub).join("x.gb")).unwrap();
+    }
+    let listing = |dir: &std::path::Path| {
+        let mut files = walk(dir);
+        files.sort();
+        files
+    };
+    let before = listing(&dir);
+    let out_flag = format!("--out={}", dir.join("out").display());
+    let s = |p: PathBuf| p.to_str().unwrap().to_string();
+    for argv in [
+        vec!["convert".to_string(), s(gb01.clone()), s(gb02.clone())],
+        vec!["convert".to_string(), out_flag, s(dir.join("a/x.gb")), s(dir.join("b/x.gb"))],
+        vec!["convert".to_string(), s(gb02.clone()), s(gb02.clone())],
+    ] {
+        let o = pmkm(&argv);
+        assert_eq!(o.code, 1, "{argv:?}: {}", o.stderr);
+        assert!(o.stdout.is_empty(), "{argv:?}: {}", o.stdout);
+        for operand in argv.iter().skip(1).filter(|a| !a.starts_with("--")) {
+            assert!(o.stderr.contains(operand.as_str()), "{argv:?}: {}", o.stderr);
+        }
+        assert_eq!(listing(&dir), before, "{argv:?} wrote a file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file under `dir` with its bytes.
+fn walk(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(walk(&path));
+        } else {
+            files.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+    }
+    files
+}
+
+/// A corrupt fifth input of eight, on however many cores: the four rows
+/// before it are printed in input order, the run fails with the checksum
+/// mismatch, the input is unchanged and no `.tmp` is left.
+#[test]
+fn convert_reports_the_rows_before_a_corrupt_input_in_order() {
+    let dir = scratch_dir("fail_mid");
+    let out = dir.join("out");
+    let inputs: Vec<PathBuf> = (0..8).map(|c| dir.join(format!("c{c}.gb2"))).collect();
+    for path in &inputs {
+        pmkm_data::write_gb02(&five_block_bucket(), path, pmkm_data::Codec::Raw, 10).unwrap();
+    }
+    let reader =
+        pmkm_data::Gb02Reader::open_path(&inputs[4], pmkm_data::BackendKind::LocalFile).unwrap();
+    let block2 = reader.entry(2).offset as usize;
+    drop(reader);
+    let mut bytes = std::fs::read(&inputs[4]).unwrap();
+    bytes[block2 + 1] ^= 0x04;
+    std::fs::write(&inputs[4], &bytes).unwrap();
+
+    let mut argv = vec![format!("--out={}", out.display())];
+    argv.extend(inputs.iter().map(|p| p.to_str().unwrap().to_string()));
+    argv.insert(0, "convert".to_string());
+    let o = pmkm(&argv);
+    assert_eq!(o.code, 1, "{}", o.stdout);
+    assert!(o.stderr.contains("checksum mismatch"), "{}", o.stderr);
+    assert!(o.stderr.contains(inputs[4].to_str().unwrap()), "{}", o.stderr);
+    let sources: Vec<&str> = o.stdout.lines().map(|l| l.split(": ").next().unwrap()).collect();
+    let first_four: Vec<&str> = inputs[..4].iter().map(|p| p.to_str().unwrap()).collect();
+    assert_eq!(sources, first_four);
+    assert_eq!(std::fs::read(&inputs[4]).unwrap(), bytes);
+    assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+    std::fs::remove_dir_all(&dir).ok();
+}

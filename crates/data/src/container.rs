@@ -33,9 +33,11 @@ use crate::codec::{self, Codec, LeCursor};
 use crate::error::{DataError, Result};
 use crate::grid::GridCell;
 use pmkm_core::{Dataset, PointSource};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// GB02 file magic.
 pub const MAGIC2: [u8; 8] = *b"PMKMGB02";
@@ -221,6 +223,44 @@ impl<W: Write> Gb02Writer<W> {
         })
     }
 
+    /// [`Gb02Writer::push_le`] for one block's verified payload, in a
+    /// buffer of the caller's, and the checksum it was verified against. A
+    /// payload that is exactly the next block — nothing is waiting in the
+    /// block being filled, and it is a full block or the short last one —
+    /// is encoded in the caller's buffer, which is left holding its stored
+    /// bytes, and indexed under `checksum`: it is neither copied nor hashed
+    /// again, and the writer's own block buffer is not touched. Any other
+    /// payload is re-blocked.
+    fn push_verified(&mut self, payload: &mut Vec<u8>, checksum: u64) -> Result<()> {
+        let values = (payload.len() / 8) as u64;
+        let left = self.promised.saturating_sub(self.pushed);
+        let next_block = self.block.is_empty()
+            && !payload.is_empty()
+            && values <= left
+            && (payload.len() == self.block_bytes
+                || (payload.len() < self.block_bytes && values == left));
+        if !next_block {
+            return self.push_le(payload);
+        }
+        self.pushed += values;
+        let ulen = payload.len() as u64;
+        codec::encode_in_place(self.codec, payload, &mut self.scratch);
+        self.sink.write_all(payload)?;
+        let entry = BlockEntry {
+            offset: self.written,
+            clen: payload.len() as u64,
+            ulen,
+            checksum,
+            point_start: self.points_written,
+            point_count: values / self.dim as u64,
+            codec: self.codec,
+        };
+        entry.write_le(&mut self.index);
+        self.written += entry.clen;
+        self.points_written += entry.point_count;
+        Ok(())
+    }
+
     /// The re-blocking loop: appends values `from..to` of the `values`
     /// being pushed to the block with `copy`, as many as fit, and writes
     /// each block as it fills.
@@ -338,7 +378,10 @@ fn write_bucket<W: Write>(
 /// `dst`, one block at a time: a GB02 block's verified payload goes to the
 /// [`Gb02Writer`] as the little-endian bytes it decoded to, through
 /// buffers reused from block to block, and GB01 points from
-/// [`BucketReader::next_batch`] are pushed as values. The container is
+/// [`BucketReader::next_batch`] are pushed as values. A payload that is
+/// exactly the writer's next block (the same block size, or the last
+/// block) is encoded in the reader's buffer under the checksum it was
+/// just verified against; others are re-blocked. The container is
 /// written to `<dst>.tmp` and renamed over `dst` only once it is complete,
 /// so `dst` may be `src` and a failed conversion leaves both untouched and
 /// no `.tmp` behind. Returns the source's header facts and the writer's
@@ -361,6 +404,87 @@ pub fn convert_bucket(
         let _ = std::fs::remove_file(&tmp);
     }
     converted
+}
+
+/// Runs [`convert_bucket`] on every `(src, dst)` pair, one file per worker
+/// at a time, on `workers` scoped threads (the calling thread is one of
+/// them; at least one, at most one per pair). Workers claim pairs in input
+/// order from one shared counter, and none claims another after any
+/// conversion fails. Returns one slot per pair, in input order: `None`
+/// for a pair that no worker claimed, which can only follow a failure.
+/// Destinations must pass [`check_destinations`]: two conversions that
+/// write the same file, or one that overwrites another's input, race.
+pub fn convert_buckets(
+    pairs: &[(PathBuf, PathBuf)],
+    block_codec: Codec,
+    block_points: usize,
+    workers: usize,
+) -> Vec<Option<Result<(BucketInfo, Gb02Stats)>>> {
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let work = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((src, dst)) = pairs.get(i) else { break };
+            let result = convert_bucket(src, dst, block_codec, block_points);
+            failed.fetch_or(result.is_err(), Ordering::Relaxed);
+            done.push((i, result));
+        }
+        done
+    };
+    let mut results: Vec<Option<Result<(BucketInfo, Gb02Stats)>>> =
+        pairs.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let helpers: Vec<_> =
+            (1..workers.clamp(1, pairs.len().max(1))).map(|_| s.spawn(work)).collect();
+        let mine = work();
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        for (i, result) in theirs.chain(mine) {
+            results[i] = Some(result);
+        }
+    });
+    results
+}
+
+/// Checks that converting `pairs` neither writes one file twice nor
+/// overwrites a file it still has to read: no destination may be another
+/// pair's destination or another pair's source. A destination equal to
+/// its own source converts in place and is allowed. Paths are compared by
+/// their canonical directory plus their file name. The error names both
+/// operands of the first collision.
+pub fn check_destinations(pairs: &[(PathBuf, PathBuf)]) -> Result<()> {
+    fn key(path: &Path) -> (PathBuf, Option<&std::ffi::OsStr>) {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        (dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf()), path.file_name())
+    }
+    let mut sources: HashMap<_, Vec<usize>> = HashMap::new();
+    for (i, (src, _)) in pairs.iter().enumerate() {
+        sources.entry(key(src)).or_default().push(i);
+    }
+    let mut written = HashMap::new();
+    for (i, (src, dst)) in pairs.iter().enumerate() {
+        let to = key(dst);
+        let clash = |j: usize, what: &str| {
+            Err(DataError::Invalid(format!(
+                "{} and {} collide: {} would overwrite {what} {}",
+                src.display(),
+                pairs[j].0.display(),
+                dst.display(),
+                pairs[j].0.display()
+            )))
+        };
+        if let Some(&j) = sources.get(&to).and_then(|js| js.iter().find(|&&j| j != i)) {
+            return clash(j, "the input");
+        }
+        if let Some(&j) = written.get(&to) {
+            return clash(j, "the output of");
+        }
+        written.insert(to, i);
+    }
+    Ok(())
 }
 
 fn stream_bucket(
@@ -392,7 +516,9 @@ fn stream_bucket(
             let mut writer = create(&info)?;
             let (mut block, mut scratch) = (Vec::new(), Vec::new());
             for i in 0..reader.n_blocks() {
-                writer.push_le(reader.payload(i, &mut block, &mut scratch)?.0)?;
+                let (_, stats) = reader.payload(i, &mut block, &mut scratch)?;
+                debug_assert!(!stats.zero_copy, "a local file's payload is decoded into `block`");
+                writer.push_verified(&mut block, reader.entry(i).checksum)?;
             }
             (info, writer)
         }

@@ -38,8 +38,9 @@ pub use backend::{
 pub use bucket::{BucketReader, GridBucket};
 pub use codec::Codec;
 pub use container::{
-    convert_bucket, gb02_to_bytes, probe, write_gb02, BlockEntry, BlockReadStats, BucketFormat,
-    BucketInfo, Gb02Reader, Gb02Stats, Gb02Writer, DEFAULT_BLOCK_POINTS,
+    check_destinations, convert_bucket, convert_buckets, gb02_to_bytes, probe, write_gb02,
+    BlockEntry, BlockReadStats, BucketFormat, BucketInfo, Gb02Reader, Gb02Stats, Gb02Writer,
+    DEFAULT_BLOCK_POINTS,
 };
 pub use error::{DataError, Result};
 pub use generator::{paper_cell, CellConfig, PAPER_DIM, PAPER_K, PAPER_SWEEP, PAPER_VERSIONS};

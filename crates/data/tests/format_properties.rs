@@ -521,3 +521,200 @@ fn gb01_conversion_rejects_what_the_whole_file_read_rejects() {
         assert!(!dst.with_extension("gb2.tmp").exists(), "{name}");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // A conversion writes what the writer writes for the same points,
+    // whether the source's blocks pass through whole (same block size,
+    // short last block included) or are re-blocked.
+    #[test]
+    fn gb02_conversion_writes_what_the_writer_writes(
+        ds in arb_dataset(),
+        source_points in 1usize..24,
+        block_points in 1usize..24,
+        codecs in (0usize..2, 0usize..2),
+    ) {
+        let (from, to) = (Codec::ALL[codecs.0], Codec::ALL[codecs.1]);
+        let bucket = GridBucket { cell: GridCell::new(5, 6).unwrap(), points: ds };
+        let src = scratch_file("convert_any");
+        pmkm_data::write_gb02(&bucket, &src, from, source_points).unwrap();
+        let dst = src.with_extension("out.gb2");
+        let (_, stats) = pmkm_data::convert_bucket(&src, &dst, to, block_points).unwrap();
+        let whole = pmkm_data::gb02_to_bytes(&bucket, to, block_points).unwrap();
+        prop_assert_eq!((std::fs::read(&dst).unwrap(), stats), whole);
+    }
+}
+
+/// Each `.tmp` file left anywhere under `dir`.
+fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+    let mut tmp = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            tmp.extend(tmp_files(&path));
+        } else if path.extension().is_some_and(|e| e == "tmp") {
+            tmp.push(path);
+        }
+    }
+    tmp
+}
+
+/// `n` points of `dim` attributes that differ from cell to cell.
+fn numbered_bucket(cell: u32, n: usize, dim: usize) -> GridBucket {
+    let flat = (0..n * dim).map(|i| f64::from(cell) * 1e3 + (i as f64) * 0.25).collect();
+    let points = Dataset::from_flat(dim, flat).unwrap();
+    GridBucket { cell: GridCell::from_index(cell).unwrap(), points }
+}
+
+/// Writes the fan-out test's inputs into `dir`, each under its own name:
+/// a GB01 file, GB02 files in both codecs at 8 points per block (one with a
+/// short last block), one at 5 points per block, and one converted in
+/// place. Returns the `(src, dst)` pairs, outputs under `dir/out`.
+fn mixed_inputs(dir: &Path) -> Vec<(PathBuf, PathBuf)> {
+    std::fs::create_dir_all(dir.join("out")).unwrap();
+    let out = |name: &str| dir.join("out").join(name).with_extension("gb2");
+    let gb01 = dir.join("a.gb");
+    numbered_bucket(1, 30, 3).write_to(&gb01).unwrap();
+    let mut pairs = vec![(gb01, out("a"))];
+    for (name, cell, n, codec, block_points) in [
+        ("b", 2, 30, Codec::Raw, 8),
+        ("c", 3, 32, Codec::ShuffleRle, 8),
+        ("d", 4, 29, Codec::Raw, 5),
+        ("e", 5, 27, Codec::ShuffleRle, 8),
+    ] {
+        let src = dir.join(name).with_extension("gb2");
+        pmkm_data::write_gb02(&numbered_bucket(cell, n, 3), &src, codec, block_points).unwrap();
+        let dst = if name == "e" { src.clone() } else { out(name) };
+        pairs.push((src, dst));
+    }
+    pmkm_data::check_destinations(&pairs).unwrap();
+    pairs
+}
+
+/// The fan-out writes every file, and returns every row, that one
+/// `convert_bucket` call per input in input order does, at any worker
+/// count, with blocks passed through (8 points) and re-blocked (5).
+#[test]
+fn convert_buckets_matches_the_serial_loop_at_any_worker_count() {
+    let root = std::env::temp_dir().join(format!("pmkm_prop_fanout_{}", std::process::id()));
+    for codec in Codec::ALL {
+        for block_points in [8, 5] {
+            let serial_dir = root.join("serial");
+            let pairs = mixed_inputs(&serial_dir);
+            let rows: Vec<_> = pairs
+                .iter()
+                .map(|(src, dst)| pmkm_data::convert_bucket(src, dst, codec, block_points).unwrap())
+                .collect();
+            let files: Vec<Vec<u8>> =
+                pairs.iter().map(|(_, d)| std::fs::read(d).unwrap()).collect();
+            for workers in [1, 2, 3, 8] {
+                let dir = root.join(format!("w{workers}"));
+                let pairs = mixed_inputs(&dir);
+                let results = pmkm_data::convert_buckets(&pairs, codec, block_points, workers);
+                let got: Vec<_> = results.into_iter().map(|r| r.unwrap().unwrap()).collect();
+                let tag = format!("{codec} at {block_points} points, {workers} worker(s)");
+                assert_eq!(got, rows, "{tag}");
+                for ((_, dst), want) in pairs.iter().zip(&files) {
+                    assert_eq!(&std::fs::read(dst).unwrap(), want, "{tag}: {}", dst.display());
+                }
+                assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new(), "{tag}");
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+            std::fs::remove_dir_all(&serial_dir).unwrap();
+        }
+    }
+}
+
+/// The fan-out's paper-cell round trip: raw to shuffle-rle at 4,096 points
+/// per block writes the bytes `paper_cell_shuffle_rle_container_is_pinned`
+/// pins, and converting those back to raw gives the source's bytes.
+#[test]
+fn convert_buckets_round_trips_the_pinned_paper_cell() {
+    let points = generate_cell(&CellConfig::paper(150_000, 42)).unwrap();
+    let bucket = GridBucket { cell: GridCell::from_index(0).unwrap(), points };
+    let raw = scratch_file("paper_fanout_raw");
+    pmkm_data::write_gb02(&bucket, &raw, Codec::Raw, 4096).unwrap();
+    let packed = raw.with_extension("rle.gb2");
+    let back = raw.with_extension("back.gb2");
+    for (src, dst, codec) in [(&raw, &packed, Codec::ShuffleRle), (&packed, &back, Codec::Raw)] {
+        let pairs = [(src.clone(), dst.clone())];
+        let [result] = &pmkm_data::convert_buckets(&pairs, codec, 4096, 2)[..] else {
+            panic!("one result per input")
+        };
+        assert_eq!(result.as_ref().unwrap().as_ref().unwrap().0.count, 150_000);
+    }
+    let bytes = std::fs::read(&packed).unwrap();
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (6_371_710, 0xb15f_22f5_0a59_bed9));
+    assert_eq!(std::fs::read(&back).unwrap(), std::fs::read(&raw).unwrap());
+    for path in [raw, packed, back] {
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
+/// Eight inputs, the fifth with a corrupt block, on two workers: the fifth
+/// slot holds its checksum mismatch and the four before it succeeded; the
+/// corrupt input is unchanged, no `.tmp` is left, and each later output
+/// either does not exist or is a whole container of its source's points.
+#[test]
+fn convert_buckets_fails_cleanly_in_the_middle() {
+    let dir = std::env::temp_dir().join(format!("pmkm_prop_fanout_fail_{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("out")).unwrap();
+    let buckets: Vec<GridBucket> = (0..8).map(|c| numbered_bucket(c, 40, 3)).collect();
+    let pairs: Vec<(PathBuf, PathBuf)> = (0..8)
+        .map(|c| (dir.join(format!("c{c}.gb2")), dir.join("out").join(format!("c{c}.gb2"))))
+        .collect();
+    for ((src, _), bucket) in pairs.iter().zip(&buckets) {
+        pmkm_data::write_gb02(bucket, src, Codec::Raw, 10).unwrap();
+    }
+    let corrupt = &pairs[4].0;
+    let offset = Gb02Reader::open_path(corrupt, BackendKind::LocalFile).unwrap().entry(2).offset;
+    let mut bytes = std::fs::read(corrupt).unwrap();
+    bytes[offset as usize + 3] ^= 0x10;
+    std::fs::write(corrupt, &bytes).unwrap();
+
+    let results = pmkm_data::convert_buckets(&pairs, Codec::ShuffleRle, 10, 2);
+    assert_eq!(results.len(), 8);
+    for result in &results[..4] {
+        assert_eq!(result.as_ref().unwrap().as_ref().unwrap().0.count, 40);
+    }
+    assert!(
+        matches!(results[4], Some(Err(DataError::ChecksumMismatch { .. }))),
+        "{:?}",
+        results[4]
+    );
+    assert_eq!(std::fs::read(corrupt).unwrap(), bytes);
+    assert!(!pairs[4].1.exists());
+    assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+    for ((_, dst), bucket) in pairs.iter().zip(&buckets).skip(5) {
+        if dst.exists() {
+            let back = Gb02Reader::open_path(dst, BackendKind::LocalFile).unwrap();
+            assert_eq!(&back.read_all().unwrap(), bucket, "{}", dst.display());
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// No output may be another input or another input's output; an input
+/// converted onto itself is fine. Directories compare canonically.
+#[test]
+fn colliding_destinations_are_named_before_anything_is_written() {
+    let dir = std::env::temp_dir().join(format!("pmkm_prop_collide_{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("sub")).unwrap();
+    let p = |name: &str| dir.join(name);
+    let pair = |src: &str, dst: &str| (p(src), p(dst));
+    let check = |pairs: &[(PathBuf, PathBuf)]| pmkm_data::check_destinations(pairs);
+    assert!(check(&[pair("x.gb2", "x.gb2"), pair("y.gb", "y.gb2")]).is_ok());
+    for (pairs, names) in [
+        (vec![pair("x.gb", "x.gb2"), pair("x.gb2", "x.gb2")], ["x.gb", "x.gb2"]),
+        (vec![pair("a/x.gb", "out/x.gb2"), pair("b/x.gb", "out/x.gb2")], ["a/x.gb", "b/x.gb"]),
+        (vec![pair("y.gb2", "sub/../z.gb2"), pair("z.gb2", "z.gb2")], ["y.gb2", "z.gb2"]),
+        (vec![pair("a.gb2", "b.gb2"), pair("b.gb2", "sub/b.gb2")], ["a.gb2", "b.gb2"]),
+    ] {
+        let err = check(&pairs).unwrap_err().to_string();
+        for name in names {
+            assert!(err.contains(&p(name).display().to_string()), "{name}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

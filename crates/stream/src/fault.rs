@@ -1,7 +1,7 @@
 //! Deterministic fault injection and the engine's tolerance policy.
 //!
 //! A [`FaultPlan`] decides — purely from a seed and stable identifiers
-//! (bucket path, cell index, chunk id, attempt number) — where the pipeline
+//! (bucket file name, cell index, chunk id, attempt number) — where the pipeline
 //! misbehaves: scan reads error out, chunks arrive truncated or poisoned
 //! with NaNs, partial workers panic mid-chunk, queue sends stall. Because
 //! every decision is a hash of `(seed, site, key)` rather than a draw from
@@ -55,10 +55,12 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a byte string, for keying faults off bucket paths.
+/// FNV-1a over a bucket's file name (the whole path when it has none),
+/// for keying scan and storage faults: the same seed draws the same
+/// schedule for a bucket wherever its directory is.
 pub fn path_key(path: &std::path::Path) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in path.as_os_str().as_encoded_bytes() {
+    for &b in path.file_name().unwrap_or(path.as_os_str()).as_encoded_bytes() {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -441,6 +443,12 @@ mod tests {
     fn path_key_distinguishes_paths() {
         assert_ne!(path_key(Path::new("a/cell_1.gb")), path_key(Path::new("a/cell_2.gb")));
         assert_eq!(path_key(Path::new("x.gb")), path_key(Path::new("x.gb")));
+    }
+
+    #[test]
+    fn path_key_ignores_the_directory() {
+        assert_eq!(path_key(Path::new("/tmp/a/cell_1.gb")), path_key(Path::new("b/cell_1.gb")));
+        assert_ne!(path_key(Path::new("a/cell_1.gb")), path_key(Path::new("a/cell_1.gb2")));
     }
 
     #[test]

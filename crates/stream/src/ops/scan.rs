@@ -82,7 +82,7 @@ impl ScanOp {
 
     /// Builds the configured backend for one bucket. The sim object store
     /// gets its GET-level flakiness wired to the fault plan here, keyed on
-    /// the bucket path so schedules replay per cell.
+    /// the bucket's file name so schedules replay per cell.
     fn make_backend(
         &self,
         path: &std::path::Path,
@@ -767,10 +767,10 @@ mod tests {
     /// Sim-object-store GET flakiness (a separate injection channel from
     /// block faults) is absorbed by the block retry loop: each retry issues
     /// fresh GETs with fresh ordinals, so injected GET faults behave as
-    /// transient flakiness. GET rolls are keyed by a hash of the bucket
-    /// PATH (which embeds the test pid), so whether one seed's ~10 GETs
-    /// draw a fault varies per run — sweep seeds until one does; every
-    /// swept run must still deliver all points with zero hard failures.
+    /// transient flakiness. GET rolls are keyed by a hash of the bucket's
+    /// file name, so whether one seed's ~10 GETs draw a fault is fixed per
+    /// seed — sweep seeds until one does; every swept run must still
+    /// deliver all points with zero hard failures.
     /// At 10 retries about one path in a hundred kept failing the open
     /// past its budget, so the test allows 40, without backoff.
     #[test]

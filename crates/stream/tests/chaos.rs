@@ -399,14 +399,52 @@ fn gb02_sim_store_chaos_matrix_conserves_mass() {
     }
 }
 
+/// Scan and storage faults are keyed on a bucket's file name, so one seed
+/// draws one schedule wherever the planet lies: the same cells in two
+/// directories, read through the simulated object store, book equal fault
+/// reports, and some seed of the matrix fires a scan or GET fault.
+#[test]
+fn one_seed_books_the_same_faults_in_any_directory() {
+    use pmkm_data::{BackendKind, Codec};
+    quiet_injected_panics();
+    let mut scan_faults = 0;
+    for seed in seeds() {
+        let booked: Vec<_> = ["here", "there"]
+            .iter()
+            .map(|place| {
+                let (dir, base_plan) = workload(&format!("moved_{place}_{seed}"));
+                let mut inputs = Vec::new();
+                for path in &base_plan.logical.inputs {
+                    let bucket = pmkm_data::GridBucket::read_from(path).unwrap();
+                    inputs.push(path.with_extension("gb2"));
+                    pmkm_data::write_gb02(&bucket, &inputs[inputs.len() - 1], Codec::Raw, 37)
+                        .unwrap();
+                }
+                let config = KMeansConfig { restarts: 2, ..KMeansConfig::paper(3, 42) };
+                let logical = LogicalPlan::new(inputs, config);
+                let mut plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 2), 40);
+                plan.fault_policy = FaultPolicy::tolerant();
+                plan.scan_backend = BackendKind::SimObjectStore;
+                let report = execute_with_faults(&plan, None, Some(FaultPlan::heavy(seed)))
+                    .unwrap_or_else(|e| panic!("tolerant policy must survive seed {seed}: {e}"));
+                std::fs::remove_dir_all(&dir).ok();
+                report.faults
+            })
+            .collect();
+        assert_eq!(booked[0], booked[1], "seed {seed}");
+        scan_faults += booked[0].scan_retries + booked[0].scan_failures;
+    }
+    assert!(scan_faults > 0, "no scan fault fired over seeds {:?}", seeds());
+}
+
 /// Every fault kind is booked the same three ways: the run's fault
 /// counters, the ledger's `fault` records, and the labeled
 /// `fault_events_total{kind}` metric family agree count for count, and the
 /// heavy schedule fires each kind somewhere across the seed matrix.
 ///
-/// Scan faults are keyed by bucket path, and the path holds the process id,
-/// so each run draws a fresh schedule. Sixteen cells make a kind that never
-/// fires over three seeds rare: none was missed in 600 trial directories.
+/// Scan faults are keyed by bucket file name, so each seed draws one fixed
+/// schedule over the sixteen cells; every seed set of the CI chaos matrix
+/// fires every kind.
 #[test]
 fn every_fault_kind_is_booked_alike_in_report_ledger_and_metrics() {
     use pmkm_obs::{labeled_name, parse_ledger, rollup, FaultKind, FaultReport};

@@ -233,8 +233,8 @@ fn tail_events_under_chaos_are_pinned() {
     classic.fault_policy = FaultPolicy::tolerant();
     let mut coreset = classic.clone();
     coreset.coreset = Some(CoresetSpec::new(64));
-    // Scan faults are keyed on the bucket's absolute path, which no two
-    // checkouts share; every other site is keyed on (cell, chunk).
+    // Scan faults are off: these pins hold what the sites keyed on
+    // (cell, chunk) do to the tail.
     let chaos = FaultPlan { scan_error_rate: 0.0, ..FaultPlan::heavy(29) };
 
     let (ledger, rec) = observed();
