@@ -57,8 +57,8 @@ fn main() {
     }
 
     // One extra observed run at the widest clone count, outside the timed
-    // loop, leaves a structured RunReport behind (per-clone busy/blocked
-    // split, queue-depth histograms) without perturbing the measurements.
+    // loop, leaves a structured RunReport behind (queue-depth histograms,
+    // metrics) without perturbing the measurements.
     let w = *worker_counts.last().unwrap();
     let plan = optimize_fixed_split(
         LogicalPlan::new(vec![bucket_path.clone()], kcfg),

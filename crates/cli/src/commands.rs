@@ -147,11 +147,11 @@ pub const COMMANDS: &[Command] = &[
                 A bucket gets its header and per-dimension statistics; a run ledger its\n\
                 per-phase table, per-cell mass audit, slowest chunks, kernel dispatches,\n\
                 fault timeline and per-worker Gantt; a RunReport its headline numbers and\n\
-                per-worker utilization.",
-        flags: &[&[Flag::value("timeline", "TRACE.json", "", "export the run as a Chrome trace (Perfetto)")]] },
+                per-worker utilization. --timeline draws only from a run ledger.",
+        flags: &[&[Flag::value("timeline", "TRACE.json", "", "export the run ledger as a Chrome trace (Perfetto)")]] },
     Command { name: "cluster", operands: "<bucket files…>", arity: (1, MANY), run: cluster,
         about: "Cluster each bucket with partial/merge k-means on the stream engine.\n\
-                Prints a line per cell and the operator telemetry. --backend applies to\n\
+                Prints a line per cell and any fault counters. --backend applies to\n\
                 GB02 containers; GB01 buckets always use the buffered reader. At any\n\
                 --workers, at most workers + 2 chunks of --memory bytes are in flight\n\
                 (one per partial clone, one queued, one being built); with --coreset,\n\
@@ -488,8 +488,13 @@ fn inspect(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             // A RunReport is one JSON document; a ledger is JSON lines.
             // Try the report first — a ledger always fails that parse.
             if let Ok(report) = serde_json::from_str::<RunReport>(&text) {
+                if !timeline_out.is_empty() {
+                    return Err(CliError::Run(format!(
+                        "--timeline draws from a run ledger (--ledger=run.jsonl): {path} is a \
+                         RunReport, which keeps no timestamps"
+                    )));
+                }
                 inspect_report(path, &report, out)?;
-                trace_json = Some(pmkm_obs::chrome_trace_from_report(&report));
             } else {
                 let records = pmkm_obs::parse_ledger(&text).map_err(run_err)?;
                 inspect_ledger(path, &records, out)?;
@@ -544,7 +549,7 @@ fn inspect(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     if !timeline_out.is_empty() {
         let json = trace_json.ok_or_else(|| {
-            CliError::Run("--timeline needs a run ledger or RunReport JSON among the inputs".into())
+            CliError::Run("--timeline needs a run ledger among the inputs".into())
         })?;
         std::fs::write(&timeline_out, json)?;
         writeln!(
@@ -641,19 +646,6 @@ fn cluster(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         write_cell_line(out, cell, "")?;
     }
     write_faults_line(out, &report.faults)?;
-    for op in &report.op_stats {
-        writeln!(
-            out,
-            "  [op] {} #{}: busy {:.1} ms, blocked {:.1} ms, util {:.0}%, {} in / {} out",
-            op.name,
-            op.clone_id,
-            op.busy.as_secs_f64() * 1e3,
-            op.blocked.as_secs_f64() * 1e3,
-            op.utilization() * 100.0,
-            op.items_in,
-            op.items_out
-        )?;
-    }
     if let Some(rec) = &recorder {
         rec.flush();
     }
@@ -1062,11 +1054,13 @@ fn orchestrate_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 fn compress(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let out_dir = PathBuf::from(args.get_str("out"));
-    std::fs::create_dir_all(&out_dir)?;
     let mut cfg = PartialMergeConfig::paper(args.get("k")?, args.get("splits")?, args.get("seed")?);
     cfg.kmeans.restarts = args.get("restarts")?;
     for path in args.positionals().iter().map(std::path::Path::new) {
         let bucket = read_bucket_any(path)?;
+        // Only once an input has been read, so a failed run leaves no
+        // empty --out behind.
+        std::fs::create_dir_all(&out_dir)?;
         if bucket.points.is_empty() {
             writeln!(out, "{}: empty, skipped", path.display())?;
             continue;
@@ -1289,7 +1283,7 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("wrote run report"), "{out}");
-        assert!(out.contains("util"), "{out}");
+        assert!(!out.contains("[op]"), "no per-operator rows: {out}");
 
         // The written report parses, matches the dataset, and survives a
         // serialize → deserialize → serialize cycle without loss.
@@ -1483,6 +1477,57 @@ mod tests {
         let row = find("convert").unwrap().rows().find(|r| r.name == "block-points");
         let default = pmkm_data::DEFAULT_BLOCK_POINTS.to_string();
         assert_eq!(row.unwrap().default, Some(default.as_str()));
+    }
+
+    /// A v7 report, which still carries the per-operator `operators` rows
+    /// next to `queues`, loads in `inspect` under its own version and
+    /// diffs against a v8 report: the reader skips the keys it no longer
+    /// knows.
+    #[test]
+    fn v7_reports_with_operator_rows_still_inspect_and_diff() {
+        let dir = tmp("v7_report");
+        let bucket = write_buckets(&dir, 1).remove(0);
+        let v8 = dir.join("v8.json").display().to_string();
+        let argv = [
+            "--k=2".into(),
+            "--restarts=2".into(),
+            "--splits=3".into(),
+            "--workers=2".into(),
+            format!("--metrics-out={v8}"),
+            bucket,
+        ];
+        run("cluster", &argv).unwrap();
+        let text = std::fs::read_to_string(&v8).unwrap();
+        assert!(text.contains("\n  \"queues\": [\n    {"), "the pool's queues are reported");
+        // The v7 layout: `operators` between `cells` and `queues`, one row
+        // per operator clone as the v7 writer printed them.
+        let row = |name: &str, clone: u64| {
+            format!(
+                "{{\"name\": \"{name}\", \"clone_id\": {clone}, \"items_in\": 3, \
+                 \"items_out\": 3, \"busy\": {{\"secs\": 0, \"nanos\": 24791}}, \
+                 \"blocked\": {{\"secs\": 0, \"nanos\": 559}}, \
+                 \"lifetime\": {{\"secs\": 0, \"nanos\": 238369}}, \
+                 \"utilization\": 0.10400261779006499}}"
+            )
+        };
+        let operators = [row("scan", 0), row("partial-kmeans", 0), row("partial-kmeans", 1)];
+        let v7_text =
+            text.replacen("\"schema_version\": 8,", "\"schema_version\": 7,", 1).replacen(
+                "\n  \"queues\": ",
+                &format!("\n  \"operators\": [{}],\n  \"queues\": ", operators.join(", ")),
+                1,
+            );
+        assert!(v7_text.contains("\"schema_version\": 7,") && v7_text.contains("\"operators\""));
+        let v7 = dir.join("v7.json").display().to_string();
+        std::fs::write(&v7, &v7_text).unwrap();
+
+        let out = run("inspect", std::slice::from_ref(&v7)).unwrap();
+        assert!(out.contains(&format!("{v7}: run report v7, 1 cells")), "{out}");
+        for (a, b) in [(&v7, &v8), (&v8, &v7)] {
+            let out = run("diff", &["--threshold=1000".into(), a.clone(), b.clone()]).unwrap();
+            assert!(out.contains(a.as_str()) && out.contains(b.as_str()), "{out}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1833,13 +1878,15 @@ mod tests {
         assert!(trace.contains("\"traceEvents\":["), "{trace}");
         assert!(trace.contains("\"displayTimeUnit\":\"ms\""), "{trace}");
 
-        // inspect on the RunReport prints the per-worker rollup and also
-        // renders a trace (summary slices from the report's timeline).
-        let out = run("inspect", &[format!("--timeline={trace_path}"), report_path]).unwrap();
-        assert!(out.contains("run report v7"), "{out}");
+        // inspect on the RunReport prints the per-worker rollup, but draws
+        // no trace from it: a report keeps no timestamps, so --timeline
+        // asks for the ledger and leaves the ledger's trace as it was.
+        let out = run("inspect", std::slice::from_ref(&report_path)).unwrap();
+        assert!(out.contains("run report v8"), "{out}");
         assert!(out.contains("[timeline] 2 worker(s)"), "{out}");
-        let trace = std::fs::read_to_string(&trace_path).unwrap();
-        assert!(trace.contains("\"traceEvents\":["), "{trace}");
+        let err = run("inspect", &[format!("--timeline={trace_path}"), report_path]).unwrap_err();
+        assert!(matches!(&err, CliError::Run(m) if m.contains("--ledger")), "{err:?}");
+        assert_eq!(std::fs::read_to_string(&trace_path).unwrap(), trace);
 
         // --timeline without a ledger or report among the inputs errors.
         let err =

@@ -118,6 +118,22 @@ fn every_command_keeps_the_contract() {
     }
 }
 
+/// `bin` and `compress` create their `--out` directory only once an input
+/// has been read: a run that fails on a missing input leaves none behind.
+#[test]
+fn a_failed_read_leaves_no_out_directory() {
+    let dir = scratch_dir("no_out");
+    let missing = dir.join("none.gb").display().to_string();
+    for cmd in ["bin", "compress"] {
+        let out_dir = dir.join(cmd).join("x");
+        let o = pmkm(&[cmd, &format!("--out={}", out_dir.display()), &missing]);
+        assert_eq!(o.code, 1, "{cmd}: {}", o.stderr);
+        assert!(!out_dir.exists(), "{cmd} left {}", out_dir.display());
+        assert!(!dir.join(cmd).exists(), "{cmd} left the parent of --out");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Command lines the parser used to accept while ignoring part of them.
 #[test]
 fn misuse_that_used_to_run_is_a_usage_error() {

@@ -8,7 +8,10 @@
 //! iterations and convergence, per-chunk stats — and every deterministic
 //! field of `partial_merge_observed`'s `RunReport` (durations and the
 //! profiler's phase rows are left out). A change that moves any constant
-//! changed an output.
+//! changed an output. The `observed` digest moved once since, through the
+//! schema word alone: with `SCHEMA_VERSION` set to 8 on the parent of the
+//! change that retired the report's `operators` rows (always empty here),
+//! the parent computes the new constant.
 
 use pmkm_core::seeding::rng_for;
 use pmkm_core::{
@@ -109,7 +112,7 @@ fn digest_report(h: &mut Fnv, report: &RunReport) {
         h.word(c.merge.iterations as u64);
         h.word(u64::from(c.merge.converged));
     }
-    h.word((report.operators.len() + report.queues.len()) as u64);
+    h.word(report.queues.len() as u64);
     let metrics = &report.metrics;
     for c in &metrics.counters {
         h.text(&c.name);
@@ -163,5 +166,5 @@ fn partial_merge_observed_report_bits_are_pinned() {
     let (res, report) = partial_merge_observed(&ds, &cfg, Some(&rec)).unwrap();
     digest_result(&mut h, &res);
     digest_report(&mut h, &report);
-    pin("observed", h.0, 0x59c6_cf1e_2cda_8ab6);
+    pin("observed", h.0, 0x3e90_908a_175d_b648);
 }

@@ -48,8 +48,9 @@ pub fn bin_observations(obs: &[Observation], dim: usize) -> Result<BTreeMap<Grid
 
 /// Reads every stripe file, bins all observations, and writes one bucket
 /// file per cell into `out_dir` (named by [`GridCell::bucket_file_name`]).
+/// `out_dir` is created once every stripe has been read, so a failed read
+/// leaves nothing behind.
 pub fn bin_stripes(stripes: &[PathBuf], out_dir: &Path) -> Result<BinSummary> {
-    std::fs::create_dir_all(out_dir)?;
     let mut merged: BTreeMap<GridCell, Dataset> = BTreeMap::new();
     let mut observations = 0usize;
     let mut dim: Option<usize> = None;
@@ -81,6 +82,7 @@ pub fn bin_stripes(stripes: &[PathBuf], out_dir: &Path) -> Result<BinSummary> {
             }
         }
     }
+    std::fs::create_dir_all(out_dir)?;
     let mut buckets = Vec::with_capacity(merged.len());
     for (cell, points) in merged {
         let path = out_dir.join(cell.bucket_file_name());

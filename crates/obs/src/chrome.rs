@@ -14,17 +14,14 @@
 //!   (`ph:"i"`) markers on dedicated tracks.
 //!
 //! All timestamps are the ledger's `ts_us` values unchanged — the trace
-//! shares the run's single monotonic clock. [`chrome_trace_from_report`]
-//! covers `RunReport` JSON inputs, which carry durations but no start
-//! timestamps: each cell's chunk slices are laid end-to-end from t=0, so
-//! within-cell ordering and durations are real while cross-cell alignment
-//! is not (every cell track starts at zero).
+//! shares the run's single monotonic clock and is a pure function of the
+//! ledger. A `RunReport` carries durations but no start times, so no trace
+//! is drawn from one.
 //!
 //! [`ascii_gantt`] renders the same `worker.state` stream as a terminal
 //! chart for `pmkm inspect`.
 
 use crate::ledger::{push_json_str, LedgerRecord};
-use crate::report::RunReport;
 use crate::timeline::WorkerState;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -206,41 +203,6 @@ pub fn chrome_trace(records: &[LedgerRecord]) -> String {
     trace.finish()
 }
 
-/// Chrome trace from a `RunReport`: per-cell chunk slices laid end-to-end
-/// from t=0 on one track per cell (see the [module docs](self) caveat).
-pub fn chrome_trace_from_report(report: &RunReport) -> String {
-    let mut trace = TraceJson::new();
-    for (i, cell) in report.cells.iter().enumerate() {
-        let tid = CELL_TID_BASE + i as u64;
-        trace.thread_name(tid, &format!("cell {}", cell.cell));
-        let mut cursor = 0u64;
-        for chunk in &cell.chunks {
-            let dur = chunk.elapsed.as_micros() as u64;
-            trace.complete(&format!("chunk {}", chunk.chunk), "chunk", cursor, dur, tid);
-            cursor += dur;
-        }
-        let merge_us = cell.merge.elapsed.as_micros() as u64;
-        trace.complete("merge", "merge", cursor, merge_us, tid);
-    }
-    if let Some(tl) = &report.timeline {
-        // No transition timestamps survive into the report, so lanes
-        // render as one summary slice each.
-        for (i, lane) in tl.workers.iter().enumerate() {
-            let tid = 1 + i as u64;
-            trace.thread_name(tid, &format!("worker {}", lane.worker));
-            trace.complete(
-                &format!("busy {:.0}% ({})", lane.utilization * 100.0, lane.current),
-                "worker",
-                0,
-                lane.busy_us,
-                tid,
-            );
-        }
-    }
-    trace.complete("run", "run", 0, report.elapsed.as_micros() as u64, 0);
-    trace.finish()
-}
-
 fn state_glyph(state: &str) -> char {
     match WorkerState::parse(state) {
         Some(WorkerState::Idle) => '.',
@@ -393,6 +355,9 @@ mod tests {
         assert!(slices.iter().any(|e| e.tid >= CELL_TID_BASE && e.name.starts_with("cell ")));
         let chunk = slices.iter().find(|e| e.name == "chunk 0").expect("chunk slice");
         assert_eq!(chunk.dur, 10);
+        // The run slice spans the ledger's own clock, from 0 to its last record.
+        let run = slices.iter().find(|e| e.tid == 0 && e.name == "run").expect("run slice");
+        assert_eq!((run.ts, run.dur), (0, records.iter().map(|r| r.ts_us).max().unwrap()));
         let instants: Vec<&Ev> = doc.traceEvents.iter().filter(|e| e.ph == "i").collect();
         assert!(instants.iter().any(|e| e.tid == FAULT_TID));
         assert!(instants.iter().any(|e| e.tid == CHECKPOINT_TID));
@@ -424,47 +389,6 @@ mod tests {
         let json = chrome_trace(&records);
         let doc: Doc = serde_json::from_str(&json).unwrap();
         assert!(doc.traceEvents.iter().any(|e| e.name.contains("a\"b\\c\nd")));
-    }
-
-    fn chunk_report(chunk: usize, us: u64) -> crate::ChunkReport {
-        crate::ChunkReport {
-            chunk,
-            points: 10,
-            best_mse: 0.0,
-            iterations: 1,
-            elapsed: std::time::Duration::from_micros(us),
-            mse_trajectory: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn report_trace_lays_chunks_end_to_end() {
-        let mut report = RunReport::new();
-        report.elapsed = std::time::Duration::from_micros(100);
-        report.cells.push(crate::CellReport {
-            cell: "4".into(),
-            total_points: 20,
-            expected_points: 20.0,
-            lost_points: 0.0,
-            lost_chunks: 0,
-            degraded: false,
-            chunks: vec![chunk_report(0, 30), chunk_report(1, 20)],
-            merge: crate::MergeReport {
-                input_centroids: 2,
-                epm: 0.0,
-                mse: 0.0,
-                iterations: 1,
-                converged: true,
-                elapsed: std::time::Duration::from_micros(40),
-            },
-        });
-        let doc: Doc = serde_json::from_str(&chrome_trace_from_report(&report)).unwrap();
-        let c0 = doc.traceEvents.iter().find(|e| e.name == "chunk 0").unwrap();
-        let c1 = doc.traceEvents.iter().find(|e| e.name == "chunk 1").unwrap();
-        assert_eq!((c0.ts, c0.dur), (0, 30));
-        assert_eq!((c1.ts, c1.dur), (30, 20));
-        let merge = doc.traceEvents.iter().find(|e| e.name == "merge").unwrap();
-        assert_eq!(merge.ts, 50);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod status;
 pub mod timeline;
 pub mod trace;
 
-pub use chrome::{ascii_gantt, chrome_trace, chrome_trace_from_report};
+pub use chrome::{ascii_gantt, chrome_trace};
 pub use ledger::{
     attribute_phases, diff_profiles, emit_phase_events, parse_ledger, read_ledger, rollup,
     CheckpointRollup, CoresetLevelRollup, CoresetRollup, LedgerRecord, LedgerRollup, LedgerSink,
@@ -71,8 +71,8 @@ pub use metrics::{escape_label_value, labeled_name, Counter, Gauge, Histogram, R
 pub use profile::{ManualClock, MonotonicClock, PhaseGuard, Profiler, ProfilerClock};
 pub use report::{
     CellReport, ChunkReport, CoresetReport, CounterSample, FaultKind, FaultReport, GaugeSample,
-    HistogramSample, HistogramSnapshot, MergeReport, MetricsSnapshot, OperatorReport,
-    OrchestratorReport, PhaseReport, QueueReport, RunReport,
+    HistogramSample, HistogramSnapshot, MergeReport, MetricsSnapshot, OrchestratorReport,
+    PhaseReport, QueueReport, RunReport,
 };
 pub use serve::MetricsServer;
 pub use status::{CoresetStatus, StatusCell, StatusSnapshot, WorkerStatus, STATUS_SCHEMA_VERSION};

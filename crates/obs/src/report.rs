@@ -18,10 +18,12 @@ use std::time::Duration;
 /// optional `timeline` per-worker state rollup (utilization and
 /// per-thread-max wall clock); v7 added the optional `coreset` block
 /// (merge-reduce tree shape and mass accounting of coreset-mode runs) and
-/// the timeline lanes' `compact_us` column.
-/// The reader expects every key of the current version: older documents
-/// are not parsed.
-pub const SCHEMA_VERSION: u32 = 7;
+/// the timeline lanes' `compact_us` column; v8 dropped the per-operator
+/// `operators` rows (a stage's busy time is its `phases` row).
+/// The reader expects every key of the current version and skips keys it
+/// does not know, so a v7 document, which carries every v8 key, still
+/// loads; older ones are not parsed.
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// Coreset-engine accounting for one run (schema v7): the aggregated shape
 /// and mass audit of every cell's merge-reduce tree. `None` on classic
@@ -239,27 +241,6 @@ pub struct PhaseReport {
     pub wall_us: u64,
 }
 
-/// Per-operator-clone accounting with a busy-vs-blocked split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OperatorReport {
-    /// Operator name (e.g. `"partial-kmeans"`).
-    pub name: String,
-    /// Clone index among clones of the same operator.
-    pub clone_id: usize,
-    /// Items consumed.
-    pub items_in: u64,
-    /// Items produced.
-    pub items_out: u64,
-    /// Time spent doing useful work.
-    pub busy: Duration,
-    /// Time spent blocked on queue sends/receives.
-    pub blocked: Duration,
-    /// Wall-clock lifetime of the clone.
-    pub lifetime: Duration,
-    /// `busy / lifetime`, clamped to `[0, 1]`.
-    pub utilization: f64,
-}
-
 /// Per-queue accounting, including a depth histogram sampled at send time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueueReport {
@@ -374,8 +355,6 @@ pub struct RunReport {
     pub elapsed: Duration,
     /// Per-cell outcomes.
     pub cells: Vec<CellReport>,
-    /// Per-operator-clone accounting (empty for in-process runs).
-    pub operators: Vec<OperatorReport>,
     /// Per-queue accounting (empty for in-process runs).
     pub queues: Vec<QueueReport>,
     /// Snapshot of the recorder's metrics registry.
@@ -402,7 +381,6 @@ impl RunReport {
             schema_version: SCHEMA_VERSION,
             elapsed: Duration::ZERO,
             cells: Vec::new(),
-            operators: Vec::new(),
             queues: Vec::new(),
             metrics: MetricsSnapshot::default(),
             phases: Vec::new(),
@@ -457,16 +435,6 @@ mod tests {
                     converged: true,
                     elapsed: Duration::from_micros(99),
                 },
-            }],
-            operators: vec![OperatorReport {
-                name: "partial-kmeans".to_string(),
-                clone_id: 1,
-                items_in: 4,
-                items_out: 4,
-                busy: Duration::from_millis(3),
-                blocked: Duration::from_millis(1),
-                lifetime: Duration::from_millis(5),
-                utilization: 0.6,
             }],
             queues: vec![QueueReport {
                 name: "chunker→partial".to_string(),

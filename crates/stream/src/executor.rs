@@ -11,7 +11,6 @@ use crate::item::{CellClustering, ChunkMsg, MergeMsg};
 use crate::ops::{ChunkerOp, PartialKMeansOp, ScanOp, TailOp};
 use crate::plan::{CoresetSpec, PhysicalPlan};
 use crate::queue::{QueueConsumer, QueueProducer, QueueStats, SmartQueue};
-use crate::telemetry::{OpMeter, OpStats};
 use pmkm_obs::{CellReport, CoresetReport, FaultReport, Recorder, RunReport};
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -28,8 +27,6 @@ const SCAN_BATCH: usize = 4096;
 pub struct EngineReport {
     /// One clustering per non-empty input cell, sorted by cell index.
     pub cells: Vec<CellClustering>,
-    /// Telemetry of every operator instance.
-    pub op_stats: Vec<OpStats>,
     /// Telemetry of the partial pool's two queues; empty when the plan ran
     /// without a pool.
     pub queue_stats: Vec<QueueStats>,
@@ -52,7 +49,6 @@ impl EngineReport {
         RunReport {
             elapsed: self.elapsed,
             cells,
-            operators: self.op_stats.iter().map(OpStats::to_report).collect(),
             queues: self.queue_stats.iter().map(QueueStats::to_report).collect(),
             metrics: rec.map(|r| r.registry().snapshot()).unwrap_or_default(),
             phases: rec.map(|r| r.phase_rows()).unwrap_or_default(),
@@ -172,7 +168,7 @@ pub(crate) fn run_pipeline(
     ctx: &FaultContext,
 ) -> Result<EngineReport> {
     let started = Instant::now();
-    let (mut cells, op_stats, queue_stats) = match inputs {
+    let (mut cells, queue_stats) = match inputs {
         [_] if plan.partial_clones == 1 => run_cell(plan, inputs, coreset, ctx, None)?,
         _ => std::thread::scope(|s| run_cell(plan, inputs, coreset, ctx, Some(s)))?,
     };
@@ -180,7 +176,7 @@ pub(crate) fn run_pipeline(
     let faults = ctx.counters.snapshot();
     let degraded =
         faults.scan_failures > 0 || faults.chunks_quarantined > 0 || faults.cells_degraded > 0;
-    Ok(EngineReport { cells, op_stats, queue_stats, elapsed: started.elapsed(), faults, degraded })
+    Ok(EngineReport { cells, queue_stats, elapsed: started.elapsed(), faults, degraded })
 }
 
 /// The driver's stages, in dataflow order.
@@ -241,7 +237,7 @@ fn run_cell<'scope>(
     coreset: Option<&CoresetSpec>,
     ctx: &FaultContext,
     pool: Option<&'scope Scope<'scope, '_>>,
-) -> Result<(Vec<CellClustering>, Vec<OpStats>, Vec<QueueStats>)> {
+) -> Result<(Vec<CellClustering>, Vec<QueueStats>)> {
     let scan =
         ScanOp::new(inputs.to_vec(), SCAN_BATCH, ctx.clone()).with_backend(plan.scan_backend);
     let mut chunker = ChunkerOp::new(plan.chunk_policy, ctx.clone());
@@ -261,15 +257,15 @@ fn run_cell<'scope>(
     };
 
     let mut cells = Vec::new();
-    let mut to_sink = |_: &mut OpMeter, cell| {
+    let mut to_sink = |cell| {
         cells.push(cell);
         Ok(())
     };
     let mut to_tail = |msg| steps.run(TAIL, || tail.handle(msg, &mut to_sink));
     let scanned = steps.run(SCAN, || {
-        scan.drive(&mut |_, msg| {
+        scan.drive(&mut |msg| {
             let cell_plan = steps.run(CHUNKER, || {
-                chunker.handle(msg, &mut |_, chunk| match &mut partial {
+                chunker.handle(msg, &mut |chunk| match &mut partial {
                     Partial::Inline(op) => to_tail(steps.run(PARTIAL, || op.handle(chunk))?),
                     Partial::Pool(pool) => {
                         pool.push(chunk, &mut |summary| to_tail(steps.run(PARTIAL, || summary)?))
@@ -280,16 +276,13 @@ fn run_cell<'scope>(
         })
     });
 
-    let (mut op_stats, mut first_err) = match scanned {
-        Ok(scan_stats) => (vec![scan_stats, chunker.finish()], None),
-        Err(e) => (Vec::new(), Some(e)),
-    };
+    let mut first_err = scanned.err();
     let mut queue_stats = Vec::new();
     match partial {
-        Partial::Inline(op) if steps.live(PARTIAL) => op_stats.push(op.finish()),
+        Partial::Inline(op) if steps.live(PARTIAL) => op.finish(),
         Partial::Inline(_) => {}
         Partial::Pool(pool) => {
-            queue_stats = pool.close(&mut op_stats, |summary| {
+            queue_stats = pool.close(|summary| {
                 if steps.live(TAIL) {
                     let fed = steps.run(PARTIAL, || summary).and_then(&mut to_tail);
                     first_err = first_err.take().or(fed.err());
@@ -298,12 +291,9 @@ fn run_cell<'scope>(
         }
     }
     if steps.live(TAIL) {
-        match steps.run(TAIL, || tail.finish(&mut to_sink)) {
-            Ok(tail_stats) => op_stats.push(tail_stats),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
+        first_err = first_err.or(steps.run(TAIL, || tail.finish(&mut to_sink)).err());
     }
-    first_err.map_or(Ok((cells, op_stats, queue_stats)), Err)
+    first_err.map_or(Ok((cells, queue_stats)), Err)
 }
 
 /// A chunk's summary from a pool worker, or the error that ended it.
@@ -318,7 +308,7 @@ struct Pool<'scope> {
     summaries: SmartQueue<Summary>,
     to_workers: QueueProducer<ChunkMsg>,
     from_workers: QueueConsumer<Summary>,
-    workers: Vec<ScopedJoinHandle<'scope, Option<OpStats>>>,
+    workers: Vec<ScopedJoinHandle<'scope, ()>>,
 }
 
 impl<'scope> Pool<'scope> {
@@ -335,14 +325,14 @@ impl<'scope> Pool<'scope> {
             .map(|mut op| {
                 let (input, output) = (chunks.consumer(), summaries.producer());
                 s.spawn(move || {
-                    while let Some(chunk) = op.meter.wait(|| input.recv()) {
+                    while let Some(chunk) = input.recv() {
                         let summary = caught("partial-kmeans", || op.handle(chunk));
                         let failed = summary.is_err();
                         if output.send(summary).is_err() || failed {
-                            return None;
+                            return;
                         }
                     }
-                    Some(op.finish())
+                    op.finish()
                 })
             })
             .collect();
@@ -371,15 +361,14 @@ impl<'scope> Pool<'scope> {
     }
 
     /// Ends the chunk stream, hands every summary still to come to `emit`,
-    /// and joins the workers, adding the telemetry of those that finished
-    /// to `op_stats`; returns the two queues'.
-    fn close(self, op_stats: &mut Vec<OpStats>, mut emit: impl FnMut(Summary)) -> Vec<QueueStats> {
+    /// and joins the workers; returns the two queues' telemetry.
+    fn close(self, mut emit: impl FnMut(Summary)) -> Vec<QueueStats> {
         drop(self.to_workers);
         while let Some(summary) = self.from_workers.recv() {
             emit(summary);
         }
         for worker in self.workers {
-            op_stats.extend(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
+            worker.join().unwrap_or_else(|panic| resume_unwind(panic));
         }
         vec![self.chunks.stats(), self.summaries.stats()]
     }
@@ -432,6 +421,38 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(60)).expect("the run hung")
     }
 
+    /// The `op.finish` records a run journaled, as `(op, clone, count)`:
+    /// the scan's `items_out`, or a partial clone's `items_in`, sorted.
+    fn op_finish_rows(ring: &pmkm_obs::RingBufferSink) -> Vec<(String, u64, u64)> {
+        use pmkm_obs::FieldValue;
+        let mut rows: Vec<_> = ring
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "op.finish")
+            .map(|e| {
+                let (mut op, mut clone, mut count) = (String::new(), 0, 0);
+                for (key, value) in e.fields {
+                    match (key.as_str(), value) {
+                        ("op", FieldValue::Str(s)) => op = s,
+                        ("clone", FieldValue::U64(n)) => clone = n,
+                        ("items_in" | "items_out", FieldValue::U64(n)) => count = n,
+                        other => panic!("unexpected op.finish field {other:?}"),
+                    }
+                }
+                (op, clone, count)
+            })
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// `execute_with_faults` with a ring-buffer journal attached.
+    fn journaled(plan: &PhysicalPlan) -> (EngineReport, Arc<pmkm_obs::RingBufferSink>) {
+        let ring = Arc::new(pmkm_obs::RingBufferSink::new(1 << 12));
+        let rec = Arc::new(Recorder::new().with_sink(ring.clone()));
+        (execute_with_faults(plan, Some(rec), None).unwrap(), ring)
+    }
+
     #[test]
     fn clusters_multiple_cells_end_to_end() {
         let dir = tmpdir("multi");
@@ -443,7 +464,7 @@ mod tests {
         let logical =
             LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 11) });
         let plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 3), 64);
-        let report = execute(&plan).unwrap();
+        let (report, ring) = journaled(&plan);
         assert_eq!(report.cells.len(), 3);
         // Sorted by cell index; weights conserved per cell.
         let ns = [300.0, 150.0, 80.0];
@@ -455,8 +476,13 @@ mod tests {
             xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             assert!(xs[0] < 5.0 && xs[xs.len() - 1] > 35.0);
         }
-        // Telemetry exists for every operator.
-        assert_eq!(report.op_stats.iter().filter(|s| s.name == "partial-kmeans").count(), 3);
+        // Three partial clones ran, and each journaled its end.
+        let clones: Vec<u64> = op_finish_rows(&ring)
+            .into_iter()
+            .filter(|(op, ..)| op == "partial-kmeans")
+            .map(|(_, clone, _)| clone)
+            .collect();
+        assert_eq!(clones, [0, 1, 2]);
         assert_eq!(report.queue_stats.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -497,26 +523,32 @@ mod tests {
                 60,
             )
         };
-        let inline = execute(&mk_plan(1)).unwrap();
-        let pooled = execute(&mk_plan(2)).unwrap();
+        let (inline, inline_ring) = journaled(&mk_plan(1));
+        let (pooled, pooled_ring) = journaled(&mk_plan(2));
         assert_eq!(inline.cells[0].output.centroids, pooled.cells[0].output.centroids);
-        // No queues exist inline; every operator still reports one row, and
-        // folding the pooled clones gives the same item counts.
-        assert!(inline.queue_stats.is_empty());
-        assert_eq!(pooled.queue_stats.len(), 2);
-        let rows = |r: &EngineReport| {
-            let mut rows: Vec<OpStats> = Vec::new();
-            for s in &r.op_stats {
-                match rows.iter_mut().find(|row| row.name == s.name) {
-                    Some(row) => row.merge(s),
-                    None => rows.push(s.clone()),
+        // Both journal the scan's messages (one batch and the cell's end)
+        // and the five chunks the partial step took: inline in one clone,
+        // pooled split over two.
+        let folded = |ring| {
+            let mut rows: Vec<(String, u64)> = Vec::new();
+            for (op, _, count) in op_finish_rows(ring) {
+                match rows.iter_mut().find(|(name, _)| *name == op) {
+                    Some(row) => row.1 += count,
+                    None => rows.push((op, count)),
                 }
             }
-            rows.into_iter().map(|s| (s.name, s.items_in, s.items_out)).collect::<Vec<_>>()
+            rows
         };
-        assert_eq!(inline.op_stats.len(), 4);
-        assert_eq!(rows(&inline), rows(&pooled));
-        assert_eq!(rows(&inline)[3], ("merge".to_string(), 5 + 1, 1));
+        let want = [("partial-kmeans".to_string(), 5), ("scan".to_string(), 1 + 1)];
+        assert_eq!(folded(&inline_ring), want);
+        assert_eq!(folded(&pooled_ring), want);
+        assert_eq!(op_finish_rows(&inline_ring).len(), 2);
+        assert_eq!(op_finish_rows(&pooled_ring).len(), 3);
+        // No queues exist inline; the pool's carry the same five chunks.
+        assert!(inline.queue_stats.is_empty());
+        let sends: Vec<u64> = pooled.queue_stats.iter().map(|q| q.sends).collect();
+        assert_eq!(sends, [5, 5]);
+        assert_eq!(inline.cells[0].chunks.len(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -697,7 +729,6 @@ mod tests {
         let report = observed.run_report(Some(&rec));
         assert_eq!(report.cells.len(), 2);
         assert_eq!(report.total_points(), 340);
-        assert_eq!(report.operators.len(), observed.op_stats.len());
         assert_eq!(report.queues.len(), 2);
         // Queue depth histograms account for every send.
         for q in &report.queues {

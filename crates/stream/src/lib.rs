@@ -20,10 +20,11 @@
 //!   physical plans under a resource model (clone degree from processors,
 //!   chunk size from memory),
 //! * [`executor`] — one driver: scan, chunker and tail on the calling
-//!   thread, the partial clones on a scoped pool fed one chunk at a time,
-//! * [`telemetry`] — per-operator busy/idle accounting (the paper's
-//!   observation that "the merge operator ... is likely to be idle most of
-//!   the time" is directly measurable from [`telemetry::OpStats`]).
+//!   thread, the partial clones on a scoped pool fed one chunk at a time.
+//!
+//! A stage's busy time is its profiler phase (`scan`, `chunk`, `partial`,
+//! `merge`), so the paper's observation that "the merge operator ... is
+//! likely to be idle most of the time" reads off a run report's `phases`.
 //!
 //! ## Quick start
 //!
@@ -57,7 +58,6 @@ pub mod orchestrator;
 pub mod plan;
 pub mod queue;
 pub mod resources;
-pub mod telemetry;
 pub mod watchdog;
 
 pub use error::{EngineError, Result};
@@ -71,7 +71,6 @@ pub use orchestrator::{
 pub use plan::{CoresetSpec, LogicalPlan, PhysicalPlan};
 pub use queue::{QueueStats, SmartQueue};
 pub use resources::Resources;
-pub use telemetry::OpStats;
 pub use watchdog::{Watchdog, WatchdogConfig, WatchdogSink};
 
 /// Convenience prelude.

@@ -10,7 +10,6 @@
 use crate::error::{EngineError, Result};
 use crate::fault::{ChunkFault, FaultContext, EDGE_CHUNKS};
 use crate::item::{ChunkMsg, MergeMsg, ScanMsg};
-use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::{Dataset, PointSource};
 use pmkm_data::GridCell;
 use std::collections::HashMap;
@@ -54,13 +53,12 @@ pub struct ChunkerOp {
     policy: ChunkPolicy,
     ctx: FaultContext,
     cells: HashMap<GridCell, CellState>,
-    meter: OpMeter,
 }
 
 impl ChunkerOp {
     /// Creates the operator.
     pub fn new(policy: ChunkPolicy, ctx: FaultContext) -> Self {
-        Self { policy, ctx, cells: HashMap::new(), meter: OpMeter::new("chunker", 0) }
+        Self { policy, ctx, cells: HashMap::new() }
     }
 
     /// One scan message. A batch is buffered and every chunk it fills is
@@ -69,9 +67,8 @@ impl ChunkerOp {
     pub(crate) fn handle(
         &mut self,
         msg: ScanMsg,
-        emit: &mut impl FnMut(&mut OpMeter, ChunkMsg) -> Result<()>,
+        emit: &mut impl FnMut(ChunkMsg) -> Result<()>,
     ) -> Result<Option<MergeMsg>> {
-        self.meter.item_in();
         match msg {
             ScanMsg::Batch { cell, points } => {
                 if !points.is_empty() {
@@ -88,7 +85,6 @@ impl ChunkerOp {
                 }
                 // An empty bucket never opened a state: zero chunks.
                 let chunks = self.cells.remove(&cell).map_or(0, |state| state.next_chunk);
-                self.meter.item_out();
                 if let Some(rec) = self.ctx.rec() {
                     rec.event(
                         "chunker.cell_plan",
@@ -138,19 +134,13 @@ impl ChunkerOp {
 
     /// Hands one chunk on, after any stall the fault plan schedules for it.
     fn hand_on(
-        &mut self,
+        &self,
         chunk: ChunkMsg,
-        emit: &mut impl FnMut(&mut OpMeter, ChunkMsg) -> Result<()>,
+        emit: &mut impl FnMut(ChunkMsg) -> Result<()>,
     ) -> Result<()> {
-        self.meter.item_out();
         let stall_key = ((chunk.cell.index() as u64) << 20) ^ chunk.chunk_id as u64;
-        self.meter.wait(|| self.ctx.maybe_stall(EDGE_CHUNKS, stall_key));
-        emit(&mut self.meter, chunk)
-    }
-
-    /// Ends the stream: the operator's telemetry.
-    pub(crate) fn finish(self) -> OpStats {
-        self.meter.finish()
+        self.ctx.maybe_stall(EDGE_CHUNKS, stall_key);
+        emit(chunk)
     }
 }
 
@@ -279,7 +269,7 @@ mod tests {
         let mut op = ChunkerOp::new(policy, faults);
         let (mut chunks, mut plans) = (Vec::new(), Vec::new());
         for msg in msgs {
-            let plan = op.handle(msg, &mut |_, chunk| {
+            let plan = op.handle(msg, &mut |chunk| {
                 chunks.push(chunk);
                 Ok(())
             });
@@ -355,7 +345,7 @@ mod tests {
         // dim 2 needs 16 B per point.
         let mut op =
             ChunkerOp::new(ChunkPolicy::MemoryBudget { bytes: 8 }, FaultContext::default());
-        let res = op.handle(batch(cell(0), 3, 0), &mut |_, _| Ok(()));
+        let res = op.handle(batch(cell(0), 3, 0), &mut |_| Ok(()));
         assert!(matches!(res, Err(EngineError::InvalidPlan(_))));
     }
 

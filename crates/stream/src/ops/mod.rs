@@ -6,9 +6,9 @@
 //! Every operator is written as steps, not as a thread: `handle` consumes
 //! one input message and hands its outputs to an `emit` callback (or, when
 //! a step yields at most one message, returns it), and `finish` ends the
-//! stream. The executor chains the steps on the calling thread; only the
-//! partial step, the one the paper clones, may run on a pool of worker
-//! threads instead.
+//! stream of an operator with cells to flush or a count to journal. The
+//! executor chains the steps on the calling thread; only the partial step,
+//! the one the paper clones, may run on a pool of worker threads instead.
 
 pub mod chunker;
 pub mod partial_op;

@@ -10,7 +10,6 @@
 use crate::error::{EngineError, Result};
 use crate::fault::{FaultContext, InjectedPanic, EDGE_MERGE};
 use crate::item::{ChunkMsg, MergeMsg};
-use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::coreset::chunk_coreset;
 use pmkm_core::partial::{partial_kmeans_observed, PartialOutput};
 use pmkm_core::seeding::{derive_seed, rng_for};
@@ -77,14 +76,15 @@ pub struct PartialKMeansOp {
     kmeans: KMeansConfig,
     ctx: FaultContext,
     coreset_size: Option<usize>,
-    /// The clone's telemetry; a pool worker books its wait for chunks here.
-    pub(crate) meter: OpMeter,
+    clone_id: usize,
+    /// Chunks handled, journaled by `op.finish`.
+    items_in: u64,
 }
 
 impl PartialKMeansOp {
     /// Creates one clone.
     pub fn new(kmeans: KMeansConfig, clone_id: usize, ctx: FaultContext) -> Self {
-        Self { kmeans, ctx, coreset_size: None, meter: OpMeter::new("partial-kmeans", clone_id) }
+        Self { kmeans, ctx, coreset_size: None, clone_id, items_in: 0 }
     }
 
     /// Switches the clone into coreset mode (builder style): each chunk is
@@ -124,7 +124,7 @@ impl PartialKMeansOp {
     pub(crate) fn handle(&mut self, chunk: ChunkMsg) -> Result<MergeMsg> {
         let ChunkMsg { cell, chunk_id, points } = chunk;
         let rec = self.ctx.rec();
-        self.meter.item_in();
+        self.items_in += 1;
         if let Some(rec) = rec {
             // Coalesced by the timeline, so per-chunk cost is one
             // same-state check on the lane the cell is bound to.
@@ -165,13 +165,10 @@ impl PartialKMeansOp {
                 }
                 if let Some(size) = self.coreset_size {
                     let _phase = rec.and_then(|r| r.phase("coreset"));
-                    self.meter
-                        .work(|| build_chunk_coreset(&points, size, &cfg, cell, chunk_id, rec))
+                    build_chunk_coreset(&points, size, &cfg, cell, chunk_id, rec)
                 } else {
                     let _phase = rec.and_then(|r| r.phase("partial"));
-                    self.meter
-                        .work(|| partial_kmeans_observed(&points, &cfg, rec))
-                        .map_err(EngineError::from)
+                    partial_kmeans_observed(&points, &cfg, rec).map_err(EngineError::from)
                 }
             }));
             match outcome {
@@ -223,27 +220,24 @@ impl PartialKMeansOp {
                 ],
             );
         }
-        self.meter.item_out();
         let stall_key = ((cell.index() as u64) << 20) ^ chunk_id as u64;
-        self.meter.wait(|| self.ctx.maybe_stall(EDGE_MERGE, stall_key));
+        self.ctx.maybe_stall(EDGE_MERGE, stall_key);
         Ok(MergeMsg::Partial { cell, chunk_id, output })
     }
 
-    /// Ends the chunk stream: the clone's telemetry, journaled as
+    /// Ends the chunk stream, journaling the clone's chunk count as
     /// `op.finish`.
-    pub(crate) fn finish(self) -> OpStats {
-        let stats = self.meter.finish();
+    pub(crate) fn finish(self) {
         if let Some(rec) = self.ctx.rec() {
             rec.event(
                 "op.finish",
                 &[
                     ("op", "partial-kmeans".into()),
-                    ("clone", stats.clone_id.into()),
-                    ("items_in", stats.items_in.into()),
+                    ("clone", self.clone_id.into()),
+                    ("items_in", self.items_in.into()),
                 ],
             );
         }
-        stats
     }
 }
 
@@ -271,9 +265,7 @@ mod tests {
         );
         let results: Vec<MergeMsg> =
             [chunk(1, 0, 30), chunk(1, 1, 30)].into_iter().map(|c| op.handle(c).unwrap()).collect();
-        let stats = op.finish();
-        assert_eq!(stats.items_in, 2);
-        assert_eq!(stats.items_out, 2);
+        assert_eq!(op.items_in, 2);
         assert_eq!(results.len(), 2);
         for r in &results {
             match r {
@@ -326,7 +318,7 @@ mod tests {
 
     /// Steps one clone through `msgs` with the given fault context,
     /// stopping at the first error.
-    fn run_faulted(msgs: Vec<ChunkMsg>, faults: FaultContext) -> (Result<OpStats>, Vec<MergeMsg>) {
+    fn run_faulted(msgs: Vec<ChunkMsg>, faults: FaultContext) -> (Result<()>, Vec<MergeMsg>) {
         let mut op = PartialKMeansOp::new(
             KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 5) },
             0,
@@ -339,7 +331,8 @@ mod tests {
                 Err(e) => return (Err(e), out),
             }
         }
-        (Ok(op.finish()), out)
+        op.finish();
+        (Ok(()), out)
     }
 
     fn poisoned_chunk() -> ChunkMsg {
@@ -351,15 +344,15 @@ mod tests {
     #[test]
     fn poisoned_chunk_errors_under_strict_policy() {
         let ctx = FaultContext::new(Some(FaultPlan::none(1)), FaultPolicy::strict());
-        let (stats, _) = run_faulted(vec![poisoned_chunk()], ctx);
-        assert!(matches!(stats, Err(EngineError::PoisonedChunk { chunk_id: 1, .. })));
+        let (ended, _) = run_faulted(vec![poisoned_chunk()], ctx);
+        assert!(matches!(ended, Err(EngineError::PoisonedChunk { chunk_id: 1, .. })));
     }
 
     #[test]
     fn poisoned_chunk_is_quarantined_under_tolerant_policy() {
         let ctx = FaultContext::new(Some(FaultPlan::none(1)), FaultPolicy::tolerant());
-        let (stats, out) = run_faulted(vec![chunk(1, 0, 30), poisoned_chunk()], ctx.clone());
-        stats.unwrap();
+        let (ended, out) = run_faulted(vec![chunk(1, 0, 30), poisoned_chunk()], ctx.clone());
+        ended.unwrap();
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], MergeMsg::Partial { chunk_id: 0, .. }));
         assert!(
@@ -378,8 +371,8 @@ mod tests {
         // panic_rate 1 + sticky 0: every chunk panics on attempt 0 only.
         let plan = FaultPlan { panic_rate: 1.0, panic_sticky_fraction: 0.0, ..FaultPlan::none(9) };
         let ctx = FaultContext::new(Some(plan), FaultPolicy::tolerant());
-        let (stats, out) = run_faulted(vec![chunk(1, 0, 30)], ctx.clone());
-        stats.unwrap();
+        let (ended, out) = run_faulted(vec![chunk(1, 0, 30)], ctx.clone());
+        ended.unwrap();
         // The retry re-derives the chunk seed, so the surviving result is
         // bit-identical to the fault-free run (`elapsed` is wall clock and
         // excluded from the comparison).
@@ -402,8 +395,8 @@ mod tests {
     fn sticky_panic_exhausts_attempts_and_quarantines() {
         let plan = FaultPlan { panic_rate: 1.0, panic_sticky_fraction: 1.0, ..FaultPlan::none(9) };
         let ctx = FaultContext::new(Some(plan), FaultPolicy::tolerant());
-        let (stats, out) = run_faulted(vec![chunk(2, 4, 30)], ctx.clone());
-        stats.unwrap();
+        let (ended, out) = run_faulted(vec![chunk(2, 4, 30)], ctx.clone());
+        ended.unwrap();
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], MergeMsg::ChunkLost { chunk_id: 4, points: 30, .. }));
         let snap = ctx.counters.snapshot();

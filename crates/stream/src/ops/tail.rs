@@ -27,7 +27,6 @@ use crate::error::{EngineError, Result};
 use crate::fault::FaultContext;
 use crate::item::{CellClustering, MergeMsg};
 use crate::plan::{CoresetSpec, LogicalPlan};
-use crate::telemetry::{OpMeter, OpStats};
 use pmkm_core::coreset::{CoresetConfig, CoresetTree};
 use pmkm_core::merge::MergeOutput;
 use pmkm_core::partial::PartialOutput;
@@ -39,7 +38,7 @@ use std::collections::{BTreeMap, HashMap};
 
 /// What tells the two tails apart on the wire: names, never behaviour.
 struct Wire {
-    /// Operator name in telemetry and [`OpStats`].
+    /// Operator name in errors and the profiler's stage list.
     op: &'static str,
     /// Event announcing a finished merge clustering (a coreset tree
     /// journals its queries as they happen instead).
@@ -113,7 +112,6 @@ pub struct TailOp {
     ctx: FaultContext,
     /// Cells with a message seen and no answer sent yet.
     cells: HashMap<GridCell, CellState>,
-    meter: OpMeter,
 }
 
 impl TailOp {
@@ -128,11 +126,10 @@ impl TailOp {
             coreset,
             ctx,
             cells: HashMap::new(),
-            meter: OpMeter::new(wire.op, 0),
         }
     }
 
-    /// The operator's name in telemetry: `"merge"` or `"coreset"`.
+    /// The operator's name: `"merge"` or `"coreset"`.
     pub fn name(&self) -> &'static str {
         self.wire.op
     }
@@ -143,9 +140,8 @@ impl TailOp {
     pub(crate) fn handle(
         &mut self,
         msg: MergeMsg,
-        emit: &mut impl FnMut(&mut OpMeter, CellClustering) -> Result<()>,
+        emit: &mut impl FnMut(CellClustering) -> Result<()>,
     ) -> Result<()> {
-        self.meter.item_in();
         let (MergeMsg::Partial { cell, .. }
         | MergeMsg::CellPlan { cell, .. }
         | MergeMsg::ChunkLost { cell, .. }) = msg;
@@ -195,8 +191,8 @@ impl TailOp {
     /// lost mass is reported.
     pub(crate) fn finish(
         mut self,
-        emit: &mut impl FnMut(&mut OpMeter, CellClustering) -> Result<()>,
-    ) -> Result<OpStats> {
+        emit: &mut impl FnMut(CellClustering) -> Result<()>,
+    ) -> Result<()> {
         if !self.cells.is_empty() {
             if self.ctx.strict_mass_check() {
                 let lowest = self.cells.keys().map(GridCell::index).min().expect("non-empty");
@@ -213,7 +209,7 @@ impl TailOp {
                 self.finish_cell(cell, state, true, emit)?;
             }
         }
-        Ok(self.meter.finish())
+        Ok(())
     }
 
     /// Fresh per-cell state with an empty tree.
@@ -284,7 +280,7 @@ impl TailOp {
         state.trajectories.push(best_trajectory);
         let tree = &mut state.tree;
         let before_level = tree.max_level();
-        let outcome = self.meter.work(|| tree.insert_chunk(chunk_id, centroids, points as f64))?;
+        let outcome = tree.insert_chunk(chunk_id, centroids, points as f64)?;
         let Some(spec) = &self.coreset else {
             // The paper's buffer: its carries only concatenate, and the
             // classic wire journals none of them.
@@ -336,10 +332,10 @@ impl TailOp {
     /// is what makes `query_now()` after the last chunk bit-identical to
     /// the emitted result.
     fn query(&mut self, cell: GridCell, tree: &mut CoresetTree) -> Result<MergeOutput> {
-        let out = self.meter.work(|| {
+        let out = {
             let _phase = self.ctx.rec().and_then(|r| r.phase("merge"));
-            tree.query(&self.kmeans, self.merge_restarts, self.ctx.rec())
-        })?;
+            tree.query(&self.kmeans, self.merge_restarts, self.ctx.rec())?
+        };
         let Some(spec) = &self.coreset else { return Ok(out) };
         if let Some(rec) = self.ctx.rec() {
             rec.registry().counter("coreset_queries_total").inc();
@@ -386,7 +382,7 @@ impl TailOp {
         cell: GridCell,
         mut state: CellState,
         incomplete: bool,
-        emit: &mut impl FnMut(&mut OpMeter, CellClustering) -> Result<()>,
+        emit: &mut impl FnMut(CellClustering) -> Result<()>,
     ) -> Result<()> {
         // An abandoned cell may hold buffered chunks beyond a gap the
         // drain never crossed; fold them in ascending order so the
@@ -494,8 +490,7 @@ impl TailOp {
             degraded,
             coreset: self.coreset.is_some().then(|| state.tree.stats()),
         };
-        self.meter.item_out();
-        emit(&mut self.meter, result)
+        emit(result)
     }
 
     fn note_degraded(&self, cell: GridCell, lost_points: f64) {
@@ -599,7 +594,7 @@ pub(super) mod tests {
         );
         let mut op = TailOp::new(&logical, acc, ctx);
         let mut out = Vec::new();
-        let mut sink = |_: &mut OpMeter, cell| {
+        let mut sink = |cell| {
             out.push(cell);
             Ok(())
         };

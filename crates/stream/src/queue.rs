@@ -10,7 +10,6 @@
 //! from each other.
 
 use pmkm_obs::{lock, HistogramSnapshot, QueueReport};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::mpsc::SendError;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -38,7 +37,7 @@ fn depth_bucket(depth: usize) -> usize {
 }
 
 /// Snapshot of one queue's telemetry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueueStats {
     /// Edge name (e.g. `"chunks"`).
     pub name: String,

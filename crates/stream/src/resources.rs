@@ -1,10 +1,8 @@
 //! The resource model the optimizer plans against.
 
-use serde::{Deserialize, Serialize};
-
 /// Available computing resources: the paper's two bottleneck axes, volatile
 /// memory for operator state and processors for operator clones (§3.2, §3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resources {
     /// Volatile memory available to one partial operator's state — a chunk
     /// must fit here (§3.2: partitions "can be stored into available

@@ -12,10 +12,7 @@
 //!    and `/healthz` keeps answering while a multi-worker run is live.
 
 use pmkm_core::KMeansConfig;
-use pmkm_obs::{
-    chrome_trace, chrome_trace_from_report, rollup, LedgerSink, MetricsServer, Recorder,
-    StatusCell, Timeline,
-};
+use pmkm_obs::{chrome_trace, rollup, LedgerSink, MetricsServer, Recorder, StatusCell, Timeline};
 use pmkm_stream::fault::InjectedPanic;
 use pmkm_stream::prelude::*;
 use pmkm_stream::{Watchdog, WatchdogConfig, WatchdogSink};
@@ -199,12 +196,10 @@ fn observed_run_is_bit_identical_and_status_matches_the_report() {
     assert!(trace.contains("\"traceEvents\":["), "chrome trace shape: {trace}");
     assert!(trace.contains("worker.state") || trace.contains("\"ph\":\"X\""));
 
-    // The report carries the timeline rollup (schema v6) and also renders.
+    // The report carries the timeline rollup (schema v6).
     let tl = observed.run_report(Some(&rec)).timeline.expect("v6 timeline block");
     assert_eq!(tl.workers.len(), 3, "one lane per worker");
     assert!(tl.span_us > 0);
-    let from_report = chrome_trace_from_report(&observed.run_report(Some(&rec)));
-    assert!(from_report.contains("\"traceEvents\":["));
 
     std::fs::remove_dir_all(dir).ok();
 }

@@ -7,8 +7,7 @@
 //! * a **metrics registry** (counters / gauges / histograms, renderable as
 //!   Prometheus text),
 //! * a **RunReport** (one JSON document per run: per-chunk MSE
-//!   trajectories, per-clone busy/blocked split, queue-depth histograms,
-//!   span-profiler phase breakdown),
+//!   trajectories, queue-depth histograms, span-profiler phase breakdown),
 //!
 //! plus the two live surfaces added in PR 3: the **span profiler** (folded
 //! stacks for flamegraphs) and the **HTTP exporter** (`/metrics`,
@@ -20,7 +19,7 @@
 
 use pmkm_core::{partial_merge_observed, KMeansConfig, PartialMergeConfig};
 use pmkm_data::{CellConfig, GridBucket, GridCell};
-use pmkm_obs::{LedgerSink, MetricsServer, Profiler, Recorder, RingBufferSink};
+use pmkm_obs::{LedgerSink, MetricsServer, PhaseReport, Profiler, Recorder, RingBufferSink};
 use pmkm_stream::prelude::*;
 use std::sync::Arc;
 
@@ -80,6 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LogicalPlan::new(paths, KMeansConfig { restarts: 3, ..KMeansConfig::paper(40, 11) });
     let resources = Resources { chunk_memory_bytes: 256 << 10, ..Resources::detect() };
     let plan = optimize(logical, &resources);
+    let before = rec.phase_rows();
     let report = execute_with_faults(&plan, Some(rec.clone()), None)?;
     println!(
         "\nengine: {} cells in {:.0} ms, {} partial clones",
@@ -88,21 +88,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.partial_clones
     );
 
-    // Per-clone utilization table: the busy/blocked split makes the
-    // paper's "merge is mostly idle" claim directly visible.
-    println!(
-        "\n  {:<16} {:>5}  {:>10}  {:>10}  {:>6}",
-        "operator", "clone", "busy", "blocked", "util"
-    );
-    for op in &report.op_stats {
-        println!(
-            "  {:<16} {:>5}  {:>8.1}ms  {:>8.1}ms  {:>5.1}%",
-            op.name,
-            op.clone_id,
-            op.busy.as_secs_f64() * 1e3,
-            op.blocked.as_secs_f64() * 1e3,
-            op.utilization() * 100.0
-        );
+    // Per-stage busy time: the profiler's top-level phases, less what the
+    // in-memory run above booked. The partial step dominates and the merge
+    // is mostly idle, the paper's §3.4 point.
+    let booked = |rows: &[PhaseReport], path: &str| {
+        rows.iter().find(|p| p.path == path).map_or(0, |p| p.total_us)
+    };
+    let stages: Vec<(u64, String)> = rec
+        .phase_rows()
+        .into_iter()
+        .filter(|p| !p.path.contains('/'))
+        .map(|p| (p.total_us - booked(&before, &p.path), p.path))
+        .collect();
+    let all_us = stages.iter().map(|(us, _)| us).sum::<u64>().max(1) as f64;
+    println!("\n  {:<8} {:>10}  {:>6}", "stage", "busy", "share");
+    for (us, stage) in &stages {
+        let us = *us as f64;
+        println!("  {stage:<8} {:>8.1}ms  {:>5.1}%", us / 1e3, 100.0 * us / all_us);
     }
 
     // ── 3. The three outputs ───────────────────────────────────────────

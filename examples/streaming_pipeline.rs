@@ -2,7 +2,7 @@
 //! through the chunker into cloned partial k-means operators and the merge
 //! operator, then inspect the engine telemetry (the paper's §3.4 claims —
 //! the partial operator dominates, the merge operator idles — are visible
-//! in the utilization numbers).
+//! in the profiler's per-stage busy time).
 //!
 //! ```sh
 //! cargo run --release --example streaming_pipeline
@@ -10,7 +10,9 @@
 
 use pmkm_core::KMeansConfig;
 use pmkm_data::{CellConfig, GridBucket, GridCell};
+use pmkm_obs::{Profiler, Recorder};
 use pmkm_stream::prelude::*;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three grid buckets of different sizes, on disk.
@@ -39,7 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.partial_clones, plan.chunk_policy
     );
 
-    let report = execute(&plan)?;
+    // A recorder without sinks journals nothing; its span profiler books
+    // each stage's busy time.
+    let rec = Arc::new(Recorder::new().with_profiler(Arc::new(Profiler::new())));
+    let report = execute_with_faults(&plan, Some(rec.clone()), None)?;
     println!("\nengine finished in {:.0} ms", report.elapsed.as_secs_f64() * 1e3);
     for cell in &report.cells {
         println!(
@@ -51,16 +56,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\noperator telemetry:");
-    for op in &report.op_stats {
+    // The top-level phases are the stages; a cloned stage's busy time is
+    // summed over its clones.
+    println!("\nstage busy time (profiler phases):");
+    let stages: Vec<_> = rec.phase_rows().into_iter().filter(|p| !p.path.contains('/')).collect();
+    let all_us = stages.iter().map(|p| p.total_us).sum::<u64>().max(1) as f64;
+    for p in &stages {
+        let us = p.total_us as f64;
         println!(
-            "  {:<16} clone {}: in {:>5}, out {:>5}, busy {:>8.1} ms, utilization {:>5.1}%",
-            op.name,
-            op.clone_id,
-            op.items_in,
-            op.items_out,
-            op.busy.as_secs_f64() * 1e3,
-            op.utilization() * 100.0
+            "  {:<8} busy {:>8.1} ms ({:>5.1}% of all stages), {:>5} spans",
+            p.path,
+            us / 1e3,
+            100.0 * us / all_us,
+            p.calls
         );
     }
     println!("\nqueue telemetry:");

@@ -338,16 +338,5 @@ fn observed_engine_run_report_round_trips_and_balances() {
             q.name
         );
     }
-    // Busy + blocked never exceeds lifetime by more than timer noise.
-    for op in &report.operators {
-        let spent = op.busy + op.blocked;
-        assert!(
-            spent <= op.lifetime + std::time::Duration::from_millis(50),
-            "operator {} clone {}: busy+blocked {spent:?} > lifetime {:?}",
-            op.name,
-            op.clone_id,
-            op.lifetime
-        );
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
