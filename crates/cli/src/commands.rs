@@ -852,6 +852,12 @@ fn convert(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .ok_or_else(|| CliError::Run(format!("unknown codec '{codec_name}' (raw, shuffle-rle)")))?;
     let block_points = args.get("block-points")?;
     let out_dir = args.get_str("out");
+    let input_err = |path: &std::path::Path, e| CliError::Run(format!("{}: {e}", path.display()));
+    // Every input's header is read before --out is made, so a run that
+    // cannot read an input leaves no empty --out behind.
+    for path in args.positionals().iter().map(std::path::Path::new) {
+        pmkm_data::probe(path).map_err(|e| input_err(path, e))?;
+    }
     if !out_dir.is_empty() {
         std::fs::create_dir_all(&out_dir)?;
     }
@@ -875,8 +881,7 @@ fn convert(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Slots fill in input order up to the first failure, so the loop
     // returns that failure before the unclaimed (`None`) slots after it.
     for ((path, dst), result) in pairs.iter().zip(results.into_iter().flatten()) {
-        let (info, stats) =
-            result.map_err(|e| CliError::Run(format!("{}: {e}", path.display())))?;
+        let (info, stats) = result.map_err(|e| input_err(path, e))?;
         writeln!(
             out,
             "{}: {} points -> {} ({} block(s), {codec}, {:.2}x payload ratio, {} bytes)",

@@ -118,13 +118,14 @@ fn every_command_keeps_the_contract() {
     }
 }
 
-/// `bin` and `compress` create their `--out` directory only once an input
-/// has been read: a run that fails on a missing input leaves none behind.
+/// `bin`, `compress` and `convert` create their `--out` directory only once
+/// an input has been read: a run that fails on a missing input leaves none
+/// behind.
 #[test]
 fn a_failed_read_leaves_no_out_directory() {
     let dir = scratch_dir("no_out");
     let missing = dir.join("none.gb").display().to_string();
-    for cmd in ["bin", "compress"] {
+    for cmd in ["bin", "compress", "convert"] {
         let out_dir = dir.join(cmd).join("x");
         let o = pmkm(&[cmd, &format!("--out={}", out_dir.display()), &missing]);
         assert_eq!(o.code, 1, "{cmd}: {}", o.stderr);

@@ -68,11 +68,10 @@ pub fn kmeans<S: PointSource + ?Sized>(src: &S, cfg: &KMeansConfig) -> Result<KM
     kmeans_observed(src, cfg, None)
 }
 
-/// [`kmeans`] with observability hooks: when `rec` is `Some`, every restart
-/// emits a `kmeans.restart` event (MSE, iterations, whether it became the
-/// best so far) and the recorder's `kmeans_restarts_total` counter is
-/// bumped. Iteration-level events come from the underlying
-/// [`lloyd_observed`] runs.
+/// [`kmeans`] with observability hooks: when `rec` is `Some`, seeding is
+/// timed as a phase, the recorder's `kmeans_restarts_total` counter goes up
+/// by the restart count, and each restart's [`lloyd_observed`] run books
+/// its own phases, counters and `lloyd.kernel` event.
 pub fn kmeans_observed<S: PointSource + ?Sized>(
     src: &S,
     cfg: &KMeansConfig,
@@ -100,26 +99,12 @@ pub fn kmeans_observed<S: PointSource + ?Sized>(
             iterations: run.iterations,
             converged: run.converged,
         });
-        let better = match &best {
-            None => true,
-            Some((_, b)) => run.mse < b.mse,
-        };
-        if let Some(rec) = rec {
-            rec.registry().counter("kmeans_restarts_total").inc();
-            rec.event(
-                "kmeans.restart",
-                &[
-                    ("restart", r.into()),
-                    ("mse", run.mse.into()),
-                    ("iterations", run.iterations.into()),
-                    ("converged", run.converged.into()),
-                    ("best", better.into()),
-                ],
-            );
-        }
-        if better {
+        if best.as_ref().is_none_or(|(_, b)| run.mse < b.mse) {
             best = Some((r, run));
         }
+    }
+    if let Some(rec) = rec {
+        rec.registry().counter("kmeans_restarts_total").add(cfg.restarts as u64);
     }
     let (best_restart, best) = best.expect("restarts >= 1 is validated");
     Ok(KMeansOutcome { best, best_restart, restarts, elapsed: started.elapsed() })

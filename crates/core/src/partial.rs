@@ -65,8 +65,8 @@ pub fn partial_kmeans(chunk: &Dataset, cfg: &KMeansConfig) -> Result<PartialOutp
 
 /// [`partial_kmeans`] with observability hooks: when `rec` is `Some`, the
 /// chunk emits a `partial.chunk` event (points in, weighted centroids out,
-/// best MSE) and bumps the `partial_*` counters, on top of the restart- and
-/// iteration-level events from the inner best-of-R search.
+/// best MSE) and bumps the `partial_*` counters, on top of the counters and
+/// `lloyd.kernel` events of the inner best-of-R search.
 pub fn partial_kmeans_observed(
     chunk: &Dataset,
     cfg: &KMeansConfig,

@@ -71,10 +71,10 @@ pub fn partial_merge(ds: &Dataset, cfg: &PartialMergeConfig) -> Result<PartialMe
     Ok(run(ds, cfg, None)?.0)
 }
 
-/// Runs the pipeline with full observability: chunk sizes, per-iteration
-/// MSE, restart outcomes and pruning rates flow into `rec` (when given),
-/// and the call returns a [`RunReport`] for the cell alongside the normal
-/// result.
+/// Runs the pipeline with full observability: chunk sizes, iteration and
+/// restart counts and pruning rates flow into `rec` (when given), and the
+/// call returns a [`RunReport`] for the cell, per-iteration MSE included,
+/// alongside the normal result.
 pub fn partial_merge_observed(
     ds: &Dataset,
     cfg: &PartialMergeConfig,
@@ -314,13 +314,13 @@ mod tests {
             "partial/seed",
             "partial/assign",
             "partial/update",
-            "partial/converge",
             "merge",
             "merge/seed",
             "merge/assign",
         ] {
             assert!(paths.contains(&expected), "missing phase {expected} in {paths:?}");
         }
+        assert!(!paths.iter().any(|p| p.ends_with("converge")), "{paths:?}");
         for p in &report.phases {
             assert!(p.self_us <= p.total_us, "{}: self > total", p.path);
             assert!(p.calls > 0, "{}: zero calls", p.path);

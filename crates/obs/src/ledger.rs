@@ -47,8 +47,10 @@ use std::sync::Mutex;
 /// Journal schema version, stamped into the `ledger.open` header record.
 ///
 /// v1 is the initial schema. Additions must be `#[serde(default)]` fields
-/// on [`LedgerRecord`] (or new event names), never removals, so old
-/// journals keep parsing under new readers.
+/// on [`LedgerRecord`] (or new event names), never removals of a record
+/// field, so old journals keep parsing under new readers. Event names are
+/// not part of the format: readers skip names they do not know, so a name
+/// that nothing reads may be retired without a version bump.
 pub const LEDGER_VERSION: u32 = 1;
 
 /// Number of records a sink that keeps a tail holds in memory for
@@ -376,7 +378,7 @@ pub fn emit_phase_events(rec: &crate::trace::Recorder) {
 // ---------------------------------------------------------------------------
 
 /// Mass accounting and outcome of one cell, folded from `cell.close`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellRollup {
     /// Cell label.
     pub cell: String,
@@ -397,7 +399,7 @@ pub struct CellRollup {
 }
 
 /// One chunk's timing, folded from `chunk.close`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChunkRollup {
     /// Owning cell label.
     pub cell: String,
@@ -412,7 +414,7 @@ pub struct ChunkRollup {
 }
 
 /// One kernel's dispatch tally, folded from `lloyd.kernel`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelRollup {
     /// Kernel label (`"fused"`, `"scalar"`, …).
     pub kind: String,
@@ -422,13 +424,12 @@ pub struct KernelRollup {
     pub points: u64,
     /// Of those, the ones a bounded Lloyd run decided without the screen
     /// (the event's `pruned` field; runs without it count 0).
-    #[serde(default)]
     pub pruned: u64,
 }
 
 /// One checkpoint write, folded from `cell.checkpoint` records of an
 /// orchestrated run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CheckpointRollup {
     /// When the checkpoint was written (µs since recorder epoch).
     pub ts_us: u64,
@@ -441,7 +442,7 @@ pub struct CheckpointRollup {
 }
 
 /// One fault on the run's timeline, folded from `fault` records.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultEntry {
     /// When the fault was recorded (µs since recorder epoch).
     pub ts_us: u64,
@@ -453,7 +454,7 @@ pub struct FaultEntry {
 
 /// Net live state of one coreset-tree level, folded from
 /// `coreset.build`/`coreset.compact`/`coreset.evict` records.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CoresetLevelRollup {
     /// Tree level (0 = fresh chunk coresets).
     pub level: u32,
@@ -468,7 +469,7 @@ pub struct CoresetLevelRollup {
 /// Coreset-engine state folded from `coreset.*` records: per-level net
 /// bucket counts and weights, which for a well-formed journal of a
 /// non-decaying run reproduce the live tree exactly.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CoresetRollup {
     /// `coreset.build` records folded.
     pub builds: u64,
@@ -503,7 +504,7 @@ impl CoresetRollup {
 
 /// Block-scan I/O rebuilt from `scan.block` records (GB02 block
 /// containers only; empty for GB01-only runs and pre-container journals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanRollup {
     /// Blocks fetched and decoded.
     pub blocks: u64,
@@ -545,7 +546,7 @@ impl ScanRollup {
 }
 
 /// Aggregated view of one ledger. Produced by [`rollup`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LedgerRollup {
     /// Journal schema version from the `ledger.open` header (0 if absent).
     pub version: u32,
@@ -568,32 +569,24 @@ pub struct LedgerRollup {
     pub kernels: Vec<KernelRollup>,
     /// Checkpoint writes in timeline order (orchestrated runs only;
     /// absent in pre-orchestrator journals).
-    #[serde(default)]
     pub checkpoints: Vec<CheckpointRollup>,
     /// Cells restored from checkpoints, from the `run.resume` record (0
     /// when the run was not a resume).
-    #[serde(default)]
     pub resumed_cells: u64,
     /// Checkpoint files the resume rejected as corrupt or stale.
-    #[serde(default)]
     pub invalid_checkpoints: u64,
     /// `worker.state` transitions recorded (0 when no timeline was
     /// attached; absent in pre-timeline journals).
-    #[serde(default)]
     pub worker_transitions: u64,
     /// Stall verdicts (`watchdog.stall`) emitted by the watchdog.
-    #[serde(default)]
     pub watchdog_stalls: u64,
     /// Straggler verdicts (`watchdog.straggler`) emitted by the watchdog.
-    #[serde(default)]
     pub watchdog_stragglers: u64,
     /// Coreset-tree state rebuilt from `coreset.*` records (empty for
     /// classic merge-path runs and pre-coreset journals).
-    #[serde(default)]
     pub coreset: CoresetRollup,
     /// Block-scan I/O rebuilt from `scan.block` records (empty for
     /// GB01-only runs and pre-container journals).
-    #[serde(default)]
     pub scan: ScanRollup,
 }
 
@@ -805,7 +798,7 @@ fn render_field(v: &FieldValue) -> String {
 
 /// The comparable surface of one run — buildable from a ledger rollup or a
 /// `RunReport`, so `pmkm diff` accepts either format on either side.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunProfile {
     /// Display label (usually the source path).
     pub label: String,
@@ -852,7 +845,7 @@ impl RunProfile {
 }
 
 /// One phase's contribution to an elapsed-time delta.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseDelta {
     /// Phase path.
     pub path: String,
@@ -896,7 +889,7 @@ pub fn attribute_phases(a: &[PhaseReport], b: &[PhaseReport]) -> Vec<PhaseDelta>
 }
 
 /// One fault counter that changed between two runs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultDelta {
     /// The [`FaultReport`] field that changed ([`FaultKind::field`]).
     pub kind: String,
@@ -907,7 +900,7 @@ pub struct FaultDelta {
 }
 
 /// The result of diffing two [`RunProfile`]s.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileDiff {
     /// Label of run A (the baseline).
     pub label_a: String,
@@ -1143,7 +1136,7 @@ mod tests {
         assert_eq!(roll.scan.prefetch_hits, 1);
         assert!((roll.scan.compression_ratio() - 1.2).abs() < 1e-12);
         assert!((roll.scan.prefetch_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        // A GB01-only journal stays empty and serde-defaults on old files.
+        // A GB01-only journal stays empty.
         assert!(rollup(&[]).scan.is_empty());
         assert_eq!(rollup(&[]).scan.compression_ratio(), 1.0);
     }
@@ -1447,19 +1440,6 @@ mod tests {
     }
 
     #[test]
-    fn rollup_serializes() {
-        let up = rollup(&[LedgerRecord {
-            seq: 0,
-            ts_us: 0,
-            name: "ledger.open".into(),
-            fields: vec![("version".into(), FieldValue::U64(1))],
-        }]);
-        let json = serde_json::to_string(&up).unwrap();
-        let back: LedgerRollup = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, up);
-    }
-
-    #[test]
     fn rollup_reproduces_coreset_tree_state() {
         fn rec(seq: u64, name: &str, fields: Vec<(String, FieldValue)>) -> LedgerRecord {
             LedgerRecord { seq, ts_us: seq, name: name.into(), fields }
@@ -1515,11 +1495,7 @@ mod tests {
             assert_eq!(lvl.buckets, 0, "level {} buckets", lvl.level);
             assert_eq!(lvl.weight, 0.0, "level {} weight", lvl.level);
         }
-        // Round-trips, and old journals without coreset records parse to
-        // an empty block.
-        let json = serde_json::to_string(&up).unwrap();
-        let back: LedgerRollup = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, up);
+        // Old journals without coreset records roll up to an empty block.
         let empty = rollup(&[]);
         assert!(empty.coreset.is_empty());
     }

@@ -12,7 +12,7 @@
 //! 3. [`report`] — plain-data [`RunReport`] types (serde round-trippable)
 //!    that the pipeline and the stream engine fill in per run.
 //! 4. [`profile`] — a hierarchical span [`Profiler`] aggregating nested
-//!    timed phases (scan → partial{seed, assign, update, converge} → merge)
+//!    timed phases (scan → partial{seed, assign, update} → merge)
 //!    with self/child attribution and folded-stack flamegraph export.
 //! 5. [`serve`] — a dependency-light HTTP [`MetricsServer`] exposing
 //!    `/metrics`, `/report.json`, `/healthz`, and — when a ledger is

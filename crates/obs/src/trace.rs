@@ -70,7 +70,7 @@ impl From<String> for FieldValue {
 pub struct Event {
     /// Microseconds since the owning [`Recorder`] was created (monotonic).
     pub ts_us: u64,
-    /// Event name, dotted by convention (`"lloyd.iteration"`).
+    /// Event name, dotted by convention (`"lloyd.kernel"`).
     pub name: String,
     /// Named field values, in emission order.
     pub fields: Vec<(String, FieldValue)>,

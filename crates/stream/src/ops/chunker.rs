@@ -85,12 +85,6 @@ impl ChunkerOp {
                 }
                 // An empty bucket never opened a state: zero chunks.
                 let chunks = self.cells.remove(&cell).map_or(0, |state| state.next_chunk);
-                if let Some(rec) = self.ctx.rec() {
-                    rec.event(
-                        "chunker.cell_plan",
-                        &[("cell", cell.index().into()), ("chunks", chunks.into())],
-                    );
-                }
                 Ok(Some(MergeMsg::CellPlan { cell, chunks, expected_points }))
             }
         }

@@ -99,16 +99,6 @@ impl PartialKMeansOp {
     /// Records a quarantined chunk; the returned notice tells the tail the
     /// chunk is gone, so the cell's plan still closes.
     fn quarantine_chunk(&self, cell: GridCell, chunk_id: usize, points: usize) -> MergeMsg {
-        if let Some(rec) = self.ctx.rec() {
-            rec.event(
-                "partial.chunk_quarantined",
-                &[
-                    ("cell", cell.index().into()),
-                    ("chunk", chunk_id.into()),
-                    ("points", points.into()),
-                ],
-            );
-        }
         self.ctx.fault(
             FaultKind::ChunkQuarantined,
             &[("cell", cell.index().into()), ("chunk", chunk_id.into()), ("points", points.into())],
@@ -174,16 +164,6 @@ impl PartialKMeansOp {
             match outcome {
                 Ok(result) => break result?,
                 Err(payload) => {
-                    if let Some(rec) = rec {
-                        rec.event(
-                            "partial.panic",
-                            &[
-                                ("cell", cell.index().into()),
-                                ("chunk", chunk_id.into()),
-                                ("attempt", attempt.into()),
-                            ],
-                        );
-                    }
                     self.ctx.fault(
                         FaultKind::WorkerPanic,
                         &[

@@ -103,13 +103,10 @@ impl ScanOp {
 
     /// Records a bucket (or bucket tail) abandoned under quarantine.
     fn note_scan_failure(&self, path: &std::path::Path, err: &EngineError) {
-        if let Some(rec) = self.ctx.rec() {
-            rec.event(
-                "scan.failure",
-                &[("path", path.display().to_string().into()), ("error", err.to_string().into())],
-            );
-        }
-        self.ctx.fault(FaultKind::ScanFailure, &[("path", path.display().to_string().into())]);
+        self.ctx.fault(
+            FaultKind::ScanFailure,
+            &[("path", path.display().to_string().into()), ("error", err.to_string().into())],
+        );
     }
 
     /// Opens one bucket in whichever format its magic declares. GB02 goes
@@ -347,7 +344,6 @@ impl ScanOp {
         emit(ScanMsg::CellEnd { cell, expected_points })?;
         if let Some(rec) = self.ctx.rec() {
             rec.registry().counter("scan_cells_total").inc();
-            rec.event("scan.cell", &[("cell", cell.index().into())]);
             let reg = rec.registry();
             let stored = reg.counter("scan_stored_bytes_total").get();
             let payload = reg.counter("scan_payload_bytes_total").get();

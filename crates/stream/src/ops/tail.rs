@@ -43,8 +43,6 @@ struct Wire {
     /// Event announcing a finished merge clustering (a coreset tree
     /// journals its queries as they happen instead).
     done_event: Option<&'static str>,
-    /// Event announcing a cell that answered with missing mass.
-    degraded_event: &'static str,
     /// Counter of cells answered.
     cells_counter: &'static str,
     /// Timeline state stamped when a chunk reaches the summary.
@@ -54,7 +52,6 @@ struct Wire {
 const MERGE: Wire = Wire {
     op: "merge",
     done_event: Some("merge.done"),
-    degraded_event: "merge.degraded",
     cells_counter: "merge_cells_total",
     insert_state: None,
 };
@@ -62,7 +59,6 @@ const MERGE: Wire = Wire {
 const CORESET: Wire = Wire {
     op: "coreset",
     done_event: None,
-    degraded_event: "coreset.degraded",
     cells_counter: "coreset_cells_total",
     insert_state: Some(WorkerState::Compact),
 };
@@ -494,12 +490,6 @@ impl TailOp {
     }
 
     fn note_degraded(&self, cell: GridCell, lost_points: f64) {
-        if let Some(rec) = self.ctx.rec() {
-            rec.event(
-                self.wire.degraded_event,
-                &[("cell", cell.index().into()), ("lost_points", lost_points.into())],
-            );
-        }
         self.ctx.fault(
             FaultKind::CellDegraded,
             &[("cell", cell.index().into()), ("lost_points", lost_points.into())],

@@ -857,10 +857,9 @@ fn run_one_cell(shared: &Shared<'_>, i: usize) -> Result<CellOutcome> {
 /// Per-point Lloyd scratch a partial clone holds at most while it clusters
 /// a chunk: the running restart's assignment (4 B), `d²` (8 B), Hamerly
 /// lower bound (8 B) and entry in the `u32` list of undecided points
-/// (4 B), an observed run's copy of the previous assignments (4 B), and
-/// the best restart so far's assignment, which best-of-R keeps while the
-/// next restart runs (4 B).
-const LLOYD_SCRATCH_PER_POINT: usize = 32;
+/// (4 B), and the best restart so far's assignment, which best-of-R keeps
+/// while the next restart runs (4 B).
+const LLOYD_SCRATCH_PER_POINT: usize = 28;
 
 /// In-flight bytes of one cell: a chunk in each of the partial pool's
 /// workers, one in its queue and one the chunker builds, plus each
@@ -1195,14 +1194,14 @@ mod tests {
     #[test]
     fn cell_cost_books_chunks_and_lloyd_scratch() {
         // Two clones of 1,000-point 6-D chunks: four chunks of 48,000 B in
-        // flight, and 32 B of Lloyd scratch per point in each clone.
+        // flight, and 28 B of Lloyd scratch per point in each clone.
         let mut plan = mk_plan(&[], 7);
         plan.partial_clones = 2;
         plan.chunk_policy = ChunkPolicy::FixedPoints(1_000);
-        assert_eq!(cell_cost(&plan, 6), 4 * 48_000 + 2 * 32_000);
+        assert_eq!(cell_cost(&plan, 6), 4 * 48_000 + 2 * 28_000);
         // A byte budget holds its bytes over the row size in points.
         plan.chunk_policy = ChunkPolicy::MemoryBudget { bytes: 48_010 };
-        assert_eq!(cell_cost(&plan, 6), 4 * 48_010 + 2 * 32_000);
+        assert_eq!(cell_cost(&plan, 6), 4 * 48_010 + 2 * 28_000);
         plan.chunk_policy = ChunkPolicy::FixedPoints(usize::MAX);
         assert_eq!(cell_cost(&plan, 6), usize::MAX, "saturates");
     }

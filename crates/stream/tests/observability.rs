@@ -10,12 +10,19 @@
 //!    with a sane deadline produces zero stall/straggler verdicts.
 //! 4. **Liveness** — `/events` sequence numbers are strictly monotonic
 //!    and `/healthz` keeps answering while a multi-worker run is live.
+//! 5. **Vocabulary** — a journaled run writes a pinned set of record
+//!    shapes, each fact once: one `fault` record per counted fault and
+//!    none of the records that only repeated one.
 
 use pmkm_core::KMeansConfig;
-use pmkm_obs::{chrome_trace, rollup, LedgerSink, MetricsServer, Recorder, StatusCell, Timeline};
+use pmkm_obs::{
+    chrome_trace, parse_ledger, rollup, FaultKind, LedgerSink, MetricsServer, Recorder, StatusCell,
+    Timeline,
+};
 use pmkm_stream::fault::InjectedPanic;
 use pmkm_stream::prelude::*;
-use pmkm_stream::{Watchdog, WatchdogConfig, WatchdogSink};
+use pmkm_stream::{CoresetSpec, FaultPlan, FaultPolicy, Watchdog, WatchdogConfig, WatchdogSink};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -324,5 +331,102 @@ fn events_and_status_stay_live_under_a_multi_worker_run() {
     assert!(last_seq > 0, "the ledger saw events");
 
     server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Records the journal no longer writes: each had no reader, or repeated a
+/// `fault` or `cell.close` record.
+const RETIRED: [&str; 9] = [
+    "lloyd.iteration",
+    "kmeans.restart",
+    "partial.panic",
+    "partial.chunk_quarantined",
+    "scan.failure",
+    "merge.degraded",
+    "coreset.degraded",
+    "chunker.cell_plan",
+    "scan.cell",
+];
+
+/// Every (record name, sorted field keys) shape that a checkpointed
+/// `orchestrate` of GB02 cells journals, clean and under heavy chaos, on
+/// both tails.
+const VOCABULARY: &[(&str, &str)] = &[
+    ("cell.checkpoint", "bytes,cell,seq"),
+    ("cell.close", "cell,chunks,degraded,epm,expected_points,lost_chunks,lost_points,mse"),
+    ("cell.open", "cell,expected_points"),
+    ("chunk.close", "attempts,cell,chunk,duration_us,points"),
+    ("coreset.build", "cell,chunk,points,size,weight"),
+    ("coreset.compact", "cell,consumed_weight,level,live_buckets,live_weight,size,weight"),
+    ("coreset.query", "cell,input_points,iterations,k,live_buckets,mse"),
+    ("fault", "attempt,batch,kind"),
+    ("fault", "attempt,cell,chunk,kind"),
+    ("fault", "cell,chunk,kind"),
+    ("fault", "cell,chunk,kind,points"),
+    ("fault", "cell,kind,lost_points"),
+    ("fault", "error,kind,path"),
+    ("ledger.open", "version"),
+    ("lloyd.kernel", "kind,points,pruned,rescued,rescues_per_point,reseeds"),
+    ("lloyd.kernel", "kind,points,rescued,rescues_per_point,reseeds"),
+    ("merge.done", "cell,converged,epm,input_centroids,iterations,mse"),
+    ("op.finish", "clone,items_in,op"),
+    ("op.finish", "clone,items_out,op"),
+    ("partial.chunk", "best_mse,points,weighted_centroids"),
+    ("run.close", "cells,degraded,elapsed_us"),
+    ("run.open", "cells,jobs,partial_clones"),
+    ("scan.block", "block,cell,payload_bytes,prefetch_hit,stored_bytes,zero_copy"),
+];
+
+/// Invariant 5: the journal's record shapes are pinned, no retired record
+/// comes back, and every counted fault is journaled exactly once.
+#[test]
+fn journal_vocabulary_is_pinned_and_counts_each_fault_once() {
+    quiet_injected_panics();
+    let (dir, mut plan) = planet("vocabulary", 4, 11, 13);
+    plan.fault_policy = FaultPolicy::tolerant();
+    plan.logical.inputs = plan
+        .logical
+        .inputs
+        .iter()
+        .map(|src| {
+            let bucket = pmkm_data::GridBucket::read_from(src).unwrap();
+            let dst = src.with_extension("gb2");
+            pmkm_data::write_gb02(&bucket, &dst, pmkm_data::Codec::ShuffleRle, 16).unwrap();
+            dst
+        })
+        .collect();
+    let mut shapes = BTreeSet::new();
+    for (run, (coreset, chaos)) in [None, Some(CoresetSpec::new(16))]
+        .into_iter()
+        .flat_map(|c| [(c.clone(), None), (c, Some(FaultPlan::heavy(21)))])
+        .enumerate()
+    {
+        let mut plan = plan.clone();
+        plan.coreset = coreset;
+        let chaotic = chaos.is_some();
+        let ledger = Arc::new(LedgerSink::in_memory());
+        let rec = Arc::new(Recorder::new().with_sink(ledger.clone()));
+        let opts = OrchestratorOptions::new(2).with_checkpoints(dir.join(format!("ckpt_{run}")));
+        let planet = orchestrate(&plan, &opts, Some(rec), chaos).unwrap();
+        let records = parse_ledger(&ledger.snapshot_jsonl()).unwrap();
+        let faults: u64 = FaultKind::ALL.iter().map(|&kind| planet.faults.count(kind)).sum();
+        assert_eq!(chaotic, faults > 0, "run {run}: {:?}", planet.faults);
+        assert_eq!(
+            records.iter().filter(|r| r.name == "fault").count() as u64,
+            faults,
+            "run {run}: one fault record per counted fault"
+        );
+        for r in &records {
+            assert!(!RETIRED.contains(&r.name.as_str()), "run {run} wrote {}", r.name);
+            let mut keys: Vec<&str> = r.fields.iter().map(|(key, _)| key.as_str()).collect();
+            keys.sort_unstable();
+            shapes.insert((r.name.clone(), keys.join(",")));
+        }
+    }
+    let want: BTreeSet<(String, String)> =
+        VOCABULARY.iter().map(|&(name, keys)| (name.to_string(), keys.to_string())).collect();
+    let listed: Vec<String> =
+        shapes.iter().map(|(n, k)| format!("    (\"{n}\", \"{k}\"),")).collect();
+    assert_eq!(shapes, want, "journaled shapes:\n{}", listed.join("\n"));
     std::fs::remove_dir_all(dir).ok();
 }

@@ -14,6 +14,12 @@
 //! commit on which every pipeline ran one thread per operator: a
 //! one-bucket, one-clone plan must answer, fail and profile as it did
 //! there.
+//!
+//! The two `CHAOS_*_EVENTS` digests and the phase lists moved once since,
+//! through retired records alone: with `merge.degraded` /
+//! `coreset.degraded` left out of [`tail_event`] and the `converge` phase
+//! rows left out of the paths, the parent of the change that stopped
+//! writing them computes the new constants.
 
 use pmkm_core::KMeansConfig;
 use pmkm_obs::{FaultReport, FieldValue, LedgerRecord, LedgerSink, Profiler, Recorder};
@@ -127,13 +133,7 @@ fn digest<'a>(cells: impl IntoIterator<Item = &'a CellClustering>) -> u64 {
 fn tail_event(r: &LedgerRecord) -> bool {
     matches!(
         r.name.as_str(),
-        "coreset.evict"
-            | "coreset.compact"
-            | "coreset.query"
-            | "merge.done"
-            | "merge.degraded"
-            | "coreset.degraded"
-            | "cell.close"
+        "coreset.evict" | "coreset.compact" | "coreset.query" | "merge.done" | "cell.close"
     ) || (r.name == "fault" && r.str_field("kind") == Some("cell_degraded"))
 }
 
@@ -175,9 +175,9 @@ fn observed() -> (Arc<LedgerSink>, Arc<Recorder>) {
 const CLASSIC: u64 = 0x28bb_6cfc_9f48_92b8;
 const CORESET: u64 = 0x480c_6481_53d0_607d;
 const CHAOS_CLASSIC: u64 = 0x6cb3_5b59_8f2a_186c;
-const CHAOS_CLASSIC_EVENTS: u64 = 0xe64f_69ab_62ee_5648;
+const CHAOS_CLASSIC_EVENTS: u64 = 0x8ac8_ca30_23ba_56e6;
 const CHAOS_CORESET: u64 = 0xd89d_a43d_9723_de4f;
-const CHAOS_CORESET_EVENTS: u64 = 0x9ab2_6b20_e6de_91f7;
+const CHAOS_CORESET_EVENTS: u64 = 0x51bc_3ba1_e0fc_cb64;
 const FINGERPRINT: &str = "96933b9cde449369";
 
 #[test]
@@ -319,30 +319,20 @@ fn strict_sticky_panic_fails_the_run_as_an_operator_panic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-const CLASSIC_PHASES: [&str; 12] = [
+const CLASSIC_PHASES: [&str; 10] = [
     "chunk",
     "merge",
     "merge/assign",
-    "merge/converge",
     "merge/seed",
     "merge/update",
     "partial",
     "partial/assign",
-    "partial/converge",
     "partial/seed",
     "partial/update",
     "scan",
 ];
-const CORESET_PHASES: [&str; 8] = [
-    "chunk",
-    "coreset",
-    "merge",
-    "merge/assign",
-    "merge/converge",
-    "merge/seed",
-    "merge/update",
-    "scan",
-];
+const CORESET_PHASES: [&str; 7] =
+    ["chunk", "coreset", "merge", "merge/assign", "merge/seed", "merge/update", "scan"];
 
 /// Phase paths of an observed one-bucket, one-clone run: no operator's span
 /// encloses another operator's work, whichever thread runs it.
