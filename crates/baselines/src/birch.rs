@@ -13,7 +13,7 @@
 use pmkm_core::config::SeedMode;
 use pmkm_core::error::{Error, Result};
 use pmkm_core::{kmeans, Centroids, Dataset, KMeansConfig, PointSource, WeightedSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// A clustering feature: count, linear sum and scalar square sum.
@@ -62,7 +62,7 @@ impl ClusteringFeature {
 }
 
 /// BIRCH parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BirchConfig {
     /// Branching factor `B` of internal nodes.
     pub branching: usize,

@@ -19,11 +19,11 @@ use pmkm_core::point::dist;
 use pmkm_core::seeding::rng_for;
 use pmkm_core::{Centroids, Dataset, PointSource};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// CLARANS parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ClaransConfig {
     /// Number of medoids (clusters).
     pub k: usize,

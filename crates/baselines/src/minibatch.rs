@@ -11,11 +11,11 @@ use pmkm_core::point::nearest_centroid;
 use pmkm_core::seeding::rng_for;
 use pmkm_core::{Centroids, Dataset, PointSource, SeedMode};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Mini-batch k-means parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MiniBatchConfig {
     /// Number of clusters.
     pub k: usize,

@@ -25,11 +25,11 @@ use pmkm_core::error::{Error, Result};
 use pmkm_core::seeding::{derive_seed, rng_for, seed_centroids};
 use pmkm_core::{Centroids, Dataset, PointSource, WeightedSet};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// STREAM-LS parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StreamLsConfig {
     /// Centers kept per chunk (and finally).
     pub k: usize,

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Sweep parameters (scaled-down defaults keep a full run laptop-friendly;
 /// `--full` reproduces the paper's exact R = 10 / 5-version setting).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SweepConfig {
     /// Cluster count (paper: 40).
     pub k: usize,
@@ -158,7 +158,7 @@ pub fn run_split(cfg: &SweepConfig, n: usize, version: u32, splits: usize) -> Ca
 }
 
 /// Mean of the per-version rows for one `(n, algo)` group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MeanRow {
     /// Cell size.
     pub n: usize,

@@ -166,8 +166,10 @@ pub const COMMANDS: &[Command] = &[
                 Each cell is an independent pipeline on one of --jobs work-stealing workers.\n\
                 A resumed run is bit-identical to an uninterrupted one, and a clean run\n\
                 deletes stale checkpoints. The backend is part of the checkpoint\n\
-                fingerprint. --serve adds the /status dashboard, which under --coreset\n\
-                carries the anytime clustering.",
+                fingerprint. Checkpoints are named after the bucket files, so under\n\
+                --checkpoint-dir two inputs with one file name are refused (exit 1).\n\
+                --serve adds the /status dashboard, which under --coreset carries the\n\
+                anytime clustering.",
         flags: &[KMEANS, SEED, PLAN, OBSERVE, &[
             Flag::value("jobs", "N", "4", "cells run at a time, on work-stealing workers"),
             Flag::value("cells", "N", "0", "run only the first N buckets (0: all)"),

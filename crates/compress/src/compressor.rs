@@ -9,11 +9,11 @@ use crate::histogram::MultivariateHistogram;
 use pmkm_core::error::Result;
 use pmkm_core::point::nearest_centroid;
 use pmkm_core::{metrics, partial_merge, Dataset, PartialMergeConfig, PointSource};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Duration;
 
 /// Everything a compression run reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompressionSummary {
     /// Original payload bytes (`n × dim × 8`).
     pub original_bytes: usize,

@@ -13,10 +13,10 @@ use crate::histogram::MultivariateHistogram;
 use pmkm_core::error::{Error, Result};
 use pmkm_core::{Dataset, PointSource};
 use pmkm_data::stats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Moment-preservation report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Faithfulness {
     /// ‖mean_hist − mean_data‖ / (‖mean_data‖ + ε): relative mean error.
     pub mean_rel_error: f64,

@@ -11,11 +11,11 @@
 use crate::histogram::MultivariateHistogram;
 use pmkm_core::error::{Error, Result};
 use pmkm_core::{Dataset, PointSource};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An axis-aligned attribute-range predicate: per-dimension optional
 /// `[lo, hi]` bounds (unbounded dimensions match everything).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RangeQuery {
     /// Per-dimension bounds; `None` leaves the dimension unconstrained.
     pub bounds: Vec<Option<(f64, f64)>>,
@@ -96,7 +96,7 @@ fn bucket_fraction(query: &RangeQuery, centroid: &[f64], spread: &[f64]) -> f64 
 }
 
 /// Query answer estimated from a histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RangeEstimate {
     /// Estimated number of matching observations.
     pub count: f64,

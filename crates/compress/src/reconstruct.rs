@@ -10,7 +10,7 @@ use pmkm_core::error::{Error, Result};
 use pmkm_core::{metrics, Dataset};
 use pmkm_data::gaussian::BoxMuller;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Reconstructs `n` points from the histogram (bucket choice proportional
 /// to counts, within-bucket sampling from N(centroid, diag(spread²))).
@@ -44,7 +44,7 @@ pub fn reconstruct(hist: &MultivariateHistogram, n: usize, seed: u64) -> Result<
 }
 
 /// Distortion report comparing original data with its histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Distortion {
     /// MSE of the original points against the bucket centroids.
     pub quantization_mse: f64,

@@ -1,7 +1,7 @@
 //! Configuration types for every clustering entry point.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's convergence threshold: stop when
 /// `MSE(n−1) − MSE(n) ≤ 1 × 10⁻⁹` (§2, §3.3).
@@ -19,7 +19,7 @@ pub const DEFAULT_MAX_ITERS: usize = 10_000;
 /// test suite in `tests/kernel_differential.rs` pins this. They differ only
 /// in how much arithmetic they spend getting there; DESIGN.md §9 discusses
 /// when each wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum KernelKind {
     /// Pick automatically: always the fused SoA kernel. (A pruned scalar
     /// scan existed historically but measured 0.81× the plain scalar scan
@@ -60,7 +60,7 @@ impl KernelKind {
 }
 
 /// Controls a single Lloyd (k-means) run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LloydConfig {
     /// Convergence threshold on the MSE decrease between iterations.
     pub epsilon: f64,
@@ -101,7 +101,7 @@ impl LloydConfig {
 }
 
 /// How initial centroids are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SeedMode {
     /// k distinct points drawn uniformly at random (the paper's choice for
     /// the serial and partial steps).
@@ -115,7 +115,7 @@ pub enum SeedMode {
 }
 
 /// Full k-means configuration: k, restarts, seeding and the Lloyd knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
@@ -157,7 +157,7 @@ impl KMeansConfig {
 }
 
 /// Configuration of the full partial/merge pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PartialMergeConfig {
     /// k-means parameters shared by the partial runs (the paper fixes one k
     /// for all partitions of a cell).
@@ -248,24 +248,13 @@ mod tests {
 
     #[test]
     fn configs_are_serde() {
-        // Compile-time check that all config types derive Serialize +
-        // Deserialize (the bench crate persists them with serde_json).
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
+        // Compile-time check that all config types derive Serialize (the
+        // experiment harnesses write them out with serde_json; nothing
+        // reads them back).
+        fn assert_serde<T: serde::Serialize>() {}
         assert_serde::<LloydConfig>();
         assert_serde::<KMeansConfig>();
         assert_serde::<PartialMergeConfig>();
         assert_serde::<SeedMode>();
-    }
-
-    #[test]
-    fn lloyd_config_json_with_retired_keys_still_loads() {
-        // Configs persisted before `parallel_assign` and `pruned_assign`
-        // were removed carry both keys; the derive skips unknown keys.
-        let old = r#"{"epsilon":1e-9,"max_iters":10000,"parallel_assign":true,
-            "pruned_assign":true,"kernel":"Auto"}"#;
-        let cfg: LloydConfig = serde_json::from_str(old).unwrap();
-        assert_eq!(cfg, LloydConfig::default());
-        let json = serde_json::to_string(&cfg).unwrap();
-        assert!(!json.contains("_assign"), "{json}");
     }
 }

@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, BTreeSet};
 const CORESET_STREAM: u64 = 0x4353_4554_5452_4545;
 
 /// Configuration of a coreset tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CoresetConfig {
     /// Maximum number of weighted representatives per bucket.
     pub size: usize,

@@ -39,7 +39,7 @@ pub trait PointSource {
 }
 
 /// A flat, row-major collection of unit-weight points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dataset {
     dim: usize,
     data: Vec<f64>,
@@ -198,7 +198,7 @@ impl PointSource for Dataset {
 
 /// A collection of weighted points (the partial step's output: one weighted
 /// centroid per cluster per chunk, weight = points assigned to it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WeightedSet {
     dim: usize,
     coords: Vec<f64>,

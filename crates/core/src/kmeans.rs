@@ -10,11 +10,11 @@ use crate::error::Result;
 use crate::lloyd::{lloyd_observed, LloydRun};
 use crate::seeding::{rng_for, seed_centroids};
 use pmkm_obs::Recorder;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Per-restart summary kept for telemetry and the experiment harnesses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RestartStats {
     /// Restart index (`0..R`).
     pub restart: usize,

@@ -14,10 +14,10 @@
 use crate::dataset::{Centroids, PointSource};
 use crate::error::{Error, Result};
 use crate::point::nearest_centroid;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One-pass evaluation of a centroid table against a point source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Evaluation {
     /// Weighted sum of squared nearest-centroid distances (`E` / `E_pm`).
     pub sse: f64,

@@ -13,7 +13,7 @@ use crate::kmeans::{kmeans_observed, RestartStats};
 use crate::seeding::{derive_seed, rng_for};
 use pmkm_obs::Recorder;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Stream tag for the shuffle RNG (kept away from restart/chunk streams).
@@ -23,7 +23,7 @@ const SHUFFLE_STREAM: u64 = 0x5348_5546_464C_4531; // "SHUFFLE1"
 ///
 /// Serializable so long cells can checkpoint individual partials between
 /// merge levels (the stream orchestrator persists the merged form).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PartialOutput {
     /// The chunk's weighted centroids `{(c_1j, w_1j), …}`. Clusters that
     /// attracted no points at convergence are dropped, so this may hold

@@ -17,10 +17,10 @@
 use crate::dataset::{Dataset, PointSource};
 use crate::error::{Error, Result};
 use crate::partial::partition_random;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a cell's points are dealt into `p` chunks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum SliceStrategy {
     /// Shuffle, then round-robin: every chunk is an unbiased sample of the
     /// whole cell (the paper's test setup).

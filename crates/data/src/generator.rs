@@ -12,7 +12,7 @@ use crate::error::Result;
 use crate::mixture::Mixture;
 use pmkm_core::seeding::derive_seed;
 use pmkm_core::Dataset;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's attribute dimensionality.
 pub const PAPER_DIM: usize = 6;
@@ -29,7 +29,7 @@ pub const PAPER_VERSIONS: u32 = 5;
 pub const PAPER_SWEEP: [usize; 6] = [250, 2_500, 12_500, 25_000, 50_000, 75_000];
 
 /// Parameters of one synthetic grid cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CellConfig {
     /// Points in the cell.
     pub points: usize,

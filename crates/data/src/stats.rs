@@ -3,10 +3,10 @@
 //! faithfulness.
 
 use pmkm_core::{Dataset, PointSource};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary of one attribute dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DimStats {
     /// Arithmetic mean.
     pub mean: f64,

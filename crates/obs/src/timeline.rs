@@ -8,10 +8,10 @@
 //!
 //! Lanes move through the states of [`WorkerState`]: the orchestrator's
 //! worker loop records `idle` / `stealing` / `checkpoint` / `budget-wait`
-//! directly, while the pipeline operators of the cell a lane is currently
-//! *bound* to (see [`Timeline::bind_cell`]) record `scan` / `partial` /
-//! `merge` as the cell flows through them. Same-state records coalesce, so
-//! a lane counts genuine transitions only.
+//! directly, while the pipeline operators of the cell a worker runs record
+//! `scan` / `partial` / `merge` on that worker's lane (the cell's context
+//! carries it) as the cell flows through them. Same-state records coalesce,
+//! so a lane counts genuine transitions only.
 //!
 //! [`Timeline::snapshot`] folds the lanes into a [`WorkerTimeline`]:
 //! per-lane per-state dwell times, a busy/total utilization, and the
@@ -26,7 +26,6 @@
 
 use crate::lock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// The states a worker lane moves through.
@@ -122,7 +121,6 @@ impl Lane {
 #[derive(Default)]
 pub struct Timeline {
     lanes: Mutex<Vec<Lane>>,
-    bindings: Mutex<HashMap<u32, usize>>,
 }
 
 impl Timeline {
@@ -166,25 +164,6 @@ impl Timeline {
         l.since_us = ts_us;
         l.transitions += 1;
         true
-    }
-
-    /// Binds `cell` to `lane` so pipeline operators working on the cell
-    /// can record states onto the worker lane that owns it.
-    pub fn bind_cell(&self, cell: u32, lane: usize) {
-        lock(&self.bindings).insert(cell, lane);
-    }
-
-    /// Removes a cell binding (after the cell's pipeline finished).
-    pub fn unbind_cell(&self, cell: u32) {
-        lock(&self.bindings).remove(&cell);
-    }
-
-    /// [`Timeline::record`] addressed by bound cell instead of lane.
-    /// Returns the lane on a genuine transition, `None` when the cell is
-    /// unbound or the record coalesced.
-    pub fn record_cell(&self, cell: u32, state: WorkerState, ts_us: u64) -> Option<usize> {
-        let lane = *lock(&self.bindings).get(&cell)?;
-        self.record(lane, state, ts_us).then_some(lane)
     }
 
     /// Folds every lane into a [`WorkerTimeline`] as of `now_us` (the
@@ -334,22 +313,6 @@ mod tests {
         let snap = tl.snapshot(100);
         assert_eq!(snap.workers.len(), 2);
         assert_eq!(snap.wall_us, 100, "max(100, 60), not 160");
-    }
-
-    #[test]
-    fn cell_bindings_route_to_the_owning_lane() {
-        let tl = Timeline::new();
-        let w0 = tl.register("w0", 0);
-        let w1 = tl.register("w1", 0);
-        tl.bind_cell(7, w1);
-        assert_eq!(tl.record_cell(7, WorkerState::Scan, 5), Some(w1));
-        assert_eq!(tl.record_cell(7, WorkerState::Scan, 6), None, "coalesced");
-        assert_eq!(tl.record_cell(9, WorkerState::Scan, 7), None, "unbound cell");
-        tl.unbind_cell(7);
-        assert_eq!(tl.record_cell(7, WorkerState::Partial, 8), None);
-        let snap = tl.snapshot(10);
-        assert_eq!(snap.workers[w1].transitions, 2);
-        assert_eq!(snap.workers[w0].transitions, 1);
     }
 
     #[test]

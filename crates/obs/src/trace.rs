@@ -66,7 +66,7 @@ impl From<String> for FieldValue {
 }
 
 /// One structured trace event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Event {
     /// Microseconds since the owning [`Recorder`] was created (monotonic).
     pub ts_us: u64,
@@ -207,18 +207,6 @@ impl Recorder {
         }
     }
 
-    /// Records a worker-state transition addressed by the cell bound to a
-    /// lane (see [`Timeline::bind_cell`]). Unbound cells, coalesced
-    /// records, and recorders without a timeline emit nothing.
-    pub fn worker_state_cell(&self, cell: u32, state: WorkerState) {
-        let Some(tl) = self.timeline.as_deref() else { return };
-        if let Some(lane) = tl.record_cell(cell, state, self.elapsed_us()) {
-            if let Some(label) = tl.label(lane) {
-                self.emit_worker_state(&label, lane, state);
-            }
-        }
-    }
-
     fn emit_worker_state(&self, label: &str, lane: usize, state: WorkerState) {
         self.event(
             "worker.state",
@@ -352,15 +340,11 @@ mod tests {
                 ("state".to_string(), FieldValue::Str("scan".into())),
             ]
         );
-        // Cell-bound recording reaches the same lane.
-        timeline.bind_cell(7, lane);
-        rec.worker_state_cell(7, WorkerState::Partial);
-        assert_eq!(ring.events().iter().filter(|e| e.name == "worker.state").count(), 4);
         // Without a timeline the whole family is a no-op.
         let bare = Recorder::new().with_sink(ring.clone());
         assert!(bare.register_worker("w1").is_none());
         bare.worker_state(0, WorkerState::Merge);
-        assert_eq!(ring.events().iter().filter(|e| e.name == "worker.state").count(), 4);
+        assert_eq!(ring.events().iter().filter(|e| e.name == "worker.state").count(), 3);
     }
 
     #[test]
@@ -373,8 +357,10 @@ mod tests {
                 ("b".into(), FieldValue::Str("s".into())),
             ],
         };
+        // Nothing parses an `Event` back; its JSON must still read as the
+        // tree it was printed from.
         let json = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
+        let back: serde::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, serde::Serialize::to_value(&e));
     }
 }

@@ -89,6 +89,7 @@ fn exporter_serves_all_three_routes() {
 fn exporter_serves_status_with_live_worker_rows() {
     use pmkm_obs::timeline::{Timeline, WorkerState};
     use pmkm_obs::{StatusCell, StatusSnapshot, STATUS_SCHEMA_VERSION};
+    use serde::Value;
 
     let timeline = Arc::new(Timeline::new());
     let rec = Arc::new(Recorder::new().with_timeline(Arc::clone(&timeline)));
@@ -102,9 +103,9 @@ fn exporter_serves_status_with_live_worker_rows() {
     let (st, headers, body) = get(addr, "/status");
     assert_eq!(st, "HTTP/1.1 200 OK");
     assert_eq!(header(&headers, "content-type"), Some("application/json"));
-    let snap: StatusSnapshot = serde_json::from_str(&body).expect("status parses");
-    assert_eq!(snap.schema, STATUS_SCHEMA_VERSION);
-    assert_eq!(snap.state, "idle");
+    let snap: Value = serde_json::from_str(&body).expect("status parses");
+    assert_eq!(snap.get("schema"), Some(&Value::U64(STATUS_SCHEMA_VERSION.into())));
+    assert_eq!(snap.get("state"), Some(&Value::Str("idle".into())));
 
     // After a publish plus worker activity, the document carries the
     // orchestrator's numbers and worker rows refreshed from the timeline.
@@ -117,12 +118,14 @@ fn exporter_serves_status_with_live_worker_rows() {
     running.mass_ratio = 1.0;
     status.publish(running);
     let (_, _, body) = get(addr, "/status");
-    let snap: StatusSnapshot = serde_json::from_str(&body).expect("status parses");
-    assert_eq!(snap.state, "running");
-    assert_eq!((snap.cells_total, snap.cells_done), (4, 1));
-    assert_eq!(snap.workers.len(), 1);
-    assert_eq!(snap.workers[0].worker, "w0");
-    assert_eq!(snap.workers[0].state, "partial");
+    let snap: Value = serde_json::from_str(&body).expect("status parses");
+    assert_eq!(snap.get("state"), Some(&Value::Str("running".into())));
+    assert_eq!(snap.get("cells_total"), Some(&Value::U64(4)));
+    assert_eq!(snap.get("cells_done"), Some(&Value::U64(1)));
+    let Some(Value::Seq(workers)) = snap.get("workers") else { panic!("worker rows: {body}") };
+    assert_eq!(workers.len(), 1);
+    assert_eq!(workers[0].get("worker"), Some(&Value::Str("w0".into())));
+    assert_eq!(workers[0].get("state"), Some(&Value::Str("partial".into())));
 
     server.shutdown();
 

@@ -16,7 +16,7 @@
 //! tolerance are orthogonal: chaos tests combine a `FaultPlan` with either
 //! policy, and production runs use a policy with no plan at all.
 
-use pmkm_obs::{FaultKind, FaultReport, FieldValue, Recorder};
+use pmkm_obs::{FaultKind, FaultReport, FieldValue, Recorder, WorkerState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -309,6 +309,9 @@ pub struct FaultContext {
     pub policy: FaultPolicy,
     /// Shared counters, snapshotted into the engine report.
     pub counters: Arc<FaultCounters>,
+    /// Timeline lane of the orchestrator worker running the cell, which
+    /// the cell's pipeline states land on; `None` outside `orchestrate`.
+    pub(crate) lane: Option<usize>,
 }
 
 impl FaultContext {
@@ -319,12 +322,21 @@ impl FaultContext {
             plan: plan.map(Arc::new),
             policy,
             counters: Arc::new(FaultCounters::default()),
+            lane: None,
         }
     }
 
     /// The recorder, if the run is observed.
     pub fn rec(&self) -> Option<&Recorder> {
         self.rec.as_deref()
+    }
+
+    /// Records the cell's pipeline entering `state` on its worker's lane
+    /// (a no-op without a lane or a recorder).
+    pub(crate) fn worker_state(&self, state: WorkerState) {
+        if let (Some(rec), Some(lane)) = (self.rec(), self.lane) {
+            rec.worker_state(lane, state);
+        }
     }
 
     /// Books one fault of `kind`: bumps its counter and, when the run is

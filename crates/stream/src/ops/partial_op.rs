@@ -115,11 +115,9 @@ impl PartialKMeansOp {
         let ChunkMsg { cell, chunk_id, points } = chunk;
         let rec = self.ctx.rec();
         self.items_in += 1;
-        if let Some(rec) = rec {
-            // Coalesced by the timeline, so per-chunk cost is one
-            // same-state check on the lane the cell is bound to.
-            rec.worker_state_cell(cell.index(), pmkm_obs::WorkerState::Partial);
-        }
+        // Coalesced by the timeline, so per-chunk cost is one same-state
+        // check on the lane of the worker running the cell.
+        self.ctx.worker_state(pmkm_obs::WorkerState::Partial);
         // Poison gate: a chunk with non-finite coordinates would corrupt
         // every centroid it touches, so it never reaches the kernel.
         if self.ctx.validate_chunks() && points.as_flat().iter().any(|v| !v.is_finite()) {

@@ -335,8 +335,8 @@ impl ScanOp {
                 "cell.open",
                 &[("cell", cell.index().into()), ("expected_points", expected_points.into())],
             );
-            rec.worker_state_cell(cell.index(), pmkm_obs::WorkerState::Scan);
         }
+        self.ctx.worker_state(pmkm_obs::WorkerState::Scan);
         match reader {
             AnyReader::Gb01(r) => self.scan_gb01(path, pkey, *r, emit)?,
             AnyReader::Gb02(r) => self.scan_gb02(path, pkey, r, emit)?,

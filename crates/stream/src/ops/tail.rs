@@ -253,8 +253,8 @@ impl TailOp {
         chunk_id: usize,
         output: PartialOutput,
     ) -> Result<()> {
-        if let (Some(rec), Some(stamp)) = (self.ctx.rec(), self.wire.insert_state) {
-            rec.worker_state_cell(cell.index(), stamp);
+        if let Some(stamp) = self.wire.insert_state {
+            self.ctx.worker_state(stamp);
         }
         let PartialOutput {
             centroids,
@@ -438,9 +438,7 @@ impl TailOp {
             }
             return Ok(()); // empty bucket (or total loss): nothing to emit
         }
-        if let Some(rec) = self.ctx.rec() {
-            rec.worker_state_cell(cell.index(), WorkerState::Merge);
-        }
+        self.ctx.worker_state(WorkerState::Merge);
         let output = self.query(cell, &mut state.tree)?;
         if degraded {
             self.note_degraded(cell, lost);

@@ -51,7 +51,7 @@ use pmkm_obs::{
     StatusSnapshot, WorkerState,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -351,32 +351,35 @@ pub fn orchestrate(
     let started = Instant::now();
     let inputs = &plan.logical.inputs;
     let n = inputs.len();
+    // A checkpoint is named after its bucket's file name, so two inputs
+    // sharing one would resume each other's clustering.
+    if let Some(dir) = &opts.checkpoint_dir {
+        let mut seen: HashMap<String, &PathBuf> = HashMap::with_capacity(n);
+        for path in inputs {
+            if let Some(first) = seen.insert(file_name(path), path) {
+                return Err(EngineError::InvalidPlan(format!(
+                    "inputs {} and {} share a file name, so they would share one checkpoint in {}",
+                    first.display(),
+                    path.display(),
+                    dir.display()
+                )));
+            }
+        }
+    }
     let jobs = opts.jobs.max(1);
     let fingerprint = plan_fingerprint(plan, fault_plan.as_ref());
 
     // Per-cell admission cost against the shared budget: the cell's
     // in-flight chunk footprint (one chunk per partial clone, plus the
-    // chunker's build buffer and the merge's gathered centroids). The
-    // same header read yields each cell's grid index, which the timeline
-    // uses to route per-cell pipeline states onto the owning worker lane.
-    let mut costs: Vec<usize> = Vec::with_capacity(n);
-    let mut cell_ids: Vec<Option<u32>> = Vec::with_capacity(n);
-    for p in inputs {
-        // `probe` reads the shared 32-byte header prefix, so GB01 buckets
-        // and GB02 block containers are admitted alike.
-        match pmkm_data::probe(p) {
-            Ok(info) => {
-                cell_ids.push(Some(info.cell.index()));
-                costs.push(cell_cost(plan, info.dim));
-            }
-            // Unreadable header: admit for free and let the pipeline
-            // surface the proper scan error / tolerant abandonment.
-            Err(_) => {
-                cell_ids.push(None);
-                costs.push(0);
-            }
-        }
-    }
+    // chunker's build buffer and the merge's gathered centroids). `probe`
+    // reads the shared 32-byte header prefix, so GB01 buckets and GB02
+    // block containers are admitted alike. An unreadable header admits
+    // for free and lets the pipeline surface the proper scan error or
+    // tolerant abandonment.
+    let costs: Vec<usize> = inputs
+        .iter()
+        .map(|p| pmkm_data::probe(p).map_or(0, |info| cell_cost(plan, info.dim)))
+        .collect();
     let budget = match opts.budget_bytes {
         Some(cap) => {
             if let Some((i, &worst)) = costs.iter().enumerate().max_by_key(|(_, &c)| c) {
@@ -498,7 +501,6 @@ pub fn orchestrate(
         ctx: FaultContext { rec: rec.clone(), ..FaultContext::new(fault_plan, plan.fault_policy) },
         queues,
         costs,
-        cell_ids,
         budget,
         outcomes: Mutex::new(outcomes),
         first_err: Mutex::new(None),
@@ -602,7 +604,6 @@ struct Shared<'a> {
     ctx: FaultContext,
     queues: Vec<Mutex<VecDeque<usize>>>,
     costs: Vec<usize>,
-    cell_ids: Vec<Option<u32>>,
     budget: Option<MemoryBudget>,
     outcomes: Mutex<Vec<Option<CellOutcome>>>,
     first_err: Mutex<Option<EngineError>>,
@@ -625,26 +626,6 @@ impl Shared<'_> {
     fn set_state(&self, w: usize, state: WorkerState) {
         if let (Some(rec), Some(&Some(lane))) = (self.ctx.rec(), self.lanes.get(w)) {
             rec.worker_state(lane, state);
-        }
-    }
-
-    /// Routes cell `i`'s pipeline states (scan/partial/merge) onto worker
-    /// `w`'s lane for the duration of the cell's run.
-    fn bind_cell(&self, w: usize, i: usize) {
-        if let (Some(rec), Some(&Some(lane)), Some(&Some(cell))) =
-            (self.ctx.rec(), self.lanes.get(w), self.cell_ids.get(i))
-        {
-            if let Some(tl) = rec.timeline() {
-                tl.bind_cell(cell, lane);
-            }
-        }
-    }
-
-    fn unbind_cell(&self, i: usize) {
-        if let (Some(rec), Some(&Some(cell))) = (self.ctx.rec(), self.cell_ids.get(i)) {
-            if let Some(tl) = rec.timeline() {
-                tl.unbind_cell(cell);
-            }
         }
     }
 
@@ -759,13 +740,9 @@ fn worker(w: usize, shared: &Shared<'_>) {
                 return;
             }
         }
-        // The cell's own pipeline states (scan → partial → merge) land on
-        // this worker's lane via the binding.
-        shared.bind_cell(w, i);
         shared.running.fetch_add(1, Ordering::Relaxed);
-        let res = run_one_cell(shared, i);
+        let res = run_one_cell(shared, w, i);
         shared.running.fetch_sub(1, Ordering::Relaxed);
-        shared.unbind_cell(i);
         if let Some(b) = &shared.budget {
             b.release(cost);
         }
@@ -837,11 +814,14 @@ fn worker(w: usize, shared: &Shared<'_>) {
     }
 }
 
-fn run_one_cell(shared: &Shared<'_>, i: usize) -> Result<CellOutcome> {
+/// Runs cell `i` on worker `w`: the cell's pipeline states (scan, partial,
+/// merge) land on the worker's lane.
+fn run_one_cell(shared: &Shared<'_>, w: usize, i: usize) -> Result<CellOutcome> {
     let plan = shared.plan;
     let inputs = std::slice::from_ref(&plan.logical.inputs[i]);
     // Fresh counters per cell: they become the cell's own fault report.
-    let ctx = FaultContext { counters: Arc::default(), ..shared.ctx.clone() };
+    let ctx =
+        FaultContext { counters: Arc::default(), lane: shared.lanes[w], ..shared.ctx.clone() };
     let report = run_pipeline(plan, inputs, shared.coreset.as_ref(), &ctx)?;
     Ok(CellOutcome {
         input: i,
@@ -1022,7 +1002,6 @@ fn add_faults(into: &mut FaultReport, from: &FaultReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::execute;
     use crate::optimizer::optimize_fixed_split;
     use crate::plan::LogicalPlan;
     use crate::resources::Resources;
@@ -1073,48 +1052,6 @@ mod tests {
             assert_eq!(cx.expected_points.to_bits(), cy.expected_points.to_bits());
         }
         assert_eq!(a.faults, b.faults);
-    }
-
-    #[test]
-    fn orchestrated_cells_match_a_serial_execute_loop() {
-        let dir = tmpdir("serial_parity");
-        let paths: Vec<PathBuf> =
-            (1..=5).map(|i| write_cell(&dir, i, 80 + 30 * i as usize, 9)).collect();
-        let plan = mk_plan(&paths, 11);
-        let planet = orchestrate(&plan, &OrchestratorOptions::new(4), None, None).unwrap();
-        assert_eq!(planet.cells.len(), 5);
-        assert_eq!(planet.cells_executed, 5);
-        for (i, outcome) in planet.cells.iter().enumerate() {
-            let mut one = plan.clone();
-            one.logical.inputs = vec![paths[i].clone()];
-            let solo = execute(&one).unwrap();
-            let orch = outcome.clustering.as_ref().unwrap();
-            assert_eq!(orch.output.centroids, solo.cells[0].output.centroids);
-            assert_eq!(orch.output.epm.to_bits(), solo.cells[0].output.epm.to_bits());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn planet_report_ordering_is_independent_of_worker_count() {
-        let dir = tmpdir("ordering");
-        // Mixed sizes so completion order differs from input order.
-        let sizes = [400usize, 60, 250, 90, 300, 70];
-        let paths: Vec<PathBuf> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| write_cell(&dir, (i + 1) as u16, n, 5))
-            .collect();
-        let plan = mk_plan(&paths, 3);
-        let one = orchestrate(&plan, &OrchestratorOptions::new(1), None, None).unwrap();
-        let four = orchestrate(&plan, &OrchestratorOptions::new(4), None, None).unwrap();
-        assert_same_cells(&one, &four);
-        // Deterministic input-order reporting regardless of completion order.
-        for (i, o) in four.cells.iter().enumerate() {
-            assert_eq!(o.input, i);
-            assert_eq!(o.path, paths[i]);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! 2. **query cost** — an anytime query consumes at most
 //!    `live_buckets × size` input points, and `live_buckets` is the
 //!    popcount of the chunk counter, ≤ ⌈log₂ chunks⌉ + 1,
-//! 3. **scheduling independence** — 1-worker and 4-worker runs are
-//!    bit-identical (the coreset operator drains chunks in id order),
+//! 3. **scheduling independence** — checked by the run matrix
+//!    (`tests/run_matrix.rs`), which crosses the coreset tail with every
+//!    worker and job count,
 //! 4. **anytime = final** — on a finite stream, the last published
 //!    anytime query *is* the terminal clustering, bit for bit,
 //! 5. **bounded regret** — mid-stream query MSE against the raw prefix
@@ -199,45 +200,6 @@ fn ten_times_longer_stream_keeps_live_buckets_logarithmic() {
         assert!(tree.union().unwrap().len() <= (tree.max_level() as usize + 1) * size.max(25));
         assert_eq!(tree.stats().ingested_points, (chunks * 25) as f64);
     }
-}
-
-/// (3) Scheduling independence through the full engine: the coreset
-/// operator drains chunks in id order, so worker count cannot change a
-/// single output bit.
-#[test]
-fn one_and_four_worker_runs_are_bit_identical() {
-    let dir = tmpdir("workers");
-    let paths = vec![write_cell(&dir, 8, 300, 17), write_cell(&dir, 9, 180, 17)];
-    let run = |workers: usize| {
-        let logical = LogicalPlan::new(
-            paths.clone(),
-            KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 23) },
-        );
-        let mut plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, workers), 25);
-        plan.coreset = Some(CoresetSpec::new(16));
-        execute(&plan).unwrap()
-    };
-    let one = run(1);
-    let four = run(4);
-    assert_eq!(one.cells.len(), 2);
-    for (a, b) in one.cells.iter().zip(&four.cells) {
-        assert_eq!(a.cell, b.cell);
-        let bits = |c: &pmkm_stream::CellClustering| -> Vec<u64> {
-            c.output.centroids.iter().flat_map(|p| p.iter().map(|v| v.to_bits())).collect()
-        };
-        assert_eq!(bits(a), bits(b), "cell {}", a.cell.index());
-        assert_eq!(a.output.mse.to_bits(), b.output.mse.to_bits());
-        assert_eq!(a.output.epm.to_bits(), b.output.epm.to_bits());
-        let wa: Vec<u64> = a.output.cluster_weights.iter().map(|v| v.to_bits()).collect();
-        let wb: Vec<u64> = b.output.cluster_weights.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(wa, wb);
-        // Same tree shape too: builds, compactions, levels.
-        let (sa, sb) = (a.coreset.unwrap(), b.coreset.unwrap());
-        assert_eq!(sa.builds, sb.builds);
-        assert_eq!(sa.compactions, sb.compactions);
-        assert_eq!(sa.live_buckets, sb.live_buckets);
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// (4) Anytime = final: on a finite stream the last anytime query the

@@ -3,7 +3,10 @@
 //!
 //! 1. **Zero interference** — an orchestrate run with the full stack
 //!    attached (event ledger, worker timeline, `/status` cell, watchdog)
-//!    is bit-identical to a bare run of the same plan.
+//!    is bit-identical to a bare run of the same plan. The run matrix
+//!    (`tests/run_matrix.rs`) crosses a ledger, a profiler and a timeline
+//!    with every other run axis; the status cell and the watchdog are
+//!    checked here.
 //! 2. **Status truth** — the final `/status` snapshot agrees with the
 //!    `PlanetReport` on every cell and mass number.
 //! 3. **Watchdog restraint** — a chaos run under the tolerant policy
@@ -14,98 +17,20 @@
 //!    shapes, each fact once: one `fault` record per counted fault and
 //!    none of the records that only repeated one.
 
-use pmkm_core::KMeansConfig;
+mod common;
+
+use common::{answers, planet, quiet_injected_panics};
 use pmkm_obs::{
     chrome_trace, parse_ledger, rollup, FaultKind, LedgerSink, MetricsServer, Recorder, StatusCell,
     Timeline,
 };
-use pmkm_stream::fault::InjectedPanic;
 use pmkm_stream::prelude::*;
 use pmkm_stream::{CoresetSpec, FaultPlan, FaultPolicy, Watchdog, WatchdogConfig, WatchdogSink};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::Duration;
-
-fn quiet_injected_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<InjectedPanic>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-fn write_cell(dir: &Path, idx: u16, n: usize, seed: u64) -> PathBuf {
-    use rand::Rng;
-    let mut rng = pmkm_core::seeding::rng_for(seed, idx as u64);
-    let mut points = pmkm_core::Dataset::new(2).unwrap();
-    for _ in 0..n {
-        let blob = if rng.gen_bool(0.5) { 0.0 } else { 40.0 };
-        points.push(&[blob + rng.gen_range(-1.0..1.0), blob + rng.gen_range(-1.0..1.0)]).unwrap();
-    }
-    let cell = pmkm_data::GridCell::new(idx, idx).unwrap();
-    let path = dir.join(cell.bucket_file_name());
-    pmkm_data::GridBucket { cell, points }.write_to(&path).unwrap();
-    path
-}
-
-/// A planet of `cells` buckets with varied sizes, k = 2, 40-point chunks.
-fn planet(tag: &str, cells: usize, data_seed: u64, plan_seed: u64) -> (PathBuf, PhysicalPlan) {
-    let dir = std::env::temp_dir().join(format!("pmkm_observe_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let paths: Vec<PathBuf> =
-        (1..=cells).map(|i| write_cell(&dir, i as u16, 60 + 25 * (i % 4), data_seed)).collect();
-    let logical =
-        LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, plan_seed) });
-    let plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 2), 40);
-    (dir, plan)
-}
-
-fn f64_bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Bit-level equality over everything the observability layer must not
-/// perturb. (Durations are wall-clock and deliberately excluded.)
-fn assert_bit_identical(a: &PlanetReport, b: &PlanetReport) {
-    assert_eq!(a.cells.len(), b.cells.len(), "cell count");
-    for (x, y) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(x.input, y.input);
-        assert_eq!(x.path, y.path);
-        assert_eq!(x.degraded, y.degraded, "cell {}", x.input);
-        assert_eq!(x.faults, y.faults, "cell {}", x.input);
-        match (&x.clustering, &y.clustering) {
-            (None, None) => {}
-            (Some(cx), Some(cy)) => {
-                assert_eq!(cx.cell, cy.cell);
-                let flat = |c: &pmkm_stream::CellClustering| -> Vec<u64> {
-                    c.output.centroids.iter().flat_map(|p| p.iter().map(|v| v.to_bits())).collect()
-                };
-                assert_eq!(flat(cx), flat(cy), "cell {} centroids", x.input);
-                assert_eq!(
-                    f64_bits(&cx.output.cluster_weights),
-                    f64_bits(&cy.output.cluster_weights),
-                    "cell {} weights",
-                    x.input
-                );
-                assert_eq!(cx.output.epm.to_bits(), cy.output.epm.to_bits(), "cell {}", x.input);
-                assert_eq!(cx.output.mse.to_bits(), cy.output.mse.to_bits());
-                assert_eq!(cx.expected_points.to_bits(), cy.expected_points.to_bits());
-                assert_eq!(cx.lost_points.to_bits(), cy.lost_points.to_bits());
-            }
-            _ => panic!("cell {}: one run produced a clustering, the other did not", x.input),
-        }
-    }
-    assert_eq!(a.faults, b.faults, "planet fault counters");
-    assert_eq!(a.degraded, b.degraded);
-    assert_eq!(a.cells_total, b.cells_total);
-}
 
 fn get(addr: SocketAddr, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -178,7 +103,7 @@ fn observed_run_is_bit_identical_and_status_matches_the_report() {
     let observed = orchestrate(&plan, &opts, Some(Arc::clone(&rec)), None).unwrap();
     watchdog.stop();
 
-    assert_bit_identical(&bare, &observed);
+    assert_eq!(answers(&bare), answers(&observed));
 
     // The final snapshot is the report, seen through /status eyes.
     let snap = status.get();
@@ -331,6 +256,38 @@ fn events_and_status_stay_live_under_a_multi_worker_run() {
     assert!(last_seq > 0, "the ledger saw events");
 
     server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Pipeline states land on the lane of the worker running the cell: two
+/// buckets of one grid cell, run at once on two workers, each journal
+/// `scan` and `partial` on their own worker's lane.
+#[test]
+fn each_worker_journals_its_own_cells_pipeline_states() {
+    let (dir, mut plan) = planet("lanes", 1, 3, 5);
+    let one = plan.logical.inputs[0].clone();
+    plan.logical.inputs = ["a", "b"]
+        .iter()
+        .map(|name| {
+            let path = dir.join(format!("{name}.gb"));
+            std::fs::copy(&one, &path).unwrap();
+            path
+        })
+        .collect();
+    let ledger = Arc::new(LedgerSink::in_memory());
+    let rec = Arc::new(Recorder::new().with_sink(ledger.clone()).with_timeline(Arc::default()));
+    let opts = OrchestratorOptions::new(2).with_checkpoints(dir.join("ckpt"));
+    orchestrate(&plan, &opts, Some(rec), None).unwrap();
+    let mut states: [BTreeSet<String>; 2] = Default::default();
+    for r in ledger.records_after(0).iter().filter(|r| r.name == "worker.state") {
+        let lane = r.u64_field("lane").unwrap() as usize;
+        states[lane].insert(r.str_field("state").unwrap().to_string());
+    }
+    assert!(states.iter().any(|s| s.contains("checkpoint")), "{states:?}");
+    for lane in &states {
+        let ran = lane.contains("checkpoint");
+        assert_eq!((lane.contains("scan"), lane.contains("partial")), (ran, ran), "{states:?}");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -3,198 +3,27 @@
 //! Every per-cell result is a pure function of `(bucket, plan, fault seed)`,
 //! so a run that is killed after k checkpoints and then resumed must produce
 //! **bit-identical** per-cell centroids, weights, E_pm, mass accounting and
-//! fault counters to an uninterrupted run. This suite enforces that across:
+//! fault counters to an uninterrupted run. The run matrix
+//! (`tests/run_matrix.rs`) crosses kill-and-resume with every other run
+//! axis; this suite adds:
 //!
-//! 1. a seeded kill-point matrix on a ≥ 8-cell planet (the acceptance bar),
-//! 2. chaos schedules under the tolerant policy (fault counters and lost
-//!    mass must survive the round trip through the checkpoint files),
+//! 1. a checkpoint directory that refuses two inputs with one file name,
+//! 2. resumed cells rolled into the `/metrics` mass gauges,
 //! 3. corrupted / truncated / stale checkpoint files — detected via
 //!    checksum, fingerprint and version checks, answered with a silent
 //!    re-scan, never a panic,
 //! 4. random `(seed, cells, kill_k, jobs)` triples via proptest.
 
+mod common;
+
+use common::{answers, planet, quiet_injected_panics, write_cell};
 use pmkm_core::KMeansConfig;
-use pmkm_stream::fault::InjectedPanic;
 use pmkm_stream::prelude::*;
 use pmkm_stream::{FaultPlan, FaultPolicy};
 use std::path::{Path, PathBuf};
-use std::sync::Once;
-
-fn quiet_injected_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<InjectedPanic>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-fn write_cell(dir: &Path, idx: u16, n: usize, seed: u64) -> PathBuf {
-    use rand::Rng;
-    let mut rng = pmkm_core::seeding::rng_for(seed, idx as u64);
-    let mut points = pmkm_core::Dataset::new(2).unwrap();
-    for _ in 0..n {
-        let blob = if rng.gen_bool(0.5) { 0.0 } else { 40.0 };
-        points.push(&[blob + rng.gen_range(-1.0..1.0), blob + rng.gen_range(-1.0..1.0)]).unwrap();
-    }
-    let cell = pmkm_data::GridCell::new(idx, idx).unwrap();
-    let path = dir.join(cell.bucket_file_name());
-    pmkm_data::GridBucket { cell, points }.write_to(&path).unwrap();
-    path
-}
-
-/// A planet of `cells` buckets with varied sizes, k = 2, 40-point chunks.
-fn planet(tag: &str, cells: usize, data_seed: u64, plan_seed: u64) -> (PathBuf, PhysicalPlan) {
-    let dir = std::env::temp_dir().join(format!("pmkm_resume_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let paths: Vec<PathBuf> =
-        (1..=cells).map(|i| write_cell(&dir, i as u16, 60 + 25 * (i % 4), data_seed)).collect();
-    let logical =
-        LogicalPlan::new(paths, KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, plan_seed) });
-    let plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 2), 40);
-    (dir, plan)
-}
-
-fn f64_bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Bit-level equality over everything a resumed run must reproduce.
-/// (Durations are wall-clock and deliberately excluded.)
-fn assert_bit_identical(a: &PlanetReport, b: &PlanetReport) {
-    assert_eq!(a.cells.len(), b.cells.len(), "cell count");
-    for (x, y) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(x.input, y.input);
-        assert_eq!(x.path, y.path);
-        assert_eq!(x.degraded, y.degraded, "cell {}", x.input);
-        assert_eq!(x.faults, y.faults, "cell {}", x.input);
-        match (&x.clustering, &y.clustering) {
-            (None, None) => {}
-            (Some(cx), Some(cy)) => {
-                assert_eq!(cx.cell, cy.cell);
-                let flat = |c: &pmkm_stream::CellClustering| -> Vec<u64> {
-                    c.output.centroids.iter().flat_map(|p| p.iter().map(|v| v.to_bits())).collect()
-                };
-                assert_eq!(flat(cx), flat(cy), "cell {} centroids", x.input);
-                assert_eq!(
-                    f64_bits(&cx.output.cluster_weights),
-                    f64_bits(&cy.output.cluster_weights),
-                    "cell {} weights",
-                    x.input
-                );
-                assert_eq!(cx.output.epm.to_bits(), cy.output.epm.to_bits(), "cell {}", x.input);
-                assert_eq!(cx.output.mse.to_bits(), cy.output.mse.to_bits());
-                assert_eq!(cx.output.iterations, cy.output.iterations);
-                assert_eq!(cx.output.converged, cy.output.converged);
-                assert_eq!(cx.output.input_centroids, cy.output.input_centroids);
-                assert_eq!(cx.expected_points.to_bits(), cy.expected_points.to_bits());
-                assert_eq!(cx.lost_points.to_bits(), cy.lost_points.to_bits());
-                assert_eq!(cx.lost_chunks, cy.lost_chunks);
-                assert_eq!(cx.degraded, cy.degraded);
-                assert_eq!(cx.chunks.len(), cy.chunks.len());
-                for (sx, sy) in cx.chunks.iter().zip(&cy.chunks) {
-                    assert_eq!(sx.chunk, sy.chunk);
-                    assert_eq!(sx.points, sy.points);
-                    assert_eq!(sx.best_mse.to_bits(), sy.best_mse.to_bits());
-                    assert_eq!(sx.total_iterations, sy.total_iterations);
-                }
-                for (tx, ty) in cx.trajectories.iter().zip(&cy.trajectories) {
-                    assert_eq!(f64_bits(tx), f64_bits(ty));
-                }
-            }
-            _ => panic!("cell {}: clustering present on one side only", x.input),
-        }
-    }
-    assert_eq!(a.faults, b.faults, "planet fault counters");
-    assert_eq!(a.degraded, b.degraded);
-    assert_eq!(a.expected_points().to_bits(), b.expected_points().to_bits());
-    assert_eq!(a.lost_points().to_bits(), b.lost_points().to_bits());
-    assert_eq!(a.received_points().to_bits(), b.received_points().to_bits());
-}
 
 fn ckpt_dir(data_dir: &Path) -> PathBuf {
     data_dir.join("ckpt")
-}
-
-/// The acceptance bar: a 9-cell planet killed after k ∈ {1, 4, 8}
-/// checkpoints resumes to bit-identical results.
-#[test]
-fn kill_and_resume_matches_uninterrupted_across_kill_matrix() {
-    let (dir, plan) = planet("kill_matrix", 9, 31, 17);
-    let baseline = orchestrate(&plan, &OrchestratorOptions::new(3), None, None).unwrap();
-    assert_eq!(baseline.cells.len(), 9);
-    for kill_k in [1usize, 4, 8] {
-        let cdir = dir.join(format!("ckpt_{kill_k}"));
-        let killed = orchestrate(
-            &plan,
-            &OrchestratorOptions::new(2).with_checkpoints(&cdir).kill_after(kill_k),
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(killed.interrupted, "kill_k={kill_k}");
-        assert_eq!(killed.checkpoints_written, kill_k, "kill_k={kill_k}");
-        // Only checkpointed cells survive the simulated death.
-        assert_eq!(killed.cells.len(), kill_k, "kill_k={kill_k}");
-
-        let resumed = orchestrate(
-            &plan,
-            &OrchestratorOptions::new(3).with_checkpoints(&cdir).resuming(),
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(!resumed.interrupted);
-        assert_eq!(resumed.cells_resumed, kill_k, "kill_k={kill_k}");
-        assert_eq!(resumed.cells_executed, 9 - kill_k, "kill_k={kill_k}");
-        assert_eq!(resumed.checkpoints_invalid, 0);
-        assert_eq!(resumed.cells.iter().filter(|c| c.resumed).count(), kill_k);
-        assert_bit_identical(&baseline, &resumed);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Chaos + resume: fault counters and lost-mass accounting survive the
-/// round trip through the checkpoint files, and mass is conserved
-/// planet-wide (Σ received + Σ lost == Σ expected).
-#[test]
-fn chaos_run_resumes_with_identical_fault_accounting() {
-    quiet_injected_panics();
-    let (dir, plan) = planet("chaos_resume", 8, 77, 5);
-    let mut plan = plan;
-    plan.fault_policy = FaultPolicy::tolerant();
-    let faults = Some(FaultPlan::light(23));
-    let baseline = orchestrate(&plan, &OrchestratorOptions::new(2), None, faults.clone()).unwrap();
-    let cdir = ckpt_dir(&dir);
-    let killed = orchestrate(
-        &plan,
-        &OrchestratorOptions::new(2).with_checkpoints(&cdir).kill_after(3),
-        None,
-        faults.clone(),
-    )
-    .unwrap();
-    assert!(killed.interrupted);
-    let resumed = orchestrate(
-        &plan,
-        &OrchestratorOptions::new(4).with_checkpoints(&cdir).resuming(),
-        None,
-        faults,
-    )
-    .unwrap();
-    assert_bit_identical(&baseline, &resumed);
-    // Planet-wide mass conservation over surviving chunks.
-    let received = resumed.received_points();
-    let lost = resumed.lost_points();
-    let expected = resumed.expected_points();
-    assert!(
-        (received + lost - expected).abs() < 1e-6,
-        "received {received} + lost {lost} != expected {expected}"
-    );
-    assert!(expected > 0.0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A resumed orchestrated run's `/metrics` mass gauges cover the *whole*
@@ -277,7 +106,7 @@ fn corrupted_checkpoints_fall_back_to_rescan() {
     assert_eq!(resumed.checkpoints_invalid, 3);
     assert_eq!(resumed.cells_resumed, 5);
     assert_eq!(resumed.cells_executed, 3);
-    assert_bit_identical(&baseline, &resumed);
+    assert_eq!(answers(&baseline), answers(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -304,7 +133,7 @@ fn stale_fingerprint_or_newer_version_forces_rescan() {
     .unwrap();
     assert_eq!(resumed.cells_resumed, 0);
     assert_eq!(resumed.checkpoints_invalid, 4);
-    assert_bit_identical(&other_baseline, &resumed);
+    assert_eq!(answers(&other_baseline), answers(&resumed));
 
     // A file claiming a future format version is rejected too. (The resume
     // above rewrote checkpoints for `other`; doctor one to version 99.)
@@ -327,8 +156,40 @@ fn stale_fingerprint_or_newer_version_forces_rescan() {
     .unwrap();
     assert_eq!(resumed2.checkpoints_invalid, 1);
     assert_eq!(resumed2.cells_resumed, 3);
-    assert_bit_identical(&other_baseline, &resumed2);
+    assert_eq!(answers(&other_baseline), answers(&resumed2));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Checkpoints are named after their bucket's file name, so under a
+/// checkpoint directory two inputs sharing one (the same path given twice
+/// included) are refused before anything is written; without one they run.
+#[test]
+fn inputs_sharing_a_file_name_are_refused_under_checkpoints() {
+    let root = std::env::temp_dir().join(format!("pmkm_resume_collide_{}", std::process::id()));
+    let (a, b) = (root.join("a"), root.join("b"));
+    std::fs::create_dir_all(&a).unwrap();
+    std::fs::create_dir_all(&b).unwrap();
+    let (first, second) = (write_cell(&a, 7, 90, 1), write_cell(&b, 7, 90, 2));
+    assert_eq!(first.file_name(), second.file_name());
+    let cdir = ckpt_dir(&root);
+    for inputs in [vec![first.clone(), second], vec![first.clone(), first]] {
+        let kmeans = KMeansConfig { restarts: 2, ..KMeansConfig::paper(2, 3) };
+        let logical = LogicalPlan::new(inputs.clone(), kmeans);
+        let plan = optimize_fixed_split(logical, &Resources::fixed(1 << 20, 1), 40);
+        let opts = OrchestratorOptions::new(1).with_checkpoints(&cdir);
+        match orchestrate(&plan, &opts, None, None) {
+            Err(pmkm_stream::EngineError::InvalidPlan(msg)) => {
+                for p in &inputs {
+                    assert!(msg.contains(&p.display().to_string()), "{msg}");
+                }
+            }
+            other => panic!("a shared file name must be refused: {other:?}"),
+        }
+        assert!(!cdir.exists(), "a refused plan writes nothing");
+        let planet = orchestrate(&plan, &OrchestratorOptions::new(1), None, None).unwrap();
+        assert_eq!(planet.cells.len(), 2);
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
 
 mod properties {
@@ -385,7 +246,7 @@ mod properties {
             .unwrap();
             prop_assert_eq!(resumed.checkpoints_invalid, 0);
             prop_assert_eq!(resumed.cells_resumed, killed.checkpoints_written);
-            assert_bit_identical(&baseline, &resumed);
+            assert_eq!(answers(&baseline), answers(&resumed));
             std::fs::remove_dir_all(&dir).ok();
         }
     }
